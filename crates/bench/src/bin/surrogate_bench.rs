@@ -7,15 +7,28 @@
 //! one-off forward-index compile time and footprint, and asserts the two
 //! paths emit identical vectors on the benchmarked inputs.
 //!
+//! A second table times the *hit* path those misses amortize into: the
+//! serving engine's whole surrogate stage (query analysis, one table
+//! probe, one binary search + refcount bump per candidate) for a request
+//! whose every candidate is already cached, at |Rq| ∈ {100, 1000}.
+//!
 //! Usage:
 //! ```text
 //! surrogate_bench [--docs N] [--iters N] [--lens A,B,...] [--windows A,B,...]
+//!                 [--hit-iters N]
 //! ```
 //! Defaults: 24 docs per length, doc lengths {100, 1000, 10000} tokens,
-//! windows {10, 30, 100}, iteration count auto-scaled per length.
+//! windows {10, 30, 100}, iteration count auto-scaled per length, 2000
+//! timed hit-path requests per row.
 
 use serpdiv_index::{Document, ForwardIndex, IndexBuilder, SnippetGenerator, SparseVector};
-use std::time::Instant;
+use serpdiv_mining::SpecializationModel;
+use serpdiv_serve::{
+    AlgorithmKind, Budget, EngineConfig, PipelineContext, QueryRequest, SearchEngine, Stage,
+    SurrogateStage,
+};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Lcg(u64);
 impl Lcg {
@@ -73,6 +86,57 @@ fn arg_list(name: &str, default: &[usize]) -> Vec<usize> {
         .map(|v| parse_list(v))
         .filter(|v| !v.is_empty())
         .unwrap_or_else(|| default.to_vec())
+}
+
+/// Time the serving engine's surrogate stage for requests whose
+/// candidates are all cached, one row per candidate-pool size.
+fn hit_path(rng: &mut Lcg, iters: usize) {
+    const QUERY: &str = "w0 w1 w5";
+    let mut b = IndexBuilder::new();
+    for i in 0..1_200u32 {
+        let text = format!("w0 {}", body(rng, 100));
+        b.add(Document::new(
+            i,
+            format!("http://hit/{i}"),
+            "w1 title",
+            text,
+        ));
+    }
+    let model = SpecializationModel::from_json(r#"{"entries":{}}"#).expect("empty model");
+    let engine = SearchEngine::deploy(
+        Arc::new(b.build()),
+        Arc::new(model),
+        EngineConfig::default(),
+    );
+    let generation = engine.generation();
+    let request = QueryRequest::new(QUERY, 10, AlgorithmKind::OptSelect);
+    println!("{:<44} {:>6} {:>14}", "hit path", "|Rq|", "us/request");
+    for n in [100, 1_000] {
+        let mut ctx = PipelineContext::new(&request, Instant::now(), Budget::unlimited());
+        ctx.candidates = engine.retriever().retrieve(QUERY, n);
+        assert_eq!(ctx.candidates.len(), n, "corpus too small for |Rq|={n}");
+        SurrogateStage.run(&engine, &generation, &mut ctx); // fills the table
+        let warm = engine.surrogate_cache().expect("default config").stats();
+        let mut spent = Duration::ZERO;
+        for _ in 0..iters {
+            // The previous request's vectors are released outside the
+            // stage, as the driver does at the end of a request.
+            ctx.vectors = Vec::new();
+            let t = Instant::now();
+            SurrogateStage.run(&engine, &generation, &mut ctx);
+            spent += t.elapsed();
+            std::hint::black_box(&ctx.vectors);
+        }
+        let stats = engine.surrogate_cache().expect("default config").stats();
+        assert_eq!(stats.misses, warm.misses, "the timed loop must be all hits");
+        assert_eq!(stats.hits - warm.hits, (iters * n) as u64);
+        println!(
+            "{:<44} {:>6} {:>14.2}",
+            "surrogate stage, 100% hits",
+            n,
+            spent.as_secs_f64() * 1e6 / iters as f64
+        );
+    }
 }
 
 fn main() {
@@ -169,4 +233,5 @@ fn main() {
             forward.byte_size() as f64 / 1024.0
         );
     }
+    hit_path(&mut rng, arg_num("--hit-iters", 2_000).max(1));
 }

@@ -10,7 +10,7 @@ use crate::metrics::{Degradation, MetricsSnapshot, ServeMetrics};
 use crate::request::{QueryRequest, RankedResult, SearchResponse, StageTimings};
 use crate::slo::SloConfig;
 use crate::stages::{default_stage_chain, PipelineContext, Stage, StageOutcome};
-use crate::surrogates::SurrogateCache;
+use crate::surrogates::{lookup, SurrogateCache, SurrogateTable, TableKey};
 use parking_lot::RwLock;
 use serpdiv_core::{
     AlgorithmKind, CompiledSpecStore, Diversifier, PipelineParams, SpecializationStore,
@@ -37,8 +37,9 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total result-cache entries across shards; 0 disables the cache.
     pub cache_capacity: usize,
-    /// Total candidate-surrogate cache entries (keyed `(generation, doc,
-    /// query terms)`), sharded like the result cache; 0 disables it.
+    /// Total vectors the candidate-surrogate cache holds across its
+    /// per-query tables (keyed `(generation, query terms)`, evicted whole
+    /// and least-recently-used first, one global budget); 0 disables it.
     pub surrogate_cache_capacity: usize,
     /// Document partitions of the retrieval layer: 1 serves from the
     /// plain index, ≥ 2 deploys a [`ShardedIndex`] that scores shards in
@@ -259,10 +260,7 @@ impl SearchEngine {
             None
         };
         let surrogates = if config.surrogate_cache_capacity > 0 {
-            Some(SurrogateCache::new(
-                config.cache_shards.max(1),
-                config.surrogate_cache_capacity,
-            ))
+            Some(SurrogateCache::new(config.surrogate_cache_capacity))
         } else {
             None
         };
@@ -464,11 +462,14 @@ impl SearchEngine {
     }
 
     /// The candidate snippet surrogates for one request against its
-    /// pinned `generation`, through the `(generation, doc, query-terms)`
-    /// cache when enabled. With a compiled [`ForwardIndex`] deployed, a
-    /// miss is a `TermId`-stream window scan plus direct TF-IDF
-    /// emission; without one it falls back to the text oracle
-    /// (bit-identical vectors, so the cache can be shared).
+    /// pinned `generation`, through the query's [`SurrogateTable`] when
+    /// the cache is enabled: one cache probe fetches the table, the
+    /// candidates resolve against it by binary search, and only a request
+    /// that had to compute a vector publishes a replacement. With a
+    /// compiled [`ForwardIndex`] deployed, a miss is a `TermId`-stream
+    /// window scan plus direct TF-IDF emission; without one it falls back
+    /// to the text oracle (bit-identical vectors, so the cache can be
+    /// shared).
     pub(crate) fn surrogate_vectors(
         &self,
         generation: &Generation,
@@ -478,62 +479,79 @@ impl SearchEngine {
         let snippets = SnippetGenerator::with_window(self.config.params.snippet_window);
         let index = generation.index();
         let sealed = index.stats().num_docs as usize;
-        let compute = |doc, qterms: &[serpdiv_text::TermId]| match generation.forward() {
-            Some(forward) => serpdiv_core::candidate_surrogate(forward, doc, qterms, &snippets),
-            None => serpdiv_core::candidate_surrogate_naive(index, doc, qterms, &snippets),
-        };
+        let qterms: Arc<[serpdiv_text::TermId]> = index.analyze_query(query).into();
         // Fresh (delta) documents are scored against the delta's own
         // small index, with the query re-analyzed under the delta
         // vocabulary: a query term first seen in a delta document has no
         // sealed TermId at all, so reusing the sealed qterms would
-        // silently drop it — and reusing the sealed cache key would
-        // alias two different vectors. Delta surrogates are therefore
-        // computed uncached; the delta is small and short-lived by
-        // design (the background merger seals it), so the cache would
-        // barely amortize anyway.
+        // silently drop it — and filing the vector under the sealed-term
+        // table key would alias two different vectors. Delta surrogates
+        // are therefore computed per request and never enter a table; the
+        // delta is small and short-lived by design (the background merger
+        // seals it), so a table would barely amortize anyway.
         let mut delta_qterms: Option<Vec<serpdiv_text::TermId>> = None;
-        let qterms = Arc::new(index.analyze_query(query));
-        // One plan read for the whole candidate loop: the probe itself is
-        // per-miss, but the lock is not.
-        let plan = self
-            .surrogates
-            .as_ref()
-            .and_then(|_| self.carry_plan(generation.id()));
-        baseline
-            .iter()
-            .map(|h| {
-                if h.doc.index() >= sealed {
-                    let delta = generation
-                        .delta()
-                        .expect("document beyond the sealed collection without a delta");
-                    let local = delta
-                        .local_id(h.doc)
-                        .expect("document beyond the generation's document space");
-                    let qt = delta_qterms.get_or_insert_with(|| delta.local().analyze_query(query));
-                    return Arc::new(serpdiv_core::candidate_surrogate_naive(
-                        delta.local(),
-                        local,
-                        qt,
-                        &snippets,
-                    ));
-                }
-                match &self.surrogates {
-                    // On a miss under the current tag, the predecessor's
-                    // vector is promoted instead of recomputed whenever
-                    // the standing carry plan proves it byte-identical.
-                    Some(cache) => {
-                        cache.get_or_compute((generation.id(), h.doc, qterms.clone()), || {
-                            plan.as_deref()
-                                .and_then(|p| {
-                                    self.carried_surrogate(cache, p, generation, h.doc, &qterms)
-                                })
-                                .unwrap_or_else(|| Arc::new(compute(h.doc, &qterms)))
-                        })
+        let mut compute = |doc: DocId| {
+            Arc::new(if doc.index() >= sealed {
+                let delta = generation
+                    .delta()
+                    .expect("document beyond the sealed collection without a delta");
+                let local = delta
+                    .local_id(doc)
+                    .expect("document beyond the generation's document space");
+                let qt = delta_qterms.get_or_insert_with(|| delta.local().analyze_query(query));
+                serpdiv_core::candidate_surrogate_naive(delta.local(), local, qt, &snippets)
+            } else {
+                match generation.forward() {
+                    Some(forward) => {
+                        serpdiv_core::candidate_surrogate(forward, doc, &qterms, &snippets)
                     }
-                    None => Arc::new(compute(h.doc, &qterms)),
+                    None => serpdiv_core::candidate_surrogate_naive(index, doc, &qterms, &snippets),
                 }
             })
-            .collect()
+        };
+        let Some(cache) = &self.surrogates else {
+            return baseline.iter().map(|h| compute(h.doc)).collect();
+        };
+        // Nothing under the current tag: promote the predecessor's table
+        // when the standing carry plan proves it byte-identical.
+        let key = (generation.id(), qterms.clone());
+        let table = cache
+            .get(&key)
+            .or_else(|| self.carried_table(cache, generation, &key));
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let vectors: Vec<Arc<SparseVector>> = baseline
+            .iter()
+            .map(|h| {
+                let is_sealed = h.doc.index() < sealed;
+                let cached = table.as_ref().filter(|_| is_sealed);
+                match cached.and_then(|t| lookup(t, h.doc)) {
+                    Some(v) => {
+                        hits += 1;
+                        v.clone()
+                    }
+                    None => {
+                        misses += u64::from(is_sealed);
+                        compute(h.doc)
+                    }
+                }
+            })
+            .collect();
+        cache.record(hits, misses);
+        if misses > 0 {
+            // Copy-on-write: the replacement holds exactly this request's
+            // sealed candidates (the hits re-shared, the misses added), so
+            // a table never outgrows the deepest candidate set asked of
+            // its query.
+            let mut entries: Vec<(DocId, Arc<SparseVector>)> = baseline
+                .iter()
+                .zip(&vectors)
+                .filter(|(h, _)| h.doc.index() < sealed)
+                .map(|(h, v)| (h.doc, v.clone()))
+                .collect();
+            entries.sort_unstable_by_key(|entry| entry.0);
+            cache.publish(key, entries.into());
+        }
+        vectors
     }
 
     /// Resolve scored docs into presentable results — refcount bumps into
@@ -605,9 +623,10 @@ impl SearchEngine {
     /// demote the whole result + surrogate cache population to misses at
     /// once, even when the swap changed nothing the entries depend on (a
     /// republish, a delta merge). The plan recorded here re-tags exactly
-    /// the entries whose bytes are proven unchanged — but one at a time,
-    /// on the cache miss that would otherwise recompute them (see
-    /// [`Self::carried_result`] / [`Self::carried_surrogate`]), so a
+    /// the entries whose bytes are proven unchanged — but lazily, one
+    /// result page or one query's surrogate table at a time, on the cache
+    /// miss that would otherwise recompute them (see
+    /// [`Self::carried_result`] / [`Self::carried_table`]), so a
     /// publish costs a handful of pointer comparisons plus one idf-table
     /// scan no matter how full the caches are. Outcomes are counted into
     /// [`MetricsSnapshot::carried_over`] / `carry_skipped`.
@@ -733,33 +752,40 @@ impl SearchEngine {
         None
     }
 
-    /// Resolve a surrogate-cache miss from the plan's predecessor chain:
-    /// the per-entry half of the plan installed by
-    /// [`Self::plan_carry_over`]. Walks the hops nearest first and
-    /// returns the first pinned vector a hop proves byte-identical under
-    /// `generation`; the caller inserts it under the new tag. The plan is
-    /// read once per request (see [`Self::surrogate_vectors`]), not per
-    /// candidate — a publisher's exclusive plan install should never
-    /// queue behind a candidate loop's worth of read locks.
-    fn carried_surrogate(
+    /// Resolve a surrogate-table miss from the plan's predecessor chain:
+    /// the per-query half of the plan installed by
+    /// [`Self::plan_carry_over`]. Walks the hops nearest first, one probe
+    /// per hop, and promotes the first table found under a predecessor's
+    /// tag: whole and in O(1) when the hop shares the sealed artifacts,
+    /// otherwise filtered down to the documents the hop proves
+    /// byte-identical under `generation`. Either way the table *moves* to
+    /// the new tag, so it never counts twice against the cache's budget.
+    /// Promoted and refused vectors are counted into the carry metrics.
+    fn carried_table(
         &self,
         cache: &SurrogateCache,
-        plan: &CarryPlan,
         generation: &Generation,
-        doc: DocId,
-        qterms: &Arc<Vec<serpdiv_text::TermId>>,
-    ) -> Option<Arc<SparseVector>> {
-        for hop in &plan.hops {
-            let Some(vector) = cache.peek(&(hop.previous.id(), doc, qterms.clone())) else {
-                continue;
-            };
-            if surrogate_entry_carries(&hop.surrogates, &hop.previous, generation, doc) {
-                self.metrics.record_carry(1, 0);
-                return Some(vector);
-            }
-            self.metrics.record_carry(0, 1);
-        }
-        None
+        key: &TableKey,
+    ) -> Option<SurrogateTable> {
+        let plan = self.carry_plan(generation.id())?;
+        let (hop, old) = plan.hops.iter().find_map(|hop| {
+            let table = cache.take(&(hop.previous.id(), key.1.clone()))?;
+            Some((hop, table))
+        })?;
+        let kept: SurrogateTable = match hop.surrogates {
+            SurrogateCarry::All => old.clone(),
+            _ => old
+                .iter()
+                .filter(|(doc, _)| {
+                    surrogate_entry_carries(&hop.surrogates, &hop.previous, generation, *doc)
+                })
+                .cloned()
+                .collect(),
+        };
+        self.metrics
+            .record_carry(kept.len() as u64, (old.len() - kept.len()) as u64);
+        cache.publish(key.clone(), kept.clone());
+        Some(kept)
     }
 
     /// Whether one cached SERP can be carried across a swap that changed

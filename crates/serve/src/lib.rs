@@ -57,8 +57,9 @@
 //!    parallelism composes with the worker pool's request parallelism
 //!    instead of spawning scoped threads per query;
 //! 3. **surrogate** ([`stages::SurrogateStage`]) — snippet surrogate
-//!    vectors for the candidates, memoized per `(doc, query-terms)` in the
-//!    sharded [`SurrogateCache`];
+//!    vectors for the candidates, memoized in the [`SurrogateCache`] as
+//!    one doc-sorted table per `(generation, query-terms)`: one cache
+//!    probe per request, candidates resolved by binary search;
 //! 4. **utility** ([`stages::UtilityStage`]) — the `Ũ(d|R_q′)` matrix
 //!    (Definition 2), one sparse term-at-a-time accumulation per candidate
 //!    against the [`CompiledSpecStore`](serpdiv_core::CompiledSpecStore) —
@@ -148,7 +149,7 @@ pub use stages::{
     default_stage_chain, DetectStage, PipelineContext, RetrieveStage, SelectStage, Stage,
     StageKind, StageOutcome, SurrogateStage, UtilityStage,
 };
-pub use surrogates::{SurrogateCache, SurrogateKey};
+pub use surrogates::{SurrogateCache, SurrogateTable, TableKey};
 
 // The per-request algorithm selector, re-exported so serving callers don't
 // need a direct `serpdiv-core` dependency.

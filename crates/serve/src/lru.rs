@@ -1,5 +1,5 @@
 //! An intrusive-list LRU map — the eviction policy of each result-cache
-//! shard.
+//! shard and of the surrogate-table cache.
 //!
 //! `O(1)` get/insert/evict: a `HashMap` from key to slot index plus a
 //! doubly-linked recency list threaded through a slab of slots. No
@@ -110,6 +110,44 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.map.insert(key, idx);
             self.attach_front(idx);
         }
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let idx = *self.map.get(key)?;
+        Some(self.remove_slot(idx).1)
+    }
+
+    /// Remove and return the least recently used entry — lets an owner
+    /// that weighs its values (the surrogate cache counts vectors, not
+    /// tables) evict down to its own budget.
+    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+        (self.tail != NIL).then(|| self.remove_slot(self.tail))
+    }
+
+    /// Unlink slot `idx` and drop it from the slab. `swap_remove` moves
+    /// the last slot into the hole, so that slot's neighbours and map
+    /// entry are re-pointed at its new index.
+    fn remove_slot(&mut self, idx: usize) -> (K, V) {
+        self.detach(idx);
+        let slot = self.slots.swap_remove(idx);
+        self.map.remove(&slot.key);
+        if let Some(moved) = self.slots.get(idx) {
+            let (prev, next) = (moved.prev, moved.next);
+            *self
+                .map
+                .get_mut(&moved.key)
+                .expect("every slot is indexed by the map") = idx;
+            match prev {
+                NIL => self.head = idx,
+                p => self.slots[p].next = idx,
+            }
+            match next {
+                NIL => self.tail = idx,
+                n => self.slots[n].prev = idx,
+            }
+        }
+        (slot.key, slot.value)
     }
 
     /// Visit every entry from most to least recently used, without
@@ -243,7 +281,15 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let key = (state >> 33) % 24;
             let op_insert = state & 1 == 0;
-            if op_insert {
+            if state & 0b1110 == 0 {
+                // One op in eight removes: by key, or the LRU entry.
+                if state & 0b1_0000 == 0 {
+                    let pos = reference.iter().position(|&(k, _)| k == key);
+                    assert_eq!(lru.remove(&key), pos.map(|p| reference.remove(p).1));
+                } else {
+                    assert_eq!(lru.pop_lru(), reference.pop());
+                }
+            } else if op_insert {
                 lru.insert(key, key * 7);
                 if let Some(pos) = reference.iter().position(|&(k, _)| k == key) {
                     reference.remove(pos);

@@ -320,8 +320,9 @@ impl Stage for RetrieveStage {
     }
 }
 
-/// Snippet-surrogate vectors for every candidate, memoized per
-/// `(doc, query-terms)` when the surrogate cache is enabled.
+/// Snippet-surrogate vectors for every candidate, resolved against the
+/// query's cached surrogate table (one probe per request) when the
+/// surrogate cache is enabled.
 pub struct SurrogateStage;
 
 impl Stage for SurrogateStage {

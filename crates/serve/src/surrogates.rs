@@ -1,16 +1,22 @@
-//! The candidate-surrogate cache.
+//! The candidate-surrogate cache: one table per analyzed query.
 //!
 //! Building a candidate's snippet surrogate (snippet extraction +
 //! tokenize/stem + TF-IDF weighting) is the per-document cost of the
-//! utility stage, and it is fully determined by `(document, query terms)`
-//! — the same document retrieved again for the same analyzed query always
-//! yields the same vector. Under a Zipfian query stream the same
-//! `(doc, terms)` pairs recur constantly (repeated queries, and head
-//! documents shared across related queries), so a sharded LRU in front of
-//! surrogate construction amortizes the snippet→vector work the way the
-//! result cache amortizes whole SERPs — while still serving *uncached*
-//! SERPs, which is what makes it effective even for the traffic the result
-//! cache misses.
+//! utility stage, and it is fully determined by `(document, query terms)`.
+//! The query terms are part of that identity, so a cached vector is only
+//! ever reused by a request with the *same* analyzed query — reuse runs
+//! along the query axis. The cache is therefore keyed by query, not by
+//! document: `(generation, query terms)` maps to an immutable, doc-sorted
+//! [`SurrogateTable`] holding the vectors of that query's candidates. A
+//! request pays one hash, one lock and one `Arc` clone for the whole
+//! table, then resolves its candidates by binary search in its private
+//! copy with no shared state touched; only a request that had to compute
+//! something publishes a replacement table (copy-on-write — readers of
+//! the old table are never disturbed).
+//!
+//! It still serves *uncached* SERPs, which is what makes it effective for
+//! the traffic the result cache misses (another `k`, another algorithm,
+//! another spelling that analyzes to the same terms).
 //!
 //! Values are `Arc<SparseVector>`: a hit is a refcount bump, and the
 //! vector is shared zero-copy with the diversification input (and MMR).
@@ -20,100 +26,131 @@ use crate::lru::LruCache;
 use parking_lot::Mutex;
 use serpdiv_index::{DocId, SparseVector};
 use serpdiv_text::TermId;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Cache key: the generation the vector was computed against, the
-/// document, and the analyzed query terms the snippet was extracted for.
-/// The generation tag keeps a hot swap from serving a previous
-/// generation's vectors (a new generation's index may assign the same
-/// `DocId` different content); stale entries stop matching and age out of
-/// the LRU — no flush stall. The term list is `Arc`'d so one allocation
-/// is shared by all candidates of a request; hashing/equality go through
-/// the contents, so equal term lists from different requests still
-/// collide (that's the point).
-pub type SurrogateKey = (u64, DocId, Arc<Vec<TermId>>);
+/// Table key: the generation the vectors were computed against and the
+/// analyzed query terms the snippets were extracted for. The generation
+/// tag keeps a hot swap from serving a previous generation's vectors (a
+/// new generation's index may assign the same `DocId` different content);
+/// stale tables stop matching and age out of the LRU — no flush stall.
+/// Hashing/equality go through the term contents, so two query strings
+/// that analyze alike share one table.
+pub type TableKey = (u64, Arc<[TermId]>);
 
-/// Sharded LRU cache of `(generation, doc, query-terms) → snippet
-/// surrogate`.
+/// One query's surrogates, sorted by `DocId` for binary search. Immutable
+/// once published: extending it means publishing a new table.
+pub type SurrogateTable = Arc<[(DocId, Arc<SparseVector>)]>;
+
+/// The vector `table` holds for `doc`, if any.
+pub(crate) fn lookup(table: &SurrogateTable, doc: DocId) -> Option<&Arc<SparseVector>> {
+    let i = table.binary_search_by_key(&doc, |entry| entry.0).ok()?;
+    Some(&table[i].1)
+}
+
+#[derive(Debug)]
+struct Tables {
+    lru: LruCache<TableKey, SurrogateTable>,
+    /// Vectors held across all resident tables — what capacity bounds.
+    vectors: usize,
+}
+
+impl Tables {
+    fn take(&mut self, key: &TableKey) -> Option<SurrogateTable> {
+        let table = self.lru.remove(key)?;
+        self.vectors -= table.len();
+        Some(table)
+    }
+}
+
+/// LRU cache of `(generation, query-terms) → surrogate table`, bounded by
+/// the total number of vectors its tables hold.
 #[derive(Debug)]
 pub struct SurrogateCache {
-    shards: Vec<Mutex<LruCache<SurrogateKey, Arc<SparseVector>>>>,
+    tables: Mutex<Tables>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl SurrogateCache {
-    /// A cache of `shards` LRU shards holding at least `capacity` entries
-    /// in total (per-shard capacity rounds up).
+    /// A cache holding at most `capacity` vectors, evicting whole tables
+    /// least-recently-used first. One global budget rather than a split
+    /// per shard: a table is as large as a request's candidate set, so a
+    /// per-shard share would fit only a couple of deep tables.
     ///
     /// # Panics
-    /// Panics when `shards == 0` or `capacity == 0`.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(capacity > 0, "need nonzero capacity");
-        let per_shard = capacity.div_ceil(shards);
+    /// Panics when `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
         SurrogateCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
+            // Every resident table holds at least one vector, so the
+            // table count can never reach the LRU's own entry bound.
+            tables: Mutex::new(Tables {
+                lru: LruCache::new(capacity),
+                vectors: 0,
+            }),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &SurrogateKey) -> &Mutex<LruCache<SurrogateKey, Arc<SparseVector>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// The table under `key`, marked most recently used.
+    pub fn get(&self, key: &TableKey) -> Option<SurrogateTable> {
+        self.tables.lock().lru.get(key).cloned()
     }
 
-    /// Fetch the surrogate for `key`, computing and inserting it on a
-    /// miss. `compute` runs outside the shard lock, so a slow surrogate
-    /// build never blocks other workers' lookups (two racing misses both
-    /// compute; the deterministic construction makes either result
-    /// correct). It returns the `Arc` directly so a caller resolving the
-    /// miss from elsewhere — the cross-generation carry-over probe —
-    /// shares the vector instead of copying it.
-    pub fn get_or_compute(
-        &self,
-        key: SurrogateKey,
-        compute: impl FnOnce() -> Arc<SparseVector>,
-    ) -> Arc<SparseVector> {
-        let shard = self.shard(&key);
-        if let Some(v) = shard.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
+    /// Install `table` under `key`, replacing what was there (racing
+    /// publishers of one query hold equally valid tables; the last one
+    /// wins) and evicting least-recently-used tables until the vector
+    /// budget holds. A table larger than the whole budget is not
+    /// retained — its request was served from the private copy already.
+    pub fn publish(&self, key: TableKey, table: SurrogateTable) {
+        let mut tables = self.tables.lock();
+        tables.take(&key);
+        if table.is_empty() || table.len() > self.capacity {
+            return;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
-        shard.lock().insert(key, v.clone());
-        v
+        while tables.vectors + table.len() > self.capacity {
+            let (_, evicted) = tables
+                .lru
+                .pop_lru()
+                .expect("vectors are held by resident tables");
+            tables.vectors -= evicted.len();
+        }
+        tables.vectors += table.len();
+        tables.lru.insert(key, table);
     }
 
-    /// Probe without touching the hit/miss counters — the carry-over
-    /// path's look at the *predecessor* generation's tag, which is not a
-    /// request-facing lookup (the request's own probe is already counted
-    /// by [`get_or_compute`](Self::get_or_compute)).
-    pub fn peek(&self, key: &SurrogateKey) -> Option<Arc<SparseVector>> {
-        self.shard(key).lock().get(key).cloned()
+    /// Remove and return the table under `key` — the carry-over path
+    /// takes a predecessor generation's table out before re-publishing
+    /// what survives validation under the new tag (the same `Arc` when
+    /// everything does), so a promoted table never counts twice.
+    pub fn take(&self, key: &TableKey) -> Option<SurrogateTable> {
+        self.tables.lock().take(key)
     }
 
-    /// Current counters and occupancy.
+    /// Count one request's candidates: `hits` served from a table,
+    /// `misses` computed.
+    pub fn record(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
+    /// Current counters and occupancy, all per vector.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len()).sum(),
+            entries: self.tables.lock().vectors,
         }
     }
 
-    /// Drop every cached surrogate and reset the counters.
+    /// Drop every cached table and reset the counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        let mut tables = self.tables.lock();
+        tables.lru.clear();
+        tables.vectors = 0;
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -123,92 +160,118 @@ impl SurrogateCache {
 mod tests {
     use super::*;
 
-    fn key(doc: u32, terms: &[u32]) -> SurrogateKey {
-        (
-            1,
-            DocId(doc),
-            Arc::new(terms.iter().map(|&t| TermId(t)).collect()),
-        )
+    fn key(generation: u64, terms: &[u32]) -> TableKey {
+        (generation, terms.iter().map(|&t| TermId(t)).collect())
     }
 
-    fn gen_key(generation: u64, doc: u32, terms: &[u32]) -> SurrogateKey {
-        (
-            generation,
-            DocId(doc),
-            Arc::new(terms.iter().map(|&t| TermId(t)).collect()),
-        )
-    }
-
-    fn vector(seed: f32) -> SparseVector {
-        SparseVector::from_pairs([(TermId(1), seed)])
+    /// A table over `docs` whose vectors encode their doc id.
+    fn table(docs: std::ops::Range<u32>) -> SurrogateTable {
+        docs.map(|d| {
+            let v = SparseVector::from_pairs([(TermId(1), d as f32 + 1.0)]);
+            (DocId(d), Arc::new(v))
+        })
+        .collect()
     }
 
     #[test]
-    fn computes_once_then_hits() {
-        let cache = SurrogateCache::new(4, 64);
-        let mut calls = 0;
-        let a = cache.get_or_compute(key(7, &[1, 2]), || {
-            calls += 1;
-            Arc::new(vector(1.0))
-        });
-        let b = cache.get_or_compute(key(7, &[1, 2]), || {
-            calls += 1;
-            Arc::new(vector(2.0))
-        });
-        assert_eq!(calls, 1, "second lookup must hit");
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the shared vector");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    fn published_table_is_shared_and_searchable() {
+        let cache = SurrogateCache::new(64);
+        assert!(cache.get(&key(1, &[1, 2])).is_none());
+        cache.publish(key(1, &[1, 2]), table(0..10));
+        let a = cache.get(&key(1, &[1, 2])).unwrap();
+        let b = cache.get(&key(1, &[1, 2])).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a hit shares the table");
+        assert_eq!(lookup(&a, DocId(7)).unwrap().entries()[0].1, 8.0);
+        assert!(lookup(&a, DocId(10)).is_none());
+        assert_eq!(cache.stats().entries, 10);
     }
 
     #[test]
-    fn key_is_doc_and_term_contents() {
-        let cache = SurrogateCache::new(2, 16);
-        cache.get_or_compute(key(1, &[5]), || Arc::new(vector(1.0)));
-        // Same doc, different query terms → different snippet → miss.
-        cache.get_or_compute(key(1, &[6]), || Arc::new(vector(2.0)));
-        // Different doc, same terms → miss.
-        cache.get_or_compute(key(2, &[5]), || Arc::new(vector(3.0)));
-        // Same doc and terms under a different generation → miss: a hot
-        // swap must never serve the previous generation's vector.
-        cache.get_or_compute(gen_key(2, 1, &[5]), || Arc::new(vector(4.0)));
-        // Equal contents through a *different* Arc → hit.
-        let hit = cache.get_or_compute(key(1, &[5]), || Arc::new(vector(9.0)));
-        assert_eq!(hit.entries()[0].1, 1.0);
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.stats().hits, 1);
+    fn key_is_generation_and_term_contents() {
+        let cache = SurrogateCache::new(64);
+        cache.publish(key(1, &[5]), table(0..3));
+        // Different query terms → different snippets → another table.
+        assert!(cache.get(&key(1, &[6])).is_none());
+        // Same terms under a different generation → miss: a hot swap
+        // must never serve the previous generation's vectors.
+        assert!(cache.get(&key(2, &[5])).is_none());
+        // Equal contents through a *different* allocation → hit.
+        assert!(cache.get(&key(1, &[5])).is_some());
     }
 
     #[test]
-    fn capacity_bounds_and_clear() {
-        let cache = SurrogateCache::new(2, 4);
-        for d in 0..100 {
-            cache.get_or_compute(key(d, &[1]), || Arc::new(vector(d as f32 + 1.0)));
+    fn capacity_counts_vectors_and_evicts_whole_tables_lru_first() {
+        let cache = SurrogateCache::new(10);
+        cache.publish(key(1, &[1]), table(0..4));
+        cache.publish(key(1, &[2]), table(0..4));
+        cache.get(&key(1, &[1])); // [2] is now the LRU table
+        cache.publish(key(1, &[3]), table(0..4));
+        assert!(cache.get(&key(1, &[2])).is_none(), "LRU table evicted");
+        assert!(cache.get(&key(1, &[1])).is_some());
+        assert!(cache.get(&key(1, &[3])).is_some());
+        assert_eq!(cache.stats().entries, 8);
+        // Replacing a table re-weighs it instead of counting it twice.
+        cache.publish(key(1, &[3]), table(0..6));
+        assert_eq!(cache.stats().entries, 10);
+        // A table over the whole budget is not retained — and does not
+        // flush the resident ones to make room it can never fit in.
+        cache.publish(key(1, &[9]), table(0..11));
+        assert!(cache.get(&key(1, &[9])).is_none());
+        assert_eq!(cache.stats().entries, 10);
+        for q in 0..100 {
+            cache.publish(key(1, &[100 + q]), table(0..3));
+            assert!(cache.stats().entries <= 10);
         }
-        assert!(cache.stats().entries <= 4);
+    }
+
+    #[test]
+    fn take_removes_so_a_promoted_table_moves() {
+        let cache = SurrogateCache::new(16);
+        cache.publish(key(1, &[1]), table(0..8));
+        let old = cache.take(&key(1, &[1])).unwrap();
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.take(&key(1, &[1])).is_none());
+        cache.publish(key(2, &[1]), old.clone());
+        assert!(cache.get(&key(1, &[1])).is_none(), "moved, not copied");
+        assert!(Arc::ptr_eq(&cache.get(&key(2, &[1])).unwrap(), &old));
+        assert_eq!(cache.stats().entries, 8);
+    }
+
+    #[test]
+    fn counters_and_clear() {
+        let cache = SurrogateCache::new(16);
+        cache.publish(key(1, &[1]), table(0..8));
+        cache.record(8, 2);
+        cache.record(3, 0);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (11, 2, 8));
         cache.clear();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert!(cache.get(&key(1, &[1])).is_none());
     }
 
     #[test]
-    fn concurrent_access_is_consistent() {
-        let cache = Arc::new(SurrogateCache::new(8, 256));
+    fn racing_publishers_keep_the_budget() {
+        let cache = Arc::new(SurrogateCache::new(64));
+        let barrier = Arc::new(std::sync::Barrier::new(8));
         std::thread::scope(|s| {
-            for t in 0..8 {
-                let cache = cache.clone();
+            for t in 0..8u32 {
+                let (cache, barrier) = (cache.clone(), barrier.clone());
                 s.spawn(move || {
+                    barrier.wait();
                     for i in 0..200u32 {
-                        let d = (t * 13 + i) % 32;
-                        let got = cache
-                            .get_or_compute(key(d, &[1, 2]), || Arc::new(vector(d as f32 + 1.0)));
-                        assert_eq!(got.entries()[0].1, d as f32 + 1.0);
+                        let k = key(1, &[(t + i) % 12]);
+                        match cache.get(&k) {
+                            Some(found) => {
+                                assert_eq!(lookup(&found, DocId(3)).unwrap().entries()[0].1, 4.0)
+                            }
+                            None => cache.publish(k, table(0..(4 + i % 9))),
+                        }
+                        assert!(cache.stats().entries <= 64);
                     }
                 });
             }
         });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 8 * 200);
-        assert!(stats.hits > 0);
     }
 }

@@ -22,7 +22,8 @@
 //! * [`eval`] — α-NDCG, IA-P, NDCG and the Wilcoxon signed-rank test;
 //! * [`serve`] — the concurrent serving engine: a stage pipeline (Detect →
 //!   Retrieve → Surrogate → Utility → Select) over shared immutable
-//!   index/model/store, sharded LRU result and candidate-surrogate caches,
+//!   index/model/store, a sharded LRU result cache and a per-query
+//!   candidate-surrogate table cache,
 //!   worker pool, per-stage latency accounting and deadline degradation;
 //! * [`fleet`] — multi-process scatter-gather: shard-worker processes
 //!   behind a framed local-socket protocol, with a

@@ -15,6 +15,10 @@
 //!   swap whose artifacts leave a page byte-for-byte unchanged keeps it
 //!   warm under the new generation, while any swap that could change a
 //!   byte of it drops the entry and recomputes;
+//! * the surrogate cache's per-query tables carry by the same proofs,
+//!   one probe per request: whole (re-tagged) when the sealed artifacts
+//!   are shared, per document when only the idf tables are bit-equal,
+//!   not at all when the statistics moved;
 //! * NRT ingest accumulates across generations and `merge_delta` seals
 //!   the delta into an index **bit-identical** to a from-scratch build;
 //! * the [`BackgroundMerger`] seals a growing delta on its own.
@@ -260,6 +264,163 @@ fn ingest_carries_surrogates_but_recomputes_pages() {
     let m = engine.metrics();
     assert!(m.carried_over > 0, "surrogates carry across an ingest");
     assert!(m.carry_skipped > 0, "the cached page must not");
+}
+
+/// `(surrogate hits, surrogate misses, vectors resident, carried_over,
+/// carry_skipped)` — everything the table carry-over moves.
+fn surrogate_counters(engine: &SearchEngine) -> (u64, u64, usize, u64, u64) {
+    let stats = engine.surrogate_cache().unwrap().stats();
+    let m = engine.metrics();
+    (
+        stats.hits,
+        stats.misses,
+        stats.entries,
+        m.carried_over,
+        m.carry_skipped,
+    )
+}
+
+/// The page a fresh, cache-less deployment over `docs` serves for `req`.
+fn fresh_page(docs: &[Document], req: QueryRequest) -> Vec<(u32, u64)> {
+    let oracle = SearchEngine::deploy(
+        build_index(docs),
+        model(),
+        EngineConfig {
+            surrogate_cache_capacity: 0,
+            ..config(0)
+        },
+    );
+    page_bits(&oracle.search(req))
+}
+
+fn page_bits(out: &serpdiv::serve::SearchResponse) -> Vec<(u32, u64)> {
+    out.results
+        .iter()
+        .map(|r| (r.doc.0, r.score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn shared_artifacts_promote_the_whole_surrogate_table_with_one_probe() {
+    // Result cache off: every request runs the surrogate stage.
+    let engine = deploy(&base_docs(), 0);
+    let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let first = engine.search(req());
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+
+    // Republish: the table moves to the new tag — 12 vectors carried by
+    // one probe, none recomputed, none counted twice against capacity.
+    engine.republish().unwrap();
+    assert_eq!(engine.search(req()).results, first.results);
+    assert_eq!(surrogate_counters(&engine), (12, 12, 12, 12, 0));
+    assert_eq!(engine.search(req()).generation, 2);
+    assert_eq!(surrogate_counters(&engine), (24, 12, 12, 12, 0));
+
+    // Two swaps with no request between them: the table is still one
+    // probe away, two hops up the chain.
+    engine.republish().unwrap();
+    engine.republish().unwrap();
+    assert_eq!(engine.search(req()).results, first.results);
+    assert_eq!(surrogate_counters(&engine), (36, 12, 12, 24, 0));
+
+    // NRT ingest shares the sealed index and forward store, so the table
+    // carries whole again; the page itself moves with the union
+    // statistics and must match a from-scratch build.
+    engine.ingest(storm_docs(12..14)).unwrap();
+    let mut grown = base_docs();
+    grown.extend(storm_docs(12..14));
+    assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
+    assert_eq!(surrogate_counters(&engine), (48, 12, 12, 36, 0));
+}
+
+#[test]
+fn bit_equal_statistics_promote_the_table_per_document() {
+    let engine = deploy(&base_docs(), 0);
+    let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    engine.search(req());
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+
+    // A decoded bundle shares no `Arc` with the serving generation, but
+    // this one has the same statistics (hence a bit-equal idf table) and
+    // differs in one document only: the same words in another order.
+    let mut docs = base_docs();
+    docs[3].body = "camera display battery chip review smartphone iphone apple".into();
+    engine
+        .publish_artifacts(&artifacts_for(&engine, &docs, 2))
+        .unwrap();
+    assert_eq!(page_bits(&engine.search(req())), fresh_page(&docs, req()));
+    // 11 vectors proven byte-identical and promoted, the rewritten
+    // document refused, recomputed, and filed in the extended table.
+    assert_eq!(surrogate_counters(&engine), (11, 13, 12, 11, 1));
+    engine.search(req());
+    assert_eq!(surrogate_counters(&engine), (23, 13, 12, 11, 1));
+}
+
+#[test]
+fn moved_statistics_carry_no_surrogates() {
+    let engine = deploy(&base_docs(), 0);
+    let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    engine.ingest(storm_docs(12..14)).unwrap();
+    engine.search(req());
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+
+    // Sealing the delta grows the sealed collection, which moves every
+    // idf weight: the whole table is refused (and dropped) on its one
+    // probe, and the page is recomputed against the merged index.
+    engine.merge_delta().unwrap();
+    let mut grown = base_docs();
+    grown.extend(storm_docs(12..14));
+    assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
+    assert_eq!(surrogate_counters(&engine), (0, 24, 12, 0, 12));
+
+    // Likewise a shipped bundle over a different corpus.
+    grown.extend(storm_docs(14..20));
+    engine
+        .publish_artifacts(&artifacts_for(&engine, &grown, 4))
+        .unwrap();
+    assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
+    assert_eq!(surrogate_counters(&engine), (0, 36, 12, 0, 24));
+}
+
+#[test]
+fn delta_document_vectors_never_enter_a_table() {
+    let engine = deploy(&base_docs(), 0);
+    // Two fresh documents the ambiguous query retrieves: k = 14 pulls
+    // all 12 sealed candidates plus both delta documents.
+    let cider: Vec<Document> = (12..14u32)
+        .map(|i| {
+            Document::new(
+                i,
+                format!("http://cider/{i}"),
+                "apple cider",
+                "apple cider press orchard autumn",
+            )
+        })
+        .collect();
+    engine.ingest(cider.clone()).unwrap();
+    let mut grown = base_docs();
+    grown.extend(cider);
+    let req = || QueryRequest::new("apple", 14, AlgorithmKind::OptSelect);
+    let want = fresh_page(&grown, req());
+    assert!(
+        want.iter().any(|(doc, _)| *doc >= 12),
+        "delta docs on the page"
+    );
+
+    // Only the sealed candidates are counted, stored and — after a
+    // republish — carried; the delta vectors are rebuilt per request.
+    assert_eq!(page_bits(&engine.search(req())), want);
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+    assert_eq!(page_bits(&engine.search(req())), want);
+    assert_eq!(surrogate_counters(&engine), (12, 12, 12, 0, 0));
+    engine.republish().unwrap();
+    assert_eq!(page_bits(&engine.search(req())), want);
+    assert_eq!(surrogate_counters(&engine), (24, 12, 12, 12, 0));
+
+    // Once merged they are sealed documents like any other.
+    engine.merge_delta().unwrap();
+    assert_eq!(page_bits(&engine.search(req())), want);
+    assert_eq!(surrogate_counters(&engine), (24, 26, 14, 12, 12));
 }
 
 #[test]

@@ -198,6 +198,191 @@ fn serving_pages_identical_with_and_without_forward_index() {
     }
 }
 
+/// Two ambiguous queries ("apple", "java") over 12 candidates each, plus
+/// "the apple" — another string that analyzes to the "apple" terms.
+fn table_world() -> (Arc<serpdiv::index::InvertedIndex>, Arc<SpecializationModel>) {
+    let mut b = IndexBuilder::new();
+    let bodies = [
+        (
+            "apple iphone",
+            "apple iphone smartphone review chip battery display camera",
+        ),
+        (
+            "apple fruit",
+            "apple fruit orchard sweet harvest vitamin juice recipe",
+        ),
+        (
+            "java coffee",
+            "java coffee roast espresso bean island brew cup",
+        ),
+        (
+            "java code",
+            "java code compiler class virtual machine bytecode",
+        ),
+    ];
+    for (group, (title, body)) in bodies.iter().enumerate() {
+        for i in 0..6u32 {
+            let id = group as u32 * 6 + i;
+            // A per-document tail keeps scores (and surrogates) distinct.
+            b.add(Document::new(
+                id,
+                format!("http://{group}/{id}"),
+                *title,
+                format!("{body} {}", "extra ".repeat(i as usize)),
+            ));
+        }
+    }
+    let model = SpecializationModel::from_json(
+        r#"{"entries":{
+            "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
+            "the apple":{"query":"the apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
+            "java":{"query":"java","specializations":[["java coffee",0.5],["java code",0.5]]}
+        }}"#,
+    )
+    .unwrap();
+    (Arc::new(b.build()), Arc::new(model))
+}
+
+/// A surrogate-cached engine and its cache-less twin over
+/// [`table_world`], result cache off so every request runs the stage.
+fn cached_and_uncached(n_candidates: usize, capacity: usize) -> (SearchEngine, SearchEngine) {
+    let (index, model) = table_world();
+    let config = EngineConfig {
+        n_candidates,
+        cache_capacity: 0,
+        surrogate_cache_capacity: capacity,
+        ..EngineConfig::default()
+    };
+    let cached = SearchEngine::deploy(index.clone(), model.clone(), config);
+    let uncached = SearchEngine::deploy(
+        index,
+        model,
+        EngineConfig {
+            surrogate_cache_capacity: 0,
+            ..config
+        },
+    );
+    assert!(cached.surrogate_cache().is_some() && uncached.surrogate_cache().is_none());
+    (cached, uncached)
+}
+
+fn page_bits(out: &serpdiv::serve::SearchResponse) -> Vec<(u32, u64)> {
+    out.results
+        .iter()
+        .map(|r| (r.doc.0, r.score.to_bits()))
+        .collect()
+}
+
+/// Serve `req` from both engines, assert the pages f64-bit-identical, and
+/// return how many candidates the surrogate stage resolved for it.
+fn assert_same_page(cached: &SearchEngine, uncached: &SearchEngine, req: QueryRequest) -> u64 {
+    let a = cached.search(req.clone());
+    let b = uncached.search(req.clone());
+    assert_eq!(page_bits(&a), page_bits(&b), "{req:?}");
+    assert_eq!((a.algorithm, a.diversified), (b.algorithm, b.diversified));
+    assert!(a.diversified, "{req:?} must run the surrogate stage");
+    let n = cached.config().n_candidates.max(req.k);
+    cached.retriever().retrieve(&req.query, n).len() as u64
+}
+
+/// (a) One query re-asked with a growing candidate pool: each deeper
+/// request extends the query's table instead of starting over.
+#[test]
+fn growing_requests_extend_the_query_table() {
+    let (cached, uncached) = cached_and_uncached(4, 1024);
+    let mut served = 0;
+    for (k, new_vectors) in [(2, 4), (4, 0), (7, 3), (12, 5), (3, 0), (12, 0)] {
+        let before = cached.surrogate_cache().unwrap().stats();
+        for algo in ALGOS {
+            served += assert_same_page(&cached, &uncached, QueryRequest::new("apple", k, algo));
+        }
+        let after = cached.surrogate_cache().unwrap().stats();
+        assert_eq!(after.misses - before.misses, new_vectors, "k={k}");
+        assert_eq!(after.entries, before.entries + new_vectors as usize);
+    }
+    let stats = cached.surrogate_cache().unwrap().stats();
+    assert_eq!(stats.hits + stats.misses, served, "one count per candidate");
+    assert_eq!(stats.entries, 12, "one table, as deep as the deepest ask");
+}
+
+/// (b) Two query strings that analyze to the same terms share one table.
+#[test]
+fn queries_analyzing_alike_share_a_table() {
+    let (cached, uncached) = cached_and_uncached(12, 1024);
+    let index = cached.index();
+    assert_eq!(
+        index.analyze_query("apple"),
+        index.analyze_query("the apple")
+    );
+    let req = |q: &str| QueryRequest::new(q, 5, AlgorithmKind::OptSelect);
+    let first = assert_same_page(&cached, &uncached, req("apple"));
+    let stats = cached.surrogate_cache().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (0, first));
+    let second = assert_same_page(&cached, &uncached, req("the apple"));
+    let stats = cached.surrogate_cache().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (second, first), "all hits");
+    assert_eq!(stats.entries as u64, first, "no second table");
+}
+
+/// (c) Budgets so small that every request evicts (or cannot retain its
+/// own table at all) change nothing but the hit ratio.
+#[test]
+fn tiny_budgets_evict_constantly_without_changing_pages() {
+    for capacity in [1, 5, 12, 13, 23] {
+        let (cached, uncached) = cached_and_uncached(12, capacity);
+        let mut served = 0;
+        for round in 0..3 {
+            for query in ["apple", "java", "the apple"] {
+                for algo in ALGOS {
+                    let req = QueryRequest::new(query, 4 + round, algo);
+                    served += assert_same_page(&cached, &uncached, req);
+                    let entries = cached.surrogate_cache().unwrap().stats().entries;
+                    assert!(
+                        entries <= capacity,
+                        "{entries} vectors over budget {capacity}"
+                    );
+                }
+            }
+        }
+        let stats = cached.surrogate_cache().unwrap().stats();
+        assert_eq!(stats.hits + stats.misses, served, "capacity {capacity}");
+        if capacity < 12 {
+            assert_eq!(stats.hits, 0, "a 12-vector table never fits in {capacity}");
+        }
+    }
+}
+
+/// (d) Eight threads ask the same cold query at once: every copy-on-write
+/// publish race still serves the uncached page.
+#[test]
+fn racing_cold_requests_publish_equivalent_tables() {
+    const THREADS: usize = 8;
+    let (cached, uncached) = cached_and_uncached(12, 1024);
+    for (round, query) in ["apple", "java"].into_iter().enumerate() {
+        let want = page_bits(&uncached.search(QueryRequest::new(query, 6, AlgorithmKind::Mmr)));
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let got = cached.search(QueryRequest::new(query, 6, AlgorithmKind::Mmr));
+                    assert_eq!(page_bits(&got), want);
+                });
+            }
+        });
+        let stats = cached.surrogate_cache().unwrap().stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            (THREADS * 12 * (round + 1)) as u64
+        );
+        assert_eq!(
+            stats.entries,
+            12 * (round + 1),
+            "racing tables replace, not stack"
+        );
+    }
+}
+
 /// Randomized corpus sweep (deterministic LCG, no external deps), gated
 /// like the other property suites.
 #[cfg(feature = "property-tests")]

@@ -33,6 +33,10 @@
 //! *unmerged delta documents* is bit-identical to a from-scratch sealed
 //! build over the union corpus.
 //!
+//! A third soak holds the surrogate cache to its vector budget while
+//! tables are re-tagged across 50 republishes under load: a promoted
+//! table moves, it is never counted (or kept) twice.
+//!
 //! Chaos arming is process-global, so the tests serialize on one mutex.
 
 use serpdiv::chaos::{self, FaultKind, FaultPlan};
@@ -475,5 +479,81 @@ fn nrt_ingest_races_clients_without_tearing() {
         let mut full = base_docs();
         full.extend(storm_docs(16..24));
         assert_eq!(engine.index().to_bytes(), build_index(&full).to_bytes());
+    });
+}
+
+#[test]
+fn surrogate_tables_keep_their_budget_across_fifty_republishes() {
+    let _s = serial();
+    with_watchdog(300, "republish-under-load soak", || {
+        // Three ambiguous queries over the same 16 candidates: three
+        // 16-vector tables competing for a 40-vector budget, so tables
+        // are evicted, recomputed and re-tagged continuously.
+        const CAPACITY: usize = 40;
+        let queries = ["apple", "apple iphone", "apple fruit"];
+        let specs = r#"[["apple iphone",0.6],["apple fruit",0.4]]"#;
+        let entries: Vec<String> = queries
+            .iter()
+            .map(|q| format!(r#""{q}":{{"query":"{q}","specializations":{specs}}}"#))
+            .collect();
+        let model = Arc::new(
+            SpecializationModel::from_json(&format!(r#"{{"entries":{{{}}}}}"#, entries.join(",")))
+                .unwrap(),
+        );
+        let deploy = |surrogate_cache_capacity| {
+            SearchEngine::deploy(
+                build_index(&base_docs()),
+                model.clone(),
+                EngineConfig {
+                    surrogate_cache_capacity,
+                    ..config(0)
+                },
+            )
+        };
+        // A republish changes no artifact, so one cache-less engine is
+        // the oracle for every generation.
+        let oracle = deploy(0);
+        let engine = deploy(CAPACITY);
+        let want: Vec<_> = queries
+            .iter()
+            .map(|q| page_bits(&oracle.search(QueryRequest::new(*q, 6, AlgorithmKind::OptSelect))))
+            .collect();
+        let budget_held = || {
+            let entries = engine.surrogate_cache().unwrap().stats().entries;
+            assert!(entries <= CAPACITY, "{entries} vectors over budget");
+        };
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..50 {
+                    std::thread::sleep(Duration::from_millis(1));
+                    engine.republish().expect("republish");
+                    budget_held();
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            for client in 0..8 {
+                let (engine, want, stop) = (&engine, &want, &stop);
+                scope.spawn(move || {
+                    let mut i = client;
+                    while !stop.load(Ordering::Relaxed) {
+                        let q = i % queries.len();
+                        let out = engine.search(QueryRequest::new(
+                            queries[q],
+                            6,
+                            AlgorithmKind::OptSelect,
+                        ));
+                        assert_eq!(page_bits(&out), want[q], "{} drifted", queries[q]);
+                        budget_held();
+                        i += 1;
+                    }
+                });
+            }
+        });
+        budget_held();
+        assert_eq!(engine.current_generation_id(), 51);
+        let m = engine.metrics();
+        assert!(m.carried_over > 0, "republishes must re-tag tables");
+        assert_eq!(m.carry_skipped, 0, "nothing changed, nothing to refuse");
     });
 }
