@@ -38,19 +38,15 @@
 use crate::document::DocId;
 use crate::dph::Dph;
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
+use crate::kernel::{score_range, RangeSource};
 use crate::postings::PostingsList;
 use crate::search::{query_weights, ScoredDoc};
 use crate::serialize::DecodeError;
-use crate::sharded::{score_range_dense, score_range_sparse, RangeSource};
 use bytes::{Buf, BufMut, BytesMut};
 use serpdiv_text::TermId;
 
 const MAGIC: u32 = 0x5E9D_1F05;
 const VERSION: u32 = 1;
-
-/// Largest artifact doc-range scored with the dense accumulator (same
-/// default as the in-process scatter path).
-const DENSE_ACCUMULATOR_LIMIT: usize = 1 << 16;
 
 /// Encode one shard into the artifact format (called by
 /// [`ShardedIndex::export_shard`](crate::sharded::ShardedIndex::export_shard)).
@@ -98,11 +94,11 @@ pub(crate) fn encode_shard(
 /// One shard of a [`ShardedIndex`](crate::sharded::ShardedIndex), decoded
 /// into a standalone scorer a worker process boots from.
 ///
-/// Scoring goes through the exact dense/sparse range-accumulation code
-/// the in-process scatter path uses, with the global statistics the
-/// artifact carries — per-document scores (and therefore the per-shard
-/// top-`k` a worker returns) are bit-identical to scoring the same shard
-/// inside the router's process.
+/// Scoring goes through the same retrieval kernel the in-process scatter
+/// path uses, with the global statistics the artifact carries —
+/// per-document scores (and therefore the per-shard top-`k` a worker
+/// returns) are bit-identical to scoring the same shard inside the
+/// router's process.
 #[derive(Debug)]
 pub struct ShardArtifact {
     shard_id: u32,
@@ -112,7 +108,6 @@ pub struct ShardArtifact {
     coll: CollectionStats,
     term_stats: Vec<TermStats>,
     postings: Vec<PostingsList>,
-    dense_limit: usize,
 }
 
 /// Decode one LEB128 varint without panicking on truncated or overlong
@@ -239,8 +234,11 @@ impl ShardArtifact {
             return Err(DecodeError::Truncated);
         }
         let n_terms = buf.get_u32_le() as usize;
-        let mut term_stats = Vec::with_capacity(n_terms);
-        let mut postings = Vec::with_capacity(n_terms);
+        // Every term record is at least 20 bytes: a corrupt count must not
+        // size an allocation the input cannot back.
+        let plausible_terms = n_terms.min(buf.remaining() / 20);
+        let mut term_stats = Vec::with_capacity(plausible_terms);
+        let mut postings = Vec::with_capacity(plausible_terms);
         for _ in 0..n_terms {
             if buf.remaining() < 20 {
                 return Err(DecodeError::Truncated);
@@ -280,7 +278,6 @@ impl ShardArtifact {
             },
             term_stats,
             postings,
-            dense_limit: DENSE_ACCUMULATOR_LIMIT,
         })
     }
 
@@ -309,29 +306,12 @@ impl ShardArtifact {
         self.coll
     }
 
-    /// Override the dense-accumulator cutoff (mirrors
-    /// [`ShardedIndex::with_dense_accumulator_limit`](crate::sharded::ShardedIndex::with_dense_accumulator_limit);
-    /// the ranking is identical either way).
-    pub fn with_dense_accumulator_limit(mut self, limit: usize) -> Self {
-        self.dense_limit = limit;
-        self
-    }
-
     /// The shard-local top `k` for pre-analyzed query terms: exactly what
     /// this shard would contribute to an in-process scatter — same
     /// accumulation order, same `f64` bits, same `(score desc, doc asc)`
     /// ordering — ready for the router's k-way gather.
     pub fn score_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        if terms.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let weights = query_weights(terms);
-        let model = Dph::new();
-        if self.range_len() <= self.dense_limit {
-            score_range_dense(self, &weights, &model, k)
-        } else {
-            score_range_sparse(self, &weights, &model, k)
-        }
+        score_range(self, &query_weights(terms), &Dph::new(), k)
     }
 }
 
@@ -348,20 +328,12 @@ impl RangeSource for ShardArtifact {
         self.postings.get(t.index())
     }
 
-    fn doc_len(&self, doc: DocId) -> u32 {
-        doc.index()
-            .checked_sub(self.base as usize)
-            .and_then(|i| self.doc_lens.get(i))
-            .copied()
-            .unwrap_or(0)
-    }
-
     fn base(&self) -> u32 {
         self.base
     }
 
-    fn range_len(&self) -> usize {
-        self.doc_lens.len()
+    fn doc_lens(&self) -> &[u32] {
+        &self.doc_lens
     }
 }
 
@@ -423,27 +395,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_fallback_matches_dense() {
-        let idx = index();
-        let sharded = ShardedIndex::build(idx.clone(), 3);
-        let terms = idx.analyze_query("apple iphone chip");
-        for s in 0..3 {
-            let bytes = sharded.export_shard(s);
-            let dense = ShardArtifact::from_bytes(&bytes).unwrap();
-            let sparse = ShardArtifact::from_bytes(&bytes)
-                .unwrap()
-                .with_dense_accumulator_limit(0);
-            let a = dense.score_terms(&terms, 12);
-            let b = sparse.score_terms(&terms, 12);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.doc, y.doc);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
     }

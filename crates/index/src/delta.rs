@@ -31,9 +31,10 @@
 use crate::document::{DocId, Document};
 use crate::dph::Dph;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
-use crate::postings::PostingsBuilder;
+use crate::kernel::{score_range, RangeSource};
+use crate::postings::{PostingsBuilder, PostingsList};
 use crate::retriever::{Retrieval, Retriever};
-use crate::search::{accumulate_term_contributions, query_weights, top_k, ScoredDoc};
+use crate::search::{query_weights, ScoredDoc};
 use crate::sharded::merge_top_k;
 use serpdiv_text::{TermId, Vocabulary};
 use std::collections::HashMap;
@@ -257,37 +258,41 @@ impl DeltaIndex {
     /// bit, what a from-scratch build over the union corpus computes for
     /// the same document.
     pub fn retrieve_union(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        if terms.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let model = Dph::new();
-        let mut acc: HashMap<DocId, f64> = HashMap::new();
-        accumulate_term_contributions(
-            self.overlay.coll(),
-            |t| self.overlay.term_stats(t),
-            |t| {
-                self.union_to_local
-                    .get(&t)
-                    .and_then(|&lt| self.local.postings(lt))
-            },
-            |doc| self.local.doc_len(doc).unwrap_or(0),
-            &query_weights(terms),
-            &model,
-            |doc, s| *acc.entry(doc).or_insert(0.0) += s,
-        );
-        self.globalize(top_k(
-            acc.into_iter().map(|(doc, score)| ScoredDoc { doc, score }),
-            k,
-        ))
-    }
-
-    /// Shift a local ranking into the global id space (a constant offset,
-    /// so the `(score desc, doc asc)` order is preserved).
-    fn globalize(&self, mut hits: Vec<ScoredDoc>) -> Vec<ScoredDoc> {
+        let mut hits = score_range(self, &query_weights(terms), &Dph::new(), k);
+        // Local → global ids: a constant offset, so the `(score desc, doc
+        // asc)` order is preserved.
         for h in &mut hits {
             h.doc = DocId(h.doc.0 + self.base_docs);
         }
         hits
+    }
+}
+
+/// The delta as the retrieval kernel sees it: the local mini-index's
+/// postings and lengths (local ids from 0), addressed by **union** term
+/// ids and scored against the union overlay — which carries every term
+/// the delta's postings can hold.
+impl RangeSource for DeltaIndex {
+    fn coll(&self) -> CollectionStats {
+        self.overlay.coll()
+    }
+
+    fn term_stats(&self, t: TermId) -> Option<TermStats> {
+        self.overlay.term_stats(t)
+    }
+
+    fn range_postings(&self, t: TermId) -> Option<&PostingsList> {
+        self.union_to_local
+            .get(&t)
+            .and_then(|&lt| self.local.postings(lt))
+    }
+
+    fn base(&self) -> u32 {
+        0
+    }
+
+    fn doc_lens(&self) -> &[u32] {
+        &self.local.doc_lens
     }
 }
 
@@ -301,8 +306,9 @@ impl DeltaIndex {
 /// [`DeltaIndex::retrieve_union`]. Because the two sides partition the
 /// union document space, accumulate each document's terms in the same
 /// ascending-union-id order against the same statistics, and merge under
-/// [`top_k`]'s exact total order, the gathered page is `f64`-bit-identical
-/// to a from-scratch build over the union corpus.
+/// the kernel's exact `(score desc, doc asc)` total order, the gathered
+/// page is `f64`-bit-identical to a from-scratch build over the union
+/// corpus.
 ///
 /// Completeness mirrors the sealed retriever's: the in-process delta can
 /// never lose a shard, so a partial gather can only come from below.

@@ -35,23 +35,34 @@ impl Dph {
 
 impl RankingModel for Dph {
     fn score(&self, tf: u32, doc_len: u32, term: TermStats, coll: CollectionStats) -> f64 {
-        if tf == 0 || doc_len == 0 || term.coll_freq == 0 || coll.num_docs == 0 {
-            return 0.0;
+        self.term_scorer(term, coll)(tf, doc_len)
+    }
+
+    /// `N / CF` — the only part of the formula that depends on neither
+    /// `tf` nor `dl` — is divided once per term instead of once per
+    /// posting; the expression tree is otherwise the formula above, so the
+    /// result is the same `f64` whichever way it is reached.
+    fn term_scorer(&self, term: TermStats, coll: CollectionStats) -> impl Fn(u32, u32) -> f64 {
+        let scorable = term.coll_freq != 0 && coll.num_docs != 0;
+        let docs_per_occurrence = coll.num_docs as f64 / term.coll_freq as f64;
+        move |tf, doc_len| {
+            if tf == 0 || doc_len == 0 || !scorable {
+                return 0.0;
+            }
+            let tf = f64::from(tf);
+            let dl = f64::from(doc_len);
+            // Clamp the relative frequency strictly below 1 so the Popper
+            // normalization and the log term stay finite for documents that
+            // consist solely of the query term (tf == dl).
+            let f = (tf / dl).min(1.0 - 1e-9);
+            let norm = (1.0 - f) * (1.0 - f) / (tf + 1.0);
+            let ratio = (tf * coll.avg_doc_len / dl) * docs_per_occurrence;
+            // A term can score negative when it is *more* frequent in the
+            // collection than chance would predict; Terrier keeps negative
+            // contributions, and so do we — they matter for ranking
+            // stability.
+            norm * (tf * ratio.log2() + 0.5 * (2.0 * std::f64::consts::PI * tf * (1.0 - f)).log2())
         }
-        let tf = f64::from(tf);
-        let dl = f64::from(doc_len);
-        // Clamp the relative frequency strictly below 1 so the Popper
-        // normalization and the log term stay finite for documents that
-        // consist solely of the query term (tf == dl).
-        let f = (tf / dl).min(1.0 - 1e-9);
-        let norm = (1.0 - f) * (1.0 - f) / (tf + 1.0);
-        let ratio = (tf * coll.avg_doc_len / dl) * (coll.num_docs as f64 / term.coll_freq as f64);
-        let score =
-            norm * (tf * ratio.log2() + 0.5 * (2.0 * std::f64::consts::PI * tf * (1.0 - f)).log2());
-        // A term can score negative when it is *more* frequent in the
-        // collection than chance would predict; Terrier keeps negative
-        // contributions, and so do we — they matter for ranking stability.
-        score
     }
 }
 

@@ -9,7 +9,7 @@
 //! injector queue. A query's `N` shard-scoring tasks are submitted as one
 //! batch and gathered through a per-query latch — no thread spawn, and
 //! because the workers are permanent their thread-local scoring scratch
-//! (dense accumulator + touched bitmap) is allocated once and reused for
+//! (dense accumulator + first-touch list) is allocated once and reused for
 //! the life of the process.
 //!
 //! # Sharing and composition

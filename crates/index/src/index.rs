@@ -3,7 +3,8 @@
 //! Built by [`IndexBuilder`](crate::builder::IndexBuilder); queried by the
 //! ranking models ([`Dph`](crate::dph::Dph), [`Bm25`](crate::bm25::Bm25))
 //! through [`CollectionStats`] / [`TermStats`] and by the
-//! [`SearchEngine`](crate::search::SearchEngine) through the postings.
+//! retrievers (see [`Retriever`](crate::retriever::Retriever)) through
+//! the postings.
 
 use crate::document::{DocId, DocumentStore};
 use crate::postings::PostingsList;
@@ -131,7 +132,8 @@ impl InvertedIndex {
     }
 
     /// Largest term frequency of `term` in any single document (0 for
-    /// unknown terms) — the MaxScore upper-bound ingredient.
+    /// unknown terms) — with [`min_doc_len`](Self::min_doc_len), the
+    /// ingredients of a per-term score upper bound.
     pub fn max_tf(&self, term: TermId) -> u32 {
         self.max_tfs.get(term.index()).copied().unwrap_or(0)
     }

@@ -13,9 +13,13 @@
 //! * [`builder`] — the index builder,
 //! * [`index`] — the immutable inverted index and collection statistics,
 //! * [`dph`] / [`bm25`] — ranking models,
-//! * [`search`] — top-`k` query evaluation,
-//! * [`retriever`] — the [`Retriever`] trait every evaluation strategy
-//!   (TAAT DPH, MaxScore, sharded scatter-gather) implements,
+//! * `kernel` (crate-private) — the retrieval kernel: the one scoring
+//!   loop every production retriever runs (monomorphised model, dense
+//!   thread-local accumulators, threshold-gated top-`k`),
+//! * [`search`] — [`SearchEngine`], the simple hash-map engine kept as
+//!   the reference oracle the kernel is held to bit for bit,
+//! * [`retriever`] — the [`Retriever`] trait every deployment (plain
+//!   index, sharded scatter-gather, NRT delta, fleet router) implements,
 //! * [`sharded`] — [`ShardedIndex`]: deploy-time document partitioning
 //!   with parallel per-shard scoring and a bit-identical k-way merge,
 //! * [`artifact`] — [`ShardArtifact`]: one shard serialized into a
@@ -59,7 +63,7 @@ pub mod dph;
 pub mod executor;
 pub mod forward;
 pub mod index;
-pub mod maxscore;
+mod kernel;
 pub mod positions;
 pub mod postings;
 pub mod retriever;
@@ -78,7 +82,6 @@ pub use dph::Dph;
 pub use executor::{ScoringExecutor, TaskPanic};
 pub use forward::ForwardIndex;
 pub use index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
-pub use maxscore::MaxScoreEngine;
 pub use positions::{phrase_search, PositionalIndex};
 pub use retriever::{Retrieval, Retriever};
 pub use search::{query_weights, RankingModel, ScoredDoc, SearchEngine};

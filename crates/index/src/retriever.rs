@@ -3,12 +3,14 @@
 //! Everything above the index layer (the diversification pipeline, the
 //! serving engine, the benches) needs exactly one capability from it:
 //! *top-`k` documents for a query*. [`Retriever`] names that capability so
-//! callers can swap evaluation strategies — term-at-a-time DPH
-//! ([`SearchEngine`]), document-at-a-time MaxScore pruning
-//! ([`MaxScoreEngine`]), or the deploy-time partitioned
-//! [`ShardedIndex`](crate::sharded::ShardedIndex) that scores shards in
-//! parallel and scatter-gathers the union top-`k` — without touching the
-//! call sites.
+//! callers can swap deployments — the plain [`InvertedIndex`], the
+//! deploy-time partitioned [`ShardedIndex`](crate::sharded::ShardedIndex)
+//! that scores shards in parallel and scatter-gathers the union top-`k`,
+//! the NRT [`DeltaRetriever`](crate::delta::DeltaRetriever), or the
+//! multi-process fleet router — without touching the call sites. All of
+//! them score DPH through the one retrieval kernel
+//! (`kernel::score_range`); the hash-map [`SearchEngine`] implements the
+//! trait too, as the oracle they are compared with.
 //!
 //! # Example
 //!
@@ -28,9 +30,10 @@
 //! assert_eq!(unsharded.retrieve("apple", 2), sharded.retrieve("apple", 2));
 //! ```
 
+use crate::dph::Dph;
 use crate::index::{InvertedIndex, StatsOverlay};
-use crate::maxscore::MaxScoreEngine;
-use crate::search::{RankingModel, ScoredDoc, SearchEngine};
+use crate::kernel::{score_range, IndexRange};
+use crate::search::{query_weights, RankingModel, ScoredDoc, SearchEngine};
 use serpdiv_text::TermId;
 
 /// The outcome of one retrieval together with its completeness status.
@@ -119,8 +122,8 @@ pub trait Retriever: Send + Sync {
     /// The default **ignores the overlay** and scores with the
     /// retriever's own statistics. That is only acceptable for strategies
     /// that never serve underneath a [`DeltaIndex`](crate::delta::DeltaIndex)
-    /// (MaxScore, the fleet router); the retrievers the serving engine
-    /// actually seals a delta over — [`InvertedIndex`] and
+    /// (the oracle engine, the fleet router); the retrievers the serving
+    /// engine actually seals a delta over — [`InvertedIndex`] and
     /// [`ShardedIndex`](crate::sharded::ShardedIndex) — override it
     /// honestly, which is what makes a pre-merge `DeltaRetriever` page
     /// `f64`-bit-identical to a from-scratch union build.
@@ -135,15 +138,33 @@ pub trait Retriever: Send + Sync {
     }
 }
 
-/// The default retriever: term-at-a-time DPH over the whole collection
-/// (one logical shard).
+impl InvertedIndex {
+    /// Top-`k` documents for pre-analyzed query terms under any
+    /// [`RankingModel`]: the whole collection as one range of the
+    /// retrieval kernel, optionally scored against `overlay`'s statistics.
+    /// The [`Retriever`] impl is this with [`Dph`]; the result equals
+    /// [`SearchEngine::with_model`]'s, `f64` bit for bit.
+    pub fn retrieve_terms_with_model<M: RankingModel>(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        model: &M,
+        overlay: Option<&StatsOverlay>,
+    ) -> Vec<ScoredDoc> {
+        let whole = IndexRange::whole(self, overlay);
+        score_range(&whole, &query_weights(terms), model, k)
+    }
+}
+
+/// The default retriever: DPH over the whole collection (one logical
+/// shard).
 impl Retriever for InvertedIndex {
     fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        SearchEngine::new(self).search(query, k)
+        self.retrieve_terms(&self.analyze_query(query), k)
     }
 
     fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        SearchEngine::new(self).search_terms(terms, k)
+        self.retrieve_terms_with_model(terms, k, &Dph::new(), None)
     }
 
     fn retrieve_terms_overlaid(
@@ -152,21 +173,11 @@ impl Retriever for InvertedIndex {
         k: usize,
         overlay: &StatsOverlay,
     ) -> Retrieval {
-        Retrieval::complete(SearchEngine::new(self).search_terms_overlaid(terms, k, overlay))
+        Retrieval::complete(self.retrieve_terms_with_model(terms, k, &Dph::new(), Some(overlay)))
     }
 }
 
 impl Retriever for SearchEngine<'_> {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.search(query, k)
-    }
-
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.search_terms(terms, k)
-    }
-}
-
-impl<M: RankingModel + Send + Sync> Retriever for MaxScoreEngine<'_, M> {
     fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
         self.search(query, k)
     }
@@ -198,15 +209,6 @@ mod tests {
         let b = Retriever::retrieve(&engine, "apple", 3);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn maxscore_is_a_retriever() {
-        let idx = index();
-        let engine = MaxScoreEngine::new(&idx, crate::bm25::Bm25::new());
-        let hits = Retriever::retrieve(&engine, "apple pie", 2);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].doc.0, 2);
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Top-`k` query evaluation.
+//! The reference engine: top-`k` query evaluation the simple way.
 //!
-//! Term-at-a-time evaluation: each query term's postings are decoded once and
-//! scores accumulated per document, then the top `k` accumulators are
-//! selected with a bounded binary heap — `O(matches · log k)` selection, the
-//! same discipline OptSelect later applies to diversification.
+//! Term-at-a-time evaluation into a `HashMap` accumulator, then a bounded
+//! binary heap over every accumulator — `O(matches · log k)` selection,
+//! the same discipline OptSelect later applies to diversification.
+//! [`SearchEngine`] is deliberately plain: it is the **oracle** every
+//! production retrieval path (all of which score through the dense
+//! retrieval kernel, `kernel::score_range`) is held to `f64` bit for bit
+//! by the equivalence suites, and the engine offline tooling (the §4.1
+//! store build, the examples) drives directly. The serving path does not
+//! use it.
 
 use crate::document::DocId;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
@@ -17,6 +22,21 @@ pub trait RankingModel {
     /// Score the contribution of one query term occurring `tf` times in a
     /// document of length `doc_len`.
     fn score(&self, tf: u32, doc_len: u32, term: TermStats, coll: CollectionStats) -> f64;
+
+    /// The model specialised to one query term: a function of
+    /// `(tf, doc_len)` returning exactly — bit for bit — what
+    /// [`score`](Self::score) returns for `term` and `coll`.
+    ///
+    /// The retrieval kernel asks for it once per query term and calls it
+    /// once per posting, so an override can hoist whatever depends only on
+    /// the term and the collection out of the posting loop
+    /// ([`Dph`](crate::dph::Dph) hoists `N / CF`).
+    fn term_scorer(&self, term: TermStats, coll: CollectionStats) -> impl Fn(u32, u32) -> f64
+    where
+        Self: Sized,
+    {
+        move |tf, doc_len| self.score(tf, doc_len, term, coll)
+    }
 }
 
 /// One ranked result.
@@ -31,9 +51,9 @@ pub struct ScoredDoc {
 /// Min-heap entry ordered by `(score, doc)` so the heap root is the weakest
 /// kept result; doc id breaks ties deterministically.
 #[derive(Debug, PartialEq)]
-struct HeapEntry {
-    score: f64,
-    doc: DocId,
+pub(crate) struct HeapEntry {
+    pub(crate) score: f64,
+    pub(crate) doc: DocId,
 }
 
 impl Eq for HeapEntry {}
@@ -55,7 +75,8 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Query evaluator over an [`InvertedIndex`] with a pluggable model.
+/// Query evaluator over an [`InvertedIndex`] with a pluggable model — the
+/// reference oracle (see the module docs).
 pub struct SearchEngine<'a> {
     index: &'a InvertedIndex,
     model: Box<dyn RankingModel + Send + Sync + 'a>,
@@ -95,28 +116,10 @@ impl<'a> SearchEngine<'a> {
     /// in Terrier: the per-term score is weighted by the query-term count.
     /// Terms are processed in ascending [`TermId`] order, so per-document
     /// floating-point accumulation is bit-for-bit reproducible — the
-    /// property the sharded scatter-gather path
-    /// ([`ShardedIndex`](crate::sharded::ShardedIndex)) relies on to be
-    /// bit-identical to this engine.
+    /// order the retrieval kernel shares, which is what lets every
+    /// production path be bit-identical to this engine.
     pub fn search_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        if terms.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        // Term-at-a-time accumulation in deterministic term order.
-        let mut acc: HashMap<DocId, f64> = HashMap::new();
-        accumulate_term_contributions(
-            self.index.stats(),
-            |t| self.index.term_stats(t),
-            |t| self.index.postings(t),
-            |doc| self.index.doc_len(doc).unwrap_or(0),
-            &query_weights(terms),
-            &*self.model,
-            |doc, s| *acc.entry(doc).or_insert(0.0) += s,
-        );
-        top_k(
-            acc.into_iter().map(|(doc, score)| ScoredDoc { doc, score }),
-            k,
-        )
+        self.accumulate_and_select(terms, k, None)
     }
 
     /// Like [`search_terms`](Self::search_terms), but every model call
@@ -135,19 +138,36 @@ impl<'a> SearchEngine<'a> {
         k: usize,
         overlay: &StatsOverlay,
     ) -> Vec<ScoredDoc> {
+        self.accumulate_and_select(terms, k, Some(overlay))
+    }
+
+    /// The reference loop: every posting of every query term, in
+    /// [`query_weights`] order, added into its document's hash-map slot
+    /// (fresh slots start at `0.0`); then [`top_k`] over all slots.
+    fn accumulate_and_select(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        overlay: Option<&StatsOverlay>,
+    ) -> Vec<ScoredDoc> {
         if terms.is_empty() || k == 0 {
             return Vec::new();
         }
+        let coll = overlay.map_or_else(|| self.index.stats(), |o| o.coll());
         let mut acc: HashMap<DocId, f64> = HashMap::new();
-        accumulate_term_contributions(
-            overlay.coll(),
-            |t| overlay.term_stats(t).or_else(|| self.index.term_stats(t)),
-            |t| self.index.postings(t),
-            |doc| self.index.doc_len(doc).unwrap_or(0),
-            &query_weights(terms),
-            &*self.model,
-            |doc, s| *acc.entry(doc).or_insert(0.0) += s,
-        );
+        for (term, weight) in query_weights(terms) {
+            let stats = overlay
+                .and_then(|o| o.term_stats(term))
+                .or_else(|| self.index.term_stats(term));
+            let (Some(postings), Some(stats)) = (self.index.postings(term), stats) else {
+                continue;
+            };
+            for posting in postings.iter() {
+                let doc_len = self.index.doc_len(posting.doc).unwrap_or(0);
+                let s = self.model.score(posting.tf, doc_len, stats, coll) * f64::from(weight);
+                *acc.entry(posting.doc).or_insert(0.0) += s;
+            }
+        }
         top_k(
             acc.into_iter().map(|(doc, score)| ScoredDoc { doc, score }),
             k,
@@ -155,52 +175,17 @@ impl<'a> SearchEngine<'a> {
     }
 }
 
-/// The term-at-a-time scoring loop: feed the weighted model contribution
-/// of every posting of every query term into `sink`, in the order given
-/// by `weights` (canonically ascending term id, see [`query_weights`]).
-///
-/// This is the **single definition** of per-document score accumulation —
-/// the unsharded engine, both per-shard scorer forms
-/// ([`ShardedIndex`](crate::sharded::ShardedIndex)) and the out-of-process
-/// [`ShardArtifact`](crate::artifact::ShardArtifact) scorer call it with
-/// different statistics/postings sources and accumulator sinks; the
-/// bit-identical scatter-gather guarantee (in-process *and* across the
-/// fleet's process boundary) depends on them sharing this loop. The
-/// statistics closures must serve **global** collection quantities even
-/// when the postings are shard-local — that is what makes a document's
-/// score independent of where it is scored.
-pub(crate) fn accumulate_term_contributions<'p>(
-    coll: CollectionStats,
-    term_stats_of: impl Fn(TermId) -> Option<TermStats>,
-    mut postings_of: impl FnMut(TermId) -> Option<&'p crate::postings::PostingsList>,
-    doc_len_of: impl Fn(DocId) -> u32,
-    weights: &[(TermId, u32)],
-    model: &dyn RankingModel,
-    mut sink: impl FnMut(DocId, f64),
-) {
-    for &(term, weight) in weights {
-        let (Some(postings), Some(ts)) = (postings_of(term), term_stats_of(term)) else {
-            continue;
-        };
-        for posting in postings.iter() {
-            let s = model.score(posting.tf, doc_len_of(posting.doc), ts, coll) * f64::from(weight);
-            sink(posting.doc, s);
-        }
-    }
-}
-
 /// Collapse analyzed query terms into `(term, multiplicity)` pairs sorted
 /// by ascending term id — the canonical term-processing order shared by
-/// the TAAT engine and the per-shard scorers, so both accumulate each
+/// the oracle and the retrieval kernel, so both accumulate each
 /// document's score in the same floating-point order.
 pub fn query_weights(terms: &[TermId]) -> Vec<(TermId, u32)> {
-    let mut qtf: HashMap<TermId, u32> = HashMap::with_capacity(terms.len());
-    for &t in terms {
-        *qtf.entry(t).or_insert(0) += 1;
-    }
-    let mut weights: Vec<(TermId, u32)> = qtf.into_iter().collect();
-    weights.sort_unstable_by_key(|&(t, _)| t);
-    weights
+    let mut sorted = terms.to_vec();
+    sorted.sort_unstable();
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
+        .collect()
 }
 
 /// Select the `k` highest-scoring entries, ordered by decreasing score

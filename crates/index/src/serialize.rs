@@ -145,6 +145,11 @@ impl InvertedIndex {
             return Err(DecodeError::Truncated);
         }
         let n_lens = buf.get_u32_le() as usize;
+        if n_lens as u64 != num_docs {
+            return Err(DecodeError::Corrupt(
+                "doc_lens count differs from document count",
+            ));
+        }
         if buf.remaining() < n_lens * 4 {
             return Err(DecodeError::Truncated);
         }
@@ -205,10 +210,19 @@ impl InvertedIndex {
         } else {
             num_tokens as f64 / num_docs as f64
         };
-        let max_tfs: Vec<u32> = postings
-            .iter()
-            .map(|l| l.iter().map(|p| p.tf).max().unwrap_or(0))
-            .collect();
+        // Retrieval accumulates into an array over the doc-id space, so a
+        // posting outside it must be rejected here, not met at query time.
+        let mut max_tfs = Vec::with_capacity(postings.len());
+        for list in &postings {
+            let mut max_tf = 0;
+            for p in list.iter() {
+                if p.doc.index() >= doc_lens.len() {
+                    return Err(DecodeError::Corrupt("posting outside the collection"));
+                }
+                max_tf = max_tf.max(p.tf);
+            }
+            max_tfs.push(max_tf);
+        }
         let min_doc_len = doc_lens
             .iter()
             .copied()
@@ -314,6 +328,25 @@ mod tests {
         bytes[4] = 99; // bump the version field
         let err = InvertedIndex::from_bytes(&bytes, Analyzer::english()).unwrap_err();
         assert_eq!(err, DecodeError::BadVersion(99));
+    }
+
+    #[test]
+    fn postings_must_stay_inside_the_declared_collection() {
+        // Layout: magic, version, num_docs u64 @8, num_tokens u64 @16,
+        // doc_lens count u32 @24, then the lengths.
+        let mut fewer_docs = sample_index().to_bytes();
+        fewer_docs[8..16].copy_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            InvertedIndex::from_bytes(&fewer_docs, Analyzer::english()).unwrap_err(),
+            DecodeError::Corrupt("doc_lens count differs from document count")
+        );
+        // Consistently two documents — but the postings still name doc 2.
+        fewer_docs[24..28].copy_from_slice(&2u32.to_le_bytes());
+        fewer_docs.drain(36..40);
+        assert_eq!(
+            InvertedIndex::from_bytes(&fewer_docs, Analyzer::english()).unwrap_err(),
+            DecodeError::Corrupt("posting outside the collection")
+        );
     }
 
     #[test]

@@ -15,26 +15,29 @@
 //! Scoring a document only reads global quantities — its own length, the
 //! term's global [`TermStats`](crate::index::TermStats) and the global
 //! [`CollectionStats`](crate::index::CollectionStats) — so a document's
-//! score is the same no matter which shard scores it. Both the unsharded
-//! [`SearchEngine`](crate::search::SearchEngine) and the per-shard scorers
-//! accumulate query terms in ascending term-id order
-//! ([`query_weights`]), so even the floating-point summation order is
-//! identical. The scatter-gather merge is a k-way heap merge ordered by
-//! `(score desc, doc id asc)` — the same total order as the unsharded
-//! bounded-heap selection — which makes the final ranking **bit-identical**
-//! to the single-shard result for every shard count (asserted by the
-//! `sharded_equivalence` suite for shard counts 1/2/4/7).
+//! score is the same no matter which shard scores it. Every shard is
+//! scored by the same retrieval kernel (`kernel::score_range`) as the
+//! unsharded index, accumulating query terms in ascending term-id order
+//! ([`query_weights`]) like the
+//! [`SearchEngine`](crate::search::SearchEngine) oracle, so even the
+//! floating-point summation order is identical. The scatter-gather merge
+//! is a k-way heap merge ordered by `(score desc, doc id asc)` — the same
+//! total order as the kernel's bounded-heap selection — which makes the
+//! final ranking **bit-identical** to the single-shard result for every
+//! shard count (asserted by the `sharded_equivalence` suite for shard
+//! counts 1/2/4/7).
 
 use crate::document::DocId;
 use crate::dph::Dph;
 use crate::executor::ScoringExecutor;
 use crate::index::{InvertedIndex, StatsOverlay};
+use crate::kernel::{score_range, IndexRange};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::retriever::{Retrieval, Retriever};
-use crate::search::{accumulate_term_contributions, query_weights, top_k, RankingModel, ScoredDoc};
+use crate::search::{query_weights, ScoredDoc};
 use serpdiv_text::TermId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -50,13 +53,6 @@ struct Shard {
     /// real documents).
     len: usize,
 }
-
-/// Largest shard doc-range for which scoring uses a dense accumulator
-/// array instead of a hash map (512 KiB of `f64` per scoring pass). A
-/// *contiguous* shard range is what makes the dense form affordable — the
-/// per-query array is `N/num_shards` slots, not `N` — and it removes all
-/// per-posting hashing from the hot loop.
-const DENSE_ACCUMULATOR_LIMIT: usize = 1 << 16;
 
 /// How the scatter step schedules shard scoring — the production
 /// heuristic plus the forced modes the equivalence suites use to pit the
@@ -99,8 +95,6 @@ pub struct ShardedIndex {
     /// hardware thread by default); superseded by the executor's pool
     /// size when one is attached.
     scoring_workers: usize,
-    /// Largest shard range scored with the dense accumulator.
-    dense_limit: usize,
     /// The shared persistent scoring pool, when deployed with one.
     executor: Option<Arc<ScoringExecutor>>,
     /// Test instrumentation: called with the shard number right before
@@ -115,7 +109,6 @@ impl std::fmt::Debug for ShardedIndex {
             .field("chunk", &self.chunk)
             .field("parallel_threshold", &self.parallel_threshold)
             .field("scoring_workers", &self.scoring_workers)
-            .field("dense_limit", &self.dense_limit)
             .field("executor", &self.executor)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| ".."))
             .finish()
@@ -169,7 +162,6 @@ impl ShardedIndex {
             // Resolved once: available_parallelism is a syscall, far too
             // expensive for the per-query path.
             scoring_workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            dense_limit: DENSE_ACCUMULATOR_LIMIT,
             executor: None,
             fault_hook: None,
         }
@@ -218,15 +210,6 @@ impl ShardedIndex {
             Some(executor) => executor.num_threads(),
             None => self.scoring_workers.min(self.shards.len().max(1)),
         }
-    }
-
-    /// Override the dense-accumulator cutoff (default
-    /// [`DENSE_ACCUMULATOR_LIMIT`]): shards whose doc range exceeds it are
-    /// scored with the hash-map fallback. `0` forces the sparse form
-    /// everywhere. The ranking is identical either way.
-    pub fn with_dense_accumulator_limit(mut self, limit: usize) -> Self {
-        self.dense_limit = limit;
-        self
     }
 
     /// Override the **scoped-thread** scatter worker count (default: one
@@ -286,72 +269,20 @@ impl ShardedIndex {
             .sum()
     }
 
-    /// Score one shard: term-at-a-time accumulation over the shard-local
-    /// postings with **global** statistics, in the canonical ascending
-    /// term order — bit-identical per-document scores to the unsharded
-    /// engine — then the shard-local top `k`.
-    ///
-    /// Accumulation is dense (an `f64` array plus a touched bitmap over
-    /// the shard's contiguous doc range — zero hashing in the hot loop)
-    /// whenever the range fits [`DENSE_ACCUMULATOR_LIMIT`]; giant shards
-    /// fall back to the hash-map form. Both accumulate each document's
-    /// term contributions in the same order, so scores are bit-identical.
+    /// Score one shard: the retrieval kernel over the shard-local
+    /// postings with **global** statistics — bit-identical per-document
+    /// scores to the unsharded index — then the shard-local top `k`.
     fn score_shard(
         &self,
         shard: &Shard,
         weights: &[(TermId, u32)],
-        model: &(dyn RankingModel + Send + Sync),
         k: usize,
         overlay: Option<&StatsOverlay>,
     ) -> Vec<ScoredDoc> {
-        if shard.len <= self.dense_limit {
-            self.score_shard_dense(shard, weights, model, k, overlay)
-        } else {
-            self.score_shard_sparse(shard, weights, model, k, overlay)
-        }
-    }
-
-    /// Dense accumulation over the shard's contiguous doc-id range (see
-    /// [`score_range_dense`], which also serves the fleet's out-of-process
-    /// [`ShardArtifact`](crate::artifact::ShardArtifact) scorer).
-    fn score_shard_dense(
-        &self,
-        shard: &Shard,
-        weights: &[(TermId, u32)],
-        model: &(dyn RankingModel + Send + Sync),
-        k: usize,
-        overlay: Option<&StatsOverlay>,
-    ) -> Vec<ScoredDoc> {
-        score_range_dense(
-            &ShardView {
-                index: &self.index,
-                shard,
-                overlay,
-            },
+        score_range(
+            &IndexRange::shard(&self.index, &shard.postings, shard.base, shard.len, overlay),
             weights,
-            model,
-            k,
-        )
-    }
-
-    /// Hash-map accumulation for shards whose doc range is too large for
-    /// a per-query dense array.
-    fn score_shard_sparse(
-        &self,
-        shard: &Shard,
-        weights: &[(TermId, u32)],
-        model: &(dyn RankingModel + Send + Sync),
-        k: usize,
-        overlay: Option<&StatsOverlay>,
-    ) -> Vec<ScoredDoc> {
-        score_range_sparse(
-            &ShardView {
-                index: &self.index,
-                shard,
-                overlay,
-            },
-            weights,
-            model,
+            &Dph::new(),
             k,
         )
     }
@@ -402,7 +333,6 @@ impl ShardedIndex {
             return Vec::new();
         }
         let weights = query_weights(terms);
-        let model = Dph::new();
         let mode = match mode {
             ScatterMode::Auto => {
                 // Estimated matching postings: Σ doc_freq over the terms.
@@ -433,7 +363,7 @@ impl ShardedIndex {
                 .enumerate()
                 .map(|(s, shard)| {
                     self.fault(s);
-                    self.score_shard(shard, &weights, &model, k, overlay)
+                    self.score_shard(shard, &weights, k, overlay)
                 })
                 .collect(),
             ScatterMode::Executor => {
@@ -446,7 +376,7 @@ impl ShardedIndex {
                 // reuse their thread-local scratch — nothing is spawned.
                 match executor.scope_run(self.shards.len(), &|s| {
                     self.fault(s);
-                    self.score_shard(&self.shards[s], &weights, &model, k, overlay)
+                    self.score_shard(&self.shards[s], &weights, k, overlay)
                 }) {
                     Ok(per_shard) => per_shard,
                     // A panicked task poisons only this query: re-raise on
@@ -460,7 +390,7 @@ impl ShardedIndex {
                 let mut gathered: Vec<(usize, Vec<ScoredDoc>)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers)
                         .map(|_| {
-                            let (next, weights, model) = (&next, &weights, &model);
+                            let (next, weights) = (&next, &weights);
                             scope.spawn(move || {
                                 let mut mine = Vec::new();
                                 loop {
@@ -469,10 +399,7 @@ impl ShardedIndex {
                                         break;
                                     };
                                     self.fault(s);
-                                    mine.push((
-                                        s,
-                                        self.score_shard(shard, weights, model, k, overlay),
-                                    ));
+                                    mine.push((s, self.score_shard(shard, weights, k, overlay)));
                                 }
                                 mine
                             })
@@ -524,182 +451,9 @@ impl Retriever for ShardedIndex {
     }
 }
 
-/// What a contiguous-doc-range scoring pass reads: the range's postings
-/// slice plus the **global** statistics that make a document's score
-/// independent of where it is scored. Implemented by the in-process
-/// [`ShardedIndex`] shard view and by the fleet's out-of-process
-/// [`ShardArtifact`](crate::artifact::ShardArtifact), so both score
-/// through the same [`score_range_dense`]/[`score_range_sparse`] code and
-/// stay bit-identical.
-pub(crate) trait RangeSource {
-    /// Global collection statistics.
-    fn coll(&self) -> crate::index::CollectionStats;
-    /// Global per-term statistics.
-    fn term_stats(&self, t: TermId) -> Option<crate::index::TermStats>;
-    /// The range-local postings of term `t`.
-    fn range_postings(&self, t: TermId) -> Option<&PostingsList>;
-    /// Global length of `doc` (which lies inside this range).
-    fn doc_len(&self, doc: DocId) -> u32;
-    /// First global doc id of the contiguous range.
-    fn base(&self) -> u32;
-    /// Number of doc ids in the range.
-    fn range_len(&self) -> usize;
-}
-
-/// [`RangeSource`] over one in-process shard: postings from the shard,
-/// every statistic from the shared global index — or, under the NRT
-/// union contract, from the overlay first (with the index's own
-/// statistics as the exact fallback for terms the overlay leaves alone).
-struct ShardView<'a> {
-    index: &'a InvertedIndex,
-    shard: &'a Shard,
-    overlay: Option<&'a StatsOverlay>,
-}
-
-impl RangeSource for ShardView<'_> {
-    fn coll(&self) -> crate::index::CollectionStats {
-        self.overlay
-            .map_or_else(|| self.index.stats(), |o| o.coll())
-    }
-
-    fn term_stats(&self, t: TermId) -> Option<crate::index::TermStats> {
-        self.overlay
-            .and_then(|o| o.term_stats(t))
-            .or_else(|| self.index.term_stats(t))
-    }
-
-    fn range_postings(&self, t: TermId) -> Option<&PostingsList> {
-        self.shard.postings.get(t.index())
-    }
-
-    fn doc_len(&self, doc: DocId) -> u32 {
-        self.index.doc_len(doc).unwrap_or(0)
-    }
-
-    fn base(&self) -> u32 {
-        self.shard.base
-    }
-
-    fn range_len(&self) -> usize {
-        self.shard.len
-    }
-}
-
-/// Dense accumulation over a contiguous doc-id range.
-///
-/// The accumulator array and touched bitmap live in a thread-local
-/// scratch that is cleaned (touched entries only) and reused across
-/// ranges and requests — on the sequential path, on the persistent
-/// executor's pinned workers, and in a fleet worker's connection loop,
-/// steady-state scoring allocates nothing but the returned top-`k`. Only
-/// the legacy scoped-thread path (kept as an oracle) still pays one
-/// scratch allocation per worker per query, amortized against the large
-/// traversals it is gated on.
-pub(crate) fn score_range_dense<S: RangeSource>(
-    src: &S,
-    weights: &[(TermId, u32)],
-    model: &(dyn RankingModel + Send + Sync),
-    k: usize,
-) -> Vec<ScoredDoc> {
-    thread_local! {
-        /// (accumulator, touched bitmap); invariant: all-zero between
-        /// uses.
-        static SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<u64>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    }
-    let (base, len) = (src.base(), src.range_len());
-    SCRATCH.with(|cell| {
-        let (acc, touched) = &mut *cell.borrow_mut();
-        if acc.len() < len {
-            acc.resize(len, 0.0);
-        }
-        let words = len.div_ceil(64);
-        if touched.len() < words {
-            touched.resize(words, 0);
-        }
-        // Score under `catch_unwind` so a panic mid-accumulation (a
-        // faulting model, injected test faults) cannot leave dirty
-        // slots behind on a long-lived worker: every dirty slot has
-        // its touched bit set by the time anything can unwind, so the
-        // cleanup below restores the invariant on both exits.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            accumulate_term_contributions(
-                src.coll(),
-                |t| src.term_stats(t),
-                |t| src.range_postings(t),
-                |doc| src.doc_len(doc),
-                weights,
-                model,
-                |doc, s| {
-                    let i = doc.index() - base as usize;
-                    acc[i] += s;
-                    touched[i / 64] |= 1 << (i % 64);
-                },
-            );
-            top_k(
-                touched[..words].iter().enumerate().flat_map(|(w, &bits)| {
-                    let acc = &*acc;
-                    let mut bits = bits;
-                    std::iter::from_fn(move || {
-                        if bits == 0 {
-                            return None;
-                        }
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let i = w * 64 + b;
-                        Some(ScoredDoc {
-                            doc: DocId(base + i as u32),
-                            score: acc[i],
-                        })
-                    })
-                }),
-                k,
-            )
-        }));
-        // Restore the all-zero invariant, touching only dirty slots.
-        for w in 0..words {
-            let mut bits = touched[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                acc[w * 64 + b] = 0.0;
-            }
-            touched[w] = 0;
-        }
-        match result {
-            Ok(hits) => hits,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-/// Hash-map accumulation for ranges too large for a per-query dense
-/// array.
-pub(crate) fn score_range_sparse<S: RangeSource>(
-    src: &S,
-    weights: &[(TermId, u32)],
-    model: &(dyn RankingModel + Send + Sync),
-    k: usize,
-) -> Vec<ScoredDoc> {
-    let mut acc: HashMap<DocId, f64> = HashMap::new();
-    accumulate_term_contributions(
-        src.coll(),
-        |t| src.term_stats(t),
-        |t| src.range_postings(t),
-        |doc| src.doc_len(doc),
-        weights,
-        model,
-        |doc, s| *acc.entry(doc).or_insert(0.0) += s,
-    );
-    top_k(
-        acc.into_iter().map(|(doc, score)| ScoredDoc { doc, score }),
-        k,
-    )
-}
-
 /// Head of one per-shard list inside the gather heap, ordered so the
 /// max-heap pops by `(score desc, doc id asc)` — the exact total order of
-/// [`top_k`].
+/// the kernel's top-`k` selection.
 struct MergeEntry {
     score: f64,
     doc: DocId,
@@ -837,27 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fallback_is_bit_identical_to_dense() {
-        let idx = index();
-        let dense = ShardedIndex::build(idx.clone(), 3);
-        let sparse = ShardedIndex::build(idx.clone(), 3).with_dense_accumulator_limit(0);
-        let oracle = SearchEngine::new(&idx);
-        for query in ["apple", "apple iphone chip", "weather storm rain"] {
-            let expect = oracle.search(query, 12);
-            for (label, got) in [
-                ("dense", dense.retrieve(query, 12)),
-                ("sparse", sparse.retrieve(query, 12)),
-            ] {
-                assert_eq!(expect.len(), got.len(), "{label} {query}");
-                for (e, g) in expect.iter().zip(&got) {
-                    assert_eq!(e.doc, g.doc, "{label} {query}");
-                    assert_eq!(e.score.to_bits(), g.score.to_bits(), "{label} {query}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn forced_parallel_path_is_still_bit_identical() {
         let idx = index();
         let oracle = SearchEngine::new(&idx);
@@ -951,7 +684,7 @@ mod tests {
         // Disarm and retry: the same executor worker serves the next
         // query with bit-identical results — the pool is not wedged.
         // (The hook fires before scoring dirties any scratch; the
-        // mid-accumulation unwind case is covered by
+        // mid-accumulation unwind case is covered by the kernel's
         // `mid_accumulation_panic_leaves_the_dense_scratch_clean`.)
         arm.store(false, AtomicOrdering::Relaxed);
         let expect = oracle.search("apple", 10);
@@ -960,52 +693,6 @@ mod tests {
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e.doc, g.doc);
             assert_eq!(e.score.to_bits(), g.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn mid_accumulation_panic_leaves_the_dense_scratch_clean() {
-        use crate::index::{CollectionStats, TermStats};
-        use std::sync::atomic::AtomicU32;
-
-        /// DPH until the fuse burns down, then a panic *between* sink
-        /// calls — i.e. after accumulator slots are already dirty.
-        struct FusedModel {
-            inner: Dph,
-            fuse: AtomicU32,
-        }
-        impl RankingModel for FusedModel {
-            fn score(&self, tf: u32, doc_len: u32, term: TermStats, coll: CollectionStats) -> f64 {
-                if self.fuse.fetch_sub(1, AtomicOrdering::Relaxed) == 0 {
-                    panic!("model fault mid-accumulation");
-                }
-                self.inner.score(tf, doc_len, term, coll)
-            }
-        }
-
-        let idx = index();
-        let sharded = ShardedIndex::build(idx.clone(), 1);
-        let shard = &sharded.shards[0];
-        let weights = query_weights(&idx.analyze_query("apple iphone chip"));
-        // Sanity: the query touches enough postings that a fuse of 3
-        // burns after some slots are dirty but before the pass finishes.
-        let clean = sharded.score_shard_dense(shard, &weights, &Dph::new(), 30, None);
-        assert!(clean.len() > 3);
-        let faulty = FusedModel {
-            inner: Dph::new(),
-            fuse: AtomicU32::new(3),
-        };
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sharded.score_shard_dense(shard, &weights, &faulty, 30, None)
-        }));
-        assert!(unwound.is_err(), "the fused model must panic mid-pass");
-        // The unwind path must have restored the all-zero invariant on
-        // this thread's scratch: an immediate re-score is bit-identical.
-        let rescored = sharded.score_shard_dense(shard, &weights, &Dph::new(), 30, None);
-        assert_eq!(clean.len(), rescored.len());
-        for (a, b) in clean.iter().zip(&rescored) {
-            assert_eq!(a.doc, b.doc);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
     }
 

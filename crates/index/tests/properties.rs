@@ -1,12 +1,9 @@
 //! Property-based tests for the IR substrate.
 
 use proptest::prelude::*;
-use serpdiv_index::bm25::Bm25;
 use serpdiv_index::postings::PostingsBuilder;
 use serpdiv_index::search::top_k;
-use serpdiv_index::{
-    cosine, DocId, Document, IndexBuilder, MaxScoreEngine, ScoredDoc, SearchEngine, SparseVector,
-};
+use serpdiv_index::{cosine, DocId, Document, IndexBuilder, ScoredDoc, SearchEngine, SparseVector};
 use serpdiv_text::{Analyzer, TermId};
 
 proptest! {
@@ -115,40 +112,6 @@ proptest! {
 }
 
 proptest! {
-    /// MaxScore doc-at-a-time retrieval returns exactly the same ranked
-    /// list as term-at-a-time under BM25, on arbitrary corpora/queries.
-    #[test]
-    fn maxscore_equals_taat(
-        bodies in prop::collection::vec("[a-e]{1,4}( [a-e]{1,4}){0,10}", 1..25),
-        qsel in prop::collection::vec(0usize..25, 1..4),
-        k in 1usize..12,
-    ) {
-        let mut builder = IndexBuilder::new();
-        for (i, body) in bodies.iter().enumerate() {
-            builder.add(Document::new(i as u32, format!("u{i}"), "", body.clone()));
-        }
-        let idx = builder.build();
-        // Query: words sampled from the corpus (guaranteed in-vocabulary).
-        let query: String = qsel
-            .iter()
-            .map(|&i| {
-                bodies[i % bodies.len()]
-                    .split_whitespace()
-                    .next()
-                    .unwrap()
-                    .to_string()
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        let taat = SearchEngine::with_model(&idx, Bm25::new()).search(&query, k);
-        let daat = MaxScoreEngine::new(&idx, Bm25::new()).search(&query, k);
-        prop_assert_eq!(taat.len(), daat.len());
-        for (a, b) in taat.iter().zip(&daat) {
-            prop_assert_eq!(a.doc, b.doc);
-            prop_assert!((a.score - b.score).abs() < 1e-9);
-        }
-    }
-
     /// Index persistence: serialization round-trips arbitrary corpora and
     /// preserves retrieval behaviour.
     #[test]

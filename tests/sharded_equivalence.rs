@@ -8,10 +8,20 @@
 //! * an LCG-randomized corpus/query sweep over shard counts {1, 2, 4, 7},
 //! * an end-to-end check that a sharded serving engine returns the same
 //!   pages as an unsharded one for every diversification algorithm.
+//!
+//! The same discipline covers the **unsharded** retriever: the shards and
+//! `impl Retriever for InvertedIndex` score through one retrieval kernel
+//! (dense thread-local accumulators, threshold-gated top-`k`), and the
+//! hash-map `SearchEngine` is the oracle for both — plain, under a
+//! `StatsOverlay`, under a second ranking model, and with eight threads
+//! sharing one index.
 
+use serpdiv::index::bm25::Bm25;
 use serpdiv::index::{
-    Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, SearchEngine, ShardedIndex,
+    CollectionStats, Document, Dph, IndexBuilder, InvertedIndex, RankingModel, Retriever,
+    ScoredDoc, SearchEngine, ShardedIndex, StatsOverlay, TermStats,
 };
+use serpdiv::text::TermId;
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -195,4 +205,225 @@ fn sharded_serving_pages_match_unsharded() {
             }
         }
     }
+}
+
+/// LCG corpus over a **skewed** vocabulary: the cubed draw makes the first
+/// few words occur several times in almost every document, so their
+/// collection frequency exceeds the document count and their DPH
+/// contributions go negative — the regime where a sloppy accumulator or
+/// top-`k` gate shows.
+fn skewed_index(rng: &mut Lcg, num_docs: u32) -> (Arc<InvertedIndex>, Vec<TermId>) {
+    let vocab: Vec<String> = (0..40).map(|w| format!("word{w}x")).collect();
+    let skewed = |rng: &mut Lcg| {
+        let u = (rng.next() % 1000) as f64 / 1000.0;
+        ((u * u * u) * vocab.len() as f64) as usize
+    };
+    let mut b = IndexBuilder::new();
+    for i in 0..num_docs {
+        let len = 4 + (rng.next() % 20) as usize;
+        let body = (0..len)
+            .map(|_| vocab[skewed(rng)].as_str())
+            .collect::<Vec<_>>()
+            .join(" ");
+        b.add(Document::new(i, format!("http://s/{i}"), "", body));
+    }
+    let index = Arc::new(b.build());
+    // Term ids in skew order; rare words may not have been drawn at all.
+    let terms = vocab
+        .iter()
+        .flat_map(|w| index.analyze_query(w))
+        .collect::<Vec<_>>();
+    (index, terms)
+}
+
+/// 1–4 query terms drawn with the same skew, repeats allowed (and forced
+/// now and then: multiplicity weighting).
+fn random_terms(rng: &mut Lcg, vocab: &[TermId]) -> Vec<TermId> {
+    let len = 1 + (rng.next() % 4) as usize;
+    let mut terms: Vec<TermId> = (0..len)
+        .map(|_| {
+            let u = (rng.next() % 1000) as f64 / 1000.0;
+            vocab[((u * u) * vocab.len() as f64) as usize]
+        })
+        .collect();
+    if rng.next().is_multiple_of(4) {
+        terms.push(terms[0]);
+    }
+    terms
+}
+
+/// `k` values around every boundary the gate has: 1, a page, more than a
+/// page, and more than the query can match.
+const KS: [usize; 4] = [1, 10, 100, 5000];
+
+fn assert_kernel_matches_oracle<M: RankingModel + Copy + Send + Sync>(
+    index: &InvertedIndex,
+    terms: &[TermId],
+    model: M,
+    context: &str,
+) -> bool {
+    let oracle = SearchEngine::with_model(index, model);
+    let mut negative = false;
+    for k in KS {
+        let expect = oracle.search_terms(terms, k);
+        let got = index.retrieve_terms_with_model(terms, k, &model, None);
+        assert_bit_identical(&expect, &got, &format!("{context} {terms:?} k={k}"));
+        negative |= got.iter().any(|h| h.score < 0.0);
+    }
+    negative
+}
+
+#[test]
+fn unsharded_retriever_is_bit_identical_to_the_oracle() {
+    // The tie-heavy fixture, through the trait itself.
+    let index = tie_heavy_index();
+    let oracle = SearchEngine::new(&index);
+    for query in [
+        "apple",
+        "apple iphone",
+        "apple apple fruit",
+        "chip orchard cinnamon cloud",
+        "zeppelin",
+    ] {
+        let terms = index.analyze_query(query);
+        for k in [1, 2, 7, 13, 28, 100] {
+            let expect = oracle.search_terms(&terms, k);
+            assert_bit_identical(
+                &expect,
+                &Retriever::retrieve_terms(&*index, &terms, k),
+                &format!("tie fixture {query:?} k={k}"),
+            );
+            assert_bit_identical(
+                &expect,
+                &Retriever::retrieve(&*index, query, k),
+                &format!("tie fixture, raw {query:?} k={k}"),
+            );
+        }
+    }
+
+    // Skewed LCG corpora of 50–3000 documents, both models.
+    let mut rng = Lcg(0x0dd5_eed5);
+    let mut saw_negative_scores = false;
+    for num_docs in [50, 400, 3000] {
+        let (index, vocab) = skewed_index(&mut rng, num_docs);
+        for q in 0..40 {
+            let terms = random_terms(&mut rng, &vocab);
+            let context = format!("docs={num_docs} q#{q}");
+            saw_negative_scores |=
+                assert_kernel_matches_oracle(&index, &terms, Dph::new(), &format!("dph {context}"));
+            assert_kernel_matches_oracle(&index, &terms, Bm25::new(), &format!("bm25 {context}"));
+            assert_bit_identical(
+                &SearchEngine::new(&index).search_terms(&terms, 10),
+                &Retriever::retrieve_terms(&*index, &terms, 10),
+                &format!("trait {context}"),
+            );
+        }
+    }
+    assert!(
+        saw_negative_scores,
+        "the skewed vocabulary must drive some DPH scores negative"
+    );
+}
+
+#[test]
+fn overlaid_retrieval_is_bit_identical_to_the_overlaid_oracle() {
+    let mut rng = Lcg(0x0e71_a1d0);
+    for num_docs in [60, 900] {
+        let (index, vocab) = skewed_index(&mut rng, num_docs);
+        let oracle = SearchEngine::new(&index);
+        // A union-statistics overlay as a delta would carry: a larger
+        // collection, and every third term's frequencies raised.
+        let base = index.stats();
+        let coll = CollectionStats {
+            num_docs: base.num_docs + 17,
+            num_tokens: base.num_tokens + 400,
+            avg_doc_len: (base.num_tokens + 400) as f64 / (base.num_docs + 17) as f64,
+        };
+        let overrides = vocab
+            .iter()
+            .step_by(3)
+            .map(|&t| {
+                let ts = index.term_stats(t).expect("indexed term");
+                let raised = TermStats {
+                    doc_freq: ts.doc_freq + 5,
+                    coll_freq: ts.coll_freq + 11,
+                };
+                (t, raised)
+            })
+            .collect();
+        let overlay = StatsOverlay::new(coll, overrides);
+        let sharded = ShardedIndex::build(index.clone(), 3);
+        for q in 0..30 {
+            let terms = random_terms(&mut rng, &vocab);
+            for k in KS {
+                let context = format!("docs={num_docs} q#{q} {terms:?} k={k}");
+                let expect = oracle.search_terms_overlaid(&terms, k, &overlay);
+                let got = index.retrieve_terms_overlaid(&terms, k, &overlay);
+                assert!(got.complete);
+                assert_bit_identical(&expect, &got.hits, &format!("unsharded {context}"));
+                let got = sharded.retrieve_terms_overlaid(&terms, k, &overlay);
+                assert_bit_identical(&expect, &got.hits, &format!("3 shards {context}"));
+                // The overlay must matter, or this test proves nothing.
+                if k == 10 && !expect.is_empty() {
+                    let plain = oracle.search_terms(&terms, k);
+                    assert_ne!(
+                        expect[0].score.to_bits(),
+                        plain[0].score.to_bits(),
+                        "{context}: overlay changed no score"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn eight_threads_share_one_index_without_sharing_scratch() {
+    let mut rng = Lcg(0x0874_ead5);
+    let (index, vocab) = skewed_index(&mut rng, 1500);
+    let sharded = ShardedIndex::build(index.clone(), 4);
+    // Every thread gets its own queries — different terms, lengths and
+    // k — and its answers computed up front by the single-threaded oracle.
+    let oracle = SearchEngine::new(&index);
+    struct Case {
+        terms: Vec<TermId>,
+        k: usize,
+        expect: Vec<ScoredDoc>,
+    }
+    let work: Vec<Vec<Case>> = (0..8)
+        .map(|_| {
+            (0..60)
+                .map(|_| {
+                    let terms = random_terms(&mut rng, &vocab);
+                    let k = *rng.pick(&KS);
+                    let expect = oracle.search_terms(&terms, k);
+                    Case { terms, k, expect }
+                })
+                .collect()
+        })
+        .collect();
+    let start = std::sync::Barrier::new(work.len());
+    std::thread::scope(|scope| {
+        for (t, queries) in work.iter().enumerate() {
+            let (index, sharded, start) = (&index, &sharded, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..5 {
+                    for (q, case) in queries.iter().enumerate() {
+                        let context = format!("thread {t} round {round} q#{q}");
+                        assert_bit_identical(
+                            &case.expect,
+                            &Retriever::retrieve_terms(&**index, &case.terms, case.k),
+                            &context,
+                        );
+                        assert_bit_identical(
+                            &case.expect,
+                            &sharded.retrieve_terms(&case.terms, case.k),
+                            &format!("sharded, {context}"),
+                        );
+                    }
+                }
+            });
+        }
+    });
 }
