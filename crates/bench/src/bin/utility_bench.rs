@@ -134,6 +134,23 @@ fn main() {
         }
     }
 
+    // What one resident scorer costs in memory: its own terms, ranges,
+    // postings and bounds — against the same plus the 4-byte-per-term-id
+    // dense lookup table every scorer carried before the table moved to
+    // one per thread.
+    let max_term = spec_lists
+        .iter()
+        .flat_map(|(_, list)| list.iter())
+        .filter_map(|vector| vector.entries().last())
+        .map(|&(t, _)| t.0 as usize)
+        .max()
+        .unwrap_or(0);
+    println!(
+        "scorer resident:    {:>10} B   (was {} B with its own {}-slot lookup table)",
+        scorer.byte_size(),
+        scorer.byte_size() + 4 * (max_term + 1),
+        max_term + 1
+    );
     println!("naive matrix:       {naive_us:>10.0} µs  (median of {iters})");
     println!(
         "compiled matrix:    {fast_us:>10.0} µs  ({:.1}× faster)",

@@ -504,7 +504,10 @@ pub fn assemble_input_from_surrogates(
 /// hoisted out: serving engines precompile one [`UtilityScorer`] per
 /// model entry at deploy time (the entry's active-spec set is immutable),
 /// so the request path skips the gather-and-sort entirely. Scoring is the
-/// same code over the same scorer contents — bit-identical rows.
+/// same code over the same scorer contents — bit-identical rows. What a
+/// request still pays per scorer is stamping its terms into the calling
+/// thread's lookup table and un-stamping them (one store each way per
+/// scorer term, against one lookup per candidate term).
 pub fn assemble_input_with_scorer(
     entry: &SpecializationEntry,
     scorer: &UtilityScorer,

@@ -28,6 +28,14 @@
 //! over the `n ≈ 100` candidates of the request; no surrogate list is
 //! cloned anywhere on the hot path.
 //!
+//! A scorer holds only its own few hundred terms. The `TermId → slot`
+//! lookup its rows need is one dense table **per thread**, not per
+//! scorer: scoring a matrix stamps the scorer's terms into the thread's
+//! table, reads every candidate term through it with a single load, and
+//! un-stamps them on the way out (see `Stamped`). Serving engines keep
+//! one scorer per model entry, so a table per scorer would be a
+//! vocabulary-sized array a thousand times over.
+//!
 //! All folded weights are `f64`, so the compiled path reproduces the naive
 //! double-precision oracle ([`UtilityMatrix::compute`]) up to mere
 //! re-association of the same sum (≈1e-12), which the equivalence suite
@@ -38,6 +46,7 @@ use crate::utility::{harmonic, UtilityMatrix, UtilityParams};
 use serpdiv_index::SparseVector;
 use serpdiv_text::TermId;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Magic number of the serialized compiled-store image
@@ -64,59 +73,15 @@ pub struct CompiledSpecStore {
     list_lens: Vec<usize>,
     /// Folded vector per specialization, entries sorted by term id.
     folded: Vec<Vec<(TermId, f64)>>,
-    /// Global inverted map: sorted distinct terms …
-    terms: Vec<TermId>,
-    /// … with `term_ranges[k]` delimiting `postings[start..end]` for
-    /// `terms[k]`; postings are `(spec_id, weight)` sorted by spec id.
-    term_ranges: Vec<(u32, u32)>,
-    postings: Vec<(u32, f64)>,
-    /// `max(0, max weight in postings(terms[k]))` — the per-posting-list
-    /// score upper bounds behind the MaxScore-style whole-row prune (see
-    /// [`UtilityScorer::score_into`]).
-    term_ub: Vec<f64>,
-    /// Dense `TermId → index into terms` map (`u32::MAX` = absent), built
-    /// when the term-id space is small enough; `None` falls back to
-    /// binary search.
-    term_index: Option<Vec<u32>>,
+    /// Global inverted map over all folded vectors, columns = spec ids.
+    inverted: TermMajor,
 }
 
-/// Largest term id for which the dense O(1) term lookup table is built;
-/// beyond it (possible only for adversarial serialized stores — real
-/// vocabularies are contiguous) lookups fall back to binary search rather
-/// than allocating gigabytes.
+/// Largest term id the dense per-thread lookup table is grown to cover;
+/// a layout reaching beyond it (possible only for adversarial serialized
+/// stores — real vocabularies are contiguous) is looked up by binary
+/// search rather than allocating gigabytes.
 const DIRECT_INDEX_MAX_TERM: u32 = 1 << 21;
-
-/// Derive the pruning upper bounds and the dense term-lookup table from a
-/// term-major postings layout. Shared by the global store and the
-/// per-request scorer so the two can never disagree.
-fn index_terms(
-    terms: &[TermId],
-    term_ranges: &[(u32, u32)],
-    postings: &[(u32, f64)],
-) -> (Vec<f64>, Option<Vec<u32>>) {
-    let term_ub: Vec<f64> = term_ranges
-        .iter()
-        .map(|&(start, end)| {
-            postings[start as usize..end as usize]
-                .iter()
-                // Clamping at 0 keeps the bound a *dominating* bound even
-                // for columns a term does not touch (their contribution is
-                // exactly 0 ≤ w·ub).
-                .fold(0.0f64, |ub, &(_, w)| ub.max(w))
-        })
-        .collect();
-    let term_index = match terms.last() {
-        Some(&max_term) if max_term.0 <= DIRECT_INDEX_MAX_TERM => {
-            let mut index = vec![u32::MAX; max_term.0 as usize + 1];
-            for (k, t) in terms.iter().enumerate() {
-                index[t.0 as usize] = k as u32;
-            }
-            Some(index)
-        }
-        _ => None,
-    };
-    (term_ub, term_index)
-}
 
 impl CompiledSpecStore {
     /// Compile the raw §4.1 [`SpecializationStore`] (this is the one-off
@@ -163,19 +128,12 @@ impl CompiledSpecStore {
             .enumerate()
             .flat_map(|(s, entries)| entries.iter().map(move |&(t, w)| (t, s as u32, w)))
             .collect();
-        let (terms, term_ranges, postings) = invert(triples);
-        let (term_ub, term_index) = index_terms(&terms, &term_ranges, &postings);
-
         CompiledSpecStore {
             ids,
             names,
             list_lens,
             folded,
-            terms,
-            term_ranges,
-            postings,
-            term_ub,
-            term_index,
+            inverted: TermMajor::invert(triples),
         }
     }
 
@@ -206,12 +164,12 @@ impl CompiledSpecStore {
 
     /// Distinct terms in the global inverted map.
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.inverted.terms.len()
     }
 
     /// Total postings across all terms.
     pub fn num_postings(&self) -> usize {
-        self.postings.len()
+        self.inverted.postings.len()
     }
 
     /// Approximate compiled footprint in bytes (folded vectors + inverted
@@ -224,16 +182,7 @@ impl CompiledSpecStore {
             .map(|f| f.len() * std::mem::size_of::<(TermId, f64)>())
             .sum();
         let names: usize = self.names.iter().map(|n| n.len() + 16).sum();
-        folded
-            + names
-            + self.terms.len() * std::mem::size_of::<TermId>()
-            + self.term_ranges.len() * std::mem::size_of::<(u32, u32)>()
-            + self.postings.len() * std::mem::size_of::<(u32, f64)>()
-            + self.term_ub.len() * std::mem::size_of::<f64>()
-            + self
-                .term_index
-                .as_ref()
-                .map_or(0, |ix| ix.len() * std::mem::size_of::<u32>())
+        folded + names + self.inverted.byte_size()
     }
 
     /// Build the request-time scoring view over the given specializations,
@@ -249,15 +198,9 @@ impl CompiledSpecStore {
                 }
             }
         }
-        let (terms, term_ranges, postings) = invert(triples);
-        let (term_ub, term_index) = index_terms(&terms, &term_ranges, &postings);
         UtilityScorer {
             m: cols.len(),
-            terms,
-            term_ranges,
-            postings,
-            term_ub,
-            term_index,
+            inverted: TermMajor::invert(triples),
         }
     }
 
@@ -374,18 +317,12 @@ impl CompiledSpecStore {
             .enumerate()
             .flat_map(|(s, entries)| entries.iter().map(move |&(t, w)| (t, s as u32, w)))
             .collect();
-        let (terms, term_ranges, postings) = invert(triples);
-        let (term_ub, term_index) = index_terms(&terms, &term_ranges, &postings);
         Ok(CompiledSpecStore {
             ids,
             names,
             list_lens,
             folded,
-            terms,
-            term_ranges,
-            postings,
-            term_ub,
-            term_index,
+            inverted: TermMajor::invert(triples),
         })
     }
 
@@ -394,82 +331,252 @@ impl CompiledSpecStore {
     /// `O(Σ_{t ∈ cand} |postings(t)|)`. Returns the normalized, thresholded
     /// utility per spec id.
     ///
-    /// Carries the same two exact fast paths as
-    /// [`UtilityScorer::score_into`]: dense term lookups and, when
-    /// `threshold_c > 0`, the dominating-bound whole-row prune. Bit-for-bit
-    /// identical to [`score_all_unpruned`](Self::score_all_unpruned).
+    /// The same row code as [`UtilityScorer::score_into`], so it carries
+    /// the same two exact fast paths and is bit-for-bit identical to
+    /// [`score_all_unpruned`](Self::score_all_unpruned). Each call stamps
+    /// the store's *whole* vocabulary into the thread's lookup table —
+    /// `O(num_terms)` before the first posting is read: a diagnostic over
+    /// the full store, not the request path (that is [`Self::scorer`]).
     pub fn score_all(&self, candidate: &SparseVector, params: UtilityParams) -> Vec<f64> {
         let mut acc = vec![0.0f64; self.len()];
-        let norm = f64::from(candidate.norm());
-        if norm > 0.0 {
-            if params.threshold_c > 0.0
-                && row_prunable(
-                    &self.terms,
-                    &self.term_index,
-                    &self.term_ub,
-                    candidate,
-                    norm,
-                    params,
-                )
-            {
-                return acc; // norm > 0 ⇒ finalize(0.0) == 0.0 already
-            }
-            for &(t, w) in candidate.entries() {
-                if let Some(k) = term_slot(&self.terms, &self.term_index, t) {
-                    let (start, end) = self.term_ranges[k];
-                    for &(s, fw) in &self.postings[start as usize..end as usize] {
-                        acc[s as usize] += f64::from(w) * fw;
-                    }
-                }
-            }
-        }
-        for u in &mut acc {
-            *u = finalize(*u, norm, params);
-        }
+        let row = std::slice::from_ref(candidate);
+        self.inverted.score_rows(row, &mut acc, self.len(), params);
         acc
     }
 
-    /// The pre-optimization [`score_all`](Self::score_all), kept verbatim
-    /// as its equivalence oracle.
+    /// The pre-optimization [`score_all`](Self::score_all) — binary-search
+    /// term lookups, no pruning — kept as its equivalence oracle.
     pub fn score_all_unpruned(&self, candidate: &SparseVector, params: UtilityParams) -> Vec<f64> {
         let mut acc = vec![0.0f64; self.len()];
-        let norm = f64::from(candidate.norm());
-        if norm > 0.0 {
-            for &(t, w) in candidate.entries() {
-                if let Ok(k) = self.terms.binary_search(&t) {
-                    let (start, end) = self.term_ranges[k];
-                    for &(s, fw) in &self.postings[start as usize..end as usize] {
-                        acc[s as usize] += f64::from(w) * fw;
-                    }
-                }
-            }
-        }
-        for u in &mut acc {
-            *u = finalize(*u, norm, params);
-        }
+        self.inverted
+            .score_into_unpruned(candidate, &mut acc, params);
         acc
     }
 }
 
-/// Group `(term, column, weight)` triples into the term-major postings
-/// layout shared by the global map and the per-request scorer: sorted
-/// distinct `terms`, parallel `term_ranges` delimiting each term's slice
-/// of `postings`, postings sorted by column within a term.
-#[allow(clippy::type_complexity)]
-fn invert(mut triples: Vec<(TermId, u32, f64)>) -> (Vec<TermId>, Vec<(u32, u32)>, Vec<(u32, f64)>) {
-    triples.sort_unstable_by_key(|a| (a.0, a.1));
-    let mut terms = Vec::new();
-    let mut term_ranges: Vec<(u32, u32)> = Vec::new();
-    let mut postings = Vec::with_capacity(triples.len());
-    for (t, c, w) in triples {
-        if terms.last() != Some(&t) {
-            terms.push(t);
-            term_ranges.push((postings.len() as u32, postings.len() as u32));
+/// The term-major postings layout shared by the global map and the
+/// per-request scorer, so the two can never disagree: sorted distinct
+/// `terms`, `term_ranges[k]` delimiting `postings[start..end]` for
+/// `terms[k]`, postings `(column, weight)` sorted by column within a term.
+#[derive(Debug, Default)]
+struct TermMajor {
+    terms: Vec<TermId>,
+    term_ranges: Vec<(u32, u32)>,
+    postings: Vec<(u32, f64)>,
+    /// `max(0, max weight in postings(terms[k]))` — the per-posting-list
+    /// score upper bounds behind the MaxScore-style whole-row prune (see
+    /// [`Stamped::row_prunable`]).
+    term_ub: Vec<f64>,
+}
+
+impl TermMajor {
+    /// Group `(term, column, weight)` triples into the layout.
+    fn invert(mut triples: Vec<(TermId, u32, f64)>) -> Self {
+        triples.sort_unstable_by_key(|a| (a.0, a.1));
+        let mut terms = Vec::new();
+        let mut term_ranges: Vec<(u32, u32)> = Vec::new();
+        let mut postings = Vec::with_capacity(triples.len());
+        for (t, c, w) in triples {
+            if terms.last() != Some(&t) {
+                terms.push(t);
+                term_ranges.push((postings.len() as u32, postings.len() as u32));
+            }
+            postings.push((c, w));
+            term_ranges.last_mut().unwrap().1 = postings.len() as u32;
         }
-        postings.push((c, w));
-        term_ranges.last_mut().unwrap().1 = postings.len() as u32;
+        let term_ub = term_ranges
+            .iter()
+            .map(|&(start, end)| {
+                postings[start as usize..end as usize]
+                    .iter()
+                    // Clamping at 0 keeps the bound a *dominating* bound
+                    // even for columns a term does not touch (their
+                    // contribution is exactly 0 ≤ w·ub).
+                    .fold(0.0f64, |ub, &(_, w)| ub.max(w))
+            })
+            .collect();
+        TermMajor {
+            terms,
+            term_ranges,
+            postings,
+            term_ub,
+        }
     }
-    (terms, term_ranges, postings)
+
+    fn byte_size(&self) -> usize {
+        self.terms.len() * std::mem::size_of::<TermId>()
+            + self.term_ranges.len() * std::mem::size_of::<(u32, u32)>()
+            + self.postings.len() * std::mem::size_of::<(u32, f64)>()
+            + self.term_ub.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Score `candidates[i]` into the `i`-th `width`-cell row of `rows`,
+    /// with this layout's terms stamped into the thread's lookup table
+    /// (see [`Stamped`]) once for all of them.
+    fn score_rows<V: Borrow<SparseVector>>(
+        &self,
+        candidates: &[V],
+        rows: &mut [f64],
+        width: usize,
+        params: UtilityParams,
+    ) {
+        TERM_SLOTS.with(|cell| {
+            let mut table = cell.borrow_mut();
+            let stamped = Stamped::new(self, &mut table);
+            for (cand, row) in candidates.iter().zip(rows.chunks_exact_mut(width.max(1))) {
+                stamped.score_into(cand.borrow(), row, params);
+            }
+        });
+    }
+
+    /// The pre-optimization row — binary-search term lookups, no pruning
+    /// — kept verbatim as the oracle for [`Stamped::score_into`].
+    fn score_into_unpruned(
+        &self,
+        candidate: &SparseVector,
+        out: &mut [f64],
+        params: UtilityParams,
+    ) {
+        out.fill(0.0);
+        let norm = f64::from(candidate.norm());
+        if norm == 0.0 {
+            return;
+        }
+        for &(t, w) in candidate.entries() {
+            if let Ok(k) = self.terms.binary_search(&t) {
+                let (start, end) = self.term_ranges[k];
+                for &(c, fw) in &self.postings[start as usize..end as usize] {
+                    out[c as usize] += f64::from(w) * fw;
+                }
+            }
+        }
+        for u in out {
+            *u = finalize(*u, norm, params);
+        }
+    }
+}
+
+thread_local! {
+    /// The thread's dense `TermId → slot` table. Invariant between uses:
+    /// every entry `u32::MAX` (absent). Grown to the largest
+    /// `max_term + 1` this thread has stamped, never shrunk.
+    static TERM_SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A [`TermMajor`] whose `terms[k] → k` are stamped into the thread's
+/// [`TERM_SLOTS`] for as long as the value lives: rows look terms up with
+/// a single load. Dropping it — on return or on unwind, so a panic caught
+/// further up (the serving pool's `catch_unwind`) cannot leave the table
+/// dirty — un-stamps exactly those terms.
+struct Stamped<'a> {
+    layout: &'a TermMajor,
+    table: &'a mut [u32],
+    /// Whether the terms are in `table` at all: a layout reaching past
+    /// [`DIRECT_INDEX_MAX_TERM`] is looked up by binary search instead.
+    dense: bool,
+}
+
+impl<'a> Stamped<'a> {
+    fn new(layout: &'a TermMajor, table: &'a mut Vec<u32>) -> Self {
+        // `terms` is sorted: its last entry is the largest id to cover.
+        let dense = match layout.terms.last() {
+            Some(max_term) if max_term.0 <= DIRECT_INDEX_MAX_TERM => {
+                let need = max_term.0 as usize + 1;
+                if table.len() < need {
+                    table.resize(need, u32::MAX);
+                }
+                for (k, t) in layout.terms.iter().enumerate() {
+                    table[t.0 as usize] = k as u32;
+                }
+                true
+            }
+            _ => false,
+        };
+        Stamped {
+            layout,
+            table,
+            dense,
+        }
+    }
+
+    /// O(1) lookup of a term's slot in the layout (O(log T) for an
+    /// oversized layout).
+    #[inline]
+    fn slot(&self, t: TermId) -> Option<usize> {
+        if self.dense {
+            match self.table.get(t.0 as usize) {
+                Some(&slot) if slot != u32::MAX => Some(slot as usize),
+                _ => None,
+            }
+        } else {
+            self.layout.terms.binary_search(&t).ok()
+        }
+    }
+
+    /// The MaxScore-style whole-row prune test: `true` when *every* cell
+    /// of this candidate's utility row provably finalizes to exactly
+    /// `0.0`, so the postings walk can be skipped without changing a
+    /// single bit.
+    ///
+    /// Exactness: `acc[c]` is an IEEE fl-sum, in candidate-entry order, of
+    /// contributions `w_t · fw ≤ w_t · ub_t` (needs `w_t ≥ 0`; columns a
+    /// term skips contribute `0 ≤ w_t · ub_t` since `ub_t ≥ 0`). f64
+    /// addition and division by a positive norm are monotone, so
+    /// `clamp(acc[c]/norm) ≤ clamp(bound/norm) < threshold_c` ⇒ the
+    /// unpruned `finalize` returns the literal `0.0` for every cell — the
+    /// very value the pre-zeroed row already holds.
+    #[inline]
+    fn row_prunable(&self, candidate: &SparseVector, norm: f64, params: UtilityParams) -> bool {
+        let mut bound = 0.0f64;
+        for &(t, w) in candidate.entries() {
+            if w < 0.0 {
+                return false; // the domination argument needs w ≥ 0
+            }
+            if let Some(k) = self.slot(t) {
+                bound += f64::from(w) * self.layout.term_ub[k];
+            }
+        }
+        (bound / norm).clamp(0.0, 1.0) < params.threshold_c
+    }
+
+    /// Score one candidate into `out` (one cell per column): zero,
+    /// accumulate term-at-a-time, normalize by the candidate norm, clamp,
+    /// threshold. Two exact fast paths over
+    /// [`TermMajor::score_into_unpruned`]: term lookups are one load from
+    /// the stamped table, and when `threshold_c > 0` a candidate whose
+    /// dominating score bound already falls below the threshold skips the
+    /// postings walk entirely ([`Self::row_prunable`]).
+    fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
+        out.fill(0.0);
+        let norm = f64::from(candidate.norm());
+        if norm == 0.0 {
+            return;
+        }
+        if params.threshold_c > 0.0 && self.row_prunable(candidate, norm, params) {
+            return;
+        }
+        for &(t, w) in candidate.entries() {
+            if let Some(k) = self.slot(t) {
+                let (start, end) = self.layout.term_ranges[k];
+                for &(c, fw) in &self.layout.postings[start as usize..end as usize] {
+                    out[c as usize] += f64::from(w) * fw;
+                }
+            }
+        }
+        for u in out {
+            *u = finalize(*u, norm, params);
+        }
+    }
+}
+
+impl Drop for Stamped<'_> {
+    fn drop(&mut self) {
+        if self.dense {
+            for t in &self.layout.terms {
+                self.table[t.0 as usize] = u32::MAX;
+            }
+        }
+    }
 }
 
 /// Fold one ranked surrogate list into a single sparse row:
@@ -515,61 +622,12 @@ fn finalize(acc: f64, norm: f64, params: UtilityParams) -> f64 {
 
 /// Request-time scoring view: the active specializations' folded postings
 /// gathered into one small sorted accumulator index (columns = the order
-/// the specs were passed to [`CompiledSpecStore::scorer`]).
+/// the specs were passed to [`CompiledSpecStore::scorer`]). It carries no
+/// vocabulary-sized table — see the [module docs](self).
 #[derive(Debug)]
 pub struct UtilityScorer {
     m: usize,
-    terms: Vec<TermId>,
-    term_ranges: Vec<(u32, u32)>,
-    postings: Vec<(u32, f64)>,
-    /// Per-term dominating weight bounds (see [`index_terms`]).
-    term_ub: Vec<f64>,
-    /// Dense term lookup (see [`index_terms`]); `None` ⇒ binary search.
-    term_index: Option<Vec<u32>>,
-}
-
-/// O(1)/O(log T) lookup of a term's slot in a term-major layout.
-#[inline]
-fn term_slot(terms: &[TermId], term_index: &Option<Vec<u32>>, t: TermId) -> Option<usize> {
-    match term_index {
-        Some(index) => match index.get(t.0 as usize) {
-            Some(&slot) if slot != u32::MAX => Some(slot as usize),
-            _ => None,
-        },
-        None => terms.binary_search(&t).ok(),
-    }
-}
-
-/// The MaxScore-style whole-row prune test: `true` when *every* cell of
-/// this candidate's utility row provably finalizes to exactly `0.0`, so
-/// the postings walk can be skipped without changing a single bit.
-///
-/// Exactness: `acc[c]` is an IEEE fl-sum, in candidate-entry order, of
-/// contributions `w_t · fw ≤ w_t · ub_t` (needs `w_t ≥ 0`; columns a term
-/// skips contribute `0 ≤ w_t · ub_t` since `ub_t ≥ 0`). f64 addition and
-/// division by a positive norm are monotone, so
-/// `clamp(acc[c]/norm) ≤ clamp(bound/norm) < threshold_c` ⇒ the
-/// unpruned `finalize` returns the literal `0.0` for every cell — the
-/// very value the pre-zeroed row already holds.
-#[inline]
-fn row_prunable(
-    terms: &[TermId],
-    term_index: &Option<Vec<u32>>,
-    term_ub: &[f64],
-    candidate: &SparseVector,
-    norm: f64,
-    params: UtilityParams,
-) -> bool {
-    let mut bound = 0.0f64;
-    for &(t, w) in candidate.entries() {
-        if w < 0.0 {
-            return false; // the domination argument needs w ≥ 0
-        }
-        if let Some(k) = term_slot(terms, term_index, t) {
-            bound += f64::from(w) * term_ub[k];
-        }
-    }
-    (bound / norm).clamp(0.0, 1.0) < params.threshold_c
+    inverted: TermMajor,
 }
 
 impl UtilityScorer {
@@ -578,51 +636,26 @@ impl UtilityScorer {
         self.m
     }
 
-    /// Score one candidate into `out` (`out.len() == m`): zero, accumulate
-    /// term-at-a-time, normalize by the candidate norm, clamp, threshold.
-    ///
-    /// Two exact fast paths over the naive
-    /// [`score_into_unpruned`](Self::score_into_unpruned) oracle:
-    /// term lookups go through the dense table instead of a binary search,
-    /// and when `threshold_c > 0` a candidate whose dominating score bound
-    /// ([`index_terms`]) already falls below the threshold skips the
-    /// postings walk entirely ([`row_prunable`]). Both produce bit-for-bit
-    /// the oracle's row (`tests/utility_equivalence.rs` pins this).
-    pub fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
-        debug_assert_eq!(out.len(), self.m);
-        out.fill(0.0);
-        let norm = f64::from(candidate.norm());
-        if norm == 0.0 || self.m == 0 {
-            return;
-        }
-        if params.threshold_c > 0.0
-            && row_prunable(
-                &self.terms,
-                &self.term_index,
-                &self.term_ub,
-                candidate,
-                norm,
-                params,
-            )
-        {
-            return;
-        }
-        for &(t, w) in candidate.entries() {
-            if let Some(k) = term_slot(&self.terms, &self.term_index, t) {
-                let (start, end) = self.term_ranges[k];
-                for &(c, fw) in &self.postings[start as usize..end as usize] {
-                    out[c as usize] += f64::from(w) * fw;
-                }
-            }
-        }
-        for u in out {
-            *u = finalize(*u, norm, params);
-        }
+    /// Resident bytes of the scorer: terms, ranges, postings, bounds.
+    pub fn byte_size(&self) -> usize {
+        std::mem::size_of::<Self>() + self.inverted.byte_size()
     }
 
-    /// The pre-optimization scoring path, kept verbatim as the equivalence
-    /// oracle for [`score_into`](Self::score_into): binary-search term
-    /// lookups, no pruning.
+    /// Score one candidate into `out` (`out.len() == m`) — the one-row
+    /// case of [`matrix`](Self::matrix): the same stamped lookups and
+    /// whole-row prune, bit-for-bit the row
+    /// [`score_into_unpruned`](Self::score_into_unpruned) produces
+    /// (`tests/utility_equivalence.rs` pins this). Stamping costs one
+    /// store per scorer term, so score many rows through `matrix`.
+    pub fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
+        debug_assert_eq!(out.len(), self.m);
+        let row = std::slice::from_ref(candidate);
+        self.inverted.score_rows(row, out, self.m, params);
+    }
+
+    /// The pre-optimization scoring path, kept as the equivalence oracle
+    /// for [`score_into`](Self::score_into): binary-search term lookups,
+    /// no pruning.
     pub fn score_into_unpruned(
         &self,
         candidate: &SparseVector,
@@ -630,27 +663,13 @@ impl UtilityScorer {
         params: UtilityParams,
     ) {
         debug_assert_eq!(out.len(), self.m);
-        out.fill(0.0);
-        let norm = f64::from(candidate.norm());
-        if norm == 0.0 || self.m == 0 {
-            return;
-        }
-        for &(t, w) in candidate.entries() {
-            if let Ok(k) = self.terms.binary_search(&t) {
-                let (start, end) = self.term_ranges[k];
-                for &(c, fw) in &self.postings[start as usize..end as usize] {
-                    out[c as usize] += f64::from(w) * fw;
-                }
-            }
-        }
-        for u in out {
-            *u = finalize(*u, norm, params);
-        }
+        self.inverted.score_into_unpruned(candidate, out, params);
     }
 
     /// The full `n × m` [`UtilityMatrix`] over `candidates`, one sparse
-    /// accumulation per row. `candidates` may hold owned, borrowed or
-    /// `Arc`'d vectors.
+    /// accumulation per row, the scorer's terms stamped into the thread's
+    /// lookup table once for all rows. `candidates` may hold owned,
+    /// borrowed or `Arc`'d vectors.
     pub fn matrix<V: Borrow<SparseVector>>(
         &self,
         candidates: &[V],
@@ -658,12 +677,8 @@ impl UtilityScorer {
     ) -> UtilityMatrix {
         let n = candidates.len();
         let mut values = vec![0.0f64; n * self.m];
-        for (cand, row) in candidates
-            .iter()
-            .zip(values.chunks_exact_mut(self.m.max(1)))
-        {
-            self.score_into(cand.borrow(), row, params);
-        }
+        self.inverted
+            .score_rows(candidates, &mut values, self.m, params);
         UtilityMatrix::from_values(n, self.m, values)
     }
 
@@ -687,11 +702,9 @@ impl UtilityScorer {
         std::thread::scope(|scope| {
             for (chunk_idx, chunk) in values.chunks_mut(rows_per * self.m).enumerate() {
                 let cands = &candidates[chunk_idx * rows_per..];
-                scope.spawn(move || {
-                    for (cand, row) in cands.iter().zip(chunk.chunks_exact_mut(self.m)) {
-                        self.score_into(cand.borrow(), row, params);
-                    }
-                });
+                // Each scoped thread stamps its own table (`cands` runs
+                // past the chunk; the rows bound the zip).
+                scope.spawn(move || self.inverted.score_rows(cands, chunk, self.m, params));
             }
         });
         UtilityMatrix::from_values(n, self.m, values)
@@ -936,5 +949,169 @@ mod tests {
         let scorer = c.scorer(["ghost"]);
         let m = scorer.matrix(&[v(&[(1, 1.0)])], UtilityParams::default());
         assert_eq!(m.get(0, 0), 0.0);
+    }
+
+    // ---- the per-thread lookup table -----------------------------------
+
+    fn table_is_clean() -> bool {
+        TERM_SLOTS.with(|cell| cell.borrow().iter().all(|&slot| slot == u32::MAX))
+    }
+
+    fn table_len() -> usize {
+        TERM_SLOTS.with(|cell| cell.borrow().len())
+    }
+
+    /// `matrix` and `score_into` against the binary-search oracle, bit for
+    /// bit, with and without the prune; the table is clean afterwards.
+    fn assert_matches_oracle(scorer: &UtilityScorer, cands: &[SparseVector], what: &str) {
+        let m = scorer.num_specializations();
+        for threshold_c in [0.0, 0.05, 0.4] {
+            let params = UtilityParams { threshold_c };
+            let fast = scorer.matrix(cands, params);
+            assert!(table_is_clean(), "{what}: matrix left terms stamped");
+            let (mut row, mut oracle) = (vec![0.0; m], vec![0.0; m]);
+            for (i, cand) in cands.iter().enumerate() {
+                scorer.score_into_unpruned(cand, &mut oracle, params);
+                scorer.score_into(cand, &mut row, params);
+                for j in 0..m {
+                    let bits = oracle[j].to_bits();
+                    assert_eq!(
+                        fast.get(i, j).to_bits(),
+                        bits,
+                        "{what} c={threshold_c} ({i},{j})"
+                    );
+                    assert_eq!(
+                        row[j].to_bits(),
+                        bits,
+                        "{what} c={threshold_c} ({i},{j}) row"
+                    );
+                }
+            }
+            assert!(table_is_clean(), "{what}: score_into left terms stamped");
+        }
+    }
+
+    /// Specs `a` (terms 1–3), `b` (terms 3–5, overlapping `a`), `far`
+    /// (terms 900–901, disjoint) and — when `oversized` — `huge`, which
+    /// reaches past `DIRECT_INDEX_MAX_TERM`.
+    fn vocab_store(oversized: bool) -> CompiledSpecStore {
+        let mut lists = vec![
+            (
+                "a",
+                vec![v(&[(1, 2.0), (2, 1.0)]), v(&[(1, 1.0), (3, 4.0)])],
+            ),
+            ("b", vec![v(&[(3, 1.0), (4, 2.0)]), v(&[(5, 3.0)])]),
+            ("far", vec![v(&[(900, 1.0), (901, 2.0)])]),
+        ];
+        if oversized {
+            let beyond = DIRECT_INDEX_MAX_TERM + 7;
+            lists.push(("huge", vec![v(&[(2, 1.0), (beyond, 3.0)])]));
+        }
+        CompiledSpecStore::build(lists.iter().map(|(name, list)| (*name, list.iter())))
+    }
+
+    fn assert_score_all_matches_oracle(c: &CompiledSpecStore, cands: &[SparseVector]) {
+        for cand in cands {
+            let params = UtilityParams { threshold_c: 0.05 };
+            let fast = c.score_all(cand, params);
+            let oracle = c.score_all_unpruned(cand, params);
+            assert_eq!(
+                fast.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
+                oracle.iter().map(|u| u.to_bits()).collect::<Vec<_>>()
+            );
+            assert!(table_is_clean());
+        }
+    }
+
+    fn vocab_candidates() -> Vec<SparseVector> {
+        vec![
+            v(&[(1, 1.0), (3, 2.0), (4, 0.5)]),
+            v(&[(2, 3.0), (5, 1.0), (900, 0.5)]),
+            v(&[(901, 1.0), (3, 0.1)]),
+            // Terms past every table this test grows, and past the cap.
+            v(&[(3, 1.0), (5_000, 2.0), (DIRECT_INDEX_MAX_TERM + 7, 1.0)]),
+            v(&[(777, 1.0)]), // matches nothing
+            SparseVector::default(),
+        ]
+    }
+
+    #[test]
+    fn scorers_sharing_a_thread_leave_its_table_clean() {
+        let c = vocab_store(false);
+        let cands = vocab_candidates();
+        // Overlapping, then disjoint, then back: a term the previous
+        // scorer left stamped would resolve to the wrong slot here.
+        let ab = c.scorer(["a", "b"]);
+        let b = c.scorer(["b"]);
+        let far = c.scorer(["far", "unknown"]);
+        for (scorer, what) in [(&ab, "a+b"), (&b, "b"), (&far, "far"), (&b, "b again")] {
+            assert_matches_oracle(scorer, &cands, what);
+        }
+        assert_eq!(table_len(), 902, "grown to the largest max_term + 1 met");
+        // The global map goes through the same table.
+        assert_score_all_matches_oracle(&c, &cands);
+        assert_matches_oracle(&ab, &cands, "a+b after the global map");
+    }
+
+    #[test]
+    fn oversized_vocabulary_scores_by_binary_search() {
+        let c = vocab_store(true);
+        let huge = c.scorer(["huge", "a"]);
+        assert_matches_oracle(&huge, &vocab_candidates(), "huge");
+        assert_score_all_matches_oracle(&c, &vocab_candidates());
+        assert_eq!(table_len(), 0, "nothing was stamped, nothing allocated");
+    }
+
+    /// A candidate whose `borrow` panics when poisoned — the test-only way
+    /// to unwind out of the middle of a matrix.
+    struct Poisonable(SparseVector, bool);
+
+    impl Borrow<SparseVector> for Poisonable {
+        fn borrow(&self) -> &SparseVector {
+            assert!(!self.1, "poisoned candidate");
+            &self.0
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_matrix_unstamps_the_table() {
+        let c = vocab_store(false);
+        let ab = c.scorer(["a", "b"]);
+        let cands: Vec<Poisonable> = vocab_candidates()
+            .into_iter()
+            .enumerate()
+            .map(|(i, cand)| Poisonable(cand, i == 2))
+            .collect();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ab.matrix(&cands, UtilityParams::default())
+        }));
+        assert!(unwound.is_err(), "row 2 must have panicked");
+        assert!(table_is_clean(), "the unwind must un-stamp");
+        assert!(table_len() > 0, "…a table that was really stamped");
+        assert_matches_oracle(
+            &c.scorer(["far", "b"]),
+            &vocab_candidates(),
+            "after the panic",
+        );
+    }
+
+    #[test]
+    fn threads_stamp_their_own_tables() {
+        let c = vocab_store(false);
+        let cands = vocab_candidates();
+        let specs: [&[&str]; 4] = [&["a", "b"], &["b"], &["far"], &["far", "a"]];
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let (c, cands, start) = (&c, &cands, &start);
+                scope.spawn(move || {
+                    let scorer = c.scorer(specs[i % 4].iter().copied());
+                    start.wait();
+                    for _ in 0..200 {
+                        assert_matches_oracle(&scorer, cands, "threaded");
+                    }
+                });
+            }
+        });
     }
 }

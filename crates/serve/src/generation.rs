@@ -91,7 +91,10 @@ pub struct Generation {
     /// engines.
     presentation: OnceLock<PresentationTable>,
     /// Deploy-time precompiled utility scorers, one per model entry,
-    /// `Arc`-shared so republished generations reuse the table.
+    /// `Arc`-shared so republished generations reuse the map. Each holds
+    /// only its own few hundred terms: the vocabulary-sized `TermId →
+    /// slot` lookup is one table per serving thread, not one per entry
+    /// (see [`serpdiv_core::specindex`]).
     scorers: Arc<HashMap<String, UtilityScorer>>,
 }
 

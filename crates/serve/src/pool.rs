@@ -2,11 +2,19 @@
 //! from a shared queue.
 //!
 //! Query serving is CPU-bound (retrieval + utility math), so a
-//! thread-per-core pool over a plain MPMC hand-off — `std::sync::mpsc`
-//! with the receiver behind a mutex — saturates the hardware without an
-//! async runtime. Workers share the engine through an `Arc`; the engine is
-//! immutable after deployment, so there is no cross-request locking outside
-//! the result cache's shards.
+//! thread-per-core pool needs no async runtime. Workers share the engine
+//! through an `Arc`; the engine is immutable after deployment, so there is
+//! no cross-request locking outside the result cache's shards.
+//!
+//! The hand-off is one [`JobQueue`]: a `VecDeque` under a mutex, and a
+//! condvar idle workers park on. A parked worker holds no lock, so an
+//! arrival costs one wake-up of one worker — and none when every worker
+//! is busy, because a worker re-checks the queue before it parks. (A
+//! channel whose receiver sits behind a mutex does not have this
+//! property: one worker parks inside `recv()` *holding* the mutex, the
+//! others sleep on the mutex, and every job wakes two threads, the second
+//! only to find the channel empty.) Workers never spin: the measured
+//! variants are in the README's serving-pool section.
 //!
 //! When the retrieval layer is a sharded index backed by a persistent
 //! [`ScoringExecutor`](serpdiv_index::ScoringExecutor), the pool's
@@ -18,18 +26,18 @@
 use crate::engine::SearchEngine;
 use crate::metrics::Degradation;
 use crate::request::{QueryRequest, SearchResponse, StageTimings, LABEL_INTERNAL, LABEL_SHED};
-use parking_lot::Mutex;
 use serpdiv_core::AlgorithmKind;
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Admission-control policy of a [`WorkerPool`]: how much queueing the
 /// pool tolerates before it starts shedding load.
 ///
-/// An unbounded mpsc convoys under overload — every queued request
+/// An unbounded queue convoys under overload — every queued request
 /// eventually gets served, seconds late, long after its client gave up.
 /// Shedding at admission keeps the latency of the requests that *are*
 /// served flat and turns the overflow into cheap, honestly-labeled
@@ -41,8 +49,10 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Maximum jobs waiting in the queue before new submissions are shed
-    /// at enqueue time, in O(µs) — one atomic load, no engine work, no
-    /// syscalls. 0 ⇒ unbounded.
+    /// at enqueue time, in O(µs) — no engine work, no syscalls. The bound
+    /// is exact: the length is read under the lock the push itself takes,
+    /// so however many submitters race, never more than `max_queue` jobs
+    /// wait. 0 ⇒ unbounded.
     pub max_queue: usize,
     /// Maximum enqueue→pickup wait before a dequeued job is shed at
     /// pickup instead of served: a request that waited this long is
@@ -140,15 +150,85 @@ struct Job {
     reply: mpsc::Sender<(usize, SearchResponse)>,
 }
 
+/// The pool's hand-off: jobs in arrival order, and the condvar idle
+/// workers park on.
+#[derive(Default)]
+struct JobQueue {
+    /// Jobs, the shutdown flag and the parked count under ONE mutex: all
+    /// three are condvar state, so none can change while a worker is
+    /// between finding the queue empty and `wait` — no wake-up is lost.
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// Enqueued, not yet picked up — what `max_queue` bounds.
+    jobs: VecDeque<Job>,
+    /// Set when the pool drops: workers drain `jobs`, then exit.
+    closed: bool,
+    /// Workers inside `ready.wait`: a push wakes one only when there is
+    /// one to wake.
+    parked: usize,
+}
+
+impl JobQueue {
+    /// Every critical section below leaves the state valid at each step,
+    /// so a poisoned lock is safe to recover.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Append `job` and wake one parked worker — unless `max_len > 0` and
+    /// that many jobs already wait, in which case the job comes back.
+    fn push(&self, job: Job, max_len: usize) -> Result<(), Job> {
+        let mut state = self.lock();
+        if max_len > 0 && state.jobs.len() >= max_len {
+            return Err(job);
+        }
+        state.jobs.push_back(job);
+        let wake = state.parked > 0;
+        // Unlock first: the woken worker's first act is to take the lock.
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    /// The oldest job, parking until one arrives; `None` once the queue
+    /// is closed *and* drained.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state.parked += 1;
+            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+            state.parked -= 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lock().jobs.len()
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
+
 /// A pool of serving threads over one shared [`SearchEngine`].
 pub struct WorkerPool {
-    queue: Option<mpsc::Sender<Job>>,
+    queue: Arc<JobQueue>,
     workers: Vec<JoinHandle<()>>,
     engine: Arc<SearchEngine>,
     policy: AdmissionPolicy,
-    /// Jobs currently queued (enqueued, not yet picked up) — the value
-    /// `max_queue` bounds.
-    depth: Arc<AtomicUsize>,
     /// Per-class service-time estimates feeding deadline-aware admission.
     ewma: Arc<ServiceEwma>,
 }
@@ -167,53 +247,45 @@ impl WorkerPool {
         policy: AdmissionPolicy,
     ) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let depth = Arc::new(AtomicUsize::new(0));
+        let queue = Arc::new(JobQueue::default());
         let ewma = Arc::new(ServiceEwma::default());
         let handles = (0..workers)
             .map(|i| {
                 let engine = engine.clone();
-                let rx = rx.clone();
-                let depth = depth.clone();
+                let queue = queue.clone();
                 let ewma = ewma.clone();
                 std::thread::Builder::new()
                     .name(format!("serpdiv-serve-{i}"))
-                    .spawn(move || loop {
-                        // Hold the lock only for the dequeue, not the work.
-                        let job = match rx.lock().recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // queue closed: shut down
-                        };
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        let served_us = Self::serve_job(&engine, policy, &ewma, job);
-                        // Yield at the request boundary. When workers
-                        // outnumber cores, a thread that has run long
-                        // enough gets preempted *mid-request*, parking a
-                        // ~50 µs request behind a full scheduler rotation
-                        // (tens of ms — the entire measured p99 tail).
-                        // Yielding here re-queues the thread while it
-                        // holds no request, so preemption lands between
-                        // requests and each timed service section starts
-                        // with a fresh slice it comfortably fits into.
-                        // Gated on the request actually costing real CPU:
-                        // paths cheaper than the yield itself (shed
-                        // replies, cache hits, bare passthroughs) barely
-                        // widen the preemption window and would pay more
-                        // in syscalls than they save in tail.
-                        if served_us >= YIELD_AFTER_US {
-                            std::thread::yield_now();
+                    .spawn(move || {
+                        while let Some(job) = queue.pop() {
+                            let served_us = Self::serve_job(&engine, policy, &ewma, job);
+                            // Yield at the request boundary. When workers
+                            // outnumber cores, a thread that has run long
+                            // enough gets preempted *mid-request*, parking a
+                            // ~50 µs request behind a full scheduler rotation
+                            // (tens of ms — the entire measured p99 tail).
+                            // Yielding here re-queues the thread while it
+                            // holds no request, so preemption lands between
+                            // requests and each timed service section starts
+                            // with a fresh slice it comfortably fits into.
+                            // Gated on the request actually costing real CPU:
+                            // paths cheaper than the yield itself (shed
+                            // replies, cache hits, bare passthroughs) barely
+                            // widen the preemption window and would pay more
+                            // in syscalls than they save in tail.
+                            if served_us >= YIELD_AFTER_US {
+                                std::thread::yield_now();
+                            }
                         }
                     })
                     .expect("failed to spawn serving worker")
             })
             .collect();
         WorkerPool {
-            queue: Some(tx),
+            queue,
             workers: handles,
             engine,
             policy,
-            depth,
             ewma,
         }
     }
@@ -358,7 +430,7 @@ impl WorkerPool {
                         // merely backlogged and a duplicate at the back
                         // of the same queue would deepen the backlog
                         // without overtaking anything.
-                        if self.depth.load(Ordering::Relaxed) > 0 {
+                        if self.queue.len() > 0 {
                             continue;
                         }
                         let waited =
@@ -378,7 +450,9 @@ impl WorkerPool {
                                 hedged[seq] = true;
                                 self.engine.record_hedge();
                                 let req = pending[seq].take().expect("unanswered ⇒ kept");
-                                self.dispatch(seq, req, true, reply.clone());
+                                if self.dispatch(seq, req, true, reply.clone(), 0).is_err() {
+                                    unreachable!("an unbounded push is never refused");
+                                }
                             }
                         }
                     }
@@ -394,7 +468,7 @@ impl WorkerPool {
 
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.queue.len()
     }
 
     /// The pool's admission policy.
@@ -411,8 +485,6 @@ impl WorkerPool {
 
     fn enqueue(&self, seq: usize, req: QueryRequest, reply: mpsc::Sender<(usize, SearchResponse)>) {
         let _ = serpdiv_chaos::failpoint("pool.enqueue");
-        let over_depth = self.policy.max_queue > 0
-            && self.depth.load(Ordering::Relaxed) >= self.policy.max_queue;
         // Deadline-aware: when this class's expected service time alone
         // already overruns the whole per-request budget, the pipeline
         // would burn a worker just to serve the degraded baseline — shed
@@ -421,44 +493,50 @@ impl WorkerPool {
             let deadline = self.engine.config().deadline_us;
             deadline > 0 && self.ewma.predict(req.algorithm) > deadline
         };
-        if over_depth || doomed {
-            let timings = StageTimings::default();
-            self.engine.record_out_of_band(Degradation::Shed, timings);
-            let _ = reply.send((
-                seq,
-                degraded_reply(
-                    req.query,
-                    LABEL_SHED,
-                    timings,
-                    self.engine.current_generation_id(),
-                ),
-            ));
-            return;
+        if doomed {
+            return self.shed(seq, req.query, reply);
         }
-        self.dispatch(seq, req, false, reply);
+        if let Err(job) = self.dispatch(seq, req, false, reply, self.policy.max_queue) {
+            self.shed(seq, job.req.query, job.reply);
+        }
     }
 
-    /// Put one job on the queue, past admission (hedge copies enter
-    /// here directly — see [`AdmissionPolicy::hedge_factor_pct`]).
+    /// Answer a request refused at admission: counted, labeled, O(µs).
+    fn shed(&self, seq: usize, query: String, reply: mpsc::Sender<(usize, SearchResponse)>) {
+        let timings = StageTimings::default();
+        self.engine.record_out_of_band(Degradation::Shed, timings);
+        let _ = reply.send((
+            seq,
+            degraded_reply(
+                query,
+                LABEL_SHED,
+                timings,
+                self.engine.current_generation_id(),
+            ),
+        ));
+    }
+
+    /// Put one job on the queue unless `max_queue` jobs already wait
+    /// (0 ⇒ unbounded: hedge copies enter that way, past admission — see
+    /// [`AdmissionPolicy::hedge_factor_pct`]); a refused job comes back.
     fn dispatch(
         &self,
         seq: usize,
         req: QueryRequest,
         hedge: bool,
         reply: mpsc::Sender<(usize, SearchResponse)>,
-    ) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        self.queue
-            .as_ref()
-            .expect("pool is shutting down")
-            .send(Job {
+        max_queue: usize,
+    ) -> Result<(), Job> {
+        self.queue.push(
+            Job {
                 seq,
                 req,
                 enqueued: Instant::now(),
                 hedge,
                 reply,
-            })
-            .expect("all serving workers have exited");
+            },
+            max_queue,
+        )
     }
 }
 
@@ -487,7 +565,7 @@ fn degraded_reply(
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Close the queue so workers drain and exit, then join them.
-        self.queue.take();
+        self.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -501,6 +579,7 @@ mod tests {
     use serpdiv_core::{AlgorithmKind, PipelineParams, UtilityParams};
     use serpdiv_index::{Document, IndexBuilder};
     use serpdiv_mining::SpecializationModel;
+    use std::sync::atomic::AtomicUsize;
 
     fn engine() -> Arc<SearchEngine> {
         let mut b = IndexBuilder::new();
@@ -639,9 +718,17 @@ mod tests {
         delay: std::time::Duration,
         deadline_us: u64,
     ) -> Arc<SearchEngine> {
+        engine_with_first_stage(Box::new(SleepStage(delay)), deadline_us)
+    }
+
+    /// An engine whose chain runs `stage` before the default five.
+    fn engine_with_first_stage(
+        stage: Box<dyn crate::stages::Stage>,
+        deadline_us: u64,
+    ) -> Arc<SearchEngine> {
         let shared = engine();
         let mut chain = crate::stages::default_stage_chain();
-        chain.insert(0, Box::new(SleepStage(delay)));
+        chain.insert(0, stage);
         // Rebuild a fresh engine sharing the same artifacts, cache off so
         // repeats stay slow.
         let rebuilt = SearchEngine::with_retriever(
@@ -990,5 +1077,252 @@ mod tests {
             AlgorithmKind::OptSelect,
         )]);
         drop(pool); // must not hang
+    }
+
+    // ---- the job queue -------------------------------------------------
+
+    /// How long a reply may take before a test calls it lost — a lost
+    /// wake-up shows as a failure, not as a hung test run.
+    const REPLY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// Parks the worker that picks up `marker` between two rendezvous:
+    /// the test passes `entered` once the worker is inside (so everything
+    /// submitted afterwards queues *behind* it), and `release` to let it
+    /// go. Also logs every query in service order.
+    struct Gate {
+        marker: &'static str,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+        served: Mutex<Vec<String>>,
+    }
+
+    impl Gate {
+        fn new(marker: &'static str) -> Arc<Gate> {
+            Arc::new(Gate {
+                marker,
+                entered: std::sync::Barrier::new(2),
+                release: std::sync::Barrier::new(2),
+                served: Mutex::new(Vec::new()),
+            })
+        }
+    }
+
+    struct GateStage(Arc<Gate>);
+
+    impl crate::stages::Stage for GateStage {
+        fn kind(&self) -> crate::stages::StageKind {
+            crate::stages::StageKind::Detect
+        }
+        fn run<'a>(
+            &self,
+            _engine: &SearchEngine,
+            _generation: &'a crate::generation::Generation,
+            ctx: &mut crate::stages::PipelineContext<'a>,
+        ) -> crate::stages::StageOutcome {
+            let gate = &self.0;
+            gate.served.lock().unwrap().push(ctx.request.query.clone());
+            if ctx.request.query == gate.marker {
+                gate.entered.wait();
+                gate.release.wait();
+            }
+            crate::stages::StageOutcome::Continue
+        }
+    }
+
+    /// `workers` workers (and `policy`) over an uncached engine whose
+    /// chain starts with `gate`; returns once one worker is parked inside
+    /// the gate, with the reply channel of the request that parked it.
+    fn gated_pool(
+        gate: &Arc<Gate>,
+        workers: usize,
+        policy: AdmissionPolicy,
+    ) -> (WorkerPool, mpsc::Receiver<(usize, SearchResponse)>) {
+        let engine = engine_with_first_stage(Box::new(GateStage(gate.clone())), 0);
+        let pool = WorkerPool::with_admission(engine, workers, policy);
+        let gated = pool.submit(QueryRequest::new(gate.marker, 2, AlgorithmKind::Baseline));
+        gate.entered.wait();
+        (pool, gated)
+    }
+
+    fn reply(rx: &mpsc::Receiver<(usize, SearchResponse)>) -> SearchResponse {
+        let (_, response) = rx
+            .recv_timeout(REPLY_TIMEOUT)
+            .expect("a reply went missing: lost wake-up?");
+        assert!(rx.try_recv().is_err(), "one request, one reply");
+        response
+    }
+
+    #[test]
+    fn sequential_round_trips_never_lose_a_wake_up() {
+        // One client, two workers: both workers park between requests, so
+        // every one of the 20 000 pushes has to wake a parked worker. A
+        // push that skips the notify (or notifies before the job is
+        // visible) strands a request and the reply times out.
+        let pool = WorkerPool::new(engine(), 2);
+        for i in 0..20_000u32 {
+            let rx = pool.submit(QueryRequest::new("apple fruit", 2, AlgorithmKind::Baseline));
+            let response = reply(&rx);
+            assert_eq!(response.results.len(), 2, "round trip {i}");
+        }
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn racing_submitters_each_get_every_reply_exactly_once() {
+        let shared = engine();
+        let pool = WorkerPool::new(shared.clone(), 4);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..2_000 {
+                        let rx =
+                            pool.submit(QueryRequest::new("apple", 3, AlgorithmKind::Baseline));
+                        assert_eq!(reply(&rx).results.len(), 3);
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(shared.metrics().queue_waits, 16_000, "one pickup per job");
+    }
+
+    #[test]
+    fn one_worker_serves_in_arrival_order() {
+        let gate = Gate::new("gate");
+        let (pool, gated) = gated_pool(&gate, 1, AdmissionPolicy::default());
+        let queries: Vec<String> = (0..32).map(|i| format!("apple {i}")).collect();
+        let replies: Vec<_> = queries
+            .iter()
+            .map(|q| pool.submit(QueryRequest::new(q.clone(), 2, AlgorithmKind::Baseline)))
+            .collect();
+        let queued = pool.queue_depth();
+        // Release before asserting anything: a panic with the worker still
+        // in the gate would hang the pool's drop instead of failing.
+        gate.release.wait();
+        assert_eq!(queued, 32, "all queued behind the gated job");
+        reply(&gated);
+        for (rx, q) in replies.iter().zip(&queries) {
+            assert_eq!(&reply(rx).query, q);
+        }
+        assert_eq!(gate.served.lock().unwrap()[1..], queries[..]);
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn max_queue_sheds_exactly_the_overflow_of_racing_submitters() {
+        // The worker is parked in the gate and the queue is empty; 16
+        // submitters then race for 4 slots.
+        for round in 0..20 {
+            let gate = Gate::new("gate");
+            let (pool, gated) = gated_pool(
+                &gate,
+                1,
+                AdmissionPolicy {
+                    max_queue: 4,
+                    ..AdmissionPolicy::default()
+                },
+            );
+            let start = std::sync::Barrier::new(16);
+            let replies: Vec<_> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..16)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            pool.submit(QueryRequest::new("apple", 2, AlgorithmKind::Baseline))
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let queued = pool.queue_depth();
+            gate.release.wait();
+            assert_eq!(queued, 4, "round {round}");
+            reply(&gated);
+            let shed = replies
+                .iter()
+                .filter(|rx| reply(rx).algorithm == LABEL_SHED)
+                .count();
+            assert_eq!(shed, 12, "round {round}");
+        }
+    }
+
+    #[test]
+    fn two_pushers_racing_for_the_last_slot_never_both_get_it() {
+        // The sharpest form of the race above, on the queue itself: 3 of 4
+        // slots full, two threads released in lock-step (a spun counter —
+        // a `Barrier` wakes its waiters too far apart to overlap) each
+        // push once. The bound is checked under the lock the push takes,
+        // so exactly one gets in; a check against a length read before
+        // that lock lets both find 3 waiting.
+        let queue = JobQueue::default();
+        let job = || Job {
+            seq: 0,
+            req: QueryRequest::new("apple", 2, AlgorithmKind::Baseline),
+            enqueued: Instant::now(),
+            hedge: false,
+            reply: mpsc::channel().0,
+        };
+        for _ in 0..3 {
+            assert!(queue.push(job(), 4).is_ok());
+        }
+        const WAVES: usize = 200_000;
+        let wave = AtomicUsize::new(0);
+        let rival_done = AtomicUsize::new(0);
+        let rival_wins = AtomicUsize::new(0);
+        let await_count = |counter: &AtomicUsize, target: usize| {
+            while counter.load(Ordering::Acquire) < target {
+                std::thread::yield_now();
+            }
+        };
+        let violation = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for w in 1..=WAVES {
+                    await_count(&wave, w);
+                    if queue.push(job(), 4).is_ok() {
+                        rival_wins.fetch_add(1, Ordering::Relaxed);
+                    }
+                    rival_done.store(w, Ordering::Release);
+                }
+            });
+            for w in 1..=WAVES {
+                let rival_before = rival_wins.load(Ordering::Relaxed);
+                wave.store(w, Ordering::Release);
+                let won = queue.push(job(), 4).is_ok();
+                await_count(&rival_done, w);
+                let winners = usize::from(won) + rival_wins.load(Ordering::Relaxed) - rival_before;
+                if (winners, queue.len()) != (1, 4) {
+                    // Let the rival run out before failing: a panic in
+                    // here would leave the scope waiting on it forever.
+                    wave.store(WAVES, Ordering::Release);
+                    return Some((w, winners, queue.len()));
+                }
+                drop(queue.pop());
+            }
+            None
+        });
+        assert_eq!(violation, None, "(wave, winners, queue length)");
+    }
+
+    #[test]
+    fn jobs_queued_at_drop_are_answered_before_the_workers_exit() {
+        let gate = Gate::new("gate");
+        let (pool, gated) = gated_pool(&gate, 2, AdmissionPolicy::default());
+        let replies: Vec<_> = (0..8)
+            .map(|_| pool.submit(QueryRequest::new("apple", 2, AlgorithmKind::Baseline)))
+            .collect();
+        // Close while one worker is still inside the gate: it comes back
+        // to a closed queue, and must drain it rather than exit.
+        pool.queue.close();
+        gate.release.wait();
+        drop(pool);
+        reply(&gated);
+        for rx in &replies {
+            assert_eq!(
+                rx.try_recv().expect("answered before join").1.results.len(),
+                2
+            );
+        }
     }
 }
