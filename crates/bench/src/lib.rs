@@ -15,6 +15,10 @@
 //! | `footprint`           | §4.1 memory budget |
 //! | `ablation_lambda`     | λ sweep (ours) |
 //! | `ablation_heap`       | heap vs full-sort OptSelect (ours) |
+//! | `utility_bench`, `surrogate_bench`, `shard_micro`, `pool_micro` | layer micro-benches (ours): naive vs compiled utility, text vs forward-index surrogates, the retrieval kernel, the pool hand-off |
+//!
+//! End-to-end serving performance is not measured here: that is the repo
+//! benchmark, `crates/benchmark` (`bench`, declared in `BENCHMARK.json`).
 
 pub mod lab;
 pub mod timing;

@@ -237,62 +237,35 @@ impl CompiledSpecStore {
     /// sorted order, strictly increasing term ids per folded vector,
     /// finite weights, and no trailing bytes.
     pub fn from_bytes(data: &[u8]) -> Result<Self, serpdiv_index::DecodeError> {
-        use serpdiv_index::DecodeError;
+        use serpdiv_index::{ByteReader, DecodeError};
 
-        struct Cursor<'a> {
-            data: &'a [u8],
-            pos: usize,
-        }
-        impl Cursor<'_> {
-            fn take(&mut self, n: usize) -> Result<&[u8], DecodeError> {
-                let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-                if end > self.data.len() {
-                    return Err(DecodeError::Truncated);
-                }
-                let slice = &self.data[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            fn u32(&mut self) -> Result<u32, DecodeError> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64, DecodeError> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-        }
-
-        let mut cur = Cursor { data, pos: 0 };
-        if cur.u32()? != SPEC_MAGIC {
+        let mut r = ByteReader::new(data);
+        if r.u32()? != SPEC_MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = cur.u32()?;
+        let version = r.u32()?;
         if version != SPEC_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let num_specs = cur.u32()? as usize;
-        let mut ids = HashMap::with_capacity(num_specs);
+        // A spec record is at least its three length fields.
+        let num_specs = r.count(12)?;
         let mut names: Vec<String> = Vec::with_capacity(num_specs);
         let mut list_lens = Vec::with_capacity(num_specs);
         let mut folded = Vec::with_capacity(num_specs);
-        for id in 0..num_specs {
-            let name_len = cur.u32()? as usize;
-            let name = std::str::from_utf8(cur.take(name_len)?)
-                .map_err(|_| DecodeError::BadUtf8)?
-                .to_string();
-            if let Some(prev) = names.last() {
-                if *prev >= name {
-                    return Err(DecodeError::Corrupt(
-                        "specialization names not strictly sorted",
-                    ));
-                }
+        for _ in 0..num_specs {
+            let name = r.str()?;
+            if names.last().is_some_and(|prev| prev.as_str() >= name) {
+                return Err(DecodeError::Corrupt(
+                    "specialization names not strictly sorted",
+                ));
             }
-            list_lens.push(cur.u32()? as usize);
-            let folded_len = cur.u32()? as usize;
-            let mut entries: Vec<(TermId, f64)> = Vec::with_capacity(folded_len.min(1 << 16));
+            list_lens.push(r.u32()? as usize);
+            let folded_len = r.count(12)?;
+            let mut entries: Vec<(TermId, f64)> = Vec::with_capacity(folded_len);
             let mut prev_term: Option<u32> = None;
             for _ in 0..folded_len {
-                let t = cur.u32()?;
-                let w = f64::from_bits(cur.u64()?);
+                let t = r.u32()?;
+                let w = f64::from_bits(r.u64()?);
                 if prev_term.is_some_and(|p| p >= t) {
                     return Err(DecodeError::Corrupt("folded terms not strictly increasing"));
                 }
@@ -302,16 +275,21 @@ impl CompiledSpecStore {
                 }
                 entries.push((TermId(t), w));
             }
-            ids.insert(name.clone(), id as u32);
-            names.push(name);
+            names.push(name.to_string());
             folded.push(entries);
         }
-        if cur.pos != data.len() {
+        if r.finish().is_err() {
             return Err(DecodeError::Corrupt("trailing bytes after store"));
         }
 
-        // Rebuild the global inverted map from the folded vectors — same
-        // code path as compile-time, so the structures cannot diverge.
+        // Rebuild the derived structures (name→id map, global inverted
+        // map) from the canonical state — the inverted map through the
+        // same code path as compile-time, so they cannot diverge.
+        let ids = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| (name.clone(), id as u32))
+            .collect();
         let triples: Vec<(TermId, u32, f64)> = folded
             .iter()
             .enumerate()

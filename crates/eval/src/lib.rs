@@ -16,16 +16,12 @@
 //!   binaries that regenerate the paper's tables.
 
 pub mod andcg;
-pub mod extra;
 pub mod iap;
 pub mod ndcg;
 pub mod report;
 pub mod wilcoxon;
 
 pub use andcg::{alpha_dcg_at, alpha_ndcg_at, ideal_alpha_dcg_at};
-pub use extra::{
-    average_precision, ia_average_precision, ia_mrr, mrr, precision_at, subtopic_recall_at,
-};
 pub use iap::ia_precision_at;
 pub use ndcg::ndcg_at;
 pub use report::Table;

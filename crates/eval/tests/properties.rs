@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use serpdiv_corpus::Qrels;
-use serpdiv_eval::{
-    alpha_ndcg_at, ia_precision_at, ndcg_at, subtopic_recall_at, wilcoxon_signed_rank,
-};
+use serpdiv_eval::{alpha_ndcg_at, ia_precision_at, ndcg_at, wilcoxon_signed_rank};
 use serpdiv_index::DocId;
 
 /// Random qrels over `subtopics` subtopics and doc ids < 30, plus a random
@@ -35,20 +33,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&i), "ia-p {i}");
         let n = ndcg_at(&ranking, &qrels, 0, k);
         prop_assert!((0.0..=1.0).contains(&n), "ndcg {n}");
-        let s = subtopic_recall_at(&ranking, &qrels, 0, k);
-        prop_assert!((0.0..=1.0).contains(&s), "s-recall {s}");
-    }
-
-    /// Metrics are monotone in the cutoff for recall-type measures and the
-    /// ideal ranking scores exactly 1 where defined.
-    #[test]
-    fn s_recall_monotone_in_k((qrels, ranking) in arb_world()) {
-        let mut prev = 0.0;
-        for k in 0..=ranking.len() {
-            let s = subtopic_recall_at(&ranking, &qrels, 0, k);
-            prop_assert!(s >= prev - 1e-12);
-            prev = s;
-        }
     }
 
     /// α-NDCG of any ranking never exceeds the greedy ideal's own score

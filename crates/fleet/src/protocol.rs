@@ -24,8 +24,8 @@
 //! which is what keeps multi-process pages bit-identical to in-process
 //! ones.
 
-use bytes::{Buf, BufMut, BytesMut};
-use serpdiv_index::{DocId, ScoredDoc};
+use bytes::{BufMut, BytesMut};
+use serpdiv_index::{ByteReader, DocId, ScoredDoc, Truncated};
 use serpdiv_text::TermId;
 use std::io::{Read, Write};
 
@@ -142,6 +142,12 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+impl From<Truncated> for FrameError {
+    fn from(_: Truncated) -> Self {
+        FrameError::Truncated
+    }
+}
+
 /// A frame-level failure on a live connection: either the transport broke
 /// ([`Io`](Self::Io) — includes read timeouts) or the peer sent bytes
 /// that do not decode ([`Frame`](Self::Frame)).
@@ -218,66 +224,45 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// validating header, opcode, every body length field, and the absence of
 /// trailing bytes.
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
-    let mut buf = payload;
-    if buf.remaining() < 17 {
-        return Err(FrameError::Truncated);
-    }
-    if buf.get_u32_le() != PROTOCOL_MAGIC {
+    let mut r = ByteReader::new(payload);
+    // A payload shorter than the fixed header is truncated whatever its
+    // first bytes say.
+    let mut header = ByteReader::new(r.bytes(17)?);
+    if header.u32()? != PROTOCOL_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = header.u32()?;
     if version != PROTOCOL_VERSION {
         return Err(FrameError::BadVersion(version));
     }
-    let id = buf.get_u64_le();
-    let opcode = buf.get_u8();
-    let frame = match opcode {
+    let id = header.u64()?;
+    let frame = match header.u8()? {
         OP_QUERY => {
-            if buf.remaining() < 8 {
-                return Err(FrameError::Truncated);
-            }
-            let k = buf.get_u32_le();
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n * 4 {
-                return Err(FrameError::Truncated);
-            }
-            let mut terms = Vec::with_capacity(n);
-            for _ in 0..n {
-                terms.push(TermId(buf.get_u32_le()));
-            }
+            let k = r.u32()?;
+            let n = r.count(4)?;
+            let terms = r.u32s(n)?.into_iter().map(TermId).collect();
             Frame::Query { id, k, terms }
         }
         OP_HITS => {
-            if buf.remaining() < 4 {
-                return Err(FrameError::Truncated);
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n * 12 {
-                return Err(FrameError::Truncated);
-            }
+            let n = r.count(12)?;
             let mut hits = Vec::with_capacity(n);
             for _ in 0..n {
-                let doc = DocId(buf.get_u32_le());
-                let score = f64::from_bits(buf.get_u64_le());
+                let doc = DocId(r.u32()?);
+                let score = f64::from_bits(r.u64()?);
                 hits.push(ScoredDoc { doc, score });
             }
             Frame::Hits { id, hits }
         }
         OP_PING => Frame::Ping { id },
-        OP_PONG => {
-            if buf.remaining() < 12 {
-                return Err(FrameError::Truncated);
-            }
-            Frame::Pong {
-                id,
-                shard_id: buf.get_u32_le(),
-                base: buf.get_u32_le(),
-                range_len: buf.get_u32_le(),
-            }
-        }
+        OP_PONG => Frame::Pong {
+            id,
+            shard_id: r.u32()?,
+            base: r.u32()?,
+            range_len: r.u32()?,
+        },
         op => return Err(FrameError::BadOpcode(op)),
     };
-    if buf.remaining() != 0 {
+    if r.finish().is_err() {
         return Err(FrameError::Corrupt("trailing bytes after frame body"));
     }
     Ok(frame)

@@ -40,9 +40,10 @@ use crate::dph::Dph;
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::PostingsList;
+use crate::reader::ByteReader;
 use crate::search::{query_weights, ScoredDoc};
 use crate::serialize::DecodeError;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use serpdiv_text::TermId;
 
 const MAGIC: u32 = 0x5E9D_1F05;
@@ -110,100 +111,26 @@ pub struct ShardArtifact {
     postings: Vec<PostingsList>,
 }
 
-/// Decode one LEB128 varint without panicking on truncated or overlong
-/// input (the trusted in-memory decoder in `postings` indexes directly
-/// and would panic — fine after validation, unacceptable during it).
-fn checked_varint(data: &[u8], mut pos: usize) -> Option<(u32, usize)> {
-    let mut value: u32 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *data.get(pos)?;
-        pos += 1;
-        let chunk = u32::from(byte & 0x7f);
-        if shift > 28 || (shift == 28 && chunk > 0x0f) {
-            return None; // would overflow u32
-        }
-        value |= chunk << shift;
-        if byte & 0x80 == 0 {
-            return Some((value, pos));
-        }
-        shift += 7;
-    }
-}
-
-/// Walk one compressed postings payload, checking it decodes to exactly
-/// `count` `(doc, tf)` pairs with strictly increasing doc ids inside
-/// `[base, base + range_len)`, positive frequencies, and no trailing
-/// bytes. Returns the failed check, if any.
-fn validate_payload(
-    payload: &[u8],
-    count: usize,
-    base: u32,
-    range_len: usize,
-) -> Result<(), &'static str> {
-    let mut pos = 0;
-    let mut last_doc: Option<u32> = None;
-    for _ in 0..count {
-        let Some((delta, p)) = checked_varint(payload, pos) else {
-            return Err("undecodable postings varint");
-        };
-        let Some((tf, p)) = checked_varint(payload, p) else {
-            return Err("undecodable postings varint");
-        };
-        pos = p;
-        let doc = match last_doc {
-            None => delta,
-            Some(last) => {
-                if delta == 0 {
-                    return Err("non-increasing doc ids in postings");
-                }
-                match last.checked_add(delta) {
-                    Some(doc) => doc,
-                    None => return Err("doc id overflow in postings"),
-                }
-            }
-        };
-        if u64::from(doc) < u64::from(base) || u64::from(doc) >= u64::from(base) + range_len as u64
-        {
-            return Err("posting outside shard range");
-        }
-        if tf == 0 {
-            return Err("zero term frequency in postings");
-        }
-        last_doc = Some(doc);
-    }
-    if pos != payload.len() {
-        return Err("trailing bytes in postings payload");
-    }
-    Ok(())
-}
-
 impl ShardArtifact {
     /// Decode an artifact produced by
     /// [`ShardedIndex::export_shard`](crate::sharded::ShardedIndex::export_shard),
     /// validating every structural invariant the scoring loop relies on.
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
-        let mut buf = data;
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        if buf.get_u32_le() != MAGIC {
+        let mut r = ByteReader::new(data);
+        if r.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        if buf.remaining() < 16 + 24 {
-            return Err(DecodeError::Truncated);
-        }
-        let shard_id = buf.get_u32_le();
-        let num_shards = buf.get_u32_le();
-        let base = buf.get_u32_le();
-        let range_len = buf.get_u32_le() as usize;
-        let num_docs = buf.get_u64_le();
-        let num_tokens = buf.get_u64_le();
-        let avg_doc_len = f64::from_bits(buf.get_u64_le());
+        let shard_id = r.u32()?;
+        let num_shards = r.u32()?;
+        let base = r.u32()?;
+        let range_len = r.u32()? as usize;
+        let num_docs = r.u64()?;
+        let num_tokens = r.u64()?;
+        let avg_doc_len = f64::from_bits(r.u64()?);
 
         if num_shards == 0 || shard_id >= num_shards {
             return Err(DecodeError::Corrupt("shard id out of range"));
@@ -215,55 +142,36 @@ impl ShardArtifact {
             return Err(DecodeError::Corrupt("non-finite average document length"));
         }
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n_lens = buf.get_u32_le() as usize;
+        let n_lens = r.count(4)?;
         if n_lens != range_len {
             return Err(DecodeError::Corrupt("doc_lens count differs from range"));
         }
-        if buf.remaining() < n_lens * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut doc_lens = Vec::with_capacity(n_lens);
-        for _ in 0..n_lens {
-            doc_lens.push(buf.get_u32_le());
-        }
+        let doc_lens = r.u32s(n_lens)?;
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n_terms = buf.get_u32_le() as usize;
-        // Every term record is at least 20 bytes: a corrupt count must not
-        // size an allocation the input cannot back.
-        let plausible_terms = n_terms.min(buf.remaining() / 20);
-        let mut term_stats = Vec::with_capacity(plausible_terms);
-        let mut postings = Vec::with_capacity(plausible_terms);
+        let n_terms = r.count(20)?;
+        let mut term_stats = Vec::with_capacity(n_terms);
+        let mut postings = Vec::with_capacity(n_terms);
         for _ in 0..n_terms {
-            if buf.remaining() < 20 {
-                return Err(DecodeError::Truncated);
-            }
-            let doc_freq = buf.get_u32_le() as u64;
-            let coll_freq = buf.get_u64_le();
-            let local_len = buf.get_u32_le();
-            let byte_len = buf.get_u32_le() as usize;
-            if buf.remaining() < byte_len {
-                return Err(DecodeError::Truncated);
-            }
+            let doc_freq = u64::from(r.u32()?);
+            let coll_freq = r.u64()?;
+            let local_len = r.u32()?;
+            let byte_len = r.u32()? as usize;
+            let payload = r.bytes(byte_len)?;
             if u64::from(local_len) > doc_freq {
                 return Err(DecodeError::Corrupt(
                     "shard postings exceed global doc freq",
                 ));
             }
-            let payload = &buf[..byte_len];
-            validate_payload(payload, local_len as usize, base, range_len)
+            let (list, _max_tf) = PostingsList::validated(payload, local_len, base, range_len)
                 .map_err(DecodeError::Corrupt)?;
-            postings.push(PostingsList::from_raw(payload.to_vec().into(), local_len));
-            buf.advance(byte_len);
+            postings.push(list);
             term_stats.push(TermStats {
                 doc_freq,
                 coll_freq,
             });
+        }
+        if r.finish().is_err() {
+            return Err(DecodeError::Corrupt("trailing bytes after shard artifact"));
         }
 
         Ok(ShardArtifact {
@@ -496,7 +404,7 @@ mod tests {
         buf.put_slice(&[5u8, 1u8]); // doc 5 (out of range), tf 1
         assert_eq!(
             ShardArtifact::from_bytes(&buf.to_vec()).unwrap_err(),
-            DecodeError::Corrupt("posting outside shard range")
+            DecodeError::Corrupt("posting outside its document range")
         );
     }
 }

@@ -1,12 +1,12 @@
 //! The persistent scatter-scoring executor.
 //!
-//! [`ShardedIndex`](crate::sharded::ShardedIndex)'s original parallel path
-//! spawned scoped threads **per query** — fine on an idle box, a steady
-//! tax under serving saturation, where every request pays thread start-up
-//! and a fresh dense-accumulator allocation while competing with every
-//! other request's freshly spawned scorers. [`ScoringExecutor`] is the
-//! long-lived replacement: a fixed pool of workers fed by a lock-light
-//! injector queue. A query's `N` shard-scoring tasks are submitted as one
+//! Spawning threads **per query** is a steady tax under serving
+//! saturation, where every request pays thread start-up and a fresh
+//! dense-accumulator allocation while competing with every other
+//! request's freshly spawned scorers. [`ScoringExecutor`] is
+//! [`ShardedIndex`](crate::sharded::ShardedIndex)'s one parallel path
+//! instead: a fixed pool of workers fed by a lock-light injector queue.
+//! A query's `N` shard-scoring tasks are submitted as one
 //! batch and gathered through a per-query latch — no thread spawn, and
 //! because the workers are permanent their thread-local scoring scratch
 //! (dense accumulator + first-touch list) is allocated once and reused for

@@ -48,9 +48,10 @@
 
 use crate::document::DocId;
 use crate::index::InvertedIndex;
+use crate::reader::ByteReader;
 use crate::serialize::DecodeError;
 use crate::vector::SparseVector;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use serpdiv_text::TermId;
 
 /// Sentinel marking a body position whose raw token analyzed to nothing
@@ -310,50 +311,31 @@ impl ForwardIndex {
 
     /// Decode a buffer produced by [`ForwardIndex::to_bytes`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
-        let mut buf = data;
-        let need = |buf: &&[u8], n: usize| -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(&buf, 12)?;
-        if buf.get_u32_le() != MAGIC {
+        let mut r = ByteReader::new(data);
+        if r.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let num_docs = buf.get_u32_le() as usize;
-        let read_u32s = |buf: &mut &[u8], n: usize| -> Result<Vec<u32>, DecodeError> {
-            if buf.remaining() < n * 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok((0..n).map(|_| buf.get_u32_le()).collect())
-        };
-        let offsets = read_u32s(&mut buf, num_docs + 1)?;
-        need(&buf, 4)?;
-        let n_tokens = buf.get_u32_le() as usize;
-        let tokens = read_u32s(&mut buf, n_tokens)?;
-        let title_offsets = read_u32s(&mut buf, num_docs + 1)?;
-        need(&buf, 4)?;
-        let n_title = buf.get_u32_le() as usize;
-        if buf.remaining() < n_title * 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let title_terms: Vec<(u32, u32)> = (0..n_title)
-            .map(|_| (buf.get_u32_le(), buf.get_u32_le()))
+        // `num_docs + 1` offsets follow; the count is bounded by them.
+        let num_docs = r.count(4)?;
+        let offsets = r.u32s(num_docs + 1)?;
+        let n_tokens = r.count(4)?;
+        let tokens = r.u32s(n_tokens)?;
+        let title_offsets = r.u32s(num_docs + 1)?;
+        let n_title = r.count(8)?;
+        let title_terms: Vec<(u32, u32)> = r
+            .u32s(2 * n_title)?
+            .chunks_exact(2)
+            .map(|e| (e[0], e[1]))
             .collect();
-        need(&buf, 4)?;
-        let n_idf = buf.get_u32_le() as usize;
-        if buf.remaining() < n_idf * 4 {
-            return Err(DecodeError::Truncated);
+        let n_idf = r.count(4)?;
+        let idf: Vec<f32> = r.u32s(n_idf)?.into_iter().map(f32::from_bits).collect();
+        if r.finish().is_err() {
+            return Err(DecodeError::Corrupt("trailing bytes after forward index"));
         }
-        let idf: Vec<f32> = (0..n_idf)
-            .map(|_| f32::from_bits(buf.get_u32_le()))
-            .collect();
 
         // Structural validation: a well-framed but corrupt artifact must
         // fail here, not panic a serving worker on its first request.
@@ -385,6 +367,15 @@ impl ForwardIndex {
                 .iter()
                 .all(|&(t, tf)| (t as usize) < idf.len() && tf > 0),
             "title entries",
+        )?;
+        // `surrogate` merges each title with the sorted window terms.
+        check(
+            title_offsets.windows(2).all(|doc| {
+                title_terms[doc[0] as usize..doc[1] as usize]
+                    .windows(2)
+                    .all(|e| e[0].0 < e[1].0)
+            }),
+            "title terms not strictly increasing",
         )?;
         check(idf.iter().all(|w| w.is_finite() && *w >= 0.0), "idf table")?;
 

@@ -10,6 +10,9 @@
 //!
 //! * [`document`] — documents, dense [`DocId`]s and the document store,
 //! * [`postings`] — delta+varint compressed postings lists,
+//! * [`reader`] — [`ByteReader`]: the one bounds-checked cursor under
+//!   every binary decoder (index, forward, shard, spec-store images and
+//!   fleet frames),
 //! * [`builder`] — the index builder,
 //! * [`index`] — the immutable inverted index and collection statistics,
 //! * [`dph`] / [`bm25`] — ranking models,
@@ -56,7 +59,6 @@
 pub mod artifact;
 pub mod bm25;
 pub mod builder;
-pub mod cache;
 pub mod delta;
 pub mod document;
 pub mod dph;
@@ -64,8 +66,8 @@ pub mod executor;
 pub mod forward;
 pub mod index;
 mod kernel;
-pub mod positions;
 pub mod postings;
+pub mod reader;
 pub mod retriever;
 pub mod search;
 pub mod serialize;
@@ -75,14 +77,13 @@ pub mod vector;
 
 pub use artifact::ShardArtifact;
 pub use builder::IndexBuilder;
-pub use cache::CachingEngine;
 pub use delta::{merge_sealed, DeltaIndex, DeltaRetriever};
 pub use document::{DocId, Document, DocumentStore};
 pub use dph::Dph;
 pub use executor::{ScoringExecutor, TaskPanic};
 pub use forward::ForwardIndex;
 pub use index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
-pub use positions::{phrase_search, PositionalIndex};
+pub use reader::{ByteReader, Truncated};
 pub use retriever::{Retrieval, Retriever};
 pub use search::{query_weights, RankingModel, ScoredDoc, SearchEngine};
 pub use serialize::DecodeError;

@@ -32,6 +32,8 @@ fn put_varint(buf: &mut BytesMut, mut v: u32) {
 }
 
 /// Decode a LEB128 varint starting at `pos`, returning `(value, new_pos)`.
+/// Trusting: indexes directly, so it may only walk payloads this process
+/// encoded or [`PostingsList::validated`] accepted.
 fn get_varint(data: &[u8], mut pos: usize) -> (u32, usize) {
     let mut value: u32 = 0;
     let mut shift = 0;
@@ -44,6 +46,26 @@ fn get_varint(data: &[u8], mut pos: usize) -> (u32, usize) {
         }
         shift += 7;
         debug_assert!(shift < 35, "varint too long");
+    }
+}
+
+/// Decode one LEB128 varint without panicking on truncated or overlong
+/// input.
+fn checked_varint(data: &[u8], mut pos: usize) -> Option<(u32, usize)> {
+    let mut value: u32 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = *data.get(pos)?;
+        pos += 1;
+        let chunk = u32::from(byte & 0x7f);
+        if shift > 28 || (shift == 28 && chunk > 0x0f) {
+            return None; // would overflow u32
+        }
+        value |= chunk << shift;
+        if byte & 0x80 == 0 {
+            return Some((value, pos));
+        }
+        shift += 7;
     }
 }
 
@@ -118,10 +140,55 @@ impl PostingsList {
         &self.data
     }
 
-    /// Rebuild a list from a raw payload produced by [`PostingsBuilder`]
-    /// (e.g. read back from disk) and its posting count.
-    pub fn from_raw(data: Bytes, len: u32) -> Self {
-        PostingsList { data, len }
+    /// Adopt a payload read from outside the process — the one validator
+    /// every artifact decoder goes through. Checks that `payload` decodes
+    /// to exactly `count` `(doc, tf)` pairs with strictly increasing doc
+    /// ids inside `[base, base + range_len)`, positive frequencies and no
+    /// trailing bytes — everything [`iter`](Self::iter) and the scoring
+    /// kernel assume — and returns the list with its largest term
+    /// frequency, or the failed check.
+    pub(crate) fn validated(
+        payload: &[u8],
+        count: u32,
+        base: u32,
+        range_len: usize,
+    ) -> Result<(Self, u32), &'static str> {
+        let mut pos = 0;
+        let mut last_doc: Option<u32> = None;
+        let mut max_tf = 0;
+        for _ in 0..count {
+            let Some((delta, p)) = checked_varint(payload, pos) else {
+                return Err("undecodable postings varint");
+            };
+            let Some((tf, p)) = checked_varint(payload, p) else {
+                return Err("undecodable postings varint");
+            };
+            pos = p;
+            let doc = match last_doc {
+                None => delta,
+                Some(_) if delta == 0 => return Err("non-increasing doc ids in postings"),
+                Some(last) => match last.checked_add(delta) {
+                    Some(doc) => doc,
+                    None => return Err("doc id overflow in postings"),
+                },
+            };
+            if doc < base || u64::from(doc - base) >= range_len as u64 {
+                return Err("posting outside its document range");
+            }
+            if tf == 0 {
+                return Err("zero term frequency in postings");
+            }
+            last_doc = Some(doc);
+            max_tf = max_tf.max(tf);
+        }
+        if pos != payload.len() {
+            return Err("trailing bytes in postings payload");
+        }
+        let list = PostingsList {
+            data: payload.to_vec().into(),
+            len: count,
+        };
+        Ok((list, max_tf))
     }
 
     /// Streaming decoder over the postings.

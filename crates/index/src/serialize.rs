@@ -20,7 +20,8 @@
 use crate::document::{Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::reader::ByteReader;
+use bytes::{BufMut, BytesMut};
 use serpdiv_text::{Analyzer, Vocabulary};
 
 const MAGIC: u32 = 0x5E9D_1F01;
@@ -60,19 +61,6 @@ impl std::error::Error for DecodeError {}
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
 impl InvertedIndex {
@@ -124,85 +112,78 @@ impl InvertedIndex {
     /// analyzer is not persisted (it is code, not data): pass the same
     /// analyzer the index was built with.
     pub fn from_bytes(data: &[u8], analyzer: Analyzer) -> Result<Self, DecodeError> {
-        let mut buf = data;
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        if buf.get_u32_le() != MAGIC {
+        let mut r = ByteReader::new(data);
+        if r.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        if buf.remaining() < 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let num_docs = buf.get_u64_le();
-        let num_tokens = buf.get_u64_le();
+        let num_docs = r.u64()?;
+        let num_tokens = r.u64()?;
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n_lens = buf.get_u32_le() as usize;
+        let n_lens = r.count(4)?;
         if n_lens as u64 != num_docs {
             return Err(DecodeError::Corrupt(
                 "doc_lens count differs from document count",
             ));
         }
-        if buf.remaining() < n_lens * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut doc_lens = Vec::with_capacity(n_lens);
-        for _ in 0..n_lens {
-            doc_lens.push(buf.get_u32_le());
-        }
+        let doc_lens = r.u32s(n_lens)?;
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n_terms = buf.get_u32_le() as usize;
+        let n_terms = r.count(4)?;
         let mut vocab = Vocabulary::new();
         for _ in 0..n_terms {
-            let term = get_str(&mut buf)?;
-            vocab.intern(&term);
+            vocab.intern(r.str()?);
+        }
+        if vocab.len() != n_terms {
+            return Err(DecodeError::Corrupt("duplicate term in vocabulary"));
         }
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
+        // Term ids index the vocabulary and the postings alike.
+        if r.count(16)? != n_terms {
+            return Err(DecodeError::Corrupt(
+                "vocabulary count differs from postings count",
+            ));
         }
-        let n_postings = buf.get_u32_le() as usize;
-        let mut postings = Vec::with_capacity(n_postings);
-        let mut term_stats = Vec::with_capacity(n_postings);
-        for _ in 0..n_postings {
-            if buf.remaining() < 16 {
-                return Err(DecodeError::Truncated);
-            }
-            let doc_freq = buf.get_u32_le() as u64;
-            let coll_freq = buf.get_u64_le();
-            let byte_len = buf.get_u32_le() as usize;
-            if buf.remaining() < byte_len {
-                return Err(DecodeError::Truncated);
-            }
-            let payload = buf[..byte_len].to_vec();
-            buf.advance(byte_len);
-            postings.push(PostingsList::from_raw(payload.into(), doc_freq as u32));
+        let mut postings = Vec::with_capacity(n_terms);
+        let mut term_stats = Vec::with_capacity(n_terms);
+        let mut max_tfs = Vec::with_capacity(n_terms);
+        for _ in 0..n_terms {
+            let doc_freq = r.u32()?;
+            let coll_freq = r.u64()?;
+            let byte_len = r.u32()? as usize;
+            // Retrieval accumulates into an array over the doc-id space
+            // and walks payloads with the trusting decoder, so a malformed
+            // or out-of-collection posting must be rejected here, not met
+            // at query time.
+            let (list, max_tf) =
+                PostingsList::validated(r.bytes(byte_len)?, doc_freq, 0, doc_lens.len())
+                    .map_err(DecodeError::Corrupt)?;
+            postings.push(list);
+            max_tfs.push(max_tf);
             term_stats.push(TermStats {
-                doc_freq,
+                doc_freq: u64::from(doc_freq),
                 coll_freq,
             });
         }
 
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
+        // Ingest extends the store at id `num_docs` (dense ids by contract).
+        let n_docs = r.count(12)?;
+        if n_docs as u64 != num_docs {
+            return Err(DecodeError::Corrupt(
+                "document store count differs from document count",
+            ));
         }
-        let n_docs = buf.get_u32_le() as usize;
         let mut store = DocumentStore::new();
         for id in 0..n_docs {
-            let url = get_str(&mut buf)?;
-            let title = get_str(&mut buf)?;
-            let body = get_str(&mut buf)?;
+            let url = r.str()?;
+            let title = r.str()?;
+            let body = r.str()?;
             store.push(Document::new(id as u32, url, title, body));
+        }
+        if r.finish().is_err() {
+            return Err(DecodeError::Corrupt("trailing bytes after index"));
         }
 
         let avg_doc_len = if num_docs == 0 {
@@ -210,19 +191,6 @@ impl InvertedIndex {
         } else {
             num_tokens as f64 / num_docs as f64
         };
-        // Retrieval accumulates into an array over the doc-id space, so a
-        // posting outside it must be rejected here, not met at query time.
-        let mut max_tfs = Vec::with_capacity(postings.len());
-        for list in &postings {
-            let mut max_tf = 0;
-            for p in list.iter() {
-                if p.doc.index() >= doc_lens.len() {
-                    return Err(DecodeError::Corrupt("posting outside the collection"));
-                }
-                max_tf = max_tf.max(p.tf);
-            }
-            max_tfs.push(max_tf);
-        }
         let min_doc_len = doc_lens
             .iter()
             .copied()
@@ -345,7 +313,7 @@ mod tests {
         fewer_docs.drain(36..40);
         assert_eq!(
             InvertedIndex::from_bytes(&fewer_docs, Analyzer::english()).unwrap_err(),
-            DecodeError::Corrupt("posting outside the collection")
+            DecodeError::Corrupt("posting outside its document range")
         );
     }
 

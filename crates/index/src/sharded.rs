@@ -38,7 +38,6 @@ use crate::search::{query_weights, ScoredDoc};
 use serpdiv_text::TermId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// One document partition: the shard-local slice of every term's postings.
@@ -56,20 +55,17 @@ struct Shard {
 
 /// How the scatter step schedules shard scoring — the production
 /// heuristic plus the forced modes the equivalence suites use to pit the
-/// executor path against the sequential and scoped-thread oracles on
-/// identical inputs.
+/// executor path against the sequential oracle on identical inputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScatterMode {
-    /// Production policy: sequential below the postings threshold; above
-    /// it, the attached [`ScoringExecutor`] when one is present,
-    /// otherwise per-query scoped threads (when more than one worker is
-    /// available).
+    /// Production policy: the attached [`ScoringExecutor`] at or above the
+    /// postings threshold; sequential below it, and always when no
+    /// executor is attached.
     Auto,
-    /// Force shard-after-shard scoring on the calling thread.
+    /// Force shard-after-shard scoring on the calling thread (the
+    /// equivalence suites' oracle, and the whole scatter step of a
+    /// deployment without an executor).
     Sequential,
-    /// Force the per-query scoped-thread path (the pre-executor parallel
-    /// implementation, kept as an oracle).
-    ScopedThreads,
     /// Force batch submission through the attached executor; panics if
     /// none was attached via [`ShardedIndex::with_executor`].
     Executor,
@@ -80,9 +76,9 @@ pub enum ScatterMode {
 ///
 /// Built once at deploy time; immutable and `Sync` afterwards, so one
 /// instance serves arbitrary concurrency. Large queries are scored shard-
-/// parallel — through the shared persistent [`ScoringExecutor`] when one
-/// is attached ([`Self::with_executor`]), through per-query scoped
-/// threads otherwise.
+/// parallel through the shared persistent [`ScoringExecutor`] when one is
+/// attached ([`Self::with_executor`]); without one every query is scored
+/// shard after shard on the calling thread.
 pub struct ShardedIndex {
     index: Arc<InvertedIndex>,
     shards: Vec<Shard>,
@@ -91,10 +87,6 @@ pub struct ShardedIndex {
     /// Minimum estimated matching postings before a query is worth
     /// scoring in parallel (see [`Self::with_parallel_threshold`]).
     parallel_threshold: u64,
-    /// Scoped-thread scatter worker cap, resolved at build time (one per
-    /// hardware thread by default); superseded by the executor's pool
-    /// size when one is attached.
-    scoring_workers: usize,
     /// The shared persistent scoring pool, when deployed with one.
     executor: Option<Arc<ScoringExecutor>>,
     /// Test instrumentation: called with the shard number right before
@@ -108,7 +100,6 @@ impl std::fmt::Debug for ShardedIndex {
             .field("shards", &self.shards.len())
             .field("chunk", &self.chunk)
             .field("parallel_threshold", &self.parallel_threshold)
-            .field("scoring_workers", &self.scoring_workers)
             .field("executor", &self.executor)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| ".."))
             .finish()
@@ -159,28 +150,19 @@ impl ShardedIndex {
                 .collect(),
             chunk,
             parallel_threshold: 16_384,
-            // Resolved once: available_parallelism is a syscall, far too
-            // expensive for the per-query path.
-            scoring_workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
             executor: None,
             fault_hook: None,
         }
     }
 
-    /// Attach a shared, long-lived [`ScoringExecutor`]: parallel scatter
-    /// submits its shard tasks to the pool as one latched batch instead
-    /// of spawning scoped threads per query.
-    ///
-    /// This also **overrides the build-time `available_parallelism`
-    /// worker resolution coherently**: the parallel path now occupies the
-    /// executor's threads (plus the submitting thread, which helps drain
-    /// only its own batch while it would otherwise block), so a serving
-    /// deployment that sizes the executor once bounds scoring threads at
-    /// `request_workers + executor_threads` process-wide — not a silent
-    /// `request_workers × cores` oversubscription of per-query spawns.
-    /// [`Self::effective_scoring_workers`] reports the resolved count.
+    /// Attach a shared, long-lived [`ScoringExecutor`]: queries at or
+    /// above the parallel threshold submit their shard tasks to the pool
+    /// as one latched batch. The parallel path occupies the executor's
+    /// threads (plus the submitting thread, which helps drain only its
+    /// own batch while it would otherwise block), so a serving deployment
+    /// that sizes the executor once bounds scoring threads at
+    /// `request_workers + executor_threads` process-wide.
     pub fn with_executor(mut self, executor: Arc<ScoringExecutor>) -> Self {
-        self.scoring_workers = executor.num_threads();
         self.executor = Some(executor);
         self
     }
@@ -200,43 +182,15 @@ impl ShardedIndex {
         self
     }
 
-    /// The number of scoring threads the parallel scatter path can
-    /// occupy: the shared executor's pool size when one is attached
-    /// (whatever `available_parallelism` said at build time — and
-    /// whatever [`Self::with_scoring_workers`] set — no longer applies),
-    /// otherwise the scoped-thread worker cap bounded by the shard count.
-    pub fn effective_scoring_workers(&self) -> usize {
-        match &self.executor {
-            Some(executor) => executor.num_threads(),
-            None => self.scoring_workers.min(self.shards.len().max(1)),
-        }
-    }
-
-    /// Override the **scoped-thread** scatter worker count (default: one
-    /// per hardware thread, capped at the shard count). Useful when the
-    /// process runs under a CPU quota the runtime cannot see, or to force
-    /// the scoped parallel path in tests. Irrelevant once an executor is
-    /// attached — [`Self::with_executor`] supersedes it.
-    pub fn with_scoring_workers(mut self, workers: usize) -> Self {
-        self.scoring_workers = workers.max(1);
-        self
-    }
-
-    /// Tune when scatter scoring goes parallel: queries whose estimated
-    /// matching-postings count (Σ document frequency over query terms)
-    /// falls below `threshold` are scored shard-after-shard on the calling
-    /// thread — for small collections or selective queries, per-request
-    /// thread hand-off costs more than the scoring it saves. `0` forces
-    /// parallel scoring whenever more than one hardware thread is
-    /// available; `u64::MAX` forces sequential. The ranking is identical
+    /// Tune when scatter scoring goes through the attached
+    /// [`ScoringExecutor`]: queries whose estimated matching-postings
+    /// count (Σ document frequency over query terms) falls below
+    /// `threshold` are scored shard-after-shard on the calling thread —
+    /// for small collections or selective queries, the queue hand-off
+    /// costs more than the scoring it saves. `0` sends every multi-shard
+    /// query to the executor; `u64::MAX` forces sequential. Without an
+    /// executor the threshold is not consulted. The ranking is identical
     /// either way.
-    ///
-    /// With a [`ScoringExecutor`] attached the parallel path is a batch
-    /// submission to the shared pool (no spawn), so the threshold only
-    /// has to beat the queue hand-off; without one it spawns scoped
-    /// threads per query, and under a serving pool that already saturates
-    /// every core the threshold should stay high enough that only queries
-    /// whose traversal dwarfs thread start-up go parallel.
     pub fn with_parallel_threshold(mut self, threshold: u64) -> Self {
         self.parallel_threshold = threshold;
         self
@@ -316,8 +270,8 @@ impl ShardedIndex {
         }
     }
 
-    /// Scatter: score every shard — through the persistent executor, the
-    /// scoped-thread oracle, or inline, per `mode` — then gather: k-way
+    /// Scatter: score every shard — through the persistent executor or
+    /// inline, per `mode` — then gather: k-way
     /// merge of the per-shard top-`k` lists. Every mode produces the same
     /// `f64` bits in the same order. When an `overlay` is given, every
     /// shard scores against its statistics (the NRT union contract)
@@ -333,31 +287,30 @@ impl ShardedIndex {
             return Vec::new();
         }
         let weights = query_weights(terms);
-        let mode = match mode {
-            ScatterMode::Auto => {
+        let executor = match mode {
+            ScatterMode::Sequential => None,
+            ScatterMode::Executor => Some(
+                self.executor
+                    .as_ref()
+                    .expect("ScatterMode::Executor requires with_executor"),
+            ),
+            // Sequential scatter below the threshold: no hand-off at all —
+            // the right call when the postings traversal is cheaper than
+            // reaching another thread.
+            ScatterMode::Auto => self.executor.as_ref().filter(|_| {
                 // Estimated matching postings: Σ doc_freq over the terms.
-                let estimated: u64 = weights
-                    .iter()
-                    .filter_map(|&(t, _)| self.index.term_stats(t))
-                    .map(|ts| ts.doc_freq)
-                    .sum();
-                if self.shards.len() <= 1 || estimated < self.parallel_threshold {
-                    // Sequential scatter: no hand-off at all — the right
-                    // call when the postings traversal is cheaper than
-                    // reaching another thread.
-                    ScatterMode::Sequential
-                } else if self.executor.is_some() {
-                    ScatterMode::Executor
-                } else if self.scoring_workers.min(self.shards.len()) > 1 {
-                    ScatterMode::ScopedThreads
-                } else {
-                    ScatterMode::Sequential
-                }
-            }
-            forced => forced,
+                let estimated = || -> u64 {
+                    weights
+                        .iter()
+                        .filter_map(|&(t, _)| self.index.term_stats(t))
+                        .map(|ts| ts.doc_freq)
+                        .sum()
+                };
+                self.shards.len() > 1 && estimated() >= self.parallel_threshold
+            }),
         };
-        let per_shard: Vec<Vec<ScoredDoc>> = match mode {
-            ScatterMode::Sequential => self
+        let per_shard: Vec<Vec<ScoredDoc>> = match executor {
+            None => self
                 .shards
                 .iter()
                 .enumerate()
@@ -366,61 +319,25 @@ impl ShardedIndex {
                     self.score_shard(shard, &weights, k, overlay)
                 })
                 .collect(),
-            ScatterMode::Executor => {
-                let executor = self
-                    .executor
-                    .as_ref()
-                    .expect("ScatterMode::Executor requires with_executor");
-                // One latched batch, one shard-scoring task per shard; the
-                // pool's pinned workers (and this thread, which helps)
-                // reuse their thread-local scratch — nothing is spawned.
-                match executor.scope_run(self.shards.len(), &|s| {
-                    self.fault(s);
-                    self.score_shard(&self.shards[s], &weights, k, overlay)
-                }) {
-                    Ok(per_shard) => per_shard,
-                    // A panicked task poisons only this query: re-raise on
-                    // the querying thread; the pool keeps serving others.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            ScatterMode::ScopedThreads => {
-                let workers = self.scoring_workers.min(self.shards.len()).max(1);
-                let next = AtomicUsize::new(0);
-                let mut gathered: Vec<(usize, Vec<ScoredDoc>)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let (next, weights) = (&next, &weights);
-                            scope.spawn(move || {
-                                let mut mine = Vec::new();
-                                loop {
-                                    let s = next.fetch_add(1, AtomicOrdering::Relaxed);
-                                    let Some(shard) = self.shards.get(s) else {
-                                        break;
-                                    };
-                                    self.fault(s);
-                                    mine.push((s, self.score_shard(shard, weights, k, overlay)));
-                                }
-                                mine
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("shard scoring worker panicked"))
-                        .collect()
-                });
-                gathered.sort_unstable_by_key(|&(s, _)| s);
-                gathered.into_iter().map(|(_, hits)| hits).collect()
-            }
-            ScatterMode::Auto => unreachable!("Auto was resolved above"),
+            // One latched batch, one shard-scoring task per shard; the
+            // pool's pinned workers (and this thread, which helps) reuse
+            // their thread-local scratch — nothing is spawned.
+            Some(executor) => match executor.scope_run(self.shards.len(), &|s| {
+                self.fault(s);
+                self.score_shard(&self.shards[s], &weights, k, overlay)
+            }) {
+                Ok(per_shard) => per_shard,
+                // A panicked task poisons only this query: re-raise on the
+                // querying thread; the pool keeps serving others.
+                Err(payload) => std::panic::resume_unwind(payload),
+            },
         };
         merge_top_k(per_shard, k)
     }
 
     /// Retrieval with an explicit [`ScatterMode`] — the test hook the
     /// `executor_equivalence` suite uses to pit the executor path against
-    /// the sequential and scoped-thread oracles on identical inputs.
+    /// the sequential oracle on identical inputs.
     pub fn retrieve_terms_with_mode(
         &self,
         terms: &[TermId],
@@ -591,26 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_path_is_still_bit_identical() {
-        let idx = index();
-        let oracle = SearchEngine::new(&idx);
-        // Force the scoped-thread scatter path regardless of the host's
-        // core count or the query's size.
-        let sharded = ShardedIndex::build(idx.clone(), 4)
-            .with_scoring_workers(3)
-            .with_parallel_threshold(0);
-        for query in ["apple", "apple iphone smartphone", "storm"] {
-            let expect = oracle.search(query, 10);
-            let got = sharded.retrieve(query, 10);
-            assert_eq!(expect.len(), got.len(), "{query}");
-            for (e, g) in expect.iter().zip(&got) {
-                assert_eq!(e.doc, g.doc, "{query}");
-                assert_eq!(e.score.to_bits(), g.score.to_bits(), "{query}");
-            }
-        }
-    }
-
-    #[test]
     fn executor_path_is_bit_identical_to_oracle() {
         let idx = index();
         let oracle = SearchEngine::new(&idx);
@@ -636,32 +533,8 @@ mod tests {
     }
 
     #[test]
-    fn executor_overrides_worker_count_coherently() {
-        let idx = index();
-        // No executor: the build-time resolution applies, capped at the
-        // shard count; with_scoring_workers overrides it.
-        let plain = ShardedIndex::build(idx.clone(), 4).with_scoring_workers(6);
-        assert_eq!(plain.effective_scoring_workers(), 4, "capped at shards");
-        let narrow = ShardedIndex::build(idx.clone(), 4).with_scoring_workers(2);
-        assert_eq!(narrow.effective_scoring_workers(), 2);
-        // With an executor: the pool size wins — even over an earlier
-        // with_scoring_workers — so a deployment sizing the executor gets
-        // exactly that many scoring threads, not a silent 2×.
-        let executor = Arc::new(ScoringExecutor::new(3));
-        let pooled = ShardedIndex::build(idx.clone(), 4)
-            .with_scoring_workers(16)
-            .with_executor(executor.clone());
-        assert_eq!(pooled.effective_scoring_workers(), 3);
-        assert!(pooled.executor().is_some());
-        // The shared pool is not capped per index: a 2-shard index on the
-        // same executor still reports the pool size.
-        let small = ShardedIndex::build(idx, 2).with_executor(executor);
-        assert_eq!(small.effective_scoring_workers(), 3);
-    }
-
-    #[test]
     fn injected_fault_poisons_one_query_not_the_pool() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
         let idx = index();
         let oracle = SearchEngine::new(&idx);
         let executor = Arc::new(ScoringExecutor::new(1));

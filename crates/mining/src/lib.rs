@@ -16,17 +16,13 @@
 //!    query with its specializations and probabilities, serializable, with
 //!    the §4.1 memory-footprint accounting.
 
-pub mod cluster;
 pub mod detect;
 pub mod json;
 pub mod model;
-pub mod personalize;
 pub mod qfg;
 pub mod shortcuts;
 
-pub use cluster::{cluster_entry, cluster_model, ClickProfiles};
 pub use detect::{AmbiguityDetector, Recommender};
 pub use model::{SpecializationEntry, SpecializationModel};
-pub use personalize::{PersonalizedModel, UserHistory};
 pub use qfg::QueryFlowGraph;
 pub use shortcuts::ShortcutsModel;

@@ -42,12 +42,13 @@ pub struct EngineConfig {
     /// and least-recently-used first, one global budget); 0 disables it.
     pub surrogate_cache_capacity: usize,
     /// Document partitions of the retrieval layer: 1 serves from the
-    /// plain index, ≥ 2 deploys a [`ShardedIndex`] that scores shards in
-    /// parallel and scatter-gathers a bit-identical top-k.
+    /// plain index, ≥ 2 deploys a [`ShardedIndex`] that scores each
+    /// shard and scatter-gathers a bit-identical top-k.
     pub index_shards: usize,
     /// Size of the persistent [`ScoringExecutor`] pool backing parallel
-    /// scatter (only meaningful with `index_shards ≥ 2`): 0 keeps the
-    /// legacy per-query scoped-thread path; ≥ 1 deploys a long-lived
+    /// scatter (only meaningful with `index_shards ≥ 2`): 0 builds no
+    /// pool — shards are scored one after another on the request's own
+    /// thread; ≥ 1 deploys a long-lived
     /// pinned-scratch pool the sharded retriever submits latched task
     /// batches to, so scatter parallelism *composes* with the request
     /// [`WorkerPool`](crate::pool::WorkerPool) — scoring threads bounded
@@ -145,11 +146,20 @@ impl SearchEngine {
     /// Deploy the engine: builds the §4.1 [`SpecializationStore`] eagerly
     /// (one retrieval + snippet pass per distinct specialization in
     /// `model`), compiles it into the inverted utility index, and starts
-    /// with empty caches at generation 1.
+    /// with empty caches at generation 1. Builds the retrieval layer from
+    /// [`EngineConfig::index_shards`]: the plain index at 1, a
+    /// [`ShardedIndex`] otherwise — backed by a fresh persistent
+    /// [`ScoringExecutor`] when [`EngineConfig::executor_threads`] is
+    /// set. With one shard there is nothing to scatter, so
+    /// `executor_threads` is normalized to 0 in the stored config —
+    /// [`SearchEngine::config`] never reports a pool that was not built.
+    /// Deployments with *several* engines should instead build one
+    /// store, one retriever and one executor and share them through
+    /// [`Self::with_retriever_and_forward`].
     pub fn deploy(
         index: Arc<InvertedIndex>,
         model: Arc<SpecializationModel>,
-        config: EngineConfig,
+        mut config: EngineConfig,
     ) -> Self {
         let store = {
             let engine = DphEngine::new(&index);
@@ -160,40 +170,7 @@ impl SearchEngine {
                 config.params.snippet_window,
             ))
         };
-        Self::with_store(index, model, store, config)
-    }
-
-    /// Deploy with an externally built (possibly shared) store; compiles
-    /// the inverted utility index from it.
-    pub fn with_store(
-        index: Arc<InvertedIndex>,
-        model: Arc<SpecializationModel>,
-        store: Arc<SpecializationStore>,
-        config: EngineConfig,
-    ) -> Self {
         let compiled = Arc::new(CompiledSpecStore::compile(&store));
-        Self::with_compiled_store(index, model, store, compiled, config)
-    }
-
-    /// Deploy with both the raw store and an externally compiled index
-    /// (lets several engines — e.g. one per benchmarked algorithm — share
-    /// one compilation). Builds the retrieval layer from
-    /// [`EngineConfig::index_shards`]: the plain index at 1, a
-    /// [`ShardedIndex`] otherwise — backed by a fresh persistent
-    /// [`ScoringExecutor`] when [`EngineConfig::executor_threads`] is
-    /// set. With one shard there is nothing to scatter, so
-    /// `executor_threads` is normalized to 0 in the stored config —
-    /// [`SearchEngine::config`] never reports a pool that was not built.
-    /// Deployments with *several* engines should instead build one
-    /// retriever + one executor and share them through
-    /// [`Self::with_retriever_and_forward`].
-    pub fn with_compiled_store(
-        index: Arc<InvertedIndex>,
-        model: Arc<SpecializationModel>,
-        store: Arc<SpecializationStore>,
-        compiled: Arc<CompiledSpecStore>,
-        mut config: EngineConfig,
-    ) -> Self {
         if config.index_shards <= 1 {
             config.executor_threads = 0;
         }
@@ -954,8 +931,8 @@ impl SearchEngine {
 
     /// Publish an identical successor under the next id — every artifact
     /// `Arc`-shared, so the swap is refcount-cheap. The soak suites and
-    /// `serve_bench --swap-every` use this to exercise the full swap
-    /// machinery under load without changing what is served.
+    /// the benchmark's `cached_swap` writer use this to exercise the full
+    /// swap machinery under load without changing what is served.
     pub fn republish(&self) -> Result<GenerationId, PublishError> {
         self.publish(Arc::new(self.generations.pin().next()))
     }

@@ -139,8 +139,7 @@ impl LatencyHistogram {
             return 0;
         }
         // Rank of the order statistic, 1-based: ceil(p/100 * total),
-        // clamped into [1, total] (matches the sorted-vector convention
-        // used by serve_bench's exact percentiles).
+        // clamped into [1, total] (the sorted-vector convention).
         let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
         let rank = rank.min(total);
         let mut seen = 0u64;

@@ -50,12 +50,12 @@
 //!    through the deployed [`Retriever`](serpdiv_index::Retriever): the
 //!    plain [`InvertedIndex`](serpdiv_index::InvertedIndex) or a
 //!    [`ShardedIndex`](serpdiv_index::ShardedIndex) scoring document
-//!    partitions in parallel with a bit-identical scatter-gather merge
-//!    ([`EngineConfig::index_shards`]) — through the shared persistent
-//!    [`ScoringExecutor`](serpdiv_index::ScoringExecutor) when
+//!    partitions with a bit-identical scatter-gather merge
+//!    ([`EngineConfig::index_shards`]) — in parallel through the shared
+//!    persistent [`ScoringExecutor`](serpdiv_index::ScoringExecutor) when
 //!    [`EngineConfig::executor_threads`] deploys one, so scatter
-//!    parallelism composes with the worker pool's request parallelism
-//!    instead of spawning scoped threads per query;
+//!    parallelism composes with the worker pool's request parallelism,
+//!    shard after shard on the request's thread otherwise;
 //! 3. **surrogate** ([`stages::SurrogateStage`]) — snippet surrogate
 //!    vectors for the candidates, memoized in the [`SurrogateCache`] as
 //!    one doc-sorted table per `(generation, query-terms)`: one cache
@@ -114,9 +114,8 @@
 //! hit/miss counters and degradations are counted separately. An
 //! optional [`SloMonitor`] ([`EngineConfig::slo`]) turns the request
 //! stream into burn-rate alerts ([`MetricsSnapshot::slo_burn_alerts`]).
-//! `serve_bench` (in `crates/bench`) replays a synthetic query-log session
-//! stream against this engine at configurable concurrency and shard
-//! counts and reports QPS and latency percentiles per algorithm.
+//! The repo benchmark (`bench`, in `crates/benchmark`) deploys this engine
+//! through its public API and measures it end to end and layer by layer.
 
 pub mod budget;
 pub mod cache;

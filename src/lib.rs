@@ -38,7 +38,7 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
 //! `crates/bench` for the binaries regenerating every table and figure of
-//! the paper plus the `serve_bench` serving benchmark.
+//! the paper; `crates/benchmark` holds the repo benchmark (`bench`).
 
 pub use serpdiv_chaos as chaos;
 pub use serpdiv_core as core;

@@ -14,7 +14,13 @@
 //! * **clean teardown with in-flight work** — dropping a `WorkerPool` and
 //!   its engine while requests are still queued neither hangs nor
 //!   panics, and the shared executor keeps serving a second engine
-//!   afterwards.
+//!   afterwards;
+//! * **the `EngineConfig`-deployed shape under a bounded queue** — an
+//!   engine built by `SearchEngine::deploy` with 2 index shards and a
+//!   2-thread executor, behind a `WorkerPool` whose queue holds 64: a
+//!   burst sheds its overflow with the shed label, serves everything it
+//!   admitted exactly as the single-threaded engine would, and the
+//!   counters partition the request total.
 //!
 //! The long sweep (a ~10× request budget) runs under
 //! `--features property-tests`; the default budget keeps the suite
@@ -23,7 +29,10 @@
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, IndexBuilder, InvertedIndex, Retriever, ShardedIndex};
 use serpdiv::mining::SpecializationModel;
-use serpdiv::serve::{EngineConfig, QueryRequest, ScoringExecutor, SearchEngine, WorkerPool};
+use serpdiv::serve::{
+    AdmissionPolicy, EngineConfig, QueryRequest, ScoringExecutor, SearchEngine, WorkerPool,
+    LABEL_SHED,
+};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -246,5 +255,64 @@ fn engine_drops_cleanly_with_in_flight_work() {
         let out = engine.search(QueryRequest::new("apple", 6, AlgorithmKind::OptSelect));
         assert_eq!(out.results.len(), 6);
         assert!(out.diversified);
+    });
+}
+
+#[test]
+fn deployed_two_shard_engine_serves_a_burst_through_a_bounded_pool() {
+    with_watchdog(300, "burst into a 64-deep queue", || {
+        let engine = Arc::new(SearchEngine::deploy(
+            corpus(),
+            model(),
+            EngineConfig {
+                n_candidates: 30,
+                cache_capacity: 0,
+                index_shards: 2,
+                executor_threads: 2,
+                ..EngineConfig::default()
+            },
+        ));
+        assert_eq!(engine.config().executor_threads, 2, "a pool was built");
+        let requests: Vec<QueryRequest> = (0..CLIENTS)
+            .flat_map(|t| (0..per_client_budget()).map(move |i| request_for(t, i)))
+            .collect();
+        // Expected pages, computed single-threaded before the burst.
+        let expected: Vec<_> = requests.iter().map(|r| engine.search(r.clone())).collect();
+        let direct = engine.metrics().requests;
+
+        let pool = WorkerPool::with_admission(
+            engine.clone(),
+            2,
+            AdmissionPolicy {
+                max_queue: 64,
+                ..AdmissionPolicy::default()
+            },
+        );
+        let replies = pool.serve_batch(requests);
+        let mut shed = 0u64;
+        for (i, (reply, expect)) in replies.iter().zip(&expected).enumerate() {
+            if reply.algorithm == LABEL_SHED {
+                assert!(reply.results.is_empty(), "request {i}: a shed page");
+                shed += 1;
+            } else {
+                assert_eq!(reply.results, expect.results, "request {i}");
+                assert_eq!(reply.algorithm, expect.algorithm, "request {i}");
+            }
+        }
+        // 16 × budget requests enqueued back to back against 2 workers
+        // and 64 slots: the overflow is shed, the admitted are served.
+        assert!(
+            shed > 0 && (shed as usize) < replies.len(),
+            "{shed} of {} shed",
+            replies.len()
+        );
+        let m = engine.metrics();
+        assert_eq!(m.shed, shed);
+        assert_eq!(m.requests, direct + replies.len() as u64);
+        assert_eq!(
+            m.requests,
+            m.cache_hits + m.diversified + m.passthrough + m.shed + m.internal_errors,
+            "{m:?}"
+        );
     });
 }

@@ -1,8 +1,8 @@
 //! Persistent-executor correctness: retrieval through the shared
 //! [`ScoringExecutor`] must be **bit-identical** — same doc ids, same
-//! `f64` score bits, same order — to the unsharded oracle, to the
-//! sequential scatter path, and to the pre-executor scoped-thread path,
-//! for every tested `shard count × executor threads` combination.
+//! `f64` score bits, same order — to the unsharded oracle and to the
+//! sequential scatter path, for every tested `shard count × executor
+//! threads` combination.
 //!
 //! Three layers of evidence:
 //! * a hand-built fixture with deliberate score ties straddling shard
@@ -78,18 +78,15 @@ fn tie_heavy_index() -> Arc<InvertedIndex> {
     Arc::new(b.build())
 }
 
-/// A pooled index (threshold 0 so every query rides the executor) and a
-/// scoped-thread index over the same partitioning, for oracle duty.
-fn pooled_and_scoped(
+/// A pooled index: threshold 0, so every query rides the executor.
+fn pooled(
     index: &Arc<InvertedIndex>,
     shards: usize,
     executor: &Arc<ScoringExecutor>,
-) -> (ShardedIndex, ShardedIndex) {
-    let pooled = ShardedIndex::build(index.clone(), shards)
+) -> ShardedIndex {
+    ShardedIndex::build(index.clone(), shards)
         .with_executor(executor.clone())
-        .with_parallel_threshold(0);
-    let scoped = ShardedIndex::build(index.clone(), shards).with_scoring_workers(3);
-    (pooled, scoped)
+        .with_parallel_threshold(0)
 }
 
 #[test]
@@ -108,7 +105,7 @@ fn tie_heavy_fixture_is_bit_identical_across_shards_and_threads() {
         let executor = Arc::new(ScoringExecutor::new(threads));
         assert_eq!(executor.num_threads(), threads);
         for &shards in &SHARD_COUNTS {
-            let (pooled, scoped) = pooled_and_scoped(&index, shards, &executor);
+            let pooled = pooled(&index, shards, &executor);
             for query in queries {
                 let terms = index.analyze_query(query);
                 for k in [1, 2, 7, 13, 28, 100] {
@@ -117,8 +114,7 @@ fn tie_heavy_fixture_is_bit_identical_across_shards_and_threads() {
                     // Auto resolves to the executor (threshold 0, pool
                     // attached) — the production path.
                     assert_bit_identical(&expect, &pooled.retrieve(query, k), &ctx);
-                    // Forced modes: executor, sequential, and the
-                    // pre-executor scoped-thread oracle.
+                    // Forced modes: executor and sequential.
                     assert_bit_identical(
                         &expect,
                         &pooled.retrieve_terms_with_mode(&terms, k, ScatterMode::Executor),
@@ -128,11 +124,6 @@ fn tie_heavy_fixture_is_bit_identical_across_shards_and_threads() {
                         &expect,
                         &pooled.retrieve_terms_with_mode(&terms, k, ScatterMode::Sequential),
                         &format!("{ctx} [sequential]"),
-                    );
-                    assert_bit_identical(
-                        &expect,
-                        &scoped.retrieve_terms_with_mode(&terms, k, ScatterMode::ScopedThreads),
-                        &format!("{ctx} [scoped]"),
                     );
                 }
             }
@@ -170,7 +161,7 @@ fn randomized_corpora_are_bit_identical_across_shards_and_threads() {
         for &threads in &EXECUTOR_THREADS {
             let executor = Arc::new(ScoringExecutor::new(threads));
             for &shards in &SHARD_COUNTS {
-                let (pooled, scoped) = pooled_and_scoped(&index, shards, &executor);
+                let pooled = pooled(&index, shards, &executor);
                 for q in 0..6 {
                     let qlen = 1 + (rng.next() % 4) as usize;
                     let query = (0..qlen)
@@ -181,14 +172,8 @@ fn randomized_corpora_are_bit_identical_across_shards_and_threads() {
                     let ctx = format!(
                         "round={round} q#{q} {query:?} k={k} shards={shards} threads={threads}"
                     );
-                    let terms = index.analyze_query(&query);
                     let expect = oracle.search(&query, k);
                     assert_bit_identical(&expect, &pooled.retrieve(&query, k), &ctx);
-                    assert_bit_identical(
-                        &expect,
-                        &scoped.retrieve_terms_with_mode(&terms, k, ScatterMode::ScopedThreads),
-                        &format!("{ctx} [scoped]"),
-                    );
                 }
             }
         }

@@ -141,10 +141,24 @@ fn published_artifacts_serve_the_new_corpus() {
     assert_eq!((m.swaps, m.swap_rejected, m.generation), (1, 0, 2));
 }
 
+/// Offsets of the vocabulary count and the postings count in an
+/// `InvertedIndex` image: past the 24-byte header and the doc-length
+/// table, and past the vocabulary strings after that.
+fn term_and_postings_count_offsets(image: &[u8]) -> (usize, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+    let n_terms_at = 24 + 4 + 4 * u32_at(24);
+    let mut at = n_terms_at + 4;
+    for _ in 0..u32_at(n_terms_at) {
+        at += 4 + u32_at(at);
+    }
+    (n_terms_at, at)
+}
+
 #[test]
 fn corrupt_artifacts_are_rejected_and_the_old_generation_serves() {
     let engine = deploy(&base_docs(), 0);
-    let oracle = engine.search(QueryRequest::new("apple", 4, AlgorithmKind::OptSelect));
+    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let oracle = engine.search(request());
 
     let mut grown = base_docs();
     grown.extend(storm_docs(12..16));
@@ -160,25 +174,54 @@ fn corrupt_artifacts_are_rejected_and_the_old_generation_serves() {
     let mut flipped = good.clone();
     let mid = flipped.forward.as_ref().unwrap().len() / 2;
     flipped.forward.as_mut().unwrap()[mid] ^= 0xA5;
+    // Counts the bytes present cannot back: a 12-byte store image
+    // declaring u32::MAX specializations, and an index image declaring
+    // u32::MAX postings lists. A decoder that sizes an allocation from
+    // either aborts the process instead of rejecting the bundle.
+    let mut huge_store = good.clone();
+    huge_store.compiled.truncate(8);
+    huge_store
+        .compiled
+        .extend_from_slice(&u32::MAX.to_le_bytes());
+    let (n_terms_at, n_postings_at) = term_and_postings_count_offsets(&good.index);
+    let mut huge_postings = good.clone();
+    huge_postings.index[n_postings_at..n_postings_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    // The first term claims one more posting than its payload encodes: a
+    // trusting walk runs off the end of the payload.
+    let mut overlong_list = good.clone();
+    overlong_list.index[n_postings_at + 4] += 1;
+    // One more vocabulary term than postings lists: its term id would
+    // index past the postings table.
+    let mut extra_term = good.clone();
+    extra_term.index[n_terms_at] += 1;
+    extra_term.index.splice(
+        n_postings_at..n_postings_at,
+        2u32.to_le_bytes().into_iter().chain(*b"zq"),
+    );
 
-    for (what, bundle) in [
+    let cases = [
         ("bad magic", &bad_magic),
         ("truncated", &truncated),
         ("flipped byte", &flipped),
-    ] {
+        ("store count beyond the image", &huge_store),
+        ("postings count beyond the image", &huge_postings),
+        ("doc_freq beyond the payload", &overlong_list),
+        ("vocabulary count differs from postings count", &extra_term),
+    ];
+    for (what, bundle) in cases {
         match engine.publish_artifacts(bundle) {
             Err(PublishError::Decode(_)) => {}
             other => panic!("{what}: expected a decode rejection, got {other:?}"),
         }
         assert_eq!(engine.current_generation_id(), 1, "{what}: swapped anyway");
+        // The old generation serves on, bit-exact.
+        let after = engine.search(request());
+        assert_eq!(after.generation, 1, "{what}");
+        assert_eq!(page_bits(&oracle), page_bits(&after), "{what}");
+        assert_eq!(oracle.results, after.results, "{what}");
     }
     let m = engine.metrics();
-    assert_eq!((m.swaps, m.swap_rejected), (0, 3));
-
-    // The old generation serves on, bit-exact.
-    let after = engine.search(QueryRequest::new("apple", 4, AlgorithmKind::OptSelect));
-    assert_eq!(after.generation, 1);
-    assert_eq!(oracle.results, after.results);
+    assert_eq!((m.swaps, m.swap_rejected), (0, cases.len() as u64));
 
     // And the undamaged bundle still goes through afterwards.
     assert_eq!(engine.publish_artifacts(&good).unwrap(), 2);
