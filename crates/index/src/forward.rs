@@ -197,15 +197,6 @@ impl ForwardIndex {
         self.idf.get(term.index()).copied().unwrap_or(0.0)
     }
 
-    /// The whole cached IDF table, indexed by term id. A surrogate is a
-    /// pure function of `(doc token stream, title tf entries, idf table,
-    /// numeric query-term ids)`, so two forward indexes with bit-equal
-    /// idf tables and bit-equal per-document entries emit bit-identical
-    /// surrogates — the cross-generation cache carry-over check.
-    pub fn idf_table(&self) -> &[f32] {
-        &self.idf
-    }
-
     /// Select the query-biased window of `doc`'s body: the `(start, len)`
     /// raw-token span (in the same coordinates as the text path) covering
     /// the most distinct query terms, ties broken by total query-term

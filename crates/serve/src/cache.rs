@@ -6,6 +6,14 @@
 //! change slowly" applies to whole diversified SERPs as well. The cache is
 //! sharded by key hash so concurrent workers rarely contend on the same
 //! lock, and each shard evicts LRU.
+//!
+//! Keys name what a page was computed *from*, not when: their first part
+//! is the serving generation's page stamp (see [`crate::generation`]),
+//! which a successor inherits exactly when it shares every artifact a
+//! page reads. A republish therefore keeps every page reachable with no
+//! per-entry work, and any publish that could change a byte of a page
+//! draws a fresh stamp, after which the old entries are never probed
+//! again and leave each shard LRU-first.
 
 use crate::lru::LruCache;
 use crate::request::RankedResult;
@@ -16,11 +24,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Cache key: the full identity of a served SERP — including the
-/// [`GenerationId`](crate::GenerationId) it was computed against, so a
-/// hot swap can never serve a previous generation's page. Stale-
-/// generation entries simply stop matching (a miss) and age out of the
-/// LRU under new traffic: no global flush, no stall.
+/// Cache key: the full identity of a served SERP — `(page epoch, query,
+/// k, algorithm)`. The epoch is the content stamp of everything the page
+/// was computed from (see [`crate::generation`]), so a hot swap that
+/// changes any of it can never serve the previous page: entries under a
+/// stamp no live generation carries simply stop matching and age out of
+/// the LRU under new traffic — no global flush, no stall.
 pub type CacheKey = (u64, String, usize, AlgorithmKind);
 
 /// A borrowed view of a [`CacheKey`], so lookups can probe the map with
@@ -31,14 +40,14 @@ pub type CacheKey = (u64, String, usize, AlgorithmKind);
 /// visits, in the same order — that is what makes
 /// `HashMap<CacheKey, _>::get::<dyn KeyView>` sound.
 trait KeyView {
-    fn generation(&self) -> u64;
+    fn epoch(&self) -> u64;
     fn query(&self) -> &str;
     fn page_size(&self) -> usize;
     fn algorithm(&self) -> AlgorithmKind;
 }
 
 impl KeyView for CacheKey {
-    fn generation(&self) -> u64 {
+    fn epoch(&self) -> u64 {
         self.0
     }
     fn query(&self) -> &str {
@@ -54,15 +63,15 @@ impl KeyView for CacheKey {
 
 /// The borrowed probe: one request's key parts by reference.
 struct KeyParts<'a> {
-    generation: u64,
+    epoch: u64,
     query: &'a str,
     k: usize,
     algorithm: AlgorithmKind,
 }
 
 impl KeyView for KeyParts<'_> {
-    fn generation(&self) -> u64 {
-        self.generation
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
     fn query(&self) -> &str {
         self.query
@@ -78,7 +87,7 @@ impl KeyView for KeyParts<'_> {
 impl Hash for dyn KeyView + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Mirrors the derived tuple Hash: String delegates to str.
-        self.generation().hash(state);
+        self.epoch().hash(state);
         self.query().hash(state);
         self.page_size().hash(state);
         self.algorithm().hash(state);
@@ -87,7 +96,7 @@ impl Hash for dyn KeyView + '_ {
 
 impl PartialEq for dyn KeyView + '_ {
     fn eq(&self, other: &Self) -> bool {
-        self.generation() == other.generation()
+        self.epoch() == other.epoch()
             && self.query() == other.query()
             && self.page_size() == other.page_size()
             && self.algorithm() == other.algorithm()
@@ -136,7 +145,7 @@ impl CacheStats {
     }
 }
 
-/// Sharded LRU cache of `(generation, query, k, algorithm) → SERP`.
+/// Sharded LRU cache of `(page epoch, query, k, algorithm) → SERP`.
 #[derive(Debug)]
 pub struct ShardedResultCache {
     shards: Vec<Mutex<LruCache<CacheKey, CachedSerp>>>,
@@ -172,16 +181,16 @@ impl ShardedResultCache {
 
     /// Look up a SERP by its identity parts, counting the outcome. The
     /// probe borrows the query — no allocation on either hit or miss.
-    /// Entries written under a different generation never match.
+    /// Entries written under a different epoch never match.
     pub fn get(
         &self,
-        generation: u64,
+        epoch: u64,
         query: &str,
         k: usize,
         algorithm: AlgorithmKind,
     ) -> Option<CachedSerp> {
         let probe = KeyParts {
-            generation,
+            epoch,
             query,
             k,
             algorithm,
@@ -207,30 +216,6 @@ impl ShardedResultCache {
     /// allocated).
     pub fn insert(&self, key: CacheKey, serp: CachedSerp) {
         self.shard(&key as &dyn KeyView).lock().insert(key, serp);
-    }
-
-    /// Probe without touching the hit/miss counters — the carry-over
-    /// path's look at the *predecessor* generation's tag. That probe is
-    /// bookkeeping behind a request whose own lookup was already counted
-    /// as a miss by [`get`](Self::get); counting it too would double-bill
-    /// the request in the hit rate.
-    pub fn peek(
-        &self,
-        generation: u64,
-        query: &str,
-        k: usize,
-        algorithm: AlgorithmKind,
-    ) -> Option<CachedSerp> {
-        let probe = KeyParts {
-            generation,
-            query,
-            k,
-            algorithm,
-        };
-        self.shard(&probe)
-            .lock()
-            .get_by(&probe as &dyn KeyView)
-            .cloned()
     }
 
     /// Number of shards.
@@ -309,10 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_part_of_the_key() {
-        // The hot-swap invariant: a page cached under generation 1 is
-        // invisible to generation-2 probes (and vice versa) — a swap can
-        // never serve the previous generation's page.
+    fn epoch_is_part_of_the_key() {
+        // The hot-swap invariant: a page cached under epoch 1 is invisible
+        // to epoch-2 probes (and vice versa) — a swap that draws a fresh
+        // page stamp can never serve the previous page.
         let cache = ShardedResultCache::new(2, 16);
         cache.insert(key("q"), serp(2));
         assert!(cache.get(2, "q", 10, AlgorithmKind::OptSelect).is_none());
@@ -335,7 +320,7 @@ mod tests {
             owned.hash(&mut h1);
             let mut h2 = DefaultHasher::new();
             let parts = KeyParts {
-                generation: g,
+                epoch: g,
                 query: q,
                 k,
                 algorithm: a,

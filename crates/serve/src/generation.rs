@@ -50,6 +50,53 @@
 //! (modeling a poisoned artifact pipeline); `Delay`/`Stall` faults slow it
 //! down *outside* the pointer lock, so the soak suites can race slow
 //! publishes against live traffic.
+//!
+//! ## Content stamps: what a cached entry was computed from
+//!
+//! The engine's two caches must never serve bytes another generation
+//! would not compute, yet most publishes (every republish, and for
+//! surrogates every ingest) change nothing a cached entry read. Keying
+//! the caches on the [`GenerationId`] would orphan every entry on every
+//! swap, so a bundle instead *says what it is made of*: two private
+//! stamps drawn from one process-wide counter, each naming a set of
+//! artifacts, and the caches key on the stamps (the id still tags every
+//! response).
+//!
+//! * `pages_epoch` names everything a SERP is computed from: sealed
+//!   index, forward index, retrieval layer, model, raw and compiled
+//!   store, scorers, delta. The presentation table is not an independent
+//!   input — it is interned from the index and the delta, and
+//!   [`set_presentation`](Generation::set_presentation) only shares an
+//!   already-interned copy of that same table. The result cache keys on
+//!   `(pages_epoch, query, k, algorithm)`.
+//! * `surrogates_epoch` names what a *sealed* document's snippet
+//!   surrogate is computed from: the sealed index (vocabulary, analyzer,
+//!   document text) and the forward index (token streams, idf weights).
+//!   The surrogate cache keys on `(surrogates_epoch, query terms)`; delta
+//!   documents never enter a table.
+//!
+//! Soundness is local to this module, because a `Generation`'s artifact
+//! fields are private and only four functions assign them:
+//!
+//! | constructor | assigns | `pages_epoch` | `surrogates_epoch` |
+//! |---|---|---|---|
+//! | [`Generation::new`] | every artifact | fresh | fresh |
+//! | [`Generation::next`] | nothing (all `Arc`s shared) | inherited | inherited |
+//! | [`Generation::with_delta`] | delta, retriever | fresh | inherited |
+//! | [`Generation::with_sealed`] | index, forward, retriever, delta | fresh | fresh |
+//!
+//! Equal stamps therefore imply `Arc`-identical artifacts in the named
+//! set, and every artifact is immutable, so an entry found under a stamp
+//! holds exactly the bytes a recompute against the probing generation
+//! would produce — for any number of swaps in between, with no work at
+//! publish or at probe time. A stamp is deliberately *not* the generation
+//! id: two candidates built under one id may both leave descendants, and
+//! the counter never repeats. The rule is conservative, never clever: a
+//! bundle decoded from bytes or merged from a delta gets fresh stamps
+//! even where some of its pages would come out bit-equal, and the first
+//! request per key recomputes. Entries under a stamp no live generation
+//! carries are never probed again, so they are the least recently used
+//! and leave the LRUs first.
 
 use crate::engine::PresentationTable;
 use parking_lot::RwLock;
@@ -64,6 +111,14 @@ use std::sync::{Arc, OnceLock};
 /// start at generation 1; every successful publish increases it.
 pub type GenerationId = u64;
 
+/// A content stamp no other artifact set in this process carries (see
+/// the [module docs](self)). `Relaxed` suffices: only the uniqueness of
+/// the returned values matters, and the read-modify-write gives that.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// One immutable bundle of everything a request reads: the serving
 /// state of one epoch.
 ///
@@ -74,6 +129,11 @@ pub type GenerationId = u64;
 /// republishing an identical bundle under a new id is refcount-cheap.
 pub struct Generation {
     id: GenerationId,
+    /// Names everything a SERP is computed from (result-cache key part).
+    pages_epoch: u64,
+    /// Names what a sealed document's surrogate is computed from
+    /// (surrogate-cache key part).
+    surrogates_epoch: u64,
     index: Arc<InvertedIndex>,
     /// The deployed retrieval layer over the sealed collection only
     /// (plain index, sharded scatter-gather, fleet router).
@@ -126,6 +186,8 @@ impl Generation {
         );
         Generation {
             id,
+            pages_epoch: fresh_stamp(),
+            surrogates_epoch: fresh_stamp(),
             index,
             sealed: retriever.clone(),
             retriever,
@@ -140,12 +202,16 @@ impl Generation {
     }
 
     /// A successor bundle: identical artifacts (every `Arc` shared,
-    /// scorers included) under the next id. The building block of
+    /// scorers included) under the next id, hence both content stamps
+    /// inherited — every cached page and surrogate table stays reachable.
+    /// The building block of
     /// [`republish`](crate::SearchEngine::republish) and of successors
     /// that then swap in one changed artifact.
     pub fn next(&self) -> Generation {
         Generation {
             id: self.id + 1,
+            pages_epoch: self.pages_epoch,
+            surrogates_epoch: self.surrogates_epoch,
             index: self.index.clone(),
             sealed: self.sealed.clone(),
             retriever: self.retriever.clone(),
@@ -165,7 +231,9 @@ impl Generation {
     /// table is deliberately *kept* — folding a delta into its base
     /// preserves the document space and its order (sealed docs then
     /// delta docs), so the table still covers; [`validate`](Self::validate)
-    /// re-checks coverage before publication either way.
+    /// re-checks coverage before publication either way. Both content
+    /// stamps are drawn fresh: pages and sealed-document surrogates are
+    /// computed from what this replaces.
     pub fn with_sealed(
         mut self,
         index: Arc<InvertedIndex>,
@@ -177,14 +245,20 @@ impl Generation {
         self.retriever = retriever;
         self.forward = forward;
         self.delta = None;
+        self.pages_epoch = fresh_stamp();
+        self.surrogates_epoch = fresh_stamp();
         self
     }
 
     /// Attach a delta and the retriever that gathers it alongside the
-    /// sealed collection (builder-style, before publication).
+    /// sealed collection (builder-style, before publication). Pages get a
+    /// fresh content stamp (the union statistics moved under every
+    /// score); the surrogate stamp is inherited, because the sealed index
+    /// and forward index are untouched.
     pub fn with_delta(mut self, delta: Arc<DeltaIndex>, retriever: Arc<dyn Retriever>) -> Self {
         self.delta = Some(delta);
         self.retriever = retriever;
+        self.pages_epoch = fresh_stamp();
         // The presentation table covers the document space, which the
         // delta just grew: drop any inherited table so it is rebuilt (or
         // re-injected) at the new size.
@@ -195,6 +269,17 @@ impl Generation {
     /// This generation's id.
     pub fn id(&self) -> GenerationId {
         self.id
+    }
+
+    /// The content stamp of everything a SERP is computed from.
+    pub(crate) fn pages_epoch(&self) -> u64 {
+        self.pages_epoch
+    }
+
+    /// The content stamp of what a sealed document's surrogate is
+    /// computed from.
+    pub(crate) fn surrogates_epoch(&self) -> u64 {
+        self.surrogates_epoch
     }
 
     /// The sealed inverted index.
@@ -555,6 +640,86 @@ impl Drop for BackgroundMerger {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serpdiv_index::{merge_sealed, DeltaRetriever, Document, IndexBuilder};
+
+    fn doc(id: u32) -> Document {
+        Document::new(id, format!("http://x/{id}"), "apple", "apple fruit orchard")
+    }
+
+    /// A bundle over a three-document corpus under `id`.
+    fn bundle(id: GenerationId) -> Generation {
+        let mut b = IndexBuilder::new();
+        for i in 0..3 {
+            b.add(doc(i));
+        }
+        let index = Arc::new(b.build());
+        let store = Arc::new(SpecializationStore::default());
+        let compiled = Arc::new(CompiledSpecStore::compile(&store));
+        let forward = Some(Arc::new(ForwardIndex::build(&index)));
+        Generation::new(
+            id,
+            index.clone(),
+            index,
+            Arc::new(SpecializationModel::default()),
+            store,
+            compiled,
+            forward,
+        )
+    }
+
+    fn stamps(g: &Generation) -> (u64, u64) {
+        (g.pages_epoch(), g.surrogates_epoch())
+    }
+
+    #[test]
+    fn stamps_change_exactly_where_the_named_artifacts_do() {
+        let base = bundle(1);
+
+        // `next` shares every artifact: both stamps inherited, id moves.
+        let next = base.next();
+        assert_eq!(next.id(), 2);
+        assert_eq!(stamps(&next), stamps(&base));
+        assert_eq!(
+            stamps(&next.next()),
+            stamps(&base),
+            "for any number of hops"
+        );
+
+        // `with_delta` keeps the sealed artifacts: only the page stamp moves.
+        let delta = Arc::new(DeltaIndex::build(base.index(), vec![doc(3)]));
+        let retriever: Arc<dyn Retriever> = Arc::new(DeltaRetriever::new(
+            base.sealed_retriever().clone(),
+            base.index().clone(),
+            delta.clone(),
+        ));
+        let ingested = base.next().with_delta(delta.clone(), retriever);
+        assert_ne!(ingested.pages_epoch(), base.pages_epoch());
+        assert_eq!(ingested.surrogates_epoch(), base.surrogates_epoch());
+        assert_eq!(stamps(&ingested.next()), stamps(&ingested));
+
+        // `with_sealed` replaces them: neither stamp survives.
+        let merged = Arc::new(merge_sealed(base.index(), &delta));
+        let forward = Some(Arc::new(ForwardIndex::build(&merged)));
+        let sealed = ingested.next().with_sealed(merged.clone(), merged, forward);
+        for earlier in [&base, &ingested] {
+            assert_ne!(sealed.pages_epoch(), earlier.pages_epoch());
+            assert_ne!(sealed.surrogates_epoch(), earlier.surrogates_epoch());
+        }
+
+        // `new` shares nothing with anyone, equal ids or not: a stamp is
+        // not derived from the id.
+        let (a, b) = (bundle(1), bundle(1));
+        let mut seen = std::collections::HashSet::new();
+        for g in [&base, &sealed, &a, &b] {
+            assert!(seen.insert(g.pages_epoch()), "page stamp reused");
+            assert!(seen.insert(g.surrogates_epoch()), "surrogate stamp reused");
         }
     }
 }

@@ -58,7 +58,7 @@
 //!    shard after shard on the request's thread otherwise;
 //! 3. **surrogate** ([`stages::SurrogateStage`]) — snippet surrogate
 //!    vectors for the candidates, memoized in the [`SurrogateCache`] as
-//!    one doc-sorted table per `(generation, query-terms)`: one cache
+//!    one doc-sorted table per `(surrogate epoch, query-terms)`: one cache
 //!    probe per request, candidates resolved by binary search;
 //! 4. **utility** ([`stages::UtilityStage`]) — the `Ũ(d|R_q′)` matrix
 //!    (Definition 2), one sparse term-at-a-time accumulation per candidate
@@ -106,8 +106,11 @@
 //! ([`DeltaIndex`](serpdiv_index::DeltaIndex) searched alongside the
 //! sealed shards) and are sealed by [`SearchEngine::merge_delta`] or the
 //! [`BackgroundMerger`] into an index bit-identical to a from-scratch
-//! build. See the [`generation`] module docs for the full design and the
-//! validate-then-publish contract.
+//! build. Both caches key on content stamps the generation carries, not
+//! on its id, so a publish that changes nothing an entry read (every
+//! republish; for surrogates every ingest) costs no cache miss. See the
+//! [`generation`] module docs for the full design, the
+//! validate-then-publish contract and the stamps' soundness argument.
 //!
 //! Every stage is timed per request ([`StageTimings`]) and aggregated in
 //! the engine's [`metrics`](SearchEngine::metrics); the cache exports

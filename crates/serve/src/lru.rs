@@ -150,21 +150,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         (slot.key, slot.value)
     }
 
-    /// Visit every entry from most to least recently used, without
-    /// touching recency. Lets a cache owner snapshot entries (e.g. for
-    /// cross-generation carry-over) while the shard lock is held.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        let mut idx = self.head;
-        std::iter::from_fn(move || {
-            if idx == NIL {
-                return None;
-            }
-            let slot = &self.slots[idx];
-            idx = slot.next;
-            Some((&slot.key, &slot.value))
-        })
-    }
-
     /// Drop every entry (keeps the allocation).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -313,20 +298,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = LruCache::<u8, u8>::new(0);
-    }
-
-    #[test]
-    fn iter_walks_mru_to_lru_without_touching_recency() {
-        let mut c = LruCache::new(3);
-        c.insert("a", 1);
-        c.insert("b", 2);
-        c.insert("c", 3);
-        c.get(&"a");
-        let order: Vec<_> = c.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(order, vec![("a", 1), ("c", 3), ("b", 2)]);
-        // Iteration is not a use: b stays the LRU and evicts first.
-        c.insert("d", 4);
-        assert_eq!(c.get(&"b"), None);
-        assert_eq!(c.get(&"c"), Some(&3));
     }
 }

@@ -63,17 +63,6 @@ pub struct ServeMetrics {
     /// Candidate generations refused by validate-then-publish (decode
     /// failure, stale id, inconsistent artifacts, injected fault).
     swap_rejected: AtomicU64,
-    /// Cache entries (result SERPs + surrogates) carried into a freshly
-    /// published generation because their bytes were proven unchanged.
-    carried_over: AtomicU64,
-    /// Old-generation cache entries a swap could *not* prove unchanged
-    /// (left behind to age out of the LRU).
-    carry_skipped: AtomicU64,
-    /// Hedged re-dispatches: batch requests duplicated onto the pool
-    /// after overrunning their class's expected service time
-    /// ([`AdmissionPolicy::hedge_factor_pct`](crate::AdmissionPolicy::hedge_factor_pct));
-    /// first completion wins.
-    hedges: AtomicU64,
     detect_us: AtomicU64,
     retrieve_us: AtomicU64,
     surrogate_us: AtomicU64,
@@ -156,17 +145,15 @@ pub struct MetricsSnapshot {
     /// Candidate generations refused by validate-then-publish while the
     /// old generation kept serving.
     pub swap_rejected: u64,
-    /// Cache entries (result SERPs + surrogates) carried across swaps
-    /// into the new generation — the warm-start that keeps a republish
-    /// from serving a cold cache.
+    /// Always 0. Counted the cache entries a swap promoted one probe at
+    /// a time; entries now stay reachable through the generation's content
+    /// stamps with no per-entry work (see [`crate::generation`]), so
+    /// there is nothing to count. The field remains only because the
+    /// repo benchmark reads it (ROADMAP item 1f removes it).
     pub carried_over: u64,
-    /// Old-generation cache entries swaps could not prove byte-unchanged
-    /// (skipped, left to age out of the LRU).
+    /// Always 0, kept for the same reader as
+    /// [`carried_over`](Self::carried_over).
     pub carry_skipped: u64,
-    /// Requests the pool hedged with a duplicate dispatch after they
-    /// overran their class's expected service time (the duplicate races
-    /// the straggler; first completion wins, the loser is discarded).
-    pub hedges: u64,
     /// Cumulative SLO burn-rate alert firings (rising edges; see
     /// [`SloMonitor`](crate::SloMonitor)). 0 when no SLO is configured.
     pub slo_burn_alerts: u64,
@@ -213,17 +200,6 @@ impl ServeMetrics {
     /// Count one refused generation publish.
     pub fn record_swap_rejected(&self) {
         self.swap_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count the outcome of one swap's cache carry-over pass.
-    pub fn record_carry(&self, carried: u64, skipped: u64) {
-        self.carried_over.fetch_add(carried, Ordering::Relaxed);
-        self.carry_skipped.fetch_add(skipped, Ordering::Relaxed);
-    }
-
-    /// Count one hedged re-dispatch of a straggling request.
-    pub fn record_hedge(&self) {
-        self.hedges.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one served request.
@@ -311,13 +287,6 @@ impl ServeMetrics {
         self.hist_queue_wait.record(us);
     }
 
-    /// Total requests recorded so far — one relaxed atomic load, for
-    /// pollers (swap pacing, progress displays) that must not pay the
-    /// full histogram [`snapshot`](Self::snapshot) per probe.
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
     /// Copy out the counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let requests = self.requests.load(Ordering::Relaxed);
@@ -336,9 +305,8 @@ impl ServeMetrics {
             generation: 0, // filled by the engine, which knows the handle
             swaps: self.swaps.load(Ordering::Relaxed),
             swap_rejected: self.swap_rejected.load(Ordering::Relaxed),
-            carried_over: self.carried_over.load(Ordering::Relaxed),
-            carry_skipped: self.carry_skipped.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
+            carried_over: 0,
+            carry_skipped: 0,
             slo_burn_alerts: self.slo.as_ref().map_or(0, |s| s.alerts()),
             slo_alert_active: self.slo.as_ref().is_some_and(|s| s.alert_active()),
             queue_waits,
@@ -578,9 +546,6 @@ mod tests {
         m.record_swap();
         m.record_swap();
         m.record_swap_rejected();
-        m.record_carry(5, 2);
-        m.record_carry(1, 0);
-        m.record_hedge();
         // One hot window: 4/4 degraded requests ⇒ burn 10 ≥ 2.
         for _ in 0..4 {
             m.record(false, false, Degradation::Deadline, StageTimings::default());
@@ -588,8 +553,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.swaps, 2);
         assert_eq!(s.swap_rejected, 1);
-        assert_eq!((s.carried_over, s.carry_skipped), (6, 2));
-        assert_eq!(s.hedges, 1);
         assert_eq!(s.slo_burn_alerts, 1);
         assert!(s.slo_alert_active);
         assert_eq!(s.generation, 0, "bare metrics know no generation");

@@ -71,20 +71,6 @@ pub struct AdmissionPolicy {
     ///
     /// [`EngineConfig::deadline_us`]: crate::engine::EngineConfig::deadline_us
     pub deadline_aware: bool,
-    /// Hedged re-dispatch threshold, in percent of the class's EWMA
-    /// service estimate. When > 0, [`WorkerPool::serve_batch`] duplicates
-    /// a request still unanswered after `hedge_factor_pct/100 ×`
-    /// [`predicted_service_us`](WorkerPool::predicted_service_us) onto
-    /// the queue and keeps whichever copy completes first — a straggler
-    /// (preempted worker, cold page, injected stall) no longer holds its
-    /// batch slot hostage for the whole stall. Bounded: at most one hedge
-    /// per request (≤ 2× work in the worst case), only while the queue is
-    /// empty (a hedge behind a backlog would just deepen it), and only
-    /// for classes with a seeded estimate. Hedge copies bypass admission
-    /// shedding — the original already paid it, and a shed duplicate
-    /// winning the race would degrade a request that was being served
-    /// fine. 0 ⇒ no hedging (the default).
-    pub hedge_factor_pct: u64,
 }
 
 /// Per-class service-time EWMA (µs), one cell per [`AlgorithmKind`] —
@@ -143,10 +129,6 @@ struct Job {
     /// When the job entered the queue; the dequeuing worker turns it into
     /// the response's `queue_wait_us`.
     enqueued: Instant,
-    /// A hedged duplicate of a straggling request: exempt from pickup
-    /// shedding, because a shed hedge reply racing ahead of the original
-    /// would degrade a request that was being served fine.
-    hedge: bool,
     reply: mpsc::Sender<(usize, SearchResponse)>,
 }
 
@@ -304,14 +286,13 @@ impl WorkerPool {
             seq,
             req,
             enqueued,
-            hedge,
             reply,
         } = job;
         // Enqueue → pickup is the saturation signal the stage timings
         // cannot see (they start after).
         let queue_wait_us = enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         engine.record_queue_wait(queue_wait_us);
-        if !hedge && policy.max_queue_wait_us > 0 && queue_wait_us > policy.max_queue_wait_us {
+        if policy.max_queue_wait_us > 0 && queue_wait_us > policy.max_queue_wait_us {
             let timings = StageTimings {
                 queue_wait_us,
                 total_us: queue_wait_us,
@@ -386,80 +367,16 @@ impl WorkerPool {
     }
 
     /// Serve a batch concurrently, returning responses in request order.
-    ///
-    /// With [`AdmissionPolicy::hedge_factor_pct`] set, a request still
-    /// unanswered past its class's hedge threshold is re-dispatched once
-    /// and the first completion wins — the straggling copy's later reply
-    /// is discarded (both copies are real engine work, so both feed the
-    /// metrics and the EWMA).
     pub fn serve_batch(&self, requests: Vec<QueryRequest>) -> Vec<SearchResponse> {
         let n = requests.len();
         let (reply, rx) = mpsc::channel();
-        let hedging = self.policy.hedge_factor_pct > 0;
-        let mut pending: Vec<Option<QueryRequest>> = if hedging {
-            requests.iter().map(|r| Some(r.clone())).collect()
-        } else {
-            Vec::new()
-        };
-        let submitted = Instant::now();
         for (seq, req) in requests.into_iter().enumerate() {
             self.enqueue(seq, req, reply.clone());
         }
+        drop(reply);
         let mut out: Vec<Option<SearchResponse>> = (0..n).map(|_| None).collect();
-        if !hedging {
-            drop(reply);
-            for (seq, response) in rx {
-                out[seq] = Some(response);
-            }
-        } else {
-            let mut hedged = vec![false; n];
-            let mut filled = 0usize;
-            while filled < n {
-                match rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                    Ok((seq, response)) => {
-                        // First completion wins; the losing copy's reply
-                        // lands here later and is dropped on the floor.
-                        if out[seq].is_none() {
-                            out[seq] = Some(response);
-                            filled += 1;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // A hedge only helps when a *worker* is the
-                        // straggler: with jobs still queued, the batch is
-                        // merely backlogged and a duplicate at the back
-                        // of the same queue would deepen the backlog
-                        // without overtaking anything.
-                        if self.queue.len() > 0 {
-                            continue;
-                        }
-                        let waited =
-                            submitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        for seq in 0..n {
-                            if out[seq].is_some() || hedged[seq] {
-                                continue;
-                            }
-                            let class = pending[seq].as_ref().expect("unanswered ⇒ kept").algorithm;
-                            let predicted = self.ewma.predict(class);
-                            if predicted == 0 {
-                                continue; // unseeded class: no basis to call it late
-                            }
-                            let threshold =
-                                predicted.saturating_mul(self.policy.hedge_factor_pct) / 100;
-                            if waited > threshold {
-                                hedged[seq] = true;
-                                self.engine.record_hedge();
-                                let req = pending[seq].take().expect("unanswered ⇒ kept");
-                                if self.dispatch(seq, req, true, reply.clone(), 0).is_err() {
-                                    unreachable!("an unbounded push is never refused");
-                                }
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            drop(reply);
+        for (seq, response) in rx {
+            out[seq] = Some(response);
         }
         out.into_iter()
             .map(|r| r.expect("a serving worker died before replying"))
@@ -496,7 +413,13 @@ impl WorkerPool {
         if doomed {
             return self.shed(seq, req.query, reply);
         }
-        if let Err(job) = self.dispatch(seq, req, false, reply, self.policy.max_queue) {
+        let job = Job {
+            seq,
+            req,
+            enqueued: Instant::now(),
+            reply,
+        };
+        if let Err(job) = self.queue.push(job, self.policy.max_queue) {
             self.shed(seq, job.req.query, job.reply);
         }
     }
@@ -514,29 +437,6 @@ impl WorkerPool {
                 self.engine.current_generation_id(),
             ),
         ));
-    }
-
-    /// Put one job on the queue unless `max_queue` jobs already wait
-    /// (0 ⇒ unbounded: hedge copies enter that way, past admission — see
-    /// [`AdmissionPolicy::hedge_factor_pct`]); a refused job comes back.
-    fn dispatch(
-        &self,
-        seq: usize,
-        req: QueryRequest,
-        hedge: bool,
-        reply: mpsc::Sender<(usize, SearchResponse)>,
-        max_queue: usize,
-    ) -> Result<(), Job> {
-        self.queue.push(
-            Job {
-                seq,
-                req,
-                enqueued: Instant::now(),
-                hedge,
-                reply,
-            },
-            max_queue,
-        )
     }
 }
 
@@ -961,113 +861,6 @@ mod tests {
         );
     }
 
-    /// Stalls the *first* request for the marker query and passes every
-    /// later copy through untouched — a deterministic single-straggler:
-    /// the hedge duplicate runs clean and wins the race.
-    struct StallOnce {
-        marker: &'static str,
-        delay: std::time::Duration,
-        fired: std::sync::atomic::AtomicBool,
-    }
-
-    impl crate::stages::Stage for StallOnce {
-        fn kind(&self) -> crate::stages::StageKind {
-            crate::stages::StageKind::Detect
-        }
-        fn run<'a>(
-            &self,
-            _engine: &SearchEngine,
-            _generation: &'a crate::generation::Generation,
-            ctx: &mut crate::stages::PipelineContext<'a>,
-        ) -> crate::stages::StageOutcome {
-            if ctx.request.query == self.marker && !self.fired.swap(true, Ordering::SeqCst) {
-                std::thread::sleep(self.delay);
-            }
-            crate::stages::StageOutcome::Continue
-        }
-    }
-
-    #[test]
-    fn hedged_redispatch_races_past_a_straggling_worker() {
-        let stall = std::time::Duration::from_millis(150);
-        let shared = engine();
-        let mut chain = crate::stages::default_stage_chain();
-        chain.insert(
-            0,
-            Box::new(StallOnce {
-                marker: "apple laggard",
-                delay: stall,
-                fired: std::sync::atomic::AtomicBool::new(false),
-            }),
-        );
-        let rebuilt = Arc::new(
-            SearchEngine::with_retriever(
-                shared.index().clone(),
-                shared.index().clone(),
-                shared.model().clone(),
-                shared.store().clone(),
-                shared.compiled().clone(),
-                EngineConfig {
-                    cache_capacity: 0, // the hedge must recompute, not hit
-                    n_candidates: 8,
-                    params: PipelineParams {
-                        utility: UtilityParams { threshold_c: 0.4 },
-                        ..PipelineParams::default()
-                    },
-                    ..EngineConfig::default()
-                },
-            )
-            .with_stage_chain(chain),
-        );
-        let pool = WorkerPool::with_admission(
-            rebuilt.clone(),
-            2,
-            AdmissionPolicy {
-                hedge_factor_pct: 300, // hedge at 3× the expected service time
-                ..AdmissionPolicy::default()
-            },
-        );
-        // Seed the class EWMA with clean requests (unseeded classes are
-        // never hedged; these don't match the stall marker).
-        let warm = pool.serve_batch(
-            (0..8)
-                .map(|_| QueryRequest::new("apple", 4, AlgorithmKind::OptSelect))
-                .collect(),
-        );
-        assert!(warm.iter().all(|r| !r.degraded));
-        assert_eq!(rebuilt.metrics().hedges, 0, "clean traffic never hedges");
-        let predicted = pool.predicted_service_us(AlgorithmKind::OptSelect);
-        assert!(predicted > 0 && predicted < stall.as_micros() as u64 / 3);
-
-        // One straggler: the first pickup stalls 150 ms in-stage, worker
-        // 2 sits idle. Past 3× the estimate the batch re-dispatches a
-        // duplicate; the clean copy answers in well under the stall, so
-        // the winning response cannot be the straggler's.
-        let out = pool
-            .serve_batch(vec![QueryRequest::new(
-                "apple laggard",
-                4,
-                AlgorithmKind::OptSelect,
-            )])
-            .remove(0);
-        assert!(!out.degraded);
-        assert_eq!(out.results.len(), 4);
-        assert!(
-            out.timings.total_us < stall.as_micros() as u64,
-            "the hedge copy must win the race, not the {} µs straggler (got {} µs)",
-            stall.as_micros(),
-            out.timings.total_us
-        );
-        let m = rebuilt.metrics();
-        assert_eq!(m.hedges, 1, "exactly one hedge for one straggler");
-        // Both copies ran the engine: the class partition stays exact
-        // (the loser's reply was discarded, not its accounting).
-        assert_eq!(
-            m.requests,
-            m.cache_hits + m.diversified + m.passthrough + m.shed + m.internal_errors
-        );
-    }
-
     #[test]
     fn drop_joins_workers() {
         let pool = WorkerPool::new(engine(), 2);
@@ -1261,7 +1054,6 @@ mod tests {
             seq: 0,
             req: QueryRequest::new("apple", 2, AlgorithmKind::Baseline),
             enqueued: Instant::now(),
-            hedge: false,
             reply: mpsc::channel().0,
         };
         for _ in 0..3 {

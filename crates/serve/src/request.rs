@@ -35,12 +35,13 @@ impl QueryRequest {
         }
     }
 
-    /// The owned result-cache key of this request under `generation`
-    /// (allocates — built only when a freshly computed SERP is inserted;
-    /// lookups probe with borrowed parts instead, see
+    /// The owned result-cache key of this request under the page `epoch`
+    /// of the generation that computed it (allocates — built only when a
+    /// freshly computed SERP is inserted; lookups probe with borrowed
+    /// parts instead, see
     /// [`ShardedResultCache::get`](crate::cache::ShardedResultCache::get)).
-    pub(crate) fn cache_key(&self, generation: u64) -> (u64, String, usize, AlgorithmKind) {
-        (generation, self.query.clone(), self.k, self.algorithm)
+    pub(crate) fn cache_key(&self, epoch: u64) -> (u64, String, usize, AlgorithmKind) {
+        (epoch, self.query.clone(), self.k, self.algorithm)
     }
 }
 
@@ -157,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_generations_key_differently() {
+    fn distinct_epochs_key_differently() {
         let a = QueryRequest::new("q", 5, AlgorithmKind::OptSelect).cache_key(1);
         let b = QueryRequest::new("q", 5, AlgorithmKind::OptSelect).cache_key(2);
         assert_ne!(a, b);

@@ -6,7 +6,7 @@
 //! The query terms are part of that identity, so a cached vector is only
 //! ever reused by a request with the *same* analyzed query — reuse runs
 //! along the query axis. The cache is therefore keyed by query, not by
-//! document: `(generation, query terms)` maps to an immutable, doc-sorted
+//! document: `(surrogate epoch, query terms)` maps to an immutable, doc-sorted
 //! [`SurrogateTable`] holding the vectors of that query's candidates. A
 //! request pays one hash, one lock and one `Arc` clone for the whole
 //! table, then resolves its candidates by binary search in its private
@@ -29,13 +29,16 @@ use serpdiv_text::TermId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Table key: the generation the vectors were computed against and the
-/// analyzed query terms the snippets were extracted for. The generation
-/// tag keeps a hot swap from serving a previous generation's vectors (a
-/// new generation's index may assign the same `DocId` different content);
-/// stale tables stop matching and age out of the LRU — no flush stall.
-/// Hashing/equality go through the term contents, so two query strings
-/// that analyze alike share one table.
+/// Table key: the surrogate epoch — the content stamp of the sealed index
+/// and forward index the vectors were computed from (see
+/// [`crate::generation`]) — and the analyzed query terms the snippets
+/// were extracted for. A successor generation that shares both artifacts
+/// (a republish, an NRT ingest) inherits the epoch and finds the table
+/// with the same one probe; one that replaces them (a merge, a shipped
+/// bundle — whose index may assign the same `DocId` different content)
+/// draws a fresh epoch, so the old tables stop matching and age out of
+/// the LRU — no flush stall. Hashing/equality go through the term
+/// contents, so two query strings that analyze alike share one table.
 pub type TableKey = (u64, Arc<[TermId]>);
 
 /// One query's surrogates, sorted by `DocId` for binary search. Immutable
@@ -55,15 +58,7 @@ struct Tables {
     vectors: usize,
 }
 
-impl Tables {
-    fn take(&mut self, key: &TableKey) -> Option<SurrogateTable> {
-        let table = self.lru.remove(key)?;
-        self.vectors -= table.len();
-        Some(table)
-    }
-}
-
-/// LRU cache of `(generation, query-terms) → surrogate table`, bounded by
+/// LRU cache of `(surrogate epoch, query-terms) → surrogate table`, bounded by
 /// the total number of vectors its tables hold.
 #[derive(Debug)]
 pub struct SurrogateCache {
@@ -107,7 +102,9 @@ impl SurrogateCache {
     /// retained — its request was served from the private copy already.
     pub fn publish(&self, key: TableKey, table: SurrogateTable) {
         let mut tables = self.tables.lock();
-        tables.take(&key);
+        if let Some(replaced) = tables.lru.remove(&key) {
+            tables.vectors -= replaced.len();
+        }
         if table.is_empty() || table.len() > self.capacity {
             return;
         }
@@ -120,14 +117,6 @@ impl SurrogateCache {
         }
         tables.vectors += table.len();
         tables.lru.insert(key, table);
-    }
-
-    /// Remove and return the table under `key` — the carry-over path
-    /// takes a predecessor generation's table out before re-publishing
-    /// what survives validation under the new tag (the same `Arc` when
-    /// everything does), so a promoted table never counts twice.
-    pub fn take(&self, key: &TableKey) -> Option<SurrogateTable> {
-        self.tables.lock().take(key)
     }
 
     /// Count one request's candidates: `hits` served from a table,
@@ -160,8 +149,8 @@ impl SurrogateCache {
 mod tests {
     use super::*;
 
-    fn key(generation: u64, terms: &[u32]) -> TableKey {
-        (generation, terms.iter().map(|&t| TermId(t)).collect())
+    fn key(epoch: u64, terms: &[u32]) -> TableKey {
+        (epoch, terms.iter().map(|&t| TermId(t)).collect())
     }
 
     /// A table over `docs` whose vectors encode their doc id.
@@ -187,13 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn key_is_generation_and_term_contents() {
+    fn key_is_epoch_and_term_contents() {
         let cache = SurrogateCache::new(64);
         cache.publish(key(1, &[5]), table(0..3));
         // Different query terms → different snippets → another table.
         assert!(cache.get(&key(1, &[6])).is_none());
-        // Same terms under a different generation → miss: a hot swap
-        // must never serve the previous generation's vectors.
+        // Same terms under a different epoch → miss: a swap that replaces
+        // the sealed artifacts must never serve the previous vectors.
         assert!(cache.get(&key(2, &[5])).is_none());
         // Equal contents through a *different* allocation → hit.
         assert!(cache.get(&key(1, &[5])).is_some());
@@ -222,19 +211,6 @@ mod tests {
             cache.publish(key(1, &[100 + q]), table(0..3));
             assert!(cache.stats().entries <= 10);
         }
-    }
-
-    #[test]
-    fn take_removes_so_a_promoted_table_moves() {
-        let cache = SurrogateCache::new(16);
-        cache.publish(key(1, &[1]), table(0..8));
-        let old = cache.take(&key(1, &[1])).unwrap();
-        assert_eq!(cache.stats().entries, 0);
-        assert!(cache.take(&key(1, &[1])).is_none());
-        cache.publish(key(2, &[1]), old.clone());
-        assert!(cache.get(&key(1, &[1])).is_none(), "moved, not copied");
-        assert!(Arc::ptr_eq(&cache.get(&key(2, &[1])).unwrap(), &old));
-        assert_eq!(cache.stats().entries, 8);
     }
 
     #[test]

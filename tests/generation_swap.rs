@@ -11,14 +11,17 @@
 //! * corrupt or truncated artifacts are **rejected with a counted
 //!   `swap_rejected`** and the old generation keeps serving untouched;
 //! * a stale (non-advancing) generation id is refused;
-//! * the result cache is generation-tagged with provable carry-over: a
-//!   swap whose artifacts leave a page byte-for-byte unchanged keeps it
-//!   warm under the new generation, while any swap that could change a
-//!   byte of it drops the entry and recomputes;
-//! * the surrogate cache's per-query tables carry by the same proofs,
-//!   one probe per request: whole (re-tagged) when the sealed artifacts
-//!   are shared, per document when only the idf tables are bit-equal,
-//!   not at all when the statistics moved;
+//! * cache keys name what an entry was computed from (the generation's
+//!   content stamps): a republish keeps every cached page a hit, for any
+//!   number of idle swaps, while any swap that could change a byte of a
+//!   page (ingest, merge, shipped bundle) makes its first request
+//!   recompute — checked on what clients and the caches report
+//!   (`cache_hit`, `cache().stats()`, `surrogate_cache().stats()`);
+//! * the surrogate cache's per-query tables follow the sealed artifacts:
+//!   found whole with one probe when the sealed index + forward index
+//!   are shared (republish, NRT ingest), recomputed when they are
+//!   replaced (merge, re-encoded bundle), and orphaned tables leave the
+//!   vector budget before live ones;
 //! * NRT ingest accumulates across generations and `merge_delta` seals
 //!   the delta into an index **bit-identical** to a from-scratch build;
 //! * the [`BackgroundMerger`] seals a growing delta on its own.
@@ -251,32 +254,31 @@ fn carry_over_keeps_identical_pages_and_drops_changed_ones() {
     assert!(second.cache_hit, "same generation: the page is cached");
     assert_eq!(first.results, second.results);
 
-    // Swap to an identical successor: the publish proves every byte of
-    // the page unchanged, and the repeat's miss under the new tag
-    // promotes the entry instead of recomputing — a warm hit under the
-    // new generation, no swap cold-start.
+    // Swap to an identical successor: it inherits the page stamp the
+    // entry is filed under, so the repeat is a plain hit under the new
+    // generation — no swap cold-start, nothing copied.
     engine.republish().unwrap();
     let third = engine.search(req());
-    assert!(third.cache_hit, "an identical swap must carry the page");
+    assert!(third.cache_hit, "an identical swap must keep the page");
     assert_eq!(third.generation, 2);
     assert_eq!(first.results, third.results);
-    assert!(engine.metrics().carried_over > 0);
+    let stats = engine.cache().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
 
-    // Swap to a *different* corpus: carry validation fails (the corpus
-    // — hence retrieval — changed), the entry drops, and the recompute
-    // serves the new world. A carried page never hides a corpus change.
+    // Swap to a *different* corpus: the decoded bundle draws a fresh
+    // stamp, the old entry stops matching, and the recompute serves the
+    // new world. A cached page never hides a corpus change.
     let mut grown = base_docs();
     grown.extend(storm_docs(12..20));
     engine
         .publish_artifacts(&artifacts_for(&engine, &grown, 3))
         .unwrap();
     let apple = engine.search(req());
-    assert!(!apple.cache_hit, "the pre-swap page was refused");
+    assert!(!apple.cache_hit, "the pre-swap page is unreachable");
     assert_eq!(apple.generation, 3);
-    assert!(
-        engine.metrics().carry_skipped > 0,
-        "changed corpus: cached pages must not carry"
-    );
+    assert_eq!(page_bits(&apple), fresh_page(&grown, req()));
+    let stats = engine.cache().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (2, 2));
     let storm = engine.search(QueryRequest::new("storm", 5, AlgorithmKind::Baseline));
     assert!(!storm.cache_hit);
     assert_eq!(storm.results.len(), 5);
@@ -294,33 +296,32 @@ fn ingest_carries_surrogates_but_recomputes_pages() {
     let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
     let first = engine.search(req());
     assert!(!first.cache_hit && first.diversified);
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
 
     // An ingest changes the union statistics, so every cached page is
     // invalid (DPH scores move with df / num_docs / avg_doc_len) and
     // must recompute — but the sealed index and forward store are the
-    // very same arcs, so the per-document snippet surrogates carry and
-    // the recompute only pays retrieval + selection, not vectorization.
+    // very same arcs, so the query's surrogate table is found under the
+    // inherited stamp and the recompute only pays retrieval + selection,
+    // not vectorization.
     engine.ingest(storm_docs(12..14)).unwrap();
     let after = engine.search(req());
     assert!(!after.cache_hit, "union stats changed: the page recomputes");
     assert_eq!(after.generation, 2);
-    let m = engine.metrics();
-    assert!(m.carried_over > 0, "surrogates carry across an ingest");
-    assert!(m.carry_skipped > 0, "the cached page must not");
+    let pages = engine.cache().unwrap().stats();
+    assert_eq!((pages.hits, pages.misses), (0, 2), "the cached page is out");
+    assert_eq!(
+        surrogate_counters(&engine),
+        (12, 12, 12),
+        "every surrogate is served from the pre-ingest table"
+    );
 }
 
-/// `(surrogate hits, surrogate misses, vectors resident, carried_over,
-/// carry_skipped)` — everything the table carry-over moves.
-fn surrogate_counters(engine: &SearchEngine) -> (u64, u64, usize, u64, u64) {
+/// `(surrogate hits, surrogate misses, vectors resident)` — what the
+/// surrogate cache reports of the tables a swap kept or lost.
+fn surrogate_counters(engine: &SearchEngine) -> (u64, u64, usize) {
     let stats = engine.surrogate_cache().unwrap().stats();
-    let m = engine.metrics();
-    (
-        stats.hits,
-        stats.misses,
-        stats.entries,
-        m.carried_over,
-        m.carry_skipped,
-    )
+    (stats.hits, stats.misses, stats.entries)
 }
 
 /// The page a fresh, cache-less deployment over `docs` serves for `req`.
@@ -349,54 +350,57 @@ fn shared_artifacts_promote_the_whole_surrogate_table_with_one_probe() {
     let engine = deploy(&base_docs(), 0);
     let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
     let first = engine.search(req());
-    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
 
-    // Republish: the table moves to the new tag — 12 vectors carried by
-    // one probe, none recomputed, none counted twice against capacity.
+    // Republish: the successor inherits the surrogate stamp, so the same
+    // table answers — 12 vectors served by one probe, none recomputed,
+    // none counted twice against capacity.
     engine.republish().unwrap();
     assert_eq!(engine.search(req()).results, first.results);
-    assert_eq!(surrogate_counters(&engine), (12, 12, 12, 12, 0));
+    assert_eq!(surrogate_counters(&engine), (12, 12, 12));
     assert_eq!(engine.search(req()).generation, 2);
-    assert_eq!(surrogate_counters(&engine), (24, 12, 12, 12, 0));
+    assert_eq!(surrogate_counters(&engine), (24, 12, 12));
 
     // Two swaps with no request between them: the table is still one
-    // probe away, two hops up the chain.
+    // probe away.
     engine.republish().unwrap();
     engine.republish().unwrap();
     assert_eq!(engine.search(req()).results, first.results);
-    assert_eq!(surrogate_counters(&engine), (36, 12, 12, 24, 0));
+    assert_eq!(surrogate_counters(&engine), (36, 12, 12));
 
     // NRT ingest shares the sealed index and forward store, so the table
-    // carries whole again; the page itself moves with the union
+    // is found whole again; the page itself moves with the union
     // statistics and must match a from-scratch build.
     engine.ingest(storm_docs(12..14)).unwrap();
     let mut grown = base_docs();
     grown.extend(storm_docs(12..14));
     assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
-    assert_eq!(surrogate_counters(&engine), (48, 12, 12, 36, 0));
+    assert_eq!(surrogate_counters(&engine), (48, 12, 12));
 }
 
 #[test]
-fn bit_equal_statistics_promote_the_table_per_document() {
+fn a_re_encoded_bundle_recomputes_its_surrogate_table() {
     let engine = deploy(&base_docs(), 0);
     let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
     engine.search(req());
-    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
 
-    // A decoded bundle shares no `Arc` with the serving generation, but
-    // this one has the same statistics (hence a bit-equal idf table) and
-    // differs in one document only: the same words in another order.
+    // A decoded bundle shares no `Arc` with the serving generation. This
+    // one has the same statistics and differs in one document only (the
+    // same words in another order), so eleven of its twelve surrogates
+    // would come out bit-equal — but a bundle that was not built from
+    // the serving one draws fresh stamps, whatever it decodes to: the
+    // table is recomputed whole and the page equals a fresh build.
     let mut docs = base_docs();
     docs[3].body = "camera display battery chip review smartphone iphone apple".into();
     engine
         .publish_artifacts(&artifacts_for(&engine, &docs, 2))
         .unwrap();
     assert_eq!(page_bits(&engine.search(req())), fresh_page(&docs, req()));
-    // 11 vectors proven byte-identical and promoted, the rewritten
-    // document refused, recomputed, and filed in the extended table.
-    assert_eq!(surrogate_counters(&engine), (11, 13, 12, 11, 1));
+    // The unreachable table stays resident until the budget needs it.
+    assert_eq!(surrogate_counters(&engine), (0, 24, 24));
     engine.search(req());
-    assert_eq!(surrogate_counters(&engine), (23, 13, 12, 11, 1));
+    assert_eq!(surrogate_counters(&engine), (12, 24, 24));
 }
 
 #[test]
@@ -405,16 +409,17 @@ fn moved_statistics_carry_no_surrogates() {
     let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
     engine.ingest(storm_docs(12..14)).unwrap();
     engine.search(req());
-    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
 
     // Sealing the delta grows the sealed collection, which moves every
-    // idf weight: the whole table is refused (and dropped) on its one
-    // probe, and the page is recomputed against the merged index.
+    // idf weight: the merged generation draws a fresh surrogate stamp,
+    // no vector of the old table is served, and the page is recomputed
+    // against the merged index.
     engine.merge_delta().unwrap();
     let mut grown = base_docs();
     grown.extend(storm_docs(12..14));
     assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
-    assert_eq!(surrogate_counters(&engine), (0, 24, 12, 0, 12));
+    assert_eq!(surrogate_counters(&engine), (0, 24, 24));
 
     // Likewise a shipped bundle over a different corpus.
     grown.extend(storm_docs(14..20));
@@ -422,7 +427,7 @@ fn moved_statistics_carry_no_surrogates() {
         .publish_artifacts(&artifacts_for(&engine, &grown, 4))
         .unwrap();
     assert_eq!(page_bits(&engine.search(req())), fresh_page(&grown, req()));
-    assert_eq!(surrogate_counters(&engine), (0, 36, 12, 0, 24));
+    assert_eq!(surrogate_counters(&engine), (0, 36, 36));
 }
 
 #[test]
@@ -451,23 +456,25 @@ fn delta_document_vectors_never_enter_a_table() {
     );
 
     // Only the sealed candidates are counted, stored and — after a
-    // republish — carried; the delta vectors are rebuilt per request.
+    // republish — found again; the delta vectors are rebuilt per request.
     assert_eq!(page_bits(&engine.search(req())), want);
-    assert_eq!(surrogate_counters(&engine), (0, 12, 12, 0, 0));
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
     assert_eq!(page_bits(&engine.search(req())), want);
-    assert_eq!(surrogate_counters(&engine), (12, 12, 12, 0, 0));
+    assert_eq!(surrogate_counters(&engine), (12, 12, 12));
     engine.republish().unwrap();
     assert_eq!(page_bits(&engine.search(req())), want);
-    assert_eq!(surrogate_counters(&engine), (24, 12, 12, 12, 0));
+    assert_eq!(surrogate_counters(&engine), (24, 12, 12));
 
-    // Once merged they are sealed documents like any other.
+    // Once merged they are sealed documents like any other: all 14 are
+    // computed into the merged generation's table (the 12-vector table
+    // of the pre-merge stamp is still resident, unreachable).
     engine.merge_delta().unwrap();
     assert_eq!(page_bits(&engine.search(req())), want);
-    assert_eq!(surrogate_counters(&engine), (24, 26, 14, 12, 12));
+    assert_eq!(surrogate_counters(&engine), (24, 26, 26));
 }
 
 #[test]
-fn merge_delta_carries_baseline_pages_via_the_union_contract() {
+fn merge_delta_recomputes_baseline_pages_to_the_same_bits() {
     let engine = deploy(&base_docs(), 256);
     engine.ingest(storm_docs(12..16)).unwrap();
     let req = || QueryRequest::new("storm", 4, AlgorithmKind::Baseline);
@@ -475,15 +482,124 @@ fn merge_delta_carries_baseline_pages_via_the_union_contract() {
     assert!(!live.cache_hit);
     assert_eq!(live.results.len(), 4);
 
-    // The union-statistics contract makes the pre-merge page bit-equal
-    // to the post-merge one; the merge publish re-proves that per entry
-    // and carries it, so sealing the delta does not cold-start traffic
-    // whose pages did not change.
+    // A merged generation draws a fresh page stamp, so the first request
+    // per key recomputes — and the union-statistics contract makes that
+    // recompute bit-equal to the pre-merge page: sealing the delta
+    // changes no byte a client sees.
     engine.merge_delta().unwrap();
     let sealed = engine.search(req());
-    assert!(sealed.cache_hit, "merge must carry the bit-identical page");
+    assert!(!sealed.cache_hit, "a merged index is a new page stamp");
     assert_eq!(sealed.generation, engine.current_generation_id());
+    assert_eq!(page_bits(&live), page_bits(&sealed));
     assert_eq!(live.results, sealed.results);
+    assert!(engine.search(req()).cache_hit);
+}
+
+#[test]
+fn twenty_idle_republishes_keep_pages_and_tables_reachable() {
+    let engine = deploy(&base_docs(), 256);
+    let req = |k| QueryRequest::new("apple", k, AlgorithmKind::OptSelect);
+    let first = engine.search(req(4));
+    assert!(!first.cache_hit);
+    let tables = surrogate_counters(&engine);
+    assert_eq!(tables, (0, 12, 12));
+
+    // No request between the swaps: nothing gets a chance to re-anchor
+    // an entry at an intermediate generation.
+    for _ in 0..20 {
+        engine.republish().unwrap();
+    }
+    let repeat = engine.search(req(4));
+    assert_eq!(repeat.generation, 21);
+    assert!(
+        repeat.cache_hit,
+        "the page outlives any number of idle swaps"
+    );
+    assert_eq!(first.results, repeat.results);
+    // Another page size misses the result cache but finds the query's
+    // surrogate table: no vector is recomputed.
+    let deeper = engine.search(req(5));
+    assert!(!deeper.cache_hit);
+    assert_eq!(surrogate_counters(&engine), (12, 12, 12));
+}
+
+#[test]
+fn result_cache_hit_rate_is_the_share_of_responses_served_from_it() {
+    let engine = deploy(&base_docs(), 256);
+    let requests = [
+        QueryRequest::new("apple", 4, AlgorithmKind::OptSelect),
+        QueryRequest::new("apple", 6, AlgorithmKind::Mmr),
+        QueryRequest::new("apple fruit", 3, AlgorithmKind::Baseline),
+    ];
+    let (mut served, mut from_cache) = (0u64, 0u64);
+    for round in 0..6 {
+        for req in &requests {
+            served += 1;
+            from_cache += u64::from(engine.search(req.clone()).cache_hit);
+        }
+        if round % 2 == 0 {
+            engine.republish().unwrap();
+        }
+    }
+    assert_eq!(
+        (served, from_cache),
+        (18, 15),
+        "only the first round computes"
+    );
+    let stats = engine.cache().unwrap().stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (from_cache, served - from_cache)
+    );
+    assert_eq!(stats.hit_rate(), from_cache as f64 / served as f64);
+}
+
+#[test]
+fn an_orphaned_table_is_evicted_before_a_live_one() {
+    // A 30-vector budget holds two 12-vector tables, not three.
+    let model = Arc::new(
+        SpecializationModel::from_json(
+            r#"{"entries":{
+                "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
+                "apple fruit":{"query":"apple fruit","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
+        )
+        .unwrap(),
+    );
+    let engine = SearchEngine::deploy(
+        build_index(&base_docs()),
+        model,
+        EngineConfig {
+            surrogate_cache_capacity: 30,
+            ..config(0)
+        },
+    );
+    let apple = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let fruit = || QueryRequest::new("apple fruit", 4, AlgorithmKind::OptSelect);
+    assert!(engine.search(apple()).diversified);
+    assert_eq!(surrogate_counters(&engine), (0, 12, 12));
+
+    // A corpus-changing publish orphans the table: it is never probed
+    // again, but nothing removes it eagerly either — it holds budget
+    // until something needs the room.
+    let mut docs = base_docs();
+    docs[3].body = "camera display battery chip review smartphone iphone apple".into();
+    engine
+        .publish_artifacts(&artifacts_for(&engine, &docs, 2))
+        .unwrap();
+    engine.search(apple());
+    assert_eq!(surrogate_counters(&engine), (0, 24, 24), "orphan + live");
+
+    // A second live table needs that room: the orphan — least recently
+    // used by construction — is the one that goes.
+    assert!(engine.search(fruit()).diversified);
+    assert_eq!(surrogate_counters(&engine), (0, 36, 24));
+    engine.search(apple());
+    engine.search(fruit());
+    assert_eq!(
+        surrogate_counters(&engine),
+        (24, 36, 24),
+        "both live tables survived the eviction"
+    );
 }
 
 #[test]
