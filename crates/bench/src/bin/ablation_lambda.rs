@@ -7,8 +7,8 @@
 //! without showing the sweep; this binary regenerates it on the synthetic
 //! testbed, plus MMR across its own λ for context.
 
-use serpdiv_bench::{Lab, LabConfig};
-use serpdiv_core::{DiversificationPipeline, Diversifier, Mmr, OptSelect, PipelineParams, XQuad};
+use serpdiv_bench::{arg_usize, baseline_docs, diversify_input, Lab, LabConfig};
+use serpdiv_core::{Diversifier, Mmr, OptSelect, PipelineParams, XQuad};
 use serpdiv_eval::report::f3;
 use serpdiv_eval::{alpha_ndcg_at, ia_precision_at, Table};
 use serpdiv_index::DocId;
@@ -21,13 +21,12 @@ fn main() {
     let sessions = arg_usize("--sessions").unwrap_or(20_000);
     eprintln!("building lab ({sessions} sessions)...");
     let lab = Lab::build(LabConfig::trec(sessions));
-    let engine = lab.engine();
     let params = PipelineParams {
         k_spec_results: 20,
         utility: serpdiv_core::UtilityParams { threshold_c: 0.05 },
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &lab.model, params);
+    let engine = lab.deploy(N_CANDIDATES, params);
 
     // One input per topic, shared across the sweep.
     let inputs: Vec<Option<(Vec<DocId>, serpdiv_core::DiversifyInput)>> = lab
@@ -35,8 +34,7 @@ fn main() {
         .topics
         .iter()
         .map(|t| {
-            pipeline
-                .build_input(&t.query, N_CANDIDATES)
+            diversify_input(&engine, &t.query, K)
                 .map(|(b, i)| (b.into_iter().map(|h| h.doc).collect(), i))
         })
         .collect();
@@ -44,13 +42,7 @@ fn main() {
         .testbed
         .topics
         .iter()
-        .map(|t| {
-            engine
-                .search(&t.query, K)
-                .into_iter()
-                .map(|h| h.doc)
-                .collect()
-        })
+        .map(|t| baseline_docs(&engine, &t.query, K))
         .collect();
 
     println!("\nLambda sweep (alpha-NDCG@20 / IA-P@20, threshold c = 0.05)\n");
@@ -90,12 +82,4 @@ fn main() {
     }
     println!("{}", t.render());
     println!("(the paper fixes lambda = 0.15 for OptSelect and xQuAD)");
-}
-
-fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -14,8 +14,8 @@
 //! 10. The testbed here allows up to 28 subtopics per topic, matching the
 //! figure's x-range.
 
-use serpdiv_bench::{Lab, LabConfig};
-use serpdiv_core::{DiversificationPipeline, Diversifier, OptSelect, PipelineParams};
+use serpdiv_bench::{arg_usize, diversify_input, Lab, LabConfig};
+use serpdiv_core::{Diversifier, OptSelect, PipelineParams};
 use serpdiv_corpus::TestbedConfig;
 use serpdiv_eval::Table;
 use serpdiv_querylog::LogConfig;
@@ -81,7 +81,6 @@ fn main() {
             lab.model.len(),
             lab.detection_rate()
         );
-        let engine = lab.engine();
         let params = PipelineParams {
             k_spec_results: 20,
             // Zero out the weak head-term-only similarity of distractor
@@ -90,7 +89,7 @@ fn main() {
             snippet_window: 60,
             ..PipelineParams::default()
         };
-        let pipeline = DiversificationPipeline::new(&engine, &lab.model, params);
+        let engine = lab.deploy(N_RQ, params);
         // λ = 1: Appendix C compares lists "by means of the utility
         // function as in Definition 2" — pure utility, no relevance mix.
         let optselect = OptSelect::with_lambda(1.0);
@@ -107,7 +106,7 @@ fn main() {
             if !test_queries.contains(&entry.query) {
                 continue;
             }
-            let Some((_, input)) = pipeline.build_input(&entry.query, N_RQ) else {
+            let Some((_, input)) = diversify_input(&engine, &entry.query, K) else {
                 continue;
             };
             let k = K.min(input.num_candidates());
@@ -146,12 +145,4 @@ fn main() {
         t.row(vec![format!("{key}"), a, an, m, mn]);
     }
     println!("{}", t.render());
-}
-
-fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

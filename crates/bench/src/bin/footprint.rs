@@ -8,21 +8,25 @@
 //! surrogate store) and compares the *measured* bytes against the paper's
 //! back-of-the-envelope bound.
 
-use serpdiv_bench::{Lab, LabConfig};
-use serpdiv_core::{DiversificationPipeline, PipelineParams};
+use serpdiv_bench::{arg_usize, Lab, LabConfig};
+use serpdiv_core::{PipelineParams, SpecializationStore};
 use serpdiv_eval::Table;
+use serpdiv_index::SearchEngine;
 
 fn main() {
     let sessions = arg_usize("--sessions").unwrap_or(20_000);
     eprintln!("building lab ({sessions} sessions)...");
     let lab = Lab::build(LabConfig::trec(sessions));
-    let engine = lab.engine();
     let params = PipelineParams {
         k_spec_results: 20,
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &lab.model, params);
-    let store = pipeline.store();
+    let store = SpecializationStore::build(
+        &lab.model,
+        &SearchEngine::new(&lab.index),
+        params.k_spec_results,
+        params.snippet_window,
+    );
 
     let n = lab.model.len();
     let max_specs = lab.model.max_specializations();
@@ -61,12 +65,4 @@ fn main() {
         store.byte_size() as f64 / bound.max(1.0)
     );
     println!("(the measured store must stay below the worst-case bound)");
-}
-
-fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

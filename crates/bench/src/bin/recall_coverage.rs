@@ -10,7 +10,7 @@
 //! (ambiguous query → same-topic specialization, per the generator's
 //! ground truth) check whether the mined model covers the ambiguous query.
 
-use serpdiv_bench::{Lab, LabConfig};
+use serpdiv_bench::{arg_usize, Lab, LabConfig};
 use serpdiv_corpus::TestbedConfig;
 use serpdiv_eval::Table;
 use serpdiv_querylog::{split_sessions, LogConfig, QueryKind};
@@ -82,12 +82,4 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-}
-
-fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

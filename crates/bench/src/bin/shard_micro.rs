@@ -15,7 +15,6 @@ use serpdiv_index::{
     Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, SearchEngine, ShardedIndex,
 };
 use serpdiv_text::TermId;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Mean ns per call of `run` over `reps` passes of `inputs`.
@@ -35,7 +34,7 @@ fn ns_per_call<T>(reps: usize, inputs: &[T], mut run: impl FnMut(&T) -> usize) -
 
 fn lab_rows() {
     let lab = Lab::build(LabConfig::small());
-    let index = Arc::new(lab.index);
+    let index = lab.index;
     let queries: Vec<String> = lab
         .test
         .records()

@@ -9,10 +9,8 @@
 //! specializations and their probabilities are *mined from the synthetic
 //! query log* through the full §3 stack — not read from the ground truth.
 
-use serpdiv_bench::{Lab, LabConfig};
-use serpdiv_core::{
-    run_algorithm, AlgorithmKind, DiversificationPipeline, DiversifyInput, PipelineParams,
-};
+use serpdiv_bench::{arg_usize, baseline_docs, diversify_input, Lab, LabConfig};
+use serpdiv_core::{run_algorithm, AlgorithmKind, DiversifyInput, PipelineParams};
 use serpdiv_eval::report::f3;
 use serpdiv_eval::{alpha_ndcg_at, ia_precision_at, wilcoxon_signed_rank, Table, PAPER_CUTOFFS};
 use serpdiv_index::DocId;
@@ -39,13 +37,12 @@ fn main() {
         lab.train.len(),
         lab.detection_rate()
     );
-    let engine = lab.engine();
     let params = PipelineParams {
         k_spec_results: 20,
         lambda: 0.15,
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &lab.model, params);
+    let engine = lab.deploy(N_CANDIDATES, params);
 
     // Build one input per topic at c = 0; thresholds are applied afterwards
     // (same utilities, tightened) so the retrieval cost is paid once.
@@ -55,17 +52,11 @@ fn main() {
         .topics
         .iter()
         .map(|t| {
-            let baseline_docs: Vec<DocId> = engine
-                .search(&t.query, K)
-                .into_iter()
-                .map(|h| h.doc)
-                .collect();
-            let input = pipeline
-                .build_input(&t.query, N_CANDIDATES)
+            let input = diversify_input(&engine, &t.query, K)
                 .map(|(b, i)| (b.into_iter().map(|h| h.doc).collect::<Vec<_>>(), i));
             PerTopic {
                 topic: t.id,
-                baseline_docs,
+                baseline_docs: baseline_docs(&engine, &t.query, K),
                 input,
             }
         })
@@ -188,12 +179,4 @@ fn row_cells(label: &str, scores: &(Vec<f64>, Vec<f64>)) -> Vec<String> {
     cells.extend(scores.0.iter().map(|&v| f3(v)));
     cells.extend(scores.1.iter().map(|&v| f3(v)));
     cells
-}
-
-fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

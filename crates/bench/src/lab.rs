@@ -6,14 +6,22 @@
 //! specialization model mined from the training log through the full §3
 //! stack (timeout sessions → query-flow graph → logical sessions →
 //! shortcuts recommender → Algorithm 1). [`Lab::build`] runs that stack
-//! once; the binaries construct their engines/pipelines on top.
+//! once; the binaries [`deploy`](Lab::deploy) the serving engine on top
+//! and measure what it serves.
 
+use serpdiv_core::{AlgorithmKind, DiversifyInput, PipelineParams};
 use serpdiv_corpus::{Testbed, TestbedConfig};
-use serpdiv_index::{InvertedIndex, SearchEngine};
+use serpdiv_index::{DocId, InvertedIndex, ScoredDoc};
 use serpdiv_mining::{AmbiguityDetector, QueryFlowGraph, ShortcutsModel, SpecializationModel};
 use serpdiv_querylog::{
     split_sessions, FreqTable, GroundTruth, LogConfig, QueryLog, QueryLogGenerator,
 };
+use serpdiv_serve::{
+    default_stage_chain, Budget, EngineConfig, PipelineContext, QueryRequest, SearchEngine,
+    StageOutcome,
+};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Laboratory configuration.
 #[derive(Debug, Clone)]
@@ -65,7 +73,7 @@ pub struct Lab {
     /// Corpus, topics and qrels.
     pub testbed: Testbed,
     /// The inverted index over the corpus.
-    pub index: InvertedIndex,
+    pub index: Arc<InvertedIndex>,
     /// Training log (first 70%).
     pub train: QueryLog,
     /// Test log (last 30%).
@@ -74,14 +82,14 @@ pub struct Lab {
     /// interning with both splits).
     pub truth: GroundTruth,
     /// The mined specialization model (from the training log only).
-    pub model: SpecializationModel,
+    pub model: Arc<SpecializationModel>,
 }
 
 impl Lab {
     /// Run the full offline stack.
     pub fn build(config: LabConfig) -> Self {
         let testbed = Testbed::generate(config.testbed.clone());
-        let index = testbed.build_index();
+        let index = Arc::new(testbed.build_index());
 
         let generator =
             QueryLogGenerator::new(config.log.clone(), &testbed.topics, &testbed.background);
@@ -96,7 +104,7 @@ impl Lab {
         let shortcuts = ShortcutsModel::train(&train, &logical, config.shortcuts_max);
         let freq = FreqTable::build(&train);
         let detector = AmbiguityDetector::new(&shortcuts, &freq, config.detector_s);
-        let model = SpecializationModel::mine(&train, &detector);
+        let model = Arc::new(SpecializationModel::mine(&train, &detector));
 
         Lab {
             config,
@@ -109,9 +117,18 @@ impl Lab {
         }
     }
 
-    /// A DPH engine over the lab's index.
-    pub fn engine(&self) -> SearchEngine<'_> {
-        SearchEngine::new(&self.index)
+    /// Deploy the serving engine over the lab's index and mined model,
+    /// retrieving `n_candidates` per diversified query.
+    pub fn deploy(&self, n_candidates: usize, params: PipelineParams) -> SearchEngine {
+        SearchEngine::deploy(
+            self.index.clone(),
+            self.model.clone(),
+            EngineConfig {
+                n_candidates,
+                params,
+                ..EngineConfig::default()
+            },
+        )
     }
 
     /// Fraction of ground-truth-ambiguous topic queries the mined model
@@ -129,6 +146,37 @@ impl Lab {
             .count();
         detected as f64 / total as f64
     }
+}
+
+/// `Rq` and the [`DiversifyInput`] the engine would select `k` of them
+/// from: Detect → Retrieve → Surrogate → Utility of the serving chain,
+/// stopped before Select so a sweep over `c` or λ pays for them once per
+/// query. `None` when the engine would serve `query` as a passthrough.
+pub fn diversify_input(
+    engine: &SearchEngine,
+    query: &str,
+    k: usize,
+) -> Option<(Vec<ScoredDoc>, DiversifyInput)> {
+    let request = QueryRequest::new(query, k, AlgorithmKind::OptSelect);
+    let generation = engine.generation();
+    let mut ctx = PipelineContext::new(&request, Instant::now(), Budget::unlimited());
+    for stage in default_stage_chain().iter().take(4) {
+        if stage.run(engine, &generation, &mut ctx) == StageOutcome::Finish {
+            break;
+        }
+    }
+    let input = ctx.input.take()?;
+    Some((ctx.candidates, input))
+}
+
+/// The engine's DPH top-`k` for `query`, as document ids.
+pub fn baseline_docs(engine: &SearchEngine, query: &str, k: usize) -> Vec<DocId> {
+    engine
+        .search(QueryRequest::new(query, k, AlgorithmKind::Baseline))
+        .results
+        .iter()
+        .map(|r| r.doc)
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! Wall-clock timing helpers for the table binaries.
 //!
-//! Criterion drives the micro-benches under `benches/`; the table binaries
-//! need raw per-call milliseconds in a controlled loop instead, because
-//! the paper reports absolute per-query times (Table 2).
+//! The table binaries need raw per-call milliseconds in a controlled
+//! loop, because the paper reports absolute per-query times (Table 2).
 
 use std::time::Instant;
 

@@ -110,8 +110,8 @@ impl DiversifyInput {
         rel + lambda * util
     }
 
-    /// Normalize raw retrieval scores into `[0, 1]` relevance (max-norm;
-    /// an empty or all-equal list maps to all-ones).
+    /// Normalize raw retrieval scores into `[0, 1]` relevance (min–max;
+    /// an all-equal list maps to all-ones).
     pub fn normalize_scores(scores: &[f64]) -> Vec<f64> {
         let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = scores.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -23,9 +23,10 @@
 //! * [`candidates`] — the [`DiversifyInput`] bundle (`P(q′|q)`, `P(d|q)`,
 //!   the `Ũ(d|R_q′)` matrix, optional surrogate vectors),
 //! * [`heap`] — the bounded top-`m` heaps of Algorithm 2,
-//! * [`framework`] — the end-to-end pipeline: specialization model →
-//!   retrieval → snippets → utilities → selection, plus the §4.1
-//!   precomputed store and its memory accounting.
+//! * [`framework`] — what the five-stage pipeline is assembled from: the
+//!   §4.1 precomputed store and its memory accounting, candidate
+//!   surrogates, input assembly and algorithm dispatch, each with its
+//!   naive oracle (the pipeline itself is `serpdiv_serve`'s stage chain).
 
 pub mod baseline;
 pub mod candidates;
@@ -42,10 +43,9 @@ pub mod xquad;
 pub use baseline::BaselineRanking;
 pub use candidates::DiversifyInput;
 pub use framework::{
-    assemble_input, assemble_input_from_surrogates, assemble_input_naive,
-    assemble_input_with_scorer, candidate_surrogate, candidate_surrogate_naive,
-    candidate_surrogates, candidate_surrogates_naive, run_algorithm, AlgorithmKind,
-    DiversificationPipeline, DiversifiedRanking, PipelineParams, SpecializationStore,
+    assemble_input_from_surrogates, assemble_input_naive, assemble_input_with_scorer,
+    candidate_surrogate, candidate_surrogate_naive, candidate_surrogates_naive, run_algorithm,
+    AlgorithmKind, PipelineParams, SpecializationStore,
 };
 pub use heap::BoundedHeap;
 pub use iaselect::IaSelect;
@@ -61,8 +61,8 @@ pub use xquad::XQuad;
 ///
 /// All five [`AlgorithmKind`]s (including the [`BaselineRanking`] no-op)
 /// implement this trait, and every dispatch site — [`run_algorithm`],
-/// [`DiversificationPipeline::diversify_batch`], the serving select stage
-/// — goes through trait objects built by [`AlgorithmKind::diversifier`].
+/// the serving select stage — goes through trait objects built by
+/// [`AlgorithmKind::diversifier`].
 ///
 /// # Example
 ///

@@ -4,7 +4,7 @@
 //! topics of the TREC 2009 Web track's Diversity task; each topic has 3–8
 //! manually identified subtopics and relevance judgements *at subtopic
 //! level* (Appendix B). ClueWeb09 is licensed and terabyte-scale, so this
-//! crate generates the closest synthetic equivalent (see DESIGN.md §2):
+//! crate generates the closest synthetic equivalent:
 //!
 //! * [`zipf`] — a Zipf sampler (web text and query popularity are Zipfian),
 //! * [`vocabulary`] — a deterministic pseudo-word vocabulary, collision-free

@@ -76,7 +76,7 @@ impl TestbedConfig {
     /// The TREC-2009-shaped testbed used by the Table 3 harness: 50 topics,
     /// 3–8 subtopics. Document counts are scaled to laptop budgets (the
     /// paper's ClueWeb-B has 50M documents; retrieval quality shape is
-    /// preserved with thousands — see DESIGN.md §2).
+    /// preserved with thousands — see the crate docs).
     pub fn trec_scaled() -> Self {
         TestbedConfig {
             num_topics: 50,

@@ -11,7 +11,8 @@
 //! restricted), so [`generator`] synthesizes logs with the statistical
 //! properties the method depends on — Zipfian topic popularity and sessions
 //! in which ambiguous queries are refined into specializations with
-//! probability proportional to subtopic popularity (see DESIGN.md §2).
+//! probability proportional to subtopic popularity (the corpus side is
+//! described in the `serpdiv-corpus` crate docs).
 //!
 //! * [`record`] — interned queries, log records, the [`QueryLog`] container,
 //! * [`generator`] — the seeded session-level user simulator with

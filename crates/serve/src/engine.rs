@@ -1218,6 +1218,28 @@ mod tests {
     }
 
     #[test]
+    fn utility_stage_scores_a_candidate_higher_on_its_own_specialization() {
+        let engine = deploy(EngineConfig {
+            n_candidates: 10,
+            ..EngineConfig::default()
+        });
+        let req = QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+        let generation = engine.generation();
+        let mut ctx = PipelineContext::new(&req, Instant::now(), Budget::unlimited());
+        for stage in engine.stages.iter().take(4) {
+            assert_eq!(
+                stage.run(&engine, &generation, &mut ctx),
+                StageOutcome::Continue
+            );
+        }
+        let input = ctx.input.expect("the utility stage assembles the input");
+        assert_eq!(input.num_candidates(), ctx.candidates.len());
+        assert_eq!(input.num_specializations(), 2);
+        let i_tech = ctx.candidates.iter().position(|h| h.doc.0 < 5).unwrap();
+        assert!(input.utilities.get(i_tech, 0) > input.utilities.get(i_tech, 1));
+    }
+
+    #[test]
     fn custom_stage_chain_plugs_in_without_touching_the_driver() {
         use crate::stages::{StageKind, StageOutcome};
 

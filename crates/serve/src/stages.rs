@@ -399,8 +399,9 @@ impl Stage for UtilityStage {
 /// immediately (`"DPH (degraded)"`), and the response/metrics record the
 /// degradation. (The driver also checks the budget at every stage edge,
 /// so an exhausted request normally degrades before even reaching this
-/// stage — this check is the backstop for single-stage custom chains.) Otherwise the request's [`AlgorithmKind`] re-ranks the
-/// page through the engine's pre-built [`Diversifier`] trait objects.
+/// stage — this check is the backstop for single-stage custom chains.)
+/// Otherwise the request's [`AlgorithmKind`] re-ranks the page through
+/// the engine's pre-built [`Diversifier`] trait objects.
 ///
 /// [`Diversifier`]: serpdiv_core::Diversifier
 pub struct SelectStage;

@@ -7,12 +7,14 @@
 //!
 //! Run with: `cargo run --release --example trec_run`
 
-use serpdiv::core::{AlgorithmKind, DiversificationPipeline, PipelineParams, UtilityParams};
+use serpdiv::core::{AlgorithmKind, PipelineParams, UtilityParams};
 use serpdiv::corpus::{Testbed, TestbedConfig};
 use serpdiv::eval::{alpha_ndcg_at, ia_precision_at};
-use serpdiv::index::SearchEngine;
+use serpdiv::index::DocId;
 use serpdiv::mining::{AmbiguityDetector, QueryFlowGraph, ShortcutsModel, SpecializationModel};
 use serpdiv::querylog::{split_sessions, FreqTable, LogConfig, QueryLogGenerator};
+use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine};
+use std::sync::Arc;
 
 fn main() {
     // Testbed: 12 topics keeps this example under a few seconds in release.
@@ -20,12 +22,11 @@ fn main() {
     cfg.num_topics = 12;
     cfg.docs_per_subtopic = 20;
     // Near-topic junk pages make the relevance-only baseline beatable —
-    // see DESIGN.md §2 on the distractor model.
+    // see `serpdiv::corpus::docgen` on the distractor model.
     cfg.proportional_docs = true;
     cfg.distractors_per_topic = 60;
     let testbed = Testbed::generate(cfg);
-    let index = testbed.build_index();
-    let engine = SearchEngine::new(&index);
+    let index = Arc::new(testbed.build_index());
 
     // Mine the model from a synthetic log.
     let generator = QueryLogGenerator::new(
@@ -52,7 +53,15 @@ fn main() {
         utility: UtilityParams { threshold_c: 0.10 },
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &model, params);
+    let engine = SearchEngine::deploy(
+        index,
+        Arc::new(model),
+        EngineConfig {
+            n_candidates: 2_000,
+            params,
+            ..EngineConfig::default()
+        },
+    );
 
     let systems = [
         ("DPH baseline", AlgorithmKind::Baseline),
@@ -65,9 +74,10 @@ fn main() {
     for (name, algo) in systems {
         let (mut andcg, mut iap) = (0.0, 0.0);
         for topic in &testbed.topics {
-            let out = pipeline.diversify(&topic.query, 2_000, 1_000, algo);
-            andcg += alpha_ndcg_at(&out.docs, &testbed.qrels, topic.id, 0.5, 20);
-            iap += ia_precision_at(&out.docs, &testbed.qrels, topic.id, 20);
+            let out = engine.search(QueryRequest::new(topic.query.as_str(), 1_000, algo));
+            let docs: Vec<DocId> = out.results.iter().map(|r| r.doc).collect();
+            andcg += alpha_ndcg_at(&docs, &testbed.qrels, topic.id, 0.5, 20);
+            iap += ia_precision_at(&docs, &testbed.qrels, topic.id, 20);
         }
         let n = testbed.topics.len() as f64;
         println!("{:<14} {:>10.3} {:>9.3}", name, andcg / n, iap / n);

@@ -1,17 +1,40 @@
 //! End-to-end integration tests spanning every crate of the workspace:
 //! corpus generation → indexing → query-log simulation → mining →
-//! diversification → evaluation.
+//! diversification → evaluation, every ranking obtained from the serving
+//! engine (`serpdiv::serve::SearchEngine`).
 
-use serpdiv::core::{AlgorithmKind, DiversificationPipeline, PipelineParams, UtilityParams};
+use serpdiv::core::{AlgorithmKind, PipelineParams, UtilityParams};
 use serpdiv::corpus::{Testbed, TestbedConfig};
 use serpdiv::eval::{alpha_ndcg_at, ia_precision_at, ndcg_at};
-use serpdiv::index::SearchEngine;
+use serpdiv::index::DocId;
 use serpdiv::mining::{AmbiguityDetector, QueryFlowGraph, ShortcutsModel, SpecializationModel};
 use serpdiv::querylog::{split_sessions, FreqTable, LogConfig, QueryLogGenerator};
+use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine, SearchResponse};
+use std::sync::Arc;
 
 struct World {
     testbed: Testbed,
-    model: SpecializationModel,
+    model: Arc<SpecializationModel>,
+}
+
+impl World {
+    /// Deploy the serving engine over this world, retrieving
+    /// `n_candidates` per diversified query.
+    fn deploy(&self, n_candidates: usize, params: PipelineParams) -> SearchEngine {
+        SearchEngine::deploy(
+            Arc::new(self.testbed.build_index()),
+            self.model.clone(),
+            EngineConfig {
+                n_candidates,
+                params,
+                ..EngineConfig::default()
+            },
+        )
+    }
+}
+
+fn docs(page: &SearchResponse) -> Vec<DocId> {
+    page.results.iter().map(|r| r.doc).collect()
 }
 
 fn build_world() -> World {
@@ -32,32 +55,31 @@ fn build_world() -> World {
     let shortcuts = ShortcutsModel::train(&log, &logical, 16);
     let freq = FreqTable::build(&log);
     let detector = AmbiguityDetector::new(&shortcuts, &freq, 20.0);
-    let model = SpecializationModel::mine(&log, &detector);
+    let model = Arc::new(SpecializationModel::mine(&log, &detector));
     World { testbed, model }
 }
 
 #[test]
 fn full_stack_diversification_beats_baseline_on_alpha_ndcg() {
     let world = build_world();
-    let index = world.testbed.build_index();
-    let engine = SearchEngine::new(&index);
     let params = PipelineParams {
         k_spec_results: 15,
         utility: UtilityParams { threshold_c: 0.05 },
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &world.model, params);
+    let engine = world.deploy(500, params);
 
     let (mut base_sum, mut opt_sum) = (0.0, 0.0);
     let mut diversified_topics = 0usize;
     for topic in &world.testbed.topics {
-        let base = pipeline.diversify(&topic.query, 500, 100, AlgorithmKind::Baseline);
-        let opt = pipeline.diversify(&topic.query, 500, 100, AlgorithmKind::OptSelect);
+        let query = topic.query.as_str();
+        let base = engine.search(QueryRequest::new(query, 100, AlgorithmKind::Baseline));
+        let opt = engine.search(QueryRequest::new(query, 100, AlgorithmKind::OptSelect));
         if opt.diversified {
             diversified_topics += 1;
         }
-        base_sum += alpha_ndcg_at(&base.docs, &world.testbed.qrels, topic.id, 0.5, 20);
-        opt_sum += alpha_ndcg_at(&opt.docs, &world.testbed.qrels, topic.id, 0.5, 20);
+        base_sum += alpha_ndcg_at(&docs(&base), &world.testbed.qrels, topic.id, 0.5, 20);
+        opt_sum += alpha_ndcg_at(&docs(&opt), &world.testbed.qrels, topic.id, 0.5, 20);
     }
     assert!(
         diversified_topics >= 4,
@@ -67,14 +89,41 @@ fn full_stack_diversification_beats_baseline_on_alpha_ndcg() {
         opt_sum >= base_sum * 0.98,
         "OptSelect ({opt_sum:.3}) must not fall below the baseline ({base_sum:.3})"
     );
+
+    // ROADMAP 3e — the committed golden: mean α-nDCG@20 / IA-P@20 of every
+    // system on this seeded world, as served. Rankings are discrete, so a
+    // change to retrieval, surrogates, utilities or a selector that moves
+    // one document within a top-20 moves a row by far more than the
+    // tolerance; a change that means to move them re-records the table.
+    use AlgorithmKind::{Baseline, IaSelect, Mmr, OptSelect, XQuad};
+    const GOLDEN: [(AlgorithmKind, f64, f64); 5] = [
+        (Baseline, 0.9611428059926101, 0.2472222222222222),
+        (OptSelect, 0.9704124521033952, 0.2472222222222222),
+        (XQuad, 0.9656968477262923, 0.2472222222222222),
+        (IaSelect, 0.9654524229783082, 0.24722222222222223),
+        (Mmr, 0.9936105963735589, 0.2472222222222222),
+    ];
+    let n = world.testbed.topics.len() as f64;
+    for (algo, golden_andcg, golden_iap) in GOLDEN {
+        let (mut andcg, mut iap) = (0.0, 0.0);
+        for topic in &world.testbed.topics {
+            let page = docs(&engine.search(QueryRequest::new(topic.query.as_str(), 100, algo)));
+            andcg += alpha_ndcg_at(&page, &world.testbed.qrels, topic.id, 0.5, 20);
+            iap += ia_precision_at(&page, &world.testbed.qrels, topic.id, 20);
+        }
+        let (andcg, iap) = (andcg / n, iap / n);
+        assert!(
+            (andcg - golden_andcg).abs() < 1e-12 && (iap - golden_iap).abs() < 1e-12,
+            "{algo:?}: alpha-nDCG@20 {andcg:?} (golden {golden_andcg:?}), \
+             IA-P@20 {iap:?} (golden {golden_iap:?})"
+        );
+    }
 }
 
 #[test]
 fn all_diversifiers_return_valid_serps_across_topics() {
     let world = build_world();
-    let index = world.testbed.build_index();
-    let engine = SearchEngine::new(&index);
-    let pipeline = DiversificationPipeline::new(&engine, &world.model, PipelineParams::default());
+    let engine = world.deploy(300, PipelineParams::default());
     for topic in &world.testbed.topics {
         for algo in [
             AlgorithmKind::Baseline,
@@ -83,12 +132,12 @@ fn all_diversifiers_return_valid_serps_across_topics() {
             AlgorithmKind::IaSelect,
             AlgorithmKind::Mmr,
         ] {
-            let out = pipeline.diversify(&topic.query, 300, 50, algo);
-            assert!(!out.docs.is_empty(), "{algo:?} on topic {}", topic.id);
-            let mut ids: Vec<u32> = out.docs.iter().map(|d| d.0).collect();
+            let out = docs(&engine.search(QueryRequest::new(topic.query.as_str(), 50, algo)));
+            assert!(!out.is_empty(), "{algo:?} on topic {}", topic.id);
+            let mut ids: Vec<u32> = out.iter().map(|d| d.0).collect();
             ids.sort_unstable();
             ids.dedup();
-            assert_eq!(ids.len(), out.docs.len(), "{algo:?} duplicates");
+            assert_eq!(ids.len(), out.len(), "{algo:?} duplicates");
         }
     }
 }
@@ -124,14 +173,13 @@ fn mined_probabilities_track_ground_truth_weights() {
 #[test]
 fn evaluation_metrics_are_consistent_across_the_stack() {
     let world = build_world();
-    let index = world.testbed.build_index();
-    let engine = SearchEngine::new(&index);
+    let engine = world.deploy(100, PipelineParams::default());
     let topic = &world.testbed.topics[0];
-    let ranking: Vec<_> = engine
-        .search(&topic.query, 50)
-        .into_iter()
-        .map(|h| h.doc)
-        .collect();
+    let ranking = docs(&engine.search(QueryRequest::new(
+        topic.query.as_str(),
+        50,
+        AlgorithmKind::Baseline,
+    )));
     let qrels = &world.testbed.qrels;
     for k in [5, 10, 20, 50] {
         let a = alpha_ndcg_at(&ranking, qrels, topic.id, 0.5, k);
@@ -153,12 +201,18 @@ fn model_survives_serialization_roundtrip_and_still_diversifies() {
     let restored = SpecializationModel::from_json(&json).expect("roundtrip");
     assert_eq!(restored.len(), world.model.len());
 
-    let index = world.testbed.build_index();
-    let engine = SearchEngine::new(&index);
-    let pipeline = DiversificationPipeline::new(&engine, &restored, PipelineParams::default());
+    let world = World {
+        model: Arc::new(restored),
+        ..world
+    };
+    let engine = world.deploy(200, PipelineParams::default());
     let topic = &world.testbed.topics[0];
-    let out = pipeline.diversify(&topic.query, 200, 20, AlgorithmKind::OptSelect);
-    assert_eq!(out.docs.len(), 20);
+    let out = engine.search(QueryRequest::new(
+        topic.query.as_str(),
+        20,
+        AlgorithmKind::OptSelect,
+    ));
+    assert_eq!(docs(&out).len(), 20);
 }
 
 #[test]
@@ -166,17 +220,16 @@ fn threshold_c_one_degenerates_to_baseline() {
     // c = 1.0 zeroes every utility (Ũ ≤ 1): every diversifier must then
     // reproduce (a permutation-free prefix of) the relevance ranking.
     let world = build_world();
-    let index = world.testbed.build_index();
-    let engine = SearchEngine::new(&index);
     let params = PipelineParams {
         utility: UtilityParams { threshold_c: 1.1 },
         ..PipelineParams::default()
     };
-    let pipeline = DiversificationPipeline::new(&engine, &world.model, params);
-    let topic = &world.testbed.topics[0];
-    let base = pipeline.diversify(&topic.query, 200, 10, AlgorithmKind::Baseline);
-    let opt = pipeline.diversify(&topic.query, 200, 10, AlgorithmKind::OptSelect);
-    let xquad = pipeline.diversify(&topic.query, 200, 10, AlgorithmKind::XQuad);
-    assert_eq!(base.docs, opt.docs, "OptSelect at c>1 == baseline");
-    assert_eq!(base.docs, xquad.docs, "xQuAD at c>1 == baseline");
+    let engine = world.deploy(200, params);
+    let query = world.testbed.topics[0].query.as_str();
+    let page = |algo| docs(&engine.search(QueryRequest::new(query, 10, algo)));
+    let base = page(AlgorithmKind::Baseline);
+    let opt = page(AlgorithmKind::OptSelect);
+    let xquad = page(AlgorithmKind::XQuad);
+    assert_eq!(base, opt, "OptSelect at c>1 == baseline");
+    assert_eq!(base, xquad, "xQuAD at c>1 == baseline");
 }

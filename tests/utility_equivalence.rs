@@ -8,12 +8,16 @@
 //! property-tests`) on randomized surrogate worlds.
 
 use serpdiv::core::{
-    assemble_input, assemble_input_naive, run_algorithm, AlgorithmKind, CompiledSpecStore,
-    DiversifyInput, PipelineParams, SpecializationStore, UtilityMatrix, UtilityParams,
+    assemble_input_from_surrogates, assemble_input_naive, candidate_surrogate, run_algorithm,
+    AlgorithmKind, CompiledSpecStore, DiversifyInput, PipelineParams, SpecializationStore,
+    UtilityMatrix, UtilityParams,
 };
-use serpdiv::index::{Document, ForwardIndex, IndexBuilder, SearchEngine, SparseVector};
+use serpdiv::index::{
+    Document, ForwardIndex, IndexBuilder, SearchEngine, SnippetGenerator, SparseVector,
+};
 use serpdiv::mining::SpecializationModel;
 use serpdiv::text::TermId;
+use std::sync::Arc;
 
 const ALGOS: [AlgorithmKind; 4] = [
     AlgorithmKind::OptSelect,
@@ -109,9 +113,13 @@ fn end_to_end_fixture_fast_path_matches_naive() {
         assert!(!baseline.is_empty());
 
         let forward = ForwardIndex::build(&index);
-        let fast = assemble_input(
-            &index, &forward, entry, &compiled, &params, "apple", &baseline,
-        );
+        let snippets = SnippetGenerator::with_window(params.snippet_window);
+        let qterms = index.analyze_query("apple");
+        let vectors = baseline
+            .iter()
+            .map(|h| Arc::new(candidate_surrogate(&forward, h.doc, &qterms, &snippets)))
+            .collect();
+        let fast = assemble_input_from_surrogates(entry, &compiled, &params, vectors, &baseline);
         let naive = assemble_input_naive(&index, entry, &store, &params, "apple", &baseline);
         let ctx = format!("c={threshold_c}");
         assert_matrices_match(&fast.utilities, &naive.utilities, &ctx);
