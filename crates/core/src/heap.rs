@@ -24,6 +24,8 @@ impl Eq for MinEntry {}
 
 impl Ord for MinEntry {
     fn cmp(&self, other: &Self) -> Ordering {
+        #[cfg(test)]
+        crate::opcount::heap_step();
         // Reversed score (min-heap); on ties the *larger* id is weaker, so
         // equal-score items survive in increasing-id order.
         other
@@ -98,7 +100,11 @@ impl BoundedHeap {
     /// item id).
     pub fn into_sorted_desc(self) -> Vec<(f64, usize)> {
         let mut v: Vec<(f64, usize)> = self.heap.into_iter().map(|e| (e.score, e.item)).collect();
-        v.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        v.sort_unstable_by(|a, b| {
+            #[cfg(test)]
+            crate::opcount::heap_step();
+            b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+        });
         v
     }
 }

@@ -121,8 +121,7 @@ impl Diversifier for IaSelect {
     }
 }
 
-/// Evaluate the Eq. 4 objective of a solution (used by tests and the
-/// ablation benches).
+/// Evaluate the Eq. 4 objective of a solution (used by tests).
 pub fn objective(input: &DiversifyInput, solution: &[usize]) -> f64 {
     (0..input.num_specializations())
         .map(|j| {

@@ -78,6 +78,8 @@ impl Ord for LazyEntry {
     /// Max-heap priority: higher score, then higher tie key, then *lower*
     /// index.
     fn cmp(&self, other: &Self) -> Ordering {
+        #[cfg(test)]
+        crate::opcount::heap_step();
         self.score
             .total_cmp(&other.score)
             .then_with(|| self.tie.total_cmp(&other.tie))

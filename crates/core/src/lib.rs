@@ -90,3 +90,6 @@ pub trait Diversifier {
     /// in final ranking order. Must return `min(k, n)` distinct indices.
     fn select(&self, input: &DiversifyInput, k: usize) -> Vec<usize>;
 }
+
+#[cfg(test)]
+mod opcount;

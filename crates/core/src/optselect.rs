@@ -353,6 +353,64 @@ mod tests {
         assert_eq!(s, vec![0, 1, 2]);
     }
 
+    /// Algorithm 2 with every bounded heap replaced by a full sort: the
+    /// same seeding, quota and fill phases over unbounded lists.
+    fn full_sort_reference(input: &DiversifyInput, k: usize, lambda: f64) -> Vec<usize> {
+        let (n, m) = (input.num_candidates(), input.num_specializations());
+        let overall: Vec<f64> = (0..n).map(|i| input.overall_utility(i, lambda)).collect();
+        let by_overall = |list: &mut Vec<usize>| {
+            list.sort_by(|&a, &b| overall[b].total_cmp(&overall[a]).then(a.cmp(&b)));
+        };
+        let useful = |i: usize, j: usize| input.utilities.get(i, j) > 0.0;
+        let mut specs: Vec<usize> = (0..m).collect();
+        specs.sort_by(|&a, &b| input.spec_probs[b].total_cmp(&input.spec_probs[a]));
+        let lists: Vec<Vec<usize>> = specs
+            .iter()
+            .map(|&j| {
+                let mut list: Vec<usize> = (0..n).filter(|&i| useful(i, j)).collect();
+                by_overall(&mut list);
+                list
+            })
+            .collect();
+        let mut picked: Vec<usize> = Vec::new();
+        for list in &lists {
+            picked.extend(list.iter().find(|i| !picked.contains(i)));
+        }
+        loop {
+            let before = picked.len();
+            for (list, &j) in lists.iter().zip(&specs) {
+                let quota = (k as f64 * input.spec_probs[j]).floor() as usize;
+                let covered = picked.iter().filter(|&&i| useful(i, j)).count();
+                if picked.len() < k && covered < quota {
+                    picked.extend(list.iter().find(|i| !picked.contains(i)));
+                }
+            }
+            if picked.len() == before {
+                break;
+            }
+        }
+        let mut rest: Vec<usize> = (0..n).filter(|i| !picked.contains(i)).collect();
+        by_overall(&mut rest);
+        picked.extend(rest.into_iter().take(k - picked.len()));
+        picked
+    }
+
+    #[test]
+    fn bounded_heaps_lose_nothing_against_a_full_sort() {
+        // Heaps of ⌊k·P⌋+1 and 2k entries see every candidate a full
+        // sort would have ranked first: the selected set, and so the
+        // MaxUtility objective Σ Ũ(d|q), is the same.
+        for seed in [0x5EED, 0xA01, 0x11D] {
+            let inp = crate::opcount::workload(3_000, seed);
+            let algo = OptSelect::new();
+            let mut heap = algo.select(&inp, 100);
+            let mut sort = full_sort_reference(&inp, 100, algo.lambda);
+            heap.sort_unstable();
+            sort.sort_unstable();
+            assert_eq!(heap, sort, "seed {seed:#x}");
+        }
+    }
+
     #[test]
     fn no_specializations_falls_back_to_relevance_ranking() {
         let u = UtilityMatrix::from_values(4, 0, vec![]);

@@ -15,7 +15,6 @@
 //! `Ũ` into `[0, 1]`. §5 additionally forces the value to 0 when it falls
 //! below a threshold `c` — Table 3 sweeps `c` over nine values.
 
-use serde::{Deserialize, Serialize};
 use serpdiv_index::{cosine64, SparseVector};
 use std::sync::OnceLock;
 
@@ -54,7 +53,7 @@ pub fn harmonic(n: usize) -> f64 {
 }
 
 /// Parameters of the utility computation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UtilityParams {
     /// The §5 threshold `c`: normalized utilities below `c` are forced
     /// to 0. `c = 0` keeps every positive utility.
@@ -102,7 +101,7 @@ pub fn normalized_utility(
 }
 
 /// Dense `n × m` matrix of `Ũ(dᵢ | R_{q′_j})` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityMatrix {
     n: usize,
     m: usize,
@@ -184,12 +183,16 @@ impl UtilityMatrix {
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.n && j < self.m);
+        #[cfg(test)]
+        crate::opcount::utility_read();
         self.values[i * self.m + j]
     }
 
     /// The row of candidate `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
+        #[cfg(test)]
+        crate::opcount::utility_read();
         &self.values[i * self.m..(i + 1) * self.m]
     }
 

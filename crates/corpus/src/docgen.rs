@@ -12,10 +12,9 @@
 use crate::topics::Topic;
 use crate::zipf::Zipf;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mixture weights and length parameters of the document generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DocGenConfig {
     /// Probability of emitting the topic head term.
     pub p_head: f64,

@@ -5,7 +5,6 @@
 //! of a topic, not to the topic as a whole. α-NDCG and IA-P both consume
 //! this structure.
 
-use serde::{Deserialize, Serialize};
 use serpdiv_index::DocId;
 use std::collections::{HashMap, HashSet};
 
@@ -15,7 +14,7 @@ pub type TopicId = usize;
 pub type SubtopicId = usize;
 
 /// Subtopic-level relevance judgements for a set of topics.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Qrels {
     /// `(topic, doc) → set of relevant subtopics`.
     judgments: HashMap<(TopicId, u32), HashSet<SubtopicId>>,

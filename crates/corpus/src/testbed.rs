@@ -12,11 +12,10 @@ use crate::vocabulary::SyntheticVocabulary;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use serpdiv_index::{Document, DocumentStore, IndexBuilder, InvertedIndex};
 
 /// Shape of the generated testbed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// Number of ambiguous topics (TREC 2009: 50).
     pub num_topics: usize,

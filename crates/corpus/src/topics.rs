@@ -8,10 +8,8 @@
 //! the query-log generator follows) and a dedicated term pool (its unigram
 //! language model's specific vocabulary).
 
-use serde::{Deserialize, Serialize};
-
 /// One subtopic (interpretation/facet) of an ambiguous topic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Subtopic {
     /// Index of this subtopic within its topic.
     pub id: usize,
@@ -25,7 +23,7 @@ pub struct Subtopic {
 }
 
 /// One ambiguous/faceted topic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topic {
     /// Dense topic id (0-based; TREC numbers 1..=50).
     pub id: usize,

@@ -77,11 +77,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Format a duration in milliseconds with two decimals (Table 2 style).
-pub fn ms(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +105,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(f3(0.21349), "0.213");
-        assert_eq!(ms(1425.8211), "1425.82");
     }
 }

@@ -90,16 +90,6 @@ impl IndexBuilder {
         }
     }
 
-    /// [`build`](Self::build), then compile the
-    /// [`ForwardIndex`](crate::ForwardIndex) over the frozen index — the
-    /// full offline deployment artifact pair for serving stacks that use
-    /// the compiled snippet-surrogate path.
-    pub fn build_with_forward(self) -> (InvertedIndex, crate::forward::ForwardIndex) {
-        let index = self.build();
-        let forward = crate::forward::ForwardIndex::build(&index);
-        (index, forward)
-    }
-
     /// Freeze the accumulated postings into an immutable index.
     pub fn build(self) -> InvertedIndex {
         let mut postings = Vec::with_capacity(self.accum.len());
@@ -206,17 +196,6 @@ mod tests {
         let p: Vec<_> = idx.postings(cat).unwrap().iter().collect();
         assert_eq!(p[0].tf, 3);
         assert_eq!(p[0].doc, DocId(0));
-    }
-
-    #[test]
-    fn build_with_forward_compiles_both_artifacts() {
-        let mut b = IndexBuilder::new();
-        b.add(Document::new(0, "u", "Title", "the cat sat on the mat"));
-        let (idx, fwd) = b.build_with_forward();
-        assert_eq!(idx.stats().num_docs, 1);
-        assert_eq!(fwd.num_docs(), 1);
-        // 6 raw tokens, stopword positions kept as sentinels.
-        assert_eq!(fwd.doc_tokens(DocId(0)).len(), 6);
     }
 
     #[test]

@@ -5,12 +5,8 @@
 //! shared by the index (for statistics), the snippet generator (for raw
 //! text) and the evaluation harness (for qrels lookups by URL).
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of a document within a collection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DocId(pub u32);
 
 impl DocId {
@@ -22,7 +18,7 @@ impl DocId {
 }
 
 /// One document of the collection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Dense document id; must equal the document's position in the store.
     pub id: DocId,
@@ -61,7 +57,7 @@ impl Document {
 }
 
 /// Owning container of a collection's documents, addressable by [`DocId`].
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DocumentStore {
     docs: Vec<Document>,
 }

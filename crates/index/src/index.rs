@@ -69,11 +69,6 @@ impl StatsOverlay {
             .ok()
             .map(|i| self.terms[i].1)
     }
-
-    /// Number of per-term overrides.
-    pub fn num_overrides(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 /// Immutable inverted index over a [`DocumentStore`].

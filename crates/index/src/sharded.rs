@@ -207,11 +207,6 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// Documents assigned to each shard (the last shard may hold fewer).
-    pub fn docs_per_shard(&self) -> usize {
-        self.chunk
-    }
-
     /// Total compressed size of the partitioned postings, in bytes
     /// (compare with [`InvertedIndex::postings_byte_size`]; partitioning
     /// costs a few bytes of delta-restart overhead per shard boundary).

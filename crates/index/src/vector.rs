@@ -10,12 +10,11 @@
 //! requires.
 
 use crate::index::InvertedIndex;
-use serde::{Deserialize, Serialize};
 use serpdiv_text::TermId;
 use std::collections::HashMap;
 
 /// A sparse vector over the term space with cached norm.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVector {
     /// `(term, weight)` pairs sorted by term id, weights ≥ 0.
     entries: Vec<(TermId, f32)>,

@@ -1,6 +1,6 @@
 //! Minimal JSON reader/writer for the deployable specialization model.
 //!
-//! The offline build environment cannot fetch `serde_json`, and the model's
+//! The offline build environment cannot fetch a JSON crate, and the model's
 //! wire format is tiny and stable (strings, numbers, arrays, objects), so
 //! the crate carries its own recursive-descent parser and escaping writer.
 //! The grammar covered is full RFC 8259 JSON minus number exponent corner
@@ -16,7 +16,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (kept as `f64`, like `serde_json`'s default).
+    /// Any JSON number (kept as `f64`).
     Number(f64),
     /// A string.
     String(String),
@@ -361,7 +361,7 @@ pub fn write_number(out: &mut String, v: f64) {
     } else {
         // JSON has no NaN/inf; the model never produces them, but never
         // emit invalid documents. Writing `null` (which the model reader
-        // then rejects) matches serde_json's behavior for non-finite
+        // then rejects) is what the common JSON writers do for non-finite
         // floats, keeping the wire format drop-in compatible.
         out.push_str("null");
     }

@@ -11,12 +11,11 @@
 
 use crate::detect::{AmbiguityDetector, Recommender};
 use crate::json;
-use serde::{Deserialize, Serialize};
 use serpdiv_querylog::{QueryId, QueryLog};
 use std::collections::HashMap;
 
 /// Specializations of one ambiguous query.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecializationEntry {
     /// The ambiguous query text.
     pub query: String,
@@ -38,7 +37,7 @@ impl SpecializationEntry {
 
 /// The mined model: every ambiguous query of the log with its
 /// specializations and probabilities.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct SpecializationModel {
     entries: HashMap<String, SpecializationEntry>,
 }

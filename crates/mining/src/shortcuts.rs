@@ -67,11 +67,6 @@ impl ShortcutsModel {
     pub fn suggest(&self, q: QueryId) -> &[(QueryId, f64)] {
         self.suggestions.get(&q).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of queries with at least one suggestion.
-    pub fn num_covered_queries(&self) -> usize {
-        self.suggestions.len()
-    }
 }
 
 impl Recommender for ShortcutsModel {

@@ -134,15 +134,6 @@ impl ClickStats {
         self.per_rank.get(rank).copied().unwrap_or(0) as f64 / self.records_with_results as f64
     }
 
-    /// Deepest clicked rank observed.
-    pub fn max_clicked_rank(&self) -> Option<usize> {
-        if self.per_rank.is_empty() {
-            None
-        } else {
-            Some(self.per_rank.len() - 1)
-        }
-    }
-
     /// Click entropy of one query (Clough et al.): the Shannon entropy of
     /// the distribution of clicked documents over all submissions of the
     /// query. High entropy ⇒ users click many different results ⇒ the
@@ -239,7 +230,6 @@ mod tests {
         assert!((stats.ctr_at(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((stats.ctr_at(1) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(stats.ctr_at(4), 0.0);
-        assert_eq!(stats.max_clicked_rank(), Some(2));
     }
 
     #[test]

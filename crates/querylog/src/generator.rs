@@ -17,13 +17,12 @@
 use crate::record::{LogRecord, QueryId, QueryLog, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use serpdiv_corpus::{Topic, Zipf};
 use serpdiv_index::SearchEngine;
 
 /// What a logged query string means, ground truth for evaluation only —
 /// the mining pipeline never sees this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
     /// The ambiguous query of a topic.
     Ambiguous {
@@ -42,7 +41,7 @@ pub enum QueryKind {
 }
 
 /// Ground-truth annotation of every interned query.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct GroundTruth {
     kinds: Vec<QueryKind>,
 }
@@ -62,7 +61,7 @@ impl GroundTruth {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogConfig {
     /// Number of sessions to simulate.
     pub num_sessions: usize,

@@ -4,14 +4,11 @@
 //! (query-flow graph, frequency tables, recommendation model) all work on
 //! integer ids and only materialize strings at the API boundary.
 
-use serde::{Deserialize, Serialize};
 use serpdiv_index::DocId;
 use std::collections::HashMap;
 
 /// Dense identifier of a distinct query string.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryId(pub u32);
 
 impl QueryId {
@@ -23,13 +20,11 @@ impl QueryId {
 }
 
 /// Anonymized user identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(pub u32);
 
 /// One record ⟨q, u, t, V, C⟩ of the log (Definition in §3.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogRecord {
     /// The submitted query.
     pub query: QueryId,
@@ -45,10 +40,9 @@ pub struct LogRecord {
 }
 
 /// A query log: interned query strings plus time-ordered records.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct QueryLog {
     queries: Vec<String>,
-    #[serde(skip)]
     by_text: HashMap<String, QueryId>,
     records: Vec<LogRecord>,
 }
@@ -137,16 +131,6 @@ impl QueryLog {
             records: records.to_vec(),
         };
         (make(&self.records[..cut]), make(&self.records[cut..]))
-    }
-
-    /// Rebuild the text→id map after deserialization.
-    pub fn rebuild_reverse_index(&mut self) {
-        self.by_text = self
-            .queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.clone(), QueryId(i as u32)))
-            .collect();
     }
 }
 

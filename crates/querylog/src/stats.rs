@@ -24,21 +24,6 @@ impl FreqTable {
         FreqTable { counts, total }
     }
 
-    /// Click-weighted popularity — the paper's future work (ii), "the use
-    /// of click-through data to improve our effectiveness results": a
-    /// submission counts `1 + click_weight · #clicks`, so queries whose
-    /// results users actually engage with weigh more in Algorithm 1's
-    /// filter and in the Definition-1 probabilities. With
-    /// `click_weight = 0` this is exactly [`FreqTable::build`].
-    pub fn build_click_weighted(log: &QueryLog, click_weight: u64) -> Self {
-        let mut counts = vec![0u64; log.num_queries()];
-        for r in log.records() {
-            counts[r.query.index()] += 1 + click_weight * r.clicks.len() as u64;
-        }
-        let total = counts.iter().sum();
-        FreqTable { counts, total }
-    }
-
     /// `f(q)`: number of submissions of `q`.
     pub fn freq(&self, q: QueryId) -> u64 {
         self.counts.get(q.index()).copied().unwrap_or(0)
@@ -110,40 +95,6 @@ mod tests {
         assert!((f.rel_freq(log.query_id("a").unwrap()) - 0.6).abs() < 1e-12);
         let empty = FreqTable::build(&QueryLog::new());
         assert_eq!(empty.rel_freq(QueryId(0)), 0.0);
-    }
-
-    #[test]
-    fn click_weighting_boosts_engaged_queries() {
-        use serpdiv_index::DocId;
-        let mut log = QueryLog::new();
-        // "a" submitted twice without clicks; "b" once with two clicks.
-        for (q, t, clicks) in [
-            ("a", 0u64, vec![]),
-            ("a", 1, vec![]),
-            ("b", 2, vec![DocId(1), DocId(2)]),
-        ] {
-            let query = log.intern_query(q);
-            log.push(LogRecord {
-                query,
-                user: UserId(0),
-                time: t,
-                results: vec![DocId(1), DocId(2), DocId(3)],
-                clicks,
-            });
-        }
-        let plain = FreqTable::build(&log);
-        let weighted = FreqTable::build_click_weighted(&log, 2);
-        let a = log.query_id("a").unwrap();
-        let b = log.query_id("b").unwrap();
-        assert!(plain.freq(a) > plain.freq(b));
-        // Weighted: a = 2, b = 1 + 2·2 = 5.
-        assert_eq!(weighted.freq(a), 2);
-        assert_eq!(weighted.freq(b), 5);
-        assert!(weighted.rel_freq(b) > weighted.rel_freq(a));
-        // Zero weight degenerates to the plain counts.
-        let zero = FreqTable::build_click_weighted(&log, 0);
-        assert_eq!(zero.freq(a), plain.freq(a));
-        assert_eq!(zero.freq(b), plain.freq(b));
     }
 
     #[test]

@@ -388,11 +388,6 @@ impl WorkerPool {
         self.queue.len()
     }
 
-    /// The pool's admission policy.
-    pub fn admission_policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
     /// The pool's current service-time EWMA for `algorithm` in µs (0 ⇒
     /// no samples yet) — what deadline-aware admission compares against
     /// the engine's budget.

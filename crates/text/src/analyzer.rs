@@ -45,18 +45,6 @@ impl Analyzer {
         }
     }
 
-    /// Disable or enable stemming, returning the modified analyzer.
-    pub fn with_stemming(mut self, on: bool) -> Self {
-        self.stem = on;
-        self
-    }
-
-    /// Disable or enable stopword removal, returning the modified analyzer.
-    pub fn with_stopwords(mut self, remove: bool) -> Self {
-        self.remove_stopwords = remove;
-        self
-    }
-
     /// Analyze `text` into normalized terms.
     pub fn analyze(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
@@ -112,18 +100,6 @@ mod tests {
             a.analyze("The leopards were running"),
             vec!["the", "leopards", "were", "running"]
         );
-    }
-
-    #[test]
-    fn stemming_toggle() {
-        let a = Analyzer::english().with_stemming(false);
-        assert_eq!(a.analyze("running leopards"), vec!["running", "leopards"]);
-    }
-
-    #[test]
-    fn stopword_toggle() {
-        let a = Analyzer::english().with_stopwords(false);
-        assert_eq!(a.analyze("the cat"), vec!["the", "cat"]);
     }
 
     #[test]

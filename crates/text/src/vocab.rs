@@ -5,11 +5,10 @@
 //! keys instead of strings. Ids are assigned in first-seen order and are
 //! stable for the lifetime of the vocabulary.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense identifier of an interned term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(pub u32);
 
 impl TermId {
@@ -21,10 +20,9 @@ impl TermId {
 }
 
 /// A bidirectional term ↔ id dictionary.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
     terms: Vec<String>,
-    #[serde(skip)]
     by_term: HashMap<String, TermId>,
 }
 
@@ -72,17 +70,6 @@ impl Vocabulary {
             .enumerate()
             .map(|(i, t)| (TermId(i as u32), t.as_str()))
     }
-
-    /// Rebuild the reverse map after deserialization (the map is not
-    /// serialized to keep the on-disk form small and canonical).
-    pub fn rebuild_reverse_index(&mut self) {
-        self.by_term = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), TermId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +110,5 @@ mod tests {
         v.intern("y");
         let collected: Vec<_> = v.iter().map(|(id, t)| (id.0, t.to_string())).collect();
         assert_eq!(collected, vec![(0, "x".to_string()), (1, "y".to_string())]);
-    }
-
-    #[test]
-    fn rebuild_reverse_index_restores_lookup() {
-        let mut v = Vocabulary::new();
-        v.intern("apple");
-        v.intern("tree");
-        let mut clone = Vocabulary {
-            terms: v.terms.clone(),
-            by_term: HashMap::new(),
-        };
-        assert_eq!(clone.id("tree"), None);
-        clone.rebuild_reverse_index();
-        assert_eq!(clone.id("tree"), Some(TermId(1)));
     }
 }

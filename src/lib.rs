@@ -37,8 +37,9 @@
 //!   `tests/chaos_soak.rs` for the harness that uses it).
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
-//! `crates/bench` for the binaries regenerating every table and figure of
-//! the paper; `crates/benchmark` holds the repo benchmark (`bench`).
+//! `crates/bench` for the binaries regenerating the paper's effectiveness
+//! tables and figures; `crates/benchmark` holds the repo benchmark
+//! (`bench`), the one program here that measures time.
 
 pub use serpdiv_chaos as chaos;
 pub use serpdiv_core as core;
