@@ -133,7 +133,7 @@ impl Diversifier for Mmr {
     /// upper-bounds `(1−λ)·rel(i) − λ·max_sim` for every later round
     /// (`rel ≥ 0`, `max_sim ≥ 0`, `λ ∈ [0,1]`); from round 1 on,
     /// `max_sim` only grows and enters negatively, so stale scores only
-    /// overestimate — exactly what [`lazy_greedy`] needs.
+    /// overestimate — exactly what `lazy_greedy` needs.
     fn select(&self, input: &DiversifyInput, k: usize) -> Vec<usize> {
         let n = input.num_candidates();
         // Per-candidate profile norms for the no-vectors fallback,

@@ -213,22 +213,21 @@ impl CompiledSpecStore {
     /// store scores bit-identically to the original and the two
     /// representations can never disagree.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SPEC_MAGIC.to_le_bytes());
-        out.extend_from_slice(&SPEC_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
+        let mut w = serpdiv_index::ByteWriter::new();
+        w.u32(SPEC_MAGIC);
+        w.u32(SPEC_VERSION);
+        w.count(self.names.len());
         for (i, name) in self.names.iter().enumerate() {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(self.list_lens[i] as u32).to_le_bytes());
+            w.str(name);
+            w.count(self.list_lens[i]);
             let folded = &self.folded[i];
-            out.extend_from_slice(&(folded.len() as u32).to_le_bytes());
-            for &(t, w) in folded {
-                out.extend_from_slice(&t.0.to_le_bytes());
-                out.extend_from_slice(&w.to_bits().to_le_bytes());
+            w.count(folded.len());
+            for &(t, weight) in folded {
+                w.u32(t.0);
+                w.u64(weight.to_bits());
             }
         }
-        out
+        w.finish()
     }
 
     /// Decode a store serialized by [`to_bytes`](Self::to_bytes),

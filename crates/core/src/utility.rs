@@ -38,7 +38,7 @@ fn harmonic_table() -> &'static [f64; HARMONIC_TABLE + 1] {
 
 /// `H_n = Σ_{i=1..n} 1/i`; `H_0 = 0`.
 ///
-/// Memoized: the first [`HARMONIC_TABLE`] values come from a
+/// Memoized: the first `HARMONIC_TABLE` values come from a
 /// once-initialized table (the utility stage asks for `H_{|R_q′|}` for
 /// every candidate × specialization cell); larger arguments extend the
 /// table's last entry by the remaining terms, preserving the ascending

@@ -99,7 +99,7 @@ impl Diversifier for XQuad {
     /// `1 − Ũ ∈ [0,1]`), every diversity summand
     /// `P(q′|q)·Ũ·uncovered` is non-negative, and f64 `+`/`×` are
     /// monotone — so a score computed in an earlier round upper-bounds
-    /// the current one, which is exactly what [`lazy_greedy`] needs.
+    /// the current one, which is exactly what `lazy_greedy` needs.
     fn select(&self, input: &DiversifyInput, k: usize) -> Vec<usize> {
         let n = input.num_candidates();
         let m = input.num_specializations();

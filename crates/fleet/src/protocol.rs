@@ -24,8 +24,7 @@
 //! which is what keeps multi-process pages bit-identical to in-process
 //! ones.
 
-use bytes::{BufMut, BytesMut};
-use serpdiv_index::{ByteReader, DocId, ScoredDoc, Truncated};
+use serpdiv_index::{ByteReader, ByteWriter, DocId, ScoredDoc, Truncated};
 use serpdiv_text::TermId;
 use std::io::{Read, Write};
 
@@ -178,29 +177,31 @@ impl From<std::io::Error> for WireError {
 
 /// Encode `frame` into its full wire form, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = BytesMut::new();
-    payload.put_u32_le(PROTOCOL_MAGIC);
-    payload.put_u32_le(PROTOCOL_VERSION);
-    payload.put_u64_le(frame.id());
+    let mut w = ByteWriter::new();
+    // The length prefix, known once the payload behind it is written.
+    w.u32(0);
+    w.u32(PROTOCOL_MAGIC);
+    w.u32(PROTOCOL_VERSION);
+    w.u64(frame.id());
     match frame {
         Frame::Query { terms, k, .. } => {
-            payload.put_u8(OP_QUERY);
-            payload.put_u32_le(*k);
-            payload.put_u32_le(terms.len() as u32);
+            w.u8(OP_QUERY);
+            w.u32(*k);
+            w.count(terms.len());
             for t in terms {
-                payload.put_u32_le(t.0);
+                w.u32(t.0);
             }
         }
         Frame::Hits { hits, .. } => {
-            payload.put_u8(OP_HITS);
-            payload.put_u32_le(hits.len() as u32);
+            w.u8(OP_HITS);
+            w.count(hits.len());
             for h in hits {
-                payload.put_u32_le(h.doc.0);
-                payload.put_u64_le(h.score.to_bits());
+                w.u32(h.doc.0);
+                w.u64(h.score.to_bits());
             }
         }
         Frame::Ping { .. } => {
-            payload.put_u8(OP_PING);
+            w.u8(OP_PING);
         }
         Frame::Pong {
             shard_id,
@@ -208,15 +209,16 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             range_len,
             ..
         } => {
-            payload.put_u8(OP_PONG);
-            payload.put_u32_le(*shard_id);
-            payload.put_u32_le(*base);
-            payload.put_u32_le(*range_len);
+            w.u8(OP_PONG);
+            w.u32(*shard_id);
+            w.u32(*base);
+            w.u32(*range_len);
         }
     }
-    let mut wire = Vec::with_capacity(4 + payload.len());
-    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    wire.extend_from_slice(&payload);
+    let mut wire = w.finish();
+    let payload_len =
+        u32::try_from(wire.len() - 4).expect("a payload above u32::MAX does not fit the prefix");
+    wire[..4].copy_from_slice(&payload_len.to_le_bytes());
     wire
 }
 
@@ -444,12 +446,15 @@ mod tests {
     fn undeclared_count_cannot_overallocate() {
         // A Hits frame declaring 2^32/12 hits in a 30-byte payload must be
         // rejected by the remaining-bytes check before any allocation.
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(PROTOCOL_MAGIC);
-        payload.put_u32_le(PROTOCOL_VERSION);
-        payload.put_u64_le(1);
-        payload.put_u8(OP_HITS);
-        payload.put_u32_le(u32::MAX / 12);
-        assert_eq!(decode_payload(&payload), Err(FrameError::Truncated));
+        let mut payload = ByteWriter::new();
+        payload.u32(PROTOCOL_MAGIC);
+        payload.u32(PROTOCOL_VERSION);
+        payload.u64(1);
+        payload.u8(OP_HITS);
+        payload.u32(u32::MAX / 12);
+        assert_eq!(
+            decode_payload(&payload.finish()),
+            Err(FrameError::Truncated)
+        );
     }
 }

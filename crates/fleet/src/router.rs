@@ -104,7 +104,7 @@ pub struct FleetConfig {
     pub backoff_base: Duration,
     /// Cap on the doubling backoff window.
     pub backoff_max: Duration,
-    /// Frame-size cap handed to [`read_frame`](crate::protocol::read_frame).
+    /// Frame-size cap handed to [`read_frame`].
     pub max_frame: u32,
     /// When to re-dispatch a slow exchange on a fresh connection.
     pub hedge: HedgePolicy,

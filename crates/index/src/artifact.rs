@@ -40,10 +40,9 @@ use crate::dph::Dph;
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::PostingsList;
-use crate::reader::ByteReader;
+use crate::reader::{ByteReader, ByteWriter};
 use crate::search::{query_weights, ScoredDoc};
 use crate::serialize::DecodeError;
-use bytes::{BufMut, BytesMut};
 use serpdiv_text::TermId;
 
 const MAGIC: u32 = 0x5E9D_1F05;
@@ -60,36 +59,36 @@ pub(crate) fn encode_shard(
     postings: &[PostingsList],
 ) -> Vec<u8> {
     let coll = index.stats();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(shard_id);
-    buf.put_u32_le(num_shards);
-    buf.put_u32_le(base);
-    buf.put_u32_le(range_len as u32);
-    buf.put_u64_le(coll.num_docs);
-    buf.put_u64_le(coll.num_tokens);
-    buf.put_u64_le(coll.avg_doc_len.to_bits());
+    let mut w = ByteWriter::new();
+    w.u32(MAGIC);
+    w.u32(VERSION);
+    w.u32(shard_id);
+    w.u32(num_shards);
+    w.u32(base);
+    w.count(range_len);
+    w.u64(coll.num_docs);
+    w.u64(coll.num_tokens);
+    w.u64(coll.avg_doc_len.to_bits());
 
-    buf.put_u32_le(range_len as u32);
+    w.count(range_len);
     for i in 0..range_len {
-        buf.put_u32_le(index.doc_len(DocId(base + i as u32)).unwrap_or(0));
+        w.u32(index.doc_len(DocId(base + i as u32)).unwrap_or(0));
     }
 
-    buf.put_u32_le(postings.len() as u32);
+    w.count(postings.len());
     for (t, list) in postings.iter().enumerate() {
         let stats = index.term_stats(TermId(t as u32)).unwrap_or(TermStats {
             doc_freq: 0,
             coll_freq: 0,
         });
-        buf.put_u32_le(stats.doc_freq as u32);
-        buf.put_u64_le(stats.coll_freq);
-        buf.put_u32_le(list.len() as u32);
+        w.count(stats.doc_freq as usize);
+        w.u64(stats.coll_freq);
+        w.count(list.len());
         let payload = list.raw_bytes();
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_slice(payload);
+        w.count(payload.len());
+        w.bytes(payload);
     }
-    buf.to_vec()
+    w.finish()
 }
 
 /// One shard of a [`ShardedIndex`](crate::sharded::ShardedIndex), decoded
@@ -162,7 +161,7 @@ impl ShardArtifact {
                     "shard postings exceed global doc freq",
                 ));
             }
-            let (list, _max_tf) = PostingsList::validated(payload, local_len, base, range_len)
+            let list = PostingsList::validated(payload, local_len, base, range_len)
                 .map_err(DecodeError::Corrupt)?;
             postings.push(list);
             term_stats.push(TermStats {
@@ -383,27 +382,27 @@ mod tests {
     fn out_of_range_posting_is_corrupt() {
         // Hand-build an artifact whose posting doc id falls outside the
         // declared shard range.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(0); // shard_id
-        buf.put_u32_le(1); // num_shards
-        buf.put_u32_le(0); // base
-        buf.put_u32_le(2); // range_len
-        buf.put_u64_le(2); // num_docs
-        buf.put_u64_le(4); // num_tokens
-        buf.put_u64_le(2.0f64.to_bits());
-        buf.put_u32_le(2); // doc_lens
-        buf.put_u32_le(2);
-        buf.put_u32_le(2);
-        buf.put_u32_le(1); // one term
-        buf.put_u32_le(1); // doc_freq
-        buf.put_u64_le(1); // coll_freq
-        buf.put_u32_le(1); // local_len
-        buf.put_u32_le(2); // byte_len
-        buf.put_slice(&[5u8, 1u8]); // doc 5 (out of range), tf 1
+        let mut w = ByteWriter::new();
+        w.u32(MAGIC);
+        w.u32(VERSION);
+        w.u32(0); // shard_id
+        w.u32(1); // num_shards
+        w.u32(0); // base
+        w.u32(2); // range_len
+        w.u64(2); // num_docs
+        w.u64(4); // num_tokens
+        w.u64(2.0f64.to_bits());
+        w.u32(2); // doc_lens
+        w.u32(2);
+        w.u32(2);
+        w.u32(1); // one term
+        w.u32(1); // doc_freq
+        w.u64(1); // coll_freq
+        w.u32(1); // local_len
+        w.u32(2); // byte_len
+        w.bytes(&[5u8, 1u8]); // doc 5 (out of range), tf 1
         assert_eq!(
-            ShardArtifact::from_bytes(&buf.to_vec()).unwrap_err(),
+            ShardArtifact::from_bytes(&w.finish()).unwrap_err(),
             DecodeError::Corrupt("posting outside its document range")
         );
     }

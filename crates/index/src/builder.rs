@@ -4,8 +4,16 @@
 //! freezes them into compressed [`PostingsList`]s. Documents are analyzed
 //! once; the same [`Analyzer`] is stored in the built index so query-time
 //! processing matches indexing-time processing.
+//!
+//! There is one builder for both ways an index grows. [`IndexBuilder::new`]
+//! starts an empty collection; the crate-private `extending` starts from
+//! a sealed index — its analyzer, a copy of its vocabulary, the next free
+//! document id — so the documents a [`DeltaIndex`](crate::delta::DeltaIndex)
+//! holds are interned, counted and encoded by the very loop that would
+//! have indexed them in a from-scratch build, under the term ids that
+//! build would have assigned.
 
-use crate::document::{Document, DocumentStore};
+use crate::document::{DocId, Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
@@ -16,7 +24,10 @@ use std::collections::HashMap;
 pub struct IndexBuilder {
     analyzer: Analyzer,
     vocab: Vocabulary,
-    store: DocumentStore,
+    /// Id of the first document this builder takes: 0, or the size of the
+    /// sealed collection it extends.
+    first_doc: u32,
+    docs: Vec<Document>,
     /// Per-term `(doc, tf)` accumulators; docs arrive in increasing order
     /// because documents are added sequentially.
     accum: Vec<Vec<(u32, u32)>>,
@@ -24,6 +35,25 @@ pub struct IndexBuilder {
     num_tokens: u64,
     /// Reused per-document tf map (workhorse collection).
     tf_scratch: HashMap<TermId, u32>,
+}
+
+/// What a builder freezes into: the postings, lengths and statistics of
+/// the documents it was given, under its (possibly pre-seeded) vocabulary.
+/// From an empty start that *is* an [`InvertedIndex`]; from a sealed
+/// start it is the body of a [`DeltaIndex`](crate::delta::DeltaIndex).
+#[derive(Debug)]
+pub(crate) struct Segment {
+    pub(crate) analyzer: Analyzer,
+    pub(crate) vocab: Vocabulary,
+    /// The documents, ids `first_doc..`, in id order.
+    pub(crate) docs: Vec<Document>,
+    /// Indexed by [`TermId`] over the whole vocabulary; doc ids global.
+    pub(crate) postings: Vec<PostingsList>,
+    /// Statistics of this segment's documents only.
+    pub(crate) term_stats: Vec<TermStats>,
+    /// Indexed by `doc − first_doc`.
+    pub(crate) doc_lens: Vec<u32>,
+    pub(crate) num_tokens: u64,
 }
 
 impl Default for IndexBuilder {
@@ -40,10 +70,25 @@ impl IndexBuilder {
 
     /// Builder with a custom analyzer.
     pub fn with_analyzer(analyzer: Analyzer) -> Self {
+        Self::starting_at(analyzer, Vocabulary::new(), 0)
+    }
+
+    /// Builder that continues a sealed index: `base`'s analyzer, a copy
+    /// of its vocabulary (so known terms keep their ids and new ones are
+    /// numbered after them, in first-occurrence order) and its next free
+    /// document id, with empty accumulators — what it freezes into holds
+    /// only the documents added here.
+    pub(crate) fn extending(base: &InvertedIndex) -> Self {
+        let first_doc = u32::try_from(base.stats.num_docs).expect("corpus fits u32 ids");
+        Self::starting_at(base.analyzer.clone(), base.vocab.clone(), first_doc)
+    }
+
+    fn starting_at(analyzer: Analyzer, vocab: Vocabulary, first_doc: u32) -> Self {
         IndexBuilder {
             analyzer,
-            vocab: Vocabulary::new(),
-            store: DocumentStore::new(),
+            vocab,
+            first_doc,
+            docs: Vec::new(),
             accum: Vec::new(),
             doc_lens: Vec::new(),
             num_tokens: 0,
@@ -53,20 +98,29 @@ impl IndexBuilder {
 
     /// Number of documents added so far.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.docs.len()
     }
 
     /// True when no document has been added.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.docs.is_empty()
     }
 
-    /// Add one document. Ids must be dense and in order (see
-    /// [`DocumentStore::push`]).
+    /// Add one document.
+    ///
+    /// # Panics
+    /// Panics unless ids are dense and in order from the builder's first
+    /// id — a gap or overlap would silently corrupt the doc-id space
+    /// every layer above relies on.
     pub fn add(&mut self, doc: Document) {
+        assert_eq!(
+            doc.id.index(),
+            self.first_doc as usize + self.docs.len(),
+            "document ids must continue the collection densely, in insertion order"
+        );
         let text = doc.full_text();
         let doc_id = doc.id.0;
-        self.store.push(doc);
+        self.docs.push(doc);
 
         let terms = self.analyzer.analyze_interned(&text, &mut self.vocab);
         let doc_len = terms.len() as u32;
@@ -90,65 +144,52 @@ impl IndexBuilder {
         }
     }
 
-    /// Freeze the accumulated postings into an immutable index.
-    pub fn build(self) -> InvertedIndex {
+    /// Freeze the accumulated postings.
+    pub(crate) fn freeze(mut self) -> Segment {
+        // A pre-seeded vocabulary holds terms no added document used.
+        self.accum.resize_with(self.vocab.len(), Vec::new);
         let mut postings = Vec::with_capacity(self.accum.len());
         let mut term_stats = Vec::with_capacity(self.accum.len());
-        let mut max_tfs = Vec::with_capacity(self.accum.len());
         for entries in &self.accum {
             let mut pb = PostingsBuilder::new();
             let mut coll_freq = 0u64;
-            let mut max_tf = 0u32;
             for &(doc, tf) in entries {
-                pb.push(crate::document::DocId(doc), tf);
+                pb.push(DocId(doc), tf);
                 coll_freq += u64::from(tf);
-                max_tf = max_tf.max(tf);
             }
             term_stats.push(TermStats {
                 doc_freq: entries.len() as u64,
                 coll_freq,
             });
-            max_tfs.push(max_tf);
             postings.push(pb.build());
         }
-        // Terms can exist in the vocabulary without postings only if the
-        // vocabulary was pre-seeded; align the vectors defensively.
-        while postings.len() < self.vocab.len() {
-            postings.push(PostingsList::default());
-            term_stats.push(TermStats {
-                doc_freq: 0,
-                coll_freq: 0,
-            });
-            max_tfs.push(0);
-        }
-        let min_doc_len = self
-            .doc_lens
-            .iter()
-            .copied()
-            .filter(|&l| l > 0)
-            .min()
-            .unwrap_or(0);
-
-        let num_docs = self.store.len() as u64;
-        let avg_doc_len = if num_docs == 0 {
-            0.0
-        } else {
-            self.num_tokens as f64 / num_docs as f64
-        };
-        InvertedIndex {
+        Segment {
+            analyzer: self.analyzer,
             vocab: self.vocab,
+            docs: self.docs,
             postings,
             term_stats,
             doc_lens: self.doc_lens,
-            max_tfs,
-            min_doc_len,
-            store: self.store,
-            analyzer: self.analyzer,
-            stats: CollectionStats {
-                num_docs,
-                num_tokens: self.num_tokens,
-                avg_doc_len,
-            },
+            num_tokens: self.num_tokens,
+        }
+    }
+
+    /// Freeze the accumulated postings into an immutable index.
+    pub fn build(self) -> InvertedIndex {
+        debug_assert_eq!(self.first_doc, 0, "an extending builder freezes");
+        let segment = self.freeze();
+        let mut store = DocumentStore::new();
+        for doc in segment.docs {
+            store.push(doc);
+        }
+        InvertedIndex {
+            stats: CollectionStats::of(store.len() as u64, segment.num_tokens),
+            vocab: segment.vocab,
+            postings: segment.postings,
+            term_stats: segment.term_stats,
+            doc_lens: segment.doc_lens,
+            store,
+            analyzer: segment.analyzer,
         }
     }
 }
@@ -156,7 +197,6 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::DocId;
 
     #[test]
     fn empty_index() {

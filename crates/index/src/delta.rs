@@ -3,31 +3,40 @@
 //! The serving stack is built on immutable, deploy-time-compiled
 //! artifacts; this module is what keeps that strength while documents
 //! keep arriving. Freshly ingested documents land in a small immutable
-//! [`DeltaIndex`] — its own analyzed mini-index over just the new
-//! documents — and are searched *alongside* the sealed collection through
-//! [`DeltaRetriever`], which gathers the sealed and delta rankings with
-//! the same bit-identical k-way merge the sharded scatter path uses
+//! [`DeltaIndex`] and are searched *alongside* the sealed collection
+//! through [`DeltaRetriever`], which gathers the sealed and delta rankings
+//! with the same bit-identical k-way merge the sharded scatter path uses
 //! ([`merge_top_k`]). In the background, [`merge_sealed`] folds the delta
 //! into a new sealed [`InvertedIndex`] whose bytes are **identical to a
-//! from-scratch build** over the concatenated corpus — analysis runs only
-//! over the delta documents; the sealed postings are re-encoded, never
-//! re-tokenized.
+//! from-scratch build** over the concatenated corpus.
 //!
-//! Scoring honesty: the delta carries a **union statistics overlay**
+//! **One id space.** A delta is what [`IndexBuilder`] freezes into when it
+//! is started from the sealed index instead of from nothing: the sealed
+//! analyzer, a copy of the sealed vocabulary that the ingested documents
+//! extend in first-occurrence order, and document ids that continue the
+//! sealed collection's. So every [`TermId`] and [`DocId`] a delta holds —
+//! in its postings, in the vectors [`DeltaIndex::surrogate`] emits, in the
+//! query terms [`DeltaIndex::analyze_query`] returns — is already the id
+//! the merged index will use; nothing is bridged, shifted or re-analyzed,
+//! and the merge only appends the delta's postings to the sealed ones.
+//! That the merge equals a from-scratch build is then not a property two
+//! loops have to be tested into sharing: the documents went through the
+//! one builder loop either way.
+//!
+//! **Scoring honesty.** The delta carries a union statistics overlay
 //! ([`StatsOverlay`]) — the union document count, token count, average
 //! length and the union per-term frequencies of every term the delta
-//! touches, computed with the exact integer additions [`merge_sealed`]
-//! performs — and *both* sides score against it: the sealed retrieval
-//! layer through [`Retriever::retrieve_terms_overlaid`], the delta
-//! through [`DeltaIndex::retrieve_union`]. Query terms are analyzed into
-//! the **union** term-id space (the sealed vocabulary extended by the
-//! delta's new terms in first-occurrence order, exactly the ids the merge
-//! will assign), so even terms the sealed collection has never seen
-//! contribute their df. A [`DeltaRetriever`] page is therefore
+//! touches, the very numbers [`merge_sealed`] seals — and *both* sides
+//! score against it: the sealed retrieval layer through
+//! [`Retriever::retrieve_terms_overlaid`], the delta through
+//! [`DeltaIndex::retrieve_union`]. A [`DeltaRetriever`] page is therefore
 //! `f64`-bit-identical to a from-scratch build over the union corpus at
 //! every instant — the same oracle discipline every other retrieval path
-//! in this workspace holds — not merely after the background merge.
+//! in this workspace holds — not merely after the background merge; and
+//! a delta document's snippet surrogate is, entry for entry, the vector
+//! the merged generation will compute for it.
 
+use crate::builder::{IndexBuilder, Segment};
 use crate::document::{DocId, Document};
 use crate::dph::Dph;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
@@ -36,40 +45,26 @@ use crate::postings::{PostingsBuilder, PostingsList};
 use crate::retriever::{Retrieval, Retriever};
 use crate::search::{query_weights, ScoredDoc};
 use crate::sharded::merge_top_k;
-use serpdiv_text::{TermId, Vocabulary};
-use std::collections::HashMap;
+use crate::snippet::SnippetGenerator;
+use crate::vector::SparseVector;
+use serpdiv_text::TermId;
 use std::sync::Arc;
 
 /// An immutable index over documents ingested since the collection was
-/// last sealed.
-///
-/// Document ids are **global**: the delta continues the sealed
-/// collection's dense id space (`base_docs..base_docs + len`). Internally
-/// the documents are re-addressed to a dense local id space and indexed
-/// with the base collection's analyzer, so query analysis matches the
-/// sealed index's token for token. Term ids are bridged into the
-/// **union** id space (sealed ids, then delta-new terms in
-/// first-occurrence order — the ids [`merge_sealed`] will assign), and a
-/// union [`StatsOverlay`] is maintained so both the sealed and the delta
-/// side rank with post-merge statistics before the merge happens.
+/// last sealed, in the id space of the index they will be merged into:
+/// document ids continue the sealed collection's (`base_docs..base_docs +
+/// len`), term ids are the sealed vocabulary's, extended by the delta's
+/// new terms in first-occurrence order. A union [`StatsOverlay`] is
+/// maintained so both the sealed and the delta side rank with post-merge
+/// statistics before the merge happens.
 #[derive(Debug)]
 pub struct DeltaIndex {
-    /// Documents in the sealed collection the delta extends (== the
-    /// global id of the delta's first document).
+    /// Documents in the sealed collection the delta extends (== the id of
+    /// the delta's first document).
     base_docs: u32,
-    /// The ingested documents, global ids, in id order — kept verbatim so
-    /// [`merge_sealed`] can re-analyze exactly what was ingested.
-    docs: Vec<Document>,
-    /// Local mini-index over the delta documents (local ids `0..len`).
-    local: InvertedIndex,
-    /// Union term id of each local term, indexed by local [`TermId`]:
-    /// the sealed id when the base vocabulary knows the term, otherwise
-    /// `base_vocab_len + n` in first-occurrence order — exactly the id
-    /// the merge's re-interning will assign.
-    local_to_union: Vec<TermId>,
-    /// The inverse bridge, for scoring union-space query terms against
-    /// the local postings.
-    union_to_local: HashMap<TermId, TermId>,
+    /// What a builder extending the sealed index froze the ingested
+    /// documents into.
+    fresh: Segment,
     /// Union (sealed + delta) collection stats plus the union per-term
     /// stats of every term occurring in the delta. Terms the delta never
     /// touches keep their sealed statistics, which *are* the union
@@ -86,99 +81,40 @@ impl DeltaIndex {
     /// or overlap would silently corrupt the global id space every layer
     /// above relies on.
     pub fn build(base: &InvertedIndex, docs: Vec<Document>) -> Self {
-        let base_docs = u32::try_from(base.stats().num_docs).expect("corpus fits u32 ids");
-        for (i, doc) in docs.iter().enumerate() {
-            assert_eq!(
-                doc.id.0,
-                base_docs + i as u32,
-                "delta documents must continue the sealed id space densely"
-            );
+        let mut builder = IndexBuilder::extending(base);
+        for doc in docs {
+            builder.add(doc);
         }
-        let mut builder = crate::builder::IndexBuilder::with_analyzer(base.analyzer().clone());
-        for (i, doc) in docs.iter().enumerate() {
-            builder.add(Document::new(
-                i as u32,
-                doc.url.clone(),
-                doc.title.clone(),
-                doc.body.clone(),
-            ));
-        }
-        let local = builder.build();
+        let fresh = builder.freeze();
 
-        // Bridge local term ids into the union space. Local ids are
-        // assigned by first occurrence over the delta token stream; the
-        // merge interns the same stream into a copy of the base
-        // vocabulary, so among terms the base does not know, ascending
-        // local id *is* the merge's assignment order.
-        let base_vocab_len = base.vocab().len();
-        let mut local_to_union = Vec::with_capacity(local.vocab().len());
-        let mut next_new = u32::try_from(base_vocab_len).expect("vocabulary fits u32 ids");
-        for lt in 0..local.vocab().len() {
-            let term = local
-                .vocab()
-                .term(TermId(lt as u32))
-                .expect("local vocabulary is dense");
-            let union = base.vocab().id(term).unwrap_or_else(|| {
-                let t = TermId(next_new);
-                next_new += 1;
-                t
-            });
-            local_to_union.push(union);
-        }
-        let union_to_local: HashMap<TermId, TermId> = local_to_union
+        let sealed = base.stats();
+        let coll = CollectionStats::of(
+            sealed.num_docs + fresh.docs.len() as u64,
+            sealed.num_tokens + fresh.num_tokens,
+        );
+        let touched = fresh
+            .term_stats
             .iter()
             .enumerate()
-            .map(|(lt, &u)| (u, TermId(lt as u32)))
-            .collect();
-
-        // Union statistics, with the merge's exact integer arithmetic:
-        // the merge adds each delta document's token count to the sealed
-        // total and divides once at the end, and sums df/cf over base
-        // postings plus the delta extension runs.
-        let (bs, ls) = (base.stats(), local.stats());
-        let num_docs = bs.num_docs + ls.num_docs;
-        let num_tokens = bs.num_tokens + ls.num_tokens;
-        let avg_doc_len = if num_docs == 0 {
-            0.0
-        } else {
-            num_tokens as f64 / num_docs as f64
-        };
-        let overrides = local_to_union
-            .iter()
-            .enumerate()
-            .map(|(lt, &u)| {
-                let lts = local
-                    .term_stats(TermId(lt as u32))
-                    .expect("local term stats are dense");
-                let bts = base.term_stats(u).unwrap_or(TermStats {
+            .filter(|(_, ts)| ts.doc_freq > 0)
+            .map(|(t, ts)| {
+                let term = TermId(t as u32);
+                let before = base.term_stats(term).unwrap_or(TermStats {
                     doc_freq: 0,
                     coll_freq: 0,
                 });
-                (
-                    u,
-                    TermStats {
-                        doc_freq: bts.doc_freq + lts.doc_freq,
-                        coll_freq: bts.coll_freq + lts.coll_freq,
-                    },
-                )
+                let union = TermStats {
+                    doc_freq: before.doc_freq + ts.doc_freq,
+                    coll_freq: before.coll_freq + ts.coll_freq,
+                };
+                (term, union)
             })
             .collect();
-        let overlay = StatsOverlay::new(
-            CollectionStats {
-                num_docs,
-                num_tokens,
-                avg_doc_len,
-            },
-            overrides,
-        );
 
         DeltaIndex {
-            base_docs,
-            docs,
-            local,
-            local_to_union,
-            union_to_local,
-            overlay,
+            base_docs: u32::try_from(sealed.num_docs).expect("corpus fits u32 ids"),
+            fresh,
+            overlay: StatsOverlay::new(coll, touched),
         }
     }
 
@@ -189,30 +125,17 @@ impl DeltaIndex {
 
     /// Number of ingested documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.fresh.docs.len()
     }
 
     /// True when nothing has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.fresh.docs.is_empty()
     }
 
     /// The ingested documents (global ids, id order).
     pub fn docs(&self) -> &[Document] {
-        &self.docs
-    }
-
-    /// The local mini-index (local ids `0..len`) — the substrate for
-    /// delta-document snippet surrogates.
-    pub fn local(&self) -> &InvertedIndex {
-        &self.local
-    }
-
-    /// Map a global document id into the delta's local id space (`None`
-    /// for documents outside the delta).
-    pub fn local_id(&self, doc: DocId) -> Option<DocId> {
-        let local = doc.0.checked_sub(self.base_docs)?;
-        (usize::try_from(local).unwrap() < self.docs.len()).then_some(DocId(local))
+        &self.fresh.docs
     }
 
     /// The union statistics overlay: union collection stats plus the
@@ -221,56 +144,59 @@ impl DeltaIndex {
         &self.overlay
     }
 
-    /// Union (sealed + delta) collection statistics — bit-identical to
-    /// what [`merge_sealed`] will compute.
+    /// Union (sealed + delta) collection statistics — the ones
+    /// [`merge_sealed`] seals.
     pub fn union_stats(&self) -> CollectionStats {
         self.overlay.coll()
     }
 
-    /// Analyze raw query text into **union** term ids: sealed ids for
-    /// terms the base vocabulary knows, bridged delta ids for terms only
-    /// the delta has seen. Terms unknown to both are dropped — exactly
-    /// what the merged index's `analyze_query` will do.
-    ///
-    /// This is what lets a query term that arrived *with* the delta
-    /// contribute its df before the merge; the sealed-vocabulary-only
-    /// analysis the old path used silently dropped such terms.
-    pub fn analyze_query_union(&self, base_vocab: &Vocabulary, query: &str) -> Vec<TermId> {
-        self.local
-            .analyzer()
-            .analyze(query)
-            .iter()
-            .filter_map(|term| {
-                base_vocab.id(term).or_else(|| {
-                    self.local
-                        .vocab()
-                        .id(term)
-                        .map(|lt| self.local_to_union[lt.index()])
-                })
-            })
-            .collect()
+    /// Analyze raw query text against the extended vocabulary: sealed ids
+    /// for terms the sealed collection knows, the ids the merge will seal
+    /// for terms only the delta has seen, nothing for terms unknown to
+    /// both — exactly what the merged index's `analyze_query` will do. A
+    /// query term that arrived *with* the delta therefore contributes its
+    /// df before the merge.
+    pub fn analyze_query(&self, query: &str) -> Vec<TermId> {
+        self.fresh.analyzer.analyze_known(query, &self.fresh.vocab)
     }
 
-    /// Top-`k` delta documents for union-space query terms, scored with
-    /// the **union** statistics overlay (DPH, ascending-union-id
-    /// accumulation order), reported under **global** ids — the delta
-    /// half of the bit-identity contract: every score equals, bit for
-    /// bit, what a from-scratch build over the union corpus computes for
-    /// the same document.
+    /// Top-`k` delta documents for `terms`, scored with the **union**
+    /// statistics overlay (DPH, ascending-term-id accumulation order) —
+    /// the delta half of the bit-identity contract: every score equals,
+    /// bit for bit, what a from-scratch build over the union corpus
+    /// computes for the same document.
     pub fn retrieve_union(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        let mut hits = score_range(self, &query_weights(terms), &Dph::new(), k);
-        // Local → global ids: a constant offset, so the `(score desc, doc
-        // asc)` order is preserved.
-        for h in &mut hits {
-            h.doc = DocId(h.doc.0 + self.base_docs);
-        }
-        hits
+        score_range(self, &query_weights(terms), &Dph::new(), k)
+    }
+
+    /// The query-biased snippet surrogate of delta document `doc` (the
+    /// zero vector for a document outside the delta), weighted with the
+    /// union statistics: entry for entry the vector the merged index
+    /// yields for the same document and `query_terms`, through
+    /// [`SparseVector::from_text`] or its forward index alike.
+    pub fn surrogate(
+        &self,
+        doc: DocId,
+        query_terms: &[TermId],
+        snippets: &SnippetGenerator,
+    ) -> SparseVector {
+        let slot = doc.0.checked_sub(self.base_docs).map(|i| i as usize);
+        let Some(doc) = slot.and_then(|i| self.fresh.docs.get(i)) else {
+            return SparseVector::default();
+        };
+        let snippet = snippets.snippet(doc, query_terms, &self.fresh.vocab);
+        // Every term of a delta document is a term the delta touches, so
+        // the overlay alone carries its union statistics.
+        SparseVector::tf_idf(
+            self.analyze_query(&snippet),
+            self.overlay.coll().num_docs,
+            |t| self.overlay.term_stats(t),
+        )
     }
 }
 
-/// The delta as the retrieval kernel sees it: the local mini-index's
-/// postings and lengths (local ids from 0), addressed by **union** term
-/// ids and scored against the union overlay — which carries every term
+/// The delta as the retrieval kernel sees it: one more contiguous doc-id
+/// range, scored against the union overlay — which carries every term
 /// the delta's postings can hold.
 impl RangeSource for DeltaIndex {
     fn coll(&self) -> CollectionStats {
@@ -282,17 +208,15 @@ impl RangeSource for DeltaIndex {
     }
 
     fn range_postings(&self, t: TermId) -> Option<&PostingsList> {
-        self.union_to_local
-            .get(&t)
-            .and_then(|&lt| self.local.postings(lt))
+        self.fresh.postings.get(t.index())
     }
 
     fn base(&self) -> u32 {
-        0
+        self.base_docs
     }
 
     fn doc_lens(&self) -> &[u32] {
-        &self.local.doc_lens
+        &self.fresh.doc_lens
     }
 }
 
@@ -300,12 +224,12 @@ impl RangeSource for DeltaIndex {
 /// side by side, gathering the union top-`k` with the same k-way merge
 /// the sharded scatter path uses — the delta is just one more shard.
 ///
-/// Queries are analyzed once into the union term-id space; the sealed
-/// side scores through [`Retriever::retrieve_terms_overlaid`] under the
-/// delta's union [`StatsOverlay`], the delta side through
+/// Queries are analyzed once, against the delta's extended vocabulary; the
+/// sealed side scores through [`Retriever::retrieve_terms_overlaid`] under
+/// the delta's union [`StatsOverlay`], the delta side through
 /// [`DeltaIndex::retrieve_union`]. Because the two sides partition the
 /// union document space, accumulate each document's terms in the same
-/// ascending-union-id order against the same statistics, and merge under
+/// ascending-term-id order against the same statistics, and merge under
 /// the kernel's exact `(score desc, doc asc)` total order, the gathered
 /// page is `f64`-bit-identical to a from-scratch build over the union
 /// corpus.
@@ -314,28 +238,20 @@ impl RangeSource for DeltaIndex {
 /// never lose a shard, so a partial gather can only come from below.
 pub struct DeltaRetriever {
     sealed: Arc<dyn Retriever>,
-    base: Arc<InvertedIndex>,
     delta: Arc<DeltaIndex>,
 }
 
 impl DeltaRetriever {
-    /// Combine `sealed` (the deployed retrieval layer over `base`) with a
-    /// delta over freshly ingested documents.
+    /// Combine `sealed` (the deployed retrieval layer over the index the
+    /// delta was built against) with a delta over freshly ingested
+    /// documents.
     ///
     /// The bit-identity contract requires `sealed` to honor
     /// [`Retriever::retrieve_terms_overlaid`]; the retrievers the serving
     /// engine deploys ([`InvertedIndex`],
     /// [`ShardedIndex`](crate::sharded::ShardedIndex)) all do.
-    pub fn new(
-        sealed: Arc<dyn Retriever>,
-        base: Arc<InvertedIndex>,
-        delta: Arc<DeltaIndex>,
-    ) -> Self {
-        DeltaRetriever {
-            sealed,
-            base,
-            delta,
-        }
+    pub fn new(sealed: Arc<dyn Retriever>, delta: Arc<DeltaIndex>) -> Self {
+        DeltaRetriever { sealed, delta }
     }
 
     /// The delta being searched alongside the sealed collection.
@@ -344,7 +260,7 @@ impl DeltaRetriever {
     }
 
     /// Score both sides of the union under the shared overlay and gather.
-    /// Union-only term ids are harmless on the sealed side: the sealed
+    /// Delta-only term ids are harmless on the sealed side: the sealed
     /// postings simply do not have them, so they contribute nothing there
     /// — as in the merged index, where their postings hold only delta
     /// documents.
@@ -370,8 +286,7 @@ impl Retriever for DeltaRetriever {
     }
 
     fn retrieve_with_status(&self, query: &str, k: usize) -> Retrieval {
-        let terms = self.delta.analyze_query_union(self.base.vocab(), query);
-        self.gather(&terms, k)
+        self.gather(&self.delta.analyze_query(query), k)
     }
 
     fn retrieve_with_status_within(
@@ -395,110 +310,52 @@ impl Retriever for DeltaRetriever {
 /// so `merge_sealed(base, delta).to_bytes()` equals the from-scratch
 /// `to_bytes()`.
 ///
-/// Only the delta documents are analyzed here (they are re-interned
-/// against a copy of the base vocabulary, which reproduces first-
-/// occurrence term order exactly, because the delta documents come after
-/// every base document); the base postings are decoded and re-encoded
-/// with the delta's `(doc, tf)` extensions appended — delta ids are
-/// strictly larger than every base id, so appending preserves the
-/// ascending-doc postings invariant.
+/// Nothing is analyzed here. The delta was frozen by a builder that
+/// extended `base`, so its vocabulary, lengths and statistics are the
+/// merged ones already, and each term's postings are the sealed list
+/// with the delta's appended — delta ids are strictly larger than every
+/// sealed id, so appending preserves the ascending-doc invariant.
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
         base.stats().num_docs,
         "delta was built against a different sealed base"
     );
-    let analyzer = base.analyzer.clone();
-    let mut vocab = base.vocab.clone();
+    let fresh = &delta.fresh;
     let mut store = base.store.clone();
-    let mut doc_lens = base.doc_lens.clone();
-    let mut num_tokens = base.stats.num_tokens;
-
-    // Analyze the delta docs against the extended vocabulary, collecting
-    // per-term (doc, tf) extension runs in ascending doc order.
-    let mut ext: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut tf_scratch: HashMap<TermId, u32> = HashMap::new();
-    for doc in delta.docs() {
-        let text = doc.full_text();
-        let doc_id = doc.id.0;
+    for doc in &fresh.docs {
         store.push(doc.clone());
-        let terms = analyzer.analyze_interned(&text, &mut vocab);
-        doc_lens.push(terms.len() as u32);
-        num_tokens += terms.len() as u64;
-        tf_scratch.clear();
-        for term in terms {
-            *tf_scratch.entry(term).or_insert(0) += 1;
-        }
-        if ext.len() < vocab.len() {
-            ext.resize_with(vocab.len(), Vec::new);
-        }
-        let mut entries: Vec<(TermId, u32)> = tf_scratch.iter().map(|(&t, &tf)| (t, tf)).collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        for (term, tf) in entries {
-            ext[term.index()].push((doc_id, tf));
-        }
     }
-    if ext.len() < vocab.len() {
-        ext.resize_with(vocab.len(), Vec::new);
-    }
+    let mut doc_lens = base.doc_lens.clone();
+    doc_lens.extend_from_slice(&fresh.doc_lens);
 
-    let n_terms = vocab.len();
-    let mut postings = Vec::with_capacity(n_terms);
-    let mut term_stats = Vec::with_capacity(n_terms);
-    let mut max_tfs = Vec::with_capacity(n_terms);
-    for (t, ext_list) in ext.iter().enumerate().take(n_terms) {
+    let mut postings = Vec::with_capacity(fresh.postings.len());
+    let mut term_stats = Vec::with_capacity(fresh.postings.len());
+    for (t, appended) in fresh.postings.iter().enumerate() {
+        let term = TermId(t as u32);
+        let sealed = base.postings(term).into_iter().flat_map(PostingsList::iter);
         let mut pb = PostingsBuilder::new();
-        let mut doc_freq = 0u64;
-        let mut coll_freq = 0u64;
-        let mut max_tf = 0u32;
-        if let Some(list) = base.postings.get(t) {
-            for p in list.iter() {
-                pb.push(p.doc, p.tf);
-                doc_freq += 1;
-                coll_freq += u64::from(p.tf);
-                max_tf = max_tf.max(p.tf);
-            }
-        }
-        for &(doc, tf) in ext_list {
-            pb.push(DocId(doc), tf);
-            doc_freq += 1;
-            coll_freq += u64::from(tf);
-            max_tf = max_tf.max(tf);
+        for p in sealed.chain(appended.iter()) {
+            pb.push(p.doc, p.tf);
         }
         postings.push(pb.build());
-        term_stats.push(TermStats {
-            doc_freq,
-            coll_freq,
-        });
-        max_tfs.push(max_tf);
+        term_stats.push(
+            delta
+                .overlay
+                .term_stats(term)
+                .or_else(|| base.term_stats(term))
+                .expect("a term of the extended vocabulary is sealed or fresh"),
+        );
     }
 
-    let min_doc_len = doc_lens
-        .iter()
-        .copied()
-        .filter(|&l| l > 0)
-        .min()
-        .unwrap_or(0);
-    let num_docs = store.len() as u64;
-    let avg_doc_len = if num_docs == 0 {
-        0.0
-    } else {
-        num_tokens as f64 / num_docs as f64
-    };
     InvertedIndex {
-        vocab,
+        vocab: fresh.vocab.clone(),
         postings,
         term_stats,
         doc_lens,
-        max_tfs,
-        min_doc_len,
         store,
-        analyzer,
-        stats: CollectionStats {
-            num_docs,
-            num_tokens,
-            avg_doc_len,
-        },
+        analyzer: fresh.analyzer.clone(),
+        stats: delta.overlay.coll(),
     }
 }
 
@@ -626,23 +483,26 @@ mod tests {
     fn delta_docs_are_searchable_under_global_ids() {
         let base = build(&base_corpus());
         let delta = DeltaIndex::build(&base, delta_corpus(12, 4));
-        let terms = delta.analyze_query_union(base.vocab(), "apple fruit orchard");
+        let terms = delta.analyze_query("apple fruit orchard");
         let hits = delta.retrieve_union(&terms, 10);
         assert!(!hits.is_empty());
         for h in &hits {
             assert!(h.doc.0 >= 12, "delta hits carry global ids: {:?}", h.doc);
         }
-        assert_eq!(delta.local_id(DocId(12)), Some(DocId(0)));
-        assert_eq!(delta.local_id(DocId(15)), Some(DocId(3)));
-        assert_eq!(delta.local_id(DocId(16)), None);
-        assert_eq!(delta.local_id(DocId(3)), None);
+        // The documents behind those ids are the delta's own, and only
+        // they have a surrogate here.
+        let snippets = SnippetGenerator::new();
+        assert!(!delta.surrogate(DocId(12), &terms, &snippets).is_zero());
+        assert!(!delta.surrogate(DocId(15), &terms, &snippets).is_zero());
+        assert!(delta.surrogate(DocId(16), &terms, &snippets).is_zero());
+        assert!(delta.surrogate(DocId(3), &terms, &snippets).is_zero());
     }
 
     #[test]
     fn delta_retriever_merges_sealed_and_fresh() {
         let base = Arc::new(build(&base_corpus()));
         let delta = Arc::new(DeltaIndex::build(&base, delta_corpus(12, 4)));
-        let retriever = DeltaRetriever::new(base.clone(), base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta);
         let hits = retriever.retrieve("apple", 20);
         let sealed_hits = hits.iter().filter(|h| h.doc.0 < 12).count();
         let fresh_hits = hits.iter().filter(|h| h.doc.0 >= 12).count();
@@ -667,7 +527,7 @@ mod tests {
         let fresh = delta_corpus(12, 4);
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta);
         let scratch = union_build(&base_docs, &fresh);
 
         // Every page — sealed-heavy, delta-heavy, mixed, sealed-only —
@@ -694,7 +554,7 @@ mod tests {
         let fresh = delta_corpus(12, 4);
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta);
         // No delta document mentions the weather vocabulary, so every hit
         // is sealed — but the *scores* must still be the union build's
         // (the delta changed num_docs and avg_doc_len for everyone), not
@@ -724,13 +584,13 @@ mod tests {
         ));
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), base.clone(), delta.clone());
+        let retriever = DeltaRetriever::new(base.clone(), delta.clone());
         let scratch = union_build(&base_docs, &fresh);
 
         // The term is genuinely unknown to the sealed vocabulary…
         assert!(base.analyze_query("quantum").is_empty());
         // …but union analysis resolves it to the id the merge will assign.
-        let union_terms = delta.analyze_query_union(base.vocab(), "quantum");
+        let union_terms = delta.analyze_query("quantum");
         assert_eq!(union_terms.len(), 1);
         assert!(union_terms[0].index() >= base.vocab().len());
 

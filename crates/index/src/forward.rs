@@ -48,10 +48,9 @@
 
 use crate::document::DocId;
 use crate::index::InvertedIndex;
-use crate::reader::ByteReader;
+use crate::reader::{ByteReader, ByteWriter};
 use crate::serialize::DecodeError;
 use crate::vector::SparseVector;
-use bytes::{BufMut, BytesMut};
 use serpdiv_text::TermId;
 
 /// Sentinel marking a body position whose raw token analyzed to nothing
@@ -274,30 +273,24 @@ impl ForwardIndex {
     /// Serialize to a binary buffer (deploy-time artifact, loaded next to
     /// the inverted index — see [`crate::serialize`] for the index side).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.num_docs() as u32);
-        for &o in &self.offsets {
-            buf.put_u32_le(o);
-        }
-        buf.put_u32_le(self.tokens.len() as u32);
-        for &t in &self.tokens {
-            buf.put_u32_le(t);
-        }
-        for &o in &self.title_offsets {
-            buf.put_u32_le(o);
-        }
-        buf.put_u32_le(self.title_terms.len() as u32);
+        let mut w = ByteWriter::new();
+        w.u32(MAGIC);
+        w.u32(VERSION);
+        w.count(self.num_docs());
+        w.u32s(&self.offsets);
+        w.count(self.tokens.len());
+        w.u32s(&self.tokens);
+        w.u32s(&self.title_offsets);
+        w.count(self.title_terms.len());
         for &(t, tf) in &self.title_terms {
-            buf.put_u32_le(t);
-            buf.put_u32_le(tf);
+            w.u32(t);
+            w.u32(tf);
         }
-        buf.put_u32_le(self.idf.len() as u32);
-        for &w in &self.idf {
-            buf.put_u32_le(w.to_bits());
+        w.count(self.idf.len());
+        for &weight in &self.idf {
+            w.u32(weight.to_bits());
         }
-        buf.to_vec()
+        w.finish()
     }
 
     /// Decode a buffer produced by [`ForwardIndex::to_bytes`].

@@ -21,6 +21,25 @@ pub struct CollectionStats {
     pub avg_doc_len: f64,
 }
 
+impl CollectionStats {
+    /// Statistics of `num_docs` documents holding `num_tokens` tokens.
+    /// Every producer (build, decode, and the delta overlay a merge
+    /// seals) takes the average from this one division, which is what
+    /// keeps it bit-equal between them.
+    pub(crate) fn of(num_docs: u64, num_tokens: u64) -> Self {
+        let avg_doc_len = if num_docs == 0 {
+            0.0
+        } else {
+            num_tokens as f64 / num_docs as f64
+        };
+        CollectionStats {
+            num_docs,
+            num_tokens,
+            avg_doc_len,
+        }
+    }
+}
+
 /// Per-term statistics, needed by the ranking models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermStats {
@@ -78,8 +97,6 @@ pub struct InvertedIndex {
     pub(crate) postings: Vec<PostingsList>,
     pub(crate) term_stats: Vec<TermStats>,
     pub(crate) doc_lens: Vec<u32>,
-    pub(crate) max_tfs: Vec<u32>,
-    pub(crate) min_doc_len: u32,
     pub(crate) store: DocumentStore,
     pub(crate) analyzer: Analyzer,
     pub(crate) stats: CollectionStats,
@@ -124,19 +141,6 @@ impl InvertedIndex {
     /// Analyze raw query text into term ids known to this index.
     pub fn analyze_query(&self, query: &str) -> Vec<TermId> {
         self.analyzer.analyze_known(query, &self.vocab)
-    }
-
-    /// Largest term frequency of `term` in any single document (0 for
-    /// unknown terms) — with [`min_doc_len`](Self::min_doc_len), the
-    /// ingredients of a per-term score upper bound.
-    pub fn max_tf(&self, term: TermId) -> u32 {
-        self.max_tfs.get(term.index()).copied().unwrap_or(0)
-    }
-
-    /// Length of the shortest *non-empty* document (0 when the collection
-    /// is empty or all-empty).
-    pub fn min_doc_len(&self) -> u32 {
-        self.min_doc_len
     }
 
     /// Total compressed size of all postings, in bytes.

@@ -10,10 +10,11 @@
 //!
 //! * [`document`] — documents, dense [`DocId`]s and the document store,
 //! * [`postings`] — delta+varint compressed postings lists,
-//! * [`reader`] — [`ByteReader`]: the one bounds-checked cursor under
-//!   every binary decoder (index, forward, shard, spec-store images and
-//!   fleet frames),
-//! * [`builder`] — the index builder,
+//! * [`reader`] — the one binary codec: [`ByteReader`], the bounds-checked
+//!   cursor under every decoder, and [`ByteWriter`], its dual under every
+//!   encoder (index, forward, shard, spec-store images and fleet frames),
+//! * [`builder`] — the index builder: the one loop that interns, counts
+//!   and encodes a document, started from nothing or from a sealed index,
 //! * [`index`] — the immutable inverted index and collection statistics,
 //! * [`dph`] / [`bm25`] — ranking models,
 //! * `kernel` (crate-private) — the retrieval kernel: the one scoring
@@ -38,9 +39,10 @@
 //! * [`vector`] — sparse TF-IDF vectors and the cosine similarity that
 //!   powers the paper's distance `δ(d₁,d₂) = 1 − cosine(d₁,d₂)` (Eq. 2),
 //! * [`delta`] — [`DeltaIndex`] + [`DeltaRetriever`]: near-real-time
-//!   ingest searched alongside the sealed collection, and
-//!   [`merge_sealed`], the background fold that produces a new sealed
-//!   index bit-identical to a from-scratch build.
+//!   ingest searched alongside the sealed collection in the sealed
+//!   collection's own term- and doc-id space, and [`merge_sealed`], the
+//!   background fold that appends the delta's postings to the sealed ones
+//!   into an index bit-identical to a from-scratch build.
 //!
 //! # Example
 //!
@@ -83,7 +85,7 @@ pub use dph::Dph;
 pub use executor::{ScoringExecutor, TaskPanic};
 pub use forward::ForwardIndex;
 pub use index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
-pub use reader::{ByteReader, Truncated};
+pub use reader::{ByteReader, ByteWriter, Truncated};
 pub use retriever::{Retrieval, Retriever};
 pub use search::{query_weights, RankingModel, ScoredDoc, SearchEngine};
 pub use serialize::DecodeError;

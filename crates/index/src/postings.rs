@@ -3,11 +3,11 @@
 //! A postings list stores, for one term, the sequence of `(doc id, term
 //! frequency)` pairs in increasing doc-id order. Doc ids are delta-encoded
 //! and both deltas and frequencies are LEB128-varint encoded into a single
-//! byte buffer ([`bytes::Bytes`]), the standard layout of disk-resident
-//! search indexes. Decoding is streaming — no intermediate allocation.
+//! shared byte slice, the standard layout of disk-resident search
+//! indexes. Decoding is streaming — no intermediate allocation.
 
 use crate::document::DocId;
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// One `(document, term frequency)` entry of a postings list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,15 +19,15 @@ pub struct Posting {
 }
 
 /// Append `v` as a LEB128 varint.
-fn put_varint(buf: &mut BytesMut, mut v: u32) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -72,7 +72,7 @@ fn checked_varint(data: &[u8], mut pos: usize) -> Option<(u32, usize)> {
 /// Incremental encoder for one term's postings.
 #[derive(Debug, Default)]
 pub struct PostingsBuilder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     last_doc: Option<u32>,
     len: u32,
 }
@@ -106,16 +106,17 @@ impl PostingsBuilder {
     /// Finish encoding, producing an immutable [`PostingsList`].
     pub fn build(self) -> PostingsList {
         PostingsList {
-            data: self.buf.freeze(),
+            data: self.buf.into(),
             len: self.len,
         }
     }
 }
 
-/// Immutable compressed postings list for one term.
+/// Immutable compressed postings list for one term; `Clone` is a
+/// reference-count bump.
 #[derive(Debug, Clone, Default)]
 pub struct PostingsList {
-    data: Bytes,
+    data: Arc<[u8]>,
     len: u32,
 }
 
@@ -145,17 +146,15 @@ impl PostingsList {
     /// to exactly `count` `(doc, tf)` pairs with strictly increasing doc
     /// ids inside `[base, base + range_len)`, positive frequencies and no
     /// trailing bytes — everything [`iter`](Self::iter) and the scoring
-    /// kernel assume — and returns the list with its largest term
-    /// frequency, or the failed check.
+    /// kernel assume — and returns the list, or the failed check.
     pub(crate) fn validated(
         payload: &[u8],
         count: u32,
         base: u32,
         range_len: usize,
-    ) -> Result<(Self, u32), &'static str> {
+    ) -> Result<Self, &'static str> {
         let mut pos = 0;
         let mut last_doc: Option<u32> = None;
-        let mut max_tf = 0;
         for _ in 0..count {
             let Some((delta, p)) = checked_varint(payload, pos) else {
                 return Err("undecodable postings varint");
@@ -179,16 +178,14 @@ impl PostingsList {
                 return Err("zero term frequency in postings");
             }
             last_doc = Some(doc);
-            max_tf = max_tf.max(tf);
         }
         if pos != payload.len() {
             return Err("trailing bytes in postings payload");
         }
-        let list = PostingsList {
-            data: payload.to_vec().into(),
+        Ok(PostingsList {
+            data: payload.into(),
             len: count,
-        };
-        Ok((list, max_tf))
+        })
     }
 
     /// Streaming decoder over the postings.

@@ -1,4 +1,5 @@
-//! The one bounds-checked reader under every binary decoder.
+//! The one binary codec: the bounds-checked reader under every decoder
+//! and the writer under every encoder.
 //!
 //! Index images, forward indexes, shard artifacts, compiled spec stores
 //! and fleet frames are all little-endian, length-prefixed buffers that
@@ -7,9 +8,12 @@
 //! read either yields a value backed by the input or fails with
 //! [`Truncated`], and a declared element count is refused unless the
 //! remaining input could hold that many records — so no decoder can size
-//! an allocation the input does not back. It knows no format: magic
-//! numbers, versions, opcodes and structural invariants stay with the
-//! decoder that owns them.
+//! an allocation the input does not back. [`ByteWriter`] is its dual:
+//! each method appends exactly what the reader method of the same name
+//! consumes, and a length the `u32` prefix cannot hold is refused rather
+//! than truncated into an image that frames wrongly. Neither knows a
+//! format: magic numbers, versions, opcodes and structural invariants
+//! stay with the codec that owns them.
 
 use crate::serialize::DecodeError;
 
@@ -105,9 +109,155 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// An append-only little-endian encode buffer.
+#[derive(Debug, Default)]
+pub struct ByteWriter {
+    buf: Vec<u8>,
+}
+
+impl ByteWriter {
+    /// Start an empty image.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Raw bytes, no prefix.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// One little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// One little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An element count or byte length as the `u32` the formats prefix
+    /// their sequences with.
+    ///
+    /// # Panics
+    /// Panics when `n` exceeds `u32::MAX`: the image could only be
+    /// written with a wrapped count, which a reader would frame wrongly.
+    pub fn count(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("a length above u32::MAX does not fit the format"));
+    }
+
+    /// Little-endian `u32`s, no prefix.
+    pub fn u32s(&mut self, values: &[u32]) {
+        self.buf.reserve(4 * values.len());
+        for &v in values {
+            self.u32(v);
+        }
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string.
+    ///
+    /// # Panics
+    /// Panics when the string is longer than `u32::MAX` bytes (see
+    /// [`count`](Self::count)).
+    pub fn str(&mut self, s: &str) {
+        self.count(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    /// The finished image.
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `write` appends to an empty image.
+    fn image(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write(&mut w);
+        w.finish()
+    }
+
+    // One test per writer method, each read back by the reader method of
+    // the same name and held to its exact length.
+
+    #[test]
+    fn u8_round_trips() {
+        let bytes = image(|w| w.u8(0xAB));
+        assert_eq!(bytes, [0xAB]);
+        assert_eq!(ByteReader::new(&bytes).u8(), Ok(0xAB));
+    }
+
+    #[test]
+    fn u32_round_trips() {
+        let bytes = image(|w| w.u32(0xDEAD_BEEF));
+        assert_eq!(bytes, [0xEF, 0xBE, 0xAD, 0xDE]);
+        assert_eq!(ByteReader::new(&bytes).u32(), Ok(0xDEAD_BEEF));
+    }
+
+    #[test]
+    fn u64_round_trips() {
+        let bytes = image(|w| w.u64(0x0123_4567_89AB_CDEF));
+        assert_eq!(bytes.len(), 8);
+        assert_eq!(ByteReader::new(&bytes).u64(), Ok(0x0123_4567_89AB_CDEF));
+    }
+
+    #[test]
+    fn bytes_round_trip() {
+        let bytes = image(|w| w.bytes(&[9, 8, 7]));
+        assert_eq!(bytes, [9, 8, 7]);
+        assert_eq!(ByteReader::new(&bytes).bytes(3), Ok(&[9u8, 8, 7][..]));
+    }
+
+    #[test]
+    fn count_and_u32s_round_trip() {
+        let values = [1, u32::MAX, 0];
+        let bytes = image(|w| {
+            w.count(values.len());
+            w.u32s(&values);
+        });
+        assert_eq!(bytes.len(), 4 + 12);
+        let mut r = ByteReader::new(&bytes);
+        let n = r.count(4).expect("three u32s follow the count");
+        assert_eq!(r.u32s(n), Ok(values.to_vec()));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn str_round_trips() {
+        let bytes = image(|w| {
+            w.str("naïve");
+            w.str("");
+        });
+        assert_eq!(bytes.len(), (4 + 6) + 4);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.str(), Ok("naïve"));
+        assert_eq!(r.str(), Ok(""));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn the_largest_count_is_written_whole() {
+        assert_eq!(
+            image(|w| w.count(u32::MAX as usize)),
+            u32::MAX.to_le_bytes()
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not fit the format")]
+    fn a_count_above_u32_max_is_refused_not_truncated() {
+        ByteWriter::new().count(u32::MAX as usize + 1);
+    }
 
     #[test]
     fn reads_advance_and_stop_at_the_end() {

@@ -20,8 +20,7 @@
 use crate::document::{Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
-use crate::reader::ByteReader;
-use bytes::{BufMut, BytesMut};
+use crate::reader::{ByteReader, ByteWriter};
 use serpdiv_text::{Analyzer, Vocabulary};
 
 const MAGIC: u32 = 0x5E9D_1F01;
@@ -58,34 +57,27 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 impl InvertedIndex {
     /// Serialize the index (with its document store) to a binary buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(self.stats.num_docs);
-        buf.put_u64_le(self.stats.num_tokens);
+        let mut w = ByteWriter::new();
+        w.u32(MAGIC);
+        w.u32(VERSION);
+        w.u64(self.stats.num_docs);
+        w.u64(self.stats.num_tokens);
 
-        buf.put_u32_le(self.doc_lens.len() as u32);
-        for &dl in &self.doc_lens {
-            buf.put_u32_le(dl);
-        }
+        w.count(self.doc_lens.len());
+        w.u32s(&self.doc_lens);
 
-        buf.put_u32_le(self.vocab.len() as u32);
+        w.count(self.vocab.len());
         for (_, term) in self.vocab.iter() {
-            put_str(&mut buf, term);
+            w.str(term);
         }
 
-        buf.put_u32_le(self.postings.len() as u32);
+        w.count(self.postings.len());
         for (list, stats) in self.postings.iter().zip(&self.term_stats) {
-            buf.put_u32_le(stats.doc_freq as u32);
-            buf.put_u64_le(stats.coll_freq);
+            w.count(stats.doc_freq as usize);
+            w.u64(stats.coll_freq);
             // Re-encode through the iterator: the list knows its bytes but
             // exposes postings; round-tripping through the builder keeps
             // the format independent of the in-memory layout.
@@ -95,17 +87,17 @@ impl InvertedIndex {
             }
             let encoded = pb.build();
             let payload = encoded.raw_bytes();
-            buf.put_u32_le(payload.len() as u32);
-            buf.put_slice(payload);
+            w.count(payload.len());
+            w.bytes(payload);
         }
 
-        buf.put_u32_le(self.store.len() as u32);
+        w.count(self.store.len());
         for doc in self.store.iter() {
-            put_str(&mut buf, &doc.url);
-            put_str(&mut buf, &doc.title);
-            put_str(&mut buf, &doc.body);
+            w.str(&doc.url);
+            w.str(&doc.title);
+            w.str(&doc.body);
         }
-        buf.to_vec()
+        w.finish()
     }
 
     /// Decode an index serialized by [`InvertedIndex::to_bytes`]. The
@@ -148,7 +140,6 @@ impl InvertedIndex {
         }
         let mut postings = Vec::with_capacity(n_terms);
         let mut term_stats = Vec::with_capacity(n_terms);
-        let mut max_tfs = Vec::with_capacity(n_terms);
         for _ in 0..n_terms {
             let doc_freq = r.u32()?;
             let coll_freq = r.u64()?;
@@ -157,11 +148,9 @@ impl InvertedIndex {
             // and walks payloads with the trusting decoder, so a malformed
             // or out-of-collection posting must be rejected here, not met
             // at query time.
-            let (list, max_tf) =
-                PostingsList::validated(r.bytes(byte_len)?, doc_freq, 0, doc_lens.len())
-                    .map_err(DecodeError::Corrupt)?;
+            let list = PostingsList::validated(r.bytes(byte_len)?, doc_freq, 0, doc_lens.len())
+                .map_err(DecodeError::Corrupt)?;
             postings.push(list);
-            max_tfs.push(max_tf);
             term_stats.push(TermStats {
                 doc_freq: u64::from(doc_freq),
                 coll_freq,
@@ -186,31 +175,14 @@ impl InvertedIndex {
             return Err(DecodeError::Corrupt("trailing bytes after index"));
         }
 
-        let avg_doc_len = if num_docs == 0 {
-            0.0
-        } else {
-            num_tokens as f64 / num_docs as f64
-        };
-        let min_doc_len = doc_lens
-            .iter()
-            .copied()
-            .filter(|&l| l > 0)
-            .min()
-            .unwrap_or(0);
         Ok(InvertedIndex {
             vocab,
             postings,
             term_stats,
             doc_lens,
-            max_tfs,
-            min_doc_len,
             store,
             analyzer,
-            stats: CollectionStats {
-                num_docs,
-                num_tokens,
-                avg_doc_len,
-            },
+            stats: CollectionStats::of(num_docs, num_tokens),
         })
     }
 }

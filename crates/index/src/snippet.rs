@@ -17,7 +17,7 @@
 //!   vectorize it with [`SparseVector::from_text`](crate::SparseVector)).
 //!   Kept as the reference implementation and for human-readable display.
 //! * [`SnippetGenerator::surrogate`] — the **compiled hot path**: selects
-//!   the window over a [`ForwardIndex`](crate::ForwardIndex) `TermId`
+//!   the window over a [`ForwardIndex`] `TermId`
 //!   stream and emits the TF-IDF vector directly, with no string work.
 //!   Bit-identical output (`tests/surrogate_equivalence.rs`).
 

@@ -9,7 +9,7 @@
 //! non-negative — hence `cosine ∈ [0, 1]` and `δ ∈ [0, 1]` as Definition 2
 //! requires.
 
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, TermStats};
 use serpdiv_text::TermId;
 use std::collections::HashMap;
 
@@ -70,18 +70,27 @@ impl SparseVector {
     /// This is how snippet surrogates are vectorized: analyze the snippet,
     /// weight each term by `(1 + ln tf) · ln(1 + N/df)`.
     pub fn from_text(text: &str, index: &InvertedIndex) -> Self {
-        let terms = index.analyze_query(text);
+        Self::tf_idf(index.analyze_query(text), index.stats().num_docs, |t| {
+            index.term_stats(t)
+        })
+    }
+
+    /// TF-IDF vector of an analyzed term stream in a collection of
+    /// `num_docs` documents whose per-term statistics `stats` answers —
+    /// the one weighting behind [`from_text`](Self::from_text) and the
+    /// delta's union-statistics surrogates.
+    pub(crate) fn tf_idf(
+        terms: Vec<TermId>,
+        num_docs: u64,
+        stats: impl Fn(TermId) -> Option<TermStats>,
+    ) -> Self {
         let mut tf: HashMap<TermId, u32> = HashMap::new();
         for t in terms {
             *tf.entry(t).or_insert(0) += 1;
         }
-        let n = index.stats().num_docs as f32;
+        let n = num_docs as f32;
         Self::from_pairs(tf.into_iter().map(|(t, f)| {
-            let df = index
-                .term_stats(t)
-                .map(|s| s.doc_freq as f32)
-                .unwrap_or(0.0)
-                .max(1.0);
+            let df = stats(t).map_or(0.0, |s| s.doc_freq as f32).max(1.0);
             let w = (1.0 + (f as f32).ln()) * (1.0 + n / df).ln();
             (t, w)
         }))

@@ -449,26 +449,25 @@ impl SearchEngine {
         let index = generation.index();
         let sealed = index.stats().num_docs as usize;
         let qterms: Arc<[serpdiv_text::TermId]> = index.analyze_query(query).into();
-        // Fresh (delta) documents are scored against the delta's own
-        // small index, with the query re-analyzed under the delta
-        // vocabulary: a query term first seen in a delta document has no
-        // sealed TermId at all, so reusing the sealed qterms would
-        // silently drop it — and filing the vector under the sealed-term
-        // table key would alias two different vectors. Delta surrogates
-        // are therefore computed per request and never enter a table; the
-        // delta is small and short-lived by design (the background merger
-        // seals it), so a table would barely amortize anyway.
+        // Fresh (delta) documents get their vector from the delta, in the
+        // same term-id space (its vocabulary is the sealed one, extended)
+        // but with the query analyzed against that extended vocabulary —
+        // a query term first seen in a delta document has no sealed
+        // TermId — and weighted with the union statistics, so the vector
+        // is already the one the merged generation will compute. It is a
+        // different function of the document than the sealed-term,
+        // sealed-statistics vectors the table is keyed for, so delta
+        // surrogates are computed per request and never enter a table;
+        // the delta is small and short-lived by design (the background
+        // merger seals it), so a table would barely amortize anyway.
         let mut delta_qterms: Option<Vec<serpdiv_text::TermId>> = None;
         let mut compute = |doc: DocId| {
             Arc::new(if doc.index() >= sealed {
                 let delta = generation
                     .delta()
                     .expect("document beyond the sealed collection without a delta");
-                let local = delta
-                    .local_id(doc)
-                    .expect("document beyond the generation's document space");
-                let qt = delta_qterms.get_or_insert_with(|| delta.local().analyze_query(query));
-                serpdiv_core::candidate_surrogate_naive(delta.local(), local, qt, &snippets)
+                let qt = delta_qterms.get_or_insert_with(|| delta.analyze_query(query));
+                delta.surrogate(doc, qt, &snippets)
             } else {
                 match generation.forward() {
                     Some(forward) => {
@@ -636,7 +635,6 @@ impl SearchEngine {
         let delta = Arc::new(DeltaIndex::build(current.index(), pending));
         let retriever: Arc<dyn Retriever> = Arc::new(DeltaRetriever::new(
             current.sealed_retriever().clone(),
-            current.index().clone(),
             delta.clone(),
         ));
         self.publish(Arc::new(current.next().with_delta(delta, retriever)))

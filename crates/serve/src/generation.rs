@@ -73,7 +73,14 @@
 //!   surrogate is computed from: the sealed index (vocabulary, analyzer,
 //!   document text) and the forward index (token streams, idf weights).
 //!   The surrogate cache keys on `(surrogates_epoch, query terms)`; delta
-//!   documents never enter a table.
+//!   documents never enter a table. Their vectors come from the delta
+//!   itself ([`DeltaIndex::surrogate`]): it shares the sealed index's
+//!   term-id space (its vocabulary is the sealed one, extended), so the
+//!   compiled spec store reads them as the terms they are, but it weighs
+//!   them with the union statistics and analyzes the query against the
+//!   extended vocabulary — already the vector the merged generation will
+//!   compute, and a different function of the document than the one this
+//!   stamp names.
 //!
 //! Soundness is local to this module, because a `Generation`'s artifact
 //! fields are private and only four functions assign them:
@@ -696,7 +703,6 @@ mod tests {
         let delta = Arc::new(DeltaIndex::build(base.index(), vec![doc(3)]));
         let retriever: Arc<dyn Retriever> = Arc::new(DeltaRetriever::new(
             base.sealed_retriever().clone(),
-            base.index().clone(),
             delta.clone(),
         ));
         let ingested = base.next().with_delta(delta.clone(), retriever);

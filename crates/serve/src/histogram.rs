@@ -8,7 +8,7 @@
 //! retrieve / surrogate / utility / select), for queue wait, and for the
 //! end-to-end total — pinning a tail to a stage instead of inferring it.
 //!
-//! Bucketing is HDR-style: exact 1 µs buckets below [`LINEAR_BUCKETS`] µs,
+//! Bucketing is HDR-style: exact 1 µs buckets below `LINEAR_BUCKETS` µs,
 //! then 8 sub-buckets per power-of-two octave, which bounds the relative
 //! quantization error of any reported percentile at 12.5% while covering
 //! the entire `u64` microsecond range in [`NUM_BUCKETS`] (≈ 4 KiB of)

@@ -49,10 +49,10 @@
 //! 2. **retrieve** ([`stages::RetrieveStage`]) — top-`n` candidates
 //!    through the deployed [`Retriever`](serpdiv_index::Retriever): the
 //!    plain [`InvertedIndex`](serpdiv_index::InvertedIndex) or a
-//!    [`ShardedIndex`](serpdiv_index::ShardedIndex) scoring document
+//!    [`ShardedIndex`] scoring document
 //!    partitions with a bit-identical scatter-gather merge
 //!    ([`EngineConfig::index_shards`]) — in parallel through the shared
-//!    persistent [`ScoringExecutor`](serpdiv_index::ScoringExecutor) when
+//!    persistent [`ScoringExecutor`] when
 //!    [`EngineConfig::executor_threads`] deploys one, so scatter
 //!    parallelism composes with the worker pool's request parallelism,
 //!    shard after shard on the request's thread otherwise;

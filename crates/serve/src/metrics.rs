@@ -155,7 +155,7 @@ pub struct MetricsSnapshot {
     /// [`carried_over`](Self::carried_over).
     pub carry_skipped: u64,
     /// Cumulative SLO burn-rate alert firings (rising edges; see
-    /// [`SloMonitor`](crate::SloMonitor)). 0 when no SLO is configured.
+    /// [`SloMonitor`]). 0 when no SLO is configured.
     pub slo_burn_alerts: u64,
     /// Whether the SLO burn-rate alert is currently latched.
     pub slo_alert_active: bool,

@@ -6,7 +6,7 @@
 //! through an `Arc`; the engine is immutable after deployment, so there is
 //! no cross-request locking outside the result cache's shards.
 //!
-//! The hand-off is one [`JobQueue`]: a `VecDeque` under a mutex, and a
+//! The hand-off is one `JobQueue`: a `VecDeque` under a mutex, and a
 //! condvar idle workers park on. A parked worker holds no lock, so an
 //! arrival costs one wake-up of one worker — and none when every worker
 //! is busy, because a worker re-checks the queue before it parks. (A
@@ -42,7 +42,7 @@ use std::time::Instant;
 /// Shedding at admission keeps the latency of the requests that *are*
 /// served flat and turns the overflow into cheap, honestly-labeled
 /// [`Degradation::Shed`] responses (label
-/// [`LABEL_SHED`](crate::request::LABEL_SHED), counted in
+/// [`LABEL_SHED`], counted in
 /// [`MetricsSnapshot::shed`](crate::MetricsSnapshot::shed), never
 /// cached). The default policy is fully permissive, preserving the
 /// historical unbounded behavior.

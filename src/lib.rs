@@ -56,7 +56,7 @@ pub use serpdiv_text as text;
 ///
 /// Note the two engines: [`serpdiv_index::SearchEngine`] is the low-level
 /// DPH retriever, while the serving engine lives at
-/// [`serve::SearchEngine`](serpdiv_serve::SearchEngine) (its request types
+/// [`serve::SearchEngine`] (its request types
 /// are exported here).
 pub mod prelude {
     pub use serpdiv_core::{

@@ -24,12 +24,18 @@
 //!   vector budget before live ones;
 //! * NRT ingest accumulates across generations and `merge_delta` seals
 //!   the delta into an index **bit-identical** to a from-scratch build;
+//! * a delta document's surrogate names its terms in the sealed
+//!   vocabulary's id space and is already the vector the merged
+//!   generation computes, so a `k < n` page does not move at the merge;
 //! * the [`BackgroundMerger`] seals a growing delta on its own.
 
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, ForwardIndex, IndexBuilder, InvertedIndex};
 use serpdiv::mining::SpecializationModel;
-use serpdiv::serve::{EngineConfig, GenerationArtifacts, PublishError, QueryRequest, SearchEngine};
+use serpdiv::serve::{
+    default_stage_chain, Budget, EngineConfig, GenerationArtifacts, PipelineContext, PublishError,
+    QueryRequest, SearchEngine,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -471,6 +477,91 @@ fn delta_document_vectors_never_enter_a_table() {
     engine.merge_delta().unwrap();
     assert_eq!(page_bits(&engine.search(req())), want);
     assert_eq!(surrogate_counters(&engine), (24, 26, 26));
+}
+
+/// The surrogate the serving stages compute for `doc` as a candidate of
+/// `query` on the engine's current generation (detect → retrieve →
+/// surrogate, the chain every request runs).
+fn served_surrogate(engine: &SearchEngine, query: &str, doc: u32) -> Vec<(u32, u32)> {
+    let generation = engine.generation();
+    let request = QueryRequest::new(query, 13, AlgorithmKind::OptSelect);
+    let mut ctx = PipelineContext::new(&request, Instant::now(), Budget::unlimited());
+    for stage in default_stage_chain().iter().take(3) {
+        stage.run(engine, &generation, &mut ctx);
+    }
+    let at = ctx
+        .candidates
+        .iter()
+        .position(|h| h.doc.0 == doc)
+        .expect("the document is a candidate");
+    ctx.vectors[at]
+        .entries()
+        .iter()
+        .map(|&(t, w)| (t.0, w.to_bits()))
+        .collect()
+}
+
+#[test]
+fn a_delta_document_is_scored_as_itself_before_the_merge() {
+    // All 13 documents are candidates of every request below.
+    let wide = |docs: &[Document]| {
+        SearchEngine::deploy(
+            build_index(docs),
+            model(),
+            EngineConfig {
+                n_candidates: 13,
+                ..config(0)
+            },
+        )
+    };
+    let engine = wide(&base_docs());
+    // A fruit page with the sealed fruit pages' bag of words — DPH cannot
+    // tell it from them — whose terms first occur in an order of their
+    // own: numbered by a vocabulary of the delta's they would be
+    // `TermId(0..=7)`, which the sealed vocabulary and the spec store
+    // compiled against it read as the eight terms of a *phone* page.
+    let body = "orchard juice vitamin harvest sweet fruit apple recipe fruit apple";
+    let fresh = Document::new(12, "http://food/12", "", body);
+    engine.ingest(vec![fresh.clone()]).unwrap();
+
+    let sealed = engine.index();
+    let mut own_terms = sealed.analyzer().analyze(body);
+    own_terms.sort();
+    own_terms.dedup();
+    let before = served_surrogate(&engine, "apple", 12);
+    let mut named: Vec<&str> = before
+        .iter()
+        .map(|&(t, _)| {
+            let id = serpdiv::text::TermId(t);
+            sealed.vocab().term(id).expect("a sealed term id")
+        })
+        .collect();
+    named.sort_unstable();
+    assert_eq!(named, own_terms, "the surrogate names the page's own terms");
+
+    // Which interpretation holds each rank of a `k < n` page: OptSelect
+    // orders its picks by proportional apportionment over the
+    // specializations, so a fruit page whose utility row says "phone" is
+    // handed a phone rank. Before the merge the page must interleave
+    // tech and food as a deployment built from scratch over all 13
+    // documents does, the ingested page in a food place.
+    let mut grown = base_docs();
+    grown.push(fresh);
+    let req = || QueryRequest::new("apple", 8, AlgorithmKind::OptSelect);
+    let hosts = |out: &serpdiv::serve::SearchResponse| -> Vec<String> {
+        let host = |url: &str| url.split('/').nth(2).unwrap_or_default().to_string();
+        out.results.iter().map(|r| host(&r.url)).collect()
+    };
+    let scratch = wide(&grown).search(req());
+    let live = engine.search(req());
+    assert!(live.results.iter().any(|r| r.doc.0 == 12), "on the page");
+    assert_eq!(hosts(&live), hosts(&scratch));
+
+    // The merge changes no entry of the vector, and the merged generation
+    // serves the from-scratch page bit for bit.
+    engine.merge_delta().unwrap();
+    assert_eq!(served_surrogate(&engine, "apple", 12), before);
+    assert_eq!(page_bits(&engine.search(req())), page_bits(&scratch));
 }
 
 #[test]
