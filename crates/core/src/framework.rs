@@ -26,7 +26,8 @@ use crate::utility::{UtilityMatrix, UtilityParams};
 use crate::xquad::XQuad;
 use crate::Diversifier;
 use serpdiv_index::{
-    DocId, ForwardIndex, InvertedIndex, ScoredDoc, SearchEngine, SnippetGenerator, SparseVector,
+    DocId, ForwardIndex, InvertedIndex, Retriever, ScoredDoc, SearchEngine, SnippetGenerator,
+    SparseVector,
 };
 use serpdiv_mining::{SpecializationEntry, SpecializationModel};
 use std::collections::HashMap;
@@ -107,54 +108,70 @@ impl Default for PipelineParams {
 /// data structure.
 #[derive(Debug, Default)]
 pub struct SpecializationStore {
-    /// specialization text → ranked surrogate vectors (rank 1 first) with
-    /// the byte length of the snippet each was built from.
-    entries: HashMap<String, Vec<(SparseVector, usize)>>,
+    /// specialization text → ranked surrogate vectors (rank 1 first).
+    entries: HashMap<String, Vec<SparseVector>>,
 }
 
 impl SpecializationStore {
-    /// Build the store: one retrieval of `k_spec` results per distinct
-    /// specialization in `model`, snippet extraction, vectorization.
+    /// Build the store over `retriever`'s collection: one retrieval of
+    /// `k_spec` results per distinct specialization in `model`, each hit's
+    /// snippet surrogate computed by [`candidate_surrogate`] over
+    /// `forward` — the function the request path computes a candidate's
+    /// with. `index` analyzes the specialization text; `retriever` and
+    /// `forward` must be over that same index.
+    pub fn build_with(
+        model: &SpecializationModel,
+        index: &InvertedIndex,
+        retriever: &dyn Retriever,
+        forward: &ForwardIndex,
+        k_spec: usize,
+        snippet_window: usize,
+    ) -> Self {
+        let snippets = SnippetGenerator::with_window(snippet_window);
+        let mut entries: HashMap<String, Vec<SparseVector>> = HashMap::new();
+        for (spec, _) in model.iter().flat_map(|entry| &entry.specializations) {
+            if entries.contains_key(spec) {
+                continue;
+            }
+            let terms = index.analyze_query(spec);
+            let list = retriever
+                .retrieve_terms(&terms, k_spec)
+                .iter()
+                .map(|h| candidate_surrogate(forward, h.doc, &terms, &snippets))
+                .collect();
+            entries.insert(spec.clone(), list);
+        }
+        SpecializationStore { entries }
+    }
+
+    /// [`build_with`](Self::build_with) for a caller holding nothing but
+    /// the reference engine: compiles a [`ForwardIndex`] of its own.
     pub fn build(
         model: &SpecializationModel,
         engine: &SearchEngine<'_>,
         k_spec: usize,
         snippet_window: usize,
     ) -> Self {
-        let index = engine.index();
-        let snippets = SnippetGenerator::with_window(snippet_window);
-        let mut entries: HashMap<String, Vec<(SparseVector, usize)>> = HashMap::new();
-        for entry in model.iter() {
-            for (spec, _) in &entry.specializations {
-                if entries.contains_key(spec) {
-                    continue;
-                }
-                let terms = index.analyze_query(spec);
-                let hits = engine.search(spec, k_spec);
-                let list: Vec<(SparseVector, usize)> = hits
-                    .iter()
-                    .filter_map(|h| index.store().get(h.doc))
-                    .map(|doc| {
-                        let snip = snippets.snippet(doc, &terms, index.vocab());
-                        let vec = SparseVector::from_text(&snip, index);
-                        (vec, snip.len())
-                    })
-                    .collect();
-                entries.insert(spec.clone(), list);
-            }
-        }
-        SpecializationStore { entries }
+        let forward = ForwardIndex::build(engine.index());
+        Self::build_with(
+            model,
+            engine.index(),
+            engine,
+            &forward,
+            k_spec,
+            snippet_window,
+        )
     }
 
     /// The ranked surrogates of `spec` (empty slice when unknown).
-    pub fn surrogates(&self, spec: &str) -> &[(SparseVector, usize)] {
+    pub fn surrogates(&self, spec: &str) -> &[SparseVector] {
         self.entries.get(spec).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Iterate `(specialization, ranked surrogates)` pairs (arbitrary
     /// order) — the compilation input of
     /// [`CompiledSpecStore::compile`](crate::specindex::CompiledSpecStore::compile).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[(SparseVector, usize)])> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &[SparseVector])> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
@@ -168,34 +185,17 @@ impl SpecializationStore {
         self.entries.is_empty()
     }
 
-    /// Measured memory footprint in bytes: vectors + snippet text — the
-    /// quantity §4.1 bounds by `N · |S_q̂| · |R_q̂′| · L`.
+    /// Measured memory footprint in bytes: the specialization texts and
+    /// their surrogate vectors — what a deployment keeps resident. (§4.1's
+    /// `N · |S_q̂| · |R_q̂′| · L` counts snippet *text*, which this store
+    /// never materializes; the `footprint` binary measures that side.)
     pub fn byte_size(&self) -> usize {
         self.entries
             .iter()
             .map(|(spec, list)| {
-                spec.len()
-                    + list
-                        .iter()
-                        .map(|(v, snippet_len)| v.byte_size() + snippet_len)
-                        .sum::<usize>()
+                spec.len() + list.iter().map(SparseVector::byte_size).sum::<usize>()
             })
             .sum()
-    }
-
-    /// Average snippet length `L` in bytes (for comparing against the
-    /// back-of-the-envelope bound).
-    pub fn avg_snippet_len(&self) -> f64 {
-        let (sum, count) = self
-            .entries
-            .values()
-            .flatten()
-            .fold((0usize, 0usize), |(s, c), (_, l)| (s + l, c + 1));
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
     }
 }
 
@@ -318,13 +318,7 @@ pub fn assemble_input_naive(
     let spec_lists: Vec<Vec<SparseVector>> = entry
         .specializations
         .iter()
-        .map(|(spec, _)| {
-            store
-                .surrogates(spec)
-                .iter()
-                .map(|(v, _)| v.clone())
-                .collect()
-        })
+        .map(|(spec, _)| store.surrogates(spec).to_vec())
         .collect();
     let utilities = UtilityMatrix::compute(&vectors, &spec_lists, params.utility);
     let scores: Vec<f64> = baseline.iter().map(|h| h.score).collect();
@@ -396,6 +390,5 @@ mod tests {
         assert!(!store.surrogates("apple iphone").is_empty());
         assert!(store.surrogates("unknown spec").is_empty());
         assert!(store.byte_size() > 0);
-        assert!(store.avg_snippet_len() > 0.0);
     }
 }

@@ -15,10 +15,11 @@
 //! i.e. unit-normalize every surrogate, fold the `1/rank` discount and the
 //! harmonic normalizer directly into the term weights, and sum the ranked
 //! list into one *folded vector* per specialization. Stacking the folded
-//! vectors term-major yields a classic inverted index
+//! vectors of a query's specializations term-major yields a classic
+//! inverted index
 //! `TermId → [(spec, weight)]` — the same term-at-a-time accumulator
 //! discipline the DPH retrieval stage already uses — so scoring one
-//! candidate against every specialization costs
+//! candidate against every one of them costs
 //! `O(Σ_{t ∈ d} |postings(t)|)` instead of `n·m` merge-joins.
 //!
 //! Request-time scoring goes through a [`UtilityScorer`]: a borrowed view
@@ -57,12 +58,12 @@ const SPEC_VERSION: u32 = 1;
 
 /// The offline-compiled, immutable specialization index.
 ///
-/// Holds, for every specialization in the deployed store:
-/// * its *folded vector* — the ranked surrogate list collapsed into one
-///   sparse `(TermId, f64)` row with rank discount, surrogate norms and
-///   the `1/H_{|R′|}` normalizer pre-applied;
-/// * a global term-major inverted map `TermId → [(spec, weight)]` over all
-///   folded vectors, for scoring a candidate against the whole store.
+/// Holds, for every specialization in the deployed store, its *folded
+/// vector* — the ranked surrogate list collapsed into one sparse
+/// `(TermId, f64)` row with rank discount, surrogate norms and the
+/// `1/H_{|R′|}` normalizer pre-applied. The term-major transpose a request
+/// scores against is built per model entry, over that entry's few
+/// specializations only ([`Self::scorer`]).
 #[derive(Debug, Default)]
 pub struct CompiledSpecStore {
     /// specialization text → dense id (assignment order: sorted by name,
@@ -73,8 +74,6 @@ pub struct CompiledSpecStore {
     list_lens: Vec<usize>,
     /// Folded vector per specialization, entries sorted by term id.
     folded: Vec<Vec<(TermId, f64)>>,
-    /// Global inverted map over all folded vectors, columns = spec ids.
-    inverted: TermMajor,
 }
 
 /// Largest term id the dense per-thread lookup table is grown to cover;
@@ -87,11 +86,7 @@ impl CompiledSpecStore {
     /// Compile the raw §4.1 [`SpecializationStore`] (this is the one-off
     /// deployment step; nothing here runs per request).
     pub fn compile(store: &SpecializationStore) -> Self {
-        Self::build(
-            store
-                .iter()
-                .map(|(name, list)| (name, list.iter().map(|(v, _)| v))),
-        )
+        Self::build(store.iter().map(|(name, list)| (name, list.iter())))
     }
 
     /// Build from `(name, ranked surrogates)` pairs (rank 1 first).
@@ -121,19 +116,11 @@ impl CompiledSpecStore {
             list_lens.push(ranked.len());
             folded.push(fold_ranked_list(&ranked));
         }
-
-        // Transpose spec-major folded vectors into the term-major map.
-        let triples: Vec<(TermId, u32, f64)> = folded
-            .iter()
-            .enumerate()
-            .flat_map(|(s, entries)| entries.iter().map(move |&(t, w)| (t, s as u32, w)))
-            .collect();
         CompiledSpecStore {
             ids,
             names,
             list_lens,
             folded,
-            inverted: TermMajor::invert(triples),
         }
     }
 
@@ -162,18 +149,8 @@ impl CompiledSpecStore {
         self.list_lens[id as usize]
     }
 
-    /// Distinct terms in the global inverted map.
-    pub fn num_terms(&self) -> usize {
-        self.inverted.terms.len()
-    }
-
-    /// Total postings across all terms.
-    pub fn num_postings(&self) -> usize {
-        self.inverted.postings.len()
-    }
-
-    /// Approximate compiled footprint in bytes (folded vectors + inverted
-    /// map + name table) — compare against the raw store's
+    /// Approximate compiled footprint in bytes (folded vectors + name
+    /// table) — compare against the raw store's
     /// [`SpecializationStore::byte_size`].
     pub fn byte_size(&self) -> usize {
         let folded: usize = self
@@ -182,7 +159,7 @@ impl CompiledSpecStore {
             .map(|f| f.len() * std::mem::size_of::<(TermId, f64)>())
             .sum();
         let names: usize = self.names.iter().map(|n| n.len() + 16).sum();
-        folded + names + self.inverted.byte_size()
+        folded + names
     }
 
     /// Build the request-time scoring view over the given specializations,
@@ -208,10 +185,8 @@ impl CompiledSpecStore {
     ///
     /// The image persists the canonical state only — sorted names, list
     /// lengths, and the folded vectors with their exact `f64` weight bits
-    /// — and [`from_bytes`](Self::from_bytes) rebuilds the derived
-    /// structures (name→id map, global inverted map), so a round-tripped
-    /// store scores bit-identically to the original and the two
-    /// representations can never disagree.
+    /// — and [`from_bytes`](Self::from_bytes) rebuilds the name→id map, so
+    /// a round-tripped store scores bit-identically to the original.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = serpdiv_index::ByteWriter::new();
         w.u32(SPEC_MAGIC);
@@ -281,58 +256,21 @@ impl CompiledSpecStore {
             return Err(DecodeError::Corrupt("trailing bytes after store"));
         }
 
-        // Rebuild the derived structures (name→id map, global inverted
-        // map) from the canonical state — the inverted map through the
-        // same code path as compile-time, so they cannot diverge.
         let ids = names
             .iter()
             .enumerate()
             .map(|(id, name)| (name.clone(), id as u32))
-            .collect();
-        let triples: Vec<(TermId, u32, f64)> = folded
-            .iter()
-            .enumerate()
-            .flat_map(|(s, entries)| entries.iter().map(move |&(t, w)| (t, s as u32, w)))
             .collect();
         Ok(CompiledSpecStore {
             ids,
             names,
             list_lens,
             folded,
-            inverted: TermMajor::invert(triples),
         })
-    }
-
-    /// Score one candidate against **every** specialization in the store
-    /// via the global inverted map — one sparse accumulation, complexity
-    /// `O(Σ_{t ∈ cand} |postings(t)|)`. Returns the normalized, thresholded
-    /// utility per spec id.
-    ///
-    /// The same row code as [`UtilityScorer::score_into`], so it carries
-    /// the same two exact fast paths and is bit-for-bit identical to
-    /// [`score_all_unpruned`](Self::score_all_unpruned). Each call stamps
-    /// the store's *whole* vocabulary into the thread's lookup table —
-    /// `O(num_terms)` before the first posting is read: a diagnostic over
-    /// the full store, not the request path (that is [`Self::scorer`]).
-    pub fn score_all(&self, candidate: &SparseVector, params: UtilityParams) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.len()];
-        let row = std::slice::from_ref(candidate);
-        self.inverted.score_rows(row, &mut acc, self.len(), params);
-        acc
-    }
-
-    /// The pre-optimization [`score_all`](Self::score_all) — binary-search
-    /// term lookups, no pruning — kept as its equivalence oracle.
-    pub fn score_all_unpruned(&self, candidate: &SparseVector, params: UtilityParams) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.len()];
-        self.inverted
-            .score_into_unpruned(candidate, &mut acc, params);
-        acc
     }
 }
 
-/// The term-major postings layout shared by the global map and the
-/// per-request scorer, so the two can never disagree: sorted distinct
+/// The term-major postings layout of a [`UtilityScorer`]: sorted distinct
 /// `terms`, `term_ranges[k]` delimiting `postings[start..end]` for
 /// `terms[k]`, postings `(column, weight)` sorted by column within a term.
 #[derive(Debug, Default)]
@@ -697,6 +635,18 @@ mod tests {
         SparseVector::from_pairs(pairs.iter().map(|&(t, w)| (TermId(t), w)))
     }
 
+    /// `cand`'s utility for every specialization of `c`, in spec-id order.
+    fn score_every_spec(
+        c: &CompiledSpecStore,
+        cand: &SparseVector,
+        params: UtilityParams,
+    ) -> Vec<f64> {
+        let mut row = vec![0.0; c.len()];
+        c.scorer((0..c.len() as u32).map(|id| c.name(id)))
+            .score_into(cand, &mut row, params);
+        row
+    }
+
     fn store() -> (Vec<(String, Vec<SparseVector>)>, CompiledSpecStore) {
         let lists = vec![
             (
@@ -729,8 +679,6 @@ mod tests {
         assert_eq!(c.name(1), "fruit");
         assert_eq!(c.list_len(1), 3);
         assert_eq!(c.list_len(0), 0);
-        assert!(c.num_terms() >= 5);
-        assert!(c.num_postings() >= c.num_terms());
         assert!(c.byte_size() > 0);
     }
 
@@ -765,23 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn score_all_agrees_with_per_request_scorer() {
-        let (_, c) = store();
-        let params = UtilityParams { threshold_c: 0.1 };
-        let cand = v(&[(1, 1.0), (4, 1.0), (5, 2.0)]);
-        let all = c.score_all(&cand, params);
-        let scorer = c.scorer(["empty", "fruit", "iphone"]);
-        let mut row = vec![0.0; 3];
-        scorer.score_into(&cand, &mut row, params);
-        assert_eq!(all, row, "spec-id order == sorted-name order here");
-    }
-
-    #[test]
     fn threshold_is_applied() {
         let (_, c) = store();
         let cand = v(&[(1, 1.0), (4, 1.0)]);
-        let loose = c.score_all(&cand, UtilityParams { threshold_c: 0.0 });
-        let strict = c.score_all(&cand, UtilityParams { threshold_c: 0.99 });
+        let loose = score_every_spec(&c, &cand, UtilityParams { threshold_c: 0.0 });
+        let strict = score_every_spec(&c, &cand, UtilityParams { threshold_c: 0.99 });
         assert!(loose.iter().any(|&u| u > 0.0));
         assert!(strict.iter().all(|&u| u == 0.0 || u >= 0.99));
     }
@@ -813,7 +749,7 @@ mod tests {
         let b = [v(&[(2, 1.0)])];
         let c = CompiledSpecStore::build(vec![("x", a.iter()), ("x", b.iter())]);
         assert_eq!(c.len(), 1);
-        let u = c.score_all(&v(&[(1, 1.0)]), UtilityParams::default());
+        let u = score_every_spec(&c, &v(&[(1, 1.0)]), UtilityParams::default());
         assert!(u[0] > 0.9, "first list (term 1) won: {u:?}");
     }
 
@@ -828,16 +764,14 @@ mod tests {
             assert_eq!(back.list_len(id), c.list_len(id));
             assert_eq!(back.spec_id(c.name(id)), Some(id));
         }
-        assert_eq!(back.num_terms(), c.num_terms());
-        assert_eq!(back.num_postings(), c.num_postings());
         let params = UtilityParams { threshold_c: 0.0 };
         for cand in [
             v(&[(1, 1.0), (4, 2.0)]),
             v(&[(2, 3.0), (3, 1.0), (5, 0.5)]),
             v(&[(9, 1.0)]),
         ] {
-            let a = c.score_all(&cand, params);
-            let b = back.score_all(&cand, params);
+            let a = score_every_spec(&c, &cand, params);
+            let b = score_every_spec(&back, &cand, params);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "utilities must be exact");
@@ -920,9 +854,6 @@ mod tests {
     fn empty_store_scores_nothing() {
         let c = CompiledSpecStore::build(Vec::<(&str, std::iter::Empty<&SparseVector>)>::new());
         assert!(c.is_empty());
-        assert!(c
-            .score_all(&v(&[(1, 1.0)]), UtilityParams::default())
-            .is_empty());
         let scorer = c.scorer(["ghost"]);
         let m = scorer.matrix(&[v(&[(1, 1.0)])], UtilityParams::default());
         assert_eq!(m.get(0, 0), 0.0);
@@ -987,19 +918,6 @@ mod tests {
         CompiledSpecStore::build(lists.iter().map(|(name, list)| (*name, list.iter())))
     }
 
-    fn assert_score_all_matches_oracle(c: &CompiledSpecStore, cands: &[SparseVector]) {
-        for cand in cands {
-            let params = UtilityParams { threshold_c: 0.05 };
-            let fast = c.score_all(cand, params);
-            let oracle = c.score_all_unpruned(cand, params);
-            assert_eq!(
-                fast.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
-                oracle.iter().map(|u| u.to_bits()).collect::<Vec<_>>()
-            );
-            assert!(table_is_clean());
-        }
-    }
-
     fn vocab_candidates() -> Vec<SparseVector> {
         vec![
             v(&[(1, 1.0), (3, 2.0), (4, 0.5)]),
@@ -1025,9 +943,6 @@ mod tests {
             assert_matches_oracle(scorer, &cands, what);
         }
         assert_eq!(table_len(), 902, "grown to the largest max_term + 1 met");
-        // The global map goes through the same table.
-        assert_score_all_matches_oracle(&c, &cands);
-        assert_matches_oracle(&ab, &cands, "a+b after the global map");
     }
 
     #[test]
@@ -1035,7 +950,6 @@ mod tests {
         let c = vocab_store(true);
         let huge = c.scorer(["huge", "a"]);
         assert_matches_oracle(&huge, &vocab_candidates(), "huge");
-        assert_score_all_matches_oracle(&c, &vocab_candidates());
         assert_eq!(table_len(), 0, "nothing was stamped, nothing allocated");
     }
 

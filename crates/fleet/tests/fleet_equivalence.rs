@@ -200,23 +200,25 @@ fn served_pages_through_fleet_match_in_process_serving_for_all_diversifiers() {
     // Oracle: the full serving engine over an in-process sharded index.
     let sharded: Arc<dyn Retriever> = Arc::new(ShardedIndex::build(index.clone(), 2));
     let oracle = SearchEngine::deploy(index.clone(), model.clone(), config);
-    let oracle_sharded = SearchEngine::with_retriever(
+    let oracle_sharded = SearchEngine::with_retriever_and_forward(
         index.clone(),
         sharded,
         model.clone(),
-        oracle.store().clone(),
-        oracle.compiled().clone(),
+        oracle.store(),
+        oracle.compiled(),
+        oracle.forward(),
         config,
     );
     // Subject: the same engine, retrieval through 2 worker processes.
     let fleet = Fleet::spawn(&ShardedIndex::build(index.clone(), 2), "serve");
     let router: Arc<dyn Retriever> = Arc::new(fleet.router(index.clone()));
-    let subject = SearchEngine::with_retriever(
+    let subject = SearchEngine::with_retriever_and_forward(
         index.clone(),
         router,
         model.clone(),
-        oracle.store().clone(),
-        oracle.compiled().clone(),
+        oracle.store(),
+        oracle.compiled(),
+        oracle.forward(),
         config,
     );
 
@@ -264,12 +266,13 @@ fn killing_a_worker_degrades_and_recovery_restores_exact_pages() {
     // Serve through the full engine so degradation is labeled/counted at
     // the serving layer. No result cache: every request must really hit
     // the fleet.
-    let engine = SearchEngine::with_retriever(
+    let engine = SearchEngine::with_retriever_and_forward(
         index.clone(),
         router.clone() as Arc<dyn Retriever>,
         Arc::new(SpecializationModel::default()),
         Arc::new(serpdiv_core::SpecializationStore::default()),
         Arc::new(serpdiv_core::CompiledSpecStore::default()),
+        None,
         EngineConfig {
             cache_capacity: 0,
             ..EngineConfig::default()

@@ -246,12 +246,14 @@ impl DeltaRetriever {
     /// delta was built against) with a delta over freshly ingested
     /// documents.
     ///
-    /// The bit-identity contract requires `sealed` to honor
-    /// [`Retriever::retrieve_terms_overlaid`]; the retrievers the serving
-    /// engine deploys ([`InvertedIndex`],
-    /// [`ShardedIndex`](crate::sharded::ShardedIndex)) all do.
-    pub fn new(sealed: Arc<dyn Retriever>, delta: Arc<DeltaIndex>) -> Self {
-        DeltaRetriever { sealed, delta }
+    /// `None` when `sealed` cannot score under the delta's union overlay
+    /// ([`Retriever::retrieve_terms_overlaid`] answers `None`): the
+    /// bit-identity contract cannot hold over it, so no such retriever is
+    /// ever built. [`InvertedIndex`] and
+    /// [`ShardedIndex`](crate::sharded::ShardedIndex) can.
+    pub fn new(sealed: Arc<dyn Retriever>, delta: Arc<DeltaIndex>) -> Option<Self> {
+        sealed.retrieve_terms_overlaid(&[], 0, delta.overlay(), None)?;
+        Some(DeltaRetriever { sealed, delta })
     }
 
     /// The delta being searched alongside the sealed collection.
@@ -259,15 +261,17 @@ impl DeltaRetriever {
         &self.delta
     }
 
-    /// Score both sides of the union under the shared overlay and gather.
-    /// Delta-only term ids are harmless on the sealed side: the sealed
-    /// postings simply do not have them, so they contribute nothing there
-    /// — as in the merged index, where their postings hold only delta
-    /// documents.
-    fn gather(&self, terms: &[TermId], k: usize) -> Retrieval {
+    /// Score both sides of the union under the shared overlay and gather;
+    /// `budget_us` bounds the sealed side (the in-process delta has no
+    /// cancellation point). Delta-only term ids are harmless on the
+    /// sealed side: the sealed postings simply do not have them, so they
+    /// contribute nothing there — as in the merged index, where their
+    /// postings hold only delta documents.
+    fn gather(&self, terms: &[TermId], k: usize, budget_us: Option<u64>) -> Retrieval {
         let sealed = self
             .sealed
-            .retrieve_terms_overlaid(terms, k, self.delta.overlay());
+            .retrieve_terms_overlaid(terms, k, self.delta.overlay(), budget_us)
+            .expect("the sealed retriever honoured the overlay when this retriever was built");
         let hits = merge_top_k(vec![sealed.hits, self.delta.retrieve_union(terms, k)], k);
         Retrieval {
             hits,
@@ -282,11 +286,11 @@ impl Retriever for DeltaRetriever {
     }
 
     fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.gather(terms, k).hits
+        self.gather(terms, k, None).hits
     }
 
     fn retrieve_with_status(&self, query: &str, k: usize) -> Retrieval {
-        self.gather(&self.delta.analyze_query(query), k)
+        self.retrieve_with_status_within(query, k, None)
     }
 
     fn retrieve_with_status_within(
@@ -295,11 +299,7 @@ impl Retriever for DeltaRetriever {
         k: usize,
         budget_us: Option<u64>,
     ) -> Retrieval {
-        // The retrievers a delta seals over are in-process and ignore
-        // budgets (an in-flight retrieval is cheaper to finish than to
-        // abandon), so there is nothing to forward the budget to.
-        let _ = budget_us;
-        self.retrieve_with_status(query, k)
+        self.gather(&self.delta.analyze_query(query), k, budget_us)
     }
 }
 
@@ -502,7 +502,7 @@ mod tests {
     fn delta_retriever_merges_sealed_and_fresh() {
         let base = Arc::new(build(&base_corpus()));
         let delta = Arc::new(DeltaIndex::build(&base, delta_corpus(12, 4)));
-        let retriever = DeltaRetriever::new(base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta).unwrap();
         let hits = retriever.retrieve("apple", 20);
         let sealed_hits = hits.iter().filter(|h| h.doc.0 < 12).count();
         let fresh_hits = hits.iter().filter(|h| h.doc.0 >= 12).count();
@@ -521,13 +521,80 @@ mod tests {
         assert_eq!(status.hits, hits);
     }
 
+    /// A sealed retriever that scores through `inner` and records every
+    /// budget it is handed; `overlaid: false` keeps the trait's default
+    /// answer to an overlay.
+    struct Recording {
+        inner: Arc<InvertedIndex>,
+        overlaid: bool,
+        budgets: std::sync::Mutex<Vec<Option<u64>>>,
+    }
+
+    impl Retriever for Recording {
+        fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
+            self.inner.retrieve(query, k)
+        }
+
+        fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
+            self.inner.retrieve_terms(terms, k)
+        }
+
+        fn retrieve_terms_overlaid(
+            &self,
+            terms: &[TermId],
+            k: usize,
+            overlay: &StatsOverlay,
+            budget_us: Option<u64>,
+        ) -> Option<Retrieval> {
+            self.budgets.lock().unwrap().push(budget_us);
+            if !self.overlaid {
+                return None;
+            }
+            self.inner
+                .retrieve_terms_overlaid(terms, k, overlay, budget_us)
+        }
+    }
+
+    #[test]
+    fn a_budget_reaches_the_sealed_retriever() {
+        let base = Arc::new(build(&base_corpus()));
+        let delta = Arc::new(DeltaIndex::build(&base, delta_corpus(12, 4)));
+        let sealed = Arc::new(Recording {
+            inner: base.clone(),
+            overlaid: true,
+            budgets: Default::default(),
+        });
+        let retriever = DeltaRetriever::new(sealed.clone(), delta.clone()).unwrap();
+        let within = retriever.retrieve_with_status_within("apple", 20, Some(1_234));
+        let unbounded = retriever.retrieve_with_status("apple", 20);
+        assert_eq!(within, unbounded, "an in-process budget changes no page");
+        assert_eq!(
+            *sealed.budgets.lock().unwrap(),
+            [None, Some(1_234), None],
+            "the constructor's question, then each request's own budget"
+        );
+    }
+
+    #[test]
+    fn a_sealed_retriever_that_cannot_honour_the_overlay_is_refused() {
+        let base = Arc::new(build(&base_corpus()));
+        let delta = Arc::new(DeltaIndex::build(&base, delta_corpus(12, 4)));
+        let sealed = Arc::new(Recording {
+            inner: base,
+            overlaid: false,
+            budgets: Default::default(),
+        });
+        assert!(DeltaRetriever::new(sealed.clone(), delta).is_none());
+        assert_eq!(sealed.budgets.lock().unwrap().len(), 1, "asked once");
+    }
+
     #[test]
     fn delta_retriever_is_bit_identical_to_from_scratch_union_build() {
         let base_docs = base_corpus();
         let fresh = delta_corpus(12, 4);
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta).unwrap();
         let scratch = union_build(&base_docs, &fresh);
 
         // Every page — sealed-heavy, delta-heavy, mixed, sealed-only —
@@ -554,7 +621,7 @@ mod tests {
         let fresh = delta_corpus(12, 4);
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), delta);
+        let retriever = DeltaRetriever::new(base.clone(), delta).unwrap();
         // No delta document mentions the weather vocabulary, so every hit
         // is sealed — but the *scores* must still be the union build's
         // (the delta changed num_docs and avg_doc_len for everyone), not
@@ -584,7 +651,7 @@ mod tests {
         ));
         let base = Arc::new(build(&base_docs));
         let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-        let retriever = DeltaRetriever::new(base.clone(), delta.clone());
+        let retriever = DeltaRetriever::new(base.clone(), delta.clone()).unwrap();
         let scratch = union_build(&base_docs, &fresh);
 
         // The term is genuinely unknown to the sealed vocabulary…

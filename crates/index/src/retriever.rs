@@ -117,24 +117,30 @@ pub trait Retriever: Send + Sync {
     /// Like [`retrieve_terms`](Self::retrieve_terms), but scored against
     /// the statistics in `overlay` instead of the retriever's own — the
     /// sealed half of the NRT union-statistics contract (see
-    /// [`DeltaRetriever`](crate::delta::DeltaRetriever)).
+    /// [`DeltaRetriever`](crate::delta::DeltaRetriever)) — and bounded by
+    /// `budget_us` like
+    /// [`retrieve_with_status_within`](Self::retrieve_with_status_within).
     ///
-    /// The default **ignores the overlay** and scores with the
-    /// retriever's own statistics. That is only acceptable for strategies
-    /// that never serve underneath a [`DeltaIndex`](crate::delta::DeltaIndex)
-    /// (the oracle engine, the fleet router); the retrievers the serving
-    /// engine actually seals a delta over — [`InvertedIndex`] and
-    /// [`ShardedIndex`](crate::sharded::ShardedIndex) — override it
-    /// honestly, which is what makes a pre-merge `DeltaRetriever` page
+    /// `None` means this strategy **cannot** score under foreign
+    /// statistics, and is the default: a retriever that quietly fell back
+    /// to its own would serve sealed documents under sealed statistics
+    /// beside delta documents under union ones. Whether the answer is
+    /// `Some` must not depend on the arguments —
+    /// [`DeltaRetriever::new`](crate::delta::DeltaRetriever::new) asks once,
+    /// with an empty query, and refuses a retriever that says `None`. The
+    /// in-process retrievers ([`InvertedIndex`],
+    /// [`ShardedIndex`](crate::sharded::ShardedIndex)) honour the overlay,
+    /// which is what makes a pre-merge `DeltaRetriever` page
     /// `f64`-bit-identical to a from-scratch union build.
     fn retrieve_terms_overlaid(
         &self,
         terms: &[TermId],
         k: usize,
         overlay: &StatsOverlay,
-    ) -> Retrieval {
-        let _ = overlay;
-        Retrieval::complete(self.retrieve_terms(terms, k))
+        budget_us: Option<u64>,
+    ) -> Option<Retrieval> {
+        let _ = (terms, k, overlay, budget_us);
+        None
     }
 }
 
@@ -172,8 +178,10 @@ impl Retriever for InvertedIndex {
         terms: &[TermId],
         k: usize,
         overlay: &StatsOverlay,
-    ) -> Retrieval {
-        Retrieval::complete(self.retrieve_terms_with_model(terms, k, &Dph::new(), Some(overlay)))
+        _budget_us: Option<u64>,
+    ) -> Option<Retrieval> {
+        let hits = self.retrieve_terms_with_model(terms, k, &Dph::new(), Some(overlay));
+        Some(Retrieval::complete(hits))
     }
 }
 

@@ -6,9 +6,9 @@
 //! [`SearchEngine`] is deliberately plain: it is the **oracle** every
 //! production retrieval path (all of which score through the dense
 //! retrieval kernel, `kernel::score_range`) is held to `f64` bit for bit
-//! by the equivalence suites, and the engine offline tooling (the §4.1
-//! store build, the examples) drives directly. The serving path does not
-//! use it.
+//! by the equivalence suites. Nothing a deployment runs — the serving
+//! path, the §4.1 store build, the log generator's click simulation —
+//! retrieves through it.
 
 use crate::document::DocId;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};

@@ -358,8 +358,10 @@ impl Retriever for ShardedIndex {
         terms: &[TermId],
         k: usize,
         overlay: &StatsOverlay,
-    ) -> Retrieval {
-        Retrieval::complete(self.scatter_gather(terms, k, ScatterMode::Auto, Some(overlay)))
+        _budget_us: Option<u64>,
+    ) -> Option<Retrieval> {
+        let hits = self.scatter_gather(terms, k, ScatterMode::Auto, Some(overlay));
+        Some(Retrieval::complete(hits))
     }
 }
 

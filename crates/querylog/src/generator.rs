@@ -18,7 +18,7 @@ use crate::record::{LogRecord, QueryId, QueryLog, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serpdiv_corpus::{Topic, Zipf};
-use serpdiv_index::SearchEngine;
+use serpdiv_index::{InvertedIndex, Retriever};
 
 /// What a logged query string means, ground truth for evaluation only —
 /// the mining pipeline never sees this.
@@ -258,7 +258,8 @@ impl<'a> QueryLogGenerator<'a> {
 
     /// Fill `Vᵢ` (top-`k` results) and `Cᵢ` (intent-aware position-biased
     /// clicks) of every record by running each distinct query once through
-    /// `engine`.
+    /// `retriever`, the retrieval layer over `index` (whose document store
+    /// supplies the result titles).
     ///
     /// The click model examines results top-down with probability
     /// `0.6 · 0.75^pos` (position bias as observed in real logs), boosted
@@ -269,7 +270,13 @@ impl<'a> QueryLogGenerator<'a> {
     /// interpretations (the click-entropy signal of Clough et al., which
     /// the paper's related work discusses). Records of the same query
     /// share results but draw intents and clicks independently.
-    pub fn attach_results(&self, log: &mut QueryLog, engine: &SearchEngine<'_>, k: usize) -> usize {
+    pub fn attach_results(
+        &self,
+        log: &mut QueryLog,
+        index: &InvertedIndex,
+        retriever: &dyn Retriever,
+        k: usize,
+    ) -> usize {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xC11C);
         // Retrieve once per distinct query; keep result titles for the
         // intent preference.
@@ -283,12 +290,11 @@ impl<'a> QueryLogGenerator<'a> {
         for idx in 0..n {
             let qid = log.records()[idx].query;
             if results_cache[qid.index()].is_none() {
-                let hits = engine.search(&texts[qid.index()], k);
+                let hits = retriever.retrieve(&texts[qid.index()], k);
                 let docs = hits
                     .into_iter()
                     .map(|h| {
-                        let title = engine
-                            .index()
+                        let title = index
                             .store()
                             .get(h.doc)
                             .map(|d| d.title.clone())
@@ -475,8 +481,7 @@ mod tests {
         let gen = QueryLogGenerator::new(cfg, &bed.topics, &nv);
         let (mut log, _) = gen.generate();
         let index = bed.build_index();
-        let engine = SearchEngine::new(&index);
-        let filled = gen.attach_results(&mut log, &engine, 10);
+        let filled = gen.attach_results(&mut log, &index, &index, 10);
         assert_eq!(filled, log.len());
         // Topical queries must have results; clicks ⊆ results.
         let mut any_results = false;

@@ -16,8 +16,7 @@ use serpdiv_core::{
 };
 use serpdiv_index::{
     merge_sealed, DeltaIndex, DeltaRetriever, DocId, Document, ForwardIndex, InvertedIndex,
-    Retriever, ScoredDoc, ScoringExecutor, SearchEngine as DphEngine, ShardedIndex,
-    SnippetGenerator, SparseVector,
+    Retriever, ScoredDoc, ScoringExecutor, ShardedIndex, SnippetGenerator, SparseVector,
 };
 use serpdiv_mining::SpecializationModel;
 use std::sync::Arc;
@@ -139,64 +138,42 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Deploy the engine: builds the §4.1 [`SpecializationStore`] eagerly
-    /// (one retrieval + snippet pass per distinct specialization in
-    /// `model`), compiles it into the inverted utility index, and starts
-    /// with empty caches at generation 1. Builds the retrieval layer from
-    /// [`EngineConfig::index_shards`]: the plain index at 1, a
-    /// [`ShardedIndex`] otherwise — backed by a fresh persistent
-    /// [`ScoringExecutor`] when [`EngineConfig::executor_threads`] is
-    /// set. With one shard there is nothing to scatter, so
-    /// `executor_threads` is normalized to 0 in the stored config —
-    /// [`SearchEngine::config`] never reports a pool that was not built.
-    /// Deployments with *several* engines should instead build one
-    /// store, one retriever and one executor and share them through
-    /// [`Self::with_retriever_and_forward`].
+    /// Deploy the engine, running the offline chain in order: compile the
+    /// [`ForwardIndex`], build the §4.1 [`SpecializationStore`] from it
+    /// (one kernel retrieval per distinct specialization in `model`, each
+    /// hit's surrogate through the function the request path uses),
+    /// compile the store into the inverted utility index, and start with
+    /// empty caches at generation 1. The forward index is kept for serving
+    /// only when [`EngineConfig::forward_index`] is set. Builds the
+    /// retrieval layer from [`EngineConfig::index_shards`]: the plain
+    /// index at 1, a [`ShardedIndex`] otherwise — backed by a fresh
+    /// persistent [`ScoringExecutor`] when
+    /// [`EngineConfig::executor_threads`] is set. With one shard there is
+    /// nothing to scatter, so `executor_threads` is normalized to 0 in the
+    /// stored config — [`SearchEngine::config`] never reports a pool that
+    /// was not built. Deployments with *several* engines should instead
+    /// build one store, one retriever and one executor and share them
+    /// through [`Self::with_retriever_and_forward`].
     pub fn deploy(
         index: Arc<InvertedIndex>,
         model: Arc<SpecializationModel>,
         mut config: EngineConfig,
     ) -> Self {
-        let store = {
-            let engine = DphEngine::new(&index);
-            Arc::new(SpecializationStore::build(
-                &model,
-                &engine,
-                config.params.k_spec_results,
-                config.params.snippet_window,
-            ))
-        };
+        let forward = Arc::new(ForwardIndex::build(&index));
+        let store = Arc::new(SpecializationStore::build_with(
+            &model,
+            &index,
+            index.as_ref(),
+            &forward,
+            config.params.k_spec_results,
+            config.params.snippet_window,
+        ));
         let compiled = Arc::new(CompiledSpecStore::compile(&store));
         if config.index_shards <= 1 {
             config.executor_threads = 0;
         }
         let retriever = Self::build_retriever(&index, &config);
-        Self::with_retriever(index, retriever, model, store, compiled, config)
-    }
-
-    /// Deploy with an explicit retrieval layer. Compiles the
-    /// [`ForwardIndex`] here when [`EngineConfig::forward_index`] is set;
-    /// callers that deploy several engines over one corpus (e.g. the
-    /// benches) should build it once and use
-    /// [`with_retriever_and_forward`](Self::with_retriever_and_forward)
-    /// instead.
-    ///
-    /// With an explicit retriever, [`EngineConfig::index_shards`] is *not*
-    /// consulted to build anything — it only echoes through
-    /// [`SearchEngine::config`] for reporting, so keep it consistent with
-    /// the retriever you pass (e.g. the shard count of the shared
-    /// `ShardedIndex`).
-    pub fn with_retriever(
-        index: Arc<InvertedIndex>,
-        retriever: Arc<dyn Retriever>,
-        model: Arc<SpecializationModel>,
-        store: Arc<SpecializationStore>,
-        compiled: Arc<CompiledSpecStore>,
-        config: EngineConfig,
-    ) -> Self {
-        let forward = config
-            .forward_index
-            .then(|| Arc::new(ForwardIndex::build(&index)));
+        let forward = config.forward_index.then_some(forward);
         Self::with_retriever_and_forward(index, retriever, model, store, compiled, forward, config)
     }
 
@@ -204,7 +181,10 @@ impl SearchEngine {
     /// callers share one (expensive-to-build) [`ShardedIndex`] *and* one
     /// compiled [`ForwardIndex`] across several engines. `forward: None`
     /// serves surrogates through the per-request text path regardless of
-    /// [`EngineConfig::forward_index`].
+    /// [`EngineConfig::forward_index`]. [`EngineConfig::index_shards`] is
+    /// *not* consulted to build anything here — it only echoes through
+    /// [`SearchEngine::config`] for reporting, so keep it consistent with
+    /// the retriever you pass.
     pub fn with_retriever_and_forward(
         index: Arc<InvertedIndex>,
         retriever: Arc<dyn Retriever>,
@@ -624,6 +604,13 @@ impl SearchEngine {
     /// folds them into a sealed index bit-identical to a from-scratch
     /// build.
     ///
+    /// Both sides of that gather must score under the union statistics, so
+    /// over a sealed retrieval layer that cannot (see
+    /// [`Retriever::retrieve_terms_overlaid`]) the ingest is refused —
+    /// [`PublishError::Inconsistent`], counted as a rejected swap, the old
+    /// generation still serving — rather than published to serve pages
+    /// mixing two sets of statistics.
+    ///
     /// # Panics
     /// Panics when `docs` do not continue the generation's document id
     /// space densely (delta ids must follow sealed + delta ids).
@@ -633,11 +620,17 @@ impl SearchEngine {
             current.delta().map_or_else(Vec::new, |d| d.docs().to_vec());
         pending.extend(docs);
         let delta = Arc::new(DeltaIndex::build(current.index(), pending));
-        let retriever: Arc<dyn Retriever> = Arc::new(DeltaRetriever::new(
-            current.sealed_retriever().clone(),
-            delta.clone(),
-        ));
-        self.publish(Arc::new(current.next().with_delta(delta, retriever)))
+        let Some(retriever) =
+            DeltaRetriever::new(current.sealed_retriever().clone(), delta.clone())
+        else {
+            self.metrics.record_swap_rejected();
+            return Err(PublishError::Inconsistent(
+                "the sealed retriever cannot score under a delta's union statistics",
+            ));
+        };
+        self.publish(Arc::new(
+            current.next().with_delta(delta, Arc::new(retriever)),
+        ))
     }
 
     /// Fold the current generation's delta into its sealed base
@@ -935,7 +928,7 @@ mod tests {
         assert!(engine.store().byte_size() > 0);
         // The compiled inverted index is built from the same store.
         assert_eq!(engine.compiled().len(), 2);
-        assert!(engine.compiled().num_terms() > 0);
+        assert!(engine.compiled().byte_size() > 0);
     }
 
     #[test]
@@ -1086,12 +1079,13 @@ mod tests {
                 .with_executor(executor)
                 .with_parallel_threshold(0),
         );
-        let pooled = SearchEngine::with_retriever(
+        let pooled = SearchEngine::with_retriever_and_forward(
             unsharded.index().clone(),
             retriever,
             unsharded.model().clone(),
             unsharded.store().clone(),
             unsharded.compiled().clone(),
+            unsharded.forward(),
             EngineConfig {
                 index_shards: 4,
                 executor_threads: 2,
@@ -1388,6 +1382,61 @@ mod tests {
         );
         let merged = engine.search(QueryRequest::new("storm", 6, AlgorithmKind::Baseline));
         assert_eq!(merged.results, expected.results);
+    }
+
+    #[test]
+    fn ingest_over_a_retriever_that_cannot_score_under_an_overlay_is_refused() {
+        /// Retrieves like the plain index but keeps the trait's default
+        /// answer to an overlay, as a fleet router does.
+        struct OwnStatisticsOnly(Arc<InvertedIndex>);
+        impl Retriever for OwnStatisticsOnly {
+            fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
+                self.0.retrieve(query, k)
+            }
+            fn retrieve_terms(&self, terms: &[serpdiv_text::TermId], k: usize) -> Vec<ScoredDoc> {
+                self.0.retrieve_terms(terms, k)
+            }
+        }
+
+        let config = EngineConfig {
+            cache_capacity: 0,
+            ..diversifying_config()
+        };
+        let deployed = deploy(config);
+        let engine = SearchEngine::with_retriever_and_forward(
+            deployed.index(),
+            Arc::new(OwnStatisticsOnly(deployed.index())),
+            deployed.model(),
+            deployed.store(),
+            deployed.compiled(),
+            deployed.forward(),
+            config,
+        );
+        let pages = |engine: &SearchEngine| -> Vec<Vec<(DocId, u64)>> {
+            [AlgorithmKind::Baseline, AlgorithmKind::OptSelect]
+                .into_iter()
+                .flat_map(|algo| ["apple", "storm"].map(|q| QueryRequest::new(q, 6, algo)))
+                .map(|req| {
+                    let out = engine.search(req);
+                    assert_eq!(out.generation, 1);
+                    out.results
+                        .iter()
+                        .map(|r| (r.doc, r.score.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        let before = pages(&engine);
+        let fresh = Document::new(15, "http://fresh/15", "storm", "weather storm warning");
+        assert!(matches!(
+            engine.ingest(vec![fresh]),
+            Err(PublishError::Inconsistent(_))
+        ));
+        assert_eq!(engine.current_generation_id(), 1);
+        assert!(engine.generation().delta().is_none());
+        let m = engine.metrics();
+        assert_eq!((m.swaps, m.swap_rejected), (0, 1));
+        assert_eq!(pages(&engine), before, "the old generation still serves");
     }
 
     #[test]

@@ -701,10 +701,10 @@ mod tests {
 
         // `with_delta` keeps the sealed artifacts: only the page stamp moves.
         let delta = Arc::new(DeltaIndex::build(base.index(), vec![doc(3)]));
-        let retriever: Arc<dyn Retriever> = Arc::new(DeltaRetriever::new(
-            base.sealed_retriever().clone(),
-            delta.clone(),
-        ));
+        let retriever: Arc<dyn Retriever> = Arc::new(
+            DeltaRetriever::new(base.sealed_retriever().clone(), delta.clone())
+                .expect("the plain index scores under an overlay"),
+        );
         let ingested = base.next().with_delta(delta.clone(), retriever);
         assert_ne!(ingested.pages_epoch(), base.pages_epoch());
         assert_eq!(ingested.surrogates_epoch(), base.surrogates_epoch());

@@ -34,6 +34,28 @@
 //!   └───────────────────────┴─────────────────┴──────────────────────┘
 //! ```
 //!
+//! ## The offline chain
+//!
+//! The bottom row is built once, in this order
+//! ([`SearchEngine::deploy`] runs the chain itself; a deployment with
+//! several engines runs it once and shares the artifacts through
+//! [`SearchEngine::with_retriever_and_forward`]):
+//!
+//! ```text
+//! InvertedIndex ─▶ ForwardIndex ─▶ SpecializationStore ─▶ CompiledSpecStore ─▶ engine
+//!  (postings,       (TermId          (§4.1: per spec., its    (one folded          (generation 1,
+//!   documents)       streams, idf)    top results' surrogates)  vector per spec.)     empty caches)
+//! ```
+//!
+//! The forward index comes first because a snippet surrogate is computed
+//! one way only: `serpdiv_core::candidate_surrogate` over the compiled
+//! `TermId` streams, for a specialization's stored results at deploy time
+//! and for a request's candidates alike. The text path
+//! (`candidate_surrogate_naive`) is the equivalence oracle, and what an
+//! engine deployed with [`EngineConfig::forward_index`]` = false` falls
+//! back to per request — its store was still built from a forward index,
+//! dropped after the build.
+//!
 //! ## Request lifecycle
 //!
 //! The cached fast path probes the sharded LRU result cache under

@@ -626,12 +626,8 @@ mod tests {
         chain.insert(0, stage);
         // Rebuild a fresh engine sharing the same artifacts, cache off so
         // repeats stay slow.
-        let rebuilt = SearchEngine::with_retriever(
-            shared.index().clone(),
-            shared.index().clone(),
-            shared.model().clone(),
-            shared.store().clone(),
-            shared.compiled().clone(),
+        let rebuilt = SearchEngine::from_generation(
+            shared.generation(),
             EngineConfig {
                 cache_capacity: 0,
                 n_candidates: 8,
@@ -753,12 +749,8 @@ mod tests {
         let mut chain = crate::stages::default_stage_chain();
         chain.insert(0, Box::new(PanicStage));
         let rebuilt = Arc::new(
-            SearchEngine::with_retriever(
-                shared.index().clone(),
-                shared.index().clone(),
-                shared.model().clone(),
-                shared.store().clone(),
-                shared.compiled().clone(),
+            SearchEngine::from_generation(
+                shared.generation(),
                 EngineConfig {
                     n_candidates: 8,
                     params: PipelineParams {

@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example click_analysis`
 
 use serpdiv::corpus::{Testbed, TestbedConfig};
-use serpdiv::index::SearchEngine;
 use serpdiv::querylog::{ClickStats, LogConfig, QueryLogGenerator};
 
 fn main() {
@@ -14,13 +13,12 @@ fn main() {
     cfg.num_topics = 6;
     let testbed = Testbed::generate(cfg);
     let index = testbed.build_index();
-    let engine = SearchEngine::new(&index);
 
     let mut log_cfg = LogConfig::msn_like(3_000);
     log_cfg.noise_fraction = 0.1;
     let generator = QueryLogGenerator::new(log_cfg, &testbed.topics, &testbed.background);
     let (mut log, _) = generator.generate();
-    let filled = generator.attach_results(&mut log, &engine, 10);
+    let filled = generator.attach_results(&mut log, &index, &index, 10);
     println!("attached results+clicks to {filled} records\n");
 
     // Position bias: CTR must decay with rank.

@@ -149,20 +149,24 @@ fn build_engine(
         ..EngineConfig::default()
     };
     let m = model();
-    let store = {
-        use serpdiv::core::SpecializationStore;
-        use serpdiv::index::SearchEngine as DphEngine;
-        let engine = DphEngine::new(&index);
-        Arc::new(SpecializationStore::build(
-            &m,
-            &engine,
-            config.params.k_spec_results,
-            config.params.snippet_window,
-        ))
-    };
+    let forward = Arc::new(serpdiv::index::ForwardIndex::build(&index));
+    let store = Arc::new(serpdiv::core::SpecializationStore::build_with(
+        &m,
+        &index,
+        index.as_ref(),
+        &forward,
+        config.params.k_spec_results,
+        config.params.snippet_window,
+    ));
     let compiled = Arc::new(serpdiv::core::CompiledSpecStore::compile(&store));
-    Arc::new(SearchEngine::with_retriever(
-        index, retriever, m, store, compiled, config,
+    Arc::new(SearchEngine::with_retriever_and_forward(
+        index,
+        retriever,
+        m,
+        store,
+        compiled,
+        Some(forward),
+        config,
     ))
 }
 

@@ -135,29 +135,27 @@ fn deploy(executor: &Arc<ScoringExecutor>) -> Arc<SearchEngine> {
         executor_threads: executor.num_threads(),
         ..EngineConfig::default()
     };
-    let compiled_config = config;
     let model = model();
     // Share the deployment artifacts through the explicit funnel, like a
     // real multi-engine deployment would.
-    let store = {
-        use serpdiv::core::SpecializationStore;
-        use serpdiv::index::SearchEngine as DphEngine;
-        let engine = DphEngine::new(&index);
-        Arc::new(SpecializationStore::build(
-            &model,
-            &engine,
-            config.params.k_spec_results,
-            config.params.snippet_window,
-        ))
-    };
+    let forward = Arc::new(serpdiv::index::ForwardIndex::build(&index));
+    let store = Arc::new(serpdiv::core::SpecializationStore::build_with(
+        &model,
+        &index,
+        retriever.as_ref(),
+        &forward,
+        config.params.k_spec_results,
+        config.params.snippet_window,
+    ));
     let compiled = Arc::new(serpdiv::core::CompiledSpecStore::compile(&store));
-    Arc::new(SearchEngine::with_retriever(
+    Arc::new(SearchEngine::with_retriever_and_forward(
         index,
         retriever,
         model,
         store,
         compiled,
-        compiled_config,
+        Some(forward),
+        config,
     ))
 }
 

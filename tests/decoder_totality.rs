@@ -264,7 +264,10 @@ fn sweep() {
             let image = decoded.to_bytes();
             let again = CompiledSpecStore::from_bytes(&image).expect("a re-encoded store decodes");
             assert_eq!(again.to_bytes(), image, "CompiledSpecStore round trip");
-            let _ = decoded.score_all(&fruit[0], UtilityParams::default());
+            let names = (0..decoded.len() as u32).map(|id| decoded.name(id));
+            let _ = decoded
+                .scorer(names)
+                .matrix(&fruit, UtilityParams::default());
         },
     );
 }

@@ -12,7 +12,7 @@
 //!    index-for-index the same ranking as its verbatim `select_eager`
 //!    copy of the old loop, across tie-heavy and smooth random worlds and
 //!    a λ sweep including the degenerate 0 and 1 endpoints.
-//! 3. An **extended randomized sweep** under `--features property-tests`.
+//! 3. An **extended randomized sweep** over many more random worlds.
 //!
 //! OptSelect was already single-pass (a bounded-heap scan, Algorithm 2),
 //! so it has no lazy variant — the goldens still cover it to pin its
@@ -271,8 +271,7 @@ fn lazy_matches_eager_on_all_constant_world() {
     }
 }
 
-/// Extended randomized sweep, gated like the other property suites.
-#[cfg(feature = "property-tests")]
+/// Extended randomized sweep.
 mod randomized {
     use super::*;
 

@@ -358,10 +358,14 @@ fn overlaid_retrieval_is_bit_identical_to_the_overlaid_oracle() {
             for k in KS {
                 let context = format!("docs={num_docs} q#{q} {terms:?} k={k}");
                 let expect = oracle.search_terms_overlaid(&terms, k, &overlay);
-                let got = index.retrieve_terms_overlaid(&terms, k, &overlay);
+                let got = index
+                    .retrieve_terms_overlaid(&terms, k, &overlay, None)
+                    .unwrap();
                 assert!(got.complete);
                 assert_bit_identical(&expect, &got.hits, &format!("unsharded {context}"));
-                let got = sharded.retrieve_terms_overlaid(&terms, k, &overlay);
+                let got = sharded
+                    .retrieve_terms_overlaid(&terms, k, &overlay, None)
+                    .unwrap();
                 assert_bit_identical(&expect, &got.hits, &format!("3 shards {context}"));
                 // The overlay must matter, or this test proves nothing.
                 if k == 10 && !expect.is_empty() {

@@ -5,13 +5,21 @@
 //! **bit-identical** to the text oracle (`SnippetGenerator::snippet` +
 //! `SparseVector::from_text`): same window choice, same `SparseVector`
 //! entries and norm bits, and identical SERPs through every diversifier
-//! whether the serving engine compiles a forward index or not. Fixtures
+//! whether the serving engine compiles a forward index or not. The §4.1
+//! store a deployment builds is one more input: each of its vectors is
+//! the oracle's surrogate of that hit for that specialization. Fixtures
 //! cover the degenerate shapes (empty body, title-only, no-query-term
-//! fallback, tie-heavy windows); a randomized corpus sweep runs under
-//! `--features property-tests`.
+//! fallback, tie-heavy windows); a randomized corpus sweep covers the
+//! rest.
 
-use serpdiv::core::AlgorithmKind;
-use serpdiv::index::{Document, ForwardIndex, IndexBuilder, SnippetGenerator, SparseVector};
+use serpdiv::core::{
+    candidate_surrogate_naive, AlgorithmKind, CompiledSpecStore, PipelineParams,
+    SpecializationStore,
+};
+use serpdiv::index::{
+    Document, ForwardIndex, IndexBuilder, InvertedIndex, SearchEngine as DphEngine,
+    SnippetGenerator, SparseVector,
+};
 use serpdiv::mining::SpecializationModel;
 use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine};
 use std::sync::Arc;
@@ -58,6 +66,59 @@ fn assert_doc_equivalent(
             "{context}: norm bits diverged (doc {doc:?}, query {query:?}, w={w})"
         );
     }
+}
+
+/// The §4.1 store as one more input: deploy over `index` with and without
+/// a served forward index, and hold every stored vector to the text
+/// oracle's surrogate of its `(specialization, hit)` — hits from the
+/// hash-map oracle engine — bit for bit. Both deployments build the store
+/// through a forward index (the second drops it afterwards), and the
+/// pinned `build` wrapper compiles to the same bytes as `build_with`.
+/// Returns how many vectors were checked.
+fn assert_deployed_store_matches_oracle(
+    index: &Arc<InvertedIndex>,
+    model: &Arc<SpecializationModel>,
+    params: PipelineParams,
+    context: &str,
+) -> usize {
+    let oracle = DphEngine::new(index);
+    let snippets = SnippetGenerator::with_window(params.snippet_window);
+    let wrapped = CompiledSpecStore::compile(&SpecializationStore::build(
+        model,
+        &oracle,
+        params.k_spec_results,
+        params.snippet_window,
+    ))
+    .to_bytes();
+    let mut checked = 0;
+    for forward_index in [true, false] {
+        let config = EngineConfig {
+            params,
+            forward_index,
+            ..EngineConfig::default()
+        };
+        let engine = SearchEngine::deploy(index.clone(), model.clone(), config);
+        assert_eq!(engine.forward().is_some(), forward_index, "{context}");
+        let store = engine.store();
+        for (spec, vectors) in store.iter() {
+            let qterms = index.analyze_query(spec);
+            let hits = oracle.search_terms(&qterms, params.k_spec_results);
+            assert_eq!(vectors.len(), hits.len(), "{context}: {spec:?}");
+            for (stored, hit) in vectors.iter().zip(&hits) {
+                let naive = candidate_surrogate_naive(index, hit.doc, &qterms, &snippets);
+                let what = format!("{context}: {spec:?} {:?} forward={forward_index}", hit.doc);
+                assert_eq!(stored, &naive, "{what}");
+                assert_eq!(stored.norm().to_bits(), naive.norm().to_bits(), "{what}");
+                checked += 1;
+            }
+        }
+        assert_eq!(
+            engine.compiled().to_bytes(),
+            wrapped,
+            "{context}: build and build_with compile to different bytes"
+        );
+    }
+    checked
 }
 
 /// Fixture docs exercising every degenerate shape at once.
@@ -243,6 +304,21 @@ fn table_world() -> (Arc<serpdiv::index::InvertedIndex>, Arc<SpecializationModel
     (Arc::new(b.build()), Arc::new(model))
 }
 
+#[test]
+fn deployed_store_matches_the_text_oracle() {
+    let (index, model) = table_world();
+    for (k_spec_results, snippet_window) in [(20, 30), (3, 4), (1, 1)] {
+        let params = PipelineParams {
+            k_spec_results,
+            snippet_window,
+            ..PipelineParams::default()
+        };
+        let checked = assert_deployed_store_matches_oracle(&index, &model, params, "table world");
+        // Four distinct specializations, six matching documents each.
+        assert_eq!(checked, 2 * 4 * k_spec_results.min(12));
+    }
+}
+
 /// A surrogate-cached engine and its cache-less twin over
 /// [`table_world`], result cache off so every request runs the stage.
 fn cached_and_uncached(n_candidates: usize, capacity: usize) -> (SearchEngine, SearchEngine) {
@@ -383,9 +459,7 @@ fn racing_cold_requests_publish_equivalent_tables() {
     }
 }
 
-/// Randomized corpus sweep (deterministic LCG, no external deps), gated
-/// like the other property suites.
-#[cfg(feature = "property-tests")]
+/// Randomized corpus sweep (deterministic LCG, no external deps).
 mod randomized {
     use super::*;
 
@@ -426,10 +500,13 @@ mod randomized {
     }
 
     /// 25 random corpora: every (doc, query, window) triple picks the
-    /// same window and emits the identical vector through both paths.
+    /// same window and emits the identical vector through both paths, and
+    /// so does every vector of the store deployed over the corpus with
+    /// the world's queries as its specializations.
     #[test]
     fn random_corpora_match_oracle_bitwise() {
         let mut rng = Lcg(0x5eed_f0d1);
+        let mut stored = 0;
         for world in 0..25 {
             let num_docs = 1 + rng.below(12) as usize;
             let mut b = IndexBuilder::new();
@@ -448,9 +525,11 @@ mod randomized {
             let index = b.build();
             let forward = ForwardIndex::build(&index);
             let windows = [1 + rng.below(6) as usize, 30, 200];
+            let mut queries = Vec::new();
             for _ in 0..6 {
                 let qlen = rng.below(4) as usize; // empty queries included
                 let query = text(&mut rng, qlen);
+                queries.push(query.clone());
                 for doc in 0..num_docs as u32 {
                     assert_doc_equivalent(
                         &index,
@@ -462,6 +541,25 @@ mod randomized {
                     );
                 }
             }
+            let specializations: Vec<String> =
+                queries.iter().map(|q| format!("[{q:?},0.1]")).collect();
+            let model = SpecializationModel::from_json(&format!(
+                r#"{{"entries":{{"q":{{"query":"q","specializations":[{}]}}}}}}"#,
+                specializations.join(",")
+            ))
+            .unwrap();
+            let params = PipelineParams {
+                k_spec_results: 1 + rng.below(8) as usize,
+                snippet_window: windows[world % 3],
+                ..PipelineParams::default()
+            };
+            stored += assert_deployed_store_matches_oracle(
+                &Arc::new(index),
+                &Arc::new(model),
+                params,
+                &format!("world {world}"),
+            );
         }
+        assert!(stored > 500, "only {stored} stored vectors were checked");
     }
 }

@@ -124,7 +124,7 @@ fn delta_retriever_matches_union_oracle_over_every_sealed_layer() {
         ),
     ];
     for (label, sealed) in sealed_layers {
-        let retriever = DeltaRetriever::new(sealed, delta.clone());
+        let retriever = DeltaRetriever::new(sealed, delta.clone()).unwrap();
         for query in QUERIES {
             for k in [1, 3, 10, 50] {
                 let got = retriever.retrieve(query, k);
@@ -150,7 +150,8 @@ fn multi_step_ingest_matches_union_oracle_at_every_instant() {
         // `SearchEngine::ingest`.
         let pending: Vec<Document> = union_corpus[base_corpus.len()..].to_vec();
         let delta = Arc::new(DeltaIndex::build(&base, pending));
-        let retriever = DeltaRetriever::new(base.clone() as Arc<dyn Retriever>, delta.clone());
+        let retriever =
+            DeltaRetriever::new(base.clone() as Arc<dyn Retriever>, delta.clone()).unwrap();
         let oracle = build_index(&union_corpus);
         for query in QUERIES {
             let got = retriever.retrieve(query, 30);
@@ -182,7 +183,7 @@ fn delta_only_query_terms_are_not_dropped() {
     let fresh = delta_docs(18..22);
     let base = build_index(&base_corpus);
     let delta = Arc::new(DeltaIndex::build(&base, fresh.clone()));
-    let retriever = DeltaRetriever::new(base.clone() as Arc<dyn Retriever>, delta);
+    let retriever = DeltaRetriever::new(base.clone() as Arc<dyn Retriever>, delta).unwrap();
 
     // Sanity: the sealed vocabulary does not know the term.
     assert!(base.analyze_query("qubit").is_empty());
