@@ -26,12 +26,13 @@
 //! * [`worker`] — the single-shard scoring server; boots from a
 //!   serialized [`ShardArtifact`](serpdiv_index::ShardArtifact) and
 //!   scores with the same dense-accumulator path as in-process shards.
-//! * [`router`] — [`FleetRouter`]: parallel scatter, exact gather via
-//!   [`merge_top_k`](serpdiv_index::merge_top_k), per-shard deadlines
-//!   (clamped to the request's remaining budget), hedged re-dispatch of
-//!   slow exchanges ([`HedgePolicy`]), per-link circuit breakers,
-//!   partial gathers on shard loss, reconnect with jittered exponential
-//!   backoff.
+//! * [`router`] — [`FleetRouter`]: on the caller's thread, write every
+//!   shard's query, then read the replies and gather exactly via
+//!   [`merge_top_k`](serpdiv_index::merge_top_k); per-shard deadlines
+//!   counted from each shard's write (clamped to the request's remaining
+//!   budget), one fresh-connection re-dispatch of a slow or broken
+//!   exchange ([`HedgePolicy`]), per-link circuit breakers, partial
+//!   gathers on shard loss, reconnect with jittered exponential backoff.
 //!
 //! Because workers return the exact `f64` bits their shard computed and
 //! the router runs the exact in-process merge, a healthy fleet's pages

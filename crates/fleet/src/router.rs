@@ -1,13 +1,16 @@
 //! The router side of the fleet: scatter to shard workers, gather exactly.
 //!
 //! [`FleetRouter`] holds one lazily-connected Unix-socket link per shard
-//! worker. A query is scattered to every link in parallel, each worker
-//! returns its shard-local top-`k`, and the router merges the per-shard
-//! lists with [`merge_top_k`] — the *same* k-way `(score desc, doc asc)`
-//! merge the in-process [`ShardedIndex`](serpdiv_index::ShardedIndex)
-//! uses, over the *same* `f64` bits (they cross the wire as raw bits). A
-//! fully-answered gather is therefore bit-identical to in-process
-//! serving.
+//! worker. A query is written to every link in shard order and the
+//! replies are then read in the same order, all on the caller's thread:
+//! the workers are separate processes, so they score concurrently while
+//! the router waits on the first reply, and a request needs no thread of
+//! its own. Each worker returns its shard-local top-`k`, and the router
+//! merges the per-shard lists with [`merge_top_k`] — the *same* k-way
+//! `(score desc, doc asc)` merge the in-process
+//! [`ShardedIndex`](serpdiv_index::ShardedIndex) uses, over the *same*
+//! `f64` bits (they cross the wire as raw bits). A fully-answered gather
+//! is therefore bit-identical to in-process serving.
 //!
 //! # Failure containment
 //!
@@ -16,22 +19,27 @@
 //!
 //! * **Deadlines** — every exchange carries read/write timeouts
 //!   ([`FleetConfig::shard_timeout`], clamped to the request's remaining
-//!   deadline budget when one is given); a slow worker costs at most one
-//!   deadline, after which its connection is condemned (a late reply
-//!   would desync request ids) and the gather proceeds without it.
-//! * **Hedging** — a query whose primary dispatch blows the hedge
-//!   threshold ([`FleetConfig::hedge`]) is re-dispatched once on a
-//!   *fresh* connection with a fresh request id for the remaining
-//!   deadline; the first valid reply wins, and because workers are
-//!   deterministic the hedged page is bit-identical to the un-hedged
-//!   one. The threshold defaults to a multiple of the link's observed
-//!   (EWMA) exchange latency, so hedges fire on outliers, not medians.
+//!   deadline budget when one is given), counted from that shard's own
+//!   write, so a gather waits for its slowest shard and not the sum. A
+//!   slow worker costs at most one deadline, after which its connection
+//!   is condemned (a late reply would desync request ids) and the gather
+//!   proceeds without it.
+//! * **One fresh leg** — a primary that blows the hedge threshold
+//!   ([`FleetConfig::hedge`]) or finds its cached connection broken
+//!   (typically a worker restarted since the last query) is condemned and
+//!   re-dispatched once on a *fresh* connection with a fresh request id
+//!   for whatever is left of the deadline. Because workers are
+//!   deterministic the re-dispatched page is bit-identical to the
+//!   un-hedged one. The hedge threshold defaults to a multiple of the
+//!   link's observed (EWMA) exchange latency, so hedges fire on outliers,
+//!   not medians, and a bounced worker costs exactly one degraded
+//!   response.
 //! * **Circuit breaker** — [`FleetConfig::breaker_threshold`]
 //!   consecutive counted failures open the link's breaker for
 //!   [`FleetConfig::breaker_cooldown`]: queries fail the shard instantly
 //!   (zero syscalls) while open, and the first query after the cooldown
-//!   runs a half-open [`Frame::Ping`] probe — success closes the
-//!   breaker, failure re-opens it for another cooldown.
+//!   sends a half-open [`Frame::Ping`] down the same fresh leg — success
+//!   closes the breaker, failure re-opens it for another cooldown.
 //! * **Partial gathers** — the merge runs over whichever shards
 //!   answered; the result is reported as incomplete via
 //!   [`Retrieval::partial`] so the serving layer can label the response
@@ -40,10 +48,7 @@
 //!   exponential backoff window (base doubling to a cap, with seeded
 //!   full jitter so simultaneous failures don't re-connect in lockstep)
 //!   before the next connect attempt; queries during the window fail the
-//!   shard instantly rather than queueing behind connect syscalls. A
-//!   broken *cached* connection (worker restarted since the last query)
-//!   gets one immediate reconnect-and-resend before counting as a
-//!   failure, so a bounced worker costs exactly one degraded response.
+//!   shard instantly rather than queueing behind connect syscalls.
 //!
 //! Timeouts caused by a *clamped* deadline budget (the request ran out of
 //! time, not the shard) condemn the connection but are deliberately not
@@ -63,34 +68,28 @@ use std::time::{Duration, Instant};
 
 /// Exchange-latency EWMA smoothing factor (weight of the newest sample).
 const EWMA_ALPHA: f64 = 0.2;
+/// [`HedgePolicy::Auto`] hedges at this multiple of the EWMA latency…
+const AUTO_HEDGE_MULTIPLIER: f64 = 4.0;
+/// …but never sooner than this, so microsecond-fast links don't hedge on
+/// scheduler noise.
+const AUTO_HEDGE_FLOOR: Duration = Duration::from_millis(2);
+/// Seed of the per-link backoff-jitter RNGs (each link derives its own
+/// stream from this and its shard index, so retry schedules are
+/// deterministic under test yet de-synchronized across links).
+const JITTER_SEED: u64 = 0x5EA7_D1F7;
 
 /// When to re-dispatch a shard exchange on a fresh connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HedgePolicy {
     /// Never hedge; the primary dispatch gets the full deadline.
     Off,
     /// Hedge after a fixed delay (clamped to the exchange deadline).
     After(Duration),
-    /// Hedge after `multiplier ×` the link's EWMA exchange latency, never
-    /// sooner than `floor`. A link with no completed exchange yet has no
-    /// latency signal and does not hedge.
-    Auto {
-        /// Multiple of the EWMA latency to wait before hedging.
-        multiplier: u32,
-        /// Lower bound on the hedge delay, so microsecond-fast links
-        /// don't hedge on scheduler noise.
-        floor: Duration,
-    },
-}
-
-impl Default for HedgePolicy {
-    /// Hedge at 4× the observed latency, no sooner than 2 ms.
-    fn default() -> Self {
-        HedgePolicy::Auto {
-            multiplier: 4,
-            floor: Duration::from_millis(2),
-        }
-    }
+    /// Hedge after 4× the link's EWMA exchange latency, never sooner than
+    /// 2 ms. A link with no completed exchange yet has no latency signal
+    /// and does not hedge.
+    #[default]
+    Auto,
 }
 
 /// Tunables for the router's failure handling.
@@ -104,8 +103,6 @@ pub struct FleetConfig {
     pub backoff_base: Duration,
     /// Cap on the doubling backoff window.
     pub backoff_max: Duration,
-    /// Frame-size cap handed to [`read_frame`].
-    pub max_frame: u32,
     /// When to re-dispatch a slow exchange on a fresh connection.
     pub hedge: HedgePolicy,
     /// Consecutive counted failures that open a link's circuit breaker
@@ -114,10 +111,6 @@ pub struct FleetConfig {
     /// How long an open breaker fails the shard instantly before the
     /// half-open probe.
     pub breaker_cooldown: Duration,
-    /// Seed of the per-link backoff-jitter RNG (each link derives its own
-    /// stream from this and its shard index, so retry schedules are
-    /// deterministic under test yet de-synchronized across links).
-    pub jitter_seed: u64,
 }
 
 impl Default for FleetConfig {
@@ -126,11 +119,9 @@ impl Default for FleetConfig {
             shard_timeout: Duration::from_millis(250),
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(2),
-            max_frame: DEFAULT_MAX_FRAME,
             hedge: HedgePolicy::default(),
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(250),
-            jitter_seed: 0x5EA7_D1F7,
         }
     }
 }
@@ -157,6 +148,15 @@ struct LinkState {
     open_until: Option<Instant>,
 }
 
+impl LinkState {
+    /// Draw the link's next request id.
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+}
+
 /// One router→worker link.
 struct WorkerLink {
     path: PathBuf,
@@ -165,9 +165,10 @@ struct WorkerLink {
 
 impl WorkerLink {
     fn lock(&self) -> MutexGuard<'_, LinkState> {
-        // A poisoned lock means a scatter thread panicked mid-exchange;
-        // the connection may be desynced, so condemn it and carry on —
-        // the router itself must never panic.
+        // A poisoned lock means a caller panicked mid-exchange (the
+        // serving pool contains panics and keeps going); the connection
+        // may be desynced, so condemn it and carry on — the router itself
+        // must never panic.
         match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -179,35 +180,51 @@ impl WorkerLink {
     }
 }
 
-/// How one shard exchange failed, which decides whether an immediate
-/// retry is worth it.
+/// How one leg of a shard exchange failed, which decides whether a fresh
+/// leg is worth it.
 enum ShardError {
-    /// The worker did not answer within the deadline. Retrying would pay
-    /// a second full deadline for a worker known to be slow — don't.
+    /// The worker did not answer within the deadline. A fresh leg only
+    /// if the deadline was the hedge threshold: otherwise it would pay a
+    /// second deadline for a worker known to be slow.
     Timeout,
     /// The transport broke or the peer spoke garbage. Typically a
-    /// restarted worker behind a stale connection; an immediate
-    /// reconnect usually succeeds.
+    /// restarted worker behind a stale connection; a fresh connection
+    /// usually answers.
     Broken,
 }
 
-/// Per-exchange behavior switches; see [`FleetRouter::exchange_inner`].
+/// What an exchange is for, which decides how much of the failure
+/// machinery it engages.
 #[derive(Clone, Copy)]
-struct ExchangeOpts {
-    /// Whether failures count toward metrics, backoff, and the breaker.
-    count_failures: bool,
-    /// Whether the exchange may hedge onto a fresh connection.
-    hedge: bool,
-    /// Remaining request deadline budget, if the request carries one.
-    budget: Option<Duration>,
+enum Mode {
+    /// A served query, under the request's remaining deadline budget if
+    /// it carries one: breaker-gated, hedged, and counted toward metrics,
+    /// backoff and the breaker.
+    Serve(Option<Duration>),
+    /// Boot-time readiness pinging: no breaker, no hedging, no counting.
+    Boot,
 }
 
-/// Boot-time probing: no counting, no hedging, no budget.
-const PROBE_OPTS: ExchangeOpts = ExchangeOpts {
-    count_failures: false,
-    hedge: false,
-    budget: None,
-};
+/// One shard's exchange between its send and receive steps. The link
+/// stays locked in between, so no other request interleaves on it.
+struct Pending<'a> {
+    s: usize,
+    state: MutexGuard<'a, LinkState>,
+    /// The request as written: its id and kind are what the reply echoes.
+    request: Frame,
+    /// How the write went; a failed write is settled in the receive step.
+    sent: Result<(), ShardError>,
+    /// When the request was written; the exchange's deadlines count from
+    /// here.
+    written: Instant,
+    /// The exchange's wire deadline.
+    total: Duration,
+    /// The primary's deadline; past it the exchange hedges. Equal to
+    /// `total` ⇒ no hedging for this exchange.
+    hedge_at: Duration,
+    /// Whether `total` is the request's budget, not the shard timeout.
+    clamped: bool,
+}
 
 /// Counters the router keeps about its fleet; see [`FleetRouter::metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -277,7 +294,7 @@ impl FleetRouter {
                     retry_at: None,
                     next_id: 0,
                     ever_connected: false,
-                    jitter: jitter_state(config.jitter_seed, s as u64),
+                    jitter: jitter_state(JITTER_SEED, s as u64),
                     ewma_us: None,
                     consecutive_failures: 0,
                     open_until: None,
@@ -325,29 +342,22 @@ impl FleetRouter {
     /// silently merging wrong ranges.
     pub fn wait_ready(&self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
-        let mut pending: Vec<usize> = (0..self.links.len()).collect();
         loop {
-            pending.retain(|&s| {
-                // Boot-time probing ignores the steady-state backoff and
-                // breaker windows — the whole point is to poll until up.
-                {
-                    let mut state = self.links[s].lock();
-                    state.retry_at = None;
-                    state.open_until = None;
-                }
-                match self.exchange_inner(s, |id| Frame::Ping { id }, PROBE_OPTS) {
-                    Ok(Frame::Pong { shard_id, .. }) => {
-                        if shard_id as usize != s {
-                            // Leave it pending; the caller gets a clear
-                            // error below rather than a wrong merge later.
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => true,
-                }
-            });
+            // Boot-time probing ignores the steady-state backoff and
+            // breaker windows — the whole point is to poll until up.
+            for link in &self.links {
+                let mut state = link.lock();
+                state.retry_at = None;
+                state.open_until = None;
+            }
+            let replies = self.exchange(|id| Frame::Ping { id }, Mode::Boot);
+            // A miswired endpoint stays pending: the caller gets a clear
+            // error below rather than a wrong merge later.
+            let pending: Vec<usize> = (0..replies.len())
+                .filter(|&s| {
+                    !matches!(replies[s], Some(Frame::Pong { shard_id, .. }) if shard_id as usize == s)
+                })
+                .collect();
             if pending.is_empty() {
                 return Ok(());
             }
@@ -382,27 +392,29 @@ impl FleetRouter {
         if terms.is_empty() || k == 0 {
             return Retrieval::complete(Vec::new());
         }
-        let budget = budget_us.map(Duration::from_micros);
-        let per_shard: Vec<Option<Vec<ScoredDoc>>> = if self.links.len() == 1 {
-            vec![self.shard_query(0, terms, k, budget)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.links.len())
-                    .map(|s| scope.spawn(move || self.shard_query(s, terms, k, budget)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or(None))
-                    .collect()
+        let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
+        let replies = self.exchange(
+            |id| Frame::Query {
+                id,
+                k: wire_k,
+                terms: terms.to_vec(),
+            },
+            Mode::Serve(budget_us.map(Duration::from_micros)),
+        );
+        let per_shard: Vec<Vec<ScoredDoc>> = replies
+            .into_iter()
+            .filter_map(|reply| match reply {
+                Some(Frame::Hits { hits, .. }) => Some(hits),
+                _ => None,
             })
-        };
-        let complete = per_shard.iter().all(Option::is_some);
+            .collect();
+        let complete = per_shard.len() == self.links.len();
         if !complete {
             self.partial_gathers.fetch_add(1, Ordering::Relaxed);
         }
         // The gather: identical merge to in-process scatter-gather, over
         // whichever shards answered (all of them, in the healthy case).
-        let hits = merge_top_k(per_shard.into_iter().flatten().collect(), k);
+        let hits = merge_top_k(per_shard, k);
         if complete {
             Retrieval::complete(hits)
         } else {
@@ -410,15 +422,27 @@ impl FleetRouter {
         }
     }
 
-    /// One shard's top-`k`, or `None` if the worker failed, is in
-    /// backoff, or its breaker is open.
-    fn shard_query(
-        &self,
-        s: usize,
-        terms: &[TermId],
-        k: usize,
-        budget: Option<Duration>,
-    ) -> Option<Vec<ScoredDoc>> {
+    /// One request/reply exchange with every shard, on the calling
+    /// thread: the send steps write every shard's request in ascending
+    /// shard order (also the lock order, so concurrent callers cannot
+    /// deadlock), then the receive steps read the replies in the same
+    /// order. Each shard's reply is `None` if it failed, is in backoff, or
+    /// its breaker is open.
+    fn exchange(&self, make: impl Fn(u64) -> Frame, mode: Mode) -> Vec<Option<Frame>> {
+        let pending: Vec<Option<Pending<'_>>> = (0..self.links.len())
+            .map(|s| self.send(s, &make, mode))
+            .collect();
+        pending
+            .into_iter()
+            .map(|p| p.and_then(|p| self.receive(p, &make, mode)))
+            .collect()
+    }
+
+    /// The send step for shard `s`: enforce the breaker, clamp the wire
+    /// deadline to the budget, connect or honour the backoff window, draw
+    /// a fresh id and write — keeping the link locked for the receive
+    /// step.
+    fn send(&self, s: usize, make: &impl Fn(u64) -> Frame, mode: Mode) -> Option<Pending<'_>> {
         // Chaos hook (no-op unless a fault plan is armed): lose or delay
         // this dispatch before it touches the link.
         match serpdiv_chaos::failpoint("router.dispatch") {
@@ -426,146 +450,147 @@ impl FleetRouter {
             SiteAction::Stall(d) => std::thread::sleep(d),
             SiteAction::None | SiteAction::Corrupt => {}
         }
-        let k = u32::try_from(k).unwrap_or(u32::MAX);
-        let opts = ExchangeOpts {
-            count_failures: true,
-            hedge: true,
-            budget,
-        };
-        match self.exchange_inner(
-            s,
-            |id| Frame::Query {
-                id,
-                k,
-                terms: terms.to_vec(),
-            },
-            opts,
-        ) {
-            Ok(Frame::Hits { hits, .. }) => Some(hits),
-            _ => None,
-        }
-    }
-
-    /// Run one request/reply exchange with shard `s`: enforce the
-    /// breaker, reconnect once through a stale connection, honor the
-    /// backoff window, clamp the wire deadline to the budget, and hedge
-    /// onto a fresh connection when the primary blows the threshold.
-    fn exchange_inner(
-        &self,
-        s: usize,
-        make: impl Fn(u64) -> Frame,
-        opts: ExchangeOpts,
-    ) -> Result<Frame, ()> {
         let link = &self.links[s];
         let mut state = link.lock();
-        if opts.count_failures && self.breaker_blocks(s, &mut state) {
-            return Err(());
-        }
+        let budget = match mode {
+            Mode::Serve(_) if self.breaker_blocks(s, &mut state) => return None,
+            Mode::Serve(budget) => budget,
+            Mode::Boot => None,
+        };
         // The wire deadline of this exchange: the configured per-shard
         // timeout, clamped to whatever is left of the request's budget.
-        let total = match opts.budget {
-            Some(b) => b.min(self.config.shard_timeout),
-            None => self.config.shard_timeout,
-        };
+        let timeout = self.config.shard_timeout;
+        let total = budget.map_or(timeout, |b| b.min(timeout));
         if total.is_zero() {
             // The budget is already spent: nothing the shard can do
             // helps, and blaming it would poison backoff/breaker state.
-            return Err(());
+            return None;
         }
-        let clamped = total < self.config.shard_timeout;
-        for attempt in 0..2 {
-            if state.conn.is_none() {
-                if let Some(at) = state.retry_at {
-                    if Instant::now() < at {
-                        return Err(()); // in backoff: fail fast, no syscall
-                    }
-                }
-                match UnixStream::connect(&link.path) {
-                    Ok(conn) => {
-                        if state.ever_connected {
-                            self.reconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        state.ever_connected = true;
-                        state.backoff = self.config.backoff_base;
-                        state.retry_at = None;
-                        state.conn = Some(conn);
-                    }
-                    Err(_) => {
-                        self.note_failure(&mut state, false, opts.count_failures);
-                        return Err(());
-                    }
-                }
+        if state.conn.is_none() {
+            if state.retry_at.is_some_and(|at| Instant::now() < at) {
+                return None; // in backoff: fail fast, no syscall
             }
-            let id = state.next_id;
-            state.next_id += 1;
-            let frame = make(id);
-            // The primary dispatch only gets until the hedge threshold;
-            // `hedge_at == total` means no hedging for this exchange.
-            let hedge_at = if opts.hedge {
-                self.hedge_threshold(&state, total)
-            } else {
-                total
-            };
-            let started = Instant::now();
-            let conn = state.conn.as_mut().expect("connected above");
-            match Self::roundtrip(conn, &frame, id, self.config.max_frame, hedge_at) {
-                Ok(reply) => {
-                    self.note_success(&mut state, started.elapsed());
-                    return Ok(reply);
-                }
-                Err(ShardError::Timeout) if hedge_at < total => {
-                    // The primary blew the hedge threshold. Its eventual
-                    // reply (if any) can no longer be trusted — condemn
-                    // the connection — and re-dispatch on a fresh one
-                    // with a fresh id for the remaining deadline.
-                    state.conn = None;
-                    self.hedges.fetch_add(1, Ordering::Relaxed);
-                    let remaining = total.saturating_sub(started.elapsed());
-                    match self.hedge_once(s, &mut state, &make, remaining) {
-                        Ok(reply) => {
-                            self.note_success(&mut state, started.elapsed());
-                            return Ok(reply);
-                        }
-                        Err(kind) => {
-                            self.note_exchange_failure(
-                                &mut state,
-                                matches!(kind, ShardError::Timeout),
-                                opts.count_failures,
-                                clamped,
-                            );
-                            return Err(());
-                        }
+            match UnixStream::connect(&link.path) {
+                Ok(conn) => {
+                    if state.ever_connected {
+                        self.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
+                    state.ever_connected = true;
+                    state.backoff = self.config.backoff_base;
+                    state.retry_at = None;
+                    state.conn = Some(conn);
                 }
-                Err(kind) => {
-                    // Whatever happened, the connection can no longer be
-                    // trusted to be in sync — condemn it.
-                    state.conn = None;
-                    match kind {
-                        ShardError::Broken if attempt == 0 => continue,
-                        ShardError::Broken => {
-                            self.note_exchange_failure(
-                                &mut state,
-                                false,
-                                opts.count_failures,
-                                clamped,
-                            );
-                            return Err(());
-                        }
-                        ShardError::Timeout => {
-                            self.note_exchange_failure(
-                                &mut state,
-                                true,
-                                opts.count_failures,
-                                clamped,
-                            );
-                            return Err(());
-                        }
-                    }
+                Err(_) => {
+                    self.note_failure(&mut state, false, matches!(mode, Mode::Serve(_)));
+                    return None;
                 }
             }
         }
-        unreachable!("loop returns on success, final failure, or timeout");
+        let hedge_at = match mode {
+            Mode::Serve(_) => self.hedge_threshold(&state, total),
+            Mode::Boot => total,
+        };
+        let request = make(state.take_id());
+        let written = Instant::now();
+        let conn = state.conn.as_mut().expect("connected above");
+        let sent = write_request(conn, &request, total);
+        Some(Pending {
+            s,
+            state,
+            request,
+            sent,
+            written,
+            total,
+            hedge_at,
+            clamped: total < timeout,
+        })
+    }
+
+    /// The receive step: read the reply until the hedge threshold, counted
+    /// from this shard's own write. A primary that blows the threshold (a
+    /// hedge) or broke is condemned and replaced by one fresh leg for what
+    /// is left of the deadline.
+    fn receive(
+        &self,
+        mut p: Pending<'_>,
+        make: &impl Fn(u64) -> Frame,
+        mode: Mode,
+    ) -> Option<Frame> {
+        let primary = p.sent.and_then(|()| {
+            let conn = p.state.conn.as_mut().expect("written in the send step");
+            read_reply(
+                conn,
+                &p.request,
+                p.hedge_at.saturating_sub(p.written.elapsed()),
+            )
+        });
+        let reply = match primary {
+            Ok(reply) => Ok(reply),
+            Err(kind) => {
+                // Whatever happened, the connection can no longer be
+                // trusted to be in sync — condemn it.
+                p.state.conn = None;
+                let hedge = matches!(kind, ShardError::Timeout) && p.hedge_at < p.total;
+                if hedge || matches!(kind, ShardError::Broken) {
+                    let remaining = p.total.saturating_sub(p.written.elapsed());
+                    self.fresh_leg(p.s, &mut p.state, make, remaining, hedge)
+                } else {
+                    Err(kind)
+                }
+            }
+        };
+        match reply {
+            Ok(reply) => {
+                self.note_success(&mut p.state, p.written.elapsed());
+                Some(reply)
+            }
+            Err(kind) => {
+                // A timeout under a *clamped* deadline is not the shard's
+                // fault — the request ran out of budget — and must not
+                // poison the counters, the backoff window, or the breaker.
+                let timeout = matches!(kind, ShardError::Timeout);
+                if !(timeout && p.clamped) {
+                    self.note_failure(&mut p.state, timeout, matches!(mode, Mode::Serve(_)));
+                }
+                None
+            }
+        }
+    }
+
+    /// One exchange with shard `s` on a fresh connection with a fresh
+    /// request id, all within `remaining`; on success the connection
+    /// becomes the link's cached one. It serves the hedge (counted in
+    /// `hedges`), the resend through a broken connection and the breaker's
+    /// half-open probe (both counted in `reconnects`).
+    fn fresh_leg(
+        &self,
+        s: usize,
+        state: &mut LinkState,
+        make: &impl Fn(u64) -> Frame,
+        remaining: Duration,
+        hedge: bool,
+    ) -> Result<Frame, ShardError> {
+        if hedge {
+            self.hedges.fetch_add(1, Ordering::Relaxed);
+        }
+        if remaining.is_zero() {
+            return Err(ShardError::Timeout);
+        }
+        let started = Instant::now();
+        let mut conn = UnixStream::connect(&self.links[s].path).map_err(|_| ShardError::Broken)?;
+        if !hedge && state.ever_connected {
+            self.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        state.ever_connected = true;
+        let request = make(state.take_id());
+        write_request(&mut conn, &request, remaining)?;
+        let reply = read_reply(
+            &mut conn,
+            &request,
+            remaining.saturating_sub(started.elapsed()),
+        )?;
+        state.conn = Some(conn);
+        Ok(reply)
     }
 
     /// Enforce the circuit breaker for shard `s`. Returns `true` when the
@@ -580,11 +605,15 @@ impl FleetRouter {
             self.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
             return true;
         }
-        // Half-open: one fresh ping decides. The cached connection (if
-        // any) predates the trip and cannot be trusted.
+        // Half-open: one ping on a fresh leg decides. The cached
+        // connection (if any) predates the trip and cannot be trusted.
         state.conn = None;
         state.retry_at = None;
-        if self.probe(s, state) {
+        let ping = |id| Frame::Ping { id };
+        if self
+            .fresh_leg(s, state, &ping, self.config.shard_timeout, false)
+            .is_ok()
+        {
             state.open_until = None;
             state.consecutive_failures = 0;
             false
@@ -597,113 +626,22 @@ impl FleetRouter {
         }
     }
 
-    /// Half-open probe: ping shard `s` on a fresh connection. On success
-    /// the probed connection becomes the link's cached connection.
-    fn probe(&self, s: usize, state: &mut LinkState) -> bool {
-        let Ok(mut conn) = UnixStream::connect(&self.links[s].path) else {
-            return false;
-        };
-        let id = state.next_id;
-        state.next_id += 1;
-        let ping = Frame::Ping { id };
-        match Self::roundtrip(
-            &mut conn,
-            &ping,
-            id,
-            self.config.max_frame,
-            self.config.shard_timeout,
-        ) {
-            Ok(Frame::Pong { .. }) => {
-                if state.ever_connected {
-                    self.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                state.ever_connected = true;
-                state.conn = Some(conn);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The hedge leg: a fresh connection, a fresh request id, the
-    /// remaining wire deadline. On success the hedge connection becomes
-    /// the link's cached connection.
-    fn hedge_once(
-        &self,
-        s: usize,
-        state: &mut LinkState,
-        make: &impl Fn(u64) -> Frame,
-        remaining: Duration,
-    ) -> Result<Frame, ShardError> {
-        if remaining.is_zero() {
-            return Err(ShardError::Timeout);
-        }
-        let mut conn = UnixStream::connect(&self.links[s].path).map_err(|_| ShardError::Broken)?;
-        let id = state.next_id;
-        state.next_id += 1;
-        let reply = Self::roundtrip(&mut conn, &make(id), id, self.config.max_frame, remaining)?;
-        state.conn = Some(conn);
-        Ok(reply)
-    }
-
     /// The wire deadline of the *primary* dispatch; past it, the exchange
     /// hedges. Equal to `total` ⇒ no hedging for this exchange.
     fn hedge_threshold(&self, state: &LinkState, total: Duration) -> Duration {
         let at = match self.config.hedge {
             HedgePolicy::Off => return total,
             HedgePolicy::After(at) => at,
-            HedgePolicy::Auto { multiplier, floor } => {
+            HedgePolicy::Auto => {
                 // A cold link has no latency signal yet — no hedging
                 // until the first successful exchange seeds the EWMA.
                 let Some(ewma) = state.ewma_us else {
                     return total;
                 };
-                Duration::from_secs_f64((ewma * f64::from(multiplier)) / 1e6).max(floor)
+                Duration::from_secs_f64((ewma * AUTO_HEDGE_MULTIPLIER) / 1e6).max(AUTO_HEDGE_FLOOR)
             }
         };
         at.min(total)
-    }
-
-    /// Write `frame` under `timeout`, read the reply, verify the echoed
-    /// id and kind. Deadlines are per-exchange (budget clamping and hedge
-    /// thresholds vary request to request), so the socket timeouts are
-    /// set here rather than at connect.
-    fn roundtrip(
-        conn: &mut UnixStream,
-        frame: &Frame,
-        id: u64,
-        max_frame: u32,
-        timeout: Duration,
-    ) -> Result<Frame, ShardError> {
-        // A zero timeout would *disable* the socket deadline entirely.
-        let timeout = timeout.max(Duration::from_micros(1));
-        let _ = conn.set_write_timeout(Some(timeout));
-        let _ = conn.set_read_timeout(Some(timeout));
-        write_frame(conn, frame).map_err(|e| Self::classify(&e))?;
-        match read_frame(conn, max_frame) {
-            Ok(reply) => {
-                let kind_ok = matches!(
-                    (frame, &reply),
-                    (Frame::Query { .. }, Frame::Hits { .. })
-                        | (Frame::Ping { .. }, Frame::Pong { .. })
-                );
-                if kind_ok && reply.id() == id {
-                    Ok(reply)
-                } else {
-                    // Stale or alien reply: ids desynced.
-                    Err(ShardError::Broken)
-                }
-            }
-            Err(WireError::Io(e)) => Err(Self::classify(&e)),
-            Err(WireError::Frame(_)) => Err(ShardError::Broken),
-        }
-    }
-
-    fn classify(e: &std::io::Error) -> ShardError {
-        match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ShardError::Timeout,
-            _ => ShardError::Broken,
-        }
     }
 
     /// A successful exchange: reset every failure signal and fold the
@@ -719,24 +657,6 @@ impl FleetRouter {
             Some(prev) => (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * sample,
             None => sample,
         });
-    }
-
-    /// A wire failure: like [`note_failure`](Self::note_failure), except
-    /// that a timeout under a *clamped* deadline is not the shard's fault
-    /// — the request ran out of budget — and must not poison the
-    /// counters, the backoff window, or the breaker. (The connection is
-    /// still condemned by the caller: a late reply would desync ids.)
-    fn note_exchange_failure(
-        &self,
-        state: &mut LinkState,
-        timeout: bool,
-        count: bool,
-        clamped: bool,
-    ) {
-        if timeout && clamped {
-            return;
-        }
-        self.note_failure(state, timeout, count);
     }
 
     /// A failed connect or exchange: count it, advance the breaker, and
@@ -765,8 +685,59 @@ impl FleetRouter {
     }
 }
 
-/// Seed one link's jitter RNG: splitmix64 over `(seed, shard)`, so links
-/// sharing a [`FleetConfig`] still draw independent schedules.
+/// Write `request` under `timeout`. Deadlines vary exchange to exchange
+/// (budget clamping, hedge thresholds, what a fresh leg has left), so the
+/// socket timeouts are set per call rather than at connect.
+fn write_request(
+    conn: &mut UnixStream,
+    request: &Frame,
+    timeout: Duration,
+) -> Result<(), ShardError> {
+    let _ = conn.set_write_timeout(Some(timeout.max(MIN_TIMEOUT)));
+    write_frame(conn, request).map_err(|e| classify(&e))
+}
+
+/// Read the reply to `request` under `timeout`, verifying the echoed id
+/// and kind.
+fn read_reply(
+    conn: &mut UnixStream,
+    request: &Frame,
+    timeout: Duration,
+) -> Result<Frame, ShardError> {
+    let _ = conn.set_read_timeout(Some(timeout.max(MIN_TIMEOUT)));
+    match read_frame(conn, DEFAULT_MAX_FRAME) {
+        Ok(reply) => {
+            let kind_ok = matches!(
+                (request, &reply),
+                (Frame::Query { .. }, Frame::Hits { .. })
+                    | (Frame::Ping { .. }, Frame::Pong { .. })
+            );
+            if kind_ok && reply.id() == request.id() {
+                Ok(reply)
+            } else {
+                // Stale or alien reply: ids desynced.
+                Err(ShardError::Broken)
+            }
+        }
+        Err(WireError::Io(e)) => Err(classify(&e)),
+        Err(WireError::Frame(_)) => Err(ShardError::Broken),
+    }
+}
+
+/// The shortest socket timeout set: a zero one would *disable* the
+/// deadline entirely, and a deadline already past must still let a reply
+/// that has arrived be read.
+const MIN_TIMEOUT: Duration = Duration::from_micros(1);
+
+fn classify(e: &std::io::Error) -> ShardError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ShardError::Timeout,
+        _ => ShardError::Broken,
+    }
+}
+
+/// Seed one link's jitter RNG: splitmix64 over `(seed, shard)`, so the
+/// links of one router draw independent schedules.
 fn jitter_state(seed: u64, shard: u64) -> u64 {
     let mut z = seed
         .wrapping_add(shard.wrapping_mul(0x9E37_79B9_7F4A_7C15))

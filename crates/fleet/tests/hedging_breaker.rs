@@ -7,8 +7,14 @@
 //!   it;
 //! * a failed half-open probe re-opens the breaker;
 //! * timeouts caused by a clamped deadline budget blame the request, not
-//!   the shard: no failure counters, no breaker movement.
+//!   the shard: no failure counters, no breaker movement;
+//! * a resend through a broken connection gets what is left of the
+//!   deadline, not a new one;
+//! * the gather runs on one thread yet costs its slowest shard, not the
+//!   sum: every deadline and hedge threshold counts from its own shard's
+//!   write.
 
+use serpdiv_fleet::protocol::read_frame;
 use serpdiv_fleet::{worker, FleetConfig, FleetRouter, HedgePolicy, DEFAULT_MAX_FRAME};
 use serpdiv_index::{
     merge_top_k, Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, ShardArtifact,
@@ -87,6 +93,20 @@ fn spawn_silent_worker(path: &PathBuf) {
         let mut held = Vec::new();
         for stream in listener.incoming() {
             held.push(stream);
+        }
+    });
+}
+
+/// A worker that, on every connection in turn, reads the query, waits
+/// `hang` and hangs up without answering: each leg of an exchange sees a
+/// broken connection, late.
+fn spawn_late_hangup_worker(path: &PathBuf, hang: Duration) {
+    let listener = UnixListener::bind(path).expect("bind hang-up socket");
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME);
+            std::thread::sleep(hang);
         }
     });
 }
@@ -265,4 +285,93 @@ fn budget_clamped_timeouts_blame_the_request_not_the_shard() {
     let m = router.metrics();
     assert_eq!(m.shard_timeouts, 1);
     assert_eq!(m.breaker_trips, 1);
+}
+
+#[test]
+fn a_resend_gets_the_remaining_deadline_not_a_new_one() {
+    let index = corpus();
+    let sock = socket("hangup");
+    spawn_late_hangup_worker(&sock, Duration::from_millis(300));
+    let config = FleetConfig {
+        shard_timeout: Duration::from_millis(400),
+        hedge: HedgePolicy::Off,
+        ..FleetConfig::default()
+    };
+    let router = FleetRouter::new(index, vec![sock], config);
+
+    // The primary breaks at 300 ms; the fresh leg has the 100 ms that is
+    // left, not another 400.
+    let t = Instant::now();
+    let r = router.retrieve_with_status("apple pie", 5);
+    let elapsed = t.elapsed();
+    assert!(!r.complete);
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "one exchange must not outlive its deadline (took {elapsed:?})"
+    );
+    assert_eq!(router.metrics().shard_failures, 1);
+}
+
+#[test]
+fn two_silent_shards_cost_one_deadline_not_two() {
+    let index = corpus();
+    let socks = vec![socket("silent2-0"), socket("silent2-1")];
+    for sock in &socks {
+        spawn_silent_worker(sock);
+    }
+    let config = FleetConfig {
+        shard_timeout: Duration::from_millis(300),
+        hedge: HedgePolicy::Off,
+        ..FleetConfig::default()
+    };
+    let router = FleetRouter::new(index, socks, config);
+
+    let t = Instant::now();
+    let r = router.retrieve_with_status("apple pie", 5);
+    let elapsed = t.elapsed();
+    assert!(!r.complete);
+    assert!(r.hits.is_empty());
+    // Both deadlines count from their own shard's write, and both writes
+    // happen before either read: the second read is already due.
+    assert!(
+        elapsed < Duration::from_millis(450),
+        "a gather waits for its slowest shard, not the sum (took {elapsed:?})"
+    );
+    let m = router.metrics();
+    assert_eq!(m.shard_timeouts, 2);
+    assert_eq!(m.partial_gathers, 1);
+}
+
+#[test]
+fn two_stalled_primaries_both_hedge_within_one_deadline() {
+    let index = corpus();
+    let sharded = ShardedIndex::build(index.clone(), 2);
+    let socks = vec![socket("stall2-0"), socket("stall2-1")];
+    for (s, sock) in socks.iter().enumerate() {
+        spawn_stall_then_real_worker(sock, &sharded, s);
+    }
+    let config = FleetConfig {
+        shard_timeout: Duration::from_millis(800),
+        hedge: HedgePolicy::After(Duration::from_millis(40)),
+        ..FleetConfig::default()
+    };
+    let router = FleetRouter::new(index, socks, config);
+
+    let t = Instant::now();
+    let r = router.retrieve_with_status("apple pie", 5);
+    let elapsed = t.elapsed();
+    assert!(r.complete, "both hedge legs must answer");
+    assert_bit_identical(
+        "two hedged shards",
+        &r.hits,
+        &sharded.retrieve("apple pie", 5),
+    );
+    assert!(
+        elapsed < config.shard_timeout,
+        "both hedges must beat the full deadline (took {elapsed:?})"
+    );
+    let m = router.metrics();
+    assert_eq!(m.hedges, 2, "each stalled primary hedges once");
+    assert_eq!(m.shard_failures, 0);
+    assert_eq!(m.partial_gathers, 0);
 }

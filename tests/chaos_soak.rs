@@ -475,7 +475,6 @@ fn corruption_heavy_plan_keeps_fleet_pages_sound_and_recovers() {
                 hedge: HedgePolicy::After(Duration::from_millis(40)),
                 breaker_threshold: 4,
                 breaker_cooldown: Duration::from_millis(100),
-                ..FleetConfig::default()
             },
         ));
         router
