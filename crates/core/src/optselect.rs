@@ -1,4 +1,4 @@
-//! OptSelect — Algorithm 2, solving MaxUtility Diversify(k).
+//! OptSelect — Algorithm 2, for MaxUtility Diversify(k).
 //!
 //! The paper's key observation (§3.1.3): because the MaxUtility objective is
 //! *additive* over the selected set,
@@ -33,9 +33,16 @@
 //! `2k` so that after up to `k` picks from the specialization heaps it still
 //! holds `k` fresh candidates; (b) lines 07–09 take one document per
 //! specialization, which under-enforces the `⌊k·P⌋` quota — step 2 above
-//! enforces it fully. When `|Sq| > k` only the `k` most probable
-//! specializations are considered (§3.1.3: "we select from Sq the k
-//! specializations with the largest probabilities").
+//! then draws each specialization up to it. When `|Sq| > k` only the `k`
+//! most probable specializations are considered (§3.1.3: "we select from
+//! Sq the k specializations with the largest probabilities").
+//!
+//! The guarantee: every active specialization gets `|S ∩ Rq⋈q′| ≥
+//! min(⌊k·P(q′|q)⌋, |Rq⋈q′|)` whenever `Σ max(⌊k·P(q′|q)⌋, 1)` over the
+//! covered active specializations is at most `k` — lines 07–09 spend at
+//! most one slot on each, and each quota draw one more. Past that sum,
+//! lines 07–09 can give specializations whose quota is 0 the slots a
+//! larger quota needed; a test pins a four-document counterexample.
 
 use crate::candidates::DiversifyInput;
 use crate::heap::BoundedHeap;
@@ -326,6 +333,36 @@ mod tests {
         let cov1 = s.iter().filter(|&&i| inp.utilities.get(i, 1) > 0.0).count();
         assert!(cov0 >= 3, "spec0 coverage {cov0}");
         assert!(cov1 >= 1, "spec1 coverage {cov1}");
+    }
+
+    /// The smallest input past the module doc's guarantee: k = 3,
+    /// P = (0.7, 0.15, 0.15), so the quotas are (2, 0, 0) but the covered
+    /// specializations claim 2 + 1 + 1 = 4 > k slots. Lines 07–09 seed one
+    /// document per specialization and fill S before spec 0 reaches its
+    /// quota, although {0, 1, 2} meets every quota. This pins today's set;
+    /// changing `select` should change it.
+    #[test]
+    fn early_seeding_can_miss_a_larger_quota() {
+        #[rustfmt::skip]
+        let u = vec![
+            // spec0, spec1, spec2
+            0.9, 0.0, 0.0, // 0: spec0 only
+            0.8, 0.0, 0.0, // 1: spec0 only
+            0.0, 0.7, 0.0, // 2: spec1 only
+            0.0, 0.0, 0.6, // 3: spec2 only
+        ];
+        let inp = DiversifyInput::new(
+            vec![0.7, 0.15, 0.15],
+            vec![0.9, 0.8, 0.7, 0.6],
+            UtilityMatrix::from_values(4, 3, u),
+        );
+        for lambda in [0.0, 0.15, 1.0] {
+            let mut s = OptSelect::with_lambda(lambda).select(&inp, 3);
+            s.sort_unstable();
+            assert_eq!(s, vec![0, 2, 3], "λ={lambda}");
+            let spec0 = s.iter().filter(|&&i| inp.utilities.get(i, 0) > 0.0).count();
+            assert_eq!(spec0, 1, "λ={lambda}: one document against a quota of 2");
+        }
     }
 
     #[test]

@@ -772,10 +772,6 @@ impl Retriever for FleetRouter {
         self.retrieve_terms_with_status(terms, k).hits
     }
 
-    fn retrieve_with_status(&self, query: &str, k: usize) -> Retrieval {
-        self.retrieve_terms_with_status(&self.index.analyze_query(query), k)
-    }
-
     fn retrieve_with_status_within(
         &self,
         query: &str,
@@ -807,6 +803,13 @@ mod tests {
         p
     }
 
+    /// Whether an unbudgeted "apple" gather heard from every shard.
+    fn complete(router: &FleetRouter) -> bool {
+        router
+            .retrieve_with_status_within("apple", 5, None)
+            .complete
+    }
+
     #[test]
     fn all_workers_down_yields_empty_partial_not_panic() {
         let router = FleetRouter::new(
@@ -814,7 +817,7 @@ mod tests {
             vec![dead_socket("down-a"), dead_socket("down-b")],
             FleetConfig::default(),
         );
-        let r = router.retrieve_with_status("apple", 5);
+        let r = router.retrieve_with_status_within("apple", 5, None);
         assert!(r.hits.is_empty());
         assert!(!r.complete);
         let m = router.metrics();
@@ -830,7 +833,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let router = FleetRouter::new(tiny_index(), vec![dead_socket("backoff")], config);
-        assert!(!router.retrieve_with_status("apple", 5).complete);
+        assert!(!complete(&router));
         assert_eq!(router.metrics().shard_failures, 1);
         {
             // The jittered retry window never exceeds the configured
@@ -844,11 +847,11 @@ mod tests {
         // jitter draw): the shard fails fast without a connect attempt,
         // and the failure counter does not move.
         router.links[0].lock().retry_at = Some(Instant::now() + Duration::from_millis(50));
-        assert!(!router.retrieve_with_status("apple", 5).complete);
+        assert!(!complete(&router));
         assert_eq!(router.metrics().shard_failures, 1);
         // After the window a real (failing) connect is attempted again.
         std::thread::sleep(Duration::from_millis(60));
-        assert!(!router.retrieve_with_status("apple", 5).complete);
+        assert!(!complete(&router));
         assert_eq!(router.metrics().shard_failures, 2);
     }
 
@@ -897,7 +900,7 @@ mod tests {
             vec![dead_socket("idle")],
             FleetConfig::default(),
         );
-        let r = router.retrieve_with_status("zzzzunknown", 5);
+        let r = router.retrieve_with_status_within("zzzzunknown", 5, None);
         assert!(r.complete);
         assert!(r.hits.is_empty());
         assert_eq!(router.metrics().shard_failures, 0);

@@ -156,7 +156,7 @@ fn fleet_pages_are_bit_identical_to_in_process_oracle() {
                 let ctx = format!("{query:?} k={k} shards={shards}");
                 let expect = oracle.search(query, k);
                 assert_bit_identical(&expect, &sharded.retrieve(query, k), &ctx);
-                let through_fleet = router.retrieve_with_status(query, k);
+                let through_fleet = router.retrieve_with_status_within(query, k, None);
                 assert!(through_fleet.complete, "{ctx}: healthy fleet is complete");
                 assert_bit_identical(&expect, &through_fleet.hits, &format!("{ctx} [fleet]"));
             }

@@ -120,6 +120,13 @@ fn spawn_real_worker(path: &PathBuf, sharded: &ShardedIndex, s: usize) {
     });
 }
 
+/// Whether an unbudgeted "apple pie" gather heard from every shard.
+fn complete(router: &FleetRouter) -> bool {
+    router
+        .retrieve_with_status_within("apple pie", 5, None)
+        .complete
+}
+
 #[test]
 fn hedge_recovers_stalled_primary_with_bit_identical_page() {
     let index = corpus();
@@ -134,7 +141,7 @@ fn hedge_recovers_stalled_primary_with_bit_identical_page() {
     let router = FleetRouter::new(index.clone(), vec![sock], config);
 
     let t = Instant::now();
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     let elapsed = t.elapsed();
     assert!(r.complete, "the hedge leg must answer");
     assert_bit_identical(
@@ -153,7 +160,7 @@ fn hedge_recovers_stalled_primary_with_bit_identical_page() {
 
     // The hedge connection was adopted: the next query flows over it
     // without hedging again.
-    let again = router.retrieve_with_status("apple pie", 5);
+    let again = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(again.complete);
     assert_eq!(router.metrics().hedges, 1);
 }
@@ -174,7 +181,7 @@ fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
     // Nothing listens yet: every query is a failed connect.
     let router = FleetRouter::new(index.clone(), vec![sock.clone()], config);
     for _ in 0..2 {
-        assert!(!router.retrieve_with_status("apple pie", 5).complete);
+        assert!(!complete(&router));
         // Let the (jittered, ≤ 2 ms) backoff window pass so the next
         // query really attempts a connect.
         std::thread::sleep(Duration::from_millis(5));
@@ -188,7 +195,7 @@ fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
 
     // Open: queries fail instantly without touching the socket.
     let t = Instant::now();
-    assert!(!router.retrieve_with_status("apple pie", 5).complete);
+    assert!(!complete(&router));
     assert!(
         t.elapsed() < Duration::from_millis(50),
         "open breaker fails fast"
@@ -201,7 +208,7 @@ fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
     // heals the link and the page is bit-identical to the oracle.
     spawn_real_worker(&sock, &sharded, 0);
     std::thread::sleep(config.breaker_cooldown + Duration::from_millis(20));
-    let healed = router.retrieve_with_status("apple pie", 5);
+    let healed = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(healed.complete, "half-open probe heals the breaker");
     assert_bit_identical(
         "healed page",
@@ -215,7 +222,7 @@ fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
     );
 
     // Closed again: the next query flows normally.
-    assert!(router.retrieve_with_status("apple pie", 5).complete);
+    assert!(complete(&router));
 }
 
 #[test]
@@ -229,18 +236,18 @@ fn failed_half_open_probe_reopens_the_breaker() {
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index, vec![socket("reopen")], config);
-    assert!(!router.retrieve_with_status("apple pie", 5).complete);
+    assert!(!complete(&router));
     assert_eq!(router.metrics().breaker_trips, 1);
 
     // Past the cooldown, still nobody listening: the probe fails and the
     // breaker re-opens (a second trip), still without serving.
     std::thread::sleep(Duration::from_millis(80));
-    assert!(!router.retrieve_with_status("apple pie", 5).complete);
+    assert!(!complete(&router));
     let m = router.metrics();
     assert_eq!(m.breaker_trips, 2, "failed probe re-opens");
 
     // And the re-opened breaker fast-fails again.
-    assert!(!router.retrieve_with_status("apple pie", 5).complete);
+    assert!(!complete(&router));
     assert_eq!(router.metrics().breaker_fast_fails, 1);
 }
 
@@ -302,7 +309,7 @@ fn a_resend_gets_the_remaining_deadline_not_a_new_one() {
     // The primary breaks at 300 ms; the fresh leg has the 100 ms that is
     // left, not another 400.
     let t = Instant::now();
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     let elapsed = t.elapsed();
     assert!(!r.complete);
     assert!(
@@ -327,7 +334,7 @@ fn two_silent_shards_cost_one_deadline_not_two() {
     let router = FleetRouter::new(index, socks, config);
 
     let t = Instant::now();
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     let elapsed = t.elapsed();
     assert!(!r.complete);
     assert!(r.hits.is_empty());
@@ -358,7 +365,7 @@ fn two_stalled_primaries_both_hedge_within_one_deadline() {
     let router = FleetRouter::new(index, socks, config);
 
     let t = Instant::now();
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     let elapsed = t.elapsed();
     assert!(r.complete, "both hedge legs must answer");
     assert_bit_identical(

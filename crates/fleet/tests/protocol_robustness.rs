@@ -11,6 +11,9 @@
 //! partial with exactly shard 0's hits, bit-identical to the shard-0
 //! artifact scored in-process.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use serpdiv_fleet::protocol::{decode_payload, encode_frame, read_frame, Frame};
 use serpdiv_fleet::worker;
 use serpdiv_fleet::{FleetConfig, FleetRouter, DEFAULT_MAX_FRAME};
@@ -109,7 +112,7 @@ fn assert_survives(tag: &str, evil_reply: Vec<u8>) {
     spawn_evil(&sock1, 64, evil_reply);
     let router = FleetRouter::new(index.clone(), vec![sock0, sock1], fast_config());
 
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(!r.complete, "{tag}: the evil shard must be lost");
     let expect = shard0_expectation(&sharded, &index, 5);
     assert_eq!(r.hits.len(), expect.len(), "{tag}: shard-0 page size");
@@ -182,7 +185,7 @@ fn survives_silent_worker_within_deadline() {
     let router = FleetRouter::new(index.clone(), vec![sock0, sock1], config);
 
     let t = std::time::Instant::now();
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     let elapsed = t.elapsed();
     assert!(!r.complete, "silent shard must be dropped");
     assert!(
@@ -197,32 +200,14 @@ fn survives_silent_worker_within_deadline() {
     assert!(router.metrics().shard_timeouts >= 1);
 }
 
-/// Deterministic xorshift64* for the mutation sweep.
-struct FuzzRng(u64);
-
-impl FuzzRng {
-    fn new(seed: u64) -> Self {
-        FuzzRng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-/// Push `iterations` LCG-derived mutants of valid frames (plus raw
-/// random buffers) through both decode paths. The decoder must never
-/// panic and never allocate past what the validated length fields admit
-/// (hostile counts are checked against the remaining payload *before*
-/// any `Vec` is sized); whatever decodes cleanly must re-encode to bytes
-/// that decode to the same frame.
+/// Push `iterations` seeded mutants of valid frames (plus raw random
+/// buffers) through both decode paths. The decoder must never panic and
+/// never allocate past what the validated length fields admit (hostile
+/// counts are checked against the remaining payload *before* any `Vec` is
+/// sized); whatever decodes cleanly must re-encode to bytes that decode
+/// to the same frame.
 fn fuzz_decode_sweep(iterations: usize, seed: u64) {
-    let mut rng = FuzzRng::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let corpus: Vec<Vec<u8>> = vec![
         encode_frame(&Frame::Ping { id: 1 }),
         encode_frame(&Frame::Pong {
@@ -253,23 +238,23 @@ fn fuzz_decode_sweep(iterations: usize, seed: u64) {
     for i in 0..iterations {
         let bytes: Vec<u8> = if i % 4 == 0 {
             // A raw random buffer, no structure at all.
-            let len = (rng.next() % 96) as usize;
-            (0..len).map(|_| rng.next() as u8).collect()
+            let len = rng.gen_range(0..96);
+            (0..len).map(|_| rng.gen::<u8>()).collect()
         } else {
             // A valid frame with 1–8 bytes flipped, sometimes truncated
             // or extended — length prefixes, magic, opcodes, and count
             // fields all get hit.
-            let mut b = corpus[(rng.next() as usize) % corpus.len()].clone();
-            for _ in 0..(1 + rng.next() % 8) {
-                let pos = (rng.next() as usize) % b.len();
-                b[pos] ^= (1 + rng.next() % 255) as u8;
+            let mut b = corpus.choose(&mut rng).unwrap().clone();
+            for _ in 0..rng.gen_range(1..=8) {
+                let pos = rng.gen_range(0..b.len());
+                b[pos] ^= rng.gen_range(1..=255u8);
             }
-            match rng.next() % 4 {
-                0 => {
-                    let keep = (rng.next() as usize) % (b.len() + 1);
-                    b.truncate(keep);
+            match rng.gen_range(0..4) {
+                0 => b.truncate(rng.gen_range(0..=b.len())),
+                1 => {
+                    let extra = rng.gen_range(0..16);
+                    b.extend((0..extra).map(|_| rng.gen::<u8>()));
                 }
-                1 => b.extend((0..rng.next() % 16).map(|_| rng.next() as u8)),
                 _ => {}
             }
             b
@@ -282,9 +267,14 @@ fn fuzz_decode_sweep(iterations: usize, seed: u64) {
         if bytes.len() >= 4 {
             if let Ok(frame) = decode_payload(&bytes[4..]) {
                 let reencoded = encode_frame(&frame);
-                let redecoded =
-                    decode_payload(&reencoded[4..]).expect("re-encoded frame must decode");
-                assert_eq!(reencoded, encode_frame(&redecoded));
+                let redecoded = decode_payload(&reencoded[4..]).unwrap_or_else(|e| {
+                    panic!("seed {seed:#x}, mutant {i}: re-encoded frame must decode: {e:?}")
+                });
+                assert_eq!(
+                    reencoded,
+                    encode_frame(&redecoded),
+                    "seed {seed:#x}, mutant {i}: round trip"
+                );
             }
         }
     }
@@ -315,7 +305,7 @@ fn recovers_after_evil_worker_is_replaced_by_real_one() {
     spawn_evil(&sock1, 2, vec![0xFF; 32]);
     let router = FleetRouter::new(index.clone(), vec![sock0, sock1.clone()], fast_config());
 
-    let r = router.retrieve_with_status("apple pie", 5);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(!r.complete, "garbage shard lost");
 
     // Give the evil thread time to drain its budget and free the path,
@@ -327,7 +317,7 @@ fn recovers_after_evil_worker_is_replaced_by_real_one() {
         .wait_ready(Duration::from_secs(5))
         .expect("fleet heals once a real worker listens");
 
-    let healed = router.retrieve_with_status("apple pie", 5);
+    let healed = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(healed.complete, "healed fleet serves complete gathers");
     // And the page is the full two-shard merge, bit-identical to the
     // in-process oracle.

@@ -282,15 +282,11 @@ impl DeltaRetriever {
 
 impl Retriever for DeltaRetriever {
     fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_with_status(query, k).hits
+        self.retrieve_with_status_within(query, k, None).hits
     }
 
     fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
         self.gather(terms, k, None).hits
-    }
-
-    fn retrieve_with_status(&self, query: &str, k: usize) -> Retrieval {
-        self.retrieve_with_status_within(query, k, None)
     }
 
     fn retrieve_with_status_within(
@@ -516,7 +512,7 @@ mod tests {
                 w[0].score > w[1].score || (w[0].score == w[1].score && w[0].doc.0 < w[1].doc.0)
             );
         }
-        let status = retriever.retrieve_with_status("apple", 20);
+        let status = retriever.retrieve_with_status_within("apple", 20, None);
         assert!(status.complete);
         assert_eq!(status.hits, hits);
     }
@@ -566,7 +562,7 @@ mod tests {
         });
         let retriever = DeltaRetriever::new(sealed.clone(), delta.clone()).unwrap();
         let within = retriever.retrieve_with_status_within("apple", 20, Some(1_234));
-        let unbounded = retriever.retrieve_with_status("apple", 20);
+        let unbounded = retriever.retrieve_with_status_within("apple", 20, None);
         assert_eq!(within, unbounded, "an in-process budget changes no page");
         assert_eq!(
             *sealed.budgets.lock().unwrap(),

@@ -84,26 +84,19 @@ pub trait Retriever: Send + Sync {
     /// Top-`k` documents for pre-analyzed query terms.
     fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc>;
 
-    /// Like [`retrieve`](Self::retrieve), with a completeness flag.
-    ///
-    /// The default forwards to `retrieve` and reports complete — correct
-    /// for every in-process strategy. Distributed retrievers override it
-    /// to surface partial gathers (see [`Retrieval`]).
-    fn retrieve_with_status(&self, query: &str, k: usize) -> Retrieval {
-        Retrieval::complete(self.retrieve(query, k))
-    }
-
-    /// Like [`retrieve_with_status`](Self::retrieve_with_status), bounded
+    /// Like [`retrieve`](Self::retrieve), with a completeness flag, bounded
     /// by the caller's remaining per-request budget in microseconds
     /// (`None` ⇒ unbounded).
     ///
-    /// The default ignores the budget — in-process strategies have no
-    /// useful cancellation point, and an in-flight retrieval is always
-    /// cheaper to finish than to abandon. Distributed retrievers override
-    /// it to clamp their per-shard wire deadlines to
-    /// `min(configured, remaining)`, so a request that has nearly
-    /// exhausted its budget stops paying full shard timeouts for slow
-    /// workers (see `FleetRouter` in the fleet crate).
+    /// The default forwards to `retrieve`, ignores the budget and reports
+    /// complete — correct for every in-process strategy: it has no useful
+    /// cancellation point, and an in-flight retrieval is always cheaper to
+    /// finish than to abandon. Distributed retrievers override it to
+    /// surface partial gathers (see [`Retrieval`]) and to clamp their
+    /// per-shard wire deadlines to `min(configured, remaining)`, so a
+    /// request that has nearly exhausted its budget stops paying full
+    /// shard timeouts for slow workers (see `FleetRouter` in the fleet
+    /// crate).
     fn retrieve_with_status_within(
         &self,
         query: &str,
@@ -111,7 +104,7 @@ pub trait Retriever: Send + Sync {
         budget_us: Option<u64>,
     ) -> Retrieval {
         let _ = budget_us;
-        self.retrieve_with_status(query, k)
+        Retrieval::complete(self.retrieve(query, k))
     }
 
     /// Like [`retrieve_terms`](Self::retrieve_terms), but scored against

@@ -1,138 +1,196 @@
-//! Property-based tests for the IR substrate.
+//! Randomized properties of the IR substrate. Each test runs `CASES`
+//! cases, case `seed` drawing its input from `StdRng::seed_from_u64(seed)`;
+//! a failure names its seed, and rerunning the test reproduces it.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serpdiv_index::postings::PostingsBuilder;
 use serpdiv_index::search::top_k;
-use serpdiv_index::{cosine, DocId, Document, IndexBuilder, ScoredDoc, SearchEngine, SparseVector};
+use serpdiv_index::{
+    cosine, DocId, Document, IndexBuilder, InvertedIndex, ScoredDoc, SearchEngine, SparseVector,
+};
 use serpdiv_text::{Analyzer, TermId};
+use std::collections::BTreeSet;
+use std::ops::{Range, RangeInclusive};
 
-proptest! {
-    /// Postings survive an encode/decode round trip for any increasing
-    /// doc-id sequence and positive frequencies.
-    #[test]
-    fn postings_roundtrip(
-        mut docs in prop::collection::btree_set(0u32..1_000_000, 0..200),
-        tfs in prop::collection::vec(1u32..10_000, 200),
-    ) {
-        let docs: Vec<u32> = std::mem::take(&mut docs).into_iter().collect();
-        let mut b = PostingsBuilder::new();
+const CASES: u64 = 256;
+
+/// `n` draws of `draw`, `n` from `lens`.
+fn vec_of<T>(
+    rng: &mut StdRng,
+    lens: Range<usize>,
+    mut draw: impl FnMut(&mut StdRng) -> T,
+) -> Vec<T> {
+    (0..rng.gen_range(lens)).map(|_| draw(rng)).collect()
+}
+
+/// `[letters]{word_len}( [letters]{word_len}){0,8}`.
+fn sentence(
+    rng: &mut StdRng,
+    letters: RangeInclusive<u8>,
+    word_len: RangeInclusive<usize>,
+) -> String {
+    let words: Vec<String> = (0..rng.gen_range(1..=9))
+        .map(|_| {
+            (0..rng.gen_range(word_len.clone()))
+                .map(|_| char::from(rng.gen_range(letters.clone())))
+                .collect()
+        })
+        .collect();
+    words.join(" ")
+}
+
+fn build(bodies: &[String]) -> InvertedIndex {
+    let mut builder = IndexBuilder::new();
+    for (i, body) in bodies.iter().enumerate() {
+        builder.add(Document::new(i as u32, format!("u{i}"), "", body.clone()));
+    }
+    builder.build()
+}
+
+/// Postings survive an encode/decode round trip for any increasing
+/// doc-id sequence and positive frequencies.
+#[test]
+fn postings_roundtrip() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let size = rng.gen_range(0..200);
+        let mut docs = BTreeSet::new();
+        while docs.len() < size {
+            docs.insert(rng.gen_range(0u32..1_000_000));
+        }
         let expected: Vec<(u32, u32)> = docs
-            .iter()
-            .zip(tfs.iter())
-            .map(|(&d, &tf)| (d, tf))
+            .into_iter()
+            .map(|d| (d, rng.gen_range(1u32..10_000)))
             .collect();
+        let mut b = PostingsBuilder::new();
         for &(d, tf) in &expected {
             b.push(DocId(d), tf);
         }
-        let list = b.build();
-        let decoded: Vec<(u32, u32)> = list.iter().map(|p| (p.doc.0, p.tf)).collect();
-        prop_assert_eq!(decoded, expected);
+        let decoded: Vec<(u32, u32)> = b.build().iter().map(|p| (p.doc.0, p.tf)).collect();
+        assert_eq!(decoded, expected, "seed {seed}");
     }
+}
 
-    /// `top_k` agrees with full sort on arbitrary score sets.
-    #[test]
-    fn top_k_matches_sort(
-        scores in prop::collection::vec(-1e6f64..1e6, 0..300),
-        k in 0usize..50,
-    ) {
+/// `top_k` agrees with full sort on arbitrary score sets.
+#[test]
+fn top_k_matches_sort() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scores = vec_of(&mut rng, 0..300, |rng| rng.gen_range(-1e6..1e6));
+        let k = rng.gen_range(0..50);
         let items: Vec<ScoredDoc> = scores
             .iter()
             .enumerate()
-            .map(|(i, &s)| ScoredDoc { doc: DocId(i as u32), score: s })
+            .map(|(i, &score)| ScoredDoc {
+                doc: DocId(i as u32),
+                score,
+            })
             .collect();
         let mut reference = items.clone();
         reference.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
         reference.truncate(k);
-        let got = top_k(items.into_iter(), k);
-        prop_assert_eq!(got, reference);
+        assert_eq!(top_k(items.into_iter(), k), reference, "seed {seed}");
     }
+}
 
-    /// Cosine similarity is symmetric, bounded and 1 on self.
-    #[test]
-    fn cosine_properties(
-        a in prop::collection::vec((0u32..500, 0.0f32..100.0), 0..40),
-        b in prop::collection::vec((0u32..500, 0.0f32..100.0), 0..40),
-    ) {
-        let va = SparseVector::from_pairs(a.iter().map(|&(t, w)| (TermId(t), w)));
-        let vb = SparseVector::from_pairs(b.iter().map(|&(t, w)| (TermId(t), w)));
+/// Cosine similarity is symmetric, bounded and 1 on self.
+#[test]
+fn cosine_properties() {
+    let pairs = |rng: &mut StdRng| {
+        let pairs = vec_of(rng, 0..40, |rng| {
+            (TermId(rng.gen_range(0..500)), rng.gen::<f32>() * 100.0)
+        });
+        SparseVector::from_pairs(pairs)
+    };
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (va, vb) = (pairs(&mut rng), pairs(&mut rng));
         let sab = cosine(&va, &vb);
         let sba = cosine(&vb, &va);
-        prop_assert!((0.0..=1.0).contains(&sab));
-        prop_assert!((sab - sba).abs() < 1e-6);
+        assert!((0.0..=1.0).contains(&sab), "seed {seed}: cosine {sab}");
+        assert!((sab - sba).abs() < 1e-6, "seed {seed}: {sab} vs {sba}");
         if !va.is_zero() {
-            prop_assert!((cosine(&va, &va) - 1.0).abs() < 1e-5);
+            let own = cosine(&va, &va);
+            assert!((own - 1.0).abs() < 1e-5, "seed {seed}: self-cosine {own}");
         }
     }
+}
 
-    /// Every document containing all query terms is retrievable, and no
-    /// returned document lacks all of them (bag-of-words conjunctive lower
-    /// bound: returned docs contain at least one query term).
-    #[test]
-    fn retrieval_soundness(bodies in prop::collection::vec("[a-d]{1,6}( [a-d]{1,6}){0,8}", 1..20)) {
-        let mut builder = IndexBuilder::new();
-        for (i, body) in bodies.iter().enumerate() {
-            builder.add(Document::new(i as u32, format!("u{i}"), "", body.clone()));
-        }
-        let idx = builder.build();
-        let engine = SearchEngine::new(&idx);
+/// Every returned document shares at least one analyzed term with the
+/// query, and a document queried by its own text is retrieved.
+#[test]
+fn retrieval_soundness() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bodies = vec_of(&mut rng, 1..20, |rng| sentence(rng, b'a'..=b'd', 1..=6));
+        let idx = build(&bodies);
         let query = &bodies[0];
-        let hits = engine.search(query, bodies.len());
-        // Every hit must share at least one analyzed term with the query.
+        let hits = SearchEngine::new(&idx).search(query, bodies.len());
         let qterms = idx.analyze_query(query);
         for h in &hits {
             let doc = idx.store().get(h.doc).unwrap();
             let dterms = idx.analyze_query(&doc.full_text());
-            prop_assert!(qterms.iter().any(|t| dterms.contains(t)));
+            assert!(
+                qterms.iter().any(|t| dterms.contains(t)),
+                "seed {seed}: {:?} shares no term with {query:?}",
+                h.doc
+            );
         }
         // Document 0 matches its own text, so it must be retrieved
         // (unless its text analyzed to nothing).
         if !qterms.is_empty() {
-            prop_assert!(hits.iter().any(|h| h.doc == DocId(0)));
+            assert!(
+                hits.iter().any(|h| h.doc == DocId(0)),
+                "seed {seed}: document 0 not retrieved for {query:?}"
+            );
         }
-    }
-
-    /// Index statistics are consistent: Σ doc_len == num_tokens and
-    /// Σ coll_freq over terms == num_tokens.
-    #[test]
-    fn index_statistics_consistent(bodies in prop::collection::vec("[a-f ]{0,60}", 0..30)) {
-        let mut builder = IndexBuilder::new();
-        for (i, body) in bodies.iter().enumerate() {
-            builder.add(Document::new(i as u32, format!("u{i}"), "", body.clone()));
-        }
-        let idx = builder.build();
-        let total_len: u64 = (0..bodies.len())
-            .map(|i| u64::from(idx.doc_len(DocId(i as u32)).unwrap()))
-            .sum();
-        prop_assert_eq!(total_len, idx.stats().num_tokens);
-        let total_cf: u64 = (0..idx.num_terms() as u32)
-            .map(|t| idx.term_stats(TermId(t)).unwrap().coll_freq)
-            .sum();
-        prop_assert_eq!(total_cf, idx.stats().num_tokens);
     }
 }
 
-proptest! {
-    /// Index persistence: serialization round-trips arbitrary corpora and
-    /// preserves retrieval behaviour.
-    #[test]
-    fn serialization_roundtrip(
-        bodies in prop::collection::vec("[a-e]{1,4}( [a-e]{1,4}){0,8}", 0..15),
-    ) {
-        let mut builder = IndexBuilder::new();
-        for (i, body) in bodies.iter().enumerate() {
-            builder.add(Document::new(i as u32, format!("u{i}"), "", body.clone()));
-        }
-        let idx = builder.build();
-        let restored = serpdiv_index::InvertedIndex::from_bytes(
-            &idx.to_bytes(),
-            Analyzer::english(),
-        ).unwrap();
-        prop_assert_eq!(restored.stats(), idx.stats());
-        prop_assert_eq!(restored.num_terms(), idx.num_terms());
+/// Index statistics are consistent: Σ doc_len == num_tokens and
+/// Σ coll_freq over terms == num_tokens.
+#[test]
+fn index_statistics_consistent() {
+    const ALPHABET: &[u8] = b"abcdef ";
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bodies = vec_of(&mut rng, 0..30, |rng| {
+            (0..rng.gen_range(0..=60))
+                .map(|_| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())]))
+                .collect()
+        });
+        let idx = build(&bodies);
+        let total_len: u64 = (0..bodies.len() as u32)
+            .map(|i| u64::from(idx.doc_len(DocId(i)).unwrap()))
+            .sum();
+        assert_eq!(
+            total_len,
+            idx.stats().num_tokens,
+            "seed {seed}: doc lengths"
+        );
+        let total_cf: u64 = (0..idx.num_terms() as u32)
+            .map(|t| idx.term_stats(TermId(t)).unwrap().coll_freq)
+            .sum();
+        assert_eq!(total_cf, idx.stats().num_tokens, "seed {seed}: coll freqs");
+    }
+}
+
+/// Index persistence: serialization round-trips arbitrary corpora and
+/// preserves retrieval behaviour.
+#[test]
+fn serialization_roundtrip() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bodies = vec_of(&mut rng, 0..15, |rng| sentence(rng, b'a'..=b'e', 1..=4));
+        let idx = build(&bodies);
+        let restored = InvertedIndex::from_bytes(&idx.to_bytes(), Analyzer::english()).unwrap();
+        assert_eq!(restored.stats(), idx.stats(), "seed {seed}");
+        assert_eq!(restored.num_terms(), idx.num_terms(), "seed {seed}");
         if let Some(body) = bodies.first() {
             let a = SearchEngine::new(&idx).search(body, 10);
             let b = SearchEngine::new(&restored).search(body, 10);
-            prop_assert_eq!(a.len(), b.len());
+            assert_eq!(a.len(), b.len(), "seed {seed}: {body:?}");
         }
     }
 }

@@ -1,12 +1,23 @@
-//! Property-based tests for the query-log substrate.
+//! Randomized properties of the query-log substrate. Each test runs
+//! `CASES` cases, case `seed` drawing its input from
+//! `StdRng::seed_from_u64(seed)`; a failure names its seed, and rerunning
+//! the test reproduces it.
 
-use proptest::prelude::*;
-use serpdiv_querylog::{split_sessions, LogRecord, QueryLog, SessionSplitter, UserId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serpdiv_querylog::{
+    split_sessions, FreqTable, LogRecord, QueryId, QueryLog, SessionSplitter, UserId,
+};
+use std::ops::Range;
 
-fn build_log(entries: &[(u8, u32)]) -> QueryLog {
-    // (user, time) pairs; query text derives from the pair.
+const CASES: u64 = 256;
+
+/// A log of `records` (arbitrary `u8` user, time in `times`) pairs; the
+/// query text derives from the time.
+fn random_log(rng: &mut StdRng, records: Range<usize>, times: Range<u32>) -> QueryLog {
     let mut log = QueryLog::new();
-    for &(u, t) in entries {
+    for _ in 0..rng.gen_range(records) {
+        let (u, t): (u8, u32) = (rng.gen(), rng.gen_range(times.clone()));
         let q = log.intern_query(&format!("q{}", t % 7));
         log.push(LogRecord {
             query: q,
@@ -19,54 +30,56 @@ fn build_log(entries: &[(u8, u32)]) -> QueryLog {
     log
 }
 
-proptest! {
-    /// Session splitting is a partition: every record in exactly one
-    /// session, sessions time-ordered within, single-user.
-    #[test]
-    fn session_split_is_a_partition(entries in prop::collection::vec((any::<u8>(), 0u32..100_000), 0..120)) {
-        let log = build_log(&entries);
+/// Session splitting is a partition: every record in exactly one
+/// session, sessions time-ordered within, single-user.
+#[test]
+fn session_split_is_a_partition() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let log = random_log(&mut rng, 0..120, 0..100_000);
         let sessions = split_sessions(&log);
         let mut seen: Vec<usize> = sessions.iter().flat_map(|s| s.records.clone()).collect();
         seen.sort_unstable();
         let expected: Vec<usize> = (0..log.len()).collect();
-        prop_assert_eq!(seen, expected);
+        assert_eq!(seen, expected, "seed {seed}");
         for s in &sessions {
-            prop_assert!(!s.is_empty());
+            assert!(!s.is_empty(), "seed {seed}: empty session");
             for w in s.records.windows(2) {
-                prop_assert!(log.records()[w[0]].time <= log.records()[w[1]].time);
-                prop_assert_eq!(log.records()[w[0]].user, s.user);
+                let (a, b) = (&log.records()[w[0]], &log.records()[w[1]]);
+                assert!(a.time <= b.time, "seed {seed}: out of time order");
+                assert_eq!(a.user, s.user, "seed {seed}: mixed users");
             }
         }
     }
+}
 
-    /// Within a session, consecutive gaps never exceed the timeout; the
-    /// next session of the same user starts after a gap above it.
-    #[test]
-    fn session_gaps_respect_timeout(
-        entries in prop::collection::vec((any::<u8>(), 0u32..50_000), 1..80),
-        timeout in 1u64..5_000,
-    ) {
-        let log = build_log(&entries);
-        let splitter = SessionSplitter { timeout };
-        let sessions = splitter.split(&log);
+/// Within a session, consecutive gaps never exceed the timeout.
+#[test]
+fn session_gaps_respect_timeout() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let log = random_log(&mut rng, 1..80, 0..50_000);
+        let timeout = rng.gen_range(1..5_000);
+        let sessions = SessionSplitter { timeout }.split(&log);
         for s in &sessions {
             for w in s.records.windows(2) {
                 let gap = log.records()[w[1]].time - log.records()[w[0]].time;
-                prop_assert!(gap <= timeout, "gap {gap} > timeout {timeout}");
+                assert!(gap <= timeout, "seed {seed}: gap {gap} > timeout {timeout}");
             }
         }
     }
+}
 
-    /// Train/test split preserves record count and order for any fraction.
-    #[test]
-    fn train_test_split_partitions(
-        entries in prop::collection::vec((any::<u8>(), 0u32..10_000), 0..60),
-        fraction in 0.0f64..1.0,
-    ) {
-        let mut log = build_log(&entries);
+/// Train/test split preserves record count and order for any fraction.
+#[test]
+fn train_test_split_partitions() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut log = random_log(&mut rng, 0..60, 0..10_000);
+        let fraction = rng.gen_range(0.0..1.0);
         log.sort_by_time();
         let (train, test) = log.split_train_test(fraction);
-        prop_assert_eq!(train.len() + test.len(), log.len());
+        assert_eq!(train.len() + test.len(), log.len(), "seed {seed}");
         // Concatenation reproduces the original record times.
         let combined: Vec<u64> = train
             .records()
@@ -75,18 +88,21 @@ proptest! {
             .map(|r| r.time)
             .collect();
         let original: Vec<u64> = log.records().iter().map(|r| r.time).collect();
-        prop_assert_eq!(combined, original);
+        assert_eq!(combined, original, "seed {seed}");
     }
+}
 
-    /// Frequency table totals match the record count.
-    #[test]
-    fn freq_table_total(entries in prop::collection::vec((any::<u8>(), 0u32..10_000), 0..60)) {
-        let log = build_log(&entries);
-        let f = serpdiv_querylog::FreqTable::build(&log);
-        prop_assert_eq!(f.total(), log.len() as u64);
-        let sum: u64 = (0..log.num_queries())
-            .map(|i| f.freq(serpdiv_querylog::QueryId(i as u32)))
+/// Frequency table totals match the record count.
+#[test]
+fn freq_table_total() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let log = random_log(&mut rng, 0..60, 0..10_000);
+        let f = FreqTable::build(&log);
+        assert_eq!(f.total(), log.len() as u64, "seed {seed}");
+        let sum: u64 = (0..log.num_queries() as u32)
+            .map(|i| f.freq(QueryId(i)))
             .sum();
-        prop_assert_eq!(sum, log.len() as u64);
+        assert_eq!(sum, log.len() as u64, "seed {seed}");
     }
 }

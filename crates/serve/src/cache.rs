@@ -17,12 +17,11 @@
 
 use crate::lru::LruCache;
 use crate::request::RankedResult;
-use parking_lot::Mutex;
 use serpdiv_core::AlgorithmKind;
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key: the full identity of a served SERP — `(page epoch, query,
 /// k, algorithm)`. The epoch is the content stamp of everything the page
@@ -173,10 +172,17 @@ impl ShardedResultCache {
         }
     }
 
-    fn shard(&self, key: &(dyn KeyView + '_)) -> &Mutex<LruCache<CacheKey, CachedSerp>> {
+    /// Shard `i`, locked; a panicked holder does not poison it.
+    fn lock(&self, i: usize) -> MutexGuard<'_, LruCache<CacheKey, CachedSerp>> {
+        self.shards[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn shard(&self, key: &(dyn KeyView + '_)) -> MutexGuard<'_, LruCache<CacheKey, CachedSerp>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        self.lock((h.finish() as usize) % self.shards.len())
     }
 
     /// Look up a SERP by its identity parts, counting the outcome. The
@@ -195,11 +201,7 @@ impl ShardedResultCache {
             k,
             algorithm,
         };
-        let found = self
-            .shard(&probe)
-            .lock()
-            .get_by(&probe as &dyn KeyView)
-            .cloned();
+        let found = self.shard(&probe).get_by(&probe as &dyn KeyView).cloned();
         match found {
             Some(serp) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -215,7 +217,7 @@ impl ShardedResultCache {
     /// Store a freshly computed SERP (the one place an owned key is
     /// allocated).
     pub fn insert(&self, key: CacheKey, serp: CachedSerp) {
-        self.shard(&key as &dyn KeyView).lock().insert(key, serp);
+        self.shard(&key as &dyn KeyView).insert(key, serp);
     }
 
     /// Number of shards.
@@ -228,14 +230,14 @@ impl ShardedResultCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len()).sum(),
+            entries: (0..self.shards.len()).map(|i| self.lock(i).len()).sum(),
         }
     }
 
     /// Drop every cached SERP and reset the counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
+        for i in 0..self.shards.len() {
+            self.lock(i).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);

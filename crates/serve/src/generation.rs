@@ -22,7 +22,7 @@
 //!
 //! ## Epoch swap without an `ArcSwap` dependency
 //!
-//! The handle is a `parking_lot::RwLock<Arc<Generation>>` used only as a
+//! The handle is a `std::sync::RwLock<Arc<Generation>>` used only as a
 //! pointer cell: `pin` takes the lock in shared mode for one `Arc` clone
 //! (measured: `serve.generation.pin_ns_p50` reads 170–205 ns — not free,
 //! it is more than half of a `cached_swap` cache-hit request), and
@@ -106,13 +106,12 @@
 //! and leave the LRUs first.
 
 use crate::engine::PresentationTable;
-use parking_lot::RwLock;
 use serpdiv_core::{CompiledSpecStore, SpecializationStore, UtilityScorer};
 use serpdiv_index::{DecodeError, DeltaIndex, ForwardIndex, InvertedIndex, Retriever};
 use serpdiv_mining::SpecializationModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Monotonically increasing tag of a published [`Generation`]. Engines
 /// start at generation 1; every successful publish increases it.
@@ -512,7 +511,10 @@ impl GenerationHandle {
     /// cache-hit request. The caller's whole request runs against the
     /// returned bundle, immune to concurrent publishes.
     pub fn pin(&self) -> Arc<Generation> {
-        self.current.read().clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The currently published id (lock-free).
@@ -548,7 +550,7 @@ impl GenerationHandle {
             return Err(PublishError::Fault("swap.publish"));
         }
         let id = candidate.id();
-        let mut slot = self.current.write();
+        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         if id <= slot.id() {
             // A concurrent publisher won the race with a newer id.
             return Err(PublishError::Stale {

@@ -23,11 +23,10 @@
 
 use crate::cache::CacheStats;
 use crate::lru::LruCache;
-use parking_lot::Mutex;
 use serpdiv_index::{DocId, SparseVector};
 use serpdiv_text::TermId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Table key: the surrogate epoch — the content stamp of the sealed index
 /// and forward index the vectors were computed from (see
@@ -90,9 +89,13 @@ impl SurrogateCache {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Tables> {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The table under `key`, marked most recently used.
     pub fn get(&self, key: &TableKey) -> Option<SurrogateTable> {
-        self.tables.lock().lru.get(key).cloned()
+        self.lock().lru.get(key).cloned()
     }
 
     /// Install `table` under `key`, replacing what was there (racing
@@ -101,7 +104,7 @@ impl SurrogateCache {
     /// budget holds. A table larger than the whole budget is not
     /// retained — its request was served from the private copy already.
     pub fn publish(&self, key: TableKey, table: SurrogateTable) {
-        let mut tables = self.tables.lock();
+        let mut tables = self.lock();
         if let Some(replaced) = tables.lru.remove(&key) {
             tables.vectors -= replaced.len();
         }
@@ -131,13 +134,13 @@ impl SurrogateCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.tables.lock().vectors,
+            entries: self.lock().vectors,
         }
     }
 
     /// Drop every cached table and reset the counters.
     pub fn clear(&self) {
-        let mut tables = self.tables.lock();
+        let mut tables = self.lock();
         tables.lru.clear();
         tables.vectors = 0;
         self.hits.store(0, Ordering::Relaxed);

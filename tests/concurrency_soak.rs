@@ -22,9 +22,7 @@
 //!   admitted exactly as the single-threaded engine would, and the
 //!   counters partition the request total.
 //!
-//! The long sweep (a ~10× request budget) runs under
-//! `--features property-tests`; the default budget keeps the suite
-//! CI-sized.
+//! Every client sends `PER_CLIENT` requests, a budget sized for tier-1.
 
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, IndexBuilder, InvertedIndex, Retriever, ShardedIndex};
@@ -37,15 +35,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Requests per client thread (× 16 clients). The `property-tests` soak
-/// is ~10× longer.
-fn per_client_budget() -> usize {
-    if cfg!(feature = "property-tests") {
-        250
-    } else {
-        24
-    }
-}
+/// Requests per client thread (× 16 clients).
+const PER_CLIENT: usize = 24;
 
 const CLIENTS: usize = 16;
 const DIVERSIFIERS: [AlgorithmKind; 4] = [
@@ -174,12 +165,11 @@ fn request_for(t: usize, i: usize) -> QueryRequest {
 fn run_soak(executor_threads: usize) {
     let executor = Arc::new(ScoringExecutor::new(executor_threads));
     let engine = deploy(&executor);
-    let budget = per_client_budget();
 
     // Expected pages, computed single-threaded before the storm.
     let expected: Vec<Vec<(Vec<u32>, String)>> = (0..CLIENTS)
         .map(|t| {
-            (0..budget)
+            (0..PER_CLIENT)
                 .map(|i| {
                     let out = engine.search(request_for(t, i));
                     (
@@ -210,7 +200,7 @@ fn run_soak(executor_threads: usize) {
 
     let m = engine.metrics();
     assert!(
-        m.requests >= (CLIENTS * budget * 2) as u64,
+        m.requests >= (CLIENTS * PER_CLIENT * 2) as u64,
         "all requests served: {m:?}"
     );
     assert_eq!(m.degraded, 0);
@@ -272,7 +262,7 @@ fn deployed_two_shard_engine_serves_a_burst_through_a_bounded_pool() {
         ));
         assert_eq!(engine.config().executor_threads, 2, "a pool was built");
         let requests: Vec<QueryRequest> = (0..CLIENTS)
-            .flat_map(|t| (0..per_client_budget()).map(move |i| request_for(t, i)))
+            .flat_map(|t| (0..PER_CLIENT).map(move |i| request_for(t, i)))
             .collect();
         // Expected pages, computed single-threaded before the burst.
         let expected: Vec<_> = requests.iter().map(|r| engine.search(r.clone())).collect();
@@ -297,7 +287,7 @@ fn deployed_two_shard_engine_serves_a_burst_through_a_bounded_pool() {
                 assert_eq!(reply.algorithm, expect.algorithm, "request {i}");
             }
         }
-        // 16 × budget requests enqueued back to back against 2 workers
+        // 16 × PER_CLIENT requests enqueued back to back against 2 workers
         // and 64 slots: the overflow is shed, the admitted are served.
         assert!(
             shed > 0 && (shed as usize) < replies.len(),

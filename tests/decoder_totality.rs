@@ -21,6 +21,8 @@
 //! The fleet *frame* decoder has its own sweep of the same shape in
 //! `crates/fleet/tests/protocol_robustness.rs`.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serpdiv::core::specindex::CompiledSpecStore;
 use serpdiv::core::UtilityParams;
 use serpdiv::index::{
@@ -83,24 +85,6 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed))
 }
 
-/// Deterministic xorshift64* (the frame sweep's generator).
-struct FuzzRng(u64);
-
-impl FuzzRng {
-    fn new(seed: u64) -> Self {
-        FuzzRng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 /// Push every mutant of `image` through `decode`; `accepted` is handed
 /// whatever decodes and must find it usable.
 fn sweep_decoder<T>(
@@ -143,33 +127,37 @@ fn sweep_decoder<T>(
     }
     assert!(rejected > 0, "{name}: no single-byte mutant was rejected");
 
-    let mut rng = FuzzRng::new(0xD1CE_0000 ^ image.len() as u64);
+    let seed = 0xD1CE_0000 ^ image.len() as u64;
+    let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..4_000 {
         let mutant: Vec<u8> = if i % 4 == 0 {
             // Random bytes, half of them behind the real magic + version
             // so that they reach the count fields.
             let header = if i % 8 == 0 { 8 } else { 0 };
-            let len = (rng.next() % 256) as usize;
+            let len = rng.gen_range(0..256);
             image[..header]
                 .iter()
                 .copied()
-                .chain((0..len).map(|_| rng.next() as u8))
+                .chain((0..len).map(|_| rng.gen::<u8>()))
                 .collect()
         } else {
             // 1–8 bytes changed, sometimes truncated or extended.
             let mut b = image.to_vec();
-            for _ in 0..(1 + rng.next() % 8) {
-                let pos = (rng.next() as usize) % b.len();
-                b[pos] ^= (1 + rng.next() % 255) as u8;
+            for _ in 0..rng.gen_range(1..=8) {
+                let pos = rng.gen_range(0..b.len());
+                b[pos] ^= rng.gen_range(1..=255u8);
             }
-            match rng.next() % 4 {
-                0 => b.truncate((rng.next() as usize) % (b.len() + 1)),
-                1 => b.extend((0..rng.next() % 16).map(|_| rng.next() as u8)),
+            match rng.gen_range(0..4) {
+                0 => b.truncate(rng.gen_range(0..=b.len())),
+                1 => {
+                    let extra = rng.gen_range(0..16);
+                    b.extend((0..extra).map(|_| rng.gen::<u8>()));
+                }
                 _ => {}
             }
             b
         };
-        check(&mutant, &format!("seeded mutant {i}"));
+        check(&mutant, &format!("seed {seed:#x}, mutant {i}"));
     }
 }
 

@@ -8,12 +8,14 @@
 //! * a hand-built fixture with deliberate score ties straddling shard
 //!   boundaries (the merge tie-break and the per-shard accumulation order
 //!   are what could drift under a different scheduler),
-//! * an LCG-randomized corpus/query sweep over shard counts {1, 2, 4, 7}
-//!   × executor threads {1, 2, 4} (more rounds under
-//!   `--features property-tests`),
+//! * a sweep over three seeded random corpora, shard counts {1, 2, 4, 7}
+//!   × executor threads {1, 2, 4},
 //! * a check that one executor shared by several indexes (the intended
 //!   deployment shape) still serves each bit-identically.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use serpdiv::index::{
     Document, IndexBuilder, InvertedIndex, Retriever, ScatterMode, ScoredDoc, ScoringExecutor,
     SearchEngine, ShardedIndex,
@@ -34,24 +36,6 @@ fn assert_bit_identical(expect: &[ScoredDoc], got: &[ScoredDoc], context: &str) 
             e.score,
             g.score
         );
-    }
-}
-
-/// Tiny deterministic generator (same discipline as the other suites: no
-/// external rand dependency, reproducible failures).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next() as usize) % items.len()]
     }
 }
 
@@ -137,21 +121,16 @@ fn randomized_corpora_are_bit_identical_across_shards_and_threads() {
         "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india",
         "juliet", "kilo", "lima",
     ];
-    let rounds = if cfg!(feature = "property-tests") {
-        8
-    } else {
-        3
-    };
-    let mut rng = Lcg(0xe5ec_5eed);
-    for round in 0..rounds {
+    for seed in 0..3 {
+        let mut rng = StdRng::seed_from_u64(seed);
         // Random corpus: 40–139 docs of 3–12 words from a 12-word
         // vocabulary — dense term overlap, frequent score ties.
-        let num_docs = 40 + (rng.next() % 100) as u32;
+        let num_docs = rng.gen_range(40..140);
         let mut b = IndexBuilder::new();
         for i in 0..num_docs {
-            let len = 3 + (rng.next() % 10) as usize;
+            let len = rng.gen_range(3..13);
             let body = (0..len)
-                .map(|_| *rng.pick(&vocab))
+                .map(|_| *vocab.choose(&mut rng).unwrap())
                 .collect::<Vec<_>>()
                 .join(" ");
             b.add(Document::new(i, format!("http://r/{i}"), "", body));
@@ -163,14 +142,14 @@ fn randomized_corpora_are_bit_identical_across_shards_and_threads() {
             for &shards in &SHARD_COUNTS {
                 let pooled = pooled(&index, shards, &executor);
                 for q in 0..6 {
-                    let qlen = 1 + (rng.next() % 4) as usize;
+                    let qlen = rng.gen_range(1..5);
                     let query = (0..qlen)
-                        .map(|_| *rng.pick(&vocab))
+                        .map(|_| *vocab.choose(&mut rng).unwrap())
                         .collect::<Vec<_>>()
                         .join(" ");
-                    let k = 1 + (rng.next() % 20) as usize;
+                    let k = rng.gen_range(1..21);
                     let ctx = format!(
-                        "round={round} q#{q} {query:?} k={k} shards={shards} threads={threads}"
+                        "seed={seed} q#{q} {query:?} k={k} shards={shards} threads={threads}"
                     );
                     let expect = oracle.search(&query, k);
                     assert_bit_identical(&expect, &pooled.retrieve(&query, k), &ctx);

@@ -5,7 +5,7 @@
 //! Three layers of evidence:
 //! * a hand-built fixture with deliberate score ties straddling shard
 //!   boundaries (the merge's tie-break is the part most likely to drift),
-//! * an LCG-randomized corpus/query sweep over shard counts {1, 2, 4, 7},
+//! * a seeded randomized corpus/query sweep over shard counts {1, 2, 4, 7},
 //! * an end-to-end check that a sharded serving engine returns the same
 //!   pages as an unsharded one for every diversification algorithm.
 //!
@@ -16,6 +16,9 @@
 //! `StatsOverlay`, under a second ranking model, and with eight threads
 //! sharing one index.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use serpdiv::index::bm25::Bm25;
 use serpdiv::index::{
     CollectionStats, Document, Dph, IndexBuilder, InvertedIndex, RankingModel, Retriever,
@@ -37,24 +40,6 @@ fn assert_bit_identical(expect: &[ScoredDoc], got: &[ScoredDoc], context: &str) 
             e.score,
             g.score
         );
-    }
-}
-
-/// Tiny deterministic generator (same discipline as the other suites: no
-/// external rand dependency, reproducible failures).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next() as usize) % items.len()]
     }
 }
 
@@ -112,16 +97,16 @@ fn randomized_corpora_and_queries_are_bit_identical() {
         "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india",
         "juliet", "kilo", "lima",
     ];
-    let mut rng = Lcg(0x5eed_cafe);
-    for round in 0..5 {
+    for seed in 0..5 {
+        let mut rng = StdRng::seed_from_u64(seed);
         // Random corpus: 40–139 docs of 3–12 words from a 12-word
         // vocabulary — dense term overlap, frequent score ties.
-        let num_docs = 40 + (rng.next() % 100) as u32;
+        let num_docs = rng.gen_range(40..140);
         let mut b = IndexBuilder::new();
         for i in 0..num_docs {
-            let len = 3 + (rng.next() % 10) as usize;
+            let len = rng.gen_range(3..13);
             let body = (0..len)
-                .map(|_| *rng.pick(&vocab))
+                .map(|_| *vocab.choose(&mut rng).unwrap())
                 .collect::<Vec<_>>()
                 .join(" ");
             b.add(Document::new(i, format!("http://r/{i}"), "", body));
@@ -131,18 +116,18 @@ fn randomized_corpora_and_queries_are_bit_identical() {
         for &shards in &SHARD_COUNTS {
             let sharded = ShardedIndex::build(index.clone(), shards);
             for q in 0..8 {
-                let qlen = 1 + (rng.next() % 4) as usize;
+                let qlen = rng.gen_range(1..5);
                 let query = (0..qlen)
-                    .map(|_| *rng.pick(&vocab))
+                    .map(|_| *vocab.choose(&mut rng).unwrap())
                     .collect::<Vec<_>>()
                     .join(" ");
-                let k = 1 + (rng.next() % 20) as usize;
+                let k = rng.gen_range(1..21);
                 let expect = oracle.search(&query, k);
                 let got = sharded.retrieve(&query, k);
                 assert_bit_identical(
                     &expect,
                     &got,
-                    &format!("round={round} q#{q} {query:?} k={k} shards={shards}"),
+                    &format!("seed={seed} q#{q} {query:?} k={k} shards={shards}"),
                 );
             }
         }
@@ -207,20 +192,20 @@ fn sharded_serving_pages_match_unsharded() {
     }
 }
 
-/// LCG corpus over a **skewed** vocabulary: the cubed draw makes the first
+/// Seeded corpus over a **skewed** vocabulary: the cubed draw makes the first
 /// few words occur several times in almost every document, so their
 /// collection frequency exceeds the document count and their DPH
 /// contributions go negative — the regime where a sloppy accumulator or
 /// top-`k` gate shows.
-fn skewed_index(rng: &mut Lcg, num_docs: u32) -> (Arc<InvertedIndex>, Vec<TermId>) {
+fn skewed_index(rng: &mut StdRng, num_docs: u32) -> (Arc<InvertedIndex>, Vec<TermId>) {
     let vocab: Vec<String> = (0..40).map(|w| format!("word{w}x")).collect();
-    let skewed = |rng: &mut Lcg| {
-        let u = (rng.next() % 1000) as f64 / 1000.0;
+    let skewed = |rng: &mut StdRng| {
+        let u = rng.gen_range(0..1000) as f64 / 1000.0;
         ((u * u * u) * vocab.len() as f64) as usize
     };
     let mut b = IndexBuilder::new();
     for i in 0..num_docs {
-        let len = 4 + (rng.next() % 20) as usize;
+        let len = rng.gen_range(4..24);
         let body = (0..len)
             .map(|_| vocab[skewed(rng)].as_str())
             .collect::<Vec<_>>()
@@ -238,15 +223,15 @@ fn skewed_index(rng: &mut Lcg, num_docs: u32) -> (Arc<InvertedIndex>, Vec<TermId
 
 /// 1–4 query terms drawn with the same skew, repeats allowed (and forced
 /// now and then: multiplicity weighting).
-fn random_terms(rng: &mut Lcg, vocab: &[TermId]) -> Vec<TermId> {
-    let len = 1 + (rng.next() % 4) as usize;
+fn random_terms(rng: &mut StdRng, vocab: &[TermId]) -> Vec<TermId> {
+    let len = rng.gen_range(1..5);
     let mut terms: Vec<TermId> = (0..len)
         .map(|_| {
-            let u = (rng.next() % 1000) as f64 / 1000.0;
+            let u = rng.gen_range(0..1000) as f64 / 1000.0;
             vocab[((u * u) * vocab.len() as f64) as usize]
         })
         .collect();
-    if rng.next().is_multiple_of(4) {
+    if rng.gen_bool(0.25) {
         terms.push(terms[0]);
     }
     terms
@@ -301,8 +286,8 @@ fn unsharded_retriever_is_bit_identical_to_the_oracle() {
         }
     }
 
-    // Skewed LCG corpora of 50–3000 documents, both models.
-    let mut rng = Lcg(0x0dd5_eed5);
+    // Skewed corpora of 50–3000 documents, both models.
+    let mut rng = StdRng::seed_from_u64(0x0dd5_eed5);
     let mut saw_negative_scores = false;
     for num_docs in [50, 400, 3000] {
         let (index, vocab) = skewed_index(&mut rng, num_docs);
@@ -327,7 +312,7 @@ fn unsharded_retriever_is_bit_identical_to_the_oracle() {
 
 #[test]
 fn overlaid_retrieval_is_bit_identical_to_the_overlaid_oracle() {
-    let mut rng = Lcg(0x0e71_a1d0);
+    let mut rng = StdRng::seed_from_u64(0x0e71_a1d0);
     for num_docs in [60, 900] {
         let (index, vocab) = skewed_index(&mut rng, num_docs);
         let oracle = SearchEngine::new(&index);
@@ -383,7 +368,7 @@ fn overlaid_retrieval_is_bit_identical_to_the_overlaid_oracle() {
 
 #[test]
 fn eight_threads_share_one_index_without_sharing_scratch() {
-    let mut rng = Lcg(0x0874_ead5);
+    let mut rng = StdRng::seed_from_u64(0x0874_ead5);
     let (index, vocab) = skewed_index(&mut rng, 1500);
     let sharded = ShardedIndex::build(index.clone(), 4);
     // Every thread gets its own queries — different terms, lengths and
@@ -399,7 +384,7 @@ fn eight_threads_share_one_index_without_sharing_scratch() {
             (0..60)
                 .map(|_| {
                     let terms = random_terms(&mut rng, &vocab);
-                    let k = *rng.pick(&KS);
+                    let k = *KS.choose(&mut rng).unwrap();
                     let expect = oracle.search_terms(&terms, k);
                     Case { terms, k, expect }
                 })

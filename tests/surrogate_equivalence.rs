@@ -459,36 +459,25 @@ fn racing_cold_requests_publish_equivalent_tables() {
     }
 }
 
-/// Randomized corpus sweep (deterministic LCG, no external deps).
+/// Randomized corpus sweep: one seeded `StdRng` per world.
 mod randomized {
     use super::*;
-
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     /// A word pool mixing content words, stopwords and a rare long token
     /// (dropped by the tokenizer), so streams get sentinels and holes.
-    fn word(rng: &mut Lcg) -> &'static str {
+    fn word(rng: &mut StdRng) -> &'static str {
         const WORDS: [&str; 24] = [
             "apple", "iphone", "fruit", "orchard", "review", "battery", "camera", "harvest",
             "cider", "juice", "recipe", "chip", "display", "store", "vitamin", "sweet", "the",
             "of", "and", "is", "to", "in", "running", "leopards",
         ];
-        WORDS[rng.below(WORDS.len() as u64) as usize]
+        WORDS.choose(rng).unwrap()
     }
 
-    fn text(rng: &mut Lcg, len: usize) -> String {
+    fn text(rng: &mut StdRng, len: usize) -> String {
         let mut out = String::new();
         for i in 0..len {
             if i > 0 {
@@ -505,29 +494,29 @@ mod randomized {
     /// the world's queries as its specializations.
     #[test]
     fn random_corpora_match_oracle_bitwise() {
-        let mut rng = Lcg(0x5eed_f0d1);
         let mut stored = 0;
-        for world in 0..25 {
-            let num_docs = 1 + rng.below(12) as usize;
+        for seed in 0..25 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let num_docs = rng.gen_range(1..=12);
             let mut b = IndexBuilder::new();
             for i in 0..num_docs {
-                let title_len = rng.below(4) as usize; // empties included
-                let body_len = rng.below(120) as usize; // empties included
+                let title_len = rng.gen_range(0..4); // empties included
+                let body_len = rng.gen_range(0..120); // empties included
                 let title = text(&mut rng, title_len);
                 let body = text(&mut rng, body_len);
                 b.add(Document::new(
                     i as u32,
-                    format!("http://{world}/{i}"),
+                    format!("http://{seed}/{i}"),
                     title,
                     body,
                 ));
             }
             let index = b.build();
             let forward = ForwardIndex::build(&index);
-            let windows = [1 + rng.below(6) as usize, 30, 200];
+            let windows = [rng.gen_range(1..=6), 30, 200];
             let mut queries = Vec::new();
             for _ in 0..6 {
-                let qlen = rng.below(4) as usize; // empty queries included
+                let qlen = rng.gen_range(0..4); // empty queries included
                 let query = text(&mut rng, qlen);
                 queries.push(query.clone());
                 for doc in 0..num_docs as u32 {
@@ -537,7 +526,7 @@ mod randomized {
                         doc,
                         &query,
                         &windows,
-                        &format!("world {world}"),
+                        &format!("seed {seed}"),
                     );
                 }
             }
@@ -549,15 +538,15 @@ mod randomized {
             ))
             .unwrap();
             let params = PipelineParams {
-                k_spec_results: 1 + rng.below(8) as usize,
-                snippet_window: windows[world % 3],
+                k_spec_results: rng.gen_range(1..=8),
+                snippet_window: windows[seed as usize % 3],
                 ..PipelineParams::default()
             };
             stored += assert_deployed_store_matches_oracle(
                 &Arc::new(index),
                 &Arc::new(model),
                 params,
-                &format!("world {world}"),
+                &format!("seed {seed}"),
             );
         }
         assert!(stored > 500, "only {stored} stored vectors were checked");

@@ -234,29 +234,17 @@ fn pruned_scoring_matches_unpruned_oracle() {
     }
 }
 
-/// Randomized equivalence sweep (deterministic LCG, no external deps).
+/// Randomized equivalence sweep: one seeded `StdRng` per world.
 mod randomized {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    fn random_vector(rng: &mut Lcg, max_nnz: u64, vocab: u64) -> SparseVector {
-        let nnz = rng.below(max_nnz + 1);
+    fn random_vector(rng: &mut StdRng, max_nnz: usize, vocab: u32) -> SparseVector {
+        let nnz = rng.gen_range(0..=max_nnz);
         SparseVector::from_pairs((0..nnz).map(|_| {
-            let t = rng.below(vocab) as u32;
-            let w = rng.below(1000) as f32 / 50.0 + 0.01;
+            let t = rng.gen_range(0..vocab);
+            let w = rng.gen_range(0..1000) as f32 / 50.0 + 0.01;
             (TermId(t), w)
         }))
     }
@@ -265,13 +253,13 @@ mod randomized {
     /// identical rankings across all four diversifiers.
     #[test]
     fn random_worlds_match_oracle_and_rankings() {
-        let mut rng = Lcg(0x5eed_cafe);
-        for world in 0..40 {
-            let n = 1 + rng.below(40) as usize;
-            let m = 1 + rng.below(6) as usize;
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=40);
+            let m = rng.gen_range(1..=6);
             let lists: Vec<(String, Vec<SparseVector>)> = (0..m)
                 .map(|s| {
-                    let r = rng.below(21) as usize; // 0..=20, empties included
+                    let r = rng.gen_range(0..=20); // empties included
                     (
                         format!("s{s}"),
                         (0..r).map(|_| random_vector(&mut rng, 30, 120)).collect(),
@@ -292,16 +280,18 @@ mod randomized {
             let naive_lists: Vec<Vec<SparseVector>> =
                 lists.iter().map(|(_, l)| l.clone()).collect();
             let naive = UtilityMatrix::compute(&candidates, &naive_lists, params);
-            let ctx = format!("world {world} (n={n}, m={m})");
+            let ctx = format!("seed {seed} (n={n}, m={m})");
             assert_matrices_match(&fast, &naive, &ctx);
 
             // Same selection behaviour on both matrices.
             let probs: Vec<f64> = {
-                let raw: Vec<f64> = (0..m).map(|_| 1.0 + rng.below(9) as f64).collect();
+                let raw: Vec<f64> = (0..m).map(|_| rng.gen_range(1..=9) as f64).collect();
                 let total: f64 = raw.iter().sum();
                 raw.into_iter().map(|p| p / total).collect()
             };
-            let relevance: Vec<f64> = (0..n).map(|_| rng.below(1000) as f64 / 999.0).collect();
+            let relevance: Vec<f64> = (0..n)
+                .map(|_| rng.gen_range(0..1000) as f64 / 999.0)
+                .collect();
             let fast_in = DiversifyInput::new(probs.clone(), relevance.clone(), fast);
             let naive_in = DiversifyInput::new(probs, relevance, naive);
             assert_rankings_match(&fast_in, &naive_in, &ctx);
@@ -312,12 +302,12 @@ mod randomized {
     /// their unpruned oracles for every threshold in a sweep.
     #[test]
     fn random_pruned_scoring_bitwise_equals_unpruned() {
-        let mut rng = Lcg(0x0bad_5c0e);
-        for world in 0..25 {
-            let m = 1 + rng.below(7) as usize;
+        for seed in 0..25 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.gen_range(1..=7);
             let lists: Vec<(String, Vec<SparseVector>)> = (0..m)
                 .map(|s| {
-                    let r = rng.below(16) as usize;
+                    let r = rng.gen_range(0..16);
                     (
                         format!("s{s}"),
                         (0..r).map(|_| random_vector(&mut rng, 20, 90)).collect(),
@@ -331,7 +321,7 @@ mod randomized {
             );
             let names: Vec<&str> = lists.iter().map(|(n, _)| n.as_str()).collect();
             let scorer = compiled.scorer(names.iter().copied());
-            let candidates: Vec<SparseVector> = (0..1 + rng.below(30))
+            let candidates: Vec<SparseVector> = (0..rng.gen_range(1..=30))
                 .map(|_| random_vector(&mut rng, 20, 90))
                 .collect();
             for threshold_c in [0.0, 0.02, 0.1, 0.4, 0.8] {
@@ -343,7 +333,7 @@ mod randomized {
                     scorer.score_into_unpruned(cand, &mut oracle, params);
                     assert_eq!(
                         pruned, oracle,
-                        "world {world} c={threshold_c} candidate {ci}: score_into"
+                        "seed {seed} c={threshold_c} candidate {ci}: score_into"
                     );
                 }
             }
@@ -354,7 +344,7 @@ mod randomized {
     /// inputs.
     #[test]
     fn random_parallel_rows_bitwise_equal() {
-        let mut rng = Lcg(0xfeed_f00d);
+        let mut rng = StdRng::seed_from_u64(0xfeed_f00d);
         let lists: Vec<(String, Vec<SparseVector>)> = (0..5)
             .map(|s| {
                 (
