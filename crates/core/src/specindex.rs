@@ -15,27 +15,37 @@
 //! i.e. unit-normalize every surrogate, fold the `1/rank` discount and the
 //! harmonic normalizer directly into the term weights, and sum the ranked
 //! list into one *folded vector* per specialization. Stacking the folded
-//! vectors of a query's specializations term-major yields a classic
-//! inverted index
-//! `TermId → [(spec, weight)]` — the same term-at-a-time accumulator
-//! discipline the DPH retrieval stage already uses — so scoring one
-//! candidate against every one of them costs
-//! `O(Σ_{t ∈ d} |postings(t)|)` instead of `n·m` merge-joins.
+//! vectors of a query's `m` specializations term-major gives every term a
+//! row of `m` weights, so one pass over a candidate's terms scores it
+//! against all of them instead of `m` merge-joins.
 //!
-//! Request-time scoring goes through a [`UtilityScorer`]: a borrowed view
-//! that gathers the postings of the query's *active* specializations
-//! (usually a handful out of the whole store) into one small sorted
-//! accumulator index. Building it is `O(Σ nnz(folded))` and is amortized
-//! over the `n ≈ 100` candidates of the request; no surrogate list is
-//! cloned anywhere on the hot path.
+//! Request-time scoring goes through a [`UtilityScorer`], built once per
+//! model entry over its *active* specializations (usually a handful out
+//! of the whole store). It holds **dense rows**: for each term any of
+//! them holds, exactly `m` `f64` cells, `0.0` where a column's
+//! specialization lacks the term, plus an all-zero row 0 for every term
+//! none of them holds. No surrogate list is cloned on the hot path.
 //!
-//! A scorer holds only its own few hundred terms. The `TermId → slot`
-//! lookup its rows need is one dense table **per thread**, not per
-//! scorer: scoring a matrix stamps the scorer's terms into the thread's
-//! table, reads every candidate term through it with a single load, and
-//! un-stamps them on the way out (see `Stamped`). Serving engines keep
-//! one scorer per model entry, so a table per scorer would be a
-//! vocabulary-sized array a thousand times over.
+//! The `TermId → row` lookup is one dense table **per thread**, not per
+//! scorer: scoring a matrix stamps term `k` of the scorer into the
+//! thread's table as row `k + 1`, and un-stamps it back to 0 on the way
+//! out (see `Stamped`). A term the scorer lacks, or one past the table,
+//! reads 0, the zero row. Every candidate term therefore costs the same
+//! — one load for its row, `m` multiply-adds — and the kernel has no
+//! data-dependent branch. It walks a candidate's terms once per block of
+//! at most 8 columns, accumulating in a `[f64; W]` register array whose
+//! width `W` is a const generic, dispatched once per block. Serving
+//! engines keep one scorer per model entry, so a table per scorer would
+//! be a vocabulary-sized array a thousand times over.
+//!
+//! **Why the dense rows are bit for bit a sparse accumulation.** Each cell
+//! still sums its terms in ascending `TermId` order. A term its column
+//! lacks adds `w · 0.0 = +0.0`, since [`SparseVector`] weights are finite
+//! and ≥ 0. The accumulator starts at `+0.0`, and no round-to-nearest sum
+//! turns it into `−0.0`, so adding `+0.0` is exact.
+//! [`CompiledSpecStore::score_into_merge_join`] — a per-column merge-join
+//! over the shared terms only, read from the folded vectors — is the
+//! oracle the tests compare against bit for bit.
 //!
 //! All folded weights are `f64`, so the compiled path reproduces the naive
 //! double-precision oracle ([`UtilityMatrix::compute`]) up to mere
@@ -61,8 +71,8 @@ const SPEC_VERSION: u32 = 1;
 /// Holds, for every specialization in the deployed store, its *folded
 /// vector* — the ranked surrogate list collapsed into one sparse
 /// `(TermId, f64)` row with rank discount, surrogate norms and the
-/// `1/H_{|R′|}` normalizer pre-applied. The term-major transpose a request
-/// scores against is built per model entry, over that entry's few
+/// `1/H_{|R′|}` normalizer pre-applied. The dense rows a request scores
+/// against are built per model entry, over that entry's few
 /// specializations only ([`Self::scorer`]).
 #[derive(Debug, Default)]
 pub struct CompiledSpecStore {
@@ -166,18 +176,65 @@ impl CompiledSpecStore {
     /// in column order. Unknown names yield all-zero columns (exactly the
     /// naive path's behavior for specs missing from the store).
     pub fn scorer<'a>(&self, specs: impl IntoIterator<Item = &'a str>) -> UtilityScorer {
-        let cols: Vec<Option<u32>> = specs.into_iter().map(|s| self.spec_id(s)).collect();
-        let mut triples: Vec<(TermId, u32, f64)> = Vec::new();
-        for (col, id) in cols.iter().enumerate() {
-            if let Some(id) = id {
-                for &(t, w) in &self.folded[*id as usize] {
-                    triples.push((t, col as u32, w));
-                }
+        let cols: Vec<&[(TermId, f64)]> = specs.into_iter().map(|s| self.folded_of(s)).collect();
+        let m = cols.len();
+        let mut terms: Vec<TermId> = cols
+            .iter()
+            .flat_map(|f| f.iter().map(|&(t, _)| t))
+            .collect();
+        terms.sort_unstable();
+        terms.dedup();
+        // Row 0 stays all zeros: it is the row of every term not in `terms`.
+        let mut rows = vec![0.0; (terms.len() + 1) * m];
+        for (col, folded) in cols.iter().enumerate() {
+            for &(t, w) in *folded {
+                let k = terms
+                    .binary_search(&t)
+                    .expect("gathered from these vectors");
+                rows[(k + 1) * m + col] = w;
             }
         }
-        UtilityScorer {
-            m: cols.len(),
-            inverted: TermMajor::invert(triples),
+        UtilityScorer { m, terms, rows }
+    }
+
+    /// The folded vector of specialization `name` (empty when unknown).
+    fn folded_of(&self, name: &str) -> &[(TermId, f64)] {
+        self.spec_id(name)
+            .map_or(&[], |id| self.folded[id as usize].as_slice())
+    }
+
+    /// The equivalence oracle for [`UtilityScorer`]'s rows, read from the
+    /// folded vectors instead of the scorer: one cell per name in `specs`,
+    /// each a merge-join of `candidate` with that specialization's folded
+    /// vector that sums the shared terms only, in ascending `TermId` order.
+    ///
+    /// # Panics
+    /// Panics unless `out` has one cell per name.
+    pub fn score_into_merge_join<'a>(
+        &self,
+        specs: impl IntoIterator<Item = &'a str>,
+        candidate: &SparseVector,
+        out: &mut [f64],
+        params: UtilityParams,
+    ) {
+        let specs: Vec<&str> = specs.into_iter().collect();
+        assert_eq!(out.len(), specs.len(), "one cell per specialization");
+        let norm = f64::from(candidate.norm());
+        for (cell, spec) in out.iter_mut().zip(specs) {
+            let (a, b) = (candidate.entries(), self.folded_of(spec));
+            let (mut i, mut j, mut acc) = (0, 0, 0.0f64);
+            while i < a.len() && j < b.len() {
+                match a[i].0.cmp(&b[j].0) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        acc += f64::from(a[i].1) * b[j].1;
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            *cell = finalize(acc, norm, params);
         }
     }
 
@@ -270,216 +327,94 @@ impl CompiledSpecStore {
     }
 }
 
-/// The term-major postings layout of a [`UtilityScorer`]: sorted distinct
-/// `terms`, `term_ranges[k]` delimiting `postings[start..end]` for
-/// `terms[k]`, postings `(column, weight)` sorted by column within a term.
-#[derive(Debug, Default)]
-struct TermMajor {
-    terms: Vec<TermId>,
-    term_ranges: Vec<(u32, u32)>,
-    postings: Vec<(u32, f64)>,
-    /// `max(0, max weight in postings(terms[k]))` — the per-posting-list
-    /// score upper bounds behind the MaxScore-style whole-row prune (see
-    /// [`Stamped::row_prunable`]).
-    term_ub: Vec<f64>,
-}
-
-impl TermMajor {
-    /// Group `(term, column, weight)` triples into the layout.
-    fn invert(mut triples: Vec<(TermId, u32, f64)>) -> Self {
-        triples.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut terms = Vec::new();
-        let mut term_ranges: Vec<(u32, u32)> = Vec::new();
-        let mut postings = Vec::with_capacity(triples.len());
-        for (t, c, w) in triples {
-            if terms.last() != Some(&t) {
-                terms.push(t);
-                term_ranges.push((postings.len() as u32, postings.len() as u32));
-            }
-            postings.push((c, w));
-            term_ranges.last_mut().unwrap().1 = postings.len() as u32;
-        }
-        let term_ub = term_ranges
-            .iter()
-            .map(|&(start, end)| {
-                postings[start as usize..end as usize]
-                    .iter()
-                    // Clamping at 0 keeps the bound a *dominating* bound
-                    // even for columns a term does not touch (their
-                    // contribution is exactly 0 ≤ w·ub).
-                    .fold(0.0f64, |ub, &(_, w)| ub.max(w))
-            })
-            .collect();
-        TermMajor {
-            terms,
-            term_ranges,
-            postings,
-            term_ub,
-        }
-    }
-
-    fn byte_size(&self) -> usize {
-        self.terms.len() * std::mem::size_of::<TermId>()
-            + self.term_ranges.len() * std::mem::size_of::<(u32, u32)>()
-            + self.postings.len() * std::mem::size_of::<(u32, f64)>()
-            + self.term_ub.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Score `candidates[i]` into the `i`-th `width`-cell row of `rows`,
-    /// with this layout's terms stamped into the thread's lookup table
-    /// (see [`Stamped`]) once for all of them.
-    fn score_rows<V: Borrow<SparseVector>>(
-        &self,
-        candidates: &[V],
-        rows: &mut [f64],
-        width: usize,
-        params: UtilityParams,
-    ) {
-        TERM_SLOTS.with(|cell| {
-            let mut table = cell.borrow_mut();
-            let stamped = Stamped::new(self, &mut table);
-            for (cand, row) in candidates.iter().zip(rows.chunks_exact_mut(width.max(1))) {
-                stamped.score_into(cand.borrow(), row, params);
-            }
-        });
-    }
-
-    /// The pre-optimization row — binary-search term lookups, no pruning
-    /// — kept verbatim as the oracle for [`Stamped::score_into`].
-    fn score_into_unpruned(
-        &self,
-        candidate: &SparseVector,
-        out: &mut [f64],
-        params: UtilityParams,
-    ) {
-        out.fill(0.0);
-        let norm = f64::from(candidate.norm());
-        if norm == 0.0 {
-            return;
-        }
-        for &(t, w) in candidate.entries() {
-            if let Ok(k) = self.terms.binary_search(&t) {
-                let (start, end) = self.term_ranges[k];
-                for &(c, fw) in &self.postings[start as usize..end as usize] {
-                    out[c as usize] += f64::from(w) * fw;
-                }
-            }
-        }
-        for u in out {
-            *u = finalize(*u, norm, params);
-        }
-    }
-}
+/// Columns one kernel pass accumulates in registers; a wider scorer is
+/// scored in blocks of at most this many.
+const BLOCK: usize = 8;
 
 thread_local! {
-    /// The thread's dense `TermId → slot` table. Invariant between uses:
-    /// every entry `u32::MAX` (absent). Grown to the largest
+    /// The thread's dense `TermId → row` table. Invariant between uses:
+    /// every entry 0 (the zero row). Grown to the largest
     /// `max_term + 1` this thread has stamped, never shrunk.
     static TERM_SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A [`TermMajor`] whose `terms[k] → k` are stamped into the thread's
-/// [`TERM_SLOTS`] for as long as the value lives: rows look terms up with
-/// a single load. Dropping it — on return or on unwind, so a panic caught
-/// further up (the serving pool's `catch_unwind`) cannot leave the table
-/// dirty — un-stamps exactly those terms.
+/// A [`UtilityScorer`] whose `terms[k] → k + 1` are stamped into the
+/// thread's [`TERM_SLOTS`] for as long as the value lives: rows look terms
+/// up with a single load. Dropping it — on return or on unwind, so a panic
+/// caught further up (the serving pool's `catch_unwind`) cannot leave the
+/// table dirty — un-stamps exactly those terms.
 struct Stamped<'a> {
-    layout: &'a TermMajor,
+    scorer: &'a UtilityScorer,
     table: &'a mut [u32],
-    /// Whether the terms are in `table` at all: a layout reaching past
+    /// Whether the terms are in `table` at all: a scorer reaching past
     /// [`DIRECT_INDEX_MAX_TERM`] is looked up by binary search instead.
     dense: bool,
 }
 
 impl<'a> Stamped<'a> {
-    fn new(layout: &'a TermMajor, table: &'a mut Vec<u32>) -> Self {
+    fn new(scorer: &'a UtilityScorer, table: &'a mut Vec<u32>) -> Self {
         // `terms` is sorted: its last entry is the largest id to cover.
-        let dense = match layout.terms.last() {
+        let dense = match scorer.terms.last() {
             Some(max_term) if max_term.0 <= DIRECT_INDEX_MAX_TERM => {
                 let need = max_term.0 as usize + 1;
                 if table.len() < need {
-                    table.resize(need, u32::MAX);
+                    table.resize(need, 0);
                 }
-                for (k, t) in layout.terms.iter().enumerate() {
-                    table[t.0 as usize] = k as u32;
+                for (k, t) in scorer.terms.iter().enumerate() {
+                    table[t.0 as usize] = k as u32 + 1;
                 }
                 true
             }
             _ => false,
         };
         Stamped {
-            layout,
+            scorer,
             table,
             dense,
         }
     }
 
-    /// O(1) lookup of a term's slot in the layout (O(log T) for an
-    /// oversized layout).
+    /// The row of term `t`: one load from the stamped table (a binary
+    /// search for an oversized scorer), and 0 — the zero row — for a term
+    /// the scorer lacks.
     #[inline]
-    fn slot(&self, t: TermId) -> Option<usize> {
+    fn row(&self, t: TermId) -> usize {
         if self.dense {
-            match self.table.get(t.0 as usize) {
-                Some(&slot) if slot != u32::MAX => Some(slot as usize),
-                _ => None,
-            }
+            self.table.get(t.0 as usize).map_or(0, |&row| row as usize)
         } else {
-            self.layout.terms.binary_search(&t).ok()
+            self.scorer.terms.binary_search(&t).map_or(0, |k| k + 1)
         }
     }
 
-    /// The MaxScore-style whole-row prune test: `true` when *every* cell
-    /// of this candidate's utility row provably finalizes to exactly
-    /// `0.0`, so the postings walk can be skipped without changing a
-    /// single bit.
-    ///
-    /// Exactness: `acc[c]` is an IEEE fl-sum, in candidate-entry order, of
-    /// contributions `w_t · fw ≤ w_t · ub_t` (needs `w_t ≥ 0`; columns a
-    /// term skips contribute `0 ≤ w_t · ub_t` since `ub_t ≥ 0`). f64
-    /// addition and division by a positive norm are monotone, so
-    /// `clamp(acc[c]/norm) ≤ clamp(bound/norm) < threshold_c` ⇒ the
-    /// unpruned `finalize` returns the literal `0.0` for every cell — the
-    /// very value the pre-zeroed row already holds.
-    #[inline]
-    fn row_prunable(&self, candidate: &SparseVector, norm: f64, params: UtilityParams) -> bool {
-        let mut bound = 0.0f64;
-        for &(t, w) in candidate.entries() {
-            if w < 0.0 {
-                return false; // the domination argument needs w ≥ 0
-            }
-            if let Some(k) = self.slot(t) {
-                bound += f64::from(w) * self.layout.term_ub[k];
-            }
-        }
-        (bound / norm).clamp(0.0, 1.0) < params.threshold_c
-    }
-
-    /// Score one candidate into `out` (one cell per column): zero,
-    /// accumulate term-at-a-time, normalize by the candidate norm, clamp,
-    /// threshold. Two exact fast paths over
-    /// [`TermMajor::score_into_unpruned`]: term lookups are one load from
-    /// the stamped table, and when `threshold_c > 0` a candidate whose
-    /// dominating score bound already falls below the threshold skips the
-    /// postings walk entirely ([`Self::row_prunable`]).
-    fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
-        out.fill(0.0);
-        let norm = f64::from(candidate.norm());
-        if norm == 0.0 {
-            return;
-        }
-        if params.threshold_c > 0.0 && self.row_prunable(candidate, norm, params) {
-            return;
-        }
-        for &(t, w) in candidate.entries() {
-            if let Some(k) = self.slot(t) {
-                let (start, end) = self.layout.term_ranges[k];
-                for &(c, fw) in &self.layout.postings[start as usize..end as usize] {
-                    out[c as usize] += f64::from(w) * fw;
+    /// Score columns `col..col + W` of every candidate into its `m`-cell
+    /// row of `out`: accumulate `w · cell` over the candidate's terms in
+    /// ascending order into `W` registers, then normalize by the candidate
+    /// norm, clamp and threshold.
+    fn score_block<const W: usize, V: Borrow<SparseVector>>(
+        &self,
+        candidates: &[V],
+        out: &mut [f64],
+        col: usize,
+        params: UtilityParams,
+    ) {
+        let (m, rows) = (self.scorer.m, &self.scorer.rows);
+        for (cand, out_row) in candidates.iter().zip(out.chunks_exact_mut(m)) {
+            let cand = cand.borrow();
+            let mut acc = [0.0f64; W];
+            for &(t, w) in cand.entries() {
+                let start = self.row(t) * m + col;
+                let cells: &[f64; W] = rows[start..start + W]
+                    .try_into()
+                    .expect("a block of W cells");
+                let w = f64::from(w);
+                for (a, &cell) in acc.iter_mut().zip(cells) {
+                    *a += w * cell;
                 }
             }
-        }
-        for u in out {
-            *u = finalize(*u, norm, params);
+            let norm = f64::from(cand.norm());
+            for (u, a) in out_row[col..col + W].iter_mut().zip(acc) {
+                *u = finalize(a, norm, params);
+            }
         }
     }
 }
@@ -487,8 +422,8 @@ impl<'a> Stamped<'a> {
 impl Drop for Stamped<'_> {
     fn drop(&mut self) {
         if self.dense {
-            for t in &self.layout.terms {
-                self.table[t.0 as usize] = u32::MAX;
+            for t in &self.scorer.terms {
+                self.table[t.0 as usize] = 0;
             }
         }
     }
@@ -535,14 +470,18 @@ fn finalize(acc: f64, norm: f64, params: UtilityParams) -> f64 {
     }
 }
 
-/// Request-time scoring view: the active specializations' folded postings
-/// gathered into one small sorted accumulator index (columns = the order
-/// the specs were passed to [`CompiledSpecStore::scorer`]). It carries no
-/// vocabulary-sized table — see the [module docs](self).
+/// Request-time scoring view: the active specializations' folded vectors
+/// as dense rows (columns = the order the specs were passed to
+/// [`CompiledSpecStore::scorer`]). It carries no vocabulary-sized table —
+/// see the [module docs](self).
 #[derive(Debug)]
 pub struct UtilityScorer {
     m: usize,
-    inverted: TermMajor,
+    /// Sorted distinct terms of the active specializations.
+    terms: Vec<TermId>,
+    /// `(terms.len() + 1) · m` cells: row 0 all zeros, row `k + 1` the
+    /// folded weight of `terms[k]` in every column.
+    rows: Vec<f64>,
 }
 
 impl UtilityScorer {
@@ -551,40 +490,59 @@ impl UtilityScorer {
         self.m
     }
 
-    /// Resident bytes of the scorer: terms, ranges, postings, bounds.
+    /// Resident bytes of the scorer: terms and rows.
     pub fn byte_size(&self) -> usize {
-        std::mem::size_of::<Self>() + self.inverted.byte_size()
+        std::mem::size_of::<Self>()
+            + self.terms.len() * std::mem::size_of::<TermId>()
+            + self.rows.len() * std::mem::size_of::<f64>()
     }
 
-    /// Score one candidate into `out` (`out.len() == m`) — the one-row
-    /// case of [`matrix`](Self::matrix): the same stamped lookups and
-    /// whole-row prune, bit-for-bit the row
-    /// [`score_into_unpruned`](Self::score_into_unpruned) produces
-    /// (`tests/utility_equivalence.rs` pins this). Stamping costs one
-    /// store per scorer term, so score many rows through `matrix`.
-    pub fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
-        debug_assert_eq!(out.len(), self.m);
-        let row = std::slice::from_ref(candidate);
-        self.inverted.score_rows(row, out, self.m, params);
-    }
-
-    /// The pre-optimization scoring path, kept as the equivalence oracle
-    /// for [`score_into`](Self::score_into): binary-search term lookups,
-    /// no pruning.
-    pub fn score_into_unpruned(
+    /// Score `candidates[i]` into the `i`-th `m`-cell row of `out`, the
+    /// scorer's terms stamped into the thread's lookup table (see
+    /// [`Stamped`]) once for all of them; one kernel width per block of
+    /// columns.
+    fn score_rows<V: Borrow<SparseVector>>(
         &self,
-        candidate: &SparseVector,
+        candidates: &[V],
         out: &mut [f64],
         params: UtilityParams,
     ) {
-        debug_assert_eq!(out.len(), self.m);
-        self.inverted.score_into_unpruned(candidate, out, params);
+        assert_eq!(
+            out.len(),
+            candidates.len() * self.m,
+            "one row per candidate"
+        );
+        TERM_SLOTS.with(|cell| {
+            let mut table = cell.borrow_mut();
+            let stamped = Stamped::new(self, &mut table);
+            for col in (0..self.m).step_by(BLOCK) {
+                match self.m - col {
+                    1 => stamped.score_block::<1, V>(candidates, out, col, params),
+                    2 => stamped.score_block::<2, V>(candidates, out, col, params),
+                    3 => stamped.score_block::<3, V>(candidates, out, col, params),
+                    4 => stamped.score_block::<4, V>(candidates, out, col, params),
+                    5 => stamped.score_block::<5, V>(candidates, out, col, params),
+                    6 => stamped.score_block::<6, V>(candidates, out, col, params),
+                    7 => stamped.score_block::<7, V>(candidates, out, col, params),
+                    _ => stamped.score_block::<BLOCK, V>(candidates, out, col, params),
+                }
+            }
+        });
     }
 
-    /// The full `n × m` [`UtilityMatrix`] over `candidates`, one sparse
-    /// accumulation per row, the scorer's terms stamped into the thread's
-    /// lookup table once for all rows. `candidates` may hold owned,
-    /// borrowed or `Arc`'d vectors.
+    /// Score one candidate into `out` (`out.len() == m`) — the one-row
+    /// case of [`matrix`](Self::matrix), bit for bit the row
+    /// [`CompiledSpecStore::score_into_merge_join`] produces
+    /// (`tests/utility_equivalence.rs` pins this). Stamping costs one
+    /// store per scorer term, so score many rows through `matrix`.
+    pub fn score_into(&self, candidate: &SparseVector, out: &mut [f64], params: UtilityParams) {
+        self.score_rows(std::slice::from_ref(candidate), out, params);
+    }
+
+    /// The full `n × m` [`UtilityMatrix`] over `candidates`, one pass over
+    /// each candidate's terms per block of columns, the scorer's terms
+    /// stamped into the thread's lookup table once for all rows.
+    /// `candidates` may hold owned, borrowed or `Arc`'d vectors.
     pub fn matrix<V: Borrow<SparseVector>>(
         &self,
         candidates: &[V],
@@ -592,8 +550,7 @@ impl UtilityScorer {
     ) -> UtilityMatrix {
         let n = candidates.len();
         let mut values = vec![0.0f64; n * self.m];
-        self.inverted
-            .score_rows(candidates, &mut values, self.m, params);
+        self.score_rows(candidates, &mut values, params);
         UtilityMatrix::from_values(n, self.m, values)
     }
 
@@ -615,11 +572,10 @@ impl UtilityScorer {
         let mut values = vec![0.0f64; n * self.m];
         let rows_per = n.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in values.chunks_mut(rows_per * self.m).enumerate() {
-                let cands = &candidates[chunk_idx * rows_per..];
-                // Each scoped thread stamps its own table (`cands` runs
-                // past the chunk; the rows bound the zip).
-                scope.spawn(move || self.inverted.score_rows(cands, chunk, self.m, params));
+            let chunks = values.chunks_mut(rows_per * self.m);
+            for (chunk, cands) in chunks.zip(candidates.chunks(rows_per)) {
+                // Each scoped thread stamps its own table.
+                scope.spawn(move || self.score_rows(cands, chunk, params));
             }
         });
         UtilityMatrix::from_values(n, self.m, values)
@@ -630,6 +586,8 @@ impl UtilityScorer {
 mod tests {
     use super::*;
     use crate::utility::normalized_utility;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn v(pairs: &[(u32, f32)]) -> SparseVector {
         SparseVector::from_pairs(pairs.iter().map(|&(t, w)| (TermId(t), w)))
@@ -862,24 +820,31 @@ mod tests {
     // ---- the per-thread lookup table -----------------------------------
 
     fn table_is_clean() -> bool {
-        TERM_SLOTS.with(|cell| cell.borrow().iter().all(|&slot| slot == u32::MAX))
+        TERM_SLOTS.with(|cell| cell.borrow().iter().all(|&row| row == 0))
     }
 
     fn table_len() -> usize {
         TERM_SLOTS.with(|cell| cell.borrow().len())
     }
 
-    /// `matrix` and `score_into` against the binary-search oracle, bit for
-    /// bit, with and without the prune; the table is clean afterwards.
-    fn assert_matches_oracle(scorer: &UtilityScorer, cands: &[SparseVector], what: &str) {
-        let m = scorer.num_specializations();
+    /// `specs`' scorer — `matrix` and `score_into` — against the
+    /// merge-join oracle, bit for bit, at three thresholds; the table is
+    /// clean afterwards.
+    fn assert_matches_oracle(
+        c: &CompiledSpecStore,
+        specs: &[&str],
+        cands: &[SparseVector],
+        what: &str,
+    ) {
+        let scorer = c.scorer(specs.iter().copied());
+        let m = specs.len();
         for threshold_c in [0.0, 0.05, 0.4] {
             let params = UtilityParams { threshold_c };
             let fast = scorer.matrix(cands, params);
             assert!(table_is_clean(), "{what}: matrix left terms stamped");
             let (mut row, mut oracle) = (vec![0.0; m], vec![0.0; m]);
             for (i, cand) in cands.iter().enumerate() {
-                scorer.score_into_unpruned(cand, &mut oracle, params);
+                c.score_into_merge_join(specs.iter().copied(), cand, &mut oracle, params);
                 scorer.score_into(cand, &mut row, params);
                 for j in 0..m {
                     let bits = oracle[j].to_bits();
@@ -899,6 +864,9 @@ mod tests {
         }
     }
 
+    /// Past `DIRECT_INDEX_MAX_TERM`: never stamped into a table.
+    const BEYOND: u32 = DIRECT_INDEX_MAX_TERM + 7;
+
     /// Specs `a` (terms 1–3), `b` (terms 3–5, overlapping `a`), `far`
     /// (terms 900–901, disjoint) and — when `oversized` — `huge`, which
     /// reaches past `DIRECT_INDEX_MAX_TERM`.
@@ -912,8 +880,7 @@ mod tests {
             ("far", vec![v(&[(900, 1.0), (901, 2.0)])]),
         ];
         if oversized {
-            let beyond = DIRECT_INDEX_MAX_TERM + 7;
-            lists.push(("huge", vec![v(&[(2, 1.0), (beyond, 3.0)])]));
+            lists.push(("huge", vec![v(&[(2, 1.0), (BEYOND, 3.0)])]));
         }
         CompiledSpecStore::build(lists.iter().map(|(name, list)| (*name, list.iter())))
     }
@@ -924,7 +891,7 @@ mod tests {
             v(&[(2, 3.0), (5, 1.0), (900, 0.5)]),
             v(&[(901, 1.0), (3, 0.1)]),
             // Terms past every table this test grows, and past the cap.
-            v(&[(3, 1.0), (5_000, 2.0), (DIRECT_INDEX_MAX_TERM + 7, 1.0)]),
+            v(&[(3, 1.0), (5_000, 2.0), (BEYOND, 1.0)]),
             v(&[(777, 1.0)]), // matches nothing
             SparseVector::default(),
         ]
@@ -935,12 +902,10 @@ mod tests {
         let c = vocab_store(false);
         let cands = vocab_candidates();
         // Overlapping, then disjoint, then back: a term the previous
-        // scorer left stamped would resolve to the wrong slot here.
-        let ab = c.scorer(["a", "b"]);
-        let b = c.scorer(["b"]);
-        let far = c.scorer(["far", "unknown"]);
-        for (scorer, what) in [(&ab, "a+b"), (&b, "b"), (&far, "far"), (&b, "b again")] {
-            assert_matches_oracle(scorer, &cands, what);
+        // scorer left stamped would resolve to the wrong row here.
+        let specs: [&[&str]; 4] = [&["a", "b"], &["b"], &["far", "unknown"], &["b"]];
+        for specs in specs {
+            assert_matches_oracle(&c, specs, &cands, &specs.join("+"));
         }
         assert_eq!(table_len(), 902, "grown to the largest max_term + 1 met");
     }
@@ -948,8 +913,7 @@ mod tests {
     #[test]
     fn oversized_vocabulary_scores_by_binary_search() {
         let c = vocab_store(true);
-        let huge = c.scorer(["huge", "a"]);
-        assert_matches_oracle(&huge, &vocab_candidates(), "huge");
+        assert_matches_oracle(&c, &["huge", "a"], &vocab_candidates(), "huge");
         assert_eq!(table_len(), 0, "nothing was stamped, nothing allocated");
     }
 
@@ -979,11 +943,51 @@ mod tests {
         assert!(unwound.is_err(), "row 2 must have panicked");
         assert!(table_is_clean(), "the unwind must un-stamp");
         assert!(table_len() > 0, "…a table that was really stamped");
-        assert_matches_oracle(
-            &c.scorer(["far", "b"]),
-            &vocab_candidates(),
-            "after the panic",
-        );
+        assert_matches_oracle(&c, &["far", "b"], &vocab_candidates(), "after the panic");
+    }
+
+    /// The table is clean after every exit: scorers of random width (0
+    /// and past one 8-column block included, some oversized), candidate
+    /// terms past every table, and a panic at a random row, interleaved on
+    /// one thread; after each call the next scorer matches the oracle.
+    #[test]
+    fn random_scorers_and_panics_leave_the_table_clean() {
+        let c = vocab_store(true);
+        let names = ["a", "b", "far", "huge", "ghost"];
+        let pool = [1, 2, 3, 4, 5, 777, 900, 901, 5_000, BEYOND, u32::MAX];
+        for seed in 0..96 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.gen_range(0..=12);
+            let specs: Vec<&str> = (0..m)
+                .map(|_| names[rng.gen_range(0..names.len())])
+                .collect();
+            let cands: Vec<SparseVector> = (0..rng.gen_range(1..=8))
+                .map(|_| {
+                    let nnz = rng.gen_range(0..=5);
+                    SparseVector::from_pairs((0..nnz).map(|_| {
+                        let t = pool[rng.gen_range(0..pool.len())];
+                        (TermId(t), rng.gen_range(1..100) as f32 / 10.0)
+                    }))
+                })
+                .collect();
+            let poisoned = rng.gen_range(0..cands.len());
+            let rows: Vec<Poisonable> = cands
+                .iter()
+                .enumerate()
+                .map(|(i, cand)| Poisonable(cand.clone(), i == poisoned))
+                .collect();
+            let scorer = c.scorer(specs.iter().copied());
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scorer.matrix(&rows, UtilityParams::default())
+            }));
+            // A width-0 scorer has no column block, so it borrows no row.
+            assert_eq!(unwound.is_err(), m > 0, "seed {seed} (m={m})");
+            assert!(
+                table_is_clean(),
+                "seed {seed}: the unwind left terms stamped"
+            );
+            assert_matches_oracle(&c, &specs, &cands, &format!("seed {seed} (m={m})"));
+        }
     }
 
     #[test]
@@ -996,10 +1000,9 @@ mod tests {
             for i in 0..8 {
                 let (c, cands, start) = (&c, &cands, &start);
                 scope.spawn(move || {
-                    let scorer = c.scorer(specs[i % 4].iter().copied());
                     start.wait();
                     for _ in 0..200 {
-                        assert_matches_oracle(&scorer, cands, "threaded");
+                        assert_matches_oracle(c, specs[i % 4], cands, "threaded");
                     }
                 });
             }

@@ -5,6 +5,9 @@
 //! (`UtilityMatrix::compute`): every matrix cell within 1e-9, and the
 //! final rankings of all four diversifiers identical, both on a
 //! deterministic end-to-end fixture and on randomized surrogate worlds.
+//! Its rows are also bit-identical to the per-column merge-join oracle
+//! (`CompiledSpecStore::score_into_merge_join`), and a digest pins every
+//! cell's bits to those of the postings kernel the dense rows replaced.
 
 use serpdiv::core::{
     assemble_input_from_surrogates, assemble_input_naive, candidate_surrogate, run_algorithm,
@@ -177,13 +180,11 @@ fn synthetic_fixture_including_edge_shapes() {
     assert_matrices_match(&fast, &naive, "synthetic fixture");
 }
 
-/// The MaxScore-style whole-row prune (PR 8) must be invisible: the
-/// pruned entry points agree **bit-for-bit** with their verbatim unpruned
-/// oracles across a threshold sweep — including `threshold_c = 0`, where
-/// the prune gate must never fire, and aggressive thresholds where most
-/// rows prune.
+/// `score_into` against the merge-join oracle, bit for bit, across a
+/// threshold sweep from `threshold_c = 0` to thresholds that zero most
+/// rows.
 #[test]
-fn pruned_scoring_matches_unpruned_oracle() {
+fn score_into_matches_merge_join_oracle() {
     let v =
         |pairs: &[(u32, f32)]| SparseVector::from_pairs(pairs.iter().map(|&(t, w)| (TermId(t), w)));
     let lists: Vec<(String, Vec<SparseVector>)> = vec![
@@ -203,7 +204,7 @@ fn pruned_scoring_matches_unpruned_oracle() {
     let candidates = [
         v(&[(1, 1.0), (2, 2.0)]),
         v(&[(3, 4.0), (4, 0.1)]),
-        v(&[(7, 3.0), (8, 3.0)]), // weak specs only: prunes at high c
+        v(&[(7, 3.0), (8, 3.0)]), // weak specs only: zero at high c
         SparseVector::default(),
         v(&[(99, 1.0)]),
     ];
@@ -212,23 +213,13 @@ fn pruned_scoring_matches_unpruned_oracle() {
     for threshold_c in [0.0, 0.01, 0.05, 0.3, 0.6, 0.9, 1.0] {
         let params = UtilityParams { threshold_c };
         for (ci, cand) in candidates.iter().enumerate() {
-            let mut pruned = vec![f64::NAN; names.len()];
+            let mut fast = vec![f64::NAN; names.len()];
             let mut oracle = vec![f64::NAN; names.len()];
-            scorer.score_into(cand, &mut pruned, params);
-            scorer.score_into_unpruned(cand, &mut oracle, params);
+            scorer.score_into(cand, &mut fast, params);
+            compiled.score_into_merge_join(names.iter().copied(), cand, &mut oracle, params);
             assert_eq!(
-                pruned, oracle,
+                fast, oracle,
                 "score_into c={threshold_c} candidate {ci} diverged"
-            );
-        }
-        // The aggressive end of the sweep must actually prune something,
-        // or the fast path is untested.
-        if threshold_c >= 0.9 {
-            let mut out = vec![0.0; names.len()];
-            scorer.score_into(&candidates[2], &mut out, params);
-            assert!(
-                out.iter().all(|&u| u == 0.0),
-                "weak candidate should fully prune at c={threshold_c}"
             );
         }
     }
@@ -249,14 +240,14 @@ mod randomized {
         }))
     }
 
-    /// 40 random worlds: utilities within 1e-9 of the oracle and
-    /// identical rankings across all four diversifiers.
+    /// 40 random worlds of up to 20 columns: utilities within 1e-9 of
+    /// the oracle and identical rankings across all four diversifiers.
     #[test]
     fn random_worlds_match_oracle_and_rankings() {
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(1..=40);
-            let m = rng.gen_range(1..=6);
+            let m = rng.gen_range(1..=20);
             let lists: Vec<(String, Vec<SparseVector>)> = (0..m)
                 .map(|s| {
                     let r = rng.gen_range(0..=20); // empties included
@@ -298,13 +289,13 @@ mod randomized {
         }
     }
 
-    /// Random worlds: the pruned scorer entry points are bit-identical to
-    /// their unpruned oracles for every threshold in a sweep.
+    /// Random worlds of up to 20 columns: `score_into` is bit-identical
+    /// to the merge-join oracle for every threshold in a sweep.
     #[test]
-    fn random_pruned_scoring_bitwise_equals_unpruned() {
+    fn random_score_into_bitwise_equals_merge_join() {
         for seed in 0..25 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let m = rng.gen_range(1..=7);
+            let m = rng.gen_range(1..=20);
             let lists: Vec<(String, Vec<SparseVector>)> = (0..m)
                 .map(|s| {
                     let r = rng.gen_range(0..16);
@@ -327,12 +318,17 @@ mod randomized {
             for threshold_c in [0.0, 0.02, 0.1, 0.4, 0.8] {
                 let params = UtilityParams { threshold_c };
                 for (ci, cand) in candidates.iter().enumerate() {
-                    let mut pruned = vec![f64::NAN; m];
+                    let mut fast = vec![f64::NAN; m];
                     let mut oracle = vec![f64::NAN; m];
-                    scorer.score_into(cand, &mut pruned, params);
-                    scorer.score_into_unpruned(cand, &mut oracle, params);
+                    scorer.score_into(cand, &mut fast, params);
+                    compiled.score_into_merge_join(
+                        names.iter().copied(),
+                        cand,
+                        &mut oracle,
+                        params,
+                    );
                     assert_eq!(
-                        pruned, oracle,
+                        fast, oracle,
                         "seed {seed} c={threshold_c} candidate {ci}: score_into"
                     );
                 }
@@ -341,11 +337,11 @@ mod randomized {
     }
 
     /// Parallel row computation is bit-identical to sequential on random
-    /// inputs.
+    /// inputs, with columns past one 8-column block.
     #[test]
     fn random_parallel_rows_bitwise_equal() {
         let mut rng = StdRng::seed_from_u64(0xfeed_f00d);
-        let lists: Vec<(String, Vec<SparseVector>)> = (0..5)
+        let lists: Vec<(String, Vec<SparseVector>)> = (0..11)
             .map(|s| {
                 (
                     format!("s{s}"),
@@ -371,5 +367,101 @@ mod randomized {
                 "threads={threads}"
             );
         }
+    }
+}
+
+/// The dense-row kernel against the postings kernel it replaced, bit for
+/// bit: FNV-1a over the shape and every cell's bits of `scorer.matrix` on
+/// 84 seeded worlds. They cover widths 0..=20 (across the 8-column
+/// block), repeated and unknown column names, empty ranked lists,
+/// zero-norm candidates (empty, and one whose `f32` norm underflows),
+/// three thresholds, and term ids past the dense lookup table's cap. The
+/// constant was computed with the postings kernel; a flipped bit in any
+/// one cell moves it.
+mod digest {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const DIGEST: u64 = 0xda3a_eddf_6300_1c72;
+    /// Past the lookup table's cap (`1 << 21`): a scorer holding such a
+    /// term looks terms up by binary search, a candidate holding one
+    /// misses the table.
+    const BEYOND: u32 = (1 << 21) + 7;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn vector(rng: &mut StdRng, far: bool) -> SparseVector {
+        let nnz = rng.gen_range(0..=12);
+        SparseVector::from_pairs((0..nnz).map(|_| {
+            let t = if far && rng.gen_bool(0.2) {
+                BEYOND + rng.gen_range(0..3)
+            } else {
+                rng.gen_range(0..40)
+            };
+            (TermId(t), rng.gen_range(1..1000) as f32 / 50.0)
+        }))
+    }
+
+    #[test]
+    fn matrix_bits_match_the_postings_kernel_digest() {
+        let mut bytes = Vec::new();
+        let mut nonzero = [0usize; 3];
+        for seed in 0..84u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = (seed % 21) as usize;
+            let far = seed % 4 == 3;
+            let num_specs = rng.gen_range(0..=6);
+            let lists: Vec<(String, Vec<SparseVector>)> = (0..num_specs)
+                .map(|s| {
+                    let r = rng.gen_range(0..=8); // empties included
+                    let list = (0..r).map(|_| vector(&mut rng, far)).collect();
+                    (format!("s{s}"), list)
+                })
+                .collect();
+            let compiled = CompiledSpecStore::build(
+                lists
+                    .iter()
+                    .map(|(name, list)| (name.as_str(), list.iter())),
+            );
+            let names: Vec<String> = (0..m)
+                .map(|_| {
+                    if num_specs > 0 && rng.gen_bool(0.85) {
+                        format!("s{}", rng.gen_range(0..num_specs))
+                    } else {
+                        "ghost".to_string()
+                    }
+                })
+                .collect();
+            let candidates: Vec<SparseVector> = (0..rng.gen_range(0..=25))
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => SparseVector::default(),
+                    1 => SparseVector::from_pairs([(TermId(rng.gen_range(0..40)), 1e-30)]),
+                    _ => vector(&mut rng, far),
+                })
+                .collect();
+            let scorer = compiled.scorer(names.iter().map(String::as_str));
+            for (c, threshold_c) in [0.0, 0.05, 0.4].into_iter().enumerate() {
+                let u = scorer.matrix(&candidates, UtilityParams { threshold_c });
+                bytes.extend_from_slice(&(u.num_candidates() as u64).to_le_bytes());
+                bytes.extend_from_slice(&(u.num_specializations() as u64).to_le_bytes());
+                for i in 0..u.num_candidates() {
+                    for j in 0..u.num_specializations() {
+                        let cell = u.get(i, j);
+                        nonzero[c] += usize::from(cell != 0.0);
+                        bytes.extend_from_slice(&cell.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert!(
+            nonzero.iter().all(|&n| n > 0),
+            "degenerate worlds: {nonzero:?}"
+        );
+        assert_eq!(fnv1a(&bytes), DIGEST, "{:#018x}", fnv1a(&bytes));
     }
 }
