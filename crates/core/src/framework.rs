@@ -220,9 +220,9 @@ pub fn candidate_surrogate(
 
 /// The text-path oracle for [`candidate_surrogate`]: fetch the doc,
 /// extract the query-biased snippet string, TF-IDF-vectorize it (a
-/// missing doc yields the zero vector). No serving code calls it; it
-/// anchors the equivalence suite and serves engines deployed without a
-/// forward index.
+/// missing doc yields the zero vector). It anchors the equivalence suite,
+/// and the serving engine calls it per request when deployed without a
+/// forward index (`EngineConfig::forward_index = false`).
 pub fn candidate_surrogate_naive(
     index: &InvertedIndex,
     doc: DocId,

@@ -30,9 +30,10 @@
 //!   shard's query, then read the replies and gather exactly via
 //!   [`merge_top_k`](serpdiv_index::merge_top_k); per-shard deadlines
 //!   counted from each shard's write (clamped to the request's remaining
-//!   budget), one fresh-connection re-dispatch of a slow or broken
-//!   exchange ([`HedgePolicy`]), per-link circuit breakers, partial
-//!   gathers on shard loss, reconnect with jittered exponential backoff.
+//!   budget), one fresh-connection re-dispatch of a slow (past 4× the
+//!   link's EWMA latency) or broken exchange, per-link circuit
+//!   breakers, partial gathers on shard loss, reconnect with jittered
+//!   exponential backoff.
 //!
 //! Because workers return the exact `f64` bits their shard computed and
 //! the router runs the exact in-process merge, a healthy fleet's pages
@@ -47,4 +48,4 @@ pub mod router;
 pub mod worker;
 
 pub use protocol::{Frame, FrameError, WireError, DEFAULT_MAX_FRAME};
-pub use router::{FleetConfig, FleetMetricsSnapshot, FleetRouter, HedgePolicy};
+pub use router::{FleetConfig, FleetMetricsSnapshot, FleetRouter};

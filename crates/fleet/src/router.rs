@@ -24,16 +24,16 @@
 //!   slow worker costs at most one deadline, after which its connection
 //!   is condemned (a late reply would desync request ids) and the gather
 //!   proceeds without it.
-//! * **One fresh leg** — a primary that blows the hedge threshold
-//!   ([`FleetConfig::hedge`]) or finds its cached connection broken
-//!   (typically a worker restarted since the last query) is condemned and
-//!   re-dispatched once on a *fresh* connection with a fresh request id
-//!   for whatever is left of the deadline. Because workers are
-//!   deterministic the re-dispatched page is bit-identical to the
-//!   un-hedged one. The hedge threshold defaults to a multiple of the
-//!   link's observed (EWMA) exchange latency, so hedges fire on outliers,
-//!   not medians, and a bounced worker costs exactly one degraded
-//!   response.
+//! * **One fresh leg** — a primary that blows the hedge threshold or
+//!   finds its cached connection broken (typically a worker restarted
+//!   since the last query) is condemned and re-dispatched once on a
+//!   *fresh* connection with a fresh request id for whatever is left of
+//!   the deadline. Because workers are deterministic the re-dispatched
+//!   page is bit-identical to the un-hedged one. The hedge threshold is 4×
+//!   the link's observed (EWMA) exchange latency, never under 2 ms, and a
+//!   link with no completed exchange does not hedge — so hedges fire on
+//!   outliers, not medians, and a bounced worker costs exactly one
+//!   degraded response.
 //! * **Circuit breaker** — [`FleetConfig::breaker_threshold`]
 //!   consecutive counted failures open the link's breaker for
 //!   [`FleetConfig::breaker_cooldown`]: queries fail the shard instantly
@@ -68,31 +68,19 @@ use std::time::{Duration, Instant};
 
 /// Exchange-latency EWMA smoothing factor (weight of the newest sample).
 const EWMA_ALPHA: f64 = 0.2;
-/// [`HedgePolicy::Auto`] hedges at this multiple of the EWMA latency…
-const AUTO_HEDGE_MULTIPLIER: f64 = 4.0;
+/// An exchange hedges at this multiple of its link's EWMA latency…
+const HEDGE_MULTIPLIER: f64 = 4.0;
 /// …but never sooner than this, so microsecond-fast links don't hedge on
 /// scheduler noise.
-const AUTO_HEDGE_FLOOR: Duration = Duration::from_millis(2);
+const HEDGE_FLOOR: Duration = Duration::from_millis(2);
 /// Seed of the per-link backoff-jitter RNGs (each link derives its own
 /// stream from this and its shard index, so retry schedules are
 /// deterministic under test yet de-synchronized across links).
 const JITTER_SEED: u64 = 0x5EA7_D1F7;
 
-/// When to re-dispatch a shard exchange on a fresh connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HedgePolicy {
-    /// Never hedge; the primary dispatch gets the full deadline.
-    Off,
-    /// Hedge after a fixed delay (clamped to the exchange deadline).
-    After(Duration),
-    /// Hedge after 4× the link's EWMA exchange latency, never sooner than
-    /// 2 ms. A link with no completed exchange yet has no latency signal
-    /// and does not hedge.
-    #[default]
-    Auto,
-}
-
-/// Tunables for the router's failure handling.
+/// Tunables for the router's failure handling. The hedge threshold is
+/// not one of them: it follows each link's observed latency (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Per-shard wire deadline for one exchange. A worker that does not
@@ -103,8 +91,6 @@ pub struct FleetConfig {
     pub backoff_base: Duration,
     /// Cap on the doubling backoff window.
     pub backoff_max: Duration,
-    /// When to re-dispatch a slow exchange on a fresh connection.
-    pub hedge: HedgePolicy,
     /// Consecutive counted failures that open a link's circuit breaker
     /// (`0` disables the breaker).
     pub breaker_threshold: u32,
@@ -119,7 +105,6 @@ impl Default for FleetConfig {
             shard_timeout: Duration::from_millis(250),
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(2),
-            hedge: HedgePolicy::default(),
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(250),
         }
@@ -140,7 +125,7 @@ struct LinkState {
     /// Backoff-jitter RNG state (xorshift64*).
     jitter: u64,
     /// EWMA of successful exchange latency, µs; `None` until the first
-    /// completed exchange. Drives [`HedgePolicy::Auto`].
+    /// completed exchange. Sets the hedge threshold.
     ewma_us: Option<f64>,
     /// Counted failures since the last success; trips the breaker.
     consecutive_failures: u32,
@@ -487,7 +472,7 @@ impl FleetRouter {
             }
         }
         let hedge_at = match mode {
-            Mode::Serve(_) => self.hedge_threshold(&state, total),
+            Mode::Serve(_) => Self::hedge_threshold(&state, total),
             Mode::Boot => total,
         };
         let request = make(state.take_id());
@@ -627,26 +612,21 @@ impl FleetRouter {
     }
 
     /// The wire deadline of the *primary* dispatch; past it, the exchange
-    /// hedges. Equal to `total` ⇒ no hedging for this exchange.
-    fn hedge_threshold(&self, state: &LinkState, total: Duration) -> Duration {
-        let at = match self.config.hedge {
-            HedgePolicy::Off => return total,
-            HedgePolicy::After(at) => at,
-            HedgePolicy::Auto => {
-                // A cold link has no latency signal yet — no hedging
-                // until the first successful exchange seeds the EWMA.
-                let Some(ewma) = state.ewma_us else {
-                    return total;
-                };
-                Duration::from_secs_f64((ewma * AUTO_HEDGE_MULTIPLIER) / 1e6).max(AUTO_HEDGE_FLOOR)
-            }
-        };
-        at.min(total)
+    /// hedges: 4× the link's EWMA exchange latency, never sooner than
+    /// 2 ms. Equal to `total` ⇒ no hedging for this exchange, which is
+    /// the case on a cold link: it has no latency signal until its first
+    /// successful exchange seeds the EWMA.
+    fn hedge_threshold(state: &LinkState, total: Duration) -> Duration {
+        state.ewma_us.map_or(total, |ewma| {
+            Duration::from_secs_f64(ewma * HEDGE_MULTIPLIER / 1e6)
+                .max(HEDGE_FLOOR)
+                .min(total)
+        })
     }
 
     /// A successful exchange: reset every failure signal and fold the
-    /// observed latency into the link's EWMA (drives
-    /// [`HedgePolicy::Auto`]).
+    /// observed latency into the link's EWMA (which sets the hedge
+    /// threshold).
     fn note_success(&self, state: &mut LinkState, elapsed: Duration) {
         state.backoff = self.config.backoff_base;
         state.retry_at = None;

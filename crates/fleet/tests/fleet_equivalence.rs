@@ -200,13 +200,14 @@ fn served_pages_through_fleet_match_in_process_serving_for_all_diversifiers() {
     // Oracle: the full serving engine over an in-process sharded index.
     let sharded: Arc<dyn Retriever> = Arc::new(ShardedIndex::build(index.clone(), 2));
     let oracle = SearchEngine::deploy(index.clone(), model.clone(), config);
+    let deployed = oracle.generation();
     let oracle_sharded = SearchEngine::with_retriever_and_forward(
         index.clone(),
         sharded,
         model.clone(),
-        oracle.store(),
-        oracle.compiled(),
-        oracle.forward(),
+        deployed.store().clone(),
+        deployed.compiled().clone(),
+        deployed.forward().cloned(),
         config,
     );
     // Subject: the same engine, retrieval through 2 worker processes.
@@ -216,9 +217,9 @@ fn served_pages_through_fleet_match_in_process_serving_for_all_diversifiers() {
         index.clone(),
         router,
         model.clone(),
-        oracle.store(),
-        oracle.compiled(),
-        oracle.forward(),
+        deployed.store().clone(),
+        deployed.compiled().clone(),
+        deployed.forward().cloned(),
         config,
     );
 

@@ -1,7 +1,8 @@
 //! Hedging and circuit-breaker behavior of the [`FleetRouter`]:
 //!
-//! * a stalled primary connection is hedged onto a fresh connection and
-//!   the hedged page is **bit-identical** to the in-process oracle;
+//! * a stalled primary connection is hedged, at 4× the latency its link
+//!   has shown so far, onto a fresh connection and the hedged page is
+//!   **bit-identical** to the in-process oracle; a cold link never hedges;
 //! * consecutive failures open a per-link breaker that fails the shard
 //!   instantly (no connect attempts) until a half-open ping probe heals
 //!   it;
@@ -14,8 +15,8 @@
 //!   sum: every deadline and hedge threshold counts from its own shard's
 //!   write.
 
-use serpdiv_fleet::protocol::read_frame;
-use serpdiv_fleet::{worker, FleetConfig, FleetRouter, HedgePolicy, DEFAULT_MAX_FRAME};
+use serpdiv_fleet::protocol::{read_frame, write_frame};
+use serpdiv_fleet::{worker, FleetConfig, FleetRouter, Frame, DEFAULT_MAX_FRAME};
 use serpdiv_index::{
     merge_top_k, Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, ShardArtifact,
     ShardedIndex,
@@ -65,20 +66,30 @@ fn assert_bit_identical(tag: &str, got: &[ScoredDoc], want: &[ScoredDoc]) {
     }
 }
 
-/// A worker that swallows its first connection silently (accepts, reads,
-/// never answers — the shape of a stuck thread, not a dead process) and
-/// serves every later connection for real. Exactly what hedging exists
-/// for.
-fn spawn_stall_then_real_worker(path: &PathBuf, sharded: &ShardedIndex, s: usize) {
+/// A worker whose first connection answers its first query after about
+/// 20 ms — which seeds the link's latency EWMA, putting the router's
+/// hedge threshold near 80 ms, far above scheduler noise — and then
+/// swallows the second query silently (the shape of a stuck thread, not
+/// a dead process). Every later connection is served for real. Exactly
+/// what hedging exists for.
+fn spawn_slow_then_stalled_worker(path: &PathBuf, sharded: &ShardedIndex, s: usize) {
     let bytes = sharded.export_shard(s);
     let listener = UnixListener::bind(path).expect("bind worker socket");
     std::thread::spawn(move || {
         let artifact = ShardArtifact::from_bytes(&bytes).expect("valid artifact");
         let mut held = Vec::new();
         for (n, stream) in listener.incoming().enumerate() {
-            let Ok(stream) = stream else { continue };
+            let Ok(mut stream) = stream else { continue };
             if n == 0 {
-                held.push(stream); // the primary stalls forever
+                if let Ok(Frame::Query { id, k, terms }) =
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME)
+                {
+                    std::thread::sleep(Duration::from_millis(20));
+                    let hits = artifact.score_terms(&terms, (k as usize).min(artifact.range_len()));
+                    let _ = write_frame(&mut stream, &Frame::Hits { id, hits });
+                }
+                let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME);
+                held.push(stream); // the second query stalls forever
                 continue;
             }
             worker::serve_connection(stream, &artifact, DEFAULT_MAX_FRAME);
@@ -132,13 +143,23 @@ fn hedge_recovers_stalled_primary_with_bit_identical_page() {
     let index = corpus();
     let sharded = ShardedIndex::build(index.clone(), 1);
     let sock = socket("stall");
-    spawn_stall_then_real_worker(&sock, &sharded, 0);
+    spawn_slow_then_stalled_worker(&sock, &sharded, 0);
     let config = FleetConfig {
         shard_timeout: Duration::from_millis(800),
-        hedge: HedgePolicy::After(Duration::from_millis(40)),
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index.clone(), vec![sock], config);
+
+    // The slow first answer seeds the link's EWMA; a cold link does not
+    // hedge.
+    let first = router.retrieve_with_status_within("apple pie", 5, None);
+    assert!(first.complete);
+    assert_bit_identical(
+        "first page",
+        &first.hits,
+        &oracle(&sharded, &index, "apple pie", 5),
+    );
+    assert_eq!(router.metrics().hedges, 0, "a cold link does not hedge");
 
     let t = Instant::now();
     let r = router.retrieve_with_status_within("apple pie", 5, None);
@@ -173,7 +194,6 @@ fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
     let config = FleetConfig {
         backoff_base: Duration::from_millis(1),
         backoff_max: Duration::from_millis(2),
-        hedge: HedgePolicy::Off,
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(150),
         ..FleetConfig::default()
@@ -230,7 +250,6 @@ fn failed_half_open_probe_reopens_the_breaker() {
     let index = corpus();
     let config = FleetConfig {
         backoff_base: Duration::from_millis(1),
-        hedge: HedgePolicy::Off,
         breaker_threshold: 1,
         breaker_cooldown: Duration::from_millis(60),
         ..FleetConfig::default()
@@ -258,7 +277,6 @@ fn budget_clamped_timeouts_blame_the_request_not_the_shard() {
     spawn_silent_worker(&sock);
     let config = FleetConfig {
         shard_timeout: Duration::from_millis(300),
-        hedge: HedgePolicy::Off,
         breaker_threshold: 1,
         ..FleetConfig::default()
     };
@@ -301,7 +319,6 @@ fn a_resend_gets_the_remaining_deadline_not_a_new_one() {
     spawn_late_hangup_worker(&sock, Duration::from_millis(300));
     let config = FleetConfig {
         shard_timeout: Duration::from_millis(400),
-        hedge: HedgePolicy::Off,
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index, vec![sock], config);
@@ -328,7 +345,6 @@ fn two_silent_shards_cost_one_deadline_not_two() {
     }
     let config = FleetConfig {
         shard_timeout: Duration::from_millis(300),
-        hedge: HedgePolicy::Off,
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index, socks, config);
@@ -355,14 +371,23 @@ fn two_stalled_primaries_both_hedge_within_one_deadline() {
     let sharded = ShardedIndex::build(index.clone(), 2);
     let socks = vec![socket("stall2-0"), socket("stall2-1")];
     for (s, sock) in socks.iter().enumerate() {
-        spawn_stall_then_real_worker(sock, &sharded, s);
+        spawn_slow_then_stalled_worker(sock, &sharded, s);
     }
     let config = FleetConfig {
         shard_timeout: Duration::from_millis(800),
-        hedge: HedgePolicy::After(Duration::from_millis(40)),
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index, socks, config);
+
+    // Both slow first answers seed their links' EWMAs.
+    let first = router.retrieve_with_status_within("apple pie", 5, None);
+    assert!(first.complete);
+    assert_bit_identical(
+        "first two-shard page",
+        &first.hits,
+        &sharded.retrieve("apple pie", 5),
+    );
+    assert_eq!(router.metrics().hedges, 0, "cold links do not hedge");
 
     let t = Instant::now();
     let r = router.retrieve_with_status_within("apple pie", 5, None);

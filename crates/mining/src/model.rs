@@ -153,6 +153,12 @@ impl SpecializationModel {
     }
 
     /// Deserialize from the JSON produced by [`SpecializationModel::to_json`].
+    ///
+    /// Refuses, as [`ModelFormatError::Shape`], what serving would later
+    /// trip over: an entry whose key is not its `"query"` (lookups go by
+    /// key, per-entry state by `"query"`), and a specialization list whose
+    /// probabilities are not a distribution — each finite and
+    /// non-negative, and a non-empty list summing to 1 within 1e-6.
     pub fn from_json(text: &str) -> Result<Self, ModelFormatError> {
         let doc = json::parse(text)?;
         let top = doc
@@ -174,6 +180,9 @@ impl SpecializationModel {
                 .and_then(json::Value::as_str)
                 .ok_or_else(|| bad(format!("entry {key:?} needs a string \"query\"")))?
                 .to_string();
+            if query != *key {
+                return Err(bad(format!("entry {key:?} has \"query\" {query:?}")));
+            }
             let raw_specs = obj
                 .get("specializations")
                 .and_then(json::Value::as_array)
@@ -190,7 +199,16 @@ impl SpecializationModel {
                 let p = pair[1]
                     .as_f64()
                     .ok_or_else(|| bad("specialization probability must be a number"))?;
+                if !p.is_finite() || p < 0.0 {
+                    return Err(bad(format!("entry {key:?} has probability {p}")));
+                }
                 specializations.push((spec.to_string(), p));
+            }
+            let total: f64 = specializations.iter().map(|(_, p)| p).sum();
+            if !specializations.is_empty() && (total - 1.0).abs() >= 1e-6 {
+                return Err(bad(format!(
+                    "entry {key:?} has probabilities summing to {total}"
+                )));
             }
             entries.insert(
                 key.clone(),
@@ -316,6 +334,49 @@ mod tests {
             back.get("apple").unwrap().specializations,
             model.get("apple").unwrap().specializations
         );
+    }
+
+    /// A one-entry model document: key, `"query"`, specialization list.
+    fn doc(key: &str, query: &str, specs: &str) -> String {
+        format!(r#"{{"entries":{{"{key}":{{"query":"{query}","specializations":[{specs}]}}}}}}"#)
+    }
+
+    fn is_shape_error(text: &str) -> bool {
+        matches!(
+            SpecializationModel::from_json(text),
+            Err(ModelFormatError::Shape(_))
+        )
+    }
+
+    #[test]
+    fn from_json_refuses_a_key_that_is_not_its_query() {
+        // Two keys sharing one "query" would share one serving scorer.
+        let shared = r#"{"entries":{
+            "apple":{"query":"apple","specializations":[["apple iphone",1.0]]},
+            "pear":{"query":"apple","specializations":[["pear tree",1.0]]}}}"#;
+        assert!(is_shape_error(shared));
+        assert!(is_shape_error(&doc(
+            "apple",
+            "Apple",
+            r#"["apple iphone",1.0]"#
+        )));
+    }
+
+    #[test]
+    fn from_json_refuses_probabilities_that_are_not_a_distribution() {
+        for specs in [
+            r#"["a",0.5],["b",0.4]"#,       // sums to 0.9
+            r#"["a",1.5],["b",-0.5]"#,      // sums to 1, one negative
+            r#"["a",1e400],["b",0.0]"#,     // infinite
+            r#"["a",0.6],["b",0.4000011]"#, // 1.1e-6 over 1
+        ] {
+            assert!(is_shape_error(&doc("q", "q", specs)), "{specs}");
+        }
+        // A sum within 1e-6 of 1, and an empty list, are accepted.
+        for specs in [r#"["a",0.6],["b",0.4000001]"#, ""] {
+            let model = SpecializationModel::from_json(&doc("q", "q", specs)).unwrap();
+            assert_eq!(model.get("q").unwrap().query, "q", "{specs}");
+        }
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Budget {
         }
     }
 
-    /// Whether this budget ever exhausts.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// `true` once the deadline has passed (always `false` when
     /// unlimited).
     pub fn exhausted(&self) -> bool {
@@ -72,7 +67,6 @@ mod tests {
     #[test]
     fn unlimited_never_exhausts() {
         let b = Budget::unlimited();
-        assert!(!b.is_limited());
         assert!(!b.exhausted());
         assert_eq!(b.remaining_us(), None);
         // The 0 convention maps to unlimited.
@@ -82,7 +76,6 @@ mod tests {
     #[test]
     fn deadline_counts_down_and_exhausts() {
         let b = Budget::from_deadline_us(Instant::now(), 1_000_000);
-        assert!(b.is_limited());
         assert!(!b.exhausted());
         let remaining = b.remaining_us().unwrap();
         assert!(remaining > 0 && remaining <= 1_000_000);

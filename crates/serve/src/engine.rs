@@ -122,12 +122,13 @@ const ALGORITHMS: [AlgorithmKind; 5] = [
 /// [`PipelineContext`] on the request's own stack, so `&SearchEngine` is
 /// `Sync` and one instance serves arbitrary concurrency.
 ///
-/// The uncached path is a chain of [`Stage`] units (Detect → Retrieve →
-/// Surrogate → Utility → Select by default); [`SearchEngine::search`] is
+/// The uncached path is the fixed [`default_stage_chain`] (Detect →
+/// Retrieve → Surrogate → Utility → Select); [`SearchEngine::search`] is
 /// only the generation pin, the cache probe, and the stage-driver loop.
 pub struct SearchEngine {
     /// The epoch-swap cell: requests pin, deploys publish.
     generations: GenerationHandle,
+    /// [`default_stage_chain`], built once at deploy time.
     stages: Vec<Box<dyn Stage>>,
     /// Pre-built diversifier trait objects, aligned with [`ALGORITHMS`].
     diversifiers: Vec<Box<dyn Diversifier + Send + Sync>>,
@@ -246,15 +247,6 @@ impl SearchEngine {
         } else {
             index.clone()
         }
-    }
-
-    /// Replace the stage chain (builder-style, before the engine is
-    /// shared). The default is [`default_stage_chain`]; custom chains
-    /// insert, reorder or replace stages without touching the driver.
-    pub fn with_stage_chain(mut self, stages: Vec<Box<dyn Stage>>) -> Self {
-        assert!(!stages.is_empty(), "the stage chain cannot be empty");
-        self.stages = stages;
-        self
     }
 
     /// Intern the `(url, title)` presentation table of a corpus — the
@@ -393,7 +385,7 @@ impl SearchEngine {
     /// Record one worker-pool queue wait against this engine's metrics
     /// (called by [`WorkerPool`](crate::pool::WorkerPool) at pickup; the
     /// engine itself never sees the queue).
-    pub fn record_queue_wait(&self, us: u64) {
+    pub(crate) fn record_queue_wait(&self, us: u64) {
         self.metrics.record_queue_wait(us);
     }
 
@@ -521,8 +513,8 @@ impl SearchEngine {
     /// Pin the currently published serving [`Generation`]: one
     /// shared-mode pointer read plus an `Arc` clone. Requests do this
     /// once per call to [`search`](Self::search); external readers (the
-    /// background merger, tests, oracles) use it to observe a consistent
-    /// bundle.
+    /// background merger, tests, oracles) pin once and read every artifact
+    /// through that pin, so no two reads can straddle a publish.
     pub fn generation(&self) -> Arc<Generation> {
         self.generations.pin()
     }
@@ -669,38 +661,6 @@ impl SearchEngine {
     /// Dropping the returned handle stops and joins the thread.
     pub fn spawn_merger(self: &Arc<Self>, threshold: usize, poll: Duration) -> BackgroundMerger {
         BackgroundMerger::spawn(self.clone(), threshold, poll)
-    }
-
-    /// The current generation's sealed inverted index.
-    pub fn index(&self) -> Arc<InvertedIndex> {
-        self.generations.pin().index().clone()
-    }
-
-    /// The current generation's retrieval layer (plain, sharded, delta,
-    /// or custom).
-    pub fn retriever(&self) -> Arc<dyn Retriever> {
-        self.generations.pin().retriever().clone()
-    }
-
-    /// The current generation's specialization model.
-    pub fn model(&self) -> Arc<SpecializationModel> {
-        self.generations.pin().model().clone()
-    }
-
-    /// The current generation's precomputed §4.1 store.
-    pub fn store(&self) -> Arc<SpecializationStore> {
-        self.generations.pin().store().clone()
-    }
-
-    /// The current generation's compiled inverted utility index.
-    pub fn compiled(&self) -> Arc<CompiledSpecStore> {
-        self.generations.pin().compiled().clone()
-    }
-
-    /// The current generation's compiled forward index (`None` ⇒ the
-    /// engine serves surrogates through the text path).
-    pub fn forward(&self) -> Option<Arc<ForwardIndex>> {
-        self.generations.pin().forward().cloned()
     }
 
     /// The pre-built [`Diversifier`] for `kind` (trait objects are
@@ -923,12 +883,12 @@ mod tests {
 
     #[test]
     fn store_is_prebuilt_at_deploy_time() {
-        let engine = deploy(diversifying_config());
-        assert_eq!(engine.store().len(), 2);
-        assert!(engine.store().byte_size() > 0);
+        let generation = deploy(diversifying_config()).generation();
+        assert_eq!(generation.store().len(), 2);
+        assert!(generation.store().byte_size() > 0);
         // The compiled inverted index is built from the same store.
-        assert_eq!(engine.compiled().len(), 2);
-        assert!(engine.compiled().byte_size() > 0);
+        assert_eq!(generation.compiled().len(), 2);
+        assert!(generation.compiled().byte_size() > 0);
     }
 
     #[test]
@@ -971,12 +931,12 @@ mod tests {
     #[test]
     fn forward_index_is_compiled_by_default_and_optional() {
         let with = deploy(diversifying_config());
-        assert!(with.forward().is_some());
+        assert!(with.generation().forward().is_some());
         let without = deploy(EngineConfig {
             forward_index: false,
             ..diversifying_config()
         });
-        assert!(without.forward().is_none());
+        assert!(without.generation().forward().is_none());
         // The two paths serve identical pages for every algorithm.
         for algo in [
             AlgorithmKind::OptSelect,
@@ -1012,7 +972,7 @@ mod tests {
     #[test]
     fn presentation_table_can_be_shared_across_engines() {
         let a = deploy(diversifying_config());
-        let table = SearchEngine::intern_presentation(&a.index());
+        let table = SearchEngine::intern_presentation(a.generation().index());
         let b = deploy(diversifying_config()).with_presentation(table.clone());
         let ra = a.search(QueryRequest::new("apple", 3, AlgorithmKind::Baseline));
         let rb = b.search(QueryRequest::new("apple", 3, AlgorithmKind::Baseline));
@@ -1031,6 +991,7 @@ mod tests {
         let engine = deploy(diversifying_config());
         let _ = deploy(diversifying_config()).with_presentation(
             engine
+                .generation()
                 .index()
                 .store()
                 .iter()
@@ -1074,18 +1035,19 @@ mod tests {
         // and funnel it into an engine sharing the unsharded deployment's
         // artifacts.
         let executor = Arc::new(ScoringExecutor::new(2));
+        let generation = unsharded.generation();
         let retriever: Arc<dyn Retriever> = Arc::new(
-            ShardedIndex::build(unsharded.index().clone(), 4)
+            ShardedIndex::build(generation.index().clone(), 4)
                 .with_executor(executor)
                 .with_parallel_threshold(0),
         );
         let pooled = SearchEngine::with_retriever_and_forward(
-            unsharded.index().clone(),
+            generation.index().clone(),
             retriever,
-            unsharded.model().clone(),
-            unsharded.store().clone(),
-            unsharded.compiled().clone(),
-            unsharded.forward(),
+            generation.model().clone(),
+            generation.store().clone(),
+            generation.compiled().clone(),
+            generation.forward().cloned(),
             EngineConfig {
                 index_shards: 4,
                 executor_threads: 2,
@@ -1168,48 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn select_without_utility_stage_degrades_instead_of_panicking() {
-        use crate::stages::{DetectStage, RetrieveStage, SelectStage};
-        // A custom chain that skips the surrogate and utility stages: the
-        // select stage has no input and must fall back to the baseline
-        // prefix rather than killing the worker.
-        let engine = deploy(EngineConfig {
-            cache_capacity: 0,
-            ..diversifying_config()
-        })
-        .with_stage_chain(vec![
-            Box::new(DetectStage),
-            Box::new(RetrieveStage),
-            Box::new(SelectStage),
-        ]);
-        let out = engine.search(QueryRequest::new("apple", 4, AlgorithmKind::OptSelect));
-        assert!(!out.diversified);
-        assert_eq!(out.algorithm, "DPH (passthrough)");
-        assert_eq!(out.results.len(), 4);
-    }
-
-    #[test]
-    fn utility_without_surrogate_stage_degrades_instead_of_panicking() {
-        use crate::stages::{DetectStage, RetrieveStage, SelectStage, UtilityStage};
-        // Utility present but surrogates skipped: the vector/candidate
-        // mismatch must degrade to the baseline prefix, not panic.
-        let engine = deploy(EngineConfig {
-            cache_capacity: 0,
-            ..diversifying_config()
-        })
-        .with_stage_chain(vec![
-            Box::new(DetectStage),
-            Box::new(RetrieveStage),
-            Box::new(UtilityStage),
-            Box::new(SelectStage),
-        ]);
-        let out = engine.search(QueryRequest::new("apple", 4, AlgorithmKind::OptSelect));
-        assert!(!out.diversified);
-        assert_eq!(out.algorithm, "DPH (passthrough)");
-        assert_eq!(out.results.len(), 4);
-    }
-
-    #[test]
     fn utility_stage_scores_a_candidate_higher_on_its_own_specialization() {
         let engine = deploy(EngineConfig {
             n_candidates: 10,
@@ -1229,37 +1149,6 @@ mod tests {
         assert_eq!(input.num_specializations(), 2);
         let i_tech = ctx.candidates.iter().position(|h| h.doc.0 < 5).unwrap();
         assert!(input.utilities.get(i_tech, 0) > input.utilities.get(i_tech, 1));
-    }
-
-    #[test]
-    fn custom_stage_chain_plugs_in_without_touching_the_driver() {
-        use crate::stages::{StageKind, StageOutcome};
-
-        /// Serves every request as an empty page.
-        struct RefuseAll;
-        impl Stage for RefuseAll {
-            fn kind(&self) -> StageKind {
-                StageKind::Detect
-            }
-            fn run<'a>(
-                &self,
-                _engine: &SearchEngine,
-                _generation: &'a Generation,
-                ctx: &mut PipelineContext<'a>,
-            ) -> StageOutcome {
-                ctx.algorithm = "refused";
-                StageOutcome::Finish
-            }
-        }
-
-        let engine = deploy(EngineConfig {
-            cache_capacity: 0,
-            ..diversifying_config()
-        })
-        .with_stage_chain(vec![Box::new(RefuseAll)]);
-        let out = engine.search(QueryRequest::new("apple", 4, AlgorithmKind::OptSelect));
-        assert_eq!(out.algorithm, "refused");
-        assert!(out.results.is_empty());
     }
 
     #[test]
@@ -1287,14 +1176,15 @@ mod tests {
     #[test]
     fn stale_publish_is_rejected_and_counted() {
         let engine = deploy(diversifying_config());
+        let current = engine.generation();
         let stale = Arc::new(Generation::new(
             1, // does not advance the published id
-            engine.index(),
-            engine.retriever(),
-            engine.model(),
-            engine.store(),
-            engine.compiled(),
-            engine.forward(),
+            current.index().clone(),
+            current.retriever().clone(),
+            current.model().clone(),
+            current.store().clone(),
+            current.compiled().clone(),
+            current.forward().cloned(),
         ));
         match engine.publish(stale) {
             Err(PublishError::Stale { candidate, current }) => {
@@ -1376,8 +1266,8 @@ mod tests {
         assert_eq!(engine.current_generation_id(), 3);
         assert!(engine.generation().delta().is_none());
         assert_eq!(
-            engine.index().to_bytes(),
-            oracle.index().to_bytes(),
+            engine.generation().index().to_bytes(),
+            oracle.generation().index().to_bytes(),
             "merged index must be bit-identical to a from-scratch build"
         );
         let merged = engine.search(QueryRequest::new("storm", 6, AlgorithmKind::Baseline));
@@ -1402,14 +1292,14 @@ mod tests {
             cache_capacity: 0,
             ..diversifying_config()
         };
-        let deployed = deploy(config);
+        let deployed = deploy(config).generation();
         let engine = SearchEngine::with_retriever_and_forward(
-            deployed.index(),
-            Arc::new(OwnStatisticsOnly(deployed.index())),
-            deployed.model(),
-            deployed.store(),
-            deployed.compiled(),
-            deployed.forward(),
+            deployed.index().clone(),
+            Arc::new(OwnStatisticsOnly(deployed.index().clone())),
+            deployed.model().clone(),
+            deployed.store().clone(),
+            deployed.compiled().clone(),
+            deployed.forward().cloned(),
             config,
         );
         let pages = |engine: &SearchEngine| -> Vec<Vec<(DocId, u64)>> {

@@ -1,12 +1,14 @@
-//! Log-bucketed latency histograms for tail attribution.
+//! Log-bucketed latency histograms: the one place [`ServeMetrics`]
+//! counts a latency.
 //!
-//! The flat per-stage microsecond sums in [`ServeMetrics`] answer "where
-//! does the *mean* go" but are blind to the tail: a 28 ms p99 on a
-//! 0.15 ms p50 workload moves a mean by ~1 ms and is invisible in a sum.
-//! [`LatencyHistogram`] keeps the full latency *distribution* per stage at
-//! fixed memory cost, so percentiles can be read per stage (detect /
-//! retrieve / surrogate / utility / select), for queue wait, and for the
-//! end-to-end total — pinning a tail to a stage instead of inferring it.
+//! A sum answers "where does the *mean* go" but is blind to the tail: a
+//! 28 ms p99 on a 0.15 ms p50 workload moves a mean by ~1 ms and is
+//! invisible in a sum. [`LatencyHistogram`] keeps the full latency
+//! *distribution* at fixed memory cost, together with its sample count
+//! and sum, so one record per sample serves both views: percentiles per
+//! stage (detect / retrieve / surrogate / utility / select), for queue
+//! wait and for the end-to-end total — pinning a tail to a stage instead
+//! of inferring it — and the sums and means of the metrics snapshot.
 //!
 //! Bucketing is HDR-style: exact 1 µs buckets below `LINEAR_BUCKETS` µs,
 //! then 8 sub-buckets per power-of-two octave, which bounds the relative
@@ -117,7 +119,8 @@ impl LatencyHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Sum of all observations, microseconds (saturating).
+    /// Sum of all observations, microseconds (wrapping, see
+    /// [`record`](Self::record)).
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }

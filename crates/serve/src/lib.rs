@@ -17,7 +17,7 @@
 //!                         ┌──────────────────────────┐
 //!                         │  serve::SearchEngine     │
 //!                         │  ┌────────────────────┐  │
-//!                         │  │ ShardedResultCache │  │  (query,k,algo) → SERP
+//!                         │  │ ShardedResultCache │  │  (epoch,query,k,algo) → SERP
 //!                         │  └────────────────────┘  │
 //!                         │   stage chain (driver):  │
 //!                         │   Detect → Retrieve →    │
@@ -59,9 +59,11 @@
 //! ## Request lifecycle
 //!
 //! The cached fast path probes the sharded LRU result cache under
-//! `(query, k, algorithm)` — with a borrowed key, no allocation — and
-//! returns the shared SERP on a hit. The uncached path is a chain of
-//! [`Stage`] units driven by a thin loop (see [`stages`]):
+//! `(page epoch, query, k, algorithm)` — the page epoch is the pinned
+//! generation's content stamp, and the key is borrowed, no allocation —
+//! and returns the shared SERP on a hit. The uncached path is one fixed
+//! chain of [`Stage`] units ([`default_stage_chain`]) driven by a thin
+//! loop (see [`stages`]):
 //!
 //! 1. **detect** ([`stages::DetectStage`]) — look the query up in the
 //!    mined [`SpecializationModel`](serpdiv_mining::SpecializationModel)
@@ -112,9 +114,8 @@
 //! See [`Degradation`] for the full degradation ladder and the
 //! `serpdiv-chaos` crate (plus `tests/chaos_soak.rs` at the workspace
 //! root) for the failpoints that prove these properties under injected
-//! faults. [`AdmissionPolicy::deadline_aware`] extends the ladder with
-//! predictive shedding: a request class whose service-time EWMA already
-//! overruns the engine's budget is refused at enqueue.
+//! faults. Admission sheds on queue length and queue wait only; it does
+//! not predict service times.
 //!
 //! ## Generations & live updates
 //!
@@ -134,8 +135,9 @@
 //! [`generation`] module docs for the full design, the
 //! validate-then-publish contract and the stamps' soundness argument.
 //!
-//! Every stage is timed per request ([`StageTimings`]) and aggregated in
-//! the engine's [`metrics`](SearchEngine::metrics); the cache exports
+//! Every stage is timed per request ([`StageTimings`]) and recorded once,
+//! in a [`LatencyHistogram`], behind the engine's
+//! [`metrics`](SearchEngine::metrics); the cache exports
 //! hit/miss counters and degradations are counted separately. An
 //! optional [`SloMonitor`] ([`EngineConfig::slo`]) turns the request
 //! stream into burn-rate alerts ([`MetricsSnapshot::slo_burn_alerts`]).

@@ -69,8 +69,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// [`get`](Self::get) through any borrowed form of the key (the
     /// `HashMap::get` contract: `Q`'s `Hash`/`Eq` must agree with `K`'s),
     /// so composite owned keys can be probed without allocating them —
-    /// e.g. the result cache probes `(String, usize, AlgorithmKind)`
-    /// entries with a `&str`-backed view.
+    /// e.g. the result cache probes `(u64, String, usize, AlgorithmKind)`
+    /// entries (page epoch, query, k, algorithm) with a `&str`-backed
+    /// view.
     pub fn get_by<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,

@@ -1,6 +1,7 @@
-//! Serving-engine observability: lock-free request and stage counters,
-//! plus per-stage log-bucketed latency histograms for tail attribution
-//! (see [`crate::histogram`]).
+//! Serving-engine observability: lock-free request counters, plus
+//! per-stage log-bucketed latency histograms (see [`crate::histogram`]).
+//! Every latency is counted once, in its histogram; the snapshot's sums
+//! and means are read back from the histograms' own sums and counts.
 
 use crate::histogram::{LatencyHistogram, LatencyStats};
 use crate::request::StageTimings;
@@ -56,23 +57,16 @@ pub struct ServeMetrics {
     degraded_shard_loss: AtomicU64,
     shed: AtomicU64,
     internal_errors: AtomicU64,
-    queue_waits: AtomicU64,
-    queue_wait_us: AtomicU64,
     /// Generations successfully published to this engine (hot swaps).
     swaps: AtomicU64,
     /// Candidate generations refused by validate-then-publish (decode
     /// failure, stale id, inconsistent artifacts, injected fault).
     swap_rejected: AtomicU64,
-    detect_us: AtomicU64,
-    retrieve_us: AtomicU64,
-    surrogate_us: AtomicU64,
-    utility_us: AtomicU64,
-    select_us: AtomicU64,
-    total_us: AtomicU64,
     /// Per-stage latency distributions over *computed* requests' non-zero
     /// stage samples (cache hits and shed/internal refusals would flood
     /// the stage medians with zeros, and a skipped stage carries no
-    /// attribution signal), keyed like [`StageLatencies`].
+    /// attribution signal), keyed like [`StageLatencies`]. Every sample
+    /// they skip is a 0, so their sums are the sums over all requests.
     hist_detect: LatencyHistogram,
     hist_retrieve: LatencyHistogram,
     hist_surrogate: LatencyHistogram,
@@ -121,8 +115,9 @@ pub struct MetricsSnapshot {
     pub diversified: u64,
     /// Computed requests served as baseline passthrough.
     pub passthrough: u64,
-    /// Passthrough requests caused by an exhausted select-stage budget
-    /// (a subset of `passthrough`).
+    /// Passthrough requests caused by a per-request budget found
+    /// exhausted at a stage edge, or on entry to the retrieve or select
+    /// stage (a subset of `passthrough`).
     pub degraded: u64,
     /// Passthrough requests caused by a lost index shard — a fleet
     /// worker that timed out or died mid-gather (a subset of
@@ -239,15 +234,6 @@ impl ServeMetrics {
                 }
             }
         }
-        // Timing sums saturate instead of wrapping: a debug-build
-        // overflow panic inside metrics would take a serving worker down
-        // for an accounting artifact on a long soak.
-        saturating_add(&self.detect_us, timings.detect_us);
-        saturating_add(&self.retrieve_us, timings.retrieve_us);
-        saturating_add(&self.surrogate_us, timings.surrogate_us);
-        saturating_add(&self.utility_us, timings.utility_us);
-        saturating_add(&self.select_us, timings.select_us);
-        saturating_add(&self.total_us, timings.total_us);
         // Stage distributions cover computed requests only (cache hits and
         // shed/internal refusals report all-zero stages and would bury the
         // medians), and skip 0 µs samples: a stage that didn't run — or
@@ -282,19 +268,22 @@ impl ServeMetrics {
     /// known only to the pool, after the engine has already recorded the
     /// request.
     pub fn record_queue_wait(&self, us: u64) {
-        self.queue_waits.fetch_add(1, Ordering::Relaxed);
-        saturating_add(&self.queue_wait_us, us);
         self.hist_queue_wait.record(us);
     }
 
-    /// Copy out the counters.
+    /// Copy out the counters; sums and means come from the histograms.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let requests = self.requests.load(Ordering::Relaxed);
-        let total_us = self.total_us.load(Ordering::Relaxed);
-        let queue_waits = self.queue_waits.load(Ordering::Relaxed);
-        let queue_wait_us = self.queue_wait_us.load(Ordering::Relaxed);
+        let latency = StageLatencies {
+            detect: self.hist_detect.stats(),
+            retrieve: self.hist_retrieve.stats(),
+            surrogate: self.hist_surrogate.stats(),
+            utility: self.hist_utility.stats(),
+            select: self.hist_select.stats(),
+            queue_wait: self.hist_queue_wait.stats(),
+            total: self.hist_total.stats(),
+        };
         MetricsSnapshot {
-            requests,
+            requests: self.requests.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             diversified: self.diversified.load(Ordering::Relaxed),
             passthrough: self.passthrough.load(Ordering::Relaxed),
@@ -309,49 +298,21 @@ impl ServeMetrics {
             carry_skipped: 0,
             slo_burn_alerts: self.slo.as_ref().map_or(0, |s| s.alerts()),
             slo_alert_active: self.slo.as_ref().is_some_and(|s| s.alert_active()),
-            queue_waits,
-            mean_queue_wait_us: if queue_waits == 0 {
-                0.0
-            } else {
-                queue_wait_us as f64 / queue_waits as f64
-            },
+            queue_waits: latency.queue_wait.count,
+            mean_queue_wait_us: latency.queue_wait.mean_us,
             stage_sums: StageTimings {
-                detect_us: self.detect_us.load(Ordering::Relaxed),
-                retrieve_us: self.retrieve_us.load(Ordering::Relaxed),
-                surrogate_us: self.surrogate_us.load(Ordering::Relaxed),
-                utility_us: self.utility_us.load(Ordering::Relaxed),
-                select_us: self.select_us.load(Ordering::Relaxed),
-                queue_wait_us,
-                total_us,
+                detect_us: self.hist_detect.sum_us(),
+                retrieve_us: self.hist_retrieve.sum_us(),
+                surrogate_us: self.hist_surrogate.sum_us(),
+                utility_us: self.hist_utility.sum_us(),
+                select_us: self.hist_select.sum_us(),
+                queue_wait_us: self.hist_queue_wait.sum_us(),
+                total_us: self.hist_total.sum_us(),
             },
-            mean_total_us: if requests == 0 {
-                0.0
-            } else {
-                total_us as f64 / requests as f64
-            },
-            latency: StageLatencies {
-                detect: self.hist_detect.stats(),
-                retrieve: self.hist_retrieve.stats(),
-                surrogate: self.hist_surrogate.stats(),
-                utility: self.hist_utility.stats(),
-                select: self.hist_select.stats(),
-                queue_wait: self.hist_queue_wait.stats(),
-                total: self.hist_total.stats(),
-            },
+            mean_total_us: latency.total.mean_us,
+            latency,
         }
     }
-}
-
-/// `counter += v` without wrap-around: cumulative microsecond sums on a
-/// long soak must clamp at `u64::MAX`, not panic (debug) or restart
-/// (release).
-fn saturating_add(counter: &AtomicU64, v: u64) {
-    if v == 0 {
-        return;
-    }
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-        Some(cur.saturating_add(v))
-    });
 }
 
 /// Record `us` into `h` unless it is a structural zero (stage skipped or
@@ -450,38 +411,6 @@ mod tests {
             s.requests,
             s.cache_hits + s.diversified + s.passthrough + s.shed + s.internal_errors
         );
-    }
-
-    #[test]
-    fn timing_sums_saturate_instead_of_wrapping() {
-        let m = ServeMetrics::default();
-        m.record(
-            false,
-            true,
-            Degradation::None,
-            StageTimings {
-                total_us: u64::MAX - 1,
-                detect_us: u64::MAX,
-                ..Default::default()
-            },
-        );
-        m.record(
-            false,
-            true,
-            Degradation::None,
-            StageTimings {
-                total_us: 1000,
-                detect_us: 1000,
-                ..Default::default()
-            },
-        );
-        m.record_queue_wait(u64::MAX);
-        m.record_queue_wait(7);
-        let s = m.snapshot();
-        assert_eq!(s.stage_sums.total_us, u64::MAX);
-        assert_eq!(s.stage_sums.detect_us, u64::MAX);
-        assert_eq!(s.stage_sums.queue_wait_us, u64::MAX);
-        assert_eq!(s.requests, 2);
     }
 
     #[test]

@@ -26,10 +26,8 @@
 use crate::engine::SearchEngine;
 use crate::metrics::Degradation;
 use crate::request::{QueryRequest, SearchResponse, StageTimings, LABEL_INTERNAL, LABEL_SHED};
-use serpdiv_core::AlgorithmKind;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -59,63 +57,6 @@ pub struct AdmissionPolicy {
     /// stale, and serving it would only delay fresher ones behind it.
     /// 0 ⇒ serve no matter how stale.
     pub max_queue_wait_us: u64,
-    /// Deadline-aware admission: shed at enqueue when the engine's
-    /// per-request budget ([`EngineConfig::deadline_us`]) is smaller
-    /// than the pool's EWMA of recent service times *for that request's
-    /// algorithm class*. Such a request is statistically doomed to
-    /// exhaust its budget mid-pipeline and be served the degraded
-    /// baseline anyway — admitting it burns a worker's whole budget
-    /// window producing the same answer a free shed reply gives
-    /// instantly. No effect when the engine runs without a deadline, or
-    /// until a class has at least one sample.
-    ///
-    /// [`EngineConfig::deadline_us`]: crate::engine::EngineConfig::deadline_us
-    pub deadline_aware: bool,
-}
-
-/// Per-class service-time EWMA (µs), one cell per [`AlgorithmKind`] —
-/// the prediction behind [`AdmissionPolicy::deadline_aware`]. A cell
-/// holding 0 means "no samples yet" (real samples clamp to ≥ 1 µs):
-/// unseeded classes are always admitted, so the first request of a class
-/// is the probe that seeds its estimate. Smoothing is `new = (3·old +
-/// sample) / 4` — quarter-weight on the newest sample tracks load shifts
-/// within a few requests without letting one outlier flip admission.
-#[derive(Debug, Default)]
-struct ServiceEwma {
-    classes: [AtomicU64; 5],
-}
-
-impl ServiceEwma {
-    fn idx(kind: AlgorithmKind) -> usize {
-        match kind {
-            AlgorithmKind::Baseline => 0,
-            AlgorithmKind::OptSelect => 1,
-            AlgorithmKind::IaSelect => 2,
-            AlgorithmKind::XQuad => 3,
-            AlgorithmKind::Mmr => 4,
-        }
-    }
-
-    fn observe(&self, kind: AlgorithmKind, us: u64) {
-        let cell = &self.classes[Self::idx(kind)];
-        let sample = us.max(1);
-        let mut old = cell.load(Ordering::Relaxed);
-        loop {
-            let new = if old == 0 {
-                sample
-            } else {
-                (3 * old + sample) / 4
-            };
-            match cell.compare_exchange_weak(old, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(v) => old = v,
-            }
-        }
-    }
-
-    fn predict(&self, kind: AlgorithmKind) -> u64 {
-        self.classes[Self::idx(kind)].load(Ordering::Relaxed)
-    }
 }
 
 /// Minimum service time (µs) after which a worker yields its slice at the
@@ -211,8 +152,6 @@ pub struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
     engine: Arc<SearchEngine>,
     policy: AdmissionPolicy,
-    /// Per-class service-time estimates feeding deadline-aware admission.
-    ewma: Arc<ServiceEwma>,
 }
 
 impl WorkerPool {
@@ -230,17 +169,15 @@ impl WorkerPool {
     ) -> Self {
         let workers = workers.max(1);
         let queue = Arc::new(JobQueue::default());
-        let ewma = Arc::new(ServiceEwma::default());
         let handles = (0..workers)
             .map(|i| {
                 let engine = engine.clone();
                 let queue = queue.clone();
-                let ewma = ewma.clone();
                 std::thread::Builder::new()
                     .name(format!("serpdiv-serve-{i}"))
                     .spawn(move || {
                         while let Some(job) = queue.pop() {
-                            let served_us = Self::serve_job(&engine, policy, &ewma, job);
+                            let served_us = Self::serve_job(&engine, policy, job);
                             // Yield at the request boundary. When workers
                             // outnumber cores, a thread that has run long
                             // enough gets preempted *mid-request*, parking a
@@ -268,7 +205,6 @@ impl WorkerPool {
             workers: handles,
             engine,
             policy,
-            ewma,
         }
     }
 
@@ -276,12 +212,7 @@ impl WorkerPool {
     /// panic containment, reply delivery. Returns the request's service
     /// time in microseconds (0 for shed replies) — the worker loop's
     /// yield gate.
-    fn serve_job(
-        engine: &SearchEngine,
-        policy: AdmissionPolicy,
-        ewma: &ServiceEwma,
-        job: Job,
-    ) -> u64 {
+    fn serve_job(engine: &SearchEngine, policy: AdmissionPolicy, job: Job) -> u64 {
         let Job {
             seq,
             req,
@@ -315,7 +246,6 @@ impl WorkerPool {
         // poisoned request can never shrink the pool — or deadlock a
         // batch waiting on a reply that will never come.
         let query = req.query.clone();
-        let class = req.algorithm;
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _ = serpdiv_chaos::failpoint("pool.serve");
             engine.search(req)
@@ -323,10 +253,6 @@ impl WorkerPool {
         let response = match result {
             Ok(mut response) => {
                 response.timings.queue_wait_us = queue_wait_us;
-                // Feed the class's service-time estimate — engine work
-                // only (queue wait excluded), shed/panic replies never
-                // pollute it.
-                ewma.observe(class, response.timings.total_us);
                 response
             }
             Err(_) => {
@@ -388,26 +314,8 @@ impl WorkerPool {
         self.queue.len()
     }
 
-    /// The pool's current service-time EWMA for `algorithm` in µs (0 ⇒
-    /// no samples yet) — what deadline-aware admission compares against
-    /// the engine's budget.
-    pub fn predicted_service_us(&self, algorithm: AlgorithmKind) -> u64 {
-        self.ewma.predict(algorithm)
-    }
-
     fn enqueue(&self, seq: usize, req: QueryRequest, reply: mpsc::Sender<(usize, SearchResponse)>) {
         let _ = serpdiv_chaos::failpoint("pool.enqueue");
-        // Deadline-aware: when this class's expected service time alone
-        // already overruns the whole per-request budget, the pipeline
-        // would burn a worker just to serve the degraded baseline — shed
-        // for free instead. Two atomic loads, no engine work.
-        let doomed = self.policy.deadline_aware && {
-            let deadline = self.engine.config().deadline_us;
-            deadline > 0 && self.ewma.predict(req.algorithm) > deadline
-        };
-        if doomed {
-            return self.shed(seq, req.query, reply);
-        }
         let job = Job {
             seq,
             req,
@@ -472,9 +380,10 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use serpdiv_core::{AlgorithmKind, PipelineParams, UtilityParams};
-    use serpdiv_index::{Document, IndexBuilder};
+    use serpdiv_index::{Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc};
     use serpdiv_mining::SpecializationModel;
-    use std::sync::atomic::AtomicUsize;
+    use serpdiv_text::TermId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn engine() -> Arc<SearchEngine> {
         let mut b = IndexBuilder::new();
@@ -586,61 +495,52 @@ mod tests {
         assert!(pool.serve_batch(Vec::new()).is_empty());
     }
 
-    /// A stage that sleeps before handing off to the rest of the default
-    /// chain — makes a single worker predictably slow so the queue fills.
-    struct SleepStage(std::time::Duration);
+    /// The plain index, running `hook` on the query of every retrieval
+    /// first — how these tests make a request slow, panic, or park at a
+    /// point of their choosing.
+    struct Hooked<F> {
+        index: Arc<InvertedIndex>,
+        hook: F,
+    }
 
-    impl crate::stages::Stage for SleepStage {
-        fn kind(&self) -> crate::stages::StageKind {
-            crate::stages::StageKind::Detect
+    impl<F: Fn(&str) + Send + Sync> Retriever for Hooked<F> {
+        fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
+            (self.hook)(query);
+            self.index.retrieve(query, k)
         }
-        fn run<'a>(
-            &self,
-            _engine: &SearchEngine,
-            _generation: &'a crate::generation::Generation,
-            _ctx: &mut crate::stages::PipelineContext<'a>,
-        ) -> crate::stages::StageOutcome {
-            std::thread::sleep(self.0);
-            crate::stages::StageOutcome::Continue
+        fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
+            self.index.retrieve_terms(terms, k)
         }
     }
 
-    fn slow_engine(delay: std::time::Duration) -> Arc<SearchEngine> {
-        slow_engine_with_deadline(delay, 0)
-    }
-
-    fn slow_engine_with_deadline(
-        delay: std::time::Duration,
-        deadline_us: u64,
-    ) -> Arc<SearchEngine> {
-        engine_with_first_stage(Box::new(SleepStage(delay)), deadline_us)
-    }
-
-    /// An engine whose chain runs `stage` before the default five.
-    fn engine_with_first_stage(
-        stage: Box<dyn crate::stages::Stage>,
-        deadline_us: u64,
-    ) -> Arc<SearchEngine> {
-        let shared = engine();
-        let mut chain = crate::stages::default_stage_chain();
-        chain.insert(0, stage);
-        // Rebuild a fresh engine sharing the same artifacts, cache off so
-        // repeats stay slow.
-        let rebuilt = SearchEngine::from_generation(
-            shared.generation(),
+    /// An engine over [`engine`]'s artifacts whose retrieval runs `hook`
+    /// first — once per request, since every computed request retrieves
+    /// once — with the cache off so repeats run it again.
+    fn hooked_engine(hook: impl Fn(&str) + Send + Sync + 'static) -> Arc<SearchEngine> {
+        let generation = engine().generation();
+        let index = generation.index().clone();
+        Arc::new(SearchEngine::with_retriever_and_forward(
+            index.clone(),
+            Arc::new(Hooked { index, hook }),
+            generation.model().clone(),
+            generation.store().clone(),
+            generation.compiled().clone(),
+            generation.forward().cloned(),
             EngineConfig {
                 cache_capacity: 0,
                 n_candidates: 8,
-                deadline_us,
                 params: PipelineParams {
                     utility: UtilityParams { threshold_c: 0.4 },
                     ..PipelineParams::default()
                 },
                 ..EngineConfig::default()
             },
-        )
-        .with_stage_chain(chain);
-        Arc::new(rebuilt)
+        ))
+    }
+
+    /// A single worker made predictably slow so the queue fills.
+    fn slow_engine(delay: std::time::Duration) -> Arc<SearchEngine> {
+        hooked_engine(move |_| std::thread::sleep(delay))
     }
 
     #[test]
@@ -723,45 +623,12 @@ mod tests {
         }
     }
 
-    /// A stage that panics on a marker query — the non-chaos way to test
-    /// worker panic containment (chaos arming is process-global and would
-    /// leak into concurrently running tests).
-    struct PanicStage;
-
-    impl crate::stages::Stage for PanicStage {
-        fn kind(&self) -> crate::stages::StageKind {
-            crate::stages::StageKind::Detect
-        }
-        fn run<'a>(
-            &self,
-            _engine: &SearchEngine,
-            _generation: &'a crate::generation::Generation,
-            ctx: &mut crate::stages::PipelineContext<'a>,
-        ) -> crate::stages::StageOutcome {
-            assert!(ctx.request.query != "boom", "injected stage panic");
-            crate::stages::StageOutcome::Continue
-        }
-    }
-
     #[test]
     fn worker_contains_panics_and_keeps_serving() {
-        let shared = engine();
-        let mut chain = crate::stages::default_stage_chain();
-        chain.insert(0, Box::new(PanicStage));
-        let rebuilt = Arc::new(
-            SearchEngine::from_generation(
-                shared.generation(),
-                EngineConfig {
-                    n_candidates: 8,
-                    params: PipelineParams {
-                        utility: UtilityParams { threshold_c: 0.4 },
-                        ..PipelineParams::default()
-                    },
-                    ..EngineConfig::default()
-                },
-            )
-            .with_stage_chain(chain),
-        );
+        // A retrieval that panics on a marker query — the non-chaos way to
+        // test worker panic containment (chaos arming is process-global
+        // and would leak into concurrently running tests).
+        let rebuilt = hooked_engine(|query| assert!(query != "boom", "injected retrieval panic"));
         let pool = WorkerPool::new(rebuilt.clone(), 2);
         let reqs = vec![
             QueryRequest::new("apple", 4, AlgorithmKind::OptSelect),
@@ -793,59 +660,6 @@ mod tests {
         // The pool still has live workers: a follow-up batch is served.
         let again = pool.serve_batch(vec![QueryRequest::new("apple", 3, AlgorithmKind::Mmr)]);
         assert_eq!(again[0].results.len(), 3);
-    }
-
-    #[test]
-    fn deadline_aware_admission_sheds_doomed_classes() {
-        // 20 ms of service against a 1 ms budget: every served OptSelect
-        // request exhausts its deadline and degrades. Once the class's
-        // EWMA has seen that, deadline-aware admission refuses the class
-        // at enqueue instead of burning a worker for 20 ms per reply.
-        let shared = slow_engine_with_deadline(std::time::Duration::from_millis(20), 1_000);
-        let pool = WorkerPool::with_admission(
-            shared.clone(),
-            1,
-            AdmissionPolicy {
-                deadline_aware: true,
-                ..AdmissionPolicy::default()
-            },
-        );
-        // The class is unseeded: the probe request is admitted (and
-        // served degraded, seeding the estimate).
-        let probe = pool
-            .serve_batch(vec![QueryRequest::new(
-                "apple",
-                4,
-                AlgorithmKind::OptSelect,
-            )])
-            .remove(0);
-        assert_ne!(probe.algorithm, LABEL_SHED);
-        assert!(probe.degraded, "20 ms of work cannot meet a 1 ms budget");
-        assert!(
-            pool.predicted_service_us(AlgorithmKind::OptSelect) > 1_000,
-            "the probe must have seeded the estimate above the budget"
-        );
-        // Now the estimate dwarfs the budget: shed at enqueue, instantly.
-        let shed = pool
-            .serve_batch(vec![QueryRequest::new(
-                "apple",
-                4,
-                AlgorithmKind::OptSelect,
-            )])
-            .remove(0);
-        assert_eq!(shed.algorithm, LABEL_SHED);
-        assert!(shed.degraded && shed.results.is_empty());
-        // Other classes have no samples yet and pass admission untouched.
-        let other = pool
-            .serve_batch(vec![QueryRequest::new("apple", 4, AlgorithmKind::Baseline)])
-            .remove(0);
-        assert_ne!(other.algorithm, LABEL_SHED);
-        let m = shared.metrics();
-        assert_eq!(m.shed, 1);
-        assert_eq!(
-            m.requests,
-            m.cache_hits + m.diversified + m.passthrough + m.shed + m.internal_errors
-        );
     }
 
     #[test]
@@ -887,37 +701,23 @@ mod tests {
         }
     }
 
-    struct GateStage(Arc<Gate>);
-
-    impl crate::stages::Stage for GateStage {
-        fn kind(&self) -> crate::stages::StageKind {
-            crate::stages::StageKind::Detect
-        }
-        fn run<'a>(
-            &self,
-            _engine: &SearchEngine,
-            _generation: &'a crate::generation::Generation,
-            ctx: &mut crate::stages::PipelineContext<'a>,
-        ) -> crate::stages::StageOutcome {
-            let gate = &self.0;
-            gate.served.lock().unwrap().push(ctx.request.query.clone());
-            if ctx.request.query == gate.marker {
-                gate.entered.wait();
-                gate.release.wait();
-            }
-            crate::stages::StageOutcome::Continue
-        }
-    }
-
     /// `workers` workers (and `policy`) over an uncached engine whose
-    /// chain starts with `gate`; returns once one worker is parked inside
-    /// the gate, with the reply channel of the request that parked it.
+    /// retrieval passes through `gate`; returns once one worker is parked
+    /// inside the gate, with the reply channel of the request that parked
+    /// it.
     fn gated_pool(
         gate: &Arc<Gate>,
         workers: usize,
         policy: AdmissionPolicy,
     ) -> (WorkerPool, mpsc::Receiver<(usize, SearchResponse)>) {
-        let engine = engine_with_first_stage(Box::new(GateStage(gate.clone())), 0);
+        let hook_gate = gate.clone();
+        let engine = hooked_engine(move |query| {
+            hook_gate.served.lock().unwrap().push(query.to_string());
+            if query == hook_gate.marker {
+                hook_gate.entered.wait();
+                hook_gate.release.wait();
+            }
+        });
         let pool = WorkerPool::with_admission(engine, workers, policy);
         let gated = pool.submit(QueryRequest::new(gate.marker, 2, AlgorithmKind::Baseline));
         gate.entered.wait();

@@ -72,9 +72,8 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Charge `us` microseconds to the bucket of `kind` (the stage-driver
-    /// accounting hook; a stage may run more than once per request, so
-    /// buckets accumulate). Saturating: an accounting overflow must never
-    /// panic a serving worker.
+    /// accounting hook; buckets accumulate). Saturating: an accounting
+    /// overflow must never panic a serving worker.
     pub fn add(&mut self, kind: StageKind, us: u64) {
         let bucket = match kind {
             StageKind::Detect => &mut self.detect_us,
@@ -117,9 +116,11 @@ pub struct SearchResponse {
     pub diversified: bool,
     /// Whether the SERP came from the result cache.
     pub cache_hit: bool,
-    /// Whether the select-stage budget was exhausted and the page fell
-    /// back to the baseline ranking (never true on cache hits; degraded
-    /// pages are not cached).
+    /// Whether the page fell back to the baseline ranking: the request's
+    /// budget was found exhausted at a stage edge or on entry to the
+    /// retrieve or select stage, or retrieval lost a shard (never true on
+    /// cache hits; degraded pages are not cached). Pool-made shed and
+    /// internal-error replies are degraded too.
     pub degraded: bool,
     /// The ranked page, best first, `min(k, n)` entries. Shared with the
     /// result cache: a cache hit bumps a refcount instead of copying the

@@ -1,14 +1,13 @@
 //! The stage-oriented request pipeline.
 //!
-//! The uncached request lifecycle is a chain of composable [`Stage`] units
-//! — **Detect → Retrieve → Surrogate → Utility → Select** — driven by a
-//! thin loop in [`SearchEngine`]: each stage reads and advances one
-//! [`PipelineContext`], the driver times it, and a stage can short-circuit
-//! the rest of the chain ([`StageOutcome::Finish`]) when the request is
-//! already answerable (baseline passthrough, empty retrieval, exhausted
-//! budget). New serving scenarios plug in as new stages (or stage
-//! reorderings) without touching the driver; deadline degradation in
-//! [`SelectStage`] is the worked example.
+//! The uncached request lifecycle is one fixed chain of [`Stage`] units —
+//! **Detect → Retrieve → Surrogate → Utility → Select**
+//! ([`default_stage_chain`]) — driven by a thin loop in [`SearchEngine`]:
+//! each stage reads and advances one [`PipelineContext`], the driver times
+//! it, and a stage can short-circuit the rest of the chain
+//! ([`StageOutcome::Finish`]) when the request is already answerable
+//! (baseline passthrough, empty retrieval, exhausted budget). Each stage
+//! may rely on every earlier one having run.
 //!
 //! Every stage runs against the request's **pinned [`Generation`]** — the
 //! immutable bundle the request captured once at admission. Stages never
@@ -16,44 +15,12 @@
 //! newer generation mid-request); they read it through the `generation`
 //! argument, which is what makes a concurrent hot swap unobservable from
 //! inside a request.
-//!
-//! # Example: a custom stage
-//!
-//! ```
-//! use serpdiv_serve::{
-//!     Generation, PipelineContext, SearchEngine, Stage, StageKind, StageOutcome,
-//! };
-//!
-//! /// Refuses pages larger than 50 results (quota enforcement).
-//! struct ClampK;
-//!
-//! impl Stage for ClampK {
-//!     fn kind(&self) -> StageKind {
-//!         StageKind::Detect
-//!     }
-//!
-//!     fn run<'a>(
-//!         &self,
-//!         _engine: &SearchEngine,
-//!         _generation: &'a Generation,
-//!         ctx: &mut PipelineContext<'a>,
-//!     ) -> StageOutcome {
-//!         if ctx.request.k > 50 {
-//!             ctx.algorithm = "rejected (k too large)";
-//!             return StageOutcome::Finish;
-//!         }
-//!         StageOutcome::Continue
-//!     }
-//! }
-//! ```
 
 use crate::budget::Budget;
 use crate::engine::SearchEngine;
 use crate::generation::Generation;
 use crate::request::{QueryRequest, StageTimings};
-use serpdiv_core::{
-    assemble_input_from_surrogates, assemble_input_with_scorer, AlgorithmKind, DiversifyInput,
-};
+use serpdiv_core::{assemble_input_with_scorer, AlgorithmKind, DiversifyInput};
 use serpdiv_index::{ScoredDoc, SparseVector};
 use serpdiv_mining::SpecializationEntry;
 use std::sync::Arc;
@@ -125,7 +92,8 @@ pub struct PipelineContext<'a> {
     pub page: Vec<ScoredDoc>,
     /// Whether diversification ran.
     pub diversified: bool,
-    /// Whether the select budget forced a baseline fallback.
+    /// Whether an exhausted budget or a lost shard forced a baseline
+    /// fallback.
     pub degraded: bool,
     /// Whether retrieval lost at least one index shard (partial gather
     /// from a distributed retriever); implies `degraded`.
@@ -154,11 +122,6 @@ impl<'a> PipelineContext<'a> {
             algorithm: "DPH",
             timings: StageTimings::default(),
         }
-    }
-
-    /// Microseconds since the engine accepted the request.
-    pub fn elapsed_us(&self) -> u64 {
-        self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 }
 
@@ -356,37 +319,21 @@ impl Stage for UtilityStage {
         generation: &'a Generation,
         ctx: &mut PipelineContext<'a>,
     ) -> StageOutcome {
-        // No detected entry, or surrogates missing/mismatched (possible
-        // in custom chains that drop or reorder earlier stages): nothing
-        // sound to score — leave `ctx.input` empty and let the select
-        // stage fall back to the baseline prefix.
-        let Some(entry) = ctx.entry else {
-            return StageOutcome::Continue;
-        };
-        if ctx.vectors.len() != ctx.candidates.len() {
-            return StageOutcome::Continue;
-        }
-        let vectors = std::mem::take(&mut ctx.vectors);
-        // Score through the deploy-time precompiled scorer for this entry
-        // (bit-identical rows, no per-request gather-and-sort); entries
-        // outside the table — possible only with custom detect stages —
-        // build one on the fly, exactly as before.
-        ctx.input = Some(match generation.scorer_for(&entry.query) {
-            Some(scorer) => assemble_input_with_scorer(
-                entry,
-                scorer,
-                &engine.config().params,
-                vectors,
-                &ctx.candidates,
-            ),
-            None => assemble_input_from_surrogates(
-                entry,
-                generation.compiled(),
-                &engine.config().params,
-                vectors,
-                &ctx.candidates,
-            ),
-        });
+        let entry = ctx
+            .entry
+            .expect("the retrieve stage finishes every request without an entry");
+        // The detect stage read `entry` from this generation's model, and
+        // `Generation::new` precompiled one scorer per entry of that model.
+        let scorer = generation
+            .scorer_for(&entry.query)
+            .expect("every model entry has a precompiled scorer");
+        ctx.input = Some(assemble_input_with_scorer(
+            entry,
+            scorer,
+            &engine.config().params,
+            std::mem::take(&mut ctx.vectors),
+            &ctx.candidates,
+        ));
         StageOutcome::Continue
     }
 }
@@ -397,9 +344,9 @@ impl Stage for UtilityStage {
 /// stage runs, the stage **degrades to baseline passthrough**: the page
 /// is the first `k` candidates of the baseline ranking, served
 /// immediately (`"DPH (degraded)"`), and the response/metrics record the
-/// degradation. (The driver also checks the budget at every stage edge,
-/// so an exhausted request normally degrades before even reaching this
-/// stage — this check is the backstop for single-stage custom chains.)
+/// degradation. The driver checks the budget only *after* each stage, and
+/// the `stage.select` failpoint fires between the utility stage's edge
+/// check and this stage, so time spent there is caught only here.
 /// Otherwise the request's [`AlgorithmKind`] re-ranks the page through
 /// the engine's pre-built [`Diversifier`] trait objects.
 ///
@@ -425,14 +372,10 @@ impl Stage for SelectStage {
             ctx.diversified = false;
             return StageOutcome::Finish;
         }
-        // No assembled input (custom chains may skip the utility stage):
-        // serve the baseline prefix rather than panicking a worker.
-        let Some(input) = ctx.input.take() else {
-            ctx.page = ctx.candidates.iter().take(k).copied().collect();
-            ctx.algorithm = "DPH (passthrough)";
-            ctx.diversified = false;
-            return StageOutcome::Finish;
-        };
+        let input = ctx
+            .input
+            .take()
+            .expect("the utility stage assembles every diversified request's input");
         let diversifier = engine.diversifier_for(ctx.request.algorithm);
         let indices = diversifier.select(&input, k);
         ctx.page = indices.into_iter().map(|i| ctx.candidates[i]).collect();

@@ -23,12 +23,15 @@
 //! * after the plan disarms, the stack recovers to bit-exact fault-free
 //!   serving (breakers close, links reconnect).
 //!
-//! Chaos arming is process-global, so the three tests serialize on one
-//! static mutex.
+//! One more test arms a single delay to pin the one budget check that
+//! lives inside a stage (the select stage's).
+//!
+//! Chaos arming is process-global, so the tests serialize on one static
+//! mutex.
 
 use serpdiv::chaos::{self, FaultKind, FaultPlan};
 use serpdiv::core::AlgorithmKind;
-use serpdiv::fleet::{worker, FleetConfig, FleetRouter, HedgePolicy, DEFAULT_MAX_FRAME};
+use serpdiv::fleet::{worker, FleetConfig, FleetRouter, DEFAULT_MAX_FRAME};
 use serpdiv::index::{
     Document, IndexBuilder, InvertedIndex, Retriever, ScoringExecutor, ShardedIndex,
 };
@@ -439,6 +442,38 @@ fn kill_heavy_plan_contains_every_panic_and_recovers() {
     });
 }
 
+#[test]
+fn select_stage_catches_a_budget_spent_after_the_last_stage_edge() {
+    let _s = serial();
+    with_watchdog(60, "select-stage budget check", || {
+        let index = corpus();
+        let retriever: Arc<dyn Retriever> = index.clone();
+        // 200 ms of budget, far above the undelayed pipeline on this corpus.
+        let engine = build_engine(index, retriever, 1, 200_000, None);
+        let req = QueryRequest::new("apple", 6, AlgorithmKind::OptSelect);
+        // The `stage.select` failpoint fires after the utility stage's
+        // edge check passed, so only the select stage's own check can see
+        // the budget go.
+        let plan = Arc::new(FaultPlan::new(7).with_rule(
+            "stage.select",
+            1.0,
+            FaultKind::Delay(Duration::from_millis(300)),
+        ));
+        let out = {
+            let _armed = chaos::armed(plan.clone());
+            engine.search(req.clone())
+        };
+        assert_eq!(plan.fired_total(), 1);
+        assert!(out.degraded && !out.diversified);
+        assert_eq!(out.algorithm, "DPH (degraded)");
+        assert_eq!(out.results.len(), 6);
+        assert_eq!(engine.metrics().degraded, 1);
+        let clean = engine.search(req);
+        assert!(!clean.degraded);
+        assert_eq!(clean.algorithm, "OptSelect");
+    });
+}
+
 fn fleet_socket(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("serpdiv-chaos-{}-{tag}.sock", std::process::id()));
     let _ = std::fs::remove_file(&p);
@@ -472,7 +507,6 @@ fn corruption_heavy_plan_keeps_fleet_pages_sound_and_recovers() {
                 shard_timeout: Duration::from_millis(150),
                 backoff_base: Duration::from_millis(2),
                 backoff_max: Duration::from_millis(20),
-                hedge: HedgePolicy::After(Duration::from_millis(40)),
                 breaker_threshold: 4,
                 breaker_cooldown: Duration::from_millis(100),
             },

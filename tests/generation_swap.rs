@@ -115,7 +115,7 @@ fn artifacts_for(engine: &SearchEngine, docs: &[Document], id: u64) -> Generatio
         id,
         index: index.to_bytes(),
         forward: Some(ForwardIndex::build(&index).to_bytes()),
-        compiled: engine.compiled().to_bytes(),
+        compiled: engine.generation().compiled().to_bytes(),
     }
 }
 
@@ -524,7 +524,7 @@ fn a_delta_document_is_scored_as_itself_before_the_merge() {
     let fresh = Document::new(12, "http://food/12", "", body);
     engine.ingest(vec![fresh.clone()]).unwrap();
 
-    let sealed = engine.index();
+    let sealed = engine.generation().index().clone();
     let mut own_terms = sealed.analyzer().analyze(body);
     own_terms.sort();
     own_terms.dedup();
@@ -714,7 +714,7 @@ fn ingest_accumulates_and_merge_matches_a_from_scratch_build() {
     let mut full = base_docs();
     full.extend(storm_docs(12..16));
     assert_eq!(
-        engine.index().to_bytes(),
+        engine.generation().index().to_bytes(),
         build_index(&full).to_bytes(),
         "merged index must be bit-identical to a from-scratch build"
     );
@@ -749,7 +749,10 @@ fn background_merger_seals_a_growing_delta() {
 
     let mut full = base_docs();
     full.extend(storm_docs(12..16));
-    assert_eq!(engine.index().to_bytes(), build_index(&full).to_bytes());
+    assert_eq!(
+        engine.generation().index().to_bytes(),
+        build_index(&full).to_bytes()
+    );
     let out = engine.search(QueryRequest::new("storm", 4, AlgorithmKind::Baseline));
     assert_eq!(out.results.len(), 4);
     assert!(engine.metrics().swaps >= 3, "two ingests + one merge");

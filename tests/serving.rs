@@ -115,17 +115,18 @@ fn all_four_diversifiers_return_min_k_n_distinct_results() {
     let (engine, topics) = deploy();
     // Pick a topic query the model actually mined (ambiguous) so the
     // diversifiers run; fall back to the first topic otherwise.
+    let generation = engine.generation();
     let query = topics
         .iter()
-        .find(|q| engine.model().get(q).is_some())
+        .find(|q| generation.model().get(q).is_some())
         .expect("at least one topic mined")
         .clone();
 
     // n = the total candidate pool for this query.
     use serpdiv::index::SearchEngine as Retriever;
-    let index = engine.index();
+    let index = generation.index();
     let total_docs = index.stats().num_docs as usize;
-    let n = Retriever::new(&index).search(&query, total_docs + 1).len();
+    let n = Retriever::new(index).search(&query, total_docs + 1).len();
     assert!(n > 0);
 
     for algo in [
@@ -151,7 +152,7 @@ fn per_stage_latency_accounting_is_populated() {
     let (engine, topics) = deploy();
     let query = topics
         .iter()
-        .find(|q| engine.model().get(q).is_some())
+        .find(|q| engine.generation().model().get(q).is_some())
         .expect("ambiguous topic")
         .clone();
     let out = engine.search(QueryRequest::new(

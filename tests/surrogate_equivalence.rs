@@ -97,9 +97,9 @@ fn assert_deployed_store_matches_oracle(
             forward_index,
             ..EngineConfig::default()
         };
-        let engine = SearchEngine::deploy(index.clone(), model.clone(), config);
-        assert_eq!(engine.forward().is_some(), forward_index, "{context}");
-        let store = engine.store();
+        let generation = SearchEngine::deploy(index.clone(), model.clone(), config).generation();
+        assert_eq!(generation.forward().is_some(), forward_index, "{context}");
+        let store = generation.store();
         for (spec, vectors) in store.iter() {
             let qterms = index.analyze_query(spec);
             let hits = oracle.search_terms(&qterms, params.k_spec_results);
@@ -113,7 +113,7 @@ fn assert_deployed_store_matches_oracle(
             }
         }
         assert_eq!(
-            engine.compiled().to_bytes(),
+            generation.compiled().to_bytes(),
             wrapped,
             "{context}: build and build_with compile to different bytes"
         );
@@ -247,7 +247,7 @@ fn serving_pages_identical_with_and_without_forward_index() {
             ..config
         },
     );
-    assert!(with.forward().is_some() && without.forward().is_none());
+    assert!(with.generation().forward().is_some() && without.generation().forward().is_none());
     for algo in ALGOS {
         for query in ["apple", "apple fruit", "unknown query"] {
             let a = with.search(QueryRequest::new(query, 5, algo));
@@ -358,7 +358,11 @@ fn assert_same_page(cached: &SearchEngine, uncached: &SearchEngine, req: QueryRe
     assert_eq!((a.algorithm, a.diversified), (b.algorithm, b.diversified));
     assert!(a.diversified, "{req:?} must run the surrogate stage");
     let n = cached.config().n_candidates.max(req.k);
-    cached.retriever().retrieve(&req.query, n).len() as u64
+    cached
+        .generation()
+        .retriever()
+        .retrieve(&req.query, n)
+        .len() as u64
 }
 
 /// (a) One query re-asked with a growing candidate pool: each deeper
@@ -385,7 +389,7 @@ fn growing_requests_extend_the_query_table() {
 #[test]
 fn queries_analyzing_alike_share_a_table() {
     let (cached, uncached) = cached_and_uncached(12, 1024);
-    let index = cached.index();
+    let index = cached.generation().index().clone();
     assert_eq!(
         index.analyze_query("apple"),
         index.analyze_query("the apple")
@@ -530,8 +534,9 @@ mod randomized {
                     );
                 }
             }
+            let p = 1.0 / queries.len() as f64;
             let specializations: Vec<String> =
-                queries.iter().map(|q| format!("[{q:?},0.1]")).collect();
+                queries.iter().map(|q| format!("[{q:?},{p}]")).collect();
             let model = SpecializationModel::from_json(&format!(
                 r#"{{"entries":{{"q":{{"query":"q","specializations":[{}]}}}}}}"#,
                 specializations.join(",")

@@ -160,7 +160,7 @@ fn bundle_for(engine: &SearchEngine, g: u64) -> GenerationArtifacts {
         id: g,
         index: index.to_bytes(),
         forward: Some(ForwardIndex::build(&index).to_bytes()),
-        compiled: engine.compiled().to_bytes(),
+        compiled: engine.generation().compiled().to_bytes(),
     }
 }
 
@@ -497,7 +497,10 @@ fn nrt_ingest_races_clients_without_tearing() {
         engine.merge_delta().expect("merge");
         let mut full = base_docs();
         full.extend(storm_docs(16..24));
-        assert_eq!(engine.index().to_bytes(), build_index(&full).to_bytes());
+        assert_eq!(
+            engine.generation().index().to_bytes(),
+            build_index(&full).to_bytes()
+        );
     });
 }
 
