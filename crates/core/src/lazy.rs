@@ -79,7 +79,7 @@ impl Ord for LazyEntry {
     /// index.
     fn cmp(&self, other: &Self) -> Ordering {
         #[cfg(test)]
-        crate::opcount::heap_step();
+        crate::opcount::comparison();
         self.score
             .total_cmp(&other.score)
             .then_with(|| self.tie.total_cmp(&other.tie))

@@ -4,7 +4,7 @@
 //! 2011*, plus the classic MMR baseline, behind one [`Diversifier`] trait:
 //!
 //! * [`OptSelect`] — the paper's algorithm (Algorithm 2) solving the
-//!   **MaxUtility Diversify(k)** problem in `O(n·|Sq|·log k)`,
+//!   **MaxUtility Diversify(k)** problem in `O(n·|Sq| + k log k)`,
 //! * [`IaSelect`] — the greedy `(1−1/e)`-approximation of Agrawal et al.'s
 //!   **QL Diversify(k)** (Eq. 4), `O(n·k·|Sq|)`,
 //! * [`XQuad`] — Santos et al.'s greedy **xQuAD Diversify(k)** (Eq. 5–6),
@@ -22,7 +22,6 @@
 //!   against all its specializations with one sparse accumulation,
 //! * [`candidates`] — the [`DiversifyInput`] bundle (`P(q′|q)`, `P(d|q)`,
 //!   the `Ũ(d|R_q′)` matrix, optional surrogate vectors),
-//! * [`heap`] — the bounded top-`m` heaps of Algorithm 2,
 //! * [`framework`] — what the five-stage pipeline is assembled from: the
 //!   §4.1 precomputed store and its memory accounting, candidate
 //!   surrogates, input assembly and algorithm dispatch, each with its
@@ -31,7 +30,6 @@
 pub mod baseline;
 pub mod candidates;
 pub mod framework;
-pub mod heap;
 pub mod iaselect;
 mod lazy;
 pub mod mmr;
@@ -47,7 +45,6 @@ pub use framework::{
     candidate_surrogate, candidate_surrogate_naive, candidate_surrogates_naive, run_algorithm,
     AlgorithmKind, PipelineParams, SpecializationStore,
 };
-pub use heap::BoundedHeap;
 pub use iaselect::IaSelect;
 pub use mmr::Mmr;
 pub use optselect::OptSelect;

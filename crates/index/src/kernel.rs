@@ -282,6 +282,8 @@ mod tests {
     use crate::dph::Dph;
     use crate::search::{query_weights, SearchEngine};
     use crate::sharded::{merge_top_k, ShardedIndex};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
@@ -533,20 +535,21 @@ mod tests {
         assert!(kernel(&idx, &[], &Dph::new(), 10).is_empty());
     }
 
+    /// DPH until the fuse burns down, then a panic *between* accumulator
+    /// updates — i.e. after slots are already dirty.
+    struct FusedModel(AtomicU32);
+
+    impl RankingModel for FusedModel {
+        fn score(&self, tf: u32, doc_len: u32, term: TermStats, coll: CollectionStats) -> f64 {
+            if self.0.fetch_sub(1, Ordering::Relaxed) == 0 {
+                panic!("model fault mid-accumulation");
+            }
+            Dph::new().score(tf, doc_len, term, coll)
+        }
+    }
+
     #[test]
     fn mid_accumulation_panic_leaves_the_dense_scratch_clean() {
-        /// DPH until the fuse burns down, then a panic *between*
-        /// accumulator updates — i.e. after slots are already dirty.
-        struct FusedModel(AtomicU32);
-        impl RankingModel for FusedModel {
-            fn score(&self, tf: u32, doc_len: u32, term: TermStats, coll: CollectionStats) -> f64 {
-                if self.0.fetch_sub(1, Ordering::Relaxed) == 0 {
-                    panic!("model fault mid-accumulation");
-                }
-                Dph::new().score(tf, doc_len, term, coll)
-            }
-        }
-
         let idx = Arc::new(index());
         let sharded = ShardedIndex::build(idx.clone(), 2);
         let weights = query_weights(&idx.analyze_query("apple iphone chip"));
@@ -592,5 +595,85 @@ mod tests {
             &SearchEngine::new(&idx).search_terms(&terms, 30),
             "gather",
         );
+    }
+
+    /// Seeded random queries — one to four terms, repeats and unknown ids
+    /// among them, k from 1 to 40 — over the whole index and over a shard
+    /// whose range starts past doc 0. About half run a model that panics
+    /// at a random posting; every call is followed by a check that the
+    /// scratch is back to its invariant and by a clean query that must
+    /// match the oracle bit for bit.
+    #[test]
+    fn random_queries_and_panics_leave_the_scratch_clean() {
+        let words = [
+            "apple", "iphone", "fruit", "chip", "storm", "wind", "pie", "rain", "orchard", "sweet",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5C7A);
+        let mut b = IndexBuilder::new();
+        for i in 0..120u32 {
+            let len = rng.gen_range(1..12);
+            let text: Vec<&str> = (0..len)
+                .map(|_| words[rng.gen_range(0..words.len())])
+                .collect();
+            b.add(Document::new(
+                i,
+                format!("http://r/{i}"),
+                "",
+                text.join(" "),
+            ));
+        }
+        let idx = Arc::new(b.build());
+        let vocab: Vec<TermId> = words.iter().flat_map(|w| idx.analyze_query(w)).collect();
+        assert_eq!(vocab.len(), words.len());
+        let oracle = SearchEngine::new(&idx);
+        let bytes = ShardedIndex::build(idx.clone(), 3).export_shard(1);
+        let shard = crate::ShardArtifact::from_bytes(&bytes).expect("valid artifact");
+        let range = shard.base()..shard.base() + shard.doc_lens().len() as u32;
+        assert!(range.start > 0);
+        let whole = IndexRange::whole(&idx, None);
+        let mut panicked = 0;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let terms: Vec<TermId> = (0..rng.gen_range(1..=4))
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        TermId(u32::MAX)
+                    } else {
+                        vocab[rng.gen_range(0..vocab.len())]
+                    }
+                })
+                .collect();
+            let weights = query_weights(&terms);
+            let k = rng.gen_range(1..=40);
+            let on_shard = rng.gen_bool(0.5);
+            let run = |model: &FusedModel| {
+                if on_shard {
+                    score_range(&shard, &weights, model, k)
+                } else {
+                    score_range(&whole, &weights, model, k)
+                }
+            };
+            let expect: Vec<ScoredDoc> = oracle
+                .search_terms(&terms, 1_000)
+                .into_iter()
+                .filter(|h| !on_shard || range.contains(&h.doc.0))
+                .take(k)
+                .collect();
+            let what = format!("seed {seed}: {terms:?} k={k} shard={on_shard}");
+            if rng.gen_bool(0.5) {
+                let fuse = rng.gen_range(0..80);
+                let fused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&FusedModel(AtomicU32::new(fuse)))
+                }));
+                match fused {
+                    Ok(hits) => assert_same(&hits, &expect, &what),
+                    Err(_) => panicked += 1,
+                }
+                assert!(scratch_is_clean(), "{what}: after a fused call");
+            }
+            assert_same(&run(&FusedModel(AtomicU32::new(u32::MAX))), &expect, &what);
+            assert!(scratch_is_clean(), "{what}");
+        }
+        assert!(panicked >= 100, "only {panicked} calls panicked");
     }
 }

@@ -10,7 +10,7 @@ use crate::metrics::{Degradation, MetricsSnapshot, ServeMetrics};
 use crate::request::{QueryRequest, RankedResult, SearchResponse, StageTimings};
 use crate::slo::SloConfig;
 use crate::stages::{default_stage_chain, PipelineContext, Stage, StageOutcome};
-use crate::surrogates::{lookup, SurrogateCache};
+use crate::surrogates::{SurrogateCache, SurrogateTable};
 use serpdiv_core::{
     AlgorithmKind, CompiledSpecStore, Diversifier, PipelineParams, SpecializationStore,
 };
@@ -401,11 +401,12 @@ impl SearchEngine {
 
     /// The candidate snippet surrogates for one request against its
     /// pinned `generation`, through the query's
-    /// [`SurrogateTable`](crate::SurrogateTable) when the cache is
+    /// [`SurrogateTable`] when the cache is
     /// enabled: one cache probe under the generation's surrogate stamp
     /// (the sealed index + forward index its vectors are computed from,
-    /// see [`crate::generation`]) fetches the table, the candidates
-    /// resolve against it by binary search, and only a request that had
+    /// see [`crate::generation`]) fetches the table, each sealed candidate
+    /// resolves against it at its sealed rank (binary search only when the
+    /// table ranked another document there), and only a request that had
     /// to compute a vector publishes a replacement. With a
     /// compiled [`ForwardIndex`] deployed, a miss is a `TermId`-stream
     /// window scan plus direct TF-IDF emission; without one it falls back
@@ -458,15 +459,19 @@ impl SearchEngine {
         let vectors: Vec<Arc<SparseVector>> = baseline
             .iter()
             .map(|h| {
-                let is_sealed = h.doc.index() < sealed;
-                let cached = table.as_ref().filter(|_| is_sealed);
-                match cached.and_then(|t| lookup(t, h.doc)) {
+                if h.doc.index() >= sealed {
+                    return compute(h.doc);
+                }
+                // Hits and misses together count the sealed candidates
+                // seen so far: this one's sealed rank.
+                let rank = (hits + misses) as usize;
+                match table.as_ref().and_then(|t| t.get(rank, h.doc)) {
                     Some(v) => {
                         hits += 1;
                         v.clone()
                     }
                     None => {
-                        misses += u64::from(is_sealed);
+                        misses += 1;
                         compute(h.doc)
                     }
                 }
@@ -475,17 +480,17 @@ impl SearchEngine {
         cache.record(hits, misses);
         if misses > 0 {
             // Copy-on-write: the replacement holds exactly this request's
-            // sealed candidates (the hits re-shared, the misses added), so
-            // a table never outgrows the deepest candidate set asked of
-            // its query.
-            let mut entries: Vec<(DocId, Arc<SparseVector>)> = baseline
+            // sealed candidates (the hits re-shared, the misses added) in
+            // this request's rank order, so a table never outgrows the
+            // deepest candidate set asked of its query, and the next
+            // request that ranks them alike finds each at its own rank.
+            let ranked: Vec<(DocId, Arc<SparseVector>)> = baseline
                 .iter()
                 .zip(&vectors)
                 .filter(|(h, _)| h.doc.index() < sealed)
                 .map(|(h, v)| (h.doc, v.clone()))
                 .collect();
-            entries.sort_unstable_by_key(|entry| entry.0);
-            cache.publish(key, entries.into());
+            cache.publish(key, SurrogateTable::new(ranked));
         }
         vectors
     }

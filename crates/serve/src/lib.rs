@@ -82,8 +82,9 @@
 //!    shard after shard on the request's thread otherwise;
 //! 3. **surrogate** ([`stages::SurrogateStage`]) — snippet surrogate
 //!    vectors for the candidates, memoized in the [`SurrogateCache`] as
-//!    one doc-sorted table per `(surrogate epoch, query-terms)`: one cache
-//!    probe per request, candidates resolved by binary search;
+//!    one rank-ordered table per `(surrogate epoch, query-terms)`: one
+//!    cache probe per request, each candidate resolved at its own rank
+//!    (binary search only when the table ranked another document there);
 //! 4. **utility** ([`stages::UtilityStage`]) — the `Ũ(d|R_q′)` matrix
 //!    (Definition 2), one sparse term-at-a-time accumulation per candidate
 //!    against the [`CompiledSpecStore`](serpdiv_core::CompiledSpecStore) —

@@ -6,13 +6,22 @@
 //! The query terms are part of that identity, so a cached vector is only
 //! ever reused by a request with the *same* analyzed query — reuse runs
 //! along the query axis. The cache is therefore keyed by query, not by
-//! document: `(surrogate epoch, query terms)` maps to an immutable, doc-sorted
+//! document: `(surrogate epoch, query terms)` maps to an immutable
 //! [`SurrogateTable`] holding the vectors of that query's candidates. A
 //! request pays one hash, one lock and one `Arc` clone for the whole
-//! table, then resolves its candidates by binary search in its private
-//! copy with no shared state touched; only a request that had to compute
-//! something publishes a replacement table (copy-on-write — readers of
-//! the old table are never disturbed).
+//! table, then resolves its candidates in that private copy with no
+//! shared state touched; only a request that had to compute something
+//! publishes a replacement table (copy-on-write — readers of the old
+//! table are never disturbed).
+//!
+//! A table keeps its publisher's sealed candidates in the publisher's
+//! rank order, so resolving a candidate is one probe of the slot at its
+//! own sealed rank: the next request for the query almost always ranks
+//! the same list, and then every probe hits in `O(1)`. A list ranked
+//! otherwise — re-ranked after an ingest moved the union statistics, a
+//! shorter prefix, a foreign document shifting the ranks after it — finds
+//! a candidate whose slot holds another document through the table's
+//! `DocId`-sorted index instead, by binary search, with the same result.
 //!
 //! It still serves *uncached* SERPs, which is what makes it effective for
 //! the traffic the result cache misses (another `k`, another algorithm,
@@ -40,19 +49,58 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// contents, so two query strings that analyze alike share one table.
 pub type TableKey = (u64, Arc<[TermId]>);
 
-/// One query's surrogates, sorted by `DocId` for binary search. Immutable
-/// once published: extending it means publishing a new table.
-pub type SurrogateTable = Arc<[(DocId, Arc<SparseVector>)]>;
+/// One query's surrogates: the sealed candidates of the request that
+/// published it, in that request's rank order, and their positions sorted
+/// by `DocId` (4 bytes an entry beside the 16 of the ranked list).
+/// Immutable once published: extending it means publishing a new table.
+#[derive(Debug)]
+pub struct SurrogateTable {
+    ranked: Box<[(DocId, Arc<SparseVector>)]>,
+    by_doc: Box<[u32]>,
+}
 
-/// The vector `table` holds for `doc`, if any.
-pub(crate) fn lookup(table: &SurrogateTable, doc: DocId) -> Option<&Arc<SparseVector>> {
-    let i = table.binary_search_by_key(&doc, |entry| entry.0).ok()?;
-    Some(&table[i].1)
+impl SurrogateTable {
+    /// A table over `ranked`: a request's sealed candidates with their
+    /// vectors, in the request's rank order.
+    pub fn new(ranked: Vec<(DocId, Arc<SparseVector>)>) -> Self {
+        let len = u32::try_from(ranked.len()).expect("fewer than 2^32 vectors");
+        let mut by_doc: Vec<u32> = (0..len).collect();
+        by_doc.sort_unstable_by_key(|&at| ranked[at as usize].0);
+        SurrogateTable {
+            ranked: ranked.into(),
+            by_doc: by_doc.into(),
+        }
+    }
+
+    /// Number of vectors held.
+    pub fn len(&self) -> usize {
+        self.ranked.len()
+    }
+
+    /// True when no vector is held.
+    pub fn is_empty(&self) -> bool {
+        self.ranked.is_empty()
+    }
+
+    /// The vector held for `doc`, the candidate at sealed rank `rank` of
+    /// the caller's list: the slot at `rank` when the publisher ranked
+    /// `doc` there too, a binary search of the index otherwise.
+    pub fn get(&self, rank: usize, doc: DocId) -> Option<&Arc<SparseVector>> {
+        match self.ranked.get(rank) {
+            Some((at, vector)) if *at == doc => Some(vector),
+            _ => {
+                let found = self
+                    .by_doc
+                    .binary_search_by_key(&doc, |&at| self.ranked[at as usize].0);
+                Some(&self.ranked[self.by_doc[found.ok()?] as usize].1)
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Tables {
-    lru: LruCache<TableKey, SurrogateTable>,
+    lru: LruCache<TableKey, Arc<SurrogateTable>>,
     /// Vectors held across all resident tables — what capacity bounds.
     vectors: usize,
 }
@@ -94,7 +142,7 @@ impl SurrogateCache {
     }
 
     /// The table under `key`, marked most recently used.
-    pub fn get(&self, key: &TableKey) -> Option<SurrogateTable> {
+    pub fn get(&self, key: &TableKey) -> Option<Arc<SurrogateTable>> {
         self.lock().lru.get(key).cloned()
     }
 
@@ -119,7 +167,7 @@ impl SurrogateCache {
             tables.vectors -= evicted.len();
         }
         tables.vectors += table.len();
-        tables.lru.insert(key, table);
+        tables.lru.insert(key, Arc::new(table));
     }
 
     /// Count one request's candidates: `hits` served from a table,
@@ -156,13 +204,19 @@ mod tests {
         (epoch, terms.iter().map(|&t| TermId(t)).collect())
     }
 
-    /// A table over `docs` whose vectors encode their doc id.
+    /// `docs` in the given order, each with a vector encoding its id.
+    fn ranked(docs: impl IntoIterator<Item = u32>) -> Vec<(DocId, Arc<SparseVector>)> {
+        docs.into_iter()
+            .map(|d| {
+                let v = SparseVector::from_pairs([(TermId(1), d as f32 + 1.0)]);
+                (DocId(d), Arc::new(v))
+            })
+            .collect()
+    }
+
+    /// A table over `docs`, ranked in increasing id order.
     fn table(docs: std::ops::Range<u32>) -> SurrogateTable {
-        docs.map(|d| {
-            let v = SparseVector::from_pairs([(TermId(1), d as f32 + 1.0)]);
-            (DocId(d), Arc::new(v))
-        })
-        .collect()
+        SurrogateTable::new(ranked(docs))
     }
 
     #[test]
@@ -173,9 +227,66 @@ mod tests {
         let a = cache.get(&key(1, &[1, 2])).unwrap();
         let b = cache.get(&key(1, &[1, 2])).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "a hit shares the table");
-        assert_eq!(lookup(&a, DocId(7)).unwrap().entries()[0].1, 8.0);
-        assert!(lookup(&a, DocId(10)).is_none());
+        assert_eq!(a.get(7, DocId(7)).unwrap().entries()[0].1, 8.0);
+        assert_eq!(a.get(0, DocId(7)).unwrap().entries()[0].1, 8.0);
+        assert!(a.get(10, DocId(10)).is_none());
         assert_eq!(cache.stats().entries, 10);
+    }
+
+    /// Resolve a probe list the way the surrogate stage does — each
+    /// sealed document at its sealed rank, documents at or past `sealed`
+    /// skipped — and check every answer against a `DocId`-sorted lookup
+    /// of the publisher's entries. Returns how many probes the slot at
+    /// their rank answered.
+    fn probe(
+        table: &SurrogateTable,
+        entries: &[(DocId, Arc<SparseVector>)],
+        list: &[u32],
+    ) -> usize {
+        let sealed = 1_000;
+        let mut sorted: Vec<&(DocId, Arc<SparseVector>)> = entries.iter().collect();
+        sorted.sort_unstable_by_key(|entry| entry.0);
+        let mut at_slot = 0;
+        for (rank, &d) in list.iter().filter(|&&d| d < sealed).enumerate() {
+            let want = sorted
+                .binary_search_by_key(&DocId(d), |entry| entry.0)
+                .ok()
+                .map(|i| &sorted[i].1);
+            let got = table.get(rank, DocId(d));
+            assert_eq!(
+                got.map(Arc::as_ptr),
+                want.map(Arc::as_ptr),
+                "doc {d} at rank {rank}"
+            );
+            at_slot += usize::from(table.ranked.get(rank).is_some_and(|e| e.0 == DocId(d)));
+        }
+        at_slot
+    }
+
+    #[test]
+    fn every_probe_list_resolves_like_a_doc_sorted_lookup() {
+        let order = [41, 7, 300, 12, 999, 0, 58, 203, 77, 5];
+        let entries = ranked(order);
+        let table = SurrogateTable::new(entries.clone());
+        // The publisher's own list: every probe is its slot.
+        assert_eq!(probe(&table, &entries, &order), order.len());
+        // A permutation: the slots mostly hold other documents, and the
+        // index answers.
+        let mut permuted = order;
+        permuted.reverse();
+        assert_eq!(probe(&table, &entries, &permuted), 0);
+        // A prefix, as a shallower request asks for.
+        assert_eq!(probe(&table, &entries, &order[..4]), 4);
+        // Delta documents interleaved: they take no sealed rank.
+        let with_delta = [1_000, 41, 7, 1_001, 300, 12, 999, 1_002, 0, 58, 203, 77, 5];
+        assert_eq!(probe(&table, &entries, &with_delta), order.len());
+        // A foreign document shifts every rank after it.
+        let foreign = [41, 7, 500, 300, 12, 999, 0];
+        assert_eq!(probe(&table, &entries, &foreign), 2);
+        // An empty table answers nothing.
+        let empty = SurrogateTable::new(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!(probe(&empty, &[], &order), 0);
     }
 
     #[test]
@@ -243,7 +354,7 @@ mod tests {
                         let k = key(1, &[(t + i) % 12]);
                         match cache.get(&k) {
                             Some(found) => {
-                                assert_eq!(lookup(&found, DocId(3)).unwrap().entries()[0].1, 4.0)
+                                assert_eq!(found.get(3, DocId(3)).unwrap().entries()[0].1, 4.0)
                             }
                             None => cache.publish(k, table(0..(4 + i % 9))),
                         }

@@ -14,9 +14,9 @@
 //!    a λ sweep including the degenerate 0 and 1 endpoints.
 //! 3. An **extended randomized sweep** over many more random worlds.
 //!
-//! OptSelect was already single-pass (a bounded-heap scan, Algorithm 2),
-//! so it has no lazy variant — the goldens still cover it to pin its
-//! tie-breaking alongside the other three.
+//! OptSelect is not greedy (one scoring pass, one selection of its top 2k
+//! and one sort, Algorithm 2), so it has no lazy variant — the goldens
+//! still cover it to pin its tie-breaking alongside the other three.
 
 use serpdiv::core::{
     run_algorithm, AlgorithmKind, DiversifyInput, IaSelect, Mmr, PipelineParams, UtilityMatrix,

@@ -463,6 +463,120 @@ fn racing_cold_requests_publish_equivalent_tables() {
     }
 }
 
+/// Twelve "apple" documents whose query-term frequency and length grow at
+/// different rates, so that DPH's order among them depends on the
+/// collection statistics an ingest moves.
+fn rerank_world() -> (Arc<InvertedIndex>, Arc<SpecializationModel>) {
+    let mut b = IndexBuilder::new();
+    for i in 0..12u32 {
+        let (title, topic) = if i % 2 == 0 {
+            ("apple iphone", "iphone smartphone chip")
+        } else {
+            ("apple fruit", "fruit orchard juice")
+        };
+        let body = format!(
+            "{}{topic} {}",
+            "apple ".repeat(1 + i as usize % 4),
+            "filler ".repeat(3 * i as usize)
+        );
+        b.add(Document::new(i, format!("http://apple/{i}"), title, body));
+    }
+    let model = SpecializationModel::from_json(
+        r#"{"entries":{
+            "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}
+        }}"#,
+    )
+    .unwrap();
+    (Arc::new(b.build()), Arc::new(model))
+}
+
+/// (e) An ingest moves the union statistics and re-ranks the sealed
+/// candidates, but keeps the surrogate stamp: the query's table, ranked
+/// in the old order, still serves every sealed candidate — most of them
+/// no longer at the slot of their rank — and the pages match the
+/// cache-less engine bit for bit.
+#[test]
+fn an_ingest_that_re_ranks_the_candidates_still_hits_every_sealed_one() {
+    let (index, model) = rerank_world();
+    let config = EngineConfig {
+        n_candidates: 16,
+        cache_capacity: 0,
+        surrogate_cache_capacity: 1024,
+        ..EngineConfig::default()
+    };
+    let cached = SearchEngine::deploy(index.clone(), model.clone(), config);
+    let uncached = SearchEngine::deploy(
+        index,
+        model,
+        EngineConfig {
+            surrogate_cache_capacity: 0,
+            ..config
+        },
+    );
+    let ranked = |engine: &SearchEngine| -> Vec<u32> {
+        let hits = engine.generation().retriever().retrieve("apple", 16);
+        hits.iter().map(|h| h.doc.0).collect()
+    };
+    let sealed_order = |engine: &SearchEngine| -> Vec<u32> {
+        ranked(engine).into_iter().filter(|&d| d < 12).collect()
+    };
+    let serve_all = || {
+        for algo in ALGOS {
+            assert_same_page(&cached, &uncached, QueryRequest::new("apple", 6, algo));
+        }
+    };
+    serve_all();
+    let before = sealed_order(&cached);
+    assert_eq!(before.len(), 12);
+    let stats = cached.surrogate_cache().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (3 * 12, 12));
+
+    // Forty documents without the query term, two with it: N, F and the
+    // average length all move, and a fresh "apple" page ranks between
+    // sealed candidates.
+    let mut fresh: Vec<Document> = (12..52u32)
+        .map(|i| {
+            let body = "storm warning wind forecast ".repeat(1 + i as usize % 3);
+            Document::new(i, format!("http://storm/{i}"), "storm", body)
+        })
+        .collect();
+    fresh.push(Document::new(
+        52,
+        "http://apple/52",
+        "apple",
+        "apple apple apple apple basket orchard",
+    ));
+    fresh.push(Document::new(
+        53,
+        "http://apple/53",
+        "apple",
+        "apple apple cider press vinegar",
+    ));
+    for engine in [&cached, &uncached] {
+        engine.ingest(fresh.clone()).unwrap();
+    }
+    let after = sealed_order(&cached);
+    let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
+    assert!(
+        moved >= 2,
+        "the ingest must re-rank: {before:?} → {after:?}"
+    );
+    let all = ranked(&cached);
+    let last_sealed = all.iter().rposition(|&d| d < 12).unwrap();
+    assert!(
+        all[..last_sealed].iter().any(|&d| d >= 12),
+        "a delta document must interleave: {all:?}"
+    );
+
+    serve_all();
+    let stats = cached.surrogate_cache().unwrap().stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries),
+        (3 * 12 + 4 * 12, 12, 12),
+        "every sealed candidate served from the pre-ingest table"
+    );
+}
+
 /// Randomized corpus sweep: one seeded `StdRng` per world.
 mod randomized {
     use super::*;
