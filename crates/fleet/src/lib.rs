@@ -31,9 +31,10 @@
 //!   [`merge_top_k`](serpdiv_index::merge_top_k); per-shard deadlines
 //!   counted from each shard's write (clamped to the request's remaining
 //!   budget), one fresh-connection re-dispatch of a slow (past 4× the
-//!   link's EWMA latency) or broken exchange, per-link circuit
-//!   breakers, partial gathers on shard loss, reconnect with jittered
-//!   exponential backoff.
+//!   link's EWMA latency) or broken exchange, a per-link circuit breaker
+//!   as the one failure policy (a failed link reconnects on its next
+//!   query; after the cooldown that query is the probe), partial gathers
+//!   on shard loss.
 //!
 //! Because workers return the exact `f64` bits their shard computed and
 //! the router runs the exact in-process merge, a healthy fleet's pages

@@ -34,27 +34,25 @@
 //!   link with no completed exchange does not hedge — so hedges fire on
 //!   outliers, not medians, and a bounced worker costs exactly one
 //!   degraded response.
-//! * **Circuit breaker** — [`FleetConfig::breaker_threshold`]
-//!   consecutive counted failures open the link's breaker for
-//!   [`FleetConfig::breaker_cooldown`]: queries fail the shard instantly
-//!   (zero syscalls) while open, and the first query after the cooldown
-//!   sends a half-open [`Frame::Ping`] down the same fresh leg — success
-//!   closes the breaker, failure re-opens it for another cooldown.
+//! * **Circuit breaker** — the link's one failure policy. A counted
+//!   failure condemns the connection, and the link reconnects on its next
+//!   query (against a dead worker, one refused `connect`). Five
+//!   consecutive counted failures open the breaker for
+//!   [`FleetConfig::breaker_cooldown`]: while open, queries fail the shard
+//!   instantly (zero syscalls). After the cooldown the next query *is* the
+//!   probe, on a fresh connection: success closes the breaker; failure
+//!   finds the failure count still past the threshold and re-opens it for
+//!   another cooldown.
 //! * **Partial gathers** — the merge runs over whichever shards
 //!   answered; the result is reported as incomplete via
 //!   [`Retrieval::partial`] so the serving layer can label the response
 //!   degraded instead of presenting a partial ranking as the real one.
-//! * **Reconnect with jittered backoff** — a failed link waits out an
-//!   exponential backoff window (base doubling to a cap, with seeded
-//!   full jitter so simultaneous failures don't re-connect in lockstep)
-//!   before the next connect attempt; queries during the window fail the
-//!   shard instantly rather than queueing behind connect syscalls.
 //!
 //! Timeouts caused by a *clamped* deadline budget (the request ran out of
 //! time, not the shard) condemn the connection but are deliberately not
-//! counted: they advance neither the failure counters, the backoff
-//! window, nor the breaker — an overloaded request stream must not poison
-//! the router's picture of shard health.
+//! counted: they advance neither the failure counters nor the breaker —
+//! an overloaded request stream must not poison the router's picture of
+//! shard health.
 
 use crate::protocol::{read_frame, write_frame, Frame, WireError, DEFAULT_MAX_FRAME};
 use serpdiv_chaos::SiteAction;
@@ -73,13 +71,11 @@ const HEDGE_MULTIPLIER: f64 = 4.0;
 /// …but never sooner than this, so microsecond-fast links don't hedge on
 /// scheduler noise.
 const HEDGE_FLOOR: Duration = Duration::from_millis(2);
-/// Seed of the per-link backoff-jitter RNGs (each link derives its own
-/// stream from this and its shard index, so retry schedules are
-/// deterministic under test yet de-synchronized across links).
-const JITTER_SEED: u64 = 0x5EA7_D1F7;
+/// Consecutive counted failures that open a link's circuit breaker.
+const BREAKER_THRESHOLD: u32 = 5;
 
-/// Tunables for the router's failure handling. The hedge threshold is
-/// not one of them: it follows each link's observed latency (see the
+/// Tunables for the router's failure handling. The hedge threshold and
+/// the breaker's failure threshold are not among them (see the
 /// [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
@@ -87,15 +83,8 @@ pub struct FleetConfig {
     /// answer within it is dropped from the gather. Clamped per request
     /// by the remaining deadline budget, when one is given.
     pub shard_timeout: Duration,
-    /// First backoff window after a failed connect.
-    pub backoff_base: Duration,
-    /// Cap on the doubling backoff window.
-    pub backoff_max: Duration,
-    /// Consecutive counted failures that open a link's circuit breaker
-    /// (`0` disables the breaker).
-    pub breaker_threshold: u32,
     /// How long an open breaker fails the shard instantly before the
-    /// half-open probe.
+    /// next query probes it.
     pub breaker_cooldown: Duration,
 }
 
@@ -103,9 +92,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shard_timeout: Duration::from_millis(250),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(2),
-            breaker_threshold: 5,
             breaker_cooldown: Duration::from_millis(250),
         }
     }
@@ -114,20 +100,15 @@ impl Default for FleetConfig {
 /// Mutable per-link state, guarded by the link's mutex.
 struct LinkState {
     conn: Option<UnixStream>,
-    /// Next backoff window to apply on connect failure.
-    backoff: Duration,
-    /// If set, no connect attempt before this instant.
-    retry_at: Option<Instant>,
     /// Monotone per-link request id (fresh connections keep counting —
     /// ids must never repeat across a hedge).
     next_id: u64,
     ever_connected: bool,
-    /// Backoff-jitter RNG state (xorshift64*).
-    jitter: u64,
     /// EWMA of successful exchange latency, µs; `None` until the first
     /// completed exchange. Sets the hedge threshold.
     ewma_us: Option<f64>,
-    /// Counted failures since the last success; trips the breaker.
+    /// Counted failures since the last success; at the threshold and
+    /// past it, every counted failure (re-)opens the breaker.
     consecutive_failures: u32,
     /// While set and in the future, the breaker is open.
     open_until: Option<Instant>,
@@ -183,10 +164,11 @@ enum ShardError {
 #[derive(Clone, Copy)]
 enum Mode {
     /// A served query, under the request's remaining deadline budget if
-    /// it carries one: breaker-gated, hedged, and counted toward metrics,
-    /// backoff and the breaker.
+    /// it carries one: breaker-gated, hedged, and counted toward metrics
+    /// and the breaker.
     Serve(Option<Duration>),
-    /// Boot-time readiness pinging: no breaker, no hedging, no counting.
+    /// Boot-time readiness pinging: no breaker, no hedging, no counting —
+    /// but a ping that succeeds closes the breaker.
     Boot,
 }
 
@@ -227,7 +209,8 @@ pub struct FleetMetricsSnapshot {
     /// Exchanges re-dispatched on a fresh connection after the primary
     /// blew the hedge threshold.
     pub hedges: u64,
-    /// Closed→open (and half-open→open) breaker transitions.
+    /// Closed→open breaker transitions, plus re-opens after a failed
+    /// probe.
     pub breaker_trips: u64,
     /// Exchanges failed instantly — zero syscalls — by an open breaker.
     pub breaker_fast_fails: u64,
@@ -270,16 +253,12 @@ impl FleetRouter {
         assert!(!sockets.is_empty(), "a fleet needs at least one worker");
         let links = sockets
             .into_iter()
-            .enumerate()
-            .map(|(s, path)| WorkerLink {
+            .map(|path| WorkerLink {
                 path,
                 state: Mutex::new(LinkState {
                     conn: None,
-                    backoff: config.backoff_base,
-                    retry_at: None,
                     next_id: 0,
                     ever_connected: false,
-                    jitter: jitter_state(JITTER_SEED, s as u64),
                     ewma_us: None,
                     consecutive_failures: 0,
                     open_until: None,
@@ -324,17 +303,11 @@ impl FleetRouter {
     ///
     /// Verifies the wiring while it waits: endpoint *s* must report shard
     /// id *s*, so a shuffled socket list fails loudly at boot instead of
-    /// silently merging wrong ranges.
+    /// silently merging wrong ranges. Boot pings bypass the breaker, and
+    /// one that succeeds closes it.
     pub fn wait_ready(&self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
-            // Boot-time probing ignores the steady-state backoff and
-            // breaker windows — the whole point is to poll until up.
-            for link in &self.links {
-                let mut state = link.lock();
-                state.retry_at = None;
-                state.open_until = None;
-            }
             let replies = self.exchange(|id| Frame::Ping { id }, Mode::Boot);
             // A miswired endpoint stays pending: the caller gets a clear
             // error below rather than a wrong merge later.
@@ -411,8 +384,8 @@ impl FleetRouter {
     /// thread: the send steps write every shard's request in ascending
     /// shard order (also the lock order, so concurrent callers cannot
     /// deadlock), then the receive steps read the replies in the same
-    /// order. Each shard's reply is `None` if it failed, is in backoff, or
-    /// its breaker is open.
+    /// order. Each shard's reply is `None` if it failed or its breaker is
+    /// open.
     fn exchange(&self, make: impl Fn(u64) -> Frame, mode: Mode) -> Vec<Option<Frame>> {
         let pending: Vec<Option<Pending<'_>>> = (0..self.links.len())
             .map(|s| self.send(s, &make, mode))
@@ -424,8 +397,8 @@ impl FleetRouter {
     }
 
     /// The send step for shard `s`: enforce the breaker, clamp the wire
-    /// deadline to the budget, connect or honour the backoff window, draw
-    /// a fresh id and write — keeping the link locked for the receive
+    /// deadline to the budget, connect if the link has no connection,
+    /// draw a fresh id and write — keeping the link locked for the receive
     /// step.
     fn send(&self, s: usize, make: &impl Fn(u64) -> Frame, mode: Mode) -> Option<Pending<'_>> {
         // Chaos hook (no-op unless a fault plan is armed): lose or delay
@@ -438,7 +411,7 @@ impl FleetRouter {
         let link = &self.links[s];
         let mut state = link.lock();
         let budget = match mode {
-            Mode::Serve(_) if self.breaker_blocks(s, &mut state) => return None,
+            Mode::Serve(_) if self.breaker_blocks(&state) => return None,
             Mode::Serve(budget) => budget,
             Mode::Boot => None,
         };
@@ -448,25 +421,22 @@ impl FleetRouter {
         let total = budget.map_or(timeout, |b| b.min(timeout));
         if total.is_zero() {
             // The budget is already spent: nothing the shard can do
-            // helps, and blaming it would poison backoff/breaker state.
+            // helps, and blaming it would poison the breaker.
             return None;
         }
         if state.conn.is_none() {
-            if state.retry_at.is_some_and(|at| Instant::now() < at) {
-                return None; // in backoff: fail fast, no syscall
-            }
             match UnixStream::connect(&link.path) {
                 Ok(conn) => {
                     if state.ever_connected {
                         self.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     state.ever_connected = true;
-                    state.backoff = self.config.backoff_base;
-                    state.retry_at = None;
                     state.conn = Some(conn);
                 }
                 Err(_) => {
-                    self.note_failure(&mut state, false, matches!(mode, Mode::Serve(_)));
+                    if let Mode::Serve(_) = mode {
+                        self.note_failure(&mut state, false);
+                    }
                     return None;
                 }
             }
@@ -526,16 +496,16 @@ impl FleetRouter {
         };
         match reply {
             Ok(reply) => {
-                self.note_success(&mut p.state, p.written.elapsed());
+                Self::note_success(&mut p.state, p.written.elapsed());
                 Some(reply)
             }
             Err(kind) => {
                 // A timeout under a *clamped* deadline is not the shard's
                 // fault — the request ran out of budget — and must not
-                // poison the counters, the backoff window, or the breaker.
+                // poison the counters or the breaker.
                 let timeout = matches!(kind, ShardError::Timeout);
-                if !(timeout && p.clamped) {
-                    self.note_failure(&mut p.state, timeout, matches!(mode, Mode::Serve(_)));
+                if matches!(mode, Mode::Serve(_)) && !(timeout && p.clamped) {
+                    self.note_failure(&mut p.state, timeout);
                 }
                 None
             }
@@ -545,8 +515,8 @@ impl FleetRouter {
     /// One exchange with shard `s` on a fresh connection with a fresh
     /// request id, all within `remaining`; on success the connection
     /// becomes the link's cached one. It serves the hedge (counted in
-    /// `hedges`), the resend through a broken connection and the breaker's
-    /// half-open probe (both counted in `reconnects`).
+    /// `hedges`) and the resend through a broken connection (counted in
+    /// `reconnects`).
     fn fresh_leg(
         &self,
         s: usize,
@@ -578,37 +548,15 @@ impl FleetRouter {
         Ok(reply)
     }
 
-    /// Enforce the circuit breaker for shard `s`. Returns `true` when the
-    /// exchange must fail fast (breaker open), `false` when it may
-    /// proceed (breaker closed, or the half-open probe just succeeded).
-    fn breaker_blocks(&self, s: usize, state: &mut LinkState) -> bool {
-        let Some(until) = state.open_until else {
-            return false;
-        };
-        if Instant::now() < until {
-            // Open: fail instantly, zero syscalls.
+    /// Whether the link's breaker is open, which fails the exchange
+    /// instantly with zero syscalls. Past the cooldown it is not, and the
+    /// exchange is the probe.
+    fn breaker_blocks(&self, state: &LinkState) -> bool {
+        let open = state.open_until.is_some_and(|until| Instant::now() < until);
+        if open {
             self.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
-            return true;
         }
-        // Half-open: one ping on a fresh leg decides. The cached
-        // connection (if any) predates the trip and cannot be trusted.
-        state.conn = None;
-        state.retry_at = None;
-        let ping = |id| Frame::Ping { id };
-        if self
-            .fresh_leg(s, state, &ping, self.config.shard_timeout, false)
-            .is_ok()
-        {
-            state.open_until = None;
-            state.consecutive_failures = 0;
-            false
-        } else {
-            // Still sick: re-open for another cooldown.
-            state.open_until = Some(Instant::now() + self.config.breaker_cooldown);
-            self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-            self.shard_failures.fetch_add(1, Ordering::Relaxed);
-            true
-        }
+        open
     }
 
     /// The wire deadline of the *primary* dispatch; past it, the exchange
@@ -624,12 +572,9 @@ impl FleetRouter {
         })
     }
 
-    /// A successful exchange: reset every failure signal and fold the
-    /// observed latency into the link's EWMA (which sets the hedge
-    /// threshold).
-    fn note_success(&self, state: &mut LinkState, elapsed: Duration) {
-        state.backoff = self.config.backoff_base;
-        state.retry_at = None;
+    /// A successful exchange: close the breaker and fold the observed
+    /// latency into the link's EWMA (which sets the hedge threshold).
+    fn note_success(state: &mut LinkState, elapsed: Duration) {
         state.consecutive_failures = 0;
         state.open_until = None;
         let sample = elapsed.as_secs_f64() * 1e6;
@@ -639,29 +584,20 @@ impl FleetRouter {
         });
     }
 
-    /// A failed connect or exchange: count it, advance the breaker, and
-    /// schedule the next connect attempt with full-jitter exponential
-    /// backoff (uniform in `[0, window]`, then the window doubles —
-    /// de-synchronizing reconnect stampedes when many links fail at
-    /// once).
-    fn note_failure(&self, state: &mut LinkState, timeout: bool, count: bool) {
-        if count {
-            self.shard_failures.fetch_add(1, Ordering::Relaxed);
-            if timeout {
-                self.shard_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-            if self.config.breaker_threshold > 0
-                && state.consecutive_failures >= self.config.breaker_threshold
-            {
-                state.open_until = Some(Instant::now() + self.config.breaker_cooldown);
-                state.consecutive_failures = 0;
-                self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-            }
+    /// A counted failed connect or exchange: count it, and (re-)open the
+    /// breaker once the link has failed [`BREAKER_THRESHOLD`] times in a
+    /// row. The count is not reset by a trip, so a failed probe re-opens
+    /// the breaker at once.
+    fn note_failure(&self, state: &mut LinkState, timeout: bool) {
+        self.shard_failures.fetch_add(1, Ordering::Relaxed);
+        if timeout {
+            self.shard_timeouts.fetch_add(1, Ordering::Relaxed);
         }
-        let window = state.backoff;
-        state.retry_at = Some(Instant::now() + full_jitter(&mut state.jitter, window));
-        state.backoff = (state.backoff * 2).min(self.config.backoff_max);
+        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
+        if state.consecutive_failures >= BREAKER_THRESHOLD {
+            state.open_until = Some(Instant::now() + self.config.breaker_cooldown);
+            self.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -714,33 +650,6 @@ fn classify(e: &std::io::Error) -> ShardError {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ShardError::Timeout,
         _ => ShardError::Broken,
     }
-}
-
-/// Seed one link's jitter RNG: splitmix64 over `(seed, shard)`, so the
-/// links of one router draw independent schedules.
-fn jitter_state(seed: u64, shard: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(shard.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | 1
-}
-
-/// One full-jitter draw: uniform in `[0, window]`, advancing `state`
-/// (xorshift64*).
-fn full_jitter(state: &mut u64, window: Duration) -> Duration {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let nanos = window.as_nanos().min(u128::from(u64::MAX)) as u64;
-    if nanos == 0 {
-        return Duration::ZERO;
-    }
-    Duration::from_nanos(r % (nanos + 1))
 }
 
 impl Retriever for FleetRouter {
@@ -807,53 +716,39 @@ mod tests {
     }
 
     #[test]
-    fn backoff_window_fails_fast_and_expires() {
-        let config = FleetConfig {
-            backoff_base: Duration::from_millis(40),
-            ..FleetConfig::default()
-        };
-        let router = FleetRouter::new(tiny_index(), vec![dead_socket("backoff")], config);
-        assert!(!complete(&router));
-        assert_eq!(router.metrics().shard_failures, 1);
-        {
-            // The jittered retry window never exceeds the configured
-            // base, and the next window has doubled.
-            let state = router.links[0].lock();
-            let at = state.retry_at.expect("a failure schedules a retry window");
-            assert!(at <= Instant::now() + Duration::from_millis(40));
-            assert_eq!(state.backoff, Duration::from_millis(80));
+    fn breaker_trips_at_the_threshold_fails_fast_and_reopens_on_a_failed_probe() {
+        let sock = dead_socket("breaker");
+        let router = FleetRouter::new(tiny_index(), vec![sock.clone()], FleetConfig::default());
+        // Each query against the dead socket is one refused connect; the
+        // threshold-th trips the breaker.
+        for n in 1..=BREAKER_THRESHOLD {
+            assert!(!complete(&router));
+            assert_eq!(
+                router.metrics().breaker_trips,
+                u64::from(n == BREAKER_THRESHOLD)
+            );
         }
-        // Inside the window (pinned, so the test does not depend on the
-        // jitter draw): the shard fails fast without a connect attempt,
-        // and the failure counter does not move.
-        router.links[0].lock().retry_at = Some(Instant::now() + Duration::from_millis(50));
-        assert!(!complete(&router));
-        assert_eq!(router.metrics().shard_failures, 1);
-        // After the window a real (failing) connect is attempted again.
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(!complete(&router));
-        assert_eq!(router.metrics().shard_failures, 2);
-    }
+        assert_eq!(router.metrics().shard_failures, 5);
 
-    #[test]
-    fn full_jitter_is_seeded_deterministic_and_bounded() {
-        let window = Duration::from_millis(100);
-        let draw = |seed, shard| {
-            let mut st = jitter_state(seed, shard);
-            (0..32)
-                .map(|_| full_jitter(&mut st, window))
-                .collect::<Vec<_>>()
-        };
-        // Same seed, same shard: the exact same schedule.
-        assert_eq!(draw(7, 0), draw(7, 0));
-        // Every draw stays within the window.
-        assert!(draw(7, 0).iter().all(|d| *d <= window));
-        // Different seeds and different shards draw different schedules.
-        assert_ne!(draw(7, 0), draw(8, 0));
-        assert_ne!(draw(7, 0), draw(7, 1));
-        // Degenerate window: zero jitter, no panic.
-        let mut st = jitter_state(7, 0);
-        assert_eq!(full_jitter(&mut st, Duration::ZERO), Duration::ZERO);
+        // Open: even with a listener on the socket, the shard fails
+        // without a connect, and the failure counter does not move.
+        let listener = std::os::unix::net::UnixListener::bind(&sock).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert!(!complete(&router));
+        assert!(listener.accept().is_err(), "an open breaker never connects");
+        let m = router.metrics();
+        assert_eq!((m.breaker_fast_fails, m.shard_failures), (1, 5));
+        drop(listener);
+        let _ = std::fs::remove_file(&sock);
+
+        // Cooldown over (pinned rather than slept): the next query is the
+        // probe, its connect is refused, and the breaker re-opens at once.
+        router.links[0].lock().open_until = Some(Instant::now());
+        assert!(!complete(&router));
+        let m = router.metrics();
+        assert_eq!((m.breaker_trips, m.shard_failures), (2, 6));
+        assert!(!complete(&router));
+        assert_eq!(router.metrics().breaker_fast_fails, 2);
     }
 
     #[test]

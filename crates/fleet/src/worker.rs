@@ -11,9 +11,9 @@
 //! any unexpected frame kind, and any transport error **drops the
 //! connection**. Nothing downstream of a framing error can be trusted,
 //! and the router treats a dropped connection as a shard failure it
-//! recovers from with reconnect-and-backoff — so the cheapest correct
-//! move for the worker is to hang up and wait in `accept` for the next
-//! connection. A worker never panics on peer input.
+//! recovers from by reconnecting on its next query — so the cheapest
+//! correct move for the worker is to hang up and wait in `accept` for the
+//! next connection. A worker never panics on peer input.
 
 use crate::protocol::{encode_frame, read_frame, Frame};
 use serpdiv_index::ShardArtifact;

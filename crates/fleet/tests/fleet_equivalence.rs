@@ -325,7 +325,8 @@ fn killing_a_worker_degrades_and_recovery_restores_exact_pages() {
     assert!(router.metrics().partial_gathers >= 1);
 
     // Restart the worker: after the fleet re-verifies ready, pages are
-    // bit-identical to the oracle again (reconnect-with-backoff path).
+    // bit-identical to the oracle again (the link reconnects on its next
+    // exchange).
     fleet.respawn(1);
     router
         .wait_ready(Duration::from_secs(10))

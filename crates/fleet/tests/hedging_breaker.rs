@@ -3,10 +3,13 @@
 //! * a stalled primary connection is hedged, at 4× the latency its link
 //!   has shown so far, onto a fresh connection and the hedged page is
 //!   **bit-identical** to the in-process oracle; a cold link never hedges;
-//! * consecutive failures open a per-link breaker that fails the shard
-//!   instantly (no connect attempts) until a half-open ping probe heals
-//!   it;
-//! * a failed half-open probe re-opens the breaker;
+//! * a failed link reconnects on its next query: one failure costs one
+//!   degraded response, not a waiting period;
+//! * five consecutive failures open a per-link breaker that fails the
+//!   shard instantly (no connect attempts); after the cooldown the next
+//!   query is the probe, on a fresh connection, and heals the link with a
+//!   bit-identical page;
+//! * a failed probe re-opens the breaker;
 //! * timeouts caused by a clamped deadline budget blame the request, not
 //!   the shard: no failure counters, no breaker movement;
 //! * a resend through a broken connection gets what is left of the
@@ -23,7 +26,7 @@ use serpdiv_index::{
 };
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn corpus() -> Arc<InvertedIndex> {
@@ -122,6 +125,50 @@ fn spawn_late_hangup_worker(path: &PathBuf, hang: Duration) {
     });
 }
 
+/// A real worker that records the first frame of every connection it
+/// accepts, answers it as [`worker::serve_connection`] would, and then
+/// hands the connection to that serve loop. Returns the record.
+fn spawn_recording_worker(
+    path: &PathBuf,
+    sharded: &ShardedIndex,
+    s: usize,
+) -> Arc<Mutex<Vec<Frame>>> {
+    let bytes = sharded.export_shard(s);
+    let listener = UnixListener::bind(path).expect("bind recording socket");
+    let firsts = Arc::new(Mutex::new(Vec::new()));
+    let record = firsts.clone();
+    std::thread::spawn(move || {
+        let artifact = Arc::new(ShardArtifact::from_bytes(&bytes).expect("valid artifact"));
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let Ok(first) = read_frame(&mut stream, DEFAULT_MAX_FRAME) else {
+                continue;
+            };
+            record.lock().unwrap().push(first.clone());
+            let reply = match first {
+                Frame::Query { id, k, terms } => Frame::Hits {
+                    id,
+                    hits: artifact.score_terms(&terms, (k as usize).min(artifact.range_len())),
+                },
+                Frame::Ping { id } => Frame::Pong {
+                    id,
+                    shard_id: artifact.shard_id(),
+                    base: artifact.base(),
+                    range_len: artifact.range_len() as u32,
+                },
+                Frame::Hits { .. } | Frame::Pong { .. } => continue,
+            };
+            if write_frame(&mut stream, &reply).is_ok() {
+                let artifact = artifact.clone();
+                std::thread::spawn(move || {
+                    worker::serve_connection(stream, &artifact, DEFAULT_MAX_FRAME)
+                });
+            }
+        }
+    });
+    firsts
+}
+
 fn spawn_real_worker(path: &PathBuf, sharded: &ShardedIndex, s: usize) {
     let bytes = sharded.export_shard(s);
     let listener = UnixListener::bind(path).expect("bind worker socket");
@@ -187,75 +234,94 @@ fn hedge_recovers_stalled_primary_with_bit_identical_page() {
 }
 
 #[test]
-fn breaker_opens_after_consecutive_failures_and_heals_via_probe() {
+fn a_failed_link_reconnects_on_its_next_query() {
     let index = corpus();
     let sharded = ShardedIndex::build(index.clone(), 1);
-    let sock = socket("breaker");
+    let sock = socket("next");
+    let router = FleetRouter::new(index.clone(), vec![sock.clone()], FleetConfig::default());
+    // Nothing listens yet: one refused connect.
+    assert!(!complete(&router));
+
+    // A worker comes up; the very next query connects to it.
+    spawn_real_worker(&sock, &sharded, 0);
+    let r = router.retrieve_with_status_within("apple pie", 5, None);
+    assert!(r.complete, "the next query reconnects");
+    assert_bit_identical(
+        "reconnected page",
+        &r.hits,
+        &oracle(&sharded, &index, "apple pie", 5),
+    );
+    let m = router.metrics();
+    assert_eq!(m.shard_failures, 1);
+    assert_eq!(m.breaker_trips, 0, "one failure does not open the breaker");
+}
+
+#[test]
+fn the_first_query_after_the_cooldown_is_the_probe() {
+    let index = corpus();
+    let sharded = ShardedIndex::build(index.clone(), 1);
+    let sock = socket("probe");
     let config = FleetConfig {
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(2),
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(150),
+        breaker_cooldown: Duration::from_millis(100),
         ..FleetConfig::default()
     };
-    // Nothing listens yet: every query is a failed connect.
+    // Nothing listens yet: five refused connects trip the breaker.
     let router = FleetRouter::new(index.clone(), vec![sock.clone()], config);
-    for _ in 0..2 {
+    for _ in 0..5 {
         assert!(!complete(&router));
-        // Let the (jittered, ≤ 2 ms) backoff window pass so the next
-        // query really attempts a connect.
-        std::thread::sleep(Duration::from_millis(5));
     }
     let m = router.metrics();
-    assert_eq!(m.shard_failures, 2);
+    assert_eq!(m.shard_failures, 5);
     assert_eq!(
         m.breaker_trips, 1,
-        "two consecutive failures trip the breaker"
+        "five consecutive failures trip the breaker"
     );
 
-    // Open: queries fail instantly without touching the socket.
-    let t = Instant::now();
+    // A worker comes up, but the open breaker fails the shard without
+    // connecting to it.
+    let firsts = spawn_recording_worker(&sock, &sharded, 0);
     assert!(!complete(&router));
-    assert!(
-        t.elapsed() < Duration::from_millis(50),
-        "open breaker fails fast"
-    );
-    let m = router.metrics();
-    assert_eq!(m.breaker_fast_fails, 1);
-    assert_eq!(m.shard_failures, 2, "fast-fails are not new shard failures");
+    assert_eq!(router.metrics().breaker_fast_fails, 1);
 
-    // A real worker comes up; after the cooldown the half-open probe
-    // heals the link and the page is bit-identical to the oracle.
-    spawn_real_worker(&sock, &sharded, 0);
+    // After the cooldown, one query: it is the probe, it heals the link,
+    // and its page is bit-identical to the oracle.
     std::thread::sleep(config.breaker_cooldown + Duration::from_millis(20));
     let healed = router.retrieve_with_status_within("apple pie", 5, None);
-    assert!(healed.complete, "half-open probe heals the breaker");
+    assert!(healed.complete, "the probe heals the breaker");
     assert_bit_identical(
         "healed page",
         &healed.hits,
         &oracle(&sharded, &index, "apple pie", 5),
     );
-    assert_eq!(
-        router.metrics().breaker_trips,
-        1,
-        "no re-trip after healing"
-    );
+    {
+        let firsts = firsts.lock().unwrap();
+        assert_eq!(firsts.len(), 1, "one connection: the probe's own");
+        assert!(
+            matches!(firsts[0], Frame::Query { .. }),
+            "the probe is the query itself, got {:?}",
+            firsts[0]
+        );
+    }
+    let m = router.metrics();
+    assert_eq!(m.breaker_trips, 1, "no re-trip after healing");
+    assert_eq!(m.shard_failures, 5);
 
-    // Closed again: the next query flows normally.
+    // Closed again: the next query flows over the probe's connection.
     assert!(complete(&router));
+    assert_eq!(firsts.lock().unwrap().len(), 1);
 }
 
 #[test]
-fn failed_half_open_probe_reopens_the_breaker() {
+fn a_failed_probe_reopens_the_breaker() {
     let index = corpus();
     let config = FleetConfig {
-        backoff_base: Duration::from_millis(1),
-        breaker_threshold: 1,
         breaker_cooldown: Duration::from_millis(60),
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index, vec![socket("reopen")], config);
-    assert!(!complete(&router));
+    for _ in 0..5 {
+        assert!(!complete(&router));
+    }
     assert_eq!(router.metrics().breaker_trips, 1);
 
     // Past the cooldown, still nobody listening: the probe fails and the
@@ -264,6 +330,7 @@ fn failed_half_open_probe_reopens_the_breaker() {
     assert!(!complete(&router));
     let m = router.metrics();
     assert_eq!(m.breaker_trips, 2, "failed probe re-opens");
+    assert_eq!(m.shard_failures, 6);
 
     // And the re-opened breaker fast-fails again.
     assert!(!complete(&router));
@@ -276,39 +343,45 @@ fn budget_clamped_timeouts_blame_the_request_not_the_shard() {
     let sock = socket("clamped");
     spawn_silent_worker(&sock);
     let config = FleetConfig {
-        shard_timeout: Duration::from_millis(300),
-        breaker_threshold: 1,
+        shard_timeout: Duration::from_millis(100),
         ..FleetConfig::default()
     };
     let router = FleetRouter::new(index.clone(), vec![sock], config);
     let terms = index.analyze_query("apple pie");
 
-    // 5 ms of budget against a 300 ms shard deadline: the exchange times
-    // out almost immediately — and blamelessly.
+    // 5 ms of budget against a 100 ms shard deadline: each exchange
+    // times out almost immediately — and blamelessly, five times over.
     let t = Instant::now();
-    let r = router.retrieve_terms_within(&terms, 5, Some(5_000));
+    for _ in 0..5 {
+        assert!(
+            !router
+                .retrieve_terms_within(&terms, 5, Some(5_000))
+                .complete
+        );
+    }
     let elapsed = t.elapsed();
-    assert!(!r.complete);
     assert!(
-        elapsed < Duration::from_millis(150),
-        "budget clamps the wire deadline (took {elapsed:?})"
+        elapsed < Duration::from_millis(250),
+        "budget clamps the wire deadline (five took {elapsed:?})"
     );
     let m = router.metrics();
     assert_eq!(
         m.shard_failures, 0,
-        "clamped timeout is not a shard failure"
+        "clamped timeouts are not shard failures"
     );
     assert_eq!(m.shard_timeouts, 0);
     assert_eq!(
         m.breaker_trips, 0,
-        "clamped timeout must not trip the breaker"
+        "clamped timeouts must not trip the breaker"
     );
 
-    // The same silent worker under the *full* deadline is a real shard
-    // timeout, and (threshold 1) trips the breaker.
-    assert!(!router.retrieve_terms_with_status(&terms, 5).complete);
+    // The same silent worker under the *full* deadline: five real shard
+    // timeouts, and exactly one trip.
+    for _ in 0..5 {
+        assert!(!router.retrieve_terms_with_status(&terms, 5).complete);
+    }
     let m = router.metrics();
-    assert_eq!(m.shard_timeouts, 1);
+    assert_eq!(m.shard_timeouts, 5);
     assert_eq!(m.breaker_trips, 1);
 }
 

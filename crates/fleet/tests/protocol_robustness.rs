@@ -3,7 +3,8 @@
 //! length prefixes, wrong request ids, mid-response death, and plain
 //! silence — without panicking, without hanging, and while still serving
 //! a page from the shards that behave. Afterwards, a healthy worker on
-//! the same socket must be picked back up (reconnect with backoff).
+//! the same socket must be picked back up (a failed link reconnects on
+//! its next exchange).
 //!
 //! Layout of every scenario: shard 0 is a *real* worker (the crate's
 //! serve loop over a real exported artifact, in a thread); shard 1 is an
@@ -95,7 +96,6 @@ fn shard0_expectation(sharded: &ShardedIndex, index: &InvertedIndex, k: usize) -
 fn fast_config() -> FleetConfig {
     FleetConfig {
         shard_timeout: Duration::from_millis(200),
-        backoff_base: Duration::from_millis(5),
         ..FleetConfig::default()
     }
 }

@@ -294,7 +294,7 @@ fn assert_partition(engine: &SearchEngine) {
 }
 
 /// After disarm, the stack must return to bit-exact fault-free serving.
-/// Breakers and backoff windows need wall-clock time to expire, so poll:
+/// Open breakers need wall-clock time to cool down, so poll:
 /// one fully clean pass over every distinct request, within `timeout`.
 fn assert_recovers(
     engine: &SearchEngine,
@@ -505,9 +505,6 @@ fn corruption_heavy_plan_keeps_fleet_pages_sound_and_recovers() {
             sockets,
             FleetConfig {
                 shard_timeout: Duration::from_millis(150),
-                backoff_base: Duration::from_millis(2),
-                backoff_max: Duration::from_millis(20),
-                breaker_threshold: 4,
                 breaker_cooldown: Duration::from_millis(100),
             },
         ));
