@@ -27,14 +27,21 @@
 //!   serialized [`ShardArtifact`](serpdiv_index::ShardArtifact) and
 //!   scores with the same dense-accumulator path as in-process shards.
 //! * [`router`] — [`FleetRouter`]: on the caller's thread, write every
-//!   shard's query, then read the replies and gather exactly via
+//!   shard's query (encoded once, its id stamped per shard), then read
+//!   the replies and gather exactly via
 //!   [`merge_top_k`](serpdiv_index::merge_top_k); per-shard deadlines
-//!   counted from each shard's write (clamped to the request's remaining
-//!   budget), one fresh-connection re-dispatch of a slow (past 4× the
-//!   link's EWMA latency) or broken exchange, a per-link circuit breaker
-//!   as the one failure policy (a failed link reconnects on its next
-//!   query; after the cooldown that query is the probe), partial gathers
-//!   on shard loss.
+//!   are `Instant`s counted from each shard's write (clamped to the
+//!   request's remaining budget), and socket timeouts are only wake-up
+//!   hints, tick-granular in the kernel, after which the deadline decides;
+//!   one fresh-connection re-dispatch of a slow (past 4× the link's EWMA
+//!   latency) or broken exchange, a per-link circuit breaker as the one
+//!   failure policy (a failed link reconnects on its next query; after
+//!   the cooldown that query is the probe), partial gathers on shard
+//!   loss.
+//!
+//! Both ends read frames through a
+//! [`FrameReader`](protocol::FrameReader) kept per connection, so a
+//! healthy exchange costs each side one `write` and one `read`.
 //!
 //! Because workers return the exact `f64` bits their shard computed and
 //! the router runs the exact in-process merge, a healthy fleet's pages

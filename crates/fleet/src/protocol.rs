@@ -175,51 +175,84 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Encode `frame` into its full wire form, length prefix included.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+/// Byte offset of the request id in a frame's wire form: after the
+/// length prefix, the magic and the version.
+const ID_OFFSET: usize = 12;
+
+/// Start a frame's wire form: a length prefix to patch in [`finish`],
+/// then the fixed header.
+fn header(id: u64, opcode: u8) -> ByteWriter {
     let mut w = ByteWriter::new();
-    // The length prefix, known once the payload behind it is written.
     w.u32(0);
     w.u32(PROTOCOL_MAGIC);
     w.u32(PROTOCOL_VERSION);
-    w.u64(frame.id());
-    match frame {
-        Frame::Query { terms, k, .. } => {
-            w.u8(OP_QUERY);
-            w.u32(*k);
-            w.count(terms.len());
-            for t in terms {
-                w.u32(t.0);
-            }
-        }
-        Frame::Hits { hits, .. } => {
-            w.u8(OP_HITS);
-            w.count(hits.len());
-            for h in hits {
-                w.u32(h.doc.0);
-                w.u64(h.score.to_bits());
-            }
-        }
-        Frame::Ping { .. } => {
-            w.u8(OP_PING);
-        }
-        Frame::Pong {
-            shard_id,
-            base,
-            range_len,
-            ..
-        } => {
-            w.u8(OP_PONG);
-            w.u32(*shard_id);
-            w.u32(*base);
-            w.u32(*range_len);
-        }
-    }
+    w.u64(id);
+    w.u8(opcode);
+    w
+}
+
+/// The finished wire form, its length prefix patched in.
+fn finish(w: ByteWriter) -> Vec<u8> {
+    #[cfg(test)]
+    ENCODES.with(|n| n.set(n.get() + 1));
     let mut wire = w.finish();
     let payload_len =
         u32::try_from(wire.len() - 4).expect("a payload above u32::MAX does not fit the prefix");
     wire[..4].copy_from_slice(&payload_len.to_le_bytes());
     wire
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Frames this thread has encoded, so tests can pin encodes per
+    /// exchange.
+    pub(crate) static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Encode `frame` into its full wire form, length prefix included.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    match frame {
+        Frame::Query { id, k, terms } => encode_query(*id, *k, terms),
+        Frame::Hits { id, hits } => {
+            let mut w = header(*id, OP_HITS);
+            w.count(hits.len());
+            for h in hits {
+                w.u32(h.doc.0);
+                w.u64(h.score.to_bits());
+            }
+            finish(w)
+        }
+        Frame::Ping { id } => finish(header(*id, OP_PING)),
+        Frame::Pong {
+            id,
+            shard_id,
+            base,
+            range_len,
+        } => {
+            let mut w = header(*id, OP_PONG);
+            w.u32(*shard_id);
+            w.u32(*base);
+            w.u32(*range_len);
+            finish(w)
+        }
+    }
+}
+
+/// The wire form of a [`Frame::Query`] over borrowed terms.
+pub(crate) fn encode_query(id: u64, k: u32, terms: &[TermId]) -> Vec<u8> {
+    let mut w = header(id, OP_QUERY);
+    w.u32(k);
+    w.count(terms.len());
+    for t in terms {
+        w.u32(t.0);
+    }
+    finish(w)
+}
+
+/// Overwrite the request id of an encoded frame in place, so one encode
+/// serves every shard and every fresh leg of an exchange.
+pub(crate) fn set_request_id(wire: &mut [u8], id: u64) {
+    wire[ID_OFFSET..ID_OFFSET + 8].copy_from_slice(&id.to_le_bytes());
 }
 
 /// Decode one frame payload (the bytes *after* the length prefix),
@@ -278,6 +311,11 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// Read one frame from `r`, enforcing `max_frame` on the length prefix
 /// *before* reading the payload (an oversized or garbage prefix costs the
 /// reader nothing but the 4 bytes already read).
+///
+/// Two `read_exact`s per frame and a fresh payload buffer each time: this
+/// is the oracle [`FrameReader`] is checked against and the path of the
+/// benchmark's worker probe. The router and the worker read through a
+/// [`FrameReader`].
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, WireError> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix)?;
@@ -291,6 +329,123 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, WireError>
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     decode_payload(&payload).map_err(WireError::Frame)
+}
+
+/// The first read of a [`FrameReader`] asks for this many bytes (or
+/// `max_frame + 4`, if smaller): room for any ping, pong or query and
+/// for a `Hits` page of up to 339 documents.
+const READ_CHUNK: usize = 4096;
+
+/// Reads frames off one connection through a buffer it keeps: each
+/// `read` asks for as many bytes as the buffer holds, so a frame that
+/// arrived whole costs one `read`, and two frames that arrived together
+/// decode from one.
+///
+/// The length prefix is checked against `max_frame` before the buffer
+/// grows for the payload behind it, so the buffer never exceeds
+/// `max_frame + 4` bytes. A read that fails — a socket timeout included —
+/// keeps the bytes already buffered, and the next call resumes the
+/// partial frame.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Buffered bytes not yet decoded are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    max_frame: u32,
+}
+
+impl FrameReader {
+    /// An empty reader enforcing `max_frame` on every length prefix.
+    pub fn new(max_frame: u32) -> Self {
+        FrameReader {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            max_frame,
+        }
+    }
+
+    /// Bytes the buffer holds room for.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Read until one whole frame is buffered and decode it. An error
+    /// from `r` (`WouldBlock`, `TimedOut`, …) is returned as it is,
+    /// keeping whatever was buffered; end of stream is `UnexpectedEof`.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Frame, WireError> {
+        loop {
+            if let Some(frame) = self.poll(r)? {
+                return Ok(frame);
+            }
+        }
+    }
+
+    /// Decode a frame already buffered, or else make at most one `read`
+    /// and decode the frame it completes; `None` while the frame is
+    /// still partial.
+    pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Frame>, WireError> {
+        if let Some(frame) = self.decode_buffered()? {
+            return Ok(Some(frame));
+        }
+        self.make_room();
+        match r.read(&mut self.buf[self.end..]) {
+            Ok(0) => Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into())),
+            Ok(n) => {
+                self.end += n;
+                self.decode_buffered()
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(None),
+            Err(e) => Err(WireError::Io(e)),
+        }
+    }
+
+    /// The length prefix at the front of the buffer, once it has arrived.
+    fn front_len(&self) -> Option<u32> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*prefix))
+    }
+
+    /// Decode the frame at the front of the buffer if all of it has
+    /// arrived, rejecting an oversized prefix as soon as it is buffered.
+    fn decode_buffered(&mut self) -> Result<Option<Frame>, WireError> {
+        let Some(len) = self.front_len() else {
+            return Ok(None);
+        };
+        if len > self.max_frame {
+            return Err(WireError::Frame(FrameError::Oversized {
+                len,
+                max: self.max_frame,
+            }));
+        }
+        let frame_end = self.start + 4 + len as usize;
+        if frame_end > self.end {
+            return Ok(None);
+        }
+        let frame = decode_payload(&self.buf[self.start + 4..frame_end]);
+        self.start = frame_end;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        frame.map(Some).map_err(WireError::Frame)
+    }
+
+    /// Move the partial frame to the front of the buffer and make sure
+    /// there is room to read the rest of it: the whole frame once its
+    /// prefix (already checked against `max_frame`) is known.
+    fn make_room(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let need = self.front_len().map_or(4, |len| 4 + len as usize);
+        if self.end == self.buf.len() || self.buf.len() < need {
+            let cap = self.max_frame as usize + 4;
+            let len = (self.buf.len() * 2).max(READ_CHUNK).min(cap).max(need);
+            self.buf.resize(len, 0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,20 +17,28 @@
 //! Each link owns an independent failure state, so one sick worker never
 //! stalls the fleet:
 //!
-//! * **Deadlines** — every exchange carries read/write timeouts
+//! * **Deadlines** — every exchange has a wire deadline
 //!   ([`FleetConfig::shard_timeout`], clamped to the request's remaining
-//!   deadline budget when one is given), counted from that shard's own
-//!   write, so a gather waits for its slowest shard and not the sum. A
+//!   deadline budget when one is given), an [`Instant`] counted from that
+//!   shard's own write, so a gather waits for its slowest shard and not
+//!   the sum. Socket timeouts are only wake-up hints: the kernel counts
+//!   them in scheduler ticks (4 ms at 250 Hz), so a blocked `read` can
+//!   return `WouldBlock` long before the time asked for. A wake-up checks
+//!   `Instant::now()` against the deadline and reads on while time
+//!   remains. Each wait's timeout is the time left rounded down to a
+//!   power of two of µs — never past the deadline — and is set only when
+//!   that value changes, so a steady link makes no socket-option call. A
 //!   slow worker costs at most one deadline, after which its connection
 //!   is condemned (a late reply would desync request ids) and the gather
 //!   proceeds without it.
-//! * **One fresh leg** — a primary that blows the hedge threshold or
-//!   finds its cached connection broken (typically a worker restarted
-//!   since the last query) is condemned and re-dispatched once on a
-//!   *fresh* connection with a fresh request id for whatever is left of
-//!   the deadline. Because workers are deterministic the re-dispatched
-//!   page is bit-identical to the un-hedged one. The hedge threshold is 4×
-//!   the link's observed (EWMA) exchange latency, never under 2 ms, and a
+//! * **One fresh leg** — a primary still unanswered at the hedge
+//!   threshold (an `Instant`, checked the same way) or whose cached
+//!   connection is broken (typically a worker restarted since the last
+//!   query) is condemned and re-dispatched once on a *fresh* connection
+//!   with a fresh request id for whatever is left of the deadline.
+//!   Because workers are deterministic the re-dispatched page is
+//!   bit-identical to the un-hedged one. The hedge threshold is 4× the
+//!   link's observed (EWMA) exchange latency, never under 2 ms, and a
 //!   link with no completed exchange does not hedge — so hedges fire on
 //!   outliers, not medians, and a bounced worker costs exactly one
 //!   degraded response.
@@ -54,10 +62,20 @@
 //! an overloaded request stream must not poison the router's picture of
 //! shard health.
 
-use crate::protocol::{read_frame, write_frame, Frame, WireError, DEFAULT_MAX_FRAME};
+//! # One encode, one write, one read
+//!
+//! An exchange encodes its request once and stamps each shard's request
+//! id into the same bytes. Each link reads through a [`FrameReader`] it
+//! keeps across exchanges, so a healthy shard costs the router one
+//! `write` and one `read`, and the worker one of each.
+
+use crate::protocol::{
+    encode_frame, encode_query, set_request_id, Frame, FrameReader, WireError, DEFAULT_MAX_FRAME,
+};
 use serpdiv_chaos::SiteAction;
 use serpdiv_index::{merge_top_k, InvertedIndex, Retrieval, Retriever, ScoredDoc};
 use serpdiv_text::TermId;
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +117,7 @@ impl Default for FleetConfig {
 
 /// Mutable per-link state, guarded by the link's mutex.
 struct LinkState {
-    conn: Option<UnixStream>,
+    conn: Option<Conn>,
     /// Monotone per-link request id (fresh connections keep counting —
     /// ids must never repeat across a hedge).
     next_id: u64,
@@ -120,6 +138,151 @@ impl LinkState {
         let id = self.next_id;
         self.next_id += 1;
         id
+    }
+}
+
+/// The calls a link makes on its socket: the seam through which tests
+/// drive and count link I/O.
+trait Stream: Read + Write + Send {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+}
+
+impl Stream for UnixStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        UnixStream::set_read_timeout(self, timeout)
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        UnixStream::set_write_timeout(self, timeout)
+    }
+}
+
+/// One open connection to a worker: the socket, the frame reader that
+/// keeps partial replies across wake-ups, and the socket timeouts last
+/// set, so an unchanged one costs no syscall.
+struct Conn {
+    stream: Box<dyn Stream>,
+    reader: FrameReader,
+    read_timeout: Duration,
+    write_timeout: Duration,
+}
+
+impl Conn {
+    fn new(stream: impl Stream + 'static) -> Self {
+        Conn {
+            stream: Box::new(stream),
+            reader: FrameReader::new(DEFAULT_MAX_FRAME),
+            read_timeout: Duration::ZERO,
+            write_timeout: Duration::ZERO,
+        }
+    }
+
+    /// Write all of `bytes` by `until`.
+    fn write_request(&mut self, mut bytes: &[u8], until: Instant) -> Result<(), ShardError> {
+        while !bytes.is_empty() {
+            let hint = wake_hint(until);
+            if hint != self.write_timeout {
+                let _ = self.stream.set_write_timeout(Some(hint));
+                self.write_timeout = hint;
+            }
+            match self.stream.write(bytes) {
+                Ok(0) => return Err(ShardError::Broken),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if is_wake_up(&e) => {}
+                Err(_) => return Err(ShardError::Broken),
+            }
+            if !bytes.is_empty() && Instant::now() >= until {
+                return Err(ShardError::Timeout);
+            }
+        }
+        Ok(())
+    }
+
+    /// Read the reply to `request`, sent as `id`, by `until`. The first
+    /// read is made even past `until`: a reply that has arrived is
+    /// taken.
+    fn read_reply(
+        &mut self,
+        request: &Request,
+        id: u64,
+        until: Instant,
+    ) -> Result<Frame, ShardError> {
+        loop {
+            let hint = wake_hint(until);
+            if hint != self.read_timeout {
+                let _ = self.stream.set_read_timeout(Some(hint));
+                self.read_timeout = hint;
+            }
+            match self.reader.poll(&mut self.stream) {
+                Ok(Some(reply)) if request.answered_by(&reply, id) => return Ok(reply),
+                // A stale or alien reply means the ids desynced.
+                Ok(Some(_)) | Err(WireError::Frame(_)) => return Err(ShardError::Broken),
+                Err(WireError::Io(e)) if !is_wake_up(&e) => return Err(ShardError::Broken),
+                Ok(None) | Err(WireError::Io(_)) => {
+                    if Instant::now() >= until {
+                        return Err(ShardError::Timeout);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The socket timeout for a wait that must end by `until`: the time left
+/// rounded down to a power of two of µs, and at least 1 µs (a zero
+/// timeout would block forever). Few distinct values, so a steady link
+/// keeps the one it has set.
+fn wake_hint(until: Instant) -> Duration {
+    let left = until.saturating_duration_since(Instant::now()).as_micros();
+    let left = u64::try_from(left).unwrap_or(u64::MAX).max(1);
+    Duration::from_micros(1 << left.ilog2())
+}
+
+/// Whether a socket error is a timeout's (or a signal's) wake-up, after
+/// which the deadline decides whether to wait on.
+fn is_wake_up(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
+}
+
+/// An exchange's request, encoded once: each send stamps its request id
+/// into the same bytes.
+struct Request {
+    wire: Vec<u8>,
+    ping: bool,
+}
+
+impl Request {
+    fn query(k: u32, terms: &[TermId]) -> Self {
+        Request {
+            wire: encode_query(0, k, terms),
+            ping: false,
+        }
+    }
+
+    fn ping() -> Self {
+        Request {
+            wire: encode_frame(&Frame::Ping { id: 0 }),
+            ping: true,
+        }
+    }
+
+    /// The request's bytes, carrying `id`.
+    fn stamped(&mut self, id: u64) -> &[u8] {
+        set_request_id(&mut self.wire, id);
+        &self.wire
+    }
+
+    /// Whether `reply` is this request's answer when it was sent as `id`.
+    fn answered_by(&self, reply: &Frame, id: u64) -> bool {
+        let kind_ok = match reply {
+            Frame::Hits { .. } => !self.ping,
+            Frame::Pong { .. } => self.ping,
+            Frame::Query { .. } | Frame::Ping { .. } => false,
+        };
+        kind_ok && reply.id() == id
     }
 }
 
@@ -177,19 +340,20 @@ enum Mode {
 struct Pending<'a> {
     s: usize,
     state: MutexGuard<'a, LinkState>,
-    /// The request as written: its id and kind are what the reply echoes.
-    request: Frame,
+    /// The request id as written, which the reply must echo.
+    id: u64,
     /// How the write went; a failed write is settled in the receive step.
     sent: Result<(), ShardError>,
     /// When the request was written; the exchange's deadlines count from
     /// here.
     written: Instant,
     /// The exchange's wire deadline.
-    total: Duration,
+    deadline: Instant,
     /// The primary's deadline; past it the exchange hedges. Equal to
-    /// `total` ⇒ no hedging for this exchange.
-    hedge_at: Duration,
-    /// Whether `total` is the request's budget, not the shard timeout.
+    /// `deadline` ⇒ no hedging for this exchange.
+    hedge_at: Instant,
+    /// Whether the deadline is the request's budget, not the shard
+    /// timeout.
     clamped: bool,
 }
 
@@ -308,7 +472,7 @@ impl FleetRouter {
     pub fn wait_ready(&self, timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
-            let replies = self.exchange(|id| Frame::Ping { id }, Mode::Boot);
+            let replies = self.exchange(&mut Request::ping(), Mode::Boot);
             // A miswired endpoint stays pending: the caller gets a clear
             // error below rather than a wrong merge later.
             let pending: Vec<usize> = (0..replies.len())
@@ -352,11 +516,7 @@ impl FleetRouter {
         }
         let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
         let replies = self.exchange(
-            |id| Frame::Query {
-                id,
-                k: wire_k,
-                terms: terms.to_vec(),
-            },
+            &mut Request::query(wire_k, terms),
             Mode::Serve(budget_us.map(Duration::from_micros)),
         );
         let per_shard: Vec<Vec<ScoredDoc>> = replies
@@ -386,13 +546,14 @@ impl FleetRouter {
     /// deadlock), then the receive steps read the replies in the same
     /// order. Each shard's reply is `None` if it failed or its breaker is
     /// open.
-    fn exchange(&self, make: impl Fn(u64) -> Frame, mode: Mode) -> Vec<Option<Frame>> {
-        let pending: Vec<Option<Pending<'_>>> = (0..self.links.len())
-            .map(|s| self.send(s, &make, mode))
-            .collect();
+    fn exchange(&self, request: &mut Request, mode: Mode) -> Vec<Option<Frame>> {
+        let mut pending = Vec::with_capacity(self.links.len());
+        for s in 0..self.links.len() {
+            pending.push(self.send(s, request, mode));
+        }
         pending
             .into_iter()
-            .map(|p| p.and_then(|p| self.receive(p, &make, mode)))
+            .map(|p| p.and_then(|p| self.receive(p, request, mode)))
             .collect()
     }
 
@@ -400,7 +561,7 @@ impl FleetRouter {
     /// deadline to the budget, connect if the link has no connection,
     /// draw a fresh id and write — keeping the link locked for the receive
     /// step.
-    fn send(&self, s: usize, make: &impl Fn(u64) -> Frame, mode: Mode) -> Option<Pending<'_>> {
+    fn send(&self, s: usize, request: &mut Request, mode: Mode) -> Option<Pending<'_>> {
         // Chaos hook (no-op unless a fault plan is armed): lose or delay
         // this dispatch before it touches the link.
         match serpdiv_chaos::failpoint("router.dispatch") {
@@ -426,12 +587,12 @@ impl FleetRouter {
         }
         if state.conn.is_none() {
             match UnixStream::connect(&link.path) {
-                Ok(conn) => {
+                Ok(stream) => {
                     if state.ever_connected {
                         self.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     state.ever_connected = true;
-                    state.conn = Some(conn);
+                    state.conn = Some(Conn::new(stream));
                 }
                 Err(_) => {
                     if let Mode::Serve(_) = mode {
@@ -441,22 +602,23 @@ impl FleetRouter {
                 }
             }
         }
-        let hedge_at = match mode {
+        let hedge_after = match mode {
             Mode::Serve(_) => Self::hedge_threshold(&state, total),
             Mode::Boot => total,
         };
-        let request = make(state.take_id());
+        let id = state.take_id();
         let written = Instant::now();
+        let deadline = written + total;
         let conn = state.conn.as_mut().expect("connected above");
-        let sent = write_request(conn, &request, total);
+        let sent = conn.write_request(request.stamped(id), deadline);
         Some(Pending {
             s,
             state,
-            request,
+            id,
             sent,
             written,
-            total,
-            hedge_at,
+            deadline,
+            hedge_at: written + hedge_after,
             clamped: total < timeout,
         })
     }
@@ -465,19 +627,10 @@ impl FleetRouter {
     /// from this shard's own write. A primary that blows the threshold (a
     /// hedge) or broke is condemned and replaced by one fresh leg for what
     /// is left of the deadline.
-    fn receive(
-        &self,
-        mut p: Pending<'_>,
-        make: &impl Fn(u64) -> Frame,
-        mode: Mode,
-    ) -> Option<Frame> {
+    fn receive(&self, mut p: Pending<'_>, request: &mut Request, mode: Mode) -> Option<Frame> {
         let primary = p.sent.and_then(|()| {
             let conn = p.state.conn.as_mut().expect("written in the send step");
-            read_reply(
-                conn,
-                &p.request,
-                p.hedge_at.saturating_sub(p.written.elapsed()),
-            )
+            conn.read_reply(request, p.id, p.hedge_at)
         });
         let reply = match primary {
             Ok(reply) => Ok(reply),
@@ -485,10 +638,9 @@ impl FleetRouter {
                 // Whatever happened, the connection can no longer be
                 // trusted to be in sync — condemn it.
                 p.state.conn = None;
-                let hedge = matches!(kind, ShardError::Timeout) && p.hedge_at < p.total;
+                let hedge = matches!(kind, ShardError::Timeout) && p.hedge_at < p.deadline;
                 if hedge || matches!(kind, ShardError::Broken) {
-                    let remaining = p.total.saturating_sub(p.written.elapsed());
-                    self.fresh_leg(p.s, &mut p.state, make, remaining, hedge)
+                    self.fresh_leg(p.s, &mut p.state, request, p.deadline, hedge)
                 } else {
                     Err(kind)
                 }
@@ -513,37 +665,33 @@ impl FleetRouter {
     }
 
     /// One exchange with shard `s` on a fresh connection with a fresh
-    /// request id, all within `remaining`; on success the connection
-    /// becomes the link's cached one. It serves the hedge (counted in
-    /// `hedges`) and the resend through a broken connection (counted in
+    /// request id, all by `deadline`; on success the connection becomes
+    /// the link's cached one. It serves the hedge (counted in `hedges`)
+    /// and the resend through a broken connection (counted in
     /// `reconnects`).
     fn fresh_leg(
         &self,
         s: usize,
         state: &mut LinkState,
-        make: &impl Fn(u64) -> Frame,
-        remaining: Duration,
+        request: &mut Request,
+        deadline: Instant,
         hedge: bool,
     ) -> Result<Frame, ShardError> {
         if hedge {
             self.hedges.fetch_add(1, Ordering::Relaxed);
         }
-        if remaining.is_zero() {
+        if Instant::now() >= deadline {
             return Err(ShardError::Timeout);
         }
-        let started = Instant::now();
-        let mut conn = UnixStream::connect(&self.links[s].path).map_err(|_| ShardError::Broken)?;
+        let stream = UnixStream::connect(&self.links[s].path).map_err(|_| ShardError::Broken)?;
+        let mut conn = Conn::new(stream);
         if !hedge && state.ever_connected {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         state.ever_connected = true;
-        let request = make(state.take_id());
-        write_request(&mut conn, &request, remaining)?;
-        let reply = read_reply(
-            &mut conn,
-            &request,
-            remaining.saturating_sub(started.elapsed()),
-        )?;
+        let id = state.take_id();
+        conn.write_request(request.stamped(id), deadline)?;
+        let reply = conn.read_reply(request, id, deadline)?;
         state.conn = Some(conn);
         Ok(reply)
     }
@@ -601,57 +749,6 @@ impl FleetRouter {
     }
 }
 
-/// Write `request` under `timeout`. Deadlines vary exchange to exchange
-/// (budget clamping, hedge thresholds, what a fresh leg has left), so the
-/// socket timeouts are set per call rather than at connect.
-fn write_request(
-    conn: &mut UnixStream,
-    request: &Frame,
-    timeout: Duration,
-) -> Result<(), ShardError> {
-    let _ = conn.set_write_timeout(Some(timeout.max(MIN_TIMEOUT)));
-    write_frame(conn, request).map_err(|e| classify(&e))
-}
-
-/// Read the reply to `request` under `timeout`, verifying the echoed id
-/// and kind.
-fn read_reply(
-    conn: &mut UnixStream,
-    request: &Frame,
-    timeout: Duration,
-) -> Result<Frame, ShardError> {
-    let _ = conn.set_read_timeout(Some(timeout.max(MIN_TIMEOUT)));
-    match read_frame(conn, DEFAULT_MAX_FRAME) {
-        Ok(reply) => {
-            let kind_ok = matches!(
-                (request, &reply),
-                (Frame::Query { .. }, Frame::Hits { .. })
-                    | (Frame::Ping { .. }, Frame::Pong { .. })
-            );
-            if kind_ok && reply.id() == request.id() {
-                Ok(reply)
-            } else {
-                // Stale or alien reply: ids desynced.
-                Err(ShardError::Broken)
-            }
-        }
-        Err(WireError::Io(e)) => Err(classify(&e)),
-        Err(WireError::Frame(_)) => Err(ShardError::Broken),
-    }
-}
-
-/// The shortest socket timeout set: a zero one would *disable* the
-/// deadline entirely, and a deadline already past must still let a reply
-/// that has arrived be read.
-const MIN_TIMEOUT: Duration = Duration::from_micros(1);
-
-fn classify(e: &std::io::Error) -> ShardError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ShardError::Timeout,
-        _ => ShardError::Broken,
-    }
-}
-
 impl Retriever for FleetRouter {
     fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
         self.retrieve_terms(&self.index.analyze_query(query), k)
@@ -674,7 +771,9 @@ impl Retriever for FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serpdiv_index::{Document, IndexBuilder};
+    use crate::protocol::{decode_payload, ENCODES};
+    use serpdiv_index::{DocId, Document, IndexBuilder};
+    use std::collections::VecDeque;
 
     fn tiny_index() -> Arc<InvertedIndex> {
         let mut b = IndexBuilder::new();
@@ -792,5 +891,189 @@ mod tests {
             .wait_ready(Duration::from_millis(80))
             .expect_err("no worker is listening");
         assert!(err.contains("[0]"), "error names the shard: {err}");
+    }
+
+    /// Socket calls made by the fake streams of one test.
+    #[derive(Default)]
+    struct Calls {
+        reads: AtomicU64,
+        writes: AtomicU64,
+        timeout_sets: AtomicU64,
+    }
+
+    impl Calls {
+        fn take(&self) -> [u64; 3] {
+            [&self.reads, &self.writes, &self.timeout_sets].map(|n| n.swap(0, Ordering::Relaxed))
+        }
+    }
+
+    /// An in-memory worker behind a link. Each request written queues a
+    /// one-hit reply echoing its id; each read first returns the next
+    /// scripted wake-up error, if any is left — the shape of a socket
+    /// timeout that fires early — and then the queued reply bytes.
+    struct FakeStream {
+        calls: Arc<Calls>,
+        wake_ups: VecDeque<ErrorKind>,
+        reply: Vec<u8>,
+        inbox: Vec<u8>,
+    }
+
+    /// The hit every fake worker answers with.
+    const FAKE_HIT: ScoredDoc = ScoredDoc {
+        doc: DocId(0),
+        score: 1.5,
+    };
+
+    impl FakeStream {
+        fn new(calls: &Arc<Calls>, wake_ups: &[ErrorKind]) -> Self {
+            FakeStream {
+                calls: calls.clone(),
+                wake_ups: wake_ups.iter().copied().collect(),
+                reply: encode_frame(&Frame::Hits {
+                    id: 0,
+                    hits: vec![FAKE_HIT],
+                }),
+                inbox: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for FakeStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls.reads.fetch_add(1, Ordering::Relaxed);
+            if let Some(kind) = self.wake_ups.pop_front() {
+                return Err(kind.into());
+            }
+            let n = buf.len().min(self.inbox.len());
+            buf[..n].copy_from_slice(&self.inbox[..n]);
+            self.inbox.drain(..n);
+            Ok(n)
+        }
+    }
+
+    impl Write for FakeStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.writes.fetch_add(1, Ordering::Relaxed);
+            let request = decode_payload(&buf[4..]).expect("the router writes whole frames");
+            set_request_id(&mut self.reply, request.id());
+            self.inbox.extend_from_slice(&self.reply);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Stream for FakeStream {
+        fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+            self.calls.timeout_sets.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        fn set_write_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+            self.calls.timeout_sets.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    /// A router whose links are fake streams, with `ewma_us` as each
+    /// link's latency so far. Its socket paths are dead, so a hedge or a
+    /// resend (which connects afresh) loses the shard.
+    fn fake_router(tag: &str, fakes: Vec<FakeStream>, ewma_us: Option<f64>) -> FleetRouter {
+        let sockets = (0..fakes.len())
+            .map(|s| dead_socket(&format!("{tag}-{s}")))
+            .collect();
+        let router = FleetRouter::new(tiny_index(), sockets, FleetConfig::default());
+        for (link, fake) in router.links.iter().zip(fakes) {
+            let mut state = link.lock();
+            state.conn = Some(Conn::new(fake));
+            state.ewma_us = ewma_us;
+        }
+        router
+    }
+
+    fn apple(router: &FleetRouter, budget_us: Option<u64>) -> Retrieval {
+        router.retrieve_terms_within(&router.index.analyze_query("apple"), 5, budget_us)
+    }
+
+    #[test]
+    fn an_early_wake_up_before_the_hedge_threshold_does_not_hedge() {
+        // A 5 ms EWMA puts the hedge threshold at 20 ms; the socket wakes
+        // the router twice before it, and then the reply is there.
+        let calls = Arc::new(Calls::default());
+        let fake = FakeStream::new(&calls, &[ErrorKind::WouldBlock, ErrorKind::TimedOut]);
+        let router = fake_router("early-hedge", vec![fake], Some(5_000.0));
+        let r = apple(&router, None);
+        assert!(r.complete, "the reply after the wake-ups is delivered");
+        assert_eq!(r.hits, vec![FAKE_HIT]);
+        let m = router.metrics();
+        assert_eq!((m.hedges, m.shard_failures, m.shard_timeouts), (0, 0, 0));
+        assert_eq!(calls.take()[0], 3, "two wake-ups, then the reply");
+    }
+
+    #[test]
+    fn an_early_wake_up_under_a_clamped_budget_does_not_drop_the_shard() {
+        // A 2 ms budget is not above the hedge floor, so the exchange has
+        // one deadline and no hedge; an early wake-up must not end it.
+        let calls = Arc::new(Calls::default());
+        let fake = FakeStream::new(&calls, &[ErrorKind::WouldBlock]);
+        let router = fake_router("early-clamped", vec![fake], Some(10.0));
+        let r = apple(&router, Some(2_000));
+        assert!(r.complete, "the shard answered within the budget");
+        assert_eq!(r.hits, vec![FAKE_HIT]);
+        let m = router.metrics();
+        assert_eq!((m.hedges, m.partial_gathers), (0, 0));
+    }
+
+    #[test]
+    fn a_steady_exchange_costs_one_encode_and_per_shard_one_write_one_read_no_timeout_set() {
+        let calls = Arc::new(Calls::default());
+        let fakes = vec![FakeStream::new(&calls, &[]), FakeStream::new(&calls, &[])];
+        let router = fake_router("counts", fakes, None);
+        let encodes = || ENCODES.with(std::cell::Cell::take);
+        // The first exchange on a cold link sets both socket timeouts;
+        // the second arms the hedge threshold, a new read timeout.
+        assert!(apple(&router, None).complete);
+        assert_eq!(calls.take(), [2, 2, 4]);
+        assert!(apple(&router, None).complete);
+        assert_eq!(calls.take(), [2, 2, 2]);
+        encodes();
+        // Steady state. Reads and writes are exact; a timeout is re-set
+        // only if the thread stalls ~1 ms between a write and its read
+        // (the hedge threshold's remaining time drops a power of two), so
+        // that count gets three tries at a stall-free batch.
+        const BATCH: u64 = 8;
+        let mut timeout_sets = Vec::new();
+        for _ in 0..3 {
+            for _ in 0..BATCH {
+                assert!(apple(&router, None).complete);
+            }
+            assert_eq!(encodes(), BATCH, "one encode per exchange");
+            let [reads, writes, sets] = calls.take();
+            assert_eq!((reads, writes), (2 * BATCH, 2 * BATCH));
+            timeout_sets.push(sets);
+            if sets == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            timeout_sets.last(),
+            Some(&0),
+            "a steady link sets no socket timeout (per batch: {timeout_sets:?})"
+        );
+        assert_eq!(router.metrics().hedges, 0);
+    }
+
+    #[test]
+    fn wake_hints_round_down_to_a_power_of_two_and_never_reach_zero() {
+        let now = Instant::now();
+        let hint = wake_hint(now + Duration::from_millis(250));
+        assert!(hint.as_micros().is_power_of_two());
+        assert!(hint <= Duration::from_millis(250) && hint > Duration::from_millis(125));
+        assert_eq!(
+            wake_hint(now),
+            Duration::from_micros(1),
+            "past the deadline"
+        );
     }
 }

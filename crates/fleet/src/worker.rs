@@ -15,10 +15,10 @@
 //! correct move for the worker is to hang up and wait in `accept` for the
 //! next connection. A worker never panics on peer input.
 
-use crate::protocol::{encode_frame, read_frame, Frame};
+use crate::protocol::{encode_frame, Frame, FrameReader};
 use serpdiv_index::ShardArtifact;
-use std::io::Write;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixListener;
 
 /// Serve `artifact` on `listener` forever, each connection on its own
 /// scoped thread.
@@ -42,10 +42,12 @@ pub fn serve(listener: &UnixListener, artifact: &ShardArtifact, max_frame: u32) 
 }
 
 /// Answer frames on one connection until the peer hangs up or breaks
-/// protocol.
-pub fn serve_connection(mut stream: UnixStream, artifact: &ShardArtifact, max_frame: u32) {
+/// protocol. Requests are read through a [`FrameReader`], so a request
+/// that arrived whole costs one `read`, and each reply is one `write`.
+pub fn serve_connection(mut stream: impl Read + Write, artifact: &ShardArtifact, max_frame: u32) {
+    let mut reader = FrameReader::new(max_frame);
     loop {
-        let frame = match read_frame(&mut stream, max_frame) {
+        let frame = match reader.read_frame(&mut stream) {
             Ok(frame) => frame,
             // EOF, reset, or garbage: hang up, wait for the next peer.
             Err(_) => return,
@@ -101,8 +103,9 @@ pub fn serve_connection(mut stream: UnixStream, artifact: &ShardArtifact, max_fr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::write_frame;
+    use crate::protocol::{read_frame, write_frame};
     use serpdiv_index::{Document, IndexBuilder, ShardedIndex};
+    use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -191,5 +194,66 @@ mod tests {
 
         handle.join().unwrap();
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A peer that delivers one scripted chunk per `read` (then end of
+    /// stream) and records every `write`.
+    struct ScriptedPeer {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl std::io::Read for ScriptedPeer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            assert!(chunk.len() <= buf.len(), "the worker reads greedily");
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl std::io::Write for ScriptedPeer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_costs_the_worker_one_read_and_one_write() {
+        let bytes = artifact_bytes();
+        let art = ShardArtifact::from_bytes(&bytes).unwrap();
+        let query = |id| {
+            crate::protocol::encode_frame(&Frame::Query {
+                id,
+                k: 5,
+                terms: vec![serpdiv_text::TermId(0)],
+            })
+        };
+        // Three requests, one per read, then two that arrived together.
+        let mut chunks: std::collections::VecDeque<Vec<u8>> = (0..3).map(query).collect();
+        chunks.push_back([query(3), query(4)].concat());
+        let mut peer = ScriptedPeer {
+            chunks,
+            reads: 0,
+            writes: Vec::new(),
+        };
+        serve_connection(&mut peer, &art, crate::protocol::DEFAULT_MAX_FRAME);
+        // Four chunks and the end of stream.
+        assert_eq!(peer.reads, 5);
+        assert_eq!(peer.writes.len(), 5, "one write per reply");
+        for (id, wire) in peer.writes.iter().enumerate() {
+            match crate::protocol::decode_payload(&wire[4..]) {
+                Ok(Frame::Hits { id: got, .. }) => assert_eq!(got, id as u64),
+                other => panic!("expected hits {id}, got {other:?}"),
+            }
+        }
     }
 }

@@ -15,9 +15,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serpdiv_fleet::protocol::{decode_payload, encode_frame, read_frame, Frame};
+use serpdiv_fleet::protocol::{decode_payload, encode_frame, read_frame, Frame, FrameReader};
 use serpdiv_fleet::worker;
-use serpdiv_fleet::{FleetConfig, FleetRouter, DEFAULT_MAX_FRAME};
+use serpdiv_fleet::{FleetConfig, FleetRouter, WireError, DEFAULT_MAX_FRAME};
 use serpdiv_index::{
     merge_top_k, DocId, Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, ShardArtifact,
     ShardedIndex,
@@ -200,13 +200,9 @@ fn survives_silent_worker_within_deadline() {
     assert!(router.metrics().shard_timeouts >= 1);
 }
 
-/// Push `iterations` seeded mutants of valid frames (plus raw random
-/// buffers) through both decode paths. The decoder must never panic and
-/// never allocate past what the validated length fields admit (hostile
-/// counts are checked against the remaining payload *before* any `Vec` is
-/// sized); whatever decodes cleanly must re-encode to bytes that decode
-/// to the same frame.
-fn fuzz_decode_sweep(iterations: usize, seed: u64) {
+/// `iterations` seeded mutants of valid frames, every fourth a raw
+/// random buffer instead, each handed to `check` with its index.
+fn for_each_mutant(iterations: usize, seed: u64, mut check: impl FnMut(usize, &[u8])) {
     let mut rng = StdRng::seed_from_u64(seed);
     let corpus: Vec<Vec<u8>> = vec![
         encode_frame(&Frame::Ping { id: 1 }),
@@ -259,8 +255,20 @@ fn fuzz_decode_sweep(iterations: usize, seed: u64) {
             }
             b
         };
+        check(i, &bytes);
+    }
+}
+
+/// Push `iterations` seeded mutants of valid frames (plus raw random
+/// buffers) through both decode paths. The decoder must never panic and
+/// never allocate past what the validated length fields admit (hostile
+/// counts are checked against the remaining payload *before* any `Vec` is
+/// sized); whatever decodes cleanly must re-encode to bytes that decode
+/// to the same frame.
+fn fuzz_decode_sweep(iterations: usize, seed: u64) {
+    for_each_mutant(iterations, seed, |i, bytes| {
         // Full wire path: the length prefix and frame-size cap.
-        let mut cursor = std::io::Cursor::new(&bytes[..]);
+        let mut cursor = std::io::Cursor::new(bytes);
         let _ = read_frame(&mut cursor, DEFAULT_MAX_FRAME);
         // Payload path: whatever decodes must round-trip bit-exactly
         // (compared on re-encoded bytes — scores may be NaN).
@@ -277,7 +285,7 @@ fn fuzz_decode_sweep(iterations: usize, seed: u64) {
                 );
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -292,6 +300,105 @@ fn frame_decode_survives_large_mutation_sweep() {
     for seed in 0..16u64 {
         fuzz_decode_sweep(50_000, 0xDEAD_0000 ^ seed);
     }
+}
+
+/// A socket that delivers `bytes` in random chunks of 1 to `bytes.len()`
+/// bytes, with a `WouldBlock` (a socket timeout) before about a third of
+/// the reads, then end of stream.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: StdRng,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.rng.gen_bool(0.3) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        if self.bytes.is_empty() {
+            return Ok(0);
+        }
+        let n = self.rng.gen_range(1..=self.bytes.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Whether two reads of one wire came to the same end: the same frame
+/// (compared on its encoding — scores may be NaN), the same frame error,
+/// or the same kind of I/O error.
+fn same_outcome(a: &Result<Frame, WireError>, b: &Result<Frame, WireError>) -> bool {
+    match (a, b) {
+        (Ok(x), Ok(y)) => encode_frame(x) == encode_frame(y),
+        (Err(WireError::Frame(x)), Err(WireError::Frame(y))) => x == y,
+        (Err(WireError::Io(x)), Err(WireError::Io(y))) => x.kind() == y.kind(),
+        _ => false,
+    }
+}
+
+/// Every mutant of the decode sweep, trickled through a [`FrameReader`]
+/// in random chunks with timeouts in between, must end as [`read_frame`]
+/// (the oracle) ends on the same bytes — and the reader's buffer must
+/// never outgrow `max_frame + 4`, an oversized prefix included.
+#[test]
+fn frame_reader_matches_read_frame_on_every_mutant() {
+    for (seed, max_frame) in [(0xBEEF, 40), (0xCAFE, 64), (0xF00D_F00D, DEFAULT_MAX_FRAME)] {
+        for_each_mutant(4_000, seed, |i, bytes| {
+            let oracle = read_frame(&mut std::io::Cursor::new(bytes), max_frame);
+            let mut trickle = Trickle {
+                bytes,
+                rng: StdRng::seed_from_u64(seed ^ i as u64),
+            };
+            let mut reader = FrameReader::new(max_frame);
+            let got = loop {
+                match reader.read_frame(&mut trickle) {
+                    Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    outcome => break outcome,
+                }
+            };
+            assert!(
+                same_outcome(&got, &oracle),
+                "seed {seed:#x}, mutant {i}: reader {got:?}, oracle {oracle:?}"
+            );
+            assert!(
+                reader.capacity() <= max_frame as usize + 4,
+                "seed {seed:#x}, mutant {i}: buffer {} past the cap",
+                reader.capacity()
+            );
+        });
+    }
+}
+
+/// A socket that hands over all of its bytes in its first read; every
+/// later read times out.
+struct OneRead<'a>(Option<&'a [u8]>);
+
+impl Read for OneRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let bytes = self.0.take().ok_or(std::io::ErrorKind::WouldBlock)?;
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Ok(bytes.len())
+    }
+}
+
+#[test]
+fn two_frames_in_one_read_both_decode() {
+    let first = Frame::Query {
+        id: 1,
+        k: 10,
+        terms: vec![TermId(3), TermId(4)],
+    };
+    let second = Frame::Ping { id: 2 };
+    let wire = [encode_frame(&first), encode_frame(&second)].concat();
+    let mut socket = OneRead(Some(&wire));
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+    assert_eq!(reader.read_frame(&mut socket).unwrap(), first);
+    assert_eq!(reader.read_frame(&mut socket).unwrap(), second);
+    assert!(matches!(
+        reader.read_frame(&mut socket),
+        Err(WireError::Io(_))
+    ));
 }
 
 #[test]
