@@ -202,13 +202,6 @@ fn finish(w: ByteWriter) -> Vec<u8> {
     wire
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Frames this thread has encoded, so tests can pin encodes per
-    /// exchange.
-    pub(crate) static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Encode `frame` into its full wire form, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     match frame {
@@ -332,8 +325,8 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, WireError>
 }
 
 /// The first read of a [`FrameReader`] asks for this many bytes (or
-/// `max_frame + 4`, if smaller): room for any ping, pong or query and
-/// for a `Hits` page of up to 339 documents.
+/// `max_frame + 4`, if smaller): room for a ping, a pong, a query of up
+/// to 1 016 terms or a `Hits` page of up to 339 documents.
 const READ_CHUNK: usize = 4096;
 
 /// Reads frames off one connection through a buffer it keeps: each
@@ -446,6 +439,13 @@ impl FrameReader {
             self.buf.resize(len, 0);
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Frames this thread has encoded, so tests can pin encodes per
+    /// exchange.
+    pub(crate) static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
