@@ -1,9 +1,19 @@
 //! Index construction.
 //!
 //! The builder accumulates per-term document/frequency pairs in memory and
-//! freezes them into compressed [`PostingsList`]s. Documents are analyzed
-//! once; the same [`Analyzer`] is stored in the built index so query-time
-//! processing matches indexing-time processing.
+//! freezes them into compressed [`PostingsList`]s. The same [`Analyzer`]
+//! is stored in the built index so query-time processing matches
+//! indexing-time processing.
+//!
+//! Each distinct raw token is analyzed once per build, not once per
+//! occurrence: a web collection repeats a small vocabulary millions of
+//! times, so the builder keeps a `TokenMemo` from raw token to term id
+//! and runs the analyzer's stopword and stem step
+//! ([`Analyzer::analyze_token`]) only on a token it has not met. The memo
+//! belongs to one builder and is dropped when the builder freezes; the
+//! ids it holds are that builder's vocabulary's, so nothing outlives the
+//! build. What the builder interns is what [`Analyzer::analyze_interned`]
+//! of each document's full text would intern, in the same order.
 //!
 //! There is one builder for both ways an index grows. [`IndexBuilder::new`]
 //! starts an empty collection; the crate-private `extending` starts from
@@ -33,8 +43,36 @@ pub struct IndexBuilder {
     accum: Vec<Vec<(u32, u32)>>,
     doc_lens: Vec<u32>,
     num_tokens: u64,
-    /// Reused per-document tf map (workhorse collection).
-    tf_scratch: HashMap<TermId, u32>,
+    memo: TokenMemo,
+    /// Reused per-document term list (workhorse collection).
+    terms: Vec<TermId>,
+}
+
+/// Raw token → its analyzed term id, for one build.
+///
+/// `None` is a token that analyzes to nothing the build keeps: a stopword,
+/// or, against a read-only vocabulary, a term the vocabulary lacks. The
+/// memo is only as valid as the vocabulary its ids came from, so each
+/// build owns one and drops it with the build; there is no shared or
+/// static cache.
+#[derive(Debug, Default)]
+pub(crate) struct TokenMemo(HashMap<String, Option<TermId>>);
+
+impl TokenMemo {
+    /// The term id of `token`, calling `analyze` only the first time this
+    /// memo meets `token`.
+    pub(crate) fn resolve(
+        &mut self,
+        token: &str,
+        analyze: impl FnOnce(&str) -> Option<TermId>,
+    ) -> Option<TermId> {
+        if let Some(&id) = self.0.get(token) {
+            return id;
+        }
+        let id = analyze(token);
+        self.0.insert(token.to_owned(), id);
+        id
+    }
 }
 
 /// What a builder freezes into: the postings, lengths and statistics of
@@ -92,7 +130,8 @@ impl IndexBuilder {
             accum: Vec::new(),
             doc_lens: Vec::new(),
             num_tokens: 0,
-            tf_scratch: HashMap::new(),
+            memo: TokenMemo::default(),
+            terms: Vec::new(),
         }
     }
 
@@ -118,30 +157,38 @@ impl IndexBuilder {
             self.first_doc as usize + self.docs.len(),
             "document ids must continue the collection densely, in insertion order"
         );
-        let text = doc.full_text();
-        let doc_id = doc.id.0;
-        self.docs.push(doc);
-
-        let terms = self.analyzer.analyze_interned(&text, &mut self.vocab);
+        let IndexBuilder {
+            analyzer,
+            vocab,
+            memo,
+            terms,
+            ..
+        } = self;
+        // `full_text` is the title, a space and the body: the title's
+        // tokens, then the body's.
+        terms.clear();
+        for text in [&doc.title, &doc.body] {
+            analyzer.tokenizer().for_each_token(text, |token| {
+                terms.extend(memo.resolve(token, |token| {
+                    analyzer
+                        .analyze_token(token)
+                        .map(|term| vocab.intern(&term))
+                }));
+            });
+        }
         let doc_len = terms.len() as u32;
         self.doc_lens.push(doc_len);
         self.num_tokens += u64::from(doc_len);
-
-        self.tf_scratch.clear();
-        for term in terms {
-            *self.tf_scratch.entry(term).or_insert(0) += 1;
-        }
         if self.accum.len() < self.vocab.len() {
             self.accum.resize_with(self.vocab.len(), Vec::new);
         }
-        // Deterministic postings order requires a stable iteration order;
-        // sort the (few) distinct terms of this document.
-        let mut entries: Vec<(TermId, u32)> =
-            self.tf_scratch.iter().map(|(&t, &tf)| (t, tf)).collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        for (term, tf) in entries {
-            self.accum[term.index()].push((doc_id, tf));
+        // Deterministic postings order: this document's terms in id order,
+        // each with its count.
+        self.terms.sort_unstable();
+        for run in self.terms.chunk_by(|a, b| a == b) {
+            self.accum[run[0].index()].push((doc.id.0, run.len() as u32));
         }
+        self.docs.push(doc);
     }
 
     /// Freeze the accumulated postings.

@@ -9,14 +9,23 @@
 //! tokenized *that* a second time to vectorize it.
 //!
 //! [`ForwardIndex`] moves all of it to build time. Each document body is
-//! tokenized and analyzed **once** into a compact per-document stream of
-//! [`TermId`]s in which stopword/out-of-vocabulary positions are kept as a
-//! sentinel ([`STOP`]) — raw-token positions are preserved, so the
-//! query-biased window semantics of
+//! tokenized **once** into a compact per-document stream of [`TermId`]s
+//! in which stopword/out-of-vocabulary positions are kept as a sentinel
+//! ([`STOP`]) — raw-token positions are preserved, so the query-biased
+//! window semantics of
 //! [`SnippetGenerator`](crate::snippet::SnippetGenerator) are unchanged.
 //! Alongside the stream the index precomputes each document's title
 //! term-frequency vector and caches the per-term IDF weight
 //! `ln(1 + N/df)` used by [`SparseVector::from_text`].
+//!
+//! Each distinct raw token is *analyzed* once per build: the build keeps
+//! a memo from raw token to term id (or to "nothing": stopword or unknown
+//! term), shared by bodies and titles, and runs the analyzer's stopword
+//! and stem step only on a token it has not met. The memo lives for one
+//! [`ForwardIndex::build`] call and is dropped with it, since its ids
+//! are that index's vocabulary's. A token is its own tokenization, so
+//! each memo entry equals `analyze(raw).first()` looked up in the
+//! vocabulary — the per-raw-token normalization of the text oracle.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
@@ -46,6 +55,7 @@
 //! assert_eq!(compiled, SparseVector::from_text(&snippet, &index));
 //! ```
 
+use crate::builder::TokenMemo;
 use crate::document::DocId;
 use crate::index::InvertedIndex;
 use crate::reader::{ByteReader, ByteWriter};
@@ -87,10 +97,10 @@ pub struct ForwardIndex {
 }
 
 impl ForwardIndex {
-    /// Compile the forward index from `index`: tokenize + analyze each
-    /// document body once, precompute title term frequencies and per-term
-    /// IDF weights. This is an offline deployment step (one full pass
-    /// over the document store).
+    /// Compile the forward index from `index`: tokenize each document
+    /// body once (analyzing each distinct raw token once), precompute
+    /// title term frequencies and per-term IDF weights. This is an
+    /// offline deployment step (one full pass over the document store).
     pub fn build(index: &InvertedIndex) -> Self {
         let vocab = index.vocab();
         let analyzer = index.analyzer();
@@ -106,38 +116,27 @@ impl ForwardIndex {
         offsets.push(0);
         title_offsets.push(0);
         let mut title_scratch: Vec<u32> = Vec::new();
+        let tokenizer = analyzer.tokenizer();
+        let mut memo = TokenMemo::default();
+        let analyze = |raw: &str| analyzer.analyze_token(raw).and_then(|term| vocab.id(&term));
         for doc in store.iter() {
             // Body stream: the same per-raw-token normalization the text
-            // oracle applies (analyze the token, keep the first produced
-            // term if the vocabulary knows it).
-            for raw in serpdiv_text::tokenize(&doc.body) {
-                let norm = analyzer
-                    .analyze(&raw)
-                    .first()
-                    .and_then(|term| vocab.id(term));
-                tokens.push(norm.map_or(STOP, |t| t.0));
-            }
+            // oracle applies (analyze the token, keep the term if the
+            // vocabulary knows it).
+            tokenizer.for_each_token(&doc.body, |raw| {
+                tokens.push(memo.resolve(raw, analyze).map_or(STOP, |t| t.0));
+            });
             offsets.push(u32::try_from(tokens.len()).expect("forward stream exceeds u32 offsets"));
 
             // Title tf vector: full analysis of the raw title, unknown
             // terms dropped — what `from_text` sees for the title prefix.
             title_scratch.clear();
-            title_scratch.extend(
-                analyzer
-                    .analyze_known(&doc.title, vocab)
-                    .iter()
-                    .map(|t| t.0),
-            );
+            tokenizer.for_each_token(&doc.title, |raw| {
+                title_scratch.extend(memo.resolve(raw, analyze).map(|t| t.0));
+            });
             title_scratch.sort_unstable();
-            let mut i = 0;
-            while i < title_scratch.len() {
-                let term = title_scratch[i];
-                let mut tf = 0u32;
-                while i < title_scratch.len() && title_scratch[i] == term {
-                    tf += 1;
-                    i += 1;
-                }
-                title_terms.push((term, tf));
+            for run in title_scratch.chunk_by(|a, b| a == b) {
+                title_terms.push((run[0], run.len() as u32));
             }
             title_offsets
                 .push(u32::try_from(title_terms.len()).expect("title entries exceed u32 offsets"));

@@ -9,6 +9,7 @@ use crate::stem::porter_stem;
 use crate::stopwords::is_stopword;
 use crate::tokenizer::Tokenizer;
 use crate::vocab::{TermId, Vocabulary};
+use std::borrow::Cow;
 
 /// Text-analysis pipeline configuration.
 #[derive(Debug, Clone)]
@@ -45,27 +46,41 @@ impl Analyzer {
         }
     }
 
+    /// The tokenizer every analysis of this pipeline runs.
+    pub fn tokenizer(&self) -> &Tokenizer {
+        &self.tokenizer
+    }
+
+    /// The per-token step of [`analyze`](Self::analyze): `None` for a
+    /// removed stopword, else `token`, stemmed when the pipeline stems.
+    ///
+    /// `token` is one token as [`Tokenizer::for_each_token`] yields it. A
+    /// token is its own tokenization, so for every such token
+    /// `analyze(token)` is this step's result as a vector of at most one
+    /// term — which is what lets an index build remember the step per
+    /// distinct token instead of running it per occurrence.
+    pub fn analyze_token<'a>(&self, token: &'a str) -> Option<Cow<'a, str>> {
+        if self.remove_stopwords && is_stopword(token) {
+            None
+        } else if self.stem {
+            Some(Cow::Owned(porter_stem(token)))
+        } else {
+            Some(Cow::Borrowed(token))
+        }
+    }
+
     /// Analyze `text` into normalized terms.
     pub fn analyze(&self, text: &str) -> Vec<String> {
-        let mut tokens = Vec::new();
-        self.tokenizer.tokenize_into(text, &mut tokens);
-        let mut out = Vec::with_capacity(tokens.len());
-        for tok in tokens {
-            if self.remove_stopwords && is_stopword(&tok) {
-                continue;
-            }
-            if self.stem {
-                out.push(porter_stem(&tok));
-            } else {
-                out.push(tok);
-            }
-        }
+        let mut out = Vec::new();
+        self.for_each_term(text, |term| out.push(term.into_owned()));
         out
     }
 
     /// Analyze `text` and intern every produced term into `vocab`.
     pub fn analyze_interned(&self, text: &str, vocab: &mut Vocabulary) -> Vec<TermId> {
-        self.analyze(text).iter().map(|t| vocab.intern(t)).collect()
+        let mut out = Vec::new();
+        self.for_each_term(text, |term| out.push(vocab.intern(&term)));
+        out
     }
 
     /// Analyze `text`, resolving terms against an existing (read-only)
@@ -73,10 +88,18 @@ impl Analyzer {
     /// the query-time behaviour: a query term the index has never seen
     /// cannot match anything.
     pub fn analyze_known(&self, text: &str, vocab: &Vocabulary) -> Vec<TermId> {
-        self.analyze(text)
-            .iter()
-            .filter_map(|t| vocab.id(t))
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_term(text, |term| out.extend(vocab.id(&term)));
+        out
+    }
+
+    /// The one analysis loop: each token through [`analyze_token`](Self::analyze_token).
+    fn for_each_term(&self, text: &str, mut f: impl FnMut(Cow<'_, str>)) {
+        self.tokenizer.for_each_token(text, |token| {
+            if let Some(term) = self.analyze_token(token) {
+                f(term);
+            }
+        });
     }
 }
 
@@ -119,6 +142,21 @@ mod tests {
         a.analyze_interned("apple tree", &mut v);
         let ids = a.analyze_known("apple zeppelin", &v);
         assert_eq!(ids.len(), 1);
+    }
+
+    #[test]
+    fn analyze_token_is_the_analysis_of_one_token() {
+        let text = "The RUNNERS were running to İstanbul's STRAẞE in 2009, café ΣΟΦΙΑ";
+        for a in [Analyzer::english(), Analyzer::plain()] {
+            for token in a.tokenizer().tokenize(text) {
+                let step: Vec<String> = a
+                    .analyze_token(&token)
+                    .into_iter()
+                    .map(Cow::into_owned)
+                    .collect();
+                assert_eq!(a.analyze(&token), step, "{token}");
+            }
+        }
     }
 
     #[test]
