@@ -28,7 +28,6 @@ fn main() {
     let store = SpecializationStore::build_with(
         &lab.model,
         index,
-        index,
         &ForwardIndex::build(index),
         params.k_spec_results,
         params.snippet_window,

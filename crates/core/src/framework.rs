@@ -117,11 +117,11 @@ impl SpecializationStore {
     /// `k_spec` results per distinct specialization in `model`, each hit's
     /// snippet surrogate computed by [`candidate_surrogate`] over
     /// `forward` — the function the request path computes a candidate's
-    /// with. `index` analyzes the specialization text; `retriever` and
-    /// `forward` must be over that same index.
+    /// with. `retriever` analyzes the specialization text
+    /// ([`Retriever::query_terms`]) and retrieves it; it and `forward`
+    /// must be over the same sealed index.
     pub fn build_with(
         model: &SpecializationModel,
-        index: &InvertedIndex,
         retriever: &dyn Retriever,
         forward: &ForwardIndex,
         k_spec: usize,
@@ -133,7 +133,7 @@ impl SpecializationStore {
             if entries.contains_key(spec) {
                 continue;
             }
-            let terms = index.analyze_query(spec);
+            let terms = retriever.query_terms(spec);
             let list = retriever
                 .retrieve_terms(&terms, k_spec)
                 .iter()
@@ -153,14 +153,7 @@ impl SpecializationStore {
         snippet_window: usize,
     ) -> Self {
         let forward = ForwardIndex::build(engine.index());
-        Self::build_with(
-            model,
-            engine.index(),
-            engine,
-            &forward,
-            k_spec,
-            snippet_window,
-        )
+        Self::build_with(model, engine, &forward, k_spec, snippet_window)
     }
 
     /// The ranked surrogates of `spec` (empty slice when unknown).

@@ -384,10 +384,9 @@ pub struct FleetMetricsSnapshot {
 /// merge around a fleet of out-of-process shard scorers.
 ///
 /// Implements [`Retriever`], so it drops into the serving engine exactly
-/// where `ShardedIndex` does — including the budget-aware
-/// [`retrieve_with_status_within`](Retriever::retrieve_with_status_within)
-/// entry point, which clamps every shard's wire deadline to the
-/// request's remaining budget.
+/// where `ShardedIndex` does — its one scoring entry point,
+/// [`retrieve_terms_within`](Retriever::retrieve_terms_within), clamps
+/// every shard's wire deadline to the request's remaining budget.
 pub struct FleetRouter {
     index: Arc<InvertedIndex>,
     links: Vec<WorkerLink>,
@@ -493,51 +492,10 @@ impl FleetRouter {
     }
 
     /// Scatter pre-analyzed terms to the fleet and gather the union
-    /// top-`k`, reporting whether every shard contributed.
+    /// top-`k`, reporting whether every shard contributed: the
+    /// unbudgeted [`Retriever::retrieve_terms_within`].
     pub fn retrieve_terms_with_status(&self, terms: &[TermId], k: usize) -> Retrieval {
         self.retrieve_terms_within(terms, k, None)
-    }
-
-    /// [`retrieve_terms_with_status`](Self::retrieve_terms_with_status)
-    /// under a deadline budget: each shard exchange's wire deadline is
-    /// the configured [`FleetConfig::shard_timeout`] clamped to the
-    /// request's remaining `budget_us`. A request whose budget is already
-    /// spent fails every shard without a syscall — and without blaming
-    /// the shards.
-    pub fn retrieve_terms_within(
-        &self,
-        terms: &[TermId],
-        k: usize,
-        budget_us: Option<u64>,
-    ) -> Retrieval {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if terms.is_empty() || k == 0 {
-            return Retrieval::complete(Vec::new());
-        }
-        let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
-        let replies = self.exchange(
-            &mut Request::query(wire_k, terms),
-            Mode::Serve(budget_us.map(Duration::from_micros)),
-        );
-        let per_shard: Vec<Vec<ScoredDoc>> = replies
-            .into_iter()
-            .filter_map(|reply| match reply {
-                Some(Frame::Hits { hits, .. }) => Some(hits),
-                _ => None,
-            })
-            .collect();
-        let complete = per_shard.len() == self.links.len();
-        if !complete {
-            self.partial_gathers.fetch_add(1, Ordering::Relaxed);
-        }
-        // The gather: identical merge to in-process scatter-gather, over
-        // whichever shards answered (all of them, in the healthy case).
-        let hits = merge_top_k(per_shard, k);
-        if complete {
-            Retrieval::complete(hits)
-        } else {
-            Retrieval::partial(hits)
-        }
     }
 
     /// One request/reply exchange with every shard, on the calling
@@ -750,21 +708,52 @@ impl FleetRouter {
 }
 
 impl Retriever for FleetRouter {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_terms(&self.index.analyze_query(query), k)
+    /// The sealed index's analysis: the router holds the index for
+    /// exactly this, its postings stay in the workers.
+    fn query_terms(&self, query: &str) -> Vec<TermId> {
+        self.index.analyze_query(query)
     }
 
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_terms_with_status(terms, k).hits
-    }
-
-    fn retrieve_with_status_within(
+    /// Scatter pre-analyzed terms to the fleet and gather the union
+    /// top-`k` under a deadline budget: each shard exchange's wire
+    /// deadline is the configured [`FleetConfig::shard_timeout`] clamped
+    /// to the request's remaining `budget_us`. A request whose budget is
+    /// already spent fails every shard without a syscall — and without
+    /// blaming the shards.
+    fn retrieve_terms_within(
         &self,
-        query: &str,
+        terms: &[TermId],
         k: usize,
         budget_us: Option<u64>,
     ) -> Retrieval {
-        self.retrieve_terms_within(&self.index.analyze_query(query), k, budget_us)
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        if terms.is_empty() || k == 0 {
+            return Retrieval::complete(Vec::new());
+        }
+        let wire_k = u32::try_from(k).unwrap_or(u32::MAX);
+        let replies = self.exchange(
+            &mut Request::query(wire_k, terms),
+            Mode::Serve(budget_us.map(Duration::from_micros)),
+        );
+        let per_shard: Vec<Vec<ScoredDoc>> = replies
+            .into_iter()
+            .filter_map(|reply| match reply {
+                Some(Frame::Hits { hits, .. }) => Some(hits),
+                _ => None,
+            })
+            .collect();
+        let complete = per_shard.len() == self.links.len();
+        if !complete {
+            self.partial_gathers.fetch_add(1, Ordering::Relaxed);
+        }
+        // The gather: identical merge to in-process scatter-gather, over
+        // whichever shards answered (all of them, in the healthy case).
+        let hits = merge_top_k(per_shard, k);
+        if complete {
+            Retrieval::complete(hits)
+        } else {
+            Retrieval::partial(hits)
+        }
     }
 }
 

@@ -427,12 +427,9 @@ fn recovers_after_evil_worker_is_replaced_by_real_one() {
     let healed = router.retrieve_with_status_within("apple pie", 5, None);
     assert!(healed.complete, "healed fleet serves complete gathers");
     // And the page is the full two-shard merge, bit-identical to the
-    // in-process oracle.
-    let oracle = sharded.retrieve_terms_with_mode(
-        &index.analyze_query("apple pie"),
-        5,
-        serpdiv_index::ScatterMode::Sequential,
-    );
+    // in-process oracle: the same shards scored one after another (no
+    // executor attached).
+    let oracle = sharded.retrieve_terms(&index.analyze_query("apple pie"), 5);
     assert_eq!(healed.hits.len(), oracle.len());
     for (e, g) in oracle.iter().zip(&healed.hits) {
         assert_eq!(e.doc, g.doc);

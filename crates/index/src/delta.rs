@@ -260,6 +260,15 @@ impl DeltaRetriever {
     pub fn delta(&self) -> &Arc<DeltaIndex> {
         &self.delta
     }
+}
+
+impl Retriever for DeltaRetriever {
+    /// The delta's extended-vocabulary analysis
+    /// ([`DeltaIndex::analyze_query`]): a query term that arrived with the
+    /// delta keeps the id the merge will seal for it.
+    fn query_terms(&self, query: &str) -> Vec<TermId> {
+        self.delta.analyze_query(query)
+    }
 
     /// Score both sides of the union under the shared overlay and gather;
     /// `budget_us` bounds the sealed side (the in-process delta has no
@@ -267,7 +276,12 @@ impl DeltaRetriever {
     /// sealed side: the sealed postings simply do not have them, so they
     /// contribute nothing there — as in the merged index, where their
     /// postings hold only delta documents.
-    fn gather(&self, terms: &[TermId], k: usize, budget_us: Option<u64>) -> Retrieval {
+    fn retrieve_terms_within(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        budget_us: Option<u64>,
+    ) -> Retrieval {
         let sealed = self
             .sealed
             .retrieve_terms_overlaid(terms, k, self.delta.overlay(), budget_us)
@@ -277,25 +291,6 @@ impl DeltaRetriever {
             hits,
             complete: sealed.complete,
         }
-    }
-}
-
-impl Retriever for DeltaRetriever {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_with_status_within(query, k, None).hits
-    }
-
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.gather(terms, k, None).hits
-    }
-
-    fn retrieve_with_status_within(
-        &self,
-        query: &str,
-        k: usize,
-        budget_us: Option<u64>,
-    ) -> Retrieval {
-        self.gather(&self.delta.analyze_query(query), k, budget_us)
     }
 }
 
@@ -527,12 +522,17 @@ mod tests {
     }
 
     impl Retriever for Recording {
-        fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-            self.inner.retrieve(query, k)
+        fn query_terms(&self, query: &str) -> Vec<TermId> {
+            self.inner.query_terms(query)
         }
 
-        fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-            self.inner.retrieve_terms(terms, k)
+        fn retrieve_terms_within(
+            &self,
+            terms: &[TermId],
+            k: usize,
+            budget_us: Option<u64>,
+        ) -> Retrieval {
+            self.inner.retrieve_terms_within(terms, k, budget_us)
         }
 
         fn retrieve_terms_overlaid(

@@ -89,6 +89,6 @@ pub use reader::{ByteReader, ByteWriter, Truncated};
 pub use retriever::{Retrieval, Retriever};
 pub use search::{query_weights, RankingModel, ScoredDoc, SearchEngine};
 pub use serialize::DecodeError;
-pub use sharded::{merge_top_k, ScatterMode, ShardedIndex};
+pub use sharded::{merge_top_k, ShardedIndex};
 pub use snippet::SnippetGenerator;
 pub use vector::{cosine, cosine64, SparseVector};

@@ -12,6 +12,9 @@
 //! (`kernel::score_range`); the hash-map [`SearchEngine`] implements the
 //! trait too, as the oracle they are compared with.
 //!
+//! An implementation writes two methods, its query analysis and its one
+//! scoring entry point; every other method composes them (see the trait).
+//!
 //! # Example
 //!
 //! ```
@@ -77,34 +80,55 @@ impl Retrieval {
 /// rankings, with ties broken by ascending document id. `Send + Sync` is a
 /// supertrait because retrievers are shared by reference across serving
 /// worker threads.
+///
+/// **One entry point.** An implementation writes
+/// [`query_terms`](Self::query_terms) and
+/// [`retrieve_terms_within`](Self::retrieve_terms_within); `retrieve`,
+/// `retrieve_terms` and `retrieve_with_status_within` are provided
+/// compositions no product implementation overrides. **The analysis
+/// contract:** `query_terms` returns ids in the space the retriever
+/// scores in, in token order with duplicates kept. Over a sealed
+/// [`InvertedIndex`] that is [`InvertedIndex::analyze_query`]; a
+/// [`DeltaRetriever`](crate::delta::DeltaRetriever) analyzes against the
+/// delta's vocabulary, which extends the sealed one, so the ids below the
+/// sealed vocabulary's size are the sealed analysis.
 pub trait Retriever: Send + Sync {
+    /// Analyze raw query text into this retriever's term ids.
+    fn query_terms(&self, query: &str) -> Vec<TermId>;
+
+    /// Top-`k` documents for pre-analyzed query terms, with a
+    /// completeness flag, bounded by the caller's remaining per-request
+    /// budget in microseconds (`None` ⇒ unbounded). An in-process strategy
+    /// ignores the budget (an in-flight retrieval is cheaper to finish
+    /// than to abandon) and reports complete; a distributed one surfaces
+    /// partial gathers (see [`Retrieval`]) and clamps its per-shard wire
+    /// deadlines to `min(configured, remaining)` (see `FleetRouter` in the
+    /// fleet crate).
+    fn retrieve_terms_within(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        budget_us: Option<u64>,
+    ) -> Retrieval;
+
+    /// Top-`k` documents for pre-analyzed query terms, unbounded.
+    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
+        self.retrieve_terms_within(terms, k, None).hits
+    }
+
     /// Top-`k` documents for a raw query string (analysis included).
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc>;
+    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
+        self.retrieve_terms(&self.query_terms(query), k)
+    }
 
-    /// Top-`k` documents for pre-analyzed query terms.
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc>;
-
-    /// Like [`retrieve`](Self::retrieve), with a completeness flag, bounded
-    /// by the caller's remaining per-request budget in microseconds
-    /// (`None` ⇒ unbounded).
-    ///
-    /// The default forwards to `retrieve`, ignores the budget and reports
-    /// complete — correct for every in-process strategy: it has no useful
-    /// cancellation point, and an in-flight retrieval is always cheaper to
-    /// finish than to abandon. Distributed retrievers override it to
-    /// surface partial gathers (see [`Retrieval`]) and to clamp their
-    /// per-shard wire deadlines to `min(configured, remaining)`, so a
-    /// request that has nearly exhausted its budget stops paying full
-    /// shard timeouts for slow workers (see `FleetRouter` in the fleet
-    /// crate).
+    /// [`retrieve_terms_within`](Self::retrieve_terms_within) for raw text.
     fn retrieve_with_status_within(
         &self,
         query: &str,
         k: usize,
         budget_us: Option<u64>,
     ) -> Retrieval {
-        let _ = budget_us;
-        Retrieval::complete(self.retrieve(query, k))
+        self.retrieve_terms_within(&self.query_terms(query), k, budget_us)
     }
 
     /// Like [`retrieve_terms`](Self::retrieve_terms), but scored against
@@ -112,7 +136,7 @@ pub trait Retriever: Send + Sync {
     /// sealed half of the NRT union-statistics contract (see
     /// [`DeltaRetriever`](crate::delta::DeltaRetriever)) — and bounded by
     /// `budget_us` like
-    /// [`retrieve_with_status_within`](Self::retrieve_with_status_within).
+    /// [`retrieve_terms_within`](Self::retrieve_terms_within).
     ///
     /// `None` means this strategy **cannot** score under foreign
     /// statistics, and is the default: a retriever that quietly fell back
@@ -143,7 +167,7 @@ impl InvertedIndex {
     /// retrieval kernel, optionally scored against `overlay`'s statistics.
     /// The [`Retriever`] impl is this with [`Dph`]; the result equals
     /// [`SearchEngine::with_model`]'s, `f64` bit for bit.
-    pub fn retrieve_terms_with_model<M: RankingModel>(
+    pub fn retrieve_terms_by<M: RankingModel>(
         &self,
         terms: &[TermId],
         k: usize,
@@ -158,12 +182,17 @@ impl InvertedIndex {
 /// The default retriever: DPH over the whole collection (one logical
 /// shard).
 impl Retriever for InvertedIndex {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_terms(&self.analyze_query(query), k)
+    fn query_terms(&self, query: &str) -> Vec<TermId> {
+        self.analyze_query(query)
     }
 
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.retrieve_terms_with_model(terms, k, &Dph::new(), None)
+    fn retrieve_terms_within(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        _budget_us: Option<u64>,
+    ) -> Retrieval {
+        Retrieval::complete(self.retrieve_terms_by(terms, k, &Dph::new(), None))
     }
 
     fn retrieve_terms_overlaid(
@@ -173,18 +202,23 @@ impl Retriever for InvertedIndex {
         overlay: &StatsOverlay,
         _budget_us: Option<u64>,
     ) -> Option<Retrieval> {
-        let hits = self.retrieve_terms_with_model(terms, k, &Dph::new(), Some(overlay));
+        let hits = self.retrieve_terms_by(terms, k, &Dph::new(), Some(overlay));
         Some(Retrieval::complete(hits))
     }
 }
 
 impl Retriever for SearchEngine<'_> {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        self.search(query, k)
+    fn query_terms(&self, query: &str) -> Vec<TermId> {
+        self.index().analyze_query(query)
     }
 
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.search_terms(terms, k)
+    fn retrieve_terms_within(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        _budget_us: Option<u64>,
+    ) -> Retrieval {
+        Retrieval::complete(self.search_terms(terms, k))
     }
 }
 

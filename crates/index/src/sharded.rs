@@ -53,24 +53,6 @@ struct Shard {
     len: usize,
 }
 
-/// How the scatter step schedules shard scoring — the production
-/// heuristic plus the forced modes the equivalence suites use to pit the
-/// executor path against the sequential oracle on identical inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScatterMode {
-    /// Production policy: the attached [`ScoringExecutor`] at or above the
-    /// postings threshold; sequential below it, and always when no
-    /// executor is attached.
-    Auto,
-    /// Force shard-after-shard scoring on the calling thread (the
-    /// equivalence suites' oracle, and the whole scatter step of a
-    /// deployment without an executor).
-    Sequential,
-    /// Force batch submission through the attached executor; panics if
-    /// none was attached via [`ShardedIndex::with_executor`].
-    Executor,
-}
-
 /// A horizontally partitioned view of an [`InvertedIndex`] with parallel
 /// scatter-gather retrieval.
 ///
@@ -265,45 +247,36 @@ impl ShardedIndex {
         }
     }
 
-    /// Scatter: score every shard — through the persistent executor or
-    /// inline, per `mode` — then gather: k-way
-    /// merge of the per-shard top-`k` lists. Every mode produces the same
-    /// `f64` bits in the same order. When an `overlay` is given, every
-    /// shard scores against its statistics (the NRT union contract)
-    /// instead of the shared index's own.
+    /// Scatter: score every shard — through the attached executor at or
+    /// above the postings threshold, inline below it or without one —
+    /// then gather: k-way merge of the per-shard top-`k` lists. Both
+    /// paths produce the same `f64` bits in the same order. When an
+    /// `overlay` is given, every shard scores against its statistics (the
+    /// NRT union contract) instead of the shared index's own.
     fn scatter_gather(
         &self,
         terms: &[TermId],
         k: usize,
-        mode: ScatterMode,
         overlay: Option<&StatsOverlay>,
     ) -> Vec<ScoredDoc> {
         if terms.is_empty() || k == 0 {
             return Vec::new();
         }
         let weights = query_weights(terms);
-        let executor = match mode {
-            ScatterMode::Sequential => None,
-            ScatterMode::Executor => Some(
-                self.executor
-                    .as_ref()
-                    .expect("ScatterMode::Executor requires with_executor"),
-            ),
-            // Sequential scatter below the threshold: no hand-off at all —
-            // the right call when the postings traversal is cheaper than
-            // reaching another thread.
-            ScatterMode::Auto => self.executor.as_ref().filter(|_| {
-                // Estimated matching postings: Σ doc_freq over the terms.
-                let estimated = || -> u64 {
-                    weights
-                        .iter()
-                        .filter_map(|&(t, _)| self.index.term_stats(t))
-                        .map(|ts| ts.doc_freq)
-                        .sum()
-                };
-                self.shards.len() > 1 && estimated() >= self.parallel_threshold
-            }),
-        };
+        // Sequential scatter below the threshold: no hand-off at all —
+        // the right call when the postings traversal is cheaper than
+        // reaching another thread.
+        let executor = self.executor.as_ref().filter(|_| {
+            // Estimated matching postings: Σ doc_freq over the terms.
+            let estimated = || -> u64 {
+                weights
+                    .iter()
+                    .filter_map(|&(t, _)| self.index.term_stats(t))
+                    .map(|ts| ts.doc_freq)
+                    .sum()
+            };
+            self.shards.len() > 1 && estimated() >= self.parallel_threshold
+        });
         let per_shard: Vec<Vec<ScoredDoc>> = match executor {
             None => self
                 .shards
@@ -329,28 +302,20 @@ impl ShardedIndex {
         };
         merge_top_k(per_shard, k)
     }
-
-    /// Retrieval with an explicit [`ScatterMode`] — the test hook the
-    /// `executor_equivalence` suite uses to pit the executor path against
-    /// the sequential oracle on identical inputs.
-    pub fn retrieve_terms_with_mode(
-        &self,
-        terms: &[TermId],
-        k: usize,
-        mode: ScatterMode,
-    ) -> Vec<ScoredDoc> {
-        self.scatter_gather(terms, k, mode, None)
-    }
 }
 
 impl Retriever for ShardedIndex {
-    fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-        let terms = self.index.analyze_query(query);
-        self.scatter_gather(&terms, k, ScatterMode::Auto, None)
+    fn query_terms(&self, query: &str) -> Vec<TermId> {
+        self.index.analyze_query(query)
     }
 
-    fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        self.scatter_gather(terms, k, ScatterMode::Auto, None)
+    fn retrieve_terms_within(
+        &self,
+        terms: &[TermId],
+        k: usize,
+        _budget_us: Option<u64>,
+    ) -> Retrieval {
+        Retrieval::complete(self.scatter_gather(terms, k, None))
     }
 
     fn retrieve_terms_overlaid(
@@ -360,7 +325,7 @@ impl Retriever for ShardedIndex {
         overlay: &StatsOverlay,
         _budget_us: Option<u64>,
     ) -> Option<Retrieval> {
-        let hits = self.scatter_gather(terms, k, ScatterMode::Auto, Some(overlay));
+        let hits = self.scatter_gather(terms, k, Some(overlay));
         Some(Retrieval::complete(hits))
     }
 }

@@ -7,7 +7,7 @@
 //! edge by the driver, and propagated into the retrieval layer (where a
 //! distributed retriever clamps its per-shard wire deadlines to
 //! `min(configured, remaining)` — see
-//! [`Retriever::retrieve_with_status_within`](serpdiv_index::Retriever::retrieve_with_status_within)).
+//! [`Retriever::retrieve_terms_within`](serpdiv_index::Retriever::retrieve_terms_within)).
 //!
 //! Checking against an absolute `Instant` rather than re-deriving
 //! "elapsed ≥ deadline" at each site keeps every consumer consistent:

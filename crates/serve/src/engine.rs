@@ -19,6 +19,7 @@ use serpdiv_index::{
     Retriever, ScoredDoc, ScoringExecutor, ShardedIndex, SnippetGenerator, SparseVector,
 };
 use serpdiv_mining::SpecializationModel;
+use serpdiv_text::TermId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,6 +101,19 @@ impl Default for EngineConfig {
 /// [`RankedResult`] an engine serves.
 pub type PresentationTable = Arc<[(Arc<str>, Arc<str>)]>;
 
+/// Intern the `(url, title)` of `index`'s sealed documents followed by
+/// the `delta` documents, in document-id order: the one interning loop
+/// behind [`SearchEngine::intern_presentation`] and
+/// [`Generation::presentation`].
+pub(crate) fn intern_presentation(index: &InvertedIndex, delta: &[Document]) -> PresentationTable {
+    index
+        .store()
+        .iter()
+        .chain(delta)
+        .map(|d| (Arc::from(d.url.as_str()), Arc::from(d.title.as_str())))
+        .collect()
+}
+
 /// The five algorithm kinds, in the order the engine's pre-built
 /// diversifier table is laid out.
 const ALGORITHMS: [AlgorithmKind; 5] = [
@@ -163,7 +177,6 @@ impl SearchEngine {
         let forward = Arc::new(ForwardIndex::build(&index));
         let store = Arc::new(SpecializationStore::build_with(
             &model,
-            &index,
             index.as_ref(),
             &forward,
             config.params.k_spec_results,
@@ -253,11 +266,7 @@ impl SearchEngine {
     /// one-off string copy behind [`SearchEngine::with_presentation`];
     /// engines that never receive one build it lazily on first use.
     pub fn intern_presentation(index: &InvertedIndex) -> PresentationTable {
-        index
-            .store()
-            .iter()
-            .map(|d| (Arc::from(d.url.as_str()), Arc::from(d.title.as_str())))
-            .collect()
+        intern_presentation(index, &[])
     }
 
     /// Inject a shared presentation table into the current generation
@@ -400,8 +409,8 @@ impl SearchEngine {
     }
 
     /// The candidate snippet surrogates for one request against its
-    /// pinned `generation`, through the query's
-    /// [`SurrogateTable`] when the cache is
+    /// pinned `generation`, from the query `terms` the retrieve stage
+    /// analyzed, through the query's [`SurrogateTable`] when the cache is
     /// enabled: one cache probe under the generation's surrogate stamp
     /// (the sealed index + forward index its vectors are computed from,
     /// see [`crate::generation`]) fetches the table, each sealed candidate
@@ -415,32 +424,32 @@ impl SearchEngine {
     pub(crate) fn surrogate_vectors(
         &self,
         generation: &Generation,
-        query: &str,
+        terms: &[TermId],
         baseline: &[ScoredDoc],
     ) -> Vec<Arc<SparseVector>> {
         let snippets = SnippetGenerator::with_window(self.config.params.snippet_window);
         let index = generation.index();
         let sealed = index.stats().num_docs as usize;
-        let qterms: Arc<[serpdiv_text::TermId]> = index.analyze_query(query).into();
-        // Fresh (delta) documents get their vector from the delta, in the
-        // same term-id space (its vocabulary is the sealed one, extended)
-        // but with the query analyzed against that extended vocabulary —
-        // a query term first seen in a delta document has no sealed
-        // TermId — and weighted with the union statistics, so the vector
-        // is already the one the merged generation will compute. It is a
-        // different function of the document than the sealed-term,
-        // sealed-statistics vectors the table is keyed for, so delta
-        // surrogates are computed per request and never enter a table;
-        // the delta is small and short-lived by design (the background
-        // merger seals it), so a table would barely amortize anyway.
-        let mut delta_qterms: Option<Vec<serpdiv_text::TermId>> = None;
-        let mut compute = |doc: DocId| {
+        // Sealed documents and the table key read the ids below the sealed
+        // vocabulary's size: a delta's vocabulary extends the sealed one,
+        // so that is exactly `index.analyze_query`, delta or not.
+        let vocab = index.vocab().len();
+        let qterms: Arc<[TermId]> = terms
+            .iter()
+            .copied()
+            .filter(|t| t.index() < vocab)
+            .collect();
+        // Delta documents read the ids as analyzed (a term first seen in
+        // the delta has no sealed id) and the union statistics: already
+        // the vector the merged generation computes, a different function
+        // than the one the table is keyed for, so they never enter a
+        // table; the delta is small and short-lived (the merger seals it).
+        let compute = |doc: DocId| {
             Arc::new(if doc.index() >= sealed {
-                let delta = generation
+                generation
                     .delta()
-                    .expect("document beyond the sealed collection without a delta");
-                let qt = delta_qterms.get_or_insert_with(|| delta.analyze_query(query));
-                delta.surrogate(doc, qt, &snippets)
+                    .expect("document beyond the sealed collection without a delta")
+                    .surrogate(doc, terms, &snippets)
             } else {
                 match generation.forward() {
                     Some(forward) => {
@@ -715,7 +724,7 @@ fn elapsed_us(since: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serpdiv_index::{Document, IndexBuilder};
+    use serpdiv_index::{Document, IndexBuilder, Retrieval};
 
     /// The two-interpretation "apple" world of the core framework tests.
     fn corpus() -> Vec<Document> {
@@ -1285,11 +1294,16 @@ mod tests {
         /// answer to an overlay, as a fleet router does.
         struct OwnStatisticsOnly(Arc<InvertedIndex>);
         impl Retriever for OwnStatisticsOnly {
-            fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
-                self.0.retrieve(query, k)
+            fn query_terms(&self, query: &str) -> Vec<TermId> {
+                self.0.query_terms(query)
             }
-            fn retrieve_terms(&self, terms: &[serpdiv_text::TermId], k: usize) -> Vec<ScoredDoc> {
-                self.0.retrieve_terms(terms, k)
+            fn retrieve_terms_within(
+                &self,
+                terms: &[TermId],
+                k: usize,
+                budget_us: Option<u64>,
+            ) -> Retrieval {
+                self.0.retrieve_terms_within(terms, k, budget_us)
             }
         }
 
@@ -1332,6 +1346,136 @@ mod tests {
         let m = engine.metrics();
         assert_eq!((m.swaps, m.swap_rejected), (0, 1));
         assert_eq!(pages(&engine), before, "the old generation still serves");
+    }
+
+    /// One retrieval as [`Counting`] saw it: the ids, `k` and budget.
+    type Call = (Vec<TermId>, usize, Option<u64>);
+
+    /// Wraps a generation's retriever: counts its analyses and records
+    /// the ids, `k` and budget every retrieval receives. `stall` runs
+    /// before each analysis, so a short deadline is spent on entry to
+    /// the retrieval calls.
+    struct Counting {
+        inner: Arc<dyn Retriever>,
+        stall: Duration,
+        analyzed: std::sync::Mutex<Vec<Vec<TermId>>>,
+        retrieved: std::sync::Mutex<Vec<Call>>,
+    }
+
+    impl Retriever for Counting {
+        fn query_terms(&self, query: &str) -> Vec<TermId> {
+            std::thread::sleep(self.stall);
+            let terms = self.inner.query_terms(query);
+            self.analyzed.lock().unwrap().push(terms.clone());
+            terms
+        }
+        fn retrieve_terms_within(
+            &self,
+            terms: &[TermId],
+            k: usize,
+            budget_us: Option<u64>,
+        ) -> Retrieval {
+            self.retrieved
+                .lock()
+                .unwrap()
+                .push((terms.to_vec(), k, budget_us));
+            self.inner.retrieve_terms_within(terms, k, budget_us)
+        }
+    }
+
+    /// Publish the engine's current generation again with its retriever
+    /// wrapped in a [`Counting`] one, which it returns.
+    fn count_analyses(engine: &SearchEngine, stall: Duration) -> Arc<Counting> {
+        let current = engine.generation();
+        let counting = Arc::new(Counting {
+            inner: current.retriever().clone(),
+            stall,
+            analyzed: Default::default(),
+            retrieved: Default::default(),
+        });
+        let next = match current.delta() {
+            Some(delta) => current.next().with_delta(delta.clone(), counting.clone()),
+            None => current.next().with_sealed(
+                current.index().clone(),
+                counting.clone(),
+                current.forward().cloned(),
+            ),
+        };
+        engine.publish(Arc::new(next)).unwrap();
+        counting
+    }
+
+    /// Serve `req` and return the analyses and retrievals it made.
+    fn counted_search(
+        engine: &SearchEngine,
+        counting: &Counting,
+        req: QueryRequest,
+    ) -> (SearchResponse, Vec<Vec<TermId>>, Vec<Call>) {
+        let out = engine.search(req);
+        let analyzed = std::mem::take(&mut *counting.analyzed.lock().unwrap());
+        let retrieved = std::mem::take(&mut *counting.retrieved.lock().unwrap());
+        (out, analyzed, retrieved)
+    }
+
+    #[test]
+    fn a_computed_request_analyzes_its_query_once_and_a_cache_hit_never() {
+        let fresh = Document::new(15, "http://fresh/15", "kiwi", "apple kiwi orchard juice");
+        for with_delta in [false, true] {
+            let engine = deploy(diversifying_config());
+            if with_delta {
+                engine.ingest(vec![fresh.clone()]).unwrap();
+            }
+            let counting = count_analyses(&engine, Duration::ZERO);
+            for (query, algorithm, diversified) in [
+                ("apple", AlgorithmKind::OptSelect, true),
+                ("storm", AlgorithmKind::OptSelect, false),
+                ("apple kiwi", AlgorithmKind::XQuad, false),
+                ("apple", AlgorithmKind::Baseline, false),
+            ] {
+                let case = format!("{query:?} {algorithm:?} delta={with_delta}");
+                let req = || QueryRequest::new(query, 4, algorithm);
+                let (out, analyzed, retrieved) = counted_search(&engine, &counting, req());
+                assert!(!out.cache_hit && !out.degraded, "{case}");
+                assert_eq!(out.diversified, diversified, "{case}");
+                assert_eq!(analyzed.len(), 1, "{case}: one analysis");
+                assert_eq!(retrieved.len(), 1, "{case}: one retrieval");
+                assert_eq!(retrieved[0].0, analyzed[0], "{case}: the analyzed ids");
+                let (again, analyzed, retrieved) = counted_search(&engine, &counting, req());
+                assert!(again.cache_hit, "{case}");
+                assert!(analyzed.is_empty() && retrieved.is_empty(), "{case}: a hit");
+            }
+            // The delta's vocabulary knows the fresh term, the sealed one
+            // does not: the request retrieved with the analysis it made.
+            let kiwi = engine.generation().retriever().query_terms("apple kiwi");
+            assert_eq!(kiwi.len(), if with_delta { 2 } else { 1 });
+        }
+    }
+
+    #[test]
+    fn a_request_out_of_budget_on_entry_analyzes_its_query_once() {
+        for with_delta in [false, true] {
+            let engine = deploy(EngineConfig {
+                deadline_us: 1,
+                ..diversifying_config()
+            });
+            if with_delta {
+                let fresh = Document::new(15, "http://fresh/15", "kiwi", "apple kiwi");
+                engine.ingest(vec![fresh]).unwrap();
+            }
+            let counting = count_analyses(&engine, Duration::from_millis(1));
+            let req = QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+            let (out, analyzed, retrieved) = counted_search(&engine, &counting, req);
+            assert!(out.degraded, "delta={with_delta}");
+            assert_eq!(out.algorithm, "DPH (degraded)");
+            assert_eq!(analyzed.len(), 1, "delta={with_delta}: one analysis");
+            // The exhausted-on-entry branch: the k-page, under the
+            // retriever's own deadlines, from the analyzed ids.
+            assert_eq!(
+                retrieved,
+                [(analyzed[0].clone(), 4, None)],
+                "delta={with_delta}"
+            );
+        }
     }
 
     #[test]

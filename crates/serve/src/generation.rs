@@ -105,7 +105,7 @@
 //! carries are never probed again, so they are the least recently used
 //! and leave the LRUs first.
 
-use crate::engine::PresentationTable;
+use crate::engine::{intern_presentation, PresentationTable};
 use serpdiv_core::{CompiledSpecStore, SpecializationStore, UtilityScorer};
 use serpdiv_index::{DecodeError, DeltaIndex, ForwardIndex, InvertedIndex, Retriever};
 use serpdiv_mining::SpecializationModel;
@@ -347,21 +347,7 @@ impl Generation {
     /// [`set_presentation`](Self::set_presentation).
     pub fn presentation(&self) -> &PresentationTable {
         self.presentation.get_or_init(|| {
-            let mut table: Vec<(Arc<str>, Arc<str>)> = self
-                .index
-                .store()
-                .iter()
-                .map(|d| (Arc::from(d.url.as_str()), Arc::from(d.title.as_str())))
-                .collect();
-            if let Some(delta) = &self.delta {
-                table.extend(
-                    delta
-                        .docs()
-                        .iter()
-                        .map(|d| (Arc::from(d.url.as_str()), Arc::from(d.title.as_str()))),
-                );
-            }
-            table.into()
+            intern_presentation(&self.index, self.delta.as_ref().map_or(&[], |d| d.docs()))
         })
     }
 

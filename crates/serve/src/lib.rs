@@ -70,7 +70,9 @@
 //!    (Algorithm 1 ran offline; online ambiguity detection is one hash
 //!    lookup). A miss means "not ambiguous" and the DPH baseline is served
 //!    unchanged;
-//! 2. **retrieve** ([`stages::RetrieveStage`]) — top-`n` candidates
+//! 2. **retrieve** ([`stages::RetrieveStage`]) — the one place a request
+//!    is analyzed (once, by the pinned generation's retriever; a cache
+//!    hit analyzes nothing), then top-`n` candidates
 //!    through the deployed [`Retriever`](serpdiv_index::Retriever): the
 //!    plain [`InvertedIndex`](serpdiv_index::InvertedIndex) or a
 //!    [`ShardedIndex`] scoring document
@@ -81,7 +83,8 @@
 //!    parallelism composes with the worker pool's request parallelism,
 //!    shard after shard on the request's thread otherwise;
 //! 3. **surrogate** ([`stages::SurrogateStage`]) — snippet surrogate
-//!    vectors for the candidates, memoized in the [`SurrogateCache`] as
+//!    vectors for the candidates from the retrieve stage's ids, memoized
+//!    in the [`SurrogateCache`] as
 //!    one rank-ordered table per `(surrogate epoch, query-terms)`: one
 //!    cache probe per request, each candidate resolved at its own rank
 //!    (binary search only when the table ranked another document there);

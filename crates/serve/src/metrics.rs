@@ -144,7 +144,7 @@ pub struct MetricsSnapshot {
     /// a time; entries now stay reachable through the generation's content
     /// stamps with no per-entry work (see [`crate::generation`]), so
     /// there is nothing to count. The field remains only because the
-    /// repo benchmark reads it (ROADMAP item 1f removes it).
+    /// repo benchmark reads it (ROADMAP item 1(a) removes it).
     pub carried_over: u64,
     /// Always 0, kept for the same reader as
     /// [`carried_over`](Self::carried_over).

@@ -380,7 +380,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use serpdiv_core::{AlgorithmKind, PipelineParams, UtilityParams};
-    use serpdiv_index::{Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc};
+    use serpdiv_index::{Document, IndexBuilder, InvertedIndex, Retrieval, Retriever};
     use serpdiv_mining::SpecializationModel;
     use serpdiv_text::TermId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -495,7 +495,7 @@ mod tests {
         assert!(pool.serve_batch(Vec::new()).is_empty());
     }
 
-    /// The plain index, running `hook` on the query of every retrieval
+    /// The plain index, running `hook` on the query of every analysis
     /// first — how these tests make a request slow, panic, or park at a
     /// point of their choosing.
     struct Hooked<F> {
@@ -504,18 +504,23 @@ mod tests {
     }
 
     impl<F: Fn(&str) + Send + Sync> Retriever for Hooked<F> {
-        fn retrieve(&self, query: &str, k: usize) -> Vec<ScoredDoc> {
+        fn query_terms(&self, query: &str) -> Vec<TermId> {
             (self.hook)(query);
-            self.index.retrieve(query, k)
+            self.index.query_terms(query)
         }
-        fn retrieve_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-            self.index.retrieve_terms(terms, k)
+        fn retrieve_terms_within(
+            &self,
+            terms: &[TermId],
+            k: usize,
+            budget_us: Option<u64>,
+        ) -> Retrieval {
+            self.index.retrieve_terms_within(terms, k, budget_us)
         }
     }
 
     /// An engine over [`engine`]'s artifacts whose retrieval runs `hook`
-    /// first — once per request, since every computed request retrieves
-    /// once — with the cache off so repeats run it again.
+    /// first — once per request, since every computed request analyzes
+    /// its query once — with the cache off so repeats run it again.
     fn hooked_engine(hook: impl Fn(&str) + Send + Sync + 'static) -> Arc<SearchEngine> {
         let generation = engine().generation();
         let index = generation.index().clone();

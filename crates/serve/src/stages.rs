@@ -9,6 +9,10 @@
 //! (baseline passthrough, empty retrieval, exhausted budget). Each stage
 //! may rely on every earlier one having run.
 //!
+//! A request is analyzed in one place: [`RetrieveStage`] turns its text
+//! into [`PipelineContext::terms`], which every retrieval and the
+//! surrogate stage read.
+//!
 //! Every stage runs against the request's **pinned [`Generation`]** — the
 //! immutable bundle the request captured once at admission. Stages never
 //! read serving state through the engine (which may have swapped to a
@@ -23,6 +27,7 @@ use crate::request::{QueryRequest, StageTimings};
 use serpdiv_core::{assemble_input_with_scorer, AlgorithmKind, DiversifyInput};
 use serpdiv_index::{ScoredDoc, SparseVector};
 use serpdiv_mining::SpecializationEntry;
+use serpdiv_text::TermId;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,6 +87,9 @@ pub struct PipelineContext<'a> {
     /// Detected specialization entry (`None` ⇒ not ambiguous, or a
     /// `Baseline` request that skips detection).
     pub entry: Option<&'a SpecializationEntry>,
+    /// The query's term ids, analyzed once by the retrieve stage through
+    /// the pinned generation's retriever (empty before it runs).
+    pub terms: Vec<TermId>,
     /// The retrieved candidate pool `Rq` (baseline ranking order).
     pub candidates: Vec<ScoredDoc>,
     /// Snippet-surrogate vectors, one per candidate.
@@ -112,6 +120,7 @@ impl<'a> PipelineContext<'a> {
             started,
             budget,
             entry: None,
+            terms: Vec::new(),
             candidates: Vec::new(),
             vectors: Vec::new(),
             input: None,
@@ -185,8 +194,9 @@ impl Stage for DetectStage {
 }
 
 /// Baseline retrieval through the deployed [`Retriever`]
-/// (single index, sharded scatter-gather, or the multi-process fleet
-/// router — the stage cannot tell). Non-ambiguous queries retrieve
+/// (single index, sharded scatter-gather, NRT delta, or the multi-process
+/// fleet router — the stage cannot tell), from the query as that
+/// retriever analyzes it, once. Non-ambiguous queries retrieve
 /// exactly `k` and finish the pipeline; ambiguous ones retrieve the
 /// candidate pool `n = max(n_candidates, k)`.
 ///
@@ -230,11 +240,12 @@ impl Stage for RetrieveStage {
         generation: &'a Generation,
         ctx: &mut PipelineContext<'a>,
     ) -> StageOutcome {
-        let query = &ctx.request.query;
+        let retriever = generation.retriever();
+        ctx.terms = retriever.query_terms(&ctx.request.query);
         if ctx.entry.is_none() {
             // Passthrough: the page is the baseline top-k.
-            let retrieval = generation.retriever().retrieve_with_status_within(
-                query,
+            let retrieval = retriever.retrieve_terms_within(
+                &ctx.terms,
                 ctx.request.k,
                 ctx.budget.remaining_us(),
             );
@@ -251,10 +262,7 @@ impl Stage for RetrieveStage {
             // retriever's own configured deadlines (a zero-µs wire budget
             // would only manufacture shard loss on top of the deadline)
             // and serve it as the degraded baseline.
-            let retrieval =
-                generation
-                    .retriever()
-                    .retrieve_with_status_within(query, ctx.request.k, None);
+            let retrieval = retriever.retrieve_terms_within(&ctx.terms, ctx.request.k, None);
             ctx.page = retrieval.hits;
             if !retrieval.complete {
                 Self::degrade_shard_loss(ctx);
@@ -264,10 +272,7 @@ impl Stage for RetrieveStage {
             return StageOutcome::Finish;
         }
         let n = engine.config().n_candidates.max(ctx.request.k);
-        let retrieval =
-            generation
-                .retriever()
-                .retrieve_with_status_within(query, n, ctx.budget.remaining_us());
+        let retrieval = retriever.retrieve_terms_within(&ctx.terms, n, ctx.budget.remaining_us());
         ctx.candidates = retrieval.hits;
         if !retrieval.complete {
             Self::degrade_shard_loss(ctx);
@@ -283,9 +288,9 @@ impl Stage for RetrieveStage {
     }
 }
 
-/// Snippet-surrogate vectors for every candidate, resolved against the
-/// query's cached surrogate table (one probe per request) when the
-/// surrogate cache is enabled.
+/// Snippet-surrogate vectors for every candidate from
+/// [`PipelineContext::terms`], resolved against the query's cached
+/// surrogate table (one probe per request) when the cache is enabled.
 pub struct SurrogateStage;
 
 impl Stage for SurrogateStage {
@@ -299,7 +304,7 @@ impl Stage for SurrogateStage {
         generation: &'a Generation,
         ctx: &mut PipelineContext<'a>,
     ) -> StageOutcome {
-        ctx.vectors = engine.surrogate_vectors(generation, &ctx.request.query, &ctx.candidates);
+        ctx.vectors = engine.surrogate_vectors(generation, &ctx.terms, &ctx.candidates);
         StageOutcome::Continue
     }
 }

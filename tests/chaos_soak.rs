@@ -155,7 +155,6 @@ fn build_engine(
     let forward = Arc::new(serpdiv::index::ForwardIndex::build(&index));
     let store = Arc::new(serpdiv::core::SpecializationStore::build_with(
         &m,
-        &index,
         index.as_ref(),
         &forward,
         config.params.k_spec_results,

@@ -132,7 +132,6 @@ fn deploy(executor: &Arc<ScoringExecutor>) -> Arc<SearchEngine> {
     let forward = Arc::new(serpdiv::index::ForwardIndex::build(&index));
     let store = Arc::new(serpdiv::core::SpecializationStore::build_with(
         &model,
-        &index,
         retriever.as_ref(),
         &forward,
         config.params.k_spec_results,

@@ -1,8 +1,8 @@
 //! Persistent-executor correctness: retrieval through the shared
 //! [`ScoringExecutor`] must be **bit-identical** — same doc ids, same
 //! `f64` score bits, same order — to the unsharded oracle and to the
-//! sequential scatter path, for every tested `shard count × executor
-//! threads` combination.
+//! sequential scatter path (a twin [`ShardedIndex`] with no executor),
+//! for every tested `shard count × executor threads` combination.
 //!
 //! Three layers of evidence:
 //! * a hand-built fixture with deliberate score ties straddling shard
@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serpdiv::index::{
-    Document, IndexBuilder, InvertedIndex, Retriever, ScatterMode, ScoredDoc, ScoringExecutor,
-    SearchEngine, ShardedIndex,
+    Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, ScoringExecutor, SearchEngine,
+    ShardedIndex,
 };
 use std::sync::Arc;
 
@@ -90,23 +90,24 @@ fn tie_heavy_fixture_is_bit_identical_across_shards_and_threads() {
         assert_eq!(executor.num_threads(), threads);
         for &shards in &SHARD_COUNTS {
             let pooled = pooled(&index, shards, &executor);
+            // The same partition without a pool: every query is scored
+            // shard after shard on this thread.
+            let sequential = ShardedIndex::build(index.clone(), shards);
             for query in queries {
                 let terms = index.analyze_query(query);
                 for k in [1, 2, 7, 13, 28, 100] {
                     let ctx = format!("{query:?} k={k} shards={shards} threads={threads}");
                     let expect = oracle.search(query, k);
-                    // Auto resolves to the executor (threshold 0, pool
-                    // attached) — the production path.
+                    // Threshold 0 with a pool attached: the executor path.
                     assert_bit_identical(&expect, &pooled.retrieve(query, k), &ctx);
-                    // Forced modes: executor and sequential.
                     assert_bit_identical(
                         &expect,
-                        &pooled.retrieve_terms_with_mode(&terms, k, ScatterMode::Executor),
+                        &pooled.retrieve_terms(&terms, k),
                         &format!("{ctx} [executor]"),
                     );
                     assert_bit_identical(
                         &expect,
-                        &pooled.retrieve_terms_with_mode(&terms, k, ScatterMode::Sequential),
+                        &sequential.retrieve_terms(&terms, k),
                         &format!("{ctx} [sequential]"),
                     );
                 }
@@ -200,18 +201,4 @@ fn one_executor_shared_by_several_indexes_serves_each_correctly() {
             "other corpus through shared pool",
         );
     }
-}
-
-#[test]
-fn executor_mode_requires_an_attached_pool() {
-    let index = tie_heavy_index();
-    let bare = ShardedIndex::build(index.clone(), 2);
-    let terms = index.analyze_query("apple");
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        bare.retrieve_terms_with_mode(&terms, 5, ScatterMode::Executor)
-    }));
-    assert!(
-        err.is_err(),
-        "forcing the executor path without a pool must panic"
-    );
 }

@@ -27,10 +27,15 @@
 //! * a delta document's surrogate names its terms in the sealed
 //!   vocabulary's id space and is already the vector the merged
 //!   generation computes, so a `k < n` page does not move at the merge;
+//! * a query term first seen in the delta reaches only the delta's
+//!   surrogates: sealed candidates and the surrogate table's key read the
+//!   sealed vocabulary's share of the request's one analysis;
 //! * the [`BackgroundMerger`] seals a growing delta on its own.
 
-use serpdiv::core::AlgorithmKind;
-use serpdiv::index::{Document, ForwardIndex, IndexBuilder, InvertedIndex};
+use serpdiv::core::{candidate_surrogate_naive, AlgorithmKind};
+use serpdiv::index::{
+    DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, SnippetGenerator, SparseVector,
+};
 use serpdiv::mining::SpecializationModel;
 use serpdiv::serve::{
     default_stage_chain, Budget, EngineConfig, GenerationArtifacts, PipelineContext, PublishError,
@@ -479,23 +484,35 @@ fn delta_document_vectors_never_enter_a_table() {
     assert_eq!(surrogate_counters(&engine), (24, 26, 26));
 }
 
-/// The surrogate the serving stages compute for `doc` as a candidate of
+/// The surrogates the serving stages compute for every candidate of
 /// `query` on the engine's current generation (detect → retrieve →
-/// surrogate, the chain every request runs).
-fn served_surrogate(engine: &SearchEngine, query: &str, doc: u32) -> Vec<(u32, u32)> {
+/// surrogate, the chain every request runs), in candidate order.
+fn served_surrogates(engine: &SearchEngine, query: &str) -> Vec<(u32, Vec<(u32, u32)>)> {
     let generation = engine.generation();
     let request = QueryRequest::new(query, 13, AlgorithmKind::OptSelect);
     let mut ctx = PipelineContext::new(&request, Instant::now(), Budget::unlimited());
     for stage in default_stage_chain().iter().take(3) {
         stage.run(engine, &generation, &mut ctx);
     }
-    let at = ctx
-        .candidates
+    ctx.candidates
         .iter()
-        .position(|h| h.doc.0 == doc)
-        .expect("the document is a candidate");
-    ctx.vectors[at]
-        .entries()
+        .zip(&ctx.vectors)
+        .map(|(h, v)| (h.doc.0, vector_bits(v)))
+        .collect()
+}
+
+/// The surrogate the serving stages compute for `doc` as a candidate of
+/// `query` (see [`served_surrogates`]).
+fn served_surrogate(engine: &SearchEngine, query: &str, doc: u32) -> Vec<(u32, u32)> {
+    served_surrogates(engine, query)
+        .into_iter()
+        .find(|&(d, _)| d == doc)
+        .expect("the document is a candidate")
+        .1
+}
+
+fn vector_bits(v: &SparseVector) -> Vec<(u32, u32)> {
+    v.entries()
         .iter()
         .map(|&(t, w)| (t.0, w.to_bits()))
         .collect()
@@ -561,6 +578,78 @@ fn a_delta_document_is_scored_as_itself_before_the_merge() {
     // serves the from-scratch page bit for bit.
     engine.merge_delta().unwrap();
     assert_eq!(served_surrogate(&engine, "apple", 12), before);
+    assert_eq!(page_bits(&engine.search(req())), page_bits(&scratch));
+}
+
+#[test]
+fn a_query_term_first_seen_in_the_delta_reaches_only_delta_surrogates() {
+    // "kiwi" is no sealed term; the model knows the query that names it.
+    let model = Arc::new(
+        SpecializationModel::from_json(
+            r#"{"entries":{"apple kiwi":{"query":"apple kiwi","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
+        )
+        .unwrap(),
+    );
+    // All 13 documents are candidates of every request below.
+    let wide = |docs: &[Document]| {
+        SearchEngine::deploy(
+            build_index(docs),
+            model.clone(),
+            EngineConfig {
+                n_candidates: 13,
+                ..config(0)
+            },
+        )
+    };
+    let engine = wide(&base_docs());
+    // Longer than the snippet window, with "kiwi" at one end and "apple"
+    // at the other: which window the snippet takes depends on whether the
+    // query's kiwi id reaches it.
+    let filler = "fruit orchard juice vitamin harvest sweet recipe";
+    let body = format!("kiwi kiwi kiwi {} apple", [filler; 5].join(" "));
+    let fresh = Document::new(12, "http://food/12", "", body);
+    engine.ingest(vec![fresh.clone()]).unwrap();
+
+    let query = "apple kiwi";
+    let generation = engine.generation();
+    let (index, delta) = (generation.index(), generation.delta().unwrap());
+    let sealed_terms = index.analyze_query(query);
+    let delta_terms = delta.analyze_query(query);
+    assert_eq!(sealed_terms.len(), 1, "the sealed vocabulary lacks kiwi");
+    assert_eq!(delta_terms.len(), 2, "the delta's vocabulary has it");
+
+    // Sealed candidates read the sealed analysis, the delta candidate the
+    // delta's, each bit for bit.
+    let snippets = SnippetGenerator::with_window(config(0).params.snippet_window);
+    let served = served_surrogates(&engine, query);
+    assert_eq!(served.len(), 13);
+    for (doc, bits) in &served {
+        let expect = if *doc < 12 {
+            candidate_surrogate_naive(index, DocId(*doc), &sealed_terms, &snippets)
+        } else {
+            delta.surrogate(DocId(*doc), &delta_terms, &snippets)
+        };
+        assert_eq!(bits, &vector_bits(&expect), "doc {doc}");
+    }
+    // The table the request published is keyed by the sealed analysis,
+    // which "apple" shares: its sealed candidates, ranked alike (kiwi
+    // scores none of them), are all found there.
+    let (hits, misses, _) = surrogate_counters(&engine);
+    served_surrogates(&engine, "apple");
+    assert_eq!(surrogate_counters(&engine).0 - hits, 12, "every sealed one");
+    assert_eq!(surrogate_counters(&engine).1, misses, "no sealed miss");
+
+    // The page is the one a deployment built from scratch over all 13
+    // documents serves, bit for bit, before the merge and after it.
+    let mut grown = base_docs();
+    grown.push(fresh);
+    let req = || QueryRequest::new(query, 8, AlgorithmKind::OptSelect);
+    let scratch = wide(&grown).search(req());
+    let live = engine.search(req());
+    assert!(live.diversified && scratch.diversified);
+    assert!(live.results.iter().any(|r| r.doc.0 == 12), "on the page");
+    assert_eq!(page_bits(&live), page_bits(&scratch));
+    engine.merge_delta().unwrap();
     assert_eq!(page_bits(&engine.search(req())), page_bits(&scratch));
 }
 

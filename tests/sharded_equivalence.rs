@@ -251,7 +251,7 @@ fn assert_kernel_matches_oracle<M: RankingModel + Copy + Send + Sync>(
     let mut negative = false;
     for k in KS {
         let expect = oracle.search_terms(terms, k);
-        let got = index.retrieve_terms_with_model(terms, k, &model, None);
+        let got = index.retrieve_terms_by(terms, k, &model, None);
         assert_bit_identical(&expect, &got, &format!("{context} {terms:?} k={k}"));
         negative |= got.iter().any(|h| h.score < 0.0);
     }
