@@ -30,7 +30,7 @@ use serpdiv_index::{
     SparseVector,
 };
 use serpdiv_mining::{SpecializationEntry, SpecializationModel};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Which algorithm the pipeline runs.
@@ -119,7 +119,11 @@ impl SpecializationStore {
     /// `forward` — the function the request path computes a candidate's
     /// with. `retriever` analyzes the specialization text
     /// ([`Retriever::query_terms`]) and retrieves it; it and `forward`
-    /// must be over the same sealed index.
+    /// must be over the same sealed index. An offline deployment step that
+    /// uses the available cores: the distinct specializations are split
+    /// into contiguous ranges, one per core, and every list is
+    /// computed independently, so the store is identical for any core
+    /// count.
     pub fn build_with(
         model: &SpecializationModel,
         retriever: &dyn Retriever,
@@ -127,33 +131,74 @@ impl SpecializationStore {
         k_spec: usize,
         snippet_window: usize,
     ) -> Self {
-        let snippets = SnippetGenerator::with_window(snippet_window);
-        let mut entries: HashMap<String, Vec<SparseVector>> = HashMap::new();
-        for (spec, _) in model.iter().flat_map(|entry| &entry.specializations) {
-            if entries.contains_key(spec) {
-                continue;
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::build_chunked(model, retriever, forward, k_spec, snippet_window, cores)
+    }
+
+    /// [`build_with`](Self::build_with) over `chunks` contiguous ranges of
+    /// the distinct specializations (first-occurrence order): the calling
+    /// thread takes the first, a scoped thread each of the others, and
+    /// every thread fills its own slots of the result.
+    pub(crate) fn build_chunked(
+        model: &SpecializationModel,
+        retriever: &dyn Retriever,
+        forward: &ForwardIndex,
+        k_spec: usize,
+        snippet_window: usize,
+        chunks: usize,
+    ) -> Self {
+        let snippets = &SnippetGenerator::with_window(snippet_window);
+        let mut seen = HashSet::new();
+        let specs: Vec<&String> = model
+            .iter()
+            .flat_map(|entry| &entry.specializations)
+            .map(|(spec, _)| spec)
+            .filter(|spec| seen.insert(spec.as_str()))
+            .collect();
+        let mut lists: Vec<Vec<SparseVector>> = vec![Vec::new(); specs.len()];
+        let per_chunk = specs.len().div_ceil(chunks.max(1)).max(1);
+        let fill = |specs: &[&String], lists: &mut [Vec<SparseVector>]| {
+            for (spec, list) in specs.iter().zip(lists) {
+                let terms = retriever.query_terms(spec);
+                *list = retriever
+                    .retrieve_terms(&terms, k_spec)
+                    .iter()
+                    .map(|h| candidate_surrogate(forward, h.doc, &terms, snippets))
+                    .collect();
             }
-            let terms = retriever.query_terms(spec);
-            let list = retriever
-                .retrieve_terms(&terms, k_spec)
-                .iter()
-                .map(|h| candidate_surrogate(forward, h.doc, &terms, &snippets))
-                .collect();
-            entries.insert(spec.clone(), list);
+        };
+        std::thread::scope(|scope| {
+            let mut ranges = specs.chunks(per_chunk).zip(lists.chunks_mut(per_chunk));
+            let first = ranges.next();
+            for (specs, lists) in ranges {
+                scope.spawn(move || fill(specs, lists));
+            }
+            if let Some((specs, lists)) = first {
+                fill(specs, lists);
+            }
+        });
+        SpecializationStore {
+            entries: specs.into_iter().cloned().zip(lists).collect(),
         }
-        SpecializationStore { entries }
     }
 
     /// [`build_with`](Self::build_with) for a caller holding nothing but
-    /// the reference engine: compiles a [`ForwardIndex`] of its own.
+    /// the reference engine: compiles a [`ForwardIndex`] of its own and
+    /// retrieves through the engine's index — the DPH retrieval kernel,
+    /// bit-identical to [`SearchEngine::new`]'s scoring — so `engine`
+    /// only supplies its index. The engine's ranking model is ignored: an
+    /// engine built with [`SearchEngine::with_model`] still yields a DPH
+    /// store. Uses the available cores like `build_with`, with the same
+    /// store for any core count.
     pub fn build(
         model: &SpecializationModel,
         engine: &SearchEngine<'_>,
         k_spec: usize,
         snippet_window: usize,
     ) -> Self {
-        let forward = ForwardIndex::build(engine.index());
-        Self::build_with(model, engine, &forward, k_spec, snippet_window)
+        let index = engine.index();
+        let forward = ForwardIndex::build(index);
+        Self::build_with(model, index, &forward, k_spec, snippet_window)
     }
 
     /// The ranked surrogates of `spec` (empty slice when unknown).
@@ -372,6 +417,60 @@ mod tests {
         )
         .unwrap();
         (index, model)
+    }
+
+    #[test]
+    fn chunked_store_builds_match_a_sequential_reference() {
+        let (index, _) = setup();
+        // Nine distinct specializations in first-occurrence order, one
+        // repeated across entries and one that retrieves nothing.
+        let model = SpecializationModel::from_json(
+            r#"{"entries":{
+                "apple":{"query":"apple","specializations":[["apple iphone",0.5],["apple fruit",0.3],["apple juice",0.2]]},
+                "phone":{"query":"phone","specializations":[["iphone camera",0.6],["apple iphone",0.4]]},
+                "fruit":{"query":"fruit","specializations":[["orchard harvest",0.5],["sweet recipe",0.5]]},
+                "sky":{"query":"sky","specializations":[["rain storm",0.4],["wind cloud",0.4],["zzyzx",0.2]]}}}"#,
+        )
+        .unwrap();
+        let forward = ForwardIndex::build(&index);
+        let snippets = SnippetGenerator::with_window(20);
+
+        // The sequential loop the chunked build replaced.
+        let mut reference: HashMap<String, Vec<SparseVector>> = HashMap::new();
+        for (spec, _) in model.iter().flat_map(|entry| &entry.specializations) {
+            if reference.contains_key(spec) {
+                continue;
+            }
+            let terms = index.query_terms(spec);
+            let list = index
+                .retrieve_terms(&terms, 5)
+                .iter()
+                .map(|h| candidate_surrogate(&forward, h.doc, &terms, &snippets))
+                .collect();
+            reference.insert(spec.clone(), list);
+        }
+        assert_eq!(reference.len(), 9);
+        assert!(reference["zzyzx"].is_empty());
+
+        let bits = |v: &SparseVector| {
+            let entries: Vec<(u32, u32)> = v
+                .entries()
+                .iter()
+                .map(|&(t, w)| (t.0, w.to_bits()))
+                .collect();
+            (entries, v.norm().to_bits())
+        };
+        for chunks in [1, 2, 3, 4, 7, 9, 20] {
+            let store = SpecializationStore::build_chunked(&model, &index, &forward, 5, 20, chunks);
+            assert_eq!(store.len(), reference.len(), "{chunks} chunks");
+            for (spec, expected) in &reference {
+                let built = store.surrogates(spec);
+                assert_eq!(built.len(), expected.len(), "{chunks} chunks: {spec:?}");
+                for (b, e) in built.iter().zip(expected) {
+                    assert_eq!(bits(b), bits(e), "{chunks} chunks: {spec:?}");
+                }
+            }
+        }
     }
 
     #[test]

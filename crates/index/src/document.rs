@@ -100,6 +100,11 @@ impl DocumentStore {
     pub fn iter(&self) -> impl Iterator<Item = &Document> {
         self.docs.iter()
     }
+
+    /// All documents in id order, for builds that split them into ranges.
+    pub(crate) fn as_slice(&self) -> &[Document] {
+        &self.docs
+    }
 }
 
 #[cfg(test)]

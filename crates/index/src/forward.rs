@@ -18,14 +18,19 @@
 //! term-frequency vector and caches the per-term IDF weight
 //! `ln(1 + N/df)` used by [`SparseVector::from_text`].
 //!
-//! Each distinct raw token is *analyzed* once per build: the build keeps
-//! a memo from raw token to term id (or to "nothing": stopword or unknown
-//! term), shared by bodies and titles, and runs the analyzer's stopword
-//! and stem step only on a token it has not met. The memo lives for one
-//! [`ForwardIndex::build`] call and is dropped with it, since its ids
-//! are that index's vocabulary's. A token is its own tokenization, so
-//! each memo entry equals `analyze(raw).first()` looked up in the
-//! vocabulary — the per-raw-token normalization of the text oracle.
+//! The build splits the collection into contiguous doc-id ranges, one per
+//! available core, and compiles each on its own scoped thread into its
+//! own part of the final body stream (sized by a counting pass first, so
+//! no per-range stream is ever concatenated). Each distinct raw token is
+//! *analyzed* once per range: a range keeps a memo from raw token to term
+//! id (or to "nothing": stopword or unknown term), shared by its bodies
+//! and titles, and runs the analyzer's stopword and stem step only on a
+//! token it has not met. The memo lives for one [`ForwardIndex::build`]
+//! call and is dropped with it, since its ids are that index's
+//! vocabulary's. A token is its own tokenization, so each memo entry
+//! equals `analyze(raw).first()` looked up in the vocabulary — the
+//! per-raw-token normalization of the text oracle — and the index is the
+//! same bytes whatever the number of ranges.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
@@ -56,7 +61,7 @@
 //! ```
 
 use crate::builder::TokenMemo;
-use crate::document::DocId;
+use crate::document::{DocId, Document};
 use crate::index::InvertedIndex;
 use crate::reader::{ByteReader, ByteWriter};
 use crate::serialize::DecodeError;
@@ -98,49 +103,126 @@ pub struct ForwardIndex {
 
 impl ForwardIndex {
     /// Compile the forward index from `index`: tokenize each document
-    /// body once (analyzing each distinct raw token once), precompute
-    /// title term frequencies and per-term IDF weights. This is an
-    /// offline deployment step (one full pass over the document store).
+    /// body once, precompute title term frequencies and per-term IDF
+    /// weights. This is an offline deployment step (one full pass over the
+    /// document store) that uses the available cores: contiguous doc-id
+    /// ranges, one per core, compile concurrently, each analyzing each
+    /// distinct raw token once, into disjoint parts of the final arrays —
+    /// so the index is byte-identical for any core count.
     pub fn build(index: &InvertedIndex) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::build_chunked(index, cores)
+    }
+
+    /// [`build`](Self::build) over `chunks` contiguous doc-id ranges (at
+    /// most one per document): the calling thread compiles the first, a
+    /// scoped thread each of the others, each range through its own memo.
+    ///
+    /// Two passes, so no per-range body stream is ever concatenated: the
+    /// first counts each document's raw body tokens and compiles its title
+    /// entries (kept: titles are a small share of the stream); one prefix
+    /// sum then turns the per-document lengths into offsets, `tokens` is
+    /// allocated once at the total and the second pass fills each range's
+    /// own sub-slice of it.
+    pub(crate) fn build_chunked(index: &InvertedIndex, chunks: usize) -> Self {
         let vocab = index.vocab();
         let analyzer = index.analyzer();
         assert!(
             (vocab.len() as u64) < u64::from(u32::MAX),
             "vocabulary too large for the u32 sentinel encoding"
         );
-        let store = index.store();
-        let mut tokens: Vec<u32> = Vec::new();
-        let mut offsets: Vec<u32> = Vec::with_capacity(store.len() + 1);
-        let mut title_terms: Vec<(u32, u32)> = Vec::new();
-        let mut title_offsets: Vec<u32> = Vec::with_capacity(store.len() + 1);
-        offsets.push(0);
-        title_offsets.push(0);
-        let mut title_scratch: Vec<u32> = Vec::new();
         let tokenizer = analyzer.tokenizer();
-        let mut memo = TokenMemo::default();
         let analyze = |raw: &str| analyzer.analyze_token(raw).and_then(|term| vocab.id(&term));
-        for doc in store.iter() {
-            // Body stream: the same per-raw-token normalization the text
-            // oracle applies (analyze the token, keep the term if the
-            // vocabulary knows it).
-            tokenizer.for_each_token(&doc.body, |raw| {
-                tokens.push(memo.resolve(raw, analyze).map_or(STOP, |t| t.0));
-            });
-            offsets.push(u32::try_from(tokens.len()).expect("forward stream exceeds u32 offsets"));
+        let docs = index.store().as_slice();
+        let per_range = docs.len().div_ceil(chunks.max(1)).max(1);
+        let num_ranges = docs.chunks(per_range).len();
+        let mut memos: Vec<TokenMemo> = (0..num_ranges).map(|_| TokenMemo::default()).collect();
 
-            // Title tf vector: full analysis of the raw title, unknown
-            // terms dropped — what `from_text` sees for the title prefix.
-            title_scratch.clear();
-            tokenizer.for_each_token(&doc.title, |raw| {
-                title_scratch.extend(memo.resolve(raw, analyze).map(|t| t.0));
-            });
-            title_scratch.sort_unstable();
-            for run in title_scratch.chunk_by(|a, b| a == b) {
-                title_terms.push((run[0], run.len() as u32));
+        // First pass: per document, its body length and its title entries.
+        let mut offsets = vec![0u32; docs.len() + 1];
+        let mut title_offsets = vec![0u32; docs.len() + 1];
+        let mut titles: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_ranges];
+        let count = |docs: &[Document],
+                     lens: &mut [u32],
+                     title_lens: &mut [u32],
+                     titles: &mut Vec<(u32, u32)>,
+                     memo: &mut TokenMemo| {
+            let mut title: Vec<u32> = Vec::new();
+            for ((doc, len), title_len) in docs.iter().zip(lens).zip(title_lens) {
+                let mut n = 0usize;
+                tokenizer.for_each_token(&doc.body, |_| n += 1);
+                *len = u32_len(n, "forward stream");
+
+                // Title tf vector: full analysis of the raw title, unknown
+                // terms dropped — what `from_text` sees for the title prefix.
+                title.clear();
+                tokenizer.for_each_token(&doc.title, |raw| {
+                    title.extend(memo.resolve(raw, analyze).map(|t| t.0));
+                });
+                title.sort_unstable();
+                let before = titles.len();
+                titles.extend(
+                    title
+                        .chunk_by(|a, b| a == b)
+                        .map(|run| (run[0], run.len() as u32)),
+                );
+                *title_len = u32_len(titles.len() - before, "title entries");
             }
-            title_offsets
-                .push(u32::try_from(title_terms.len()).expect("title entries exceed u32 offsets"));
-        }
+        };
+        std::thread::scope(|scope| {
+            let mut ranges = docs
+                .chunks(per_range)
+                .zip(offsets[1..].chunks_mut(per_range))
+                .zip(title_offsets[1..].chunks_mut(per_range))
+                .zip(titles.iter_mut().zip(&mut memos));
+            let first = ranges.next();
+            for (((docs, lens), title_lens), (titles, memo)) in ranges {
+                scope.spawn(move || count(docs, lens, title_lens, titles, memo));
+            }
+            if let Some((((docs, lens), title_lens), (titles, memo))) = first {
+                count(docs, lens, title_lens, titles, memo);
+            }
+        });
+        prefix_sum(&mut offsets, "forward stream");
+        prefix_sum(&mut title_offsets, "title entries");
+        let title_terms = titles.concat();
+        drop(titles);
+
+        // Second pass: the body streams — the same per-raw-token
+        // normalization the text oracle applies (analyze the token, keep
+        // the term if the vocabulary knows it).
+        let mut tokens = vec![0u32; offsets[docs.len()] as usize];
+        let fill = |docs: &[Document], body: &mut [u32], memo: &mut TokenMemo| {
+            let mut body = body.iter_mut();
+            for doc in docs {
+                tokenizer.for_each_token(&doc.body, |raw| {
+                    *body.next().expect("counted by the first pass") =
+                        memo.resolve(raw, analyze).map_or(STOP, |t| t.0);
+                });
+            }
+            assert!(body.next().is_none(), "the first pass over-counted");
+        };
+        std::thread::scope(|scope| {
+            let (mut rest, mut start) = (&mut tokens[..], 0);
+            let mut ranges = docs
+                .chunks(per_range)
+                .zip(offsets[1..].chunks(per_range))
+                .zip(&mut memos)
+                .map(|((docs, ends), memo)| {
+                    let end = ends[ends.len() - 1];
+                    let (body, tail) =
+                        std::mem::take(&mut rest).split_at_mut((end - start) as usize);
+                    (rest, start) = (tail, end);
+                    (docs, body, memo)
+                });
+            let first = ranges.next();
+            for (docs, body, memo) in ranges {
+                scope.spawn(move || fill(docs, body, memo));
+            }
+            if let Some((docs, body, memo)) = first {
+                fill(docs, body, memo);
+            }
+        });
 
         // Cached IDF factors, computed with the exact `f32` expression of
         // `SparseVector::from_text` so weights stay bit-identical.
@@ -370,6 +452,23 @@ impl ForwardIndex {
             idf,
         })
     }
+}
+
+/// Turn per-document lengths (after the leading 0) into end offsets;
+/// panics when the `what` stream outgrows the format's `u32` offsets.
+fn prefix_sum(lens: &mut [u32], what: &str) {
+    let mut total = 0u32;
+    for len in lens {
+        total = total
+            .checked_add(*len)
+            .unwrap_or_else(|| panic!("{what} exceed u32 offsets"));
+        *len = total;
+    }
+}
+
+/// `n` as a `u32` length of the `what` stream.
+fn u32_len(n: usize, what: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("{what} exceed u32 offsets"))
 }
 
 /// The incremental sliding-window scan over one compiled token stream.
@@ -616,6 +715,54 @@ mod tests {
             SparseVector::from_text("Apple iPhone", &index)
         );
         assert_eq!(f.best_window(DocId(0), &[], 0), (0, 0));
+    }
+
+    #[test]
+    fn chunked_builds_are_byte_identical_to_one_chunk() {
+        // Empty bodies, title-only and body-only documents, an all-empty
+        // one and stopword-only text land on every side of the chunk
+        // boundaries below.
+        let shapes = [
+            (
+                "Apple iPhone",
+                "the apple iphone is announced today with a new chip",
+            ),
+            ("Title Only", ""),
+            ("", "orchard harvest apple cider pressed in autumn"),
+            ("", ""),
+            ("The Of And", "the of and is"),
+            (
+                "Jaguar Cars",
+                "jaguar unveils an electric car; the jaguar roars",
+            ),
+            ("Jaguar Cat", ""),
+            ("Ünïcode Títle", "ÇAFÉ crème brûlée at the café"),
+            ("", "apple apple apple iphone iphone"),
+            ("Rain", "weather forecast rain cloud wind storm rain"),
+            ("Empty Body Again", ""),
+        ];
+        let mut b = IndexBuilder::new();
+        for (id, (title, body)) in shapes.iter().enumerate() {
+            b.add(Document::new(
+                id as u32,
+                format!("http://x/{id}"),
+                *title,
+                *body,
+            ));
+        }
+        let index = b.build();
+        let one = ForwardIndex::build_chunked(&index, 1);
+        assert_eq!(one.num_docs(), shapes.len());
+        for chunks in [2, 3, 7, shapes.len() - 1, shapes.len(), shapes.len() + 5] {
+            let chunked = ForwardIndex::build_chunked(&index, chunks);
+            assert_eq!(chunked.to_bytes(), one.to_bytes(), "{chunks} chunks");
+            assert_eq!(chunked, one, "{chunks} chunks");
+        }
+        assert_eq!(ForwardIndex::build(&index), one);
+        let empty = IndexBuilder::new().build();
+        for chunks in [1, 2, 3] {
+            assert_eq!(ForwardIndex::build_chunked(&empty, chunks).num_docs(), 0);
+        }
     }
 
     #[test]

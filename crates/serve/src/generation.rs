@@ -24,10 +24,9 @@
 //!
 //! The handle is a `std::sync::RwLock<Arc<Generation>>` used only as a
 //! pointer cell: `pin` takes the lock in shared mode for one `Arc` clone
-//! (measured: `serve.generation.pin_ns_p50` reads 170–205 ns — not free,
-//! it is more than half of a `cached_swap` cache-hit request), and
-//! publish takes it exclusively for one pointer store. Publishing
-//! therefore waits only for
+//! (not free: the benchmark's traced `cached_swap` runs report its cost
+//! as `serve.generation.pin_ns_p50`), and publish takes it exclusively
+//! for one pointer store. Publishing therefore waits only for
 //! concurrent *pins* (pointer reads), never for in-flight *requests* —
 //! they hold the `Arc`, not the lock. No request is ever dropped, stalled,
 //! or torn by a swap.
@@ -492,10 +491,10 @@ impl GenerationHandle {
     }
 
     /// Pin the current generation: one shared-mode lock acquisition plus
-    /// one `Arc` clone — 170–205 ns by the benchmark's
-    /// `serve.generation.pin_ns_p50`, more than half of a `cached_swap`
-    /// cache-hit request. The caller's whole request runs against the
-    /// returned bundle, immune to concurrent publishes.
+    /// one `Arc` clone, whose cost the benchmark's traced `cached_swap`
+    /// runs report as `serve.generation.pin_ns_p50`. The caller's whole
+    /// request runs against the returned bundle, immune to concurrent
+    /// publishes.
     pub fn pin(&self) -> Arc<Generation> {
         self.current
             .read()
