@@ -1,30 +1,28 @@
 //! Deterministic fault injection for the serpdiv serving stack.
 //!
-//! The stack is instrumented with **named failpoints** — fixed call sites
-//! like `chaos::failpoint("pool.serve")` or
-//! `chaos::mangle("worker.reply", &mut bytes)` — that are two-instruction
-//! no-ops (one relaxed atomic load and a branch) unless a [`FaultPlan`]
-//! has been [`arm`]ed for the whole process. An armed plan is a list of
-//! `(site pattern, probability, fault)` rules driven by one seeded LCG,
-//! so a given `(seed, rules, call sequence)` injects *exactly* the same
-//! faults on every run: chaos tests are replayable, and a failing seed is
-//! a bug report.
+//! The serving engine is instrumented with **named failpoints** — fixed
+//! call sites like `chaos::failpoint("pool.serve")` — that are
+//! two-instruction no-ops (one relaxed atomic load and a branch) unless a
+//! [`FaultPlan`] has been [`arm`]ed for the whole process. An armed plan
+//! is a list of `(site pattern, probability, fault)` rules driven by one
+//! seeded LCG, so a given `(seed, rules, call sequence)` injects *exactly*
+//! the same faults on every run: chaos tests are replayable, and a
+//! failing seed is a bug report.
 //!
 //! # Fault vocabulary
 //!
-//! | [`FaultKind`] | applied where | effect |
-//! |---|---|---|
-//! | `Delay(d)`  | inside [`failpoint`] | sleeps `d`, then continues |
-//! | `Panic`     | inside [`failpoint`] | panics (containment is the site's job) |
-//! | `Drop`      | returned as [`SiteAction::Drop`] | site abandons its connection/work |
-//! | `Stall(d)`  | returned as [`SiteAction::Stall`] | site sleeps `d` and goes silent |
-//! | `Corrupt`   | via [`mangle`] | flips bytes in an outgoing buffer |
+//! | [`FaultKind`] | effect inside [`failpoint`] |
+//! |---|---|
+//! | `Delay(d)`  | sleeps `d`, then continues |
+//! | `Panic`     | panics (containment is the site's job) |
 //!
-//! `Delay` and `Panic` are *generic* — the failpoint executes them itself
-//! so every instrumented site gets them for free. `Drop`/`Stall`/`Corrupt`
-//! only make sense at sites that own a transport, so the failpoint hands
-//! them back as a [`SiteAction`] for the site to interpret (a site that
-//! cannot, ignores them).
+//! The sites are the serving engine's: one before every pipeline stage
+//! (`stage.detect` … `stage.select`), `pool.serve` inside the worker
+//! pool's panic containment, and `swap.validate` / `swap.publish` on the
+//! generation hot swap. The retrieval layers carry none: a test faults
+//! the scatter path through `ShardedIndex::with_fault_injection` and the
+//! fleet's transport through the stream it hands
+//! `worker::serve_connection`.
 //!
 //! # Scope and safety
 //!
@@ -39,61 +37,33 @@
 //! use std::sync::Arc;
 //!
 //! let plan = Arc::new(
-//!     chaos::FaultPlan::new(0xC0FFEE)
-//!         .with_rule("pool.*", 1.0, chaos::FaultKind::Panic)
-//!         .with_max_fires(2),
+//!     chaos::FaultPlan::new(0xC0FFEE).with_rule("pool.*", 1.0, chaos::FaultKind::Panic),
 //! );
 //! chaos::arm(plan.clone());
 //! assert!(std::panic::catch_unwind(|| chaos::failpoint("pool.serve")).is_err());
 //! chaos::disarm();
 //! assert_eq!(plan.fired_total(), 1);
 //! // Disarmed: the failpoint is inert again.
-//! let _ = chaos::failpoint("pool.serve");
+//! chaos::failpoint("pool.serve");
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// One injectable fault. See the [crate table](crate) for which faults
-/// the failpoint applies itself and which it returns to the site.
+/// One injectable fault, applied inside [`failpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Sleep this long inside the failpoint, then continue normally.
     /// Models a slow dependency (GC pause, cold page, saturated core).
     Delay(Duration),
     /// Panic inside the failpoint. Models a crashed task; the layers
-    /// above must contain it (executor batches, pool workers).
+    /// above must contain it (pool workers, the stage driver).
     Panic,
-    /// Tell the site to drop its connection / abandon the work silently.
-    Drop,
-    /// Tell the site to sleep this long and then *not* produce its
-    /// output — a silent stall, the nastiest failure a peer can see.
-    Stall(Duration),
-    /// Flip bytes in the site's outgoing buffer (only observable through
-    /// [`mangle`]).
-    Corrupt,
-}
-
-/// What an instrumented site should do, as decided by the armed plan.
-///
-/// `Delay` and `Panic` faults never reach here — the failpoint applies
-/// them before returning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteAction {
-    /// No fault (or no plan armed): proceed normally.
-    None,
-    /// Drop the connection / abandon the work.
-    Drop,
-    /// Sleep this long, then go silent (skip the reply).
-    Stall(Duration),
-    /// Corrupt the outgoing bytes (sites that buffer through [`mangle`]
-    /// never see this; it is returned for sites that corrupt in place).
-    Corrupt,
 }
 
 /// `site` patterns: exact match, or a `*`-terminated prefix
-/// (`"worker.*"`), or the universal `"*"`.
+/// (`"stage.*"`), or the universal `"*"`.
 fn site_matches(pattern: &str, site: &str) -> bool {
     match pattern.strip_suffix('*') {
         Some(prefix) => site.starts_with(prefix),
@@ -102,8 +72,7 @@ fn site_matches(pattern: &str, site: &str) -> bool {
 }
 
 /// xorshift64* — tiny, seedable, good enough to decorrelate fault rolls.
-/// Not the shims' rand: the chaos crate stays dependency-free so every
-/// layer of the workspace can instrument itself without a cycle.
+/// Not the shims' rand: the chaos crate stays dependency-free.
 #[derive(Debug, Clone)]
 struct Lcg(u64);
 
@@ -150,8 +119,6 @@ struct Rule {
 pub struct FaultPlan {
     rules: Vec<Rule>,
     rng: Mutex<Lcg>,
-    /// 0 ⇒ unlimited.
-    max_fires: u64,
     fired_total: AtomicU64,
 }
 
@@ -161,7 +128,6 @@ impl FaultPlan {
         FaultPlan {
             rules: Vec::new(),
             rng: Mutex::new(Lcg::new(seed)),
-            max_fires: 0,
             fired_total: AtomicU64::new(0),
         }
     }
@@ -180,14 +146,6 @@ impl FaultPlan {
             fault,
             fired: AtomicU64::new(0),
         });
-        self
-    }
-
-    /// Cap the total number of injected faults (0 = unlimited). Once the
-    /// budget is spent the plan behaves as if disarmed — useful for
-    /// "break exactly N things, then let the system recover" schedules.
-    pub fn with_max_fires(mut self, max: u64) -> Self {
-        self.max_fires = max;
         self
     }
 
@@ -218,52 +176,12 @@ impl FaultPlan {
                 .unwrap_or_else(PoisonError::into_inner)
                 .next_f64();
             if roll < rule.probability {
-                if !self.try_spend() {
-                    return None;
-                }
+                self.fired_total.fetch_add(1, Ordering::Relaxed);
                 rule.fired.fetch_add(1, Ordering::Relaxed);
                 return Some(rule.fault);
             }
         }
         None
-    }
-
-    /// Claim one unit of the fire budget.
-    fn try_spend(&self) -> bool {
-        if self.max_fires == 0 {
-            self.fired_total.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        let mut cur = self.fired_total.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.max_fires {
-                return false;
-            }
-            match self.fired_total.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Flip 1–4 pseudo-random bytes of `bytes` in place (no-op on an
-    /// empty buffer).
-    fn corrupt(&self, bytes: &mut [u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-        let flips = 1 + (rng.next_u64() % 4) as usize;
-        for _ in 0..flips {
-            let pos = (rng.next_u64() as usize) % bytes.len();
-            let bit = 1u8 << (rng.next_u64() % 8);
-            bytes[pos] ^= bit;
-        }
     }
 }
 
@@ -319,59 +237,24 @@ pub fn armed(plan: Arc<FaultPlan>) -> ArmedGuard {
 /// The failpoint hook every instrumented site calls.
 ///
 /// Disarmed: a relaxed load and a branch. Armed: rolls the plan's rules
-/// for `site`; applies `Delay` (sleeps) and `Panic` (panics) itself and
-/// returns anything else as a [`SiteAction`] for the site to interpret.
+/// for `site` and applies the fault that fires — `Delay` sleeps, `Panic`
+/// panics.
 #[inline]
-pub fn failpoint(site: &str) -> SiteAction {
-    if !ARMED.load(Ordering::Relaxed) {
-        return SiteAction::None;
+pub fn failpoint(site: &str) {
+    if ARMED.load(Ordering::Relaxed) {
+        failpoint_armed(site);
     }
-    failpoint_armed(site)
 }
 
 #[cold]
-fn failpoint_armed(site: &str) -> SiteAction {
+fn failpoint_armed(site: &str) {
     let Some(plan) = current_plan() else {
-        return SiteAction::None;
+        return;
     };
     match plan.decide(site) {
-        None => SiteAction::None,
-        Some(FaultKind::Delay(d)) => {
-            std::thread::sleep(d);
-            SiteAction::None
-        }
+        None => {}
+        Some(FaultKind::Delay(d)) => std::thread::sleep(d),
         Some(FaultKind::Panic) => panic!("chaos: injected panic at failpoint `{site}`"),
-        Some(FaultKind::Drop) => SiteAction::Drop,
-        Some(FaultKind::Stall(d)) => SiteAction::Stall(d),
-        Some(FaultKind::Corrupt) => SiteAction::Corrupt,
-    }
-}
-
-/// Corruption hook for sites that own an outgoing byte buffer: when an
-/// armed `Corrupt` rule fires for `site`, flips 1–4 bytes of `bytes` in
-/// place and returns `true`. Disarmed (or any other fault kind rolled):
-/// leaves the buffer untouched and returns `false` — only `Corrupt`
-/// rules fire here, so a mangling site composes with a [`failpoint`] at
-/// the same site name for its other faults.
-#[inline]
-pub fn mangle(site: &str, bytes: &mut [u8]) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    mangle_armed(site, bytes)
-}
-
-#[cold]
-fn mangle_armed(site: &str, bytes: &mut [u8]) -> bool {
-    let Some(plan) = current_plan() else {
-        return false;
-    };
-    match plan.decide(site) {
-        Some(FaultKind::Corrupt) => {
-            plan.corrupt(bytes);
-            true
-        }
-        _ => false,
     }
 }
 
@@ -388,22 +271,24 @@ mod tests {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    const SLOW: FaultKind = FaultKind::Delay(Duration::from_millis(1));
+
     #[test]
     fn disarmed_failpoints_are_inert() {
         let _s = serial();
         disarm();
-        assert_eq!(failpoint("anything"), SiteAction::None);
-        let mut b = vec![1, 2, 3];
-        assert!(!mangle("anything", &mut b));
-        assert_eq!(b, vec![1, 2, 3]);
+        failpoint("anything");
+        assert!(!is_armed());
     }
 
     #[test]
     fn same_seed_same_schedule() {
         let decisions = |seed: u64| -> Vec<Option<FaultKind>> {
-            let plan = FaultPlan::new(seed)
-                .with_rule("a.*", 0.5, FaultKind::Drop)
-                .with_rule("b", 0.25, FaultKind::Corrupt);
+            let plan = FaultPlan::new(seed).with_rule("a.*", 0.5, SLOW).with_rule(
+                "b",
+                0.25,
+                FaultKind::Panic,
+            );
             (0..200)
                 .map(|i| plan.decide(if i % 2 == 0 { "a.x" } else { "b" }))
                 .collect()
@@ -412,18 +297,18 @@ mod tests {
         assert_ne!(decisions(42), decisions(43), "seeds decorrelate");
         // Both fault kinds actually occur at these probabilities.
         let d = decisions(42);
-        assert!(d.contains(&Some(FaultKind::Drop)));
-        assert!(d.contains(&Some(FaultKind::Corrupt)));
+        assert!(d.contains(&Some(SLOW)));
+        assert!(d.contains(&Some(FaultKind::Panic)));
         assert!(d.iter().any(|f| f.is_none()));
     }
 
     #[test]
     fn probability_bounds() {
         let never = FaultPlan::new(7).with_rule("*", 0.0, FaultKind::Panic);
-        let always = FaultPlan::new(7).with_rule("*", 1.0, FaultKind::Drop);
+        let always = FaultPlan::new(7).with_rule("*", 1.0, SLOW);
         for _ in 0..100 {
             assert_eq!(never.decide("x"), None);
-            assert_eq!(always.decide("x"), Some(FaultKind::Drop));
+            assert_eq!(always.decide("x"), Some(SLOW));
         }
         assert_eq!(never.fired_total(), 0);
         assert_eq!(always.fired_total(), 100);
@@ -432,29 +317,19 @@ mod tests {
     #[test]
     fn pattern_matching() {
         assert!(site_matches("*", "anything.at.all"));
-        assert!(site_matches("worker.*", "worker.reply"));
-        assert!(!site_matches("worker.*", "pool.serve"));
+        assert!(site_matches("stage.*", "stage.select"));
+        assert!(!site_matches("stage.*", "pool.serve"));
         assert!(site_matches("pool.serve", "pool.serve"));
         assert!(!site_matches("pool.serve", "pool.serve.x"));
     }
 
     #[test]
-    fn fire_budget_exhausts_then_plan_goes_quiet() {
-        let plan = FaultPlan::new(1)
-            .with_rule("*", 1.0, FaultKind::Drop)
-            .with_max_fires(3);
-        let fired = (0..10).filter(|_| plan.decide("s").is_some()).count();
-        assert_eq!(fired, 3);
-        assert_eq!(plan.fired_total(), 3);
-        assert_eq!(plan.fired("*"), 3);
-    }
-
-    #[test]
     fn first_matching_rule_wins_and_counts() {
-        let plan = FaultPlan::new(5)
-            .with_rule("x", 1.0, FaultKind::Drop)
-            .with_rule("*", 1.0, FaultKind::Panic);
-        assert_eq!(plan.decide("x"), Some(FaultKind::Drop));
+        let plan =
+            FaultPlan::new(5)
+                .with_rule("x", 1.0, SLOW)
+                .with_rule("*", 1.0, FaultKind::Panic);
+        assert_eq!(plan.decide("x"), Some(SLOW));
         assert_eq!(plan.decide("y"), Some(FaultKind::Panic));
         assert_eq!(plan.fired("x"), 1);
         assert_eq!(plan.fired("*"), 1);
@@ -470,32 +345,10 @@ mod tests {
             let caught = std::panic::catch_unwind(|| failpoint("boom"));
             assert!(caught.is_err());
             // Unmatched sites stay clean.
-            assert_eq!(failpoint("calm"), SiteAction::None);
+            failpoint("calm");
         }
         assert!(!is_armed());
         assert_eq!(plan.fired_total(), 1);
-    }
-
-    #[test]
-    fn mangle_flips_bytes_deterministically() {
-        let _s = serial();
-        let run = |seed: u64| {
-            let plan = Arc::new(FaultPlan::new(seed).with_rule("wire", 1.0, FaultKind::Corrupt));
-            let _g = armed(plan);
-            let mut bytes = vec![0u8; 32];
-            assert!(mangle("wire", &mut bytes));
-            bytes
-        };
-        let a = run(123);
-        let b = run(123);
-        assert_eq!(a, b, "same seed, same corruption");
-        assert!(a.iter().any(|&x| x != 0), "bytes actually flipped");
-        // Non-corrupt rules never touch the buffer through mangle.
-        let plan = Arc::new(FaultPlan::new(4).with_rule("wire", 1.0, FaultKind::Drop));
-        let _g = armed(plan);
-        let mut bytes = vec![7u8; 8];
-        assert!(!mangle("wire", &mut bytes));
-        assert_eq!(bytes, vec![7u8; 8]);
     }
 
     #[test]
@@ -508,20 +361,7 @@ mod tests {
         ));
         let _g = armed(plan);
         let t = std::time::Instant::now();
-        assert_eq!(failpoint("slow"), SiteAction::None);
+        failpoint("slow");
         assert!(t.elapsed() >= Duration::from_millis(25));
-    }
-
-    #[test]
-    fn stall_and_corrupt_are_returned_to_the_site() {
-        let _s = serial();
-        let plan = Arc::new(
-            FaultPlan::new(3)
-                .with_rule("a", 1.0, FaultKind::Stall(Duration::from_secs(1)))
-                .with_rule("b", 1.0, FaultKind::Corrupt),
-        );
-        let _g = armed(plan);
-        assert_eq!(failpoint("a"), SiteAction::Stall(Duration::from_secs(1)));
-        assert_eq!(failpoint("b"), SiteAction::Corrupt);
     }
 }

@@ -72,7 +72,6 @@
 use crate::protocol::{
     encode_frame, encode_query, set_request_id, Frame, FrameReader, WireError, DEFAULT_MAX_FRAME,
 };
-use serpdiv_chaos::SiteAction;
 use serpdiv_index::{merge_top_k, InvertedIndex, Retrieval, Retriever, ScoredDoc};
 use serpdiv_text::TermId;
 use std::io::{ErrorKind, Read, Write};
@@ -520,13 +519,6 @@ impl FleetRouter {
     /// draw a fresh id and write — keeping the link locked for the receive
     /// step.
     fn send(&self, s: usize, request: &mut Request, mode: Mode) -> Option<Pending<'_>> {
-        // Chaos hook (no-op unless a fault plan is armed): lose or delay
-        // this dispatch before it touches the link.
-        match serpdiv_chaos::failpoint("router.dispatch") {
-            SiteAction::Drop => return None,
-            SiteAction::Stall(d) => std::thread::sleep(d),
-            SiteAction::None | SiteAction::Corrupt => {}
-        }
         let link = &self.links[s];
         let mut state = link.lock();
         let budget = match mode {

@@ -14,8 +14,13 @@
 //! recovers from by reconnecting on its next query — so the cheapest
 //! correct move for the worker is to hang up and wait in `accept` for the
 //! next connection. A worker never panics on peer input.
+//!
+//! The worker has no fault hooks of its own. [`serve_connection`] takes
+//! any `Read + Write`, so a test that wants corrupted, failed or
+//! swallowed replies wraps the stream it hands over (the corruption-heavy
+//! plan of `tests/chaos_soak.rs` does).
 
-use crate::protocol::{encode_frame, Frame, FrameReader};
+use crate::protocol::{write_frame, Frame, FrameReader};
 use serpdiv_index::ShardArtifact;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixListener;
@@ -52,17 +57,6 @@ pub fn serve_connection(mut stream: impl Read + Write, artifact: &ShardArtifact,
             // EOF, reset, or garbage: hang up, wait for the next peer.
             Err(_) => return,
         };
-        // Chaos hook (no-op unless a fault plan is armed): kill the
-        // connection mid-request, or swallow the request silently so the
-        // router sees a deadline rather than an error.
-        match serpdiv_chaos::failpoint("worker.serve") {
-            serpdiv_chaos::SiteAction::Drop => return,
-            serpdiv_chaos::SiteAction::Stall(d) => {
-                std::thread::sleep(d);
-                continue;
-            }
-            serpdiv_chaos::SiteAction::None | serpdiv_chaos::SiteAction::Corrupt => {}
-        }
         let reply = match frame {
             Frame::Query { id, k, terms } => {
                 // Clamp k to the shard range: the shard cannot rank more
@@ -84,17 +78,8 @@ pub fn serve_connection(mut stream: impl Read + Write, artifact: &ShardArtifact,
             // violation; condemn the connection.
             Frame::Hits { .. } | Frame::Pong { .. } => return,
         };
-        // Encode through a buffer so the `worker.reply` chaos hook can
-        // corrupt reply bytes on the wire. Corruption is confined to the
-        // framing metadata (length prefix, magic, version, id, opcode) —
-        // every flip there is *detectable* by the router's
-        // validate-on-decode and id-echo defenses, whereas the score
-        // payload is raw `f64` bits the protocol deliberately does not
-        // checksum.
-        let mut bytes = encode_frame(&reply);
-        let header = bytes.len().min(21);
-        serpdiv_chaos::mangle("worker.reply", &mut bytes[..header]);
-        if stream.write_all(&bytes).is_err() {
+        // One `write` per reply; a failed write hangs up.
+        if write_frame(&mut stream, &reply).is_err() {
             return;
         }
     }
@@ -103,7 +88,7 @@ pub fn serve_connection(mut stream: impl Read + Write, artifact: &ShardArtifact,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame};
+    use crate::protocol::read_frame;
     use serpdiv_index::{Document, IndexBuilder, ShardedIndex};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;

@@ -101,12 +101,7 @@ impl Batch {
         // `scope_run` (the latch it waits on counts this task) and the
         // borrowed closure is alive.
         let task = unsafe { &*self.task };
-        // Chaos sits inside the catch so an injected panic exercises the
-        // same containment path as a real scoring panic.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = serpdiv_chaos::failpoint("executor.task");
-            task(idx)
-        })) {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| task(idx))) {
             Ok(hits) => self.results.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(hits),
             Err(payload) => {
                 let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());

@@ -154,11 +154,15 @@ impl ShardedIndex {
         self.executor.as_ref()
     }
 
-    /// Test instrumentation: run `hook(shard)` immediately before each
-    /// shard-scoring task. A hook that panics exercises the executor's
-    /// panic containment through the full retrieval path — the panic is
-    /// re-raised on the *querying* thread, and the pool stays healthy for
-    /// the next query (see the fault-containment tests).
+    /// The scatter path's one fault seam, for tests: run `hook(shard)`
+    /// immediately before each shard-scoring task — inside the executor's
+    /// `catch_unwind` when the query goes through the attached executor,
+    /// on the querying thread otherwise. A hook that sleeps models a slow
+    /// shard; one that panics exercises the executor's panic containment
+    /// through the full retrieval path — the panic is re-raised on the
+    /// *querying* thread, and the pool stays healthy for the next query.
+    /// `tests/chaos_soak.rs` drives its seeded shard delays and panics
+    /// through it.
     pub fn with_fault_injection(mut self, hook: impl Fn(usize) + Send + Sync + 'static) -> Self {
         self.fault_hook = Some(Arc::new(hook));
         self

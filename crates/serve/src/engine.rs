@@ -349,7 +349,7 @@ impl SearchEngine {
         let budget = Budget::from_deadline_us(start, self.config.deadline_us);
         let mut ctx = PipelineContext::new(req, start, budget);
         for stage in &self.stages {
-            let _ = serpdiv_chaos::failpoint(stage.kind().failpoint_site());
+            serpdiv_chaos::failpoint(stage.kind().failpoint_site());
             let t = Instant::now();
             let outcome = stage.run(self, generation, &mut ctx);
             ctx.timings.add(stage.kind(), elapsed_us(t));

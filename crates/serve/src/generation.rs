@@ -45,10 +45,10 @@
 //! partial publish.
 //!
 //! Chaos hooks: publishing fires the `swap.validate` and `swap.publish`
-//! failpoints. A `Drop`/`Corrupt` fault at either site aborts the publish
-//! (modeling a poisoned artifact pipeline); `Delay`/`Stall` faults slow it
-//! down *outside* the pointer lock, so the soak suites can race slow
-//! publishes against live traffic.
+//! failpoints, both *outside* the pointer lock. A `Delay` there slows the
+//! publish without blocking a single pin, so the soak suites can race slow
+//! publishes against live traffic; a `Panic` unwinds before the pointer
+//! moves.
 //!
 //! ## Content stamps: what a cached entry was computed from
 //!
@@ -436,9 +436,6 @@ pub enum PublishError {
     /// The candidate's artifacts disagree with each other (sizes,
     /// coverage) — a torn deploy caught before it could serve.
     Inconsistent(&'static str),
-    /// An injected chaos fault at a `swap.*` failpoint aborted the
-    /// publish (modeling a poisoned artifact pipeline).
-    Fault(&'static str),
 }
 
 impl std::fmt::Display for PublishError {
@@ -450,7 +447,6 @@ impl std::fmt::Display for PublishError {
                 "stale generation {candidate} refused: generation {current} is serving"
             ),
             PublishError::Inconsistent(what) => write!(f, "inconsistent generation: {what}"),
-            PublishError::Fault(site) => write!(f, "publish aborted by fault at {site}"),
         }
     }
 }
@@ -512,14 +508,11 @@ impl GenerationHandle {
     /// finish on whatever they pinned. On any error the old generation
     /// keeps serving untouched.
     ///
-    /// Fires the `swap.validate` and `swap.publish` chaos failpoints; a
-    /// `Drop`/`Corrupt` fault at either aborts the publish with
-    /// [`PublishError::Fault`], and delays land *before* the exclusive
-    /// pointer store so they never block concurrent pins.
+    /// Fires the `swap.validate` and `swap.publish` chaos failpoints;
+    /// their delays land *before* the exclusive pointer store so they
+    /// never block concurrent pins.
     pub fn publish(&self, candidate: Arc<Generation>) -> Result<GenerationId, PublishError> {
-        if fault_aborts(serpdiv_chaos::failpoint("swap.validate")) {
-            return Err(PublishError::Fault("swap.validate"));
-        }
+        serpdiv_chaos::failpoint("swap.validate");
         candidate.validate()?;
         // Cheap early monotonicity check (racy, re-checked under the
         // lock): refuse obviously stale deploys before paying the
@@ -531,9 +524,7 @@ impl GenerationHandle {
                 current,
             });
         }
-        if fault_aborts(serpdiv_chaos::failpoint("swap.publish")) {
-            return Err(PublishError::Fault("swap.publish"));
-        }
+        serpdiv_chaos::failpoint("swap.publish");
         let id = candidate.id();
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         if id <= slot.id() {
@@ -554,20 +545,6 @@ impl std::fmt::Debug for GenerationHandle {
         f.debug_struct("GenerationHandle")
             .field("current_id", &self.current_id())
             .finish()
-    }
-}
-
-/// Interpret a `swap.*` failpoint's verdict: `Drop`/`Corrupt` abort the
-/// publish; `Stall` sleeps here (a slow artifact pipeline) and continues
-/// — `Delay` already slept inside the failpoint.
-fn fault_aborts(action: serpdiv_chaos::SiteAction) -> bool {
-    match action {
-        serpdiv_chaos::SiteAction::None => false,
-        serpdiv_chaos::SiteAction::Stall(d) => {
-            std::thread::sleep(d);
-            false
-        }
-        serpdiv_chaos::SiteAction::Drop | serpdiv_chaos::SiteAction::Corrupt => true,
     }
 }
 
@@ -613,9 +590,8 @@ impl BackgroundMerger {
                 while !stop2.load(Ordering::Relaxed) {
                     let delta_len = engine.generation().delta().map_or(0, |d| d.len());
                     if delta_len >= threshold.max(1) {
-                        // A lost publish race or a chaos-injected
-                        // rejection is not fatal: the delta is still
-                        // served, and the next poll retries.
+                        // A lost publish race is not fatal: the delta is
+                        // still served, and the next poll retries.
                         let _ = engine.merge_delta();
                     }
                     std::thread::sleep(poll);

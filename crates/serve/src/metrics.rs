@@ -60,7 +60,7 @@ pub struct ServeMetrics {
     /// Generations successfully published to this engine (hot swaps).
     swaps: AtomicU64,
     /// Candidate generations refused by validate-then-publish (decode
-    /// failure, stale id, inconsistent artifacts, injected fault).
+    /// failure, stale id, inconsistent artifacts).
     swap_rejected: AtomicU64,
     /// Per-stage latency distributions over *computed* requests' non-zero
     /// stage samples (cache hits and shed/internal refusals would flood

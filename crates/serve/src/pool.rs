@@ -247,7 +247,7 @@ impl WorkerPool {
         // batch waiting on a reply that will never come.
         let query = req.query.clone();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = serpdiv_chaos::failpoint("pool.serve");
+            serpdiv_chaos::failpoint("pool.serve");
             engine.search(req)
         }));
         let response = match result {
@@ -315,7 +315,6 @@ impl WorkerPool {
     }
 
     fn enqueue(&self, seq: usize, req: QueryRequest, reply: mpsc::Sender<(usize, SearchResponse)>) {
-        let _ = serpdiv_chaos::failpoint("pool.enqueue");
         let job = Job {
             seq,
             req,

@@ -31,10 +31,10 @@
 //!   serving engine as a [`Retriever`](serpdiv_index::Retriever), hedges
 //!   slow shards, trips per-shard circuit breakers, and degrades
 //!   gracefully when workers die;
-//! * [`chaos`] — deterministic fault injection: named failpoints across
-//!   pool/executor/stage/router/worker sites, inert unless a seeded
-//!   [`FaultPlan`](serpdiv_chaos::FaultPlan) is armed (see
-//!   `tests/chaos_soak.rs` for the harness that uses it).
+//! * [`chaos`] — deterministic fault injection: named delay/panic
+//!   failpoints at the serving engine's stage, pool and swap sites, inert
+//!   unless a seeded [`FaultPlan`](serpdiv_chaos::FaultPlan) is armed
+//!   (see `tests/chaos_soak.rs` for the harness that uses it).
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
 //! `crates/bench` for the binaries regenerating the paper's effectiveness

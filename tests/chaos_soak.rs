@@ -1,17 +1,24 @@
 //! Chaos soak: the 16-client serving soak under seeded fault plans.
 //!
 //! Three plans, one per dominant fault family, each driven by its own
-//! LCG seed through the `serpdiv-chaos` failpoints:
+//! seeds. The serving engine's faults come through the `serpdiv-chaos`
+//! failpoints (`stage.*`, `pool.serve`); the retrieval layers carry no
+//! failpoints and take theirs through the seams they already offer, fed
+//! by a seeded [`Faults`] source:
 //!
-//! * **delay-heavy** — stage and executor delays under a per-request
-//!   deadline budget, so requests degrade at stage edges;
-//! * **kill-heavy** — injected panics in pool workers, executor tasks,
-//!   and the select stage, all of which must be *contained* (the pool
-//!   answers `error (internal)` and keeps serving);
-//! * **corruption-heavy** — a live in-process worker fleet whose replies
-//!   get their framing metadata corrupted, connections dropped, and
-//!   requests silently stalled, which the router must convert into
-//!   hedges, retries, and labeled shard-loss degradation.
+//! * **delay-heavy** — stage delays and shard delays (the sharded index's
+//!   `with_fault_injection` hook, fired inside the scoring executor's
+//!   tasks) under a per-request deadline budget, so requests degrade at
+//!   stage edges;
+//! * **kill-heavy** — injected panics in pool workers, shard-scoring
+//!   tasks (the same hook) and the select stage, all of which must be
+//!   *contained* (the pool answers `error (internal)` and keeps serving);
+//! * **corruption-heavy** — a live in-process worker fleet whose
+//!   connections are wrapped in a [`FaultyStream`] before
+//!   `worker::serve_connection` sees them: replies get their framing
+//!   metadata corrupted, writes fail so the worker hangs up, and replies
+//!   are silently swallowed, which the router must convert into hedges,
+//!   retries, and labeled shard-loss degradation.
 //!
 //! Asserted for every plan, under a watchdog (no hang):
 //!
@@ -20,8 +27,9 @@
 //!   that request or carries a degraded/shed/internal label (no torn
 //!   pages);
 //! * the metrics leaf classes partition the request total exactly;
-//! * after the plan disarms, the stack recovers to bit-exact fault-free
-//!   serving (breakers close, links reconnect).
+//! * after the plan disarms (and the seeded faults switch off), the
+//!   stack recovers to bit-exact fault-free serving (breakers close,
+//!   links reconnect).
 //!
 //! One more test arms a single delay to pin the one budget check that
 //! lives inside a stage (the select stage's).
@@ -29,11 +37,13 @@
 //! Chaos arming is process-global, so the tests serialize on one static
 //! mutex.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serpdiv::chaos::{self, FaultKind, FaultPlan};
 use serpdiv::core::AlgorithmKind;
 use serpdiv::fleet::{worker, FleetConfig, FleetRouter, DEFAULT_MAX_FRAME};
 use serpdiv::index::{
-    Document, IndexBuilder, InvertedIndex, Retriever, ScoringExecutor, ShardedIndex,
+    Document, IndexBuilder, InvertedIndex, Retriever, ScoringExecutor, ShardArtifact, ShardedIndex,
 };
 use serpdiv::mining::SpecializationModel;
 use serpdiv::serve::{
@@ -41,8 +51,10 @@ use serpdiv::serve::{
     LABEL_INTERNAL, LABEL_SHED,
 };
 use std::collections::HashMap;
-use std::os::unix::net::UnixListener;
+use std::io::{self, Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -71,6 +83,103 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A seeded fault source for the seams the retrieval layers offer tests.
+/// Inert until switched on, so the oracle and the recovery pass run
+/// fault-free; counts what it fires, by kind.
+struct Faults {
+    on: AtomicBool,
+    rng: Mutex<StdRng>,
+    fired: [AtomicU64; 3],
+}
+
+impl Faults {
+    fn new(seed: u64) -> Arc<Self> {
+        Arc::new(Faults {
+            on: AtomicBool::new(false),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            fired: Default::default(),
+        })
+    }
+
+    fn switch(&self, on: bool) {
+        self.on.store(on, Ordering::SeqCst);
+    }
+
+    /// One roll against `bands`, the cumulative upper bounds of each
+    /// kind's probability: the kind that fires (counted), or `None` —
+    /// always `None` while switched off.
+    fn roll(&self, bands: &[f64]) -> Option<usize> {
+        if !self.on.load(Ordering::SeqCst) {
+            return None;
+        }
+        let u: f64 = self.rng.lock().unwrap().gen();
+        let kind = bands.iter().position(|&b| u < b)?;
+        self.fired[kind].fetch_add(1, Ordering::Relaxed);
+        Some(kind)
+    }
+
+    /// Flip 1–4 seeded bits of `bytes`.
+    fn flip_bits(&self, bytes: &mut [u8]) {
+        let mut rng = self.rng.lock().unwrap();
+        for _ in 0..rng.gen_range(1..=4usize) {
+            let pos = rng.gen_range(0..bytes.len());
+            bytes[pos] ^= 1u8 << rng.gen_range(0..8u32);
+        }
+    }
+
+    fn fired(&self, kind: usize) -> u64 {
+        self.fired[kind].load(Ordering::Relaxed)
+    }
+}
+
+/// The corruption-heavy plan's reply faults, by kind, as cumulative
+/// bands: corrupt p 0.20, hang up p 0.10, swallow p 0.05.
+const REPLY_FAULTS: [f64; 3] = [0.20, 0.30, 0.35];
+const CORRUPT: usize = 0;
+const HANG_UP: usize = 1;
+const SWALLOW: usize = 2;
+
+/// A fleet worker's connection with seeded faults on its replies. The
+/// worker writes each reply with one `write_all`, so each reply rolls
+/// once: flip 1–4 bits of its first 21 bytes, fail the write so the
+/// worker hangs up, or sleep 60 ms and swallow the reply so the router
+/// sees a deadline rather than an error. Corruption is confined to the
+/// framing metadata (length prefix, magic, version, id, opcode): every
+/// flip there is *detectable* by the router's validate-on-decode and
+/// id-echo defenses, whereas the score payload is raw `f64` bits the
+/// protocol deliberately does not checksum.
+struct FaultyStream {
+    inner: UnixStream,
+    faults: Arc<Faults>,
+}
+
+impl Read for FaultyStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for FaultyStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self.faults.roll(&REPLY_FAULTS) {
+            Some(CORRUPT) => {
+                let mut bytes = buf.to_vec();
+                let header = bytes.len().min(21);
+                self.faults.flip_bits(&mut bytes[..header]);
+                self.inner.write_all(&bytes)?;
+            }
+            Some(HANG_UP) => return Err(io::ErrorKind::BrokenPipe.into()),
+            Some(_) => std::thread::sleep(Duration::from_millis(60)),
+            None => self.inner.write_all(buf)?,
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Fail loudly instead of hanging CI forever if anything deadlocks.
@@ -251,6 +360,18 @@ fn check_response(
     false
 }
 
+/// [`storm`] with `faults` switched on for its duration.
+fn storm_with(
+    faults: &Faults,
+    pool: &WorkerPool,
+    oracle: &HashMap<OracleKey, OraclePage>,
+) -> (u64, u64) {
+    faults.switch(true);
+    let counts = storm(pool, oracle);
+    faults.switch(false);
+    counts
+}
+
 /// Drive the 16-client storm through `pool`, validating every response.
 /// Returns (clean, degraded) counts.
 fn storm(pool: &WorkerPool, oracle: &HashMap<OracleKey, OraclePage>) -> (u64, u64) {
@@ -328,10 +449,18 @@ fn delay_heavy_plan_degrades_at_stage_edges_and_recovers() {
     with_watchdog(300, "delay-heavy chaos soak", || {
         let index = corpus();
         let executor = Arc::new(ScoringExecutor::new(2));
+        // 6 ms shard delays, p 0.05 per shard-scoring task.
+        let faults = Faults::new(0xA11C_E5EE);
+        let hook = faults.clone();
         let retriever: Arc<dyn Retriever> = Arc::new(
             ShardedIndex::build(index.clone(), 4)
                 .with_executor(executor)
-                .with_parallel_threshold(0),
+                .with_parallel_threshold(0)
+                .with_fault_injection(move |_| {
+                    if hook.roll(&[0.05]).is_some() {
+                        std::thread::sleep(Duration::from_millis(6));
+                    }
+                }),
         );
         // 25 ms of budget against 8 ms injected stage delays: most
         // requests finish, a seeded minority exhausts mid-pipeline.
@@ -348,21 +477,18 @@ fn delay_heavy_plan_degrades_at_stage_edges_and_recovers() {
         let pool = WorkerPool::new(engine.clone(), 8);
         let baseline_requests = engine.metrics().requests;
 
-        let plan = Arc::new(
-            FaultPlan::new(0xA11C_E5EE)
-                .with_rule("stage.*", 0.10, FaultKind::Delay(Duration::from_millis(8)))
-                .with_rule(
-                    "executor.task",
-                    0.05,
-                    FaultKind::Delay(Duration::from_millis(6)),
-                ),
-        );
+        let plan = Arc::new(FaultPlan::new(0xA11C_E5EE).with_rule(
+            "stage.*",
+            0.10,
+            FaultKind::Delay(Duration::from_millis(8)),
+        ));
         let (clean, degraded) = {
             let _armed = chaos::armed(plan.clone());
-            storm(&pool, &oracle)
+            storm_with(&faults, &pool, &oracle)
         };
         assert_eq!(clean + degraded, (CLIENTS * PER_CLIENT) as u64);
         assert!(plan.fired_total() > 0, "the plan never fired");
+        assert!(faults.fired(0) > 0, "the shard hook never fired");
         assert!(clean > 0, "delays must not wipe out every request");
         let m = engine.metrics();
         assert_eq!(
@@ -402,10 +528,18 @@ fn kill_heavy_plan_contains_every_panic_and_recovers() {
     with_watchdog(300, "kill-heavy chaos soak", || {
         let index = corpus();
         let executor = Arc::new(ScoringExecutor::new(2));
+        // Shard-scoring panics, p 0.03 per task.
+        let faults = Faults::new(0xDEAD_BEEF);
+        let hook = faults.clone();
         let retriever: Arc<dyn Retriever> = Arc::new(
             ShardedIndex::build(index.clone(), 4)
                 .with_executor(executor)
-                .with_parallel_threshold(0),
+                .with_parallel_threshold(0)
+                .with_fault_injection(move |shard| {
+                    if hook.roll(&[0.03]).is_some() {
+                        panic!("injected panic scoring shard {shard}");
+                    }
+                }),
         );
         let engine = build_engine(index, retriever, 4, 0, None);
         let oracle = compute_oracle(&engine);
@@ -414,15 +548,15 @@ fn kill_heavy_plan_contains_every_panic_and_recovers() {
         let plan = Arc::new(
             FaultPlan::new(0xDEAD_BEEF)
                 .with_rule("pool.serve", 0.15, FaultKind::Panic)
-                .with_rule("executor.task", 0.03, FaultKind::Panic)
                 .with_rule("stage.select", 0.05, FaultKind::Panic),
         );
         let (clean, degraded) = {
             let _armed = chaos::armed(plan.clone());
-            storm(&pool, &oracle)
+            storm_with(&faults, &pool, &oracle)
         };
         assert_eq!(clean + degraded, (CLIENTS * PER_CLIENT) as u64);
         assert!(plan.fired_total() > 0, "the plan never fired");
+        assert!(faults.fired(0) > 0, "the shard hook never fired");
         assert!(clean > 0, "panics must not take the pool down");
         let m = engine.metrics();
         assert!(
@@ -485,17 +619,30 @@ fn corruption_heavy_plan_keeps_fleet_pages_sound_and_recovers() {
     with_watchdog(300, "corruption-heavy fleet chaos soak", || {
         let index = corpus();
         let sharded = ShardedIndex::build(index.clone(), 2);
-        // In-process worker threads (same process, so the armed plan's
-        // worker.* failpoints are visible to them).
+        let faults = Faults::new(0xC0DE_C0DE);
+        // In-process worker threads, each connection on its own scoped
+        // thread (a hedge arrives on a fresh connection while the stalled
+        // one is still open), served through a `FaultyStream`.
         let mut sockets = Vec::new();
         for s in 0..2 {
             let path = fleet_socket(&format!("w{s}"));
             let bytes = sharded.export_shard(s);
             let listener = UnixListener::bind(&path).expect("bind fleet socket");
+            let faults = faults.clone();
             std::thread::spawn(move || {
-                let artifact =
-                    serpdiv::index::ShardArtifact::from_bytes(&bytes).expect("valid artifact");
-                worker::serve(&listener, &artifact, DEFAULT_MAX_FRAME);
+                let artifact = ShardArtifact::from_bytes(&bytes).expect("valid artifact");
+                let artifact = &artifact;
+                std::thread::scope(|scope| {
+                    for inner in listener.incoming().flatten() {
+                        let stream = FaultyStream {
+                            inner,
+                            faults: faults.clone(),
+                        };
+                        scope.spawn(move || {
+                            worker::serve_connection(stream, artifact, DEFAULT_MAX_FRAME)
+                        });
+                    }
+                });
             });
             sockets.push(path);
         }
@@ -515,34 +662,27 @@ fn corruption_heavy_plan_keeps_fleet_pages_sound_and_recovers() {
         let oracle = compute_oracle(&engine);
         let pool = WorkerPool::new(engine.clone(), 8);
 
-        let plan = Arc::new(
-            FaultPlan::new(0xC0DE_C0DE)
-                .with_rule("worker.reply", 0.20, FaultKind::Corrupt)
-                .with_rule("worker.serve", 0.10, FaultKind::Drop)
-                .with_rule(
-                    "worker.serve",
-                    0.05,
-                    FaultKind::Stall(Duration::from_millis(60)),
-                )
-                .with_rule("router.dispatch", 0.05, FaultKind::Drop),
-        );
-        let (clean, degraded) = {
-            let _armed = chaos::armed(plan.clone());
-            storm(&pool, &oracle)
-        };
+        let (clean, degraded) = storm_with(&faults, &pool, &oracle);
         assert_eq!(clean + degraded, (CLIENTS * PER_CLIENT) as u64);
-        assert!(plan.fired_total() > 0, "the plan never fired");
+        for (kind, name) in [
+            (CORRUPT, "corrupt"),
+            (HANG_UP, "hang-up"),
+            (SWALLOW, "swallow"),
+        ] {
+            assert!(faults.fired(kind) > 0, "the {name} fault never fired");
+        }
         assert!(degraded > 0, "this plan is violent enough to degrade");
         assert!(clean > 0, "retries and hedges must save most exchanges");
         assert_partition(&engine);
-        // Corrupted framing, dropped connections, and stalls all surface
-        // in the router's failure telemetry.
+        // Corrupted framing and hang-ups surface as shard failures;
+        // swallowed replies as hedges or deadline timeouts.
         let fm = router.metrics();
+        assert!(fm.shard_failures > 0, "no shard failure counted: {fm:?}");
         assert!(
-            fm.shard_failures > 0 || fm.hedges > 0,
-            "fleet chaos left no trace: {fm:?}"
+            fm.shard_timeouts + fm.hedges > 0,
+            "no swallowed reply was hedged or timed out: {fm:?}"
         );
-        // Disarmed, the breakers close and pages return to bit-exact.
+        // Faults off, the breakers close and pages return to bit-exact.
         assert_recovers(&engine, &oracle, Duration::from_secs(15));
         assert_eq!(
             engine.metrics().requests,

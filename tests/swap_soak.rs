@@ -1,8 +1,8 @@
 //! Swap soak: the torn-request proof. 16 client threads hammer one
 //! engine while a deployer thread repeatedly hot-swaps the whole serving
 //! generation — index, forward index, compiled spec store — under
-//! injected `swap.publish` / `swap.validate` delays and stalls that
-//! stretch every publish across many in-flight requests.
+//! injected `swap.publish` / `swap.validate` delays that stretch every
+//! publish across many in-flight requests.
 //!
 //! The invariant: **every response is internally consistent with exactly
 //! one generation.** Each response carries the generation id its request
@@ -267,7 +267,7 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
         let served = Mutex::new(0u64);
 
         // Every publish crawls: a guaranteed 5 ms delay at the publish
-        // failpoint plus seeded stalls at validation, so dozens of
+        // failpoint plus seeded 3 ms delays at validation, so dozens of
         // requests overlap each swap window.
         let plan = Arc::new(
             FaultPlan::new(0x5AFE_5AFE)
@@ -279,7 +279,7 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
                 .with_rule(
                     "swap.validate",
                     0.5,
-                    FaultKind::Stall(Duration::from_millis(3)),
+                    FaultKind::Delay(Duration::from_millis(3)),
                 ),
         );
         let _armed = chaos::armed(plan.clone());
