@@ -20,6 +20,7 @@
 use crate::candidates::DiversifyInput;
 use crate::iaselect::IaSelect;
 use crate::mmr::Mmr;
+use crate::model::{SpecializationEntry, SpecializationModel};
 use crate::optselect::OptSelect;
 use crate::specindex::{CompiledSpecStore, UtilityScorer};
 use crate::utility::{UtilityMatrix, UtilityParams};
@@ -29,7 +30,6 @@ use serpdiv_index::{
     DocId, ForwardIndex, InvertedIndex, Retriever, ScoredDoc, SearchEngine, SnippetGenerator,
     SparseVector,
 };
-use serpdiv_mining::{SpecializationEntry, SpecializationModel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -379,7 +379,18 @@ pub fn run_algorithm(
 mod tests {
     use super::*;
     use serpdiv_index::{Document, IndexBuilder};
-    use serpdiv_mining::SpecializationModel;
+
+    /// A model of `(query, [(specialization, P(q′|q))])` entries.
+    fn model_of(entries: &[(&str, &[(&str, f64)])]) -> SpecializationModel {
+        let mut model = SpecializationModel::default();
+        for (query, specs) in entries {
+            model.insert(SpecializationEntry {
+                query: query.to_string(),
+                specializations: specs.iter().map(|&(s, p)| (s.to_string(), p)).collect(),
+            });
+        }
+        model
+    }
 
     /// A tiny two-interpretation "apple" world.
     fn setup() -> (serpdiv_index::InvertedIndex, SpecializationModel) {
@@ -412,10 +423,7 @@ mod tests {
             ));
         }
         let index = b.build();
-        let model = SpecializationModel::from_json(
-            r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
-        )
-        .unwrap();
+        let model = model_of(&[("apple", &[("apple iphone", 0.6), ("apple fruit", 0.4)])]);
         (index, model)
     }
 
@@ -424,14 +432,22 @@ mod tests {
         let (index, _) = setup();
         // Nine distinct specializations in first-occurrence order, one
         // repeated across entries and one that retrieves nothing.
-        let model = SpecializationModel::from_json(
-            r#"{"entries":{
-                "apple":{"query":"apple","specializations":[["apple iphone",0.5],["apple fruit",0.3],["apple juice",0.2]]},
-                "phone":{"query":"phone","specializations":[["iphone camera",0.6],["apple iphone",0.4]]},
-                "fruit":{"query":"fruit","specializations":[["orchard harvest",0.5],["sweet recipe",0.5]]},
-                "sky":{"query":"sky","specializations":[["rain storm",0.4],["wind cloud",0.4],["zzyzx",0.2]]}}}"#,
-        )
-        .unwrap();
+        let model = model_of(&[
+            (
+                "apple",
+                &[
+                    ("apple iphone", 0.5),
+                    ("apple fruit", 0.3),
+                    ("apple juice", 0.2),
+                ],
+            ),
+            ("phone", &[("iphone camera", 0.6), ("apple iphone", 0.4)]),
+            ("fruit", &[("orchard harvest", 0.5), ("sweet recipe", 0.5)]),
+            (
+                "sky",
+                &[("rain storm", 0.4), ("wind cloud", 0.4), ("zzyzx", 0.2)],
+            ),
+        ]);
         let forward = ForwardIndex::build(&index);
         let snippets = SnippetGenerator::with_window(20);
 

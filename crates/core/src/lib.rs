@@ -20,6 +20,7 @@
 //!   folded into per-specialization weight rows and inverted into a
 //!   `TermId → [(spec, weight)]` index, so a request scores each candidate
 //!   against all its specializations with one sparse accumulation,
+//! * [`model`] — the mined [`SpecializationModel`] and its [`Miner`] seam,
 //! * [`candidates`] — the [`DiversifyInput`] bundle (`P(q′|q)`, `P(d|q)`,
 //!   the `Ũ(d|R_q′)` matrix, optional surrogate vectors),
 //! * [`framework`] — what the five-stage pipeline is assembled from: the
@@ -33,6 +34,7 @@ pub mod framework;
 pub mod iaselect;
 mod lazy;
 pub mod mmr;
+pub mod model;
 pub mod optselect;
 pub mod specindex;
 pub mod utility;
@@ -47,6 +49,7 @@ pub use framework::{
 };
 pub use iaselect::IaSelect;
 pub use mmr::Mmr;
+pub use model::{Miner, SpecializationEntry, SpecializationModel};
 pub use optselect::OptSelect;
 pub use specindex::{CompiledSpecStore, UtilityScorer};
 pub use utility::{harmonic, UtilityMatrix, UtilityParams};

@@ -246,8 +246,7 @@ impl CompiledSpecStore {
     /// a round-tripped store scores bit-identically to the original.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = serpdiv_index::ByteWriter::new();
-        w.u32(SPEC_MAGIC);
-        w.u32(SPEC_VERSION);
+        w.header(SPEC_MAGIC, SPEC_VERSION);
         w.count(self.names.len());
         for (i, name) in self.names.iter().enumerate() {
             w.str(name);
@@ -271,13 +270,7 @@ impl CompiledSpecStore {
         use serpdiv_index::{ByteReader, DecodeError};
 
         let mut r = ByteReader::new(data);
-        if r.u32()? != SPEC_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != SPEC_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
+        r.header(SPEC_MAGIC, SPEC_VERSION)?;
         // A spec record is at least its three length fields.
         let num_specs = r.count(12)?;
         let mut names: Vec<String> = Vec::with_capacity(num_specs);

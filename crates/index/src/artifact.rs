@@ -60,8 +60,7 @@ pub(crate) fn encode_shard(
 ) -> Vec<u8> {
     let coll = index.stats();
     let mut w = ByteWriter::new();
-    w.u32(MAGIC);
-    w.u32(VERSION);
+    w.header(MAGIC, VERSION);
     w.u32(shard_id);
     w.u32(num_shards);
     w.u32(base);
@@ -116,13 +115,7 @@ impl ShardArtifact {
     /// validating every structural invariant the scoring loop relies on.
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
-        if r.u32()? != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
+        r.header(MAGIC, VERSION)?;
         let shard_id = r.u32()?;
         let num_shards = r.u32()?;
         let base = r.u32()?;
@@ -383,8 +376,7 @@ mod tests {
         // Hand-build an artifact whose posting doc id falls outside the
         // declared shard range.
         let mut w = ByteWriter::new();
-        w.u32(MAGIC);
-        w.u32(VERSION);
+        w.header(MAGIC, VERSION);
         w.u32(0); // shard_id
         w.u32(1); // num_shards
         w.u32(0); // base

@@ -355,8 +355,7 @@ impl ForwardIndex {
     /// the inverted index — see [`crate::serialize`] for the index side).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u32(MAGIC);
-        w.u32(VERSION);
+        w.header(MAGIC, VERSION);
         w.count(self.num_docs());
         w.u32s(&self.offsets);
         w.count(self.tokens.len());
@@ -377,13 +376,7 @@ impl ForwardIndex {
     /// Decode a buffer produced by [`ForwardIndex::to_bytes`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
-        if r.u32()? != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
+        r.header(MAGIC, VERSION)?;
         // `num_docs + 1` offsets follow; the count is bounded by them.
         let num_docs = r.count(4)?;
         let offsets = r.u32s(num_docs + 1)?;

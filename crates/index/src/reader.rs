@@ -12,8 +12,10 @@
 //! each method appends exactly what the reader method of the same name
 //! consumes, and a length the `u32` prefix cannot hold is refused rather
 //! than truncated into an image that frames wrongly. Neither knows a
-//! format: magic numbers, versions, opcodes and structural invariants
-//! stay with the codec that owns them.
+//! format: each checks or writes the `(magic, version)` header it is
+//! handed ([`ByteReader::header`], [`ByteWriter::header`]), while the
+//! magic numbers, versions, opcodes and structural invariants stay with
+//! the codec that owns them.
 
 use crate::serialize::DecodeError;
 
@@ -93,6 +95,18 @@ impl<'a> ByteReader<'a> {
             .collect())
     }
 
+    /// A format's header: `magic` then `version`, each a `u32`, failing
+    /// with [`DecodeError::BadMagic`] or [`DecodeError::BadVersion`].
+    pub fn header(&mut self, magic: u32, version: u32) -> Result<(), DecodeError> {
+        if self.u32()? != magic {
+            return Err(DecodeError::BadMagic);
+        }
+        match self.u32()? {
+            v if v == version => Ok(()),
+            v => Err(DecodeError::BadVersion(v)),
+        }
+    }
+
     /// A `u32`-length-prefixed UTF-8 string, borrowed from the input.
     pub fn str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
@@ -139,6 +153,12 @@ impl ByteWriter {
     /// One little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+
+    /// A format's header, as [`ByteReader::header`] checks it.
+    pub fn header(&mut self, magic: u32, version: u32) {
+        self.u32(magic);
+        self.u32(version);
     }
 
     /// An element count or byte length as the `u32` the formats prefix
@@ -242,6 +262,22 @@ mod tests {
         assert_eq!(r.str(), Ok("naïve"));
         assert_eq!(r.str(), Ok(""));
         assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn header_round_trips_and_refuses_in_order() {
+        let bytes = image(|w| w.header(0x5E9D_0001, 3));
+        assert_eq!(bytes, [1, 0, 0x9D, 0x5E, 3, 0, 0, 0]);
+        assert_eq!(ByteReader::new(&bytes).header(0x5E9D_0001, 3), Ok(()));
+        // Magic before version, version before the bytes that follow.
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.header(0x5E9D_0002, 9), Err(DecodeError::BadMagic));
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.header(0x5E9D_0001, 4), Err(DecodeError::BadVersion(3)));
+        let mut r = ByteReader::new(&bytes[..6]);
+        assert_eq!(r.header(0x5E9D_0001, 3), Err(DecodeError::Truncated));
+        let mut r = ByteReader::new(&bytes[..2]);
+        assert_eq!(r.header(0x5E9D_0002, 3), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -61,8 +61,7 @@ impl InvertedIndex {
     /// Serialize the index (with its document store) to a binary buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u32(MAGIC);
-        w.u32(VERSION);
+        w.header(MAGIC, VERSION);
         w.u64(self.stats.num_docs);
         w.u64(self.stats.num_tokens);
 
@@ -105,13 +104,7 @@ impl InvertedIndex {
     /// analyzer the index was built with.
     pub fn from_bytes(data: &[u8], analyzer: Analyzer) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
-        if r.u32()? != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
+        r.header(MAGIC, VERSION)?;
         let num_docs = r.u64()?;
         let num_tokens = r.u64()?;
 

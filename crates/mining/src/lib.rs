@@ -12,9 +12,9 @@
 //! 3. [`detect`] — **Algorithm 1, `AmbiguousQueryDetect(q, A, f, s)`**, and
 //!    the specialization-probability estimate `P(q′|q) = f(q′)/Σ f(·)`
 //!    (Definition 1),
-//! 4. [`model`] — the deployable [`SpecializationModel`]: every ambiguous
-//!    query with its specializations and probabilities, serializable, with
-//!    the §4.1 memory-footprint accounting.
+//! 4. [`model`] — mines the deployable [`SpecializationModel`] (the type
+//!    lives in `serpdiv-core`, beside the §4.1 store it feeds, and is
+//!    re-exported here) and owns its JSON form, [`to_json`]/[`from_json`].
 
 pub mod detect;
 pub mod json;
@@ -23,6 +23,7 @@ pub mod qfg;
 pub mod shortcuts;
 
 pub use detect::{AmbiguityDetector, Recommender};
-pub use model::{SpecializationEntry, SpecializationModel};
+pub use model::{from_json, to_json, ModelFormatError};
 pub use qfg::QueryFlowGraph;
+pub use serpdiv_core::{SpecializationEntry, SpecializationModel};
 pub use shortcuts::ShortcutsModel;

@@ -1,55 +1,18 @@
-//! The deployable specialization model.
-//!
-//! §4.1: "The only information we need are: the ambiguous queries, the list
-//! of their possible specializations mined from a long-term query log, \[and\]
-//! the probabilities associated with such specializations" (the per-
-//! specialization result lists `R_q′` live in `serpdiv-core::framework`,
-//! which also accounts for their §4.1 memory footprint).
-//!
-//! The model is mined offline by sweeping Algorithm 1 over every distinct
-//! query of the training log and is serializable (JSON) for deployment.
+//! Mining the deployable [`SpecializationModel`] ([`AmbiguityDetector`] is
+//! the [`Miner`] that [`SpecializationModel::mine`] sweeps over the training
+//! log), and the model's JSON deployment form ([`to_json`], [`from_json`]).
 
 use crate::detect::{AmbiguityDetector, Recommender};
 use crate::json;
+use serpdiv_core::{Miner, SpecializationEntry, SpecializationModel};
 use serpdiv_querylog::{QueryId, QueryLog};
-use std::collections::HashMap;
 
-/// Specializations of one ambiguous query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecializationEntry {
-    /// The ambiguous query text.
-    pub query: String,
-    /// `(specialization text, P(q′|q))`, decreasing probability.
-    pub specializations: Vec<(String, f64)>,
-}
-
-impl SpecializationEntry {
-    /// Number of specializations `|Sq|`.
-    pub fn len(&self) -> usize {
-        self.specializations.len()
-    }
-
-    /// True when no specialization is stored (never produced by mining).
-    pub fn is_empty(&self) -> bool {
-        self.specializations.is_empty()
-    }
-}
-
-/// The mined model: every ambiguous query of the log with its
-/// specializations and probabilities.
-#[derive(Debug, Default, Clone)]
-pub struct SpecializationModel {
-    entries: HashMap<String, SpecializationEntry>,
-}
-
-impl SpecializationModel {
-    /// Mine the model: run Algorithm 1 (`detector`) over every distinct
-    /// query of `log` and keep the ambiguous ones (`Q̂` of Definition 1).
-    pub fn mine<A: Recommender>(log: &QueryLog, detector: &AmbiguityDetector<'_, A>) -> Self {
-        let mut entries = HashMap::new();
+/// Algorithm 1 over every distinct query of the log.
+impl<A: Recommender> Miner<QueryLog> for AmbiguityDetector<'_, A> {
+    fn mine_into(&self, log: &QueryLog, model: &mut SpecializationModel) {
         for i in 0..log.num_queries() {
             let q = QueryId(i as u32);
-            let Some(specs) = detector.detect(q) else {
+            let Some(specs) = self.detect(q) else {
                 continue;
             };
             let text = log.query_text(q).expect("interned").to_string();
@@ -62,164 +25,110 @@ impl SpecializationModel {
                     )
                 })
                 .collect();
-            entries.insert(
-                text.clone(),
-                SpecializationEntry {
-                    query: text,
-                    specializations,
-                },
-            );
+            model.insert(SpecializationEntry {
+                query: text,
+                specializations,
+            });
         }
-        SpecializationModel { entries }
     }
+}
 
-    /// Insert (or replace) an entry — used by the personalization layer to
-    /// materialize per-user models.
-    pub fn insert(&mut self, entry: SpecializationEntry) {
-        self.entries.insert(entry.query.clone(), entry);
-    }
-
-    /// Look up the specializations of `query`; `None` means "not ambiguous:
-    /// serve the baseline ranking unchanged".
-    pub fn get(&self, query: &str) -> Option<&SpecializationEntry> {
-        self.entries.get(query)
-    }
-
-    /// Number of ambiguous queries in the model (`N` of §4.1).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no query was detected as ambiguous.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate over entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &SpecializationEntry> {
-        self.entries.values()
-    }
-
-    /// Largest `|Sq|` over the model (the `|S_q̂|` of the §4.1 bound).
-    pub fn max_specializations(&self) -> usize {
-        self.entries.values().map(|e| e.len()).max().unwrap_or(0)
-    }
-
-    /// In-memory footprint estimate in bytes (query-level part of §4.1).
-    pub fn byte_size(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| {
-                e.query.len()
-                    + e.specializations
-                        .iter()
-                        .map(|(s, _)| s.len() + std::mem::size_of::<f64>())
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Serialize to JSON (the deployment wire format of §4.1):
-    /// `{"entries":{"<query>":{"query":"...","specializations":[["text",p],…]}}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.byte_size() * 2);
-        out.push_str("{\"entries\":{");
-        // Deterministic output: sort by query text.
-        let mut keys: Vec<&String> = self.entries.keys().collect();
-        keys.sort();
-        for (i, key) in keys.iter().enumerate() {
-            if i > 0 {
+/// Serialize to JSON (the deployment wire format of §4.1):
+/// `{"entries":{"<query>":{"query":"...","specializations":[["text",p],…]}}}`.
+pub fn to_json(model: &SpecializationModel) -> String {
+    let mut out = String::with_capacity(64 + model.byte_size() * 2);
+    out.push_str("{\"entries\":{");
+    // Deterministic output: sort by query text (each entry's key).
+    let mut entries: Vec<&SpecializationEntry> = model.iter().collect();
+    entries.sort_unstable_by(|a, b| a.query.cmp(&b.query));
+    for (i, entry) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_escaped(&mut out, &entry.query);
+        out.push_str(":{\"query\":");
+        json::write_escaped(&mut out, &entry.query);
+        out.push_str(",\"specializations\":[");
+        for (j, (spec, p)) in entry.specializations.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            let entry = &self.entries[*key];
-            json::write_escaped(&mut out, key);
-            out.push_str(":{\"query\":");
-            json::write_escaped(&mut out, &entry.query);
-            out.push_str(",\"specializations\":[");
-            for (j, (spec, p)) in entry.specializations.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                json::write_escaped(&mut out, spec);
-                out.push(',');
-                json::write_number(&mut out, *p);
-                out.push(']');
-            }
-            out.push_str("]}");
+            out.push('[');
+            json::write_escaped(&mut out, spec);
+            out.push(',');
+            json::write_number(&mut out, *p);
+            out.push(']');
         }
-        out.push_str("}}");
-        out
+        out.push_str("]}");
     }
+    out.push_str("}}");
+    out
+}
 
-    /// Deserialize from the JSON produced by [`SpecializationModel::to_json`].
-    ///
-    /// Refuses, as [`ModelFormatError::Shape`], what serving would later
-    /// trip over: an entry whose key is not its `"query"` (lookups go by
-    /// key, per-entry state by `"query"`), and a specialization list whose
-    /// probabilities are not a distribution — each finite and
-    /// non-negative, and a non-empty list summing to 1 within 1e-6.
-    pub fn from_json(text: &str) -> Result<Self, ModelFormatError> {
-        let doc = json::parse(text)?;
-        let top = doc
+/// Deserialize from the JSON produced by [`to_json`].
+///
+/// Refuses, as [`ModelFormatError::Shape`], what serving would later
+/// trip over: an entry whose key is not its `"query"` (lookups go by
+/// key, per-entry state by `"query"`), and a specialization list whose
+/// probabilities are not a distribution — each finite and
+/// non-negative, and a non-empty list summing to 1 within 1e-6.
+pub fn from_json(text: &str) -> Result<SpecializationModel, ModelFormatError> {
+    let doc = json::parse(text)?;
+    let top = doc
+        .as_object()
+        .ok_or_else(|| bad("top-level value must be an object"))?;
+    let entries_val = top
+        .get("entries")
+        .ok_or_else(|| bad("missing \"entries\" key"))?;
+    let raw_entries = entries_val
+        .as_object()
+        .ok_or_else(|| bad("\"entries\" must be an object"))?;
+    let mut model = SpecializationModel::default();
+    for (key, val) in raw_entries {
+        let obj = val
             .as_object()
-            .ok_or_else(|| bad("top-level value must be an object"))?;
-        let entries_val = top
-            .get("entries")
-            .ok_or_else(|| bad("missing \"entries\" key"))?;
-        let raw_entries = entries_val
-            .as_object()
-            .ok_or_else(|| bad("\"entries\" must be an object"))?;
-        let mut entries = HashMap::with_capacity(raw_entries.len());
-        for (key, val) in raw_entries {
-            let obj = val
-                .as_object()
-                .ok_or_else(|| bad(format!("entry {key:?} must be an object")))?;
-            let query = obj
-                .get("query")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| bad(format!("entry {key:?} needs a string \"query\"")))?
-                .to_string();
-            if query != *key {
-                return Err(bad(format!("entry {key:?} has \"query\" {query:?}")));
-            }
-            let raw_specs = obj
-                .get("specializations")
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| bad(format!("entry {key:?} needs a \"specializations\" array")))?;
-            let mut specializations = Vec::with_capacity(raw_specs.len());
-            for pair in raw_specs {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("each specialization must be a [text, p] pair"))?;
-                let spec = pair[0]
-                    .as_str()
-                    .ok_or_else(|| bad("specialization text must be a string"))?;
-                let p = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| bad("specialization probability must be a number"))?;
-                if !p.is_finite() || p < 0.0 {
-                    return Err(bad(format!("entry {key:?} has probability {p}")));
-                }
-                specializations.push((spec.to_string(), p));
-            }
-            let total: f64 = specializations.iter().map(|(_, p)| p).sum();
-            if !specializations.is_empty() && (total - 1.0).abs() >= 1e-6 {
-                return Err(bad(format!(
-                    "entry {key:?} has probabilities summing to {total}"
-                )));
-            }
-            entries.insert(
-                key.clone(),
-                SpecializationEntry {
-                    query,
-                    specializations,
-                },
-            );
+            .ok_or_else(|| bad(format!("entry {key:?} must be an object")))?;
+        let query = obj
+            .get("query")
+            .and_then(json::Value::as_str)
+            .ok_or_else(|| bad(format!("entry {key:?} needs a string \"query\"")))?
+            .to_string();
+        if query != *key {
+            return Err(bad(format!("entry {key:?} has \"query\" {query:?}")));
         }
-        Ok(SpecializationModel { entries })
+        let raw_specs = obj
+            .get("specializations")
+            .and_then(json::Value::as_array)
+            .ok_or_else(|| bad(format!("entry {key:?} needs a \"specializations\" array")))?;
+        let mut specializations = Vec::with_capacity(raw_specs.len());
+        for pair in raw_specs {
+            let pair = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or_else(|| bad("each specialization must be a [text, p] pair"))?;
+            let spec = pair[0]
+                .as_str()
+                .ok_or_else(|| bad("specialization text must be a string"))?;
+            let p = pair[1]
+                .as_f64()
+                .ok_or_else(|| bad("specialization probability must be a number"))?;
+            if !p.is_finite() || p < 0.0 {
+                return Err(bad(format!("entry {key:?} has probability {p}")));
+            }
+            specializations.push((spec.to_string(), p));
+        }
+        let total: f64 = specializations.iter().map(|(_, p)| p).sum();
+        if !specializations.is_empty() && (total - 1.0).abs() >= 1e-6 {
+            return Err(bad(format!(
+                "entry {key:?} has probabilities summing to {total}"
+            )));
+        }
+        model.insert(SpecializationEntry {
+            query,
+            specializations,
+        });
     }
+    Ok(model)
 }
 
 /// Error decoding a serialized [`SpecializationModel`]: either malformed
@@ -327,8 +236,8 @@ mod tests {
     fn json_roundtrip() {
         let log = training_log();
         let model = mined(&log);
-        let json = model.to_json();
-        let back = SpecializationModel::from_json(&json).unwrap();
+        let json = to_json(&model);
+        let back = from_json(&json).unwrap();
         assert_eq!(back.len(), model.len());
         assert_eq!(
             back.get("apple").unwrap().specializations,
@@ -342,10 +251,7 @@ mod tests {
     }
 
     fn is_shape_error(text: &str) -> bool {
-        matches!(
-            SpecializationModel::from_json(text),
-            Err(ModelFormatError::Shape(_))
-        )
+        matches!(from_json(text), Err(ModelFormatError::Shape(_)))
     }
 
     #[test]
@@ -374,7 +280,7 @@ mod tests {
         }
         // A sum within 1e-6 of 1, and an empty list, are accepted.
         for specs in [r#"["a",0.6],["b",0.4000001]"#, ""] {
-            let model = SpecializationModel::from_json(&doc("q", "q", specs)).unwrap();
+            let model = from_json(&doc("q", "q", specs)).unwrap();
             assert_eq!(model.get("q").unwrap().query, "q", "{specs}");
         }
     }

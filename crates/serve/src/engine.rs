@@ -12,13 +12,14 @@ use crate::slo::SloConfig;
 use crate::stages::{default_stage_chain, PipelineContext, Stage, StageOutcome};
 use crate::surrogates::{SurrogateCache, SurrogateTable};
 use serpdiv_core::{
-    AlgorithmKind, CompiledSpecStore, Diversifier, PipelineParams, SpecializationStore,
+    AlgorithmKind, CompiledSpecStore, Diversifier, PipelineParams, SpecializationModel,
+    SpecializationStore,
 };
 use serpdiv_index::{
     merge_sealed, DeltaIndex, DeltaRetriever, DocId, Document, ForwardIndex, InvertedIndex,
     Retriever, ScoredDoc, ScoringExecutor, ShardedIndex, SnippetGenerator, SparseVector,
+    StatsOverlay,
 };
-use serpdiv_mining::SpecializationModel;
 use serpdiv_text::TermId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,9 +41,9 @@ pub struct EngineConfig {
     /// per-query tables (keyed `(surrogate epoch, query terms)`, evicted whole
     /// and least-recently-used first, one global budget); 0 disables it.
     pub surrogate_cache_capacity: usize,
-    /// Document partitions of the retrieval layer: 1 serves from the
-    /// plain index, ≥ 2 deploys a [`ShardedIndex`] that scores each
-    /// shard and scatter-gathers a bit-identical top-k.
+    /// Document partitions of the retrieval layer, at deploy and at each
+    /// publish of a new sealed index: 1 serves from the plain index, ≥ 2
+    /// a [`ShardedIndex`] that scatter-gathers a bit-identical top-k.
     pub index_shards: usize,
     /// Size of the persistent [`ScoringExecutor`] pool backing parallel
     /// scatter (only meaningful with `index_shards ≥ 2`): 0 builds no
@@ -195,10 +196,11 @@ impl SearchEngine {
     /// callers share one (expensive-to-build) [`ShardedIndex`] *and* one
     /// compiled [`ForwardIndex`] across several engines. `forward: None`
     /// serves surrogates through the per-request text path regardless of
-    /// [`EngineConfig::forward_index`]. [`EngineConfig::index_shards`] is
-    /// *not* consulted to build anything here — it only echoes through
-    /// [`SearchEngine::config`] for reporting, so keep it consistent with
-    /// the retriever you pass.
+    /// [`EngineConfig::forward_index`]. [`EngineConfig::index_shards`] builds
+    /// nothing here, but [`publish_artifacts`](Self::publish_artifacts) and
+    /// [`merge_delta`](Self::merge_delta) rebuild the retrieval layer from
+    /// it, so keep it consistent with the retriever you pass (over one that
+    /// is not in-process, such as a fleet router, they are refused).
     pub fn with_retriever_and_forward(
         index: Arc<InvertedIndex>,
         retriever: Arc<dyn Retriever>,
@@ -565,12 +567,20 @@ impl SearchEngine {
     /// over the decoded index is rebuilt from this engine's own config
     /// (shard count, executor pool); the specialization model and raw
     /// store carry over from the serving generation.
+    /// Only an in-process layer can be rebuilt: over a sealed retriever
+    /// that fails [`DeltaRetriever::new`]'s overlay probe (a fleet router,
+    /// say) the publish is refused, as [`ingest`](Self::ingest) is.
     pub fn publish_artifacts(
         &self,
         artifacts: &GenerationArtifacts,
     ) -> Result<GenerationId, PublishError> {
         let current = self.generations.pin();
         let decoded = (|| -> Result<_, PublishError> {
+            let overlay = StatsOverlay::new(current.index().stats(), Vec::new());
+            let sealed = current.sealed_retriever();
+            let Some(_) = sealed.retrieve_terms_overlaid(&[], 0, &overlay, None) else {
+                return Err(PublishError::Inconsistent("retriever not in-process"));
+            };
             let analyzer = current.index().analyzer().clone();
             let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index, analyzer)?);
             let forward = match &artifacts.forward {
@@ -580,13 +590,8 @@ impl SearchEngine {
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
             Ok((index, forward, compiled))
         })();
-        let (index, forward, compiled) = match decoded {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.record_swap_rejected();
-                return Err(e);
-            }
-        };
+        let (index, forward, compiled) =
+            decoded.inspect_err(|_| self.metrics.record_swap_rejected())?;
         let retriever = Self::build_retriever(&index, &self.config);
         let candidate = Generation::new(
             artifacts.id,
@@ -724,6 +729,7 @@ fn elapsed_us(since: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serpdiv_core::SpecializationEntry;
     use serpdiv_index::{Document, IndexBuilder, Retrieval};
 
     /// The two-interpretation "apple" world of the core framework tests.
@@ -757,12 +763,12 @@ mod tests {
     }
 
     fn test_model() -> Arc<SpecializationModel> {
-        Arc::new(
-            SpecializationModel::from_json(
-                r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
-            )
-            .unwrap(),
-        )
+        let mut model = SpecializationModel::default();
+        model.insert(SpecializationEntry {
+            query: "apple".into(),
+            specializations: vec![("apple iphone".into(), 0.6), ("apple fruit".into(), 0.4)],
+        });
+        Arc::new(model)
     }
 
     fn deploy_docs(docs: Vec<Document>, config: EngineConfig) -> SearchEngine {
@@ -1288,31 +1294,31 @@ mod tests {
         assert_eq!(merged.results, expected.results);
     }
 
-    #[test]
-    fn ingest_over_a_retriever_that_cannot_score_under_an_overlay_is_refused() {
-        /// Retrieves like the plain index but keeps the trait's default
-        /// answer to an overlay, as a fleet router does.
-        struct OwnStatisticsOnly(Arc<InvertedIndex>);
-        impl Retriever for OwnStatisticsOnly {
-            fn query_terms(&self, query: &str) -> Vec<TermId> {
-                self.0.query_terms(query)
-            }
-            fn retrieve_terms_within(
-                &self,
-                terms: &[TermId],
-                k: usize,
-                budget_us: Option<u64>,
-            ) -> Retrieval {
-                self.0.retrieve_terms_within(terms, k, budget_us)
-            }
+    /// Retrieves like the plain index but keeps the trait's default
+    /// answer to an overlay, as a fleet router does.
+    struct OwnStatisticsOnly(Arc<InvertedIndex>);
+    impl Retriever for OwnStatisticsOnly {
+        fn query_terms(&self, query: &str) -> Vec<TermId> {
+            self.0.query_terms(query)
         }
+        fn retrieve_terms_within(
+            &self,
+            terms: &[TermId],
+            k: usize,
+            budget_us: Option<u64>,
+        ) -> Retrieval {
+            self.0.retrieve_terms_within(terms, k, budget_us)
+        }
+    }
 
+    /// The uncached diversifying engine over [`OwnStatisticsOnly`].
+    fn deploy_own_statistics_only() -> SearchEngine {
         let config = EngineConfig {
             cache_capacity: 0,
             ..diversifying_config()
         };
         let deployed = deploy(config).generation();
-        let engine = SearchEngine::with_retriever_and_forward(
+        SearchEngine::with_retriever_and_forward(
             deployed.index().clone(),
             Arc::new(OwnStatisticsOnly(deployed.index().clone())),
             deployed.model().clone(),
@@ -1320,22 +1326,30 @@ mod tests {
             deployed.compiled().clone(),
             deployed.forward().cloned(),
             config,
-        );
-        let pages = |engine: &SearchEngine| -> Vec<Vec<(DocId, u64)>> {
-            [AlgorithmKind::Baseline, AlgorithmKind::OptSelect]
-                .into_iter()
-                .flat_map(|algo| ["apple", "storm"].map(|q| QueryRequest::new(q, 6, algo)))
-                .map(|req| {
-                    let out = engine.search(req);
-                    assert_eq!(out.generation, 1);
-                    out.results
-                        .iter()
-                        .map(|r| (r.doc, r.score.to_bits()))
-                        .collect()
-                })
-                .collect()
-        };
-        let before = pages(&engine);
+        )
+    }
+
+    /// Generation-1 pages of "apple" and "storm", Baseline and OptSelect,
+    /// as `(doc, score bits)`.
+    fn generation_one_pages(engine: &SearchEngine) -> Vec<Vec<(DocId, u64)>> {
+        [AlgorithmKind::Baseline, AlgorithmKind::OptSelect]
+            .into_iter()
+            .flat_map(|algo| ["apple", "storm"].map(|q| QueryRequest::new(q, 6, algo)))
+            .map(|req| {
+                let out = engine.search(req);
+                assert_eq!(out.generation, 1);
+                out.results
+                    .iter()
+                    .map(|r| (r.doc, r.score.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ingest_over_a_retriever_that_cannot_score_under_an_overlay_is_refused() {
+        let engine = deploy_own_statistics_only();
+        let before = generation_one_pages(&engine);
         let fresh = Document::new(15, "http://fresh/15", "storm", "weather storm warning");
         assert!(matches!(
             engine.ingest(vec![fresh]),
@@ -1345,7 +1359,36 @@ mod tests {
         assert!(engine.generation().delta().is_none());
         let m = engine.metrics();
         assert_eq!((m.swaps, m.swap_rejected), (0, 1));
-        assert_eq!(pages(&engine), before, "the old generation still serves");
+        assert_eq!(
+            generation_one_pages(&engine),
+            before,
+            "the old generation still serves"
+        );
+    }
+
+    #[test]
+    fn publish_artifacts_over_a_retriever_it_cannot_rebuild_is_refused() {
+        let engine = deploy_own_statistics_only();
+        let before = generation_one_pages(&engine);
+        let current = engine.generation();
+        let artifacts = GenerationArtifacts {
+            id: 2,
+            index: current.index().to_bytes(),
+            forward: current.forward().map(|f| f.to_bytes()),
+            compiled: current.compiled().to_bytes(),
+        };
+        assert!(matches!(
+            engine.publish_artifacts(&artifacts),
+            Err(PublishError::Inconsistent(_))
+        ));
+        assert_eq!(engine.current_generation_id(), 1);
+        assert!(Arc::ptr_eq(
+            engine.generation().sealed_retriever(),
+            current.sealed_retriever()
+        ));
+        let m = engine.metrics();
+        assert_eq!((m.swaps, m.swap_rejected), (0, 1));
+        assert_eq!(generation_one_pages(&engine), before);
     }
 
     /// One retrieval as [`Counting`] saw it: the ids, `k` and budget.

@@ -105,9 +105,8 @@
 //! and leave the LRUs first.
 
 use crate::engine::{intern_presentation, PresentationTable};
-use serpdiv_core::{CompiledSpecStore, SpecializationStore, UtilityScorer};
+use serpdiv_core::{CompiledSpecStore, SpecializationModel, SpecializationStore, UtilityScorer};
 use serpdiv_index::{DecodeError, DeltaIndex, ForwardIndex, InvertedIndex, Retriever};
-use serpdiv_mining::SpecializationModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};

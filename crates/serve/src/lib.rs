@@ -66,7 +66,7 @@
 //! loop (see [`stages`]):
 //!
 //! 1. **detect** ([`stages::DetectStage`]) — look the query up in the
-//!    mined [`SpecializationModel`](serpdiv_mining::SpecializationModel)
+//!    mined [`SpecializationModel`](serpdiv_core::SpecializationModel)
 //!    (Algorithm 1 ran offline; online ambiguity detection is one hash
 //!    lookup). A miss means "not ambiguous" and the DPH baseline is served
 //!    unchanged;

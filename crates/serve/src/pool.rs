@@ -379,8 +379,8 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use serpdiv_core::{AlgorithmKind, PipelineParams, UtilityParams};
+    use serpdiv_core::{SpecializationEntry, SpecializationModel};
     use serpdiv_index::{Document, IndexBuilder, InvertedIndex, Retrieval, Retriever};
-    use serpdiv_mining::SpecializationModel;
     use serpdiv_text::TermId;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -402,10 +402,11 @@ mod tests {
                 "apple fruit orchard sweet harvest juice",
             ));
         }
-        let model = SpecializationModel::from_json(
-            r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
-        )
-        .unwrap();
+        let mut model = SpecializationModel::default();
+        model.insert(SpecializationEntry {
+            query: "apple".into(),
+            specializations: vec![("apple iphone".into(), 0.6), ("apple fruit".into(), 0.4)],
+        });
         Arc::new(SearchEngine::deploy(
             Arc::new(b.build()),
             Arc::new(model),

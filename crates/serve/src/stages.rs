@@ -24,9 +24,10 @@ use crate::budget::Budget;
 use crate::engine::SearchEngine;
 use crate::generation::Generation;
 use crate::request::{QueryRequest, StageTimings};
-use serpdiv_core::{assemble_input_with_scorer, AlgorithmKind, DiversifyInput};
+use serpdiv_core::{
+    assemble_input_with_scorer, AlgorithmKind, DiversifyInput, SpecializationEntry,
+};
 use serpdiv_index::{ScoredDoc, SparseVector};
-use serpdiv_mining::SpecializationEntry;
 use serpdiv_text::TermId;
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,7 +167,7 @@ pub fn default_stage_chain() -> Vec<Box<dyn Stage>> {
 }
 
 /// Ambiguity detection: one hash lookup in the mined
-/// [`SpecializationModel`](serpdiv_mining::SpecializationModel).
+/// [`SpecializationModel`](serpdiv_core::SpecializationModel).
 /// `Baseline` requests skip detection entirely.
 pub struct DetectStage;
 

@@ -73,7 +73,7 @@ fn main() {
     }
 
     // 5. The model serializes for deployment (§4.1).
-    let json = model.to_json();
+    let json = serpdiv::mining::to_json(&model);
     println!(
         "\nserialized model: {} bytes ({} bytes in-memory estimate)",
         json.len(),

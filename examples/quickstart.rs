@@ -6,7 +6,7 @@
 
 use serpdiv::core::{AlgorithmKind, PipelineParams, UtilityParams};
 use serpdiv::index::{Document, IndexBuilder};
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::from_json;
 use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine};
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ fn main() {
     //    specializations (normally produced by serpdiv-mining from a query
     //    log — see the `log_mining` example).
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"jaguar":{"query":"jaguar","specializations":[
                 ["jaguar car",0.5],["jaguar cat",0.3],["jaguar os",0.2]]}}}"#,
         )

@@ -15,10 +15,10 @@
 //!   (the ClueWeb-B stand-in);
 //! * [`querylog`] — query-log records and AOL/MSN-like synthetic generators;
 //! * [`mining`] — query-flow graph, search-shortcuts recommender, and
-//!   Algorithm 1 (`AmbiguousQueryDetect`);
+//!   Algorithm 1 (`AmbiguousQueryDetect`) mining the model, as JSON too;
 //! * [`core`] — the diversification framework: results' utility (Def. 2)
 //!   with its compiled inverted-index fast path, **OptSelect**
-//!   (Algorithm 2), IASelect, xQuAD, and MMR;
+//!   (Algorithm 2), IASelect, xQuAD, MMR, and the served model;
 //! * [`eval`] — α-NDCG, IA-P, NDCG and the Wilcoxon signed-rank test;
 //! * [`serve`] — the concurrent serving engine: a stage pipeline (Detect →
 //!   Retrieve → Surrogate → Utility → Select) over shared immutable
@@ -35,6 +35,9 @@
 //!   failpoints at the serving engine's stage, pool and swap sites, inert
 //!   unless a seeded [`FaultPlan`](serpdiv_chaos::FaultPlan) is armed
 //!   (see `tests/chaos_soak.rs` for the harness that uses it).
+//!
+//! The product closure — what serving links — is `text → index → core →
+//! serve / fleet`, plus `chaos`; the rest is the offline pipeline.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
 //! `crates/bench` for the binaries regenerating the paper's effectiveness
@@ -60,8 +63,8 @@ pub use serpdiv_text as text;
 /// are exported here).
 pub mod prelude {
     pub use serpdiv_core::{
-        AlgorithmKind, CompiledSpecStore, Diversifier, IaSelect, Mmr, OptSelect, UtilityMatrix,
-        UtilityParams, XQuad,
+        AlgorithmKind, CompiledSpecStore, Diversifier, IaSelect, Mmr, OptSelect,
+        SpecializationModel, UtilityMatrix, UtilityParams, XQuad,
     };
     pub use serpdiv_corpus::{Testbed, TestbedConfig};
     pub use serpdiv_eval::{alpha_ndcg_at, ia_precision_at, Qrels};
@@ -69,7 +72,7 @@ pub mod prelude {
     pub use serpdiv_index::{
         Document, DocumentStore, IndexBuilder, Retriever, SearchEngine, ShardedIndex,
     };
-    pub use serpdiv_mining::{AmbiguityDetector, SpecializationModel};
+    pub use serpdiv_mining::AmbiguityDetector;
     pub use serpdiv_querylog::{LogConfig, QueryLog, QueryLogGenerator};
     pub use serpdiv_serve::{EngineConfig, QueryRequest, SearchResponse, WorkerPool};
     pub use serpdiv_text::Analyzer;

@@ -45,7 +45,7 @@ use serpdiv::fleet::{worker, FleetConfig, FleetRouter, DEFAULT_MAX_FRAME};
 use serpdiv::index::{
     Document, IndexBuilder, InvertedIndex, Retriever, ScoringExecutor, ShardArtifact, ShardedIndex,
 };
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
     EngineConfig, QueryRequest, SearchEngine, SearchResponse, SloConfig, WorkerPool,
     LABEL_INTERNAL, LABEL_SHED,
@@ -235,7 +235,7 @@ fn corpus() -> Arc<InvertedIndex> {
 
 fn model() -> Arc<SpecializationModel> {
     Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),

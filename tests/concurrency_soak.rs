@@ -26,7 +26,7 @@
 
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, IndexBuilder, InvertedIndex, Retriever, ShardedIndex};
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
     AdmissionPolicy, EngineConfig, QueryRequest, ScoringExecutor, SearchEngine, WorkerPool,
     LABEL_SHED,
@@ -102,7 +102,7 @@ fn corpus() -> Arc<InvertedIndex> {
 
 fn model() -> Arc<SpecializationModel> {
     Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),

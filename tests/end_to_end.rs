@@ -197,8 +197,8 @@ fn evaluation_metrics_are_consistent_across_the_stack() {
 #[test]
 fn model_survives_serialization_roundtrip_and_still_diversifies() {
     let world = build_world();
-    let json = world.model.to_json();
-    let restored = SpecializationModel::from_json(&json).expect("roundtrip");
+    let json = serpdiv::mining::to_json(&world.model);
+    let restored = serpdiv::mining::from_json(&json).expect("roundtrip");
     assert_eq!(restored.len(), world.model.len());
 
     let world = World {

@@ -36,7 +36,7 @@ use serpdiv::core::{candidate_surrogate_naive, AlgorithmKind};
 use serpdiv::index::{
     DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, SnippetGenerator, SparseVector,
 };
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
     default_stage_chain, Budget, EngineConfig, GenerationArtifacts, PipelineContext, PublishError,
     QueryRequest, SearchEngine,
@@ -88,7 +88,7 @@ fn build_index(docs: &[Document]) -> Arc<InvertedIndex> {
 
 fn model() -> Arc<SpecializationModel> {
     Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),
@@ -585,7 +585,7 @@ fn a_delta_document_is_scored_as_itself_before_the_merge() {
 fn a_query_term_first_seen_in_the_delta_reaches_only_delta_surrogates() {
     // "kiwi" is no sealed term; the model knows the query that names it.
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple kiwi":{"query":"apple kiwi","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),
@@ -738,7 +738,7 @@ fn result_cache_hit_rate_is_the_share_of_responses_served_from_it() {
 fn an_orphaned_table_is_evicted_before_a_live_one() {
     // A 30-vector budget holds two 12-vector tables, not three.
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{
                 "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
                 "apple fruit":{"query":"apple fruit","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,

@@ -149,12 +149,12 @@ fn retrieve_terms_matches_retrieve() {
 #[test]
 fn sharded_serving_pages_match_unsharded() {
     use serpdiv::core::AlgorithmKind;
-    use serpdiv::mining::SpecializationModel;
+    use serpdiv::mining::from_json;
     use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine as ServeEngine};
 
     let index = tie_heavy_index();
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.5],["apple fruit",0.5]]}}}"#,
         )
         .unwrap(),

@@ -20,7 +20,7 @@ use serpdiv::index::{
     Document, ForwardIndex, IndexBuilder, InvertedIndex, SearchEngine as DphEngine,
     SnippetGenerator, SparseVector,
 };
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine};
 use std::sync::Arc;
 
@@ -228,7 +228,7 @@ fn serving_pages_identical_with_and_without_forward_index() {
     }
     let index = Arc::new(b.build());
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),
@@ -293,7 +293,7 @@ fn table_world() -> (Arc<serpdiv::index::InvertedIndex>, Arc<SpecializationModel
             ));
         }
     }
-    let model = SpecializationModel::from_json(
+    let model = from_json(
         r#"{"entries":{
             "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
             "the apple":{"query":"the apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
@@ -481,7 +481,7 @@ fn rerank_world() -> (Arc<InvertedIndex>, Arc<SpecializationModel>) {
         );
         b.add(Document::new(i, format!("http://apple/{i}"), title, body));
     }
-    let model = SpecializationModel::from_json(
+    let model = from_json(
         r#"{"entries":{
             "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}
         }}"#,
@@ -651,7 +651,7 @@ mod randomized {
             let p = 1.0 / queries.len() as f64;
             let specializations: Vec<String> =
                 queries.iter().map(|q| format!("[{q:?},{p}]")).collect();
-            let model = SpecializationModel::from_json(&format!(
+            let model = from_json(&format!(
                 r#"{{"entries":{{"q":{{"query":"q","specializations":[{}]}}}}}}"#,
                 specializations.join(",")
             ))

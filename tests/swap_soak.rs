@@ -43,7 +43,7 @@
 use serpdiv::chaos::{self, FaultKind, FaultPlan};
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, ForwardIndex, IndexBuilder, InvertedIndex};
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
     EngineConfig, GenerationArtifacts, PublishError, QueryRequest, SearchEngine, SearchResponse,
 };
@@ -139,7 +139,7 @@ fn build_index(docs: &[Document]) -> Arc<InvertedIndex> {
 
 fn model() -> Arc<SpecializationModel> {
     Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),
@@ -518,10 +518,8 @@ fn surrogate_tables_keep_their_budget_across_fifty_republishes() {
             .iter()
             .map(|q| format!(r#""{q}":{{"query":"{q}","specializations":{specs}}}"#))
             .collect();
-        let model = Arc::new(
-            SpecializationModel::from_json(&format!(r#"{{"entries":{{{}}}}}"#, entries.join(",")))
-                .unwrap(),
-        );
+        let model =
+            Arc::new(from_json(&format!(r#"{{"entries":{{{}}}}}"#, entries.join(","))).unwrap());
         let deploy = |surrogate_cache_capacity| {
             SearchEngine::deploy(
                 build_index(&base_docs()),

@@ -16,7 +16,7 @@ use serpdiv::index::{
     DeltaIndex, DeltaRetriever, Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc,
     ScoringExecutor, ShardedIndex,
 };
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::from_json;
 use serpdiv::serve::{EngineConfig, QueryRequest, SearchEngine};
 use std::sync::Arc;
 
@@ -205,7 +205,7 @@ fn delta_only_query_terms_are_not_dropped() {
 #[test]
 fn engine_premerge_baseline_pages_match_from_scratch_deployment() {
     let model = Arc::new(
-        SpecializationModel::from_json(
+        from_json(
             r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
         )
         .unwrap(),

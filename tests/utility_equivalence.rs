@@ -17,7 +17,7 @@ use serpdiv::core::{
 use serpdiv::index::{
     Document, ForwardIndex, IndexBuilder, SearchEngine, SnippetGenerator, SparseVector,
 };
-use serpdiv::mining::SpecializationModel;
+use serpdiv::mining::from_json;
 use serpdiv::text::TermId;
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ fn end_to_end_fixture_fast_path_matches_naive() {
         ));
     }
     let index = b.build();
-    let model = SpecializationModel::from_json(
+    let model = from_json(
         r#"{"entries":{"apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]}}}"#,
     )
     .unwrap();
