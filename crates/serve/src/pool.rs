@@ -378,8 +378,9 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use serpdiv_core::{AlgorithmKind, PipelineParams, UtilityParams};
-    use serpdiv_core::{SpecializationEntry, SpecializationModel};
+    use serpdiv_core::{
+        AlgorithmKind, PipelineParams, SpecializationEntry, SpecializationModel, UtilityParams,
+    };
     use serpdiv_index::{Document, IndexBuilder, InvertedIndex, Retrieval, Retriever};
     use serpdiv_text::TermId;
     use std::sync::atomic::{AtomicUsize, Ordering};
