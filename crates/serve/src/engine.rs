@@ -61,8 +61,8 @@ pub struct EngineConfig {
     pub executor_threads: usize,
     /// Per-request compute budget in microseconds, materialized as a
     /// [`Budget`] when the engine accepts the request and enforced at
-    /// **every stage edge** by the driver (plus inside the retrieve and
-    /// select stages): when exhausted, the remaining stages are skipped
+    /// **every stage edge** by the driver (plus on entry to the retrieve
+    /// stage): when exhausted, the remaining stages are skipped
     /// and the baseline ranking prefix is served (`"DPH (degraded)"`).
     /// The remaining budget also clamps a distributed retriever's
     /// per-shard wire deadlines. 0 disables the deadline.
@@ -351,7 +351,6 @@ impl SearchEngine {
         let budget = Budget::from_deadline_us(start, self.config.deadline_us);
         let mut ctx = PipelineContext::new(req, start, budget);
         for stage in &self.stages {
-            serpdiv_chaos::failpoint(stage.kind().failpoint_site());
             let t = Instant::now();
             let outcome = stage.run(self, generation, &mut ctx);
             ctx.timings.add(stage.kind(), elapsed_us(t));
@@ -365,19 +364,10 @@ impl SearchEngine {
             // stage handles the exhausted-on-entry case itself.
             if ctx.budget.exhausted() && !ctx.candidates.is_empty() && ctx.page.is_empty() {
                 ctx.page = ctx.candidates.iter().take(req.k).copied().collect();
-                ctx.algorithm = "DPH (degraded)";
-                ctx.degraded = true;
-                ctx.diversified = false;
+                ctx.degrade(Degradation::Deadline);
                 break;
             }
         }
-        let degradation = if !ctx.degraded {
-            Degradation::None
-        } else if ctx.shard_loss {
-            Degradation::ShardLoss
-        } else {
-            Degradation::Deadline
-        };
         let results = Arc::new(self.materialize(generation, &ctx.page));
         ctx.timings.total_us = elapsed_us(start);
         let response = SearchResponse {
@@ -385,12 +375,12 @@ impl SearchEngine {
             algorithm: ctx.algorithm,
             diversified: ctx.diversified,
             cache_hit: false,
-            degraded: ctx.degraded,
+            degraded: ctx.degradation != Degradation::None,
             results,
             generation: generation.id(),
             timings: ctx.timings,
         };
-        (response, degradation)
+        (response, ctx.degradation)
     }
 
     /// Record one worker-pool queue wait against this engine's metrics
@@ -722,7 +712,8 @@ impl SearchEngine {
     }
 }
 
-fn elapsed_us(since: Instant) -> u64 {
+/// Microseconds since `since`, saturating.
+pub(crate) fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 

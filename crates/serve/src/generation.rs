@@ -44,11 +44,10 @@
 //! [`PublishError`] (counted as `swap_rejected`) — never a crash, never a
 //! partial publish.
 //!
-//! Chaos hooks: publishing fires the `swap.validate` and `swap.publish`
-//! failpoints, both *outside* the pointer lock. A `Delay` there slows the
-//! publish without blocking a single pin, so the soak suites can race slow
-//! publishes against live traffic; a `Panic` unwinds before the pointer
-//! moves.
+//! Validation and the early monotonicity check run *outside* the pointer
+//! lock, which is held only for the final id check and the store: a slow
+//! publish never blocks a pin, so `tests/swap_soak.rs` races publishes
+//! paced by its deployer against live traffic.
 //!
 //! ## Content stamps: what a cached entry was computed from
 //!
@@ -505,17 +504,12 @@ impl GenerationHandle {
     /// Validate-then-publish `candidate`. On success the next
     /// [`pin`](Self::pin) returns the new generation; in-flight requests
     /// finish on whatever they pinned. On any error the old generation
-    /// keeps serving untouched.
-    ///
-    /// Fires the `swap.validate` and `swap.publish` chaos failpoints;
-    /// their delays land *before* the exclusive pointer store so they
-    /// never block concurrent pins.
+    /// keeps serving untouched. Only the final id check and the pointer
+    /// store hold the exclusive lock.
     pub fn publish(&self, candidate: Arc<Generation>) -> Result<GenerationId, PublishError> {
-        serpdiv_chaos::failpoint("swap.validate");
         candidate.validate()?;
         // Cheap early monotonicity check (racy, re-checked under the
-        // lock): refuse obviously stale deploys before paying the
-        // publish failpoint's potential delay.
+        // lock): refuse obviously stale deploys without taking it.
         let current = self.current_id();
         if candidate.id() <= current {
             return Err(PublishError::Stale {
@@ -523,7 +517,6 @@ impl GenerationHandle {
                 current,
             });
         }
-        serpdiv_chaos::failpoint("swap.publish");
         let id = candidate.id();
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         if id <= slot.id() {

@@ -111,14 +111,13 @@
 //! * **Admission control** — [`WorkerPool::with_admission`] bounds the
 //!   queue ([`AdmissionPolicy`]): overflow is shed in O(µs) with the
 //!   distinct [`Degradation::Shed`] class instead of convoying.
-//! * **Panic containment** — a worker that panics mid-request (scoring
-//!   bug, injected chaos) answers [`Degradation::Internal`] and keeps
-//!   serving.
+//! * **Panic containment** — a worker that panics mid-request (a scoring
+//!   bug) answers [`Degradation::Internal`] and keeps serving.
 //!
-//! See [`Degradation`] for the full degradation ladder and the
-//! `serpdiv-chaos` crate (plus `tests/chaos_soak.rs` at the workspace
-//! root) for the failpoints that prove these properties under injected
-//! faults. Admission sheds on queue length and queue wait only; it does
+//! See [`Degradation`] for the full degradation ladder, and
+//! `tests/chaos_soak.rs` at the workspace root for the seeded soaks that
+//! prove these properties by faulting the retrieval layer through its own
+//! seams. Admission sheds on queue length and queue wait only; it does
 //! not predict service times.
 //!
 //! ## Generations & live updates

@@ -39,7 +39,7 @@ pub enum Degradation {
     /// rejection costs O(µs), not a deadline.
     Shed,
     /// A serving worker contained a panic while computing this request
-    /// (a scoring bug, or an injected chaos fault). The page is empty,
+    /// (a scoring bug, or a test's faulted retriever). The page is empty,
     /// labeled [`LABEL_INTERNAL`](crate::request::LABEL_INTERNAL); the
     /// worker itself survives and keeps serving.
     Internal,
@@ -75,8 +75,9 @@ pub struct ServeMetrics {
     /// Queue-wait distribution over queued requests (shed included — the
     /// wait is real even when the answer is a refusal).
     hist_queue_wait: LatencyHistogram,
-    /// End-to-end service-time distribution over **all** requests (cache
-    /// hits included: this is the latency a client actually observed).
+    /// Service-time distribution over **all** requests, cache hits
+    /// included. A pooled request's time starts at pickup: its queue wait
+    /// is in `hist_queue_wait`, not here.
     hist_total: LatencyHistogram,
     /// Burn-rate SLO evaluator (`None` ⇒ no SLO configured); fed one
     /// outcome per recorded request.
@@ -116,8 +117,8 @@ pub struct MetricsSnapshot {
     /// Computed requests served as baseline passthrough.
     pub passthrough: u64,
     /// Passthrough requests caused by a per-request budget found
-    /// exhausted at a stage edge, or on entry to the retrieve or select
-    /// stage (a subset of `passthrough`).
+    /// exhausted at a stage edge or on entry to the retrieve stage (a
+    /// subset of `passthrough`).
     pub degraded: u64,
     /// Passthrough requests caused by a lost index shard — a fleet
     /// worker that timed out or died mid-gather (a subset of
@@ -240,8 +241,7 @@ impl ServeMetrics {
         // rounded below a microsecond — carries no attribution signal, and
         // skipping it keeps the cheap passthrough path at one or two
         // histogram updates instead of five. The total distribution covers
-        // every request — it is the latency a client observed, hits
-        // included.
+        // every request's service time, hits included.
         let computed =
             !cache_hit && !matches!(degradation, Degradation::Shed | Degradation::Internal);
         if computed {

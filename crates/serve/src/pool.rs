@@ -23,7 +23,7 @@
 //! waits), so total scoring threads stay `pool workers + executor
 //! threads` instead of multiplying per query.
 
-use crate::engine::SearchEngine;
+use crate::engine::{elapsed_us, SearchEngine};
 use crate::metrics::Degradation;
 use crate::request::{QueryRequest, SearchResponse, StageTimings, LABEL_INTERNAL, LABEL_SHED};
 use std::collections::VecDeque;
@@ -221,12 +221,13 @@ impl WorkerPool {
         } = job;
         // Enqueue → pickup is the saturation signal the stage timings
         // cannot see (they start after).
-        let queue_wait_us = enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        let queue_wait_us = elapsed_us(enqueued);
+        let picked_up = Instant::now();
         engine.record_queue_wait(queue_wait_us);
         if policy.max_queue_wait_us > 0 && queue_wait_us > policy.max_queue_wait_us {
             let timings = StageTimings {
                 queue_wait_us,
-                total_us: queue_wait_us,
+                total_us: elapsed_us(picked_up),
                 ..StageTimings::default()
             };
             engine.record_out_of_band(Degradation::Shed, timings);
@@ -241,24 +242,23 @@ impl WorkerPool {
             ));
             return 0;
         }
-        // Contain panics (scoring bugs, injected chaos): the worker
-        // answers with a labeled internal error and keeps serving, so one
-        // poisoned request can never shrink the pool — or deadlock a
-        // batch waiting on a reply that will never come.
+        // Contain panics (a scoring bug, or a test's faulted retriever):
+        // the worker answers with a labeled internal error and keeps
+        // serving, so one poisoned request can never shrink the pool — or
+        // deadlock a batch waiting on a reply that will never come.
         let query = req.query.clone();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            serpdiv_chaos::failpoint("pool.serve");
-            engine.search(req)
-        }));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search(req)));
         let response = match result {
             Ok(mut response) => {
                 response.timings.queue_wait_us = queue_wait_us;
                 response
             }
             Err(_) => {
+                // Service time from pickup, like every computed reply's:
+                // the queue wait is reported apart.
                 let timings = StageTimings {
                     queue_wait_us,
-                    total_us: enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+                    total_us: elapsed_us(picked_up),
                     ..StageTimings::default()
                 };
                 engine.record_out_of_band(Degradation::Internal, timings);
@@ -631,9 +631,7 @@ mod tests {
 
     #[test]
     fn worker_contains_panics_and_keeps_serving() {
-        // A retrieval that panics on a marker query — the non-chaos way to
-        // test worker panic containment (chaos arming is process-global
-        // and would leak into concurrently running tests).
+        // A retrieval that panics on a marker query.
         let rebuilt = hooked_engine(|query| assert!(query != "boom", "injected retrieval panic"));
         let pool = WorkerPool::new(rebuilt.clone(), 2);
         let reqs = vec![
@@ -666,6 +664,29 @@ mod tests {
         // The pool still has live workers: a follow-up batch is served.
         let again = pool.serve_batch(vec![QueryRequest::new("apple", 3, AlgorithmKind::Mmr)]);
         assert_eq!(again[0].results.len(), 3);
+    }
+
+    #[test]
+    fn a_contained_panic_reports_service_time_without_the_queue_wait() {
+        // One worker: the "boom" request waits out the 30 ms request ahead
+        // of it, then panics at once.
+        let shared = hooked_engine(|query| {
+            assert!(query != "boom", "injected retrieval panic");
+            std::thread::sleep(std::time::Duration::from_millis(30));
+        });
+        let pool = WorkerPool::new(shared, 1);
+        let responses = pool.serve_batch(vec![
+            QueryRequest::new("apple", 4, AlgorithmKind::OptSelect),
+            QueryRequest::new("boom", 4, AlgorithmKind::OptSelect),
+        ]);
+        let internal = &responses[1];
+        assert_eq!(internal.algorithm, LABEL_INTERNAL);
+        let t = internal.timings;
+        assert!(t.queue_wait_us >= 20_000, "{t:?}");
+        assert!(
+            t.total_us < t.queue_wait_us,
+            "total counts the queue wait: {t:?}"
+        );
     }
 
     #[test]

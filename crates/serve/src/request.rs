@@ -118,7 +118,7 @@ pub struct SearchResponse {
     pub cache_hit: bool,
     /// Whether the page fell back to the baseline ranking: the request's
     /// budget was found exhausted at a stage edge or on entry to the
-    /// retrieve or select stage, or retrieval lost a shard (never true on
+    /// retrieve stage, or retrieval lost a shard (never true on
     /// cache hits; degraded pages are not cached). Pool-made shed and
     /// internal-error replies are degraded too.
     pub degraded: bool,

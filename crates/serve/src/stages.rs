@@ -23,6 +23,7 @@
 use crate::budget::Budget;
 use crate::engine::SearchEngine;
 use crate::generation::Generation;
+use crate::metrics::Degradation;
 use crate::request::{QueryRequest, StageTimings};
 use serpdiv_core::{
     assemble_input_with_scorer, AlgorithmKind, DiversifyInput, SpecializationEntry,
@@ -54,22 +55,8 @@ pub enum StageKind {
     Surrogate,
     /// Utility-matrix computation against the compiled store.
     Utility,
-    /// Diversifier selection (or budget-degraded passthrough).
+    /// Diversifier selection.
     Select,
-}
-
-impl StageKind {
-    /// The chaos failpoint name the driver fires before running a stage
-    /// of this kind (see the `serpdiv-chaos` crate).
-    pub fn failpoint_site(&self) -> &'static str {
-        match self {
-            StageKind::Detect => "stage.detect",
-            StageKind::Retrieve => "stage.retrieve",
-            StageKind::Surrogate => "stage.surrogate",
-            StageKind::Utility => "stage.utility",
-            StageKind::Select => "stage.select",
-        }
-    }
 }
 
 /// Mutable per-request state threaded through the stage chain.
@@ -82,7 +69,7 @@ pub struct PipelineContext<'a> {
     /// When the engine accepted the request (budgets measure against it).
     pub started: Instant,
     /// The request's compute budget: checked by the driver at every stage
-    /// edge, by budget-aware stages on entry, and propagated into the
+    /// edge and by the retrieve stage on entry, and propagated into the
     /// retrieval layer's wire deadlines.
     pub budget: Budget,
     /// Detected specialization entry (`None` ⇒ not ambiguous, or a
@@ -101,12 +88,10 @@ pub struct PipelineContext<'a> {
     pub page: Vec<ScoredDoc>,
     /// Whether diversification ran.
     pub diversified: bool,
-    /// Whether an exhausted budget or a lost shard forced a baseline
-    /// fallback.
-    pub degraded: bool,
-    /// Whether retrieval lost at least one index shard (partial gather
-    /// from a distributed retriever); implies `degraded`.
-    pub shard_loss: bool,
+    /// Why the page is a baseline fallback instead of the requested
+    /// ranking: an exhausted budget or a lost shard
+    /// ([`Degradation::None`] otherwise).
+    pub degradation: Degradation,
     /// Name of the algorithm that produced the page.
     pub algorithm: &'static str,
     /// Per-stage wall time, filled in by the driver.
@@ -127,11 +112,23 @@ impl<'a> PipelineContext<'a> {
             input: None,
             page: Vec::new(),
             diversified: false,
-            degraded: false,
-            shard_loss: false,
+            degradation: Degradation::None,
             algorithm: "DPH",
             timings: StageTimings::default(),
         }
+    }
+
+    /// Mark the request as served the baseline page for `why` (an
+    /// exhausted budget or a lost shard): not diversified, labeled
+    /// `"DPH (degraded)"` or `"DPH (degraded: shard loss)"`. The caller
+    /// sets the page.
+    pub(crate) fn degrade(&mut self, why: Degradation) {
+        self.degradation = why;
+        self.diversified = false;
+        self.algorithm = match why {
+            Degradation::ShardLoss => "DPH (degraded: shard loss)",
+            _ => "DPH (degraded)",
+        };
     }
 }
 
@@ -213,23 +210,6 @@ impl Stage for DetectStage {
 /// [`Retriever`]: serpdiv_index::Retriever
 pub struct RetrieveStage;
 
-impl RetrieveStage {
-    /// Mark `ctx` as a shard-loss degraded passthrough.
-    fn degrade_shard_loss(ctx: &mut PipelineContext<'_>) {
-        ctx.shard_loss = true;
-        ctx.degraded = true;
-        ctx.diversified = false;
-        ctx.algorithm = "DPH (degraded: shard loss)";
-    }
-
-    /// Mark `ctx` as a budget-exhausted degraded passthrough.
-    fn degrade_deadline(ctx: &mut PipelineContext<'_>) {
-        ctx.degraded = true;
-        ctx.diversified = false;
-        ctx.algorithm = "DPH (degraded)";
-    }
-}
-
 impl Stage for RetrieveStage {
     fn kind(&self) -> StageKind {
         StageKind::Retrieve
@@ -252,7 +232,7 @@ impl Stage for RetrieveStage {
             );
             ctx.page = retrieval.hits;
             if !retrieval.complete {
-                Self::degrade_shard_loss(ctx);
+                ctx.degrade(Degradation::ShardLoss);
             }
             return StageOutcome::Finish;
         }
@@ -265,18 +245,18 @@ impl Stage for RetrieveStage {
             // and serve it as the degraded baseline.
             let retrieval = retriever.retrieve_terms_within(&ctx.terms, ctx.request.k, None);
             ctx.page = retrieval.hits;
-            if !retrieval.complete {
-                Self::degrade_shard_loss(ctx);
+            ctx.degrade(if retrieval.complete {
+                Degradation::Deadline
             } else {
-                Self::degrade_deadline(ctx);
-            }
+                Degradation::ShardLoss
+            });
             return StageOutcome::Finish;
         }
         let n = engine.config().n_candidates.max(ctx.request.k);
         let retrieval = retriever.retrieve_terms_within(&ctx.terms, n, ctx.budget.remaining_us());
         ctx.candidates = retrieval.hits;
         if !retrieval.complete {
-            Self::degrade_shard_loss(ctx);
+            ctx.degrade(Degradation::ShardLoss);
             ctx.page = ctx.candidates.iter().take(ctx.request.k).copied().collect();
             return StageOutcome::Finish;
         }
@@ -344,17 +324,11 @@ impl Stage for UtilityStage {
     }
 }
 
-/// Diversifier selection with per-request budget enforcement.
-///
-/// When the request's [`Budget`] is already exhausted by the time this
-/// stage runs, the stage **degrades to baseline passthrough**: the page
-/// is the first `k` candidates of the baseline ranking, served
-/// immediately (`"DPH (degraded)"`), and the response/metrics record the
-/// degradation. The driver checks the budget only *after* each stage, and
-/// the `stage.select` failpoint fires between the utility stage's edge
-/// check and this stage, so time spent there is caught only here.
-/// Otherwise the request's [`AlgorithmKind`] re-ranks the page through
-/// the engine's pre-built [`Diversifier`] trait objects.
+/// Diversifier selection: the request's [`AlgorithmKind`] re-ranks the
+/// candidates through the engine's pre-built [`Diversifier`] trait
+/// objects. The budget is not checked here: the driver checks it at the
+/// utility stage's edge, and nothing runs between that check and this
+/// stage.
 ///
 /// [`Diversifier`]: serpdiv_core::Diversifier
 pub struct SelectStage;
@@ -370,20 +344,12 @@ impl Stage for SelectStage {
         _generation: &'a Generation,
         ctx: &mut PipelineContext<'a>,
     ) -> StageOutcome {
-        let k = ctx.request.k;
-        if ctx.budget.exhausted() {
-            ctx.page = ctx.candidates.iter().take(k).copied().collect();
-            ctx.algorithm = "DPH (degraded)";
-            ctx.degraded = true;
-            ctx.diversified = false;
-            return StageOutcome::Finish;
-        }
         let input = ctx
             .input
             .take()
             .expect("the utility stage assembles every diversified request's input");
         let diversifier = engine.diversifier_for(ctx.request.algorithm);
-        let indices = diversifier.select(&input, k);
+        let indices = diversifier.select(&input, ctx.request.k);
         ctx.page = indices.into_iter().map(|i| ctx.candidates[i]).collect();
         ctx.diversified = true;
         ctx.algorithm = diversifier.name();

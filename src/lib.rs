@@ -30,21 +30,20 @@
 //!   [`FleetRouter`](serpdiv_fleet::FleetRouter) that plugs into the
 //!   serving engine as a [`Retriever`](serpdiv_index::Retriever), hedges
 //!   slow shards, trips per-shard circuit breakers, and degrades
-//!   gracefully when workers die;
-//! * [`chaos`] — deterministic fault injection: named delay/panic
-//!   failpoints at the serving engine's stage, pool and swap sites, inert
-//!   unless a seeded [`FaultPlan`](serpdiv_chaos::FaultPlan) is armed
-//!   (see `tests/chaos_soak.rs` for the harness that uses it).
+//!   gracefully when workers die.
 //!
 //! The product closure — what serving links — is `text → index → core →
-//! serve / fleet`, plus `chaos`; the rest is the offline pipeline.
+//! serve / fleet`; the rest is the offline pipeline. No fault-injection
+//! registry ships in it: `tests/chaos_soak.rs` faults the engine through
+//! the seams the retrieval layers already offer
+//! ([`ShardedIndex::with_fault_injection`](serpdiv_index::ShardedIndex::with_fault_injection)
+//! and the stream handed to `fleet::worker::serve_connection`).
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough and
 //! `crates/bench` for the binaries regenerating the paper's effectiveness
 //! tables and figures; `crates/benchmark` holds the repo benchmark
 //! (`bench`), the one program here that measures time.
 
-pub use serpdiv_chaos as chaos;
 pub use serpdiv_core as core;
 pub use serpdiv_corpus as corpus;
 pub use serpdiv_eval as eval;

@@ -1,8 +1,7 @@
 //! Swap soak: the torn-request proof. 16 client threads hammer one
 //! engine while a deployer thread repeatedly hot-swaps the whole serving
-//! generation — index, forward index, compiled spec store — under
-//! injected `swap.publish` / `swap.validate` delays that stretch every
-//! publish across many in-flight requests.
+//! generation — index, forward index, compiled spec store — pacing its
+//! publishes so that every swap lands among many in-flight requests.
 //!
 //! The invariant: **every response is internally consistent with exactly
 //! one generation.** Each response carries the generation id its request
@@ -38,9 +37,8 @@
 //! tables stay reachable across 50 republishes under load: a table found
 //! again under an inherited stamp is never counted (or kept) twice.
 //!
-//! Chaos arming is process-global, so the tests serialize on one mutex.
+//! Each test owns its engines, so the tests run in parallel.
 
-use serpdiv::chaos::{self, FaultKind, FaultPlan};
 use serpdiv::core::AlgorithmKind;
 use serpdiv::index::{Document, ForwardIndex, IndexBuilder, InvertedIndex};
 use serpdiv::mining::{from_json, SpecializationModel};
@@ -57,14 +55,6 @@ const MIN_ROUNDS: usize = 8;
 /// Generations 1 (deploy) through GENERATIONS (last publish).
 const GENERATIONS: u64 = 6;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Fail loudly instead of hanging CI forever if anything deadlocks.
 fn with_watchdog(secs: u64, what: &str, f: impl FnOnce() + Send + 'static) {
     let (tx, rx) = mpsc::channel();
@@ -80,8 +70,7 @@ fn with_watchdog(secs: u64, what: &str, f: impl FnOnce() + Send + 'static) {
             }
         }
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            chaos::disarm();
-            panic!("{what}: not finished within {secs}s — hang under swap chaos?")
+            panic!("{what}: not finished within {secs}s — hang under swaps?")
         }
     }
 }
@@ -247,8 +236,7 @@ fn check(req: &QueryRequest, out: &SearchResponse, oracle: &Oracle) -> u64 {
 
 #[test]
 fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
-    let _s = serial();
-    with_watchdog(300, "swap-under-chaos soak", || {
+    with_watchdog(300, "swap-under-load soak", || {
         let engine = Arc::new(SearchEngine::deploy(
             build_index(&corpus_for(1)),
             model(),
@@ -266,26 +254,10 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
         let observed = Mutex::new(HashSet::new());
         let served = Mutex::new(0u64);
 
-        // Every publish crawls: a guaranteed 5 ms delay at the publish
-        // failpoint plus seeded 3 ms delays at validation, so dozens of
-        // requests overlap each swap window.
-        let plan = Arc::new(
-            FaultPlan::new(0x5AFE_5AFE)
-                .with_rule(
-                    "swap.publish",
-                    1.0,
-                    FaultKind::Delay(Duration::from_millis(5)),
-                )
-                .with_rule(
-                    "swap.validate",
-                    0.5,
-                    FaultKind::Delay(Duration::from_millis(3)),
-                ),
-        );
-        let _armed = chaos::armed(plan.clone());
-
         std::thread::scope(|scope| {
-            // The deployer: one corrupt publish wedged between good ones.
+            // The deployer: one corrupt publish wedged between good ones,
+            // and 15 ms of traffic before every publish, so dozens of
+            // requests overlap each swap.
             {
                 let engine = engine.clone();
                 let stop = stop.clone();
@@ -297,7 +269,7 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
                                 other => panic!("poisoned bundle accepted: {other:?}"),
                             }
                         }
-                        std::thread::sleep(Duration::from_millis(10));
+                        std::thread::sleep(Duration::from_millis(15));
                         engine.publish_artifacts(bundle).expect("good publish");
                     }
                     stop.store(true, Ordering::Relaxed);
@@ -326,12 +298,6 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
                 });
             }
         });
-
-        assert!(plan.fired_total() > 0, "the swap failpoints never fired");
-        assert!(
-            plan.fired("swap.publish") >= GENERATIONS - 1,
-            "every publish crosses the delayed failpoint"
-        );
 
         // The storm saw the swaps happen: more than one epoch served, and
         // the engine ended on the last one.
@@ -373,7 +339,6 @@ fn sixteen_clients_race_repeated_swaps_without_a_single_torn_page() {
 
 #[test]
 fn nrt_ingest_races_clients_without_tearing() {
-    let _s = serial();
     with_watchdog(300, "ingest-under-load soak", || {
         // Replay the ingest sequence on a shadow engine first: each step
         // adds two storm documents to the live delta.
@@ -506,7 +471,6 @@ fn nrt_ingest_races_clients_without_tearing() {
 
 #[test]
 fn surrogate_tables_keep_their_budget_across_fifty_republishes() {
-    let _s = serial();
     with_watchdog(300, "republish-under-load soak", || {
         // Three ambiguous queries over the same 16 candidates: three
         // 16-vector tables competing for a 40-vector budget, so tables
