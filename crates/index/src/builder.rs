@@ -1,14 +1,13 @@
 //! Index construction.
 //!
 //! The builder accumulates per-term document/frequency pairs in memory and
-//! freezes them into compressed [`PostingsList`]s. The same [`Analyzer`]
-//! is stored in the built index so query-time processing matches
-//! indexing-time processing.
+//! freezes them into compressed [`PostingsList`]s, analyzing text with the
+//! one [`Analyzer`] pipeline that query-time processing runs too.
 //!
 //! Each distinct raw token is analyzed once per build, not once per
 //! occurrence: a web collection repeats a small vocabulary millions of
 //! times, so the builder keeps a `TokenMemo` from raw token to term id
-//! and runs the analyzer's stopword and stem step
+//! and runs the pipeline's stopword and stem step
 //! ([`Analyzer::analyze_token`]) only on a token it has not met. The memo
 //! belongs to one builder and is dropped when the builder freezes; the
 //! ids it holds are that builder's vocabulary's, so nothing outlives the
@@ -17,7 +16,7 @@
 //!
 //! There is one builder for both ways an index grows. [`IndexBuilder::new`]
 //! starts an empty collection; the crate-private `extending` starts from
-//! a sealed index — its analyzer, a copy of its vocabulary, the next free
+//! a sealed index — a copy of its vocabulary, the next free
 //! document id — so the documents a [`DeltaIndex`](crate::delta::DeltaIndex)
 //! holds are interned, counted and encoded by the very loop that would
 //! have indexed them in a from-scratch build, under the term ids that
@@ -26,13 +25,12 @@
 use crate::document::{DocId, Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
-use serpdiv_text::{Analyzer, TermId, Vocabulary};
+use serpdiv_text::{Analyzer, TermId, Tokenizer, Vocabulary};
 use std::collections::HashMap;
 
 /// Builder for an [`InvertedIndex`].
 #[derive(Debug)]
 pub struct IndexBuilder {
-    analyzer: Analyzer,
     vocab: Vocabulary,
     /// Id of the first document this builder takes: 0, or the size of the
     /// sealed collection it extends.
@@ -81,7 +79,6 @@ impl TokenMemo {
 /// start it is the body of a [`DeltaIndex`](crate::delta::DeltaIndex).
 #[derive(Debug)]
 pub(crate) struct Segment {
-    pub(crate) analyzer: Analyzer,
     pub(crate) vocab: Vocabulary,
     /// The documents, ids `first_doc..`, in id order.
     pub(crate) docs: Vec<Document>,
@@ -101,29 +98,23 @@ impl Default for IndexBuilder {
 }
 
 impl IndexBuilder {
-    /// Builder with the standard English analysis pipeline.
+    /// Builder for a new collection.
     pub fn new() -> Self {
-        Self::with_analyzer(Analyzer::english())
+        Self::starting_at(Vocabulary::new(), 0)
     }
 
-    /// Builder with a custom analyzer.
-    pub fn with_analyzer(analyzer: Analyzer) -> Self {
-        Self::starting_at(analyzer, Vocabulary::new(), 0)
-    }
-
-    /// Builder that continues a sealed index: `base`'s analyzer, a copy
-    /// of its vocabulary (so known terms keep their ids and new ones are
+    /// Builder that continues a sealed index: a copy of `base`'s
+    /// vocabulary (so known terms keep their ids and new ones are
     /// numbered after them, in first-occurrence order) and its next free
     /// document id, with empty accumulators — what it freezes into holds
     /// only the documents added here.
     pub(crate) fn extending(base: &InvertedIndex) -> Self {
         let first_doc = u32::try_from(base.stats.num_docs).expect("corpus fits u32 ids");
-        Self::starting_at(base.analyzer.clone(), base.vocab.clone(), first_doc)
+        Self::starting_at(base.vocab.clone(), first_doc)
     }
 
-    fn starting_at(analyzer: Analyzer, vocab: Vocabulary, first_doc: u32) -> Self {
+    fn starting_at(vocab: Vocabulary, first_doc: u32) -> Self {
         IndexBuilder {
-            analyzer,
             vocab,
             first_doc,
             docs: Vec::new(),
@@ -158,21 +149,15 @@ impl IndexBuilder {
             "document ids must continue the collection densely, in insertion order"
         );
         let IndexBuilder {
-            analyzer,
-            vocab,
-            memo,
-            terms,
-            ..
+            vocab, memo, terms, ..
         } = self;
         // `full_text` is the title, a space and the body: the title's
         // tokens, then the body's.
         terms.clear();
         for text in [&doc.title, &doc.body] {
-            analyzer.tokenizer().for_each_token(text, |token| {
+            Tokenizer::for_each_token(text, |token| {
                 terms.extend(memo.resolve(token, |token| {
-                    analyzer
-                        .analyze_token(token)
-                        .map(|term| vocab.intern(&term))
+                    Analyzer::analyze_token(token).map(|term| vocab.intern(&term))
                 }));
             });
         }
@@ -211,7 +196,6 @@ impl IndexBuilder {
             postings.push(pb.build());
         }
         Segment {
-            analyzer: self.analyzer,
             vocab: self.vocab,
             docs: self.docs,
             postings,
@@ -236,7 +220,6 @@ impl IndexBuilder {
             term_stats: segment.term_stats,
             doc_lens: segment.doc_lens,
             store,
-            analyzer: segment.analyzer,
         }
     }
 }

@@ -11,10 +11,10 @@
 //! from-scratch build** over the concatenated corpus.
 //!
 //! **One id space.** A delta is what [`IndexBuilder`] freezes into when it
-//! is started from the sealed index instead of from nothing: the sealed
-//! analyzer, a copy of the sealed vocabulary that the ingested documents
-//! extend in first-occurrence order, and document ids that continue the
-//! sealed collection's. So every [`TermId`] and [`DocId`] a delta holds —
+//! is started from the sealed index instead of from nothing: a copy of
+//! the sealed vocabulary that the ingested documents extend in
+//! first-occurrence order, and document ids that continue the sealed
+//! collection's. So every [`TermId`] and [`DocId`] a delta holds —
 //! in its postings, in the vectors [`DeltaIndex::surrogate`] emits, in the
 //! query terms [`DeltaIndex::analyze_query`] returns — is already the id
 //! the merged index will use; nothing is bridged, shifted or re-analyzed,
@@ -47,7 +47,7 @@ use crate::search::{query_weights, ScoredDoc};
 use crate::sharded::merge_top_k;
 use crate::snippet::SnippetGenerator;
 use crate::vector::SparseVector;
-use serpdiv_text::TermId;
+use serpdiv_text::{Analyzer, TermId};
 use std::sync::Arc;
 
 /// An immutable index over documents ingested since the collection was
@@ -157,7 +157,7 @@ impl DeltaIndex {
     /// query term that arrived *with* the delta therefore contributes its
     /// df before the merge.
     pub fn analyze_query(&self, query: &str) -> Vec<TermId> {
-        self.fresh.analyzer.analyze_known(query, &self.fresh.vocab)
+        Analyzer::analyze_known(query, &self.fresh.vocab)
     }
 
     /// Top-`k` delta documents for `terms`, scored with the **union**
@@ -345,7 +345,6 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
         term_stats,
         doc_lens,
         store,
-        analyzer: fresh.analyzer.clone(),
         stats: delta.overlay.coll(),
     }
 }

@@ -24,7 +24,7 @@
 //! no per-range stream is ever concatenated). Each distinct raw token is
 //! *analyzed* once per range: a range keeps a memo from raw token to term
 //! id (or to "nothing": stopword or unknown term), shared by its bodies
-//! and titles, and runs the analyzer's stopword and stem step only on a
+//! and titles, and runs the pipeline's stopword and stem step only on a
 //! token it has not met. The memo lives for one [`ForwardIndex::build`]
 //! call and is dropped with it, since its ids are that index's
 //! vocabulary's. A token is its own tokenization, so each memo entry
@@ -65,8 +65,8 @@ use crate::document::{DocId, Document};
 use crate::index::InvertedIndex;
 use crate::reader::{ByteReader, ByteWriter};
 use crate::serialize::DecodeError;
-use crate::vector::SparseVector;
-use serpdiv_text::TermId;
+use crate::vector::{idf_weight, tf_idf_weight, SparseVector};
+use serpdiv_text::{Analyzer, TermId, Tokenizer};
 
 /// Sentinel marking a body position whose raw token analyzed to nothing
 /// usable (stopword, or out-of-vocabulary). Kept in the stream so window
@@ -81,9 +81,8 @@ const VERSION: u32 = 1;
 /// One flat `TermId` stream holds every document body (offset-indexed),
 /// one flat `(term, tf)` list holds every title vector, and a dense table
 /// caches the per-term IDF weight. Built once from an [`InvertedIndex`]
-/// (whose analyzer must match the snippet generator's — both default to
-/// the English pipeline everywhere in this workspace), then shared
-/// immutably by all serving threads.
+/// through the one analysis pipeline the snippet generator runs too, then
+/// shared immutably by all serving threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardIndex {
     /// Concatenated per-document body token streams ([`STOP`] sentinels
@@ -126,13 +125,11 @@ impl ForwardIndex {
     /// own sub-slice of it.
     pub(crate) fn build_chunked(index: &InvertedIndex, chunks: usize) -> Self {
         let vocab = index.vocab();
-        let analyzer = index.analyzer();
         assert!(
             (vocab.len() as u64) < u64::from(u32::MAX),
             "vocabulary too large for the u32 sentinel encoding"
         );
-        let tokenizer = analyzer.tokenizer();
-        let analyze = |raw: &str| analyzer.analyze_token(raw).and_then(|term| vocab.id(&term));
+        let analyze = |raw: &str| Analyzer::analyze_token(raw).and_then(|term| vocab.id(&term));
         let docs = index.store().as_slice();
         let per_range = docs.len().div_ceil(chunks.max(1)).max(1);
         let num_ranges = docs.chunks(per_range).len();
@@ -150,13 +147,13 @@ impl ForwardIndex {
             let mut title: Vec<u32> = Vec::new();
             for ((doc, len), title_len) in docs.iter().zip(lens).zip(title_lens) {
                 let mut n = 0usize;
-                tokenizer.for_each_token(&doc.body, |_| n += 1);
+                Tokenizer::for_each_token(&doc.body, |_| n += 1);
                 *len = u32_len(n, "forward stream");
 
                 // Title tf vector: full analysis of the raw title, unknown
                 // terms dropped — what `from_text` sees for the title prefix.
                 title.clear();
-                tokenizer.for_each_token(&doc.title, |raw| {
+                Tokenizer::for_each_token(&doc.title, |raw| {
                     title.extend(memo.resolve(raw, analyze).map(|t| t.0));
                 });
                 title.sort_unstable();
@@ -195,7 +192,7 @@ impl ForwardIndex {
         let fill = |docs: &[Document], body: &mut [u32], memo: &mut TokenMemo| {
             let mut body = body.iter_mut();
             for doc in docs {
-                tokenizer.for_each_token(&doc.body, |raw| {
+                Tokenizer::for_each_token(&doc.body, |raw| {
                     *body.next().expect("counted by the first pass") =
                         memo.resolve(raw, analyze).map_or(STOP, |t| t.0);
                 });
@@ -224,18 +221,10 @@ impl ForwardIndex {
             }
         });
 
-        // Cached IDF factors, computed with the exact `f32` expression of
-        // `SparseVector::from_text` so weights stay bit-identical.
-        let n = index.stats().num_docs as f32;
+        // Cached IDF factors: the factor `SparseVector::from_text` computes.
+        let num_docs = index.stats().num_docs;
         let idf = (0..vocab.len())
-            .map(|t| {
-                let df = index
-                    .term_stats(TermId(t as u32))
-                    .map(|s| s.doc_freq as f32)
-                    .unwrap_or(0.0)
-                    .max(1.0);
-                (1.0 + n / df).ln()
-            })
+            .map(|t| idf_weight(num_docs, index.term_stats(TermId(t as u32))))
             .collect();
 
         ForwardIndex {
@@ -333,9 +322,7 @@ impl ForwardIndex {
                 tf += title[j].1;
                 j += 1;
             }
-            // The exact weight expression of `SparseVector::from_text`.
-            let w = (1.0 + (tf as f32).ln()) * self.idf[term as usize];
-            pairs.push((TermId(term), w));
+            pairs.push((TermId(term), tf_idf_weight(tf, self.idf[term as usize])));
         }
         SparseVector::from_sorted_pairs(pairs)
     }

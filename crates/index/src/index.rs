@@ -1,16 +1,15 @@
 //! The immutable inverted index and its collection statistics.
 //!
 //! Built by [`IndexBuilder`](crate::builder::IndexBuilder); queried by the
-//! ranking models ([`Dph`](crate::dph::Dph), [`Bm25`](crate::bm25::Bm25))
-//! through [`CollectionStats`] / [`TermStats`] and by the
-//! retrievers (see [`Retriever`](crate::retriever::Retriever)) through
-//! the postings.
+//! ranking model ([`Dph`](crate::dph::Dph)) through [`CollectionStats`] /
+//! [`TermStats`] and by the retrievers (see
+//! [`Retriever`](crate::retriever::Retriever)) through the postings.
 
 use crate::document::{DocId, DocumentStore};
 use crate::postings::PostingsList;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
 
-/// Global statistics of the indexed collection, needed by DFR/BM25 models.
+/// Global statistics of the indexed collection, needed by the ranking model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectionStats {
     /// Number of documents in the collection.
@@ -40,7 +39,7 @@ impl CollectionStats {
     }
 }
 
-/// Per-term statistics, needed by the ranking models.
+/// Per-term statistics, needed by the ranking model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermStats {
     /// Document frequency: number of documents containing the term.
@@ -98,7 +97,6 @@ pub struct InvertedIndex {
     pub(crate) term_stats: Vec<TermStats>,
     pub(crate) doc_lens: Vec<u32>,
     pub(crate) store: DocumentStore,
-    pub(crate) analyzer: Analyzer,
     pub(crate) stats: CollectionStats,
 }
 
@@ -106,11 +104,6 @@ impl InvertedIndex {
     /// Collection-wide statistics.
     pub fn stats(&self) -> CollectionStats {
         self.stats
-    }
-
-    /// The analyzer the index was built with (use it for queries too).
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
     }
 
     /// The term dictionary.
@@ -140,7 +133,7 @@ impl InvertedIndex {
 
     /// Analyze raw query text into term ids known to this index.
     pub fn analyze_query(&self, query: &str) -> Vec<TermId> {
-        self.analyzer.analyze_known(query, &self.vocab)
+        Analyzer::analyze_known(query, &self.vocab)
     }
 
     /// Total compressed size of all postings, in bytes.

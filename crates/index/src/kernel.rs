@@ -276,7 +276,6 @@ pub(crate) fn score_range<S: RangeSource, M: RankingModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bm25::Bm25;
     use crate::builder::IndexBuilder;
     use crate::document::Document;
     use crate::dph::Dph;
@@ -361,10 +360,11 @@ mod tests {
                     &SearchEngine::new(&idx).search_terms(&terms, k),
                     &format!("dph {query} k={k}"),
                 );
+                // A model on the trait's default `term_scorer`.
                 assert_same(
-                    &kernel(&idx, &terms, &Bm25::new(), k),
-                    &SearchEngine::with_model(&idx, Bm25::new()).search_terms(&terms, k),
-                    &format!("bm25 {query} k={k}"),
+                    &kernel(&idx, &terms, &Constant(0.5), k),
+                    &SearchEngine::with_model(&idx, Constant(0.5)).search_terms(&terms, k),
+                    &format!("constant {query} k={k}"),
                 );
             }
         }

@@ -16,7 +16,7 @@
 //! * [`builder`] — the index builder: the one loop that interns, counts
 //!   and encodes a document, started from nothing or from a sealed index,
 //! * [`index`] — the immutable inverted index and collection statistics,
-//! * [`dph`] / [`bm25`] — ranking models,
+//! * [`dph`] — the DPH ranking model,
 //! * `kernel` (crate-private) — the retrieval kernel: the one scoring
 //!   loop every production retriever runs (monomorphised model, dense
 //!   thread-local accumulators, threshold-gated top-`k`),
@@ -59,7 +59,6 @@
 //! ```
 
 pub mod artifact;
-pub mod bm25;
 pub mod builder;
 pub mod delta;
 pub mod document;

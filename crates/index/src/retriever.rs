@@ -36,7 +36,7 @@
 use crate::dph::Dph;
 use crate::index::{InvertedIndex, StatsOverlay};
 use crate::kernel::{score_range, IndexRange};
-use crate::search::{query_weights, RankingModel, ScoredDoc, SearchEngine};
+use crate::search::{query_weights, ScoredDoc, SearchEngine};
 use serpdiv_text::TermId;
 
 /// The outcome of one retrieval together with its completeness status.
@@ -162,20 +162,18 @@ pub trait Retriever: Send + Sync {
 }
 
 impl InvertedIndex {
-    /// Top-`k` documents for pre-analyzed query terms under any
-    /// [`RankingModel`]: the whole collection as one range of the
-    /// retrieval kernel, optionally scored against `overlay`'s statistics.
-    /// The [`Retriever`] impl is this with [`Dph`]; the result equals
-    /// [`SearchEngine::with_model`]'s, `f64` bit for bit.
-    pub fn retrieve_terms_by<M: RankingModel>(
+    /// Top-`k` documents for pre-analyzed query terms: the whole
+    /// collection as one range of the retrieval kernel under DPH,
+    /// optionally scored against `overlay`'s statistics. The result equals
+    /// [`SearchEngine`]'s, `f64` bit for bit.
+    fn retrieve_dph(
         &self,
         terms: &[TermId],
         k: usize,
-        model: &M,
         overlay: Option<&StatsOverlay>,
     ) -> Vec<ScoredDoc> {
         let whole = IndexRange::whole(self, overlay);
-        score_range(&whole, &query_weights(terms), model, k)
+        score_range(&whole, &query_weights(terms), &Dph::new(), k)
     }
 }
 
@@ -192,7 +190,7 @@ impl Retriever for InvertedIndex {
         k: usize,
         _budget_us: Option<u64>,
     ) -> Retrieval {
-        Retrieval::complete(self.retrieve_terms_by(terms, k, &Dph::new(), None))
+        Retrieval::complete(self.retrieve_dph(terms, k, None))
     }
 
     fn retrieve_terms_overlaid(
@@ -202,7 +200,7 @@ impl Retriever for InvertedIndex {
         overlay: &StatsOverlay,
         _budget_us: Option<u64>,
     ) -> Option<Retrieval> {
-        let hits = self.retrieve_terms_by(terms, k, &Dph::new(), Some(overlay));
+        let hits = self.retrieve_dph(terms, k, Some(overlay));
         Some(Retrieval::complete(hits))
     }
 }

@@ -17,7 +17,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
-/// A retrieval scoring function (DPH, BM25, …).
+/// A retrieval scoring function. [`Dph`](crate::dph::Dph) is the one the
+/// product ranks with; the trait is the retrieval kernel's test seam, where
+/// the kernel's tests plug in fake models (constant scores, `-0.0` among
+/// them) and hold the kernel to [`SearchEngine::with_model`] under each.
 pub trait RankingModel {
     /// Score the contribution of one query term occurring `tf` times in a
     /// document of length `doc_len`.
@@ -293,14 +296,6 @@ mod tests {
         let idx = index();
         let engine = SearchEngine::new(&idx);
         assert!(engine.search("zeppelin dirigible", 10).is_empty());
-    }
-
-    #[test]
-    fn bm25_engine_also_works() {
-        let idx = index();
-        let engine = SearchEngine::with_model(&idx, crate::bm25::Bm25::new());
-        let hits = engine.search("electric cars", 10);
-        assert_eq!(hits[0].doc, DocId(3));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::document::{Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::reader::{ByteReader, ByteWriter};
-use serpdiv_text::{Analyzer, Vocabulary};
+use serpdiv_text::Vocabulary;
 
 const MAGIC: u32 = 0x5E9D_1F01;
 const VERSION: u32 = 1;
@@ -100,9 +100,9 @@ impl InvertedIndex {
     }
 
     /// Decode an index serialized by [`InvertedIndex::to_bytes`]. The
-    /// analyzer is not persisted (it is code, not data): pass the same
-    /// analyzer the index was built with.
-    pub fn from_bytes(data: &[u8], analyzer: Analyzer) -> Result<Self, DecodeError> {
+    /// analysis pipeline is not persisted: it is code, not data, and there
+    /// is one.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
         r.header(MAGIC, VERSION)?;
         let num_docs = r.u64()?;
@@ -174,7 +174,6 @@ impl InvertedIndex {
             term_stats,
             doc_lens,
             store,
-            analyzer,
             stats: CollectionStats::of(num_docs, num_tokens),
         })
     }
@@ -213,7 +212,7 @@ mod tests {
     fn roundtrip_preserves_search_results() {
         let idx = sample_index();
         let bytes = idx.to_bytes();
-        let restored = InvertedIndex::from_bytes(&bytes, Analyzer::english()).unwrap();
+        let restored = InvertedIndex::from_bytes(&bytes).unwrap();
         for query in ["apple", "apple pie", "sailing", "iphone chip"] {
             let a: Vec<_> = SearchEngine::new(&idx).search(query, 10);
             let b: Vec<_> = SearchEngine::new(&restored).search(query, 10);
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_stats_and_store() {
         let idx = sample_index();
-        let restored = InvertedIndex::from_bytes(&idx.to_bytes(), Analyzer::english()).unwrap();
+        let restored = InvertedIndex::from_bytes(&idx.to_bytes()).unwrap();
         assert_eq!(restored.stats(), idx.stats());
         assert_eq!(restored.num_terms(), idx.num_terms());
         assert_eq!(restored.store().len(), 3);
@@ -240,7 +239,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = InvertedIndex::from_bytes(&[0u8; 64], Analyzer::english()).unwrap_err();
+        let err = InvertedIndex::from_bytes(&[0u8; 64]).unwrap_err();
         assert_eq!(err, DecodeError::BadMagic);
     }
 
@@ -249,7 +248,7 @@ mod tests {
         let idx = sample_index();
         let bytes = idx.to_bytes();
         for cut in [0, 4, 10, bytes.len() / 2, bytes.len() - 1] {
-            let err = InvertedIndex::from_bytes(&bytes[..cut], Analyzer::english());
+            let err = InvertedIndex::from_bytes(&bytes[..cut]);
             assert!(err.is_err(), "cut at {cut} must fail");
         }
     }
@@ -259,7 +258,7 @@ mod tests {
         let idx = sample_index();
         let mut bytes = idx.to_bytes();
         bytes[4] = 99; // bump the version field
-        let err = InvertedIndex::from_bytes(&bytes, Analyzer::english()).unwrap_err();
+        let err = InvertedIndex::from_bytes(&bytes).unwrap_err();
         assert_eq!(err, DecodeError::BadVersion(99));
     }
 
@@ -270,14 +269,14 @@ mod tests {
         let mut fewer_docs = sample_index().to_bytes();
         fewer_docs[8..16].copy_from_slice(&2u64.to_le_bytes());
         assert_eq!(
-            InvertedIndex::from_bytes(&fewer_docs, Analyzer::english()).unwrap_err(),
+            InvertedIndex::from_bytes(&fewer_docs).unwrap_err(),
             DecodeError::Corrupt("doc_lens count differs from document count")
         );
         // Consistently two documents — but the postings still name doc 2.
         fewer_docs[24..28].copy_from_slice(&2u32.to_le_bytes());
         fewer_docs.drain(36..40);
         assert_eq!(
-            InvertedIndex::from_bytes(&fewer_docs, Analyzer::english()).unwrap_err(),
+            InvertedIndex::from_bytes(&fewer_docs).unwrap_err(),
             DecodeError::Corrupt("posting outside its document range")
         );
     }
@@ -285,7 +284,7 @@ mod tests {
     #[test]
     fn empty_index_roundtrips() {
         let idx = IndexBuilder::new().build();
-        let restored = InvertedIndex::from_bytes(&idx.to_bytes(), Analyzer::english()).unwrap();
+        let restored = InvertedIndex::from_bytes(&idx.to_bytes()).unwrap();
         assert_eq!(restored.stats().num_docs, 0);
         assert_eq!(restored.num_terms(), 0);
     }

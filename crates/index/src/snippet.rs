@@ -26,25 +26,21 @@ use crate::forward::ForwardIndex;
 use crate::vector::SparseVector;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
 
-/// Configurable query-biased snippet generator.
+/// Query-biased snippet generator.
 #[derive(Debug, Clone)]
 pub struct SnippetGenerator {
-    analyzer: Analyzer,
     /// Window size in raw tokens (default 30 — a SERP-like summary).
     pub window: usize,
 }
 
 impl Default for SnippetGenerator {
     fn default() -> Self {
-        SnippetGenerator {
-            analyzer: Analyzer::english(),
-            window: 30,
-        }
+        SnippetGenerator { window: 30 }
     }
 }
 
 impl SnippetGenerator {
-    /// Generator with the standard analyzer and a 30-token window.
+    /// Generator with a 30-token window.
     pub fn new() -> Self {
         Self::default()
     }
@@ -53,7 +49,6 @@ impl SnippetGenerator {
     pub fn with_window(window: usize) -> Self {
         SnippetGenerator {
             window: window.max(1),
-            ..Self::default()
         }
     }
 
@@ -109,10 +104,7 @@ impl SnippetGenerator {
         // that are stopwords map to None.
         let normalized: Vec<Option<TermId>> = raw_tokens
             .iter()
-            .map(|t| {
-                let analyzed = self.analyzer.analyze(t);
-                analyzed.first().and_then(|term| vocab.id(term))
-            })
+            .map(|t| Analyzer::analyze(t).first().and_then(|term| vocab.id(term)))
             .collect();
 
         let mut best_start = 0usize;
@@ -157,14 +149,12 @@ impl SnippetGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serpdiv_text::Analyzer;
 
-    fn setup(body: &str) -> (Document, Vocabulary, Analyzer) {
+    fn setup(body: &str) -> (Document, Vocabulary) {
         let doc = Document::new(0, "u", "Title", body);
         let mut vocab = Vocabulary::new();
-        let analyzer = Analyzer::english();
-        analyzer.analyze_interned(body, &mut vocab);
-        (doc, vocab, analyzer)
+        Analyzer::analyze_interned(body, &mut vocab);
+        (doc, vocab)
     }
 
     #[test]
@@ -176,8 +166,8 @@ mod tests {
             "",
             filler.repeat(5)
         );
-        let (doc, vocab, analyzer) = setup(&body);
-        let q = analyzer.analyze_known("apple iphone", &vocab);
+        let (doc, vocab) = setup(&body);
+        let q = Analyzer::analyze_known("apple iphone", &vocab);
         let snip = SnippetGenerator::with_window(10).snippet(&doc, &q, &vocab);
         assert!(snip.contains("apple"), "snippet was: {snip}");
         assert!(snip.contains("iphone"));
@@ -185,22 +175,22 @@ mod tests {
 
     #[test]
     fn fallback_to_prefix_without_matches() {
-        let (doc, vocab, _) = setup("first second third fourth fifth sixth");
+        let (doc, vocab) = setup("first second third fourth fifth sixth");
         let snip = SnippetGenerator::with_window(3).snippet(&doc, &[], &vocab);
         assert_eq!(snip, "Title first second third");
     }
 
     #[test]
     fn empty_body_returns_title() {
-        let (doc, vocab, _) = setup("");
+        let (doc, vocab) = setup("");
         let snip = SnippetGenerator::new().snippet(&doc, &[], &vocab);
         assert_eq!(snip, "Title");
     }
 
     #[test]
     fn short_document_is_returned_whole() {
-        let (doc, vocab, analyzer) = setup("tiny body");
-        let q = analyzer.analyze_known("tiny", &vocab);
+        let (doc, vocab) = setup("tiny body");
+        let q = Analyzer::analyze_known("tiny", &vocab);
         let snip = SnippetGenerator::with_window(50).snippet(&doc, &q, &vocab);
         assert_eq!(snip, "Title tiny body");
     }
@@ -208,8 +198,8 @@ mod tests {
     #[test]
     fn best_window_text_reports_the_extracted_span() {
         let body = format!("{}apple iphone review", "pad ".repeat(8));
-        let (doc, vocab, analyzer) = setup(&body);
-        let q = analyzer.analyze_known("apple iphone", &vocab);
+        let (doc, vocab) = setup(&body);
+        let q = Analyzer::analyze_known("apple iphone", &vocab);
         let gen = SnippetGenerator::with_window(3);
         // Starts 7 and 8 both cover the two distinct terms once; the tie
         // breaks to the earliest start.
@@ -217,7 +207,7 @@ mod tests {
         assert_eq!((start, len), (7, 3));
         // Empty query falls back to the prefix window; empty body to (0,0).
         assert_eq!(gen.best_window_text(&doc, &[], &vocab), (0, 3));
-        let (empty, vocab2, _) = setup("");
+        let (empty, vocab2) = setup("");
         assert_eq!(gen.best_window_text(&empty, &q, &vocab2), (0, 0));
     }
 
@@ -228,8 +218,8 @@ mod tests {
             "apple apple apple apple {} apple iphone review",
             "pad ".repeat(40)
         );
-        let (doc, vocab, analyzer) = setup(&body);
-        let q = analyzer.analyze_known("apple iphone", &vocab);
+        let (doc, vocab) = setup(&body);
+        let q = Analyzer::analyze_known("apple iphone", &vocab);
         let snip = SnippetGenerator::with_window(5).snippet(&doc, &q, &vocab);
         assert!(snip.contains("iphone"), "snippet was: {snip}");
     }

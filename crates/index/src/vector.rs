@@ -13,6 +13,21 @@ use crate::index::{InvertedIndex, TermStats};
 use serpdiv_text::TermId;
 use std::collections::HashMap;
 
+/// `ln(1 + N/df)`: the IDF factor of a term with statistics `stats` in a
+/// collection of `num_docs` documents, `df` floored at 1. With
+/// [`tf_idf_weight`] this is the one `f32` expression behind every
+/// surrogate weight, the text path's and the forward index's cached table
+/// alike, so the two stay bit-identical.
+pub(crate) fn idf_weight(num_docs: u64, stats: Option<TermStats>) -> f32 {
+    let df = stats.map_or(0.0, |s| s.doc_freq as f32).max(1.0);
+    (1.0 + num_docs as f32 / df).ln()
+}
+
+/// `(1 + ln tf) · idf`: the weight of a term occurring `tf` times.
+pub(crate) fn tf_idf_weight(tf: u32, idf: f32) -> f32 {
+    (1.0 + (tf as f32).ln()) * idf
+}
+
 /// A sparse vector over the term space with cached norm.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVector {
@@ -65,7 +80,7 @@ impl SparseVector {
         SparseVector { entries, norm }
     }
 
-    /// TF-IDF vector of a text under `index`'s analyzer and statistics.
+    /// TF-IDF vector of a text under `index`'s statistics.
     ///
     /// This is how snippet surrogates are vectorized: analyze the snippet,
     /// weight each term by `(1 + ln tf) · ln(1 + N/df)`.
@@ -88,12 +103,10 @@ impl SparseVector {
         for t in terms {
             *tf.entry(t).or_insert(0) += 1;
         }
-        let n = num_docs as f32;
-        Self::from_pairs(tf.into_iter().map(|(t, f)| {
-            let df = stats(t).map_or(0.0, |s| s.doc_freq as f32).max(1.0);
-            let w = (1.0 + (f as f32).ln()) * (1.0 + n / df).ln();
-            (t, w)
-        }))
+        Self::from_pairs(
+            tf.into_iter()
+                .map(|(t, f)| (t, tf_idf_weight(f, idf_weight(num_docs, stats(t))))),
+        )
     }
 
     /// Number of nonzero entries.

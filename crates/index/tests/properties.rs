@@ -9,7 +9,7 @@ use serpdiv_index::search::top_k;
 use serpdiv_index::{
     cosine, DocId, Document, IndexBuilder, InvertedIndex, ScoredDoc, SearchEngine, SparseVector,
 };
-use serpdiv_text::{Analyzer, TermId};
+use serpdiv_text::TermId;
 use std::collections::BTreeSet;
 use std::ops::{Range, RangeInclusive};
 
@@ -184,7 +184,7 @@ fn serialization_roundtrip() {
         let mut rng = StdRng::seed_from_u64(seed);
         let bodies = vec_of(&mut rng, 0..15, |rng| sentence(rng, b'a'..=b'e', 1..=4));
         let idx = build(&bodies);
-        let restored = InvertedIndex::from_bytes(&idx.to_bytes(), Analyzer::english()).unwrap();
+        let restored = InvertedIndex::from_bytes(&idx.to_bytes()).unwrap();
         assert_eq!(restored.stats(), idx.stats(), "seed {seed}");
         assert_eq!(restored.num_terms(), idx.num_terms(), "seed {seed}");
         if let Some(body) = bodies.first() {

@@ -20,7 +20,8 @@
 //! * [`session`] — timeout-based session splitting (the baseline; the
 //!   query-flow-graph splitter lives in `serpdiv-mining`),
 //! * [`stats`] — frequency tables: the popularity function `f()` of
-//!   Algorithm 1.
+//!   Algorithm 1,
+//! * [`clicks`] — per-rank click-through rates and click entropy.
 
 pub mod clicks;
 pub mod generator;
@@ -28,7 +29,7 @@ pub mod record;
 pub mod session;
 pub mod stats;
 
-pub use clicks::{CascadeModel, ClickModel, ClickStats, PositionModel};
+pub use clicks::ClickStats;
 pub use generator::{GroundTruth, LogConfig, QueryKind, QueryLogGenerator};
 pub use record::{LogRecord, QueryId, QueryLog, UserId};
 pub use session::{split_sessions, Session, SessionSplitter};

@@ -69,9 +69,11 @@ pub struct EngineConfig {
     pub deadline_us: u64,
     /// Compile a [`ForwardIndex`] at deploy time and serve snippet
     /// surrogates from it (zero-string `TermId`-stream path). `false`
-    /// falls back to the per-request text path — surrogates are
-    /// bit-identical either way, this only trades deploy-time compilation
-    /// and memory for request latency.
+    /// falls back to the per-request text path. Both paths analyze text
+    /// through the one `serpdiv_text` pipeline and weight terms with the
+    /// one TF-IDF expression, so surrogates are bit-identical either way
+    /// (`tests/surrogate_equivalence.rs`); this only trades deploy-time
+    /// compilation and memory for request latency.
     pub forward_index: bool,
     /// Hold the engine to a served-latency SLO: burn-rate alerting over
     /// the request stream, surfaced as
@@ -571,8 +573,7 @@ impl SearchEngine {
             let Some(_) = sealed.retrieve_terms_overlaid(&[], 0, &overlay, None) else {
                 return Err(PublishError::Inconsistent("retriever not in-process"));
             };
-            let analyzer = current.index().analyzer().clone();
-            let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index, analyzer)?);
+            let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index)?);
             let forward = match &artifacts.forward {
                 Some(bytes) => Some(Arc::new(ForwardIndex::from_bytes(bytes)?)),
                 None => None,

@@ -68,8 +68,8 @@
 //!   already-interned copy of that same table. The result cache keys on
 //!   `(pages_epoch, query, k, algorithm)`.
 //! * `surrogates_epoch` names what a *sealed* document's snippet
-//!   surrogate is computed from: the sealed index (vocabulary, analyzer,
-//!   document text) and the forward index (token streams, idf weights).
+//!   surrogate is computed from: the sealed index (vocabulary, document
+//!   text) and the forward index (token streams, idf weights).
 //!   The surrogate cache keys on `(surrogates_epoch, query terms)`; delta
 //!   documents never enter a table. Their vectors come from the delta
 //!   itself ([`DeltaIndex::surrogate`]): it shares the sealed index's

@@ -9,17 +9,17 @@
 //! * [`stopwords`] — the standard English stopword list,
 //! * [`vocab`] — an interning term dictionary mapping terms to dense
 //!   [`TermId`]s,
-//! * [`analyzer`] — the composed pipeline used by the indexer, the corpus
-//!   generator and the query-side processing.
+//! * [`analyzer`] — the composed pipeline, the only one: the indexer, the
+//!   forward index, the snippet oracle, the corpus generator and query
+//!   processing all call it, and it holds no configuration.
 //!
 //! # Example
 //!
 //! ```
 //! use serpdiv_text::{Analyzer, Vocabulary};
 //!
-//! let analyzer = Analyzer::english();
 //! let mut vocab = Vocabulary::new();
-//! let ids = analyzer.analyze_interned("The runners were running quickly!", &mut vocab);
+//! let ids = Analyzer::analyze_interned("The runners were running quickly!", &mut vocab);
 //! // "the" and "were" are stopwords; "runners"/"running" both stem to "runner"/"run".
 //! assert_eq!(ids.len(), 3);
 //! assert_eq!(vocab.term(ids[0]), Some("runner"));

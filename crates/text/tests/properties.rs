@@ -127,16 +127,19 @@ fn tokenizer_separator_invariance() {
 /// before stemming by design.)
 #[test]
 fn analyzer_no_stopwords_and_deterministic() {
-    let a = Analyzer::english();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let text = unicode(&mut rng, 200);
-        let first = a.analyze(&text);
+        let first = Analyzer::analyze(&text);
         assert!(
             first.iter().all(|t| !t.is_empty()),
             "seed {seed}: empty term"
         );
-        assert_eq!(first, a.analyze(&text), "seed {seed}: not deterministic");
+        assert_eq!(
+            first,
+            Analyzer::analyze(&text),
+            "seed {seed}: not deterministic"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! The workspace layers, bottom-up:
 //!
 //! * [`text`] — tokenizer, Porter stemmer, stopwords, term dictionary;
-//! * [`index`] — inverted index, DPH/BM25 ranking, snippets, TF-IDF
+//! * [`index`] — inverted index, DPH ranking, snippets, TF-IDF
 //!   vectors, and the [`Retriever`](serpdiv_index::Retriever) layer with
 //!   sharded scatter-gather retrieval
 //!   ([`ShardedIndex`](serpdiv_index::ShardedIndex));

@@ -29,7 +29,7 @@ use serpdiv::index::{
     DecodeError, DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, Retriever,
     ShardArtifact, ShardedIndex, SparseVector,
 };
-use serpdiv::text::{Analyzer, TermId};
+use serpdiv::text::TermId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -193,11 +193,10 @@ fn sweep() {
     sweep_decoder(
         "InvertedIndex",
         &index.to_bytes(),
-        |bytes| InvertedIndex::from_bytes(bytes, Analyzer::english()),
+        InvertedIndex::from_bytes,
         |decoded| {
             let image = decoded.to_bytes();
-            let again = InvertedIndex::from_bytes(&image, Analyzer::english())
-                .expect("a re-encoded index decodes");
+            let again = InvertedIndex::from_bytes(&image).expect("a re-encoded index decodes");
             assert_eq!(again.to_bytes(), image, "InvertedIndex round trip");
             for query in QUERIES {
                 let _ = decoded.retrieve(query, 10);

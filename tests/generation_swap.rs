@@ -542,7 +542,7 @@ fn a_delta_document_is_scored_as_itself_before_the_merge() {
     engine.ingest(vec![fresh.clone()]).unwrap();
 
     let sealed = engine.generation().index().clone();
-    let mut own_terms = sealed.analyzer().analyze(body);
+    let mut own_terms = serpdiv::text::Analyzer::analyze(body);
     own_terms.sort();
     own_terms.dedup();
     let before = served_surrogate(&engine, "apple", 12);

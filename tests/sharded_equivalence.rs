@@ -13,16 +13,14 @@
 //! `impl Retriever for InvertedIndex` score through one retrieval kernel
 //! (dense thread-local accumulators, threshold-gated top-`k`), and the
 //! hash-map `SearchEngine` is the oracle for both — plain, under a
-//! `StatsOverlay`, under a second ranking model, and with eight threads
-//! sharing one index.
+//! `StatsOverlay`, and with eight threads sharing one index.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serpdiv::index::bm25::Bm25;
 use serpdiv::index::{
-    CollectionStats, Document, Dph, IndexBuilder, InvertedIndex, RankingModel, Retriever,
-    ScoredDoc, SearchEngine, ShardedIndex, StatsOverlay, TermStats,
+    CollectionStats, Document, IndexBuilder, InvertedIndex, Retriever, ScoredDoc, SearchEngine,
+    ShardedIndex, StatsOverlay, TermStats,
 };
 use serpdiv::text::TermId;
 use std::sync::Arc;
@@ -241,17 +239,14 @@ fn random_terms(rng: &mut StdRng, vocab: &[TermId]) -> Vec<TermId> {
 /// page, and more than the query can match.
 const KS: [usize; 4] = [1, 10, 100, 5000];
 
-fn assert_kernel_matches_oracle<M: RankingModel + Copy + Send + Sync>(
-    index: &InvertedIndex,
-    terms: &[TermId],
-    model: M,
-    context: &str,
-) -> bool {
-    let oracle = SearchEngine::with_model(index, model);
+/// The unsharded retriever against the oracle at every `k` of [`KS`];
+/// true when some score came out negative.
+fn assert_kernel_matches_oracle(index: &InvertedIndex, terms: &[TermId], context: &str) -> bool {
+    let oracle = SearchEngine::new(index);
     let mut negative = false;
     for k in KS {
         let expect = oracle.search_terms(terms, k);
-        let got = index.retrieve_terms_by(terms, k, &model, None);
+        let got = Retriever::retrieve_terms(index, terms, k);
         assert_bit_identical(&expect, &got, &format!("{context} {terms:?} k={k}"));
         negative |= got.iter().any(|h| h.score < 0.0);
     }
@@ -286,7 +281,7 @@ fn unsharded_retriever_is_bit_identical_to_the_oracle() {
         }
     }
 
-    // Skewed corpora of 50–3000 documents, both models.
+    // Skewed corpora of 50–3000 documents.
     let mut rng = StdRng::seed_from_u64(0x0dd5_eed5);
     let mut saw_negative_scores = false;
     for num_docs in [50, 400, 3000] {
@@ -294,14 +289,7 @@ fn unsharded_retriever_is_bit_identical_to_the_oracle() {
         for q in 0..40 {
             let terms = random_terms(&mut rng, &vocab);
             let context = format!("docs={num_docs} q#{q}");
-            saw_negative_scores |=
-                assert_kernel_matches_oracle(&index, &terms, Dph::new(), &format!("dph {context}"));
-            assert_kernel_matches_oracle(&index, &terms, Bm25::new(), &format!("bm25 {context}"));
-            assert_bit_identical(
-                &SearchEngine::new(&index).search_terms(&terms, 10),
-                &Retriever::retrieve_terms(&*index, &terms, 10),
-                &format!("trait {context}"),
-            );
+            saw_negative_scores |= assert_kernel_matches_oracle(&index, &terms, &context);
         }
     }
     assert!(
