@@ -4,7 +4,7 @@
 use crate::budget::Budget;
 use crate::cache::{CachedSerp, ShardedResultCache};
 use crate::generation::{
-    BackgroundMerger, Generation, GenerationArtifacts, GenerationHandle, GenerationId, PublishError,
+    Generation, GenerationArtifacts, GenerationHandle, GenerationId, PublishError,
 };
 use crate::metrics::{Degradation, MetricsSnapshot, ServeMetrics};
 use crate::request::{QueryRequest, RankedResult, SearchResponse, StageTimings};
@@ -22,7 +22,7 @@ use serpdiv_index::{
 };
 use serpdiv_text::TermId;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Deployment-time configuration of a [`SearchEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -437,7 +437,7 @@ impl SearchEngine {
         // the delta has no sealed id) and the union statistics: already
         // the vector the merged generation computes, a different function
         // than the one the table is keyed for, so they never enter a
-        // table; the delta is small and short-lived (the merger seals it).
+        // table; the delta is small and short-lived (a merge seals it).
         let compute = |doc: DocId| {
             Arc::new(if doc.index() >= sealed {
                 generation
@@ -520,9 +520,9 @@ impl SearchEngine {
 
     /// Pin the currently published serving [`Generation`]: one
     /// shared-mode pointer read plus an `Arc` clone. Requests do this
-    /// once per call to [`search`](Self::search); external readers (the
-    /// background merger, tests, oracles) pin once and read every artifact
-    /// through that pin, so no two reads can straddle a publish.
+    /// once per call to [`search`](Self::search); external readers (a
+    /// caller scheduling merges, tests, oracles) pin once and read every
+    /// artifact through that pin, so no two reads can straddle a publish.
     pub fn generation(&self) -> Arc<Generation> {
         self.generations.pin()
     }
@@ -562,6 +562,10 @@ impl SearchEngine {
     /// Only an in-process layer can be rebuilt: over a sealed retriever
     /// that fails [`DeltaRetriever::new`]'s overlay probe (a fleet router,
     /// say) the publish is refused, as [`ingest`](Self::ingest) is.
+    /// The shipped compiled store must hold a column for every
+    /// specialization of the kept model; a store compiled for another
+    /// model is refused as [`PublishError::Inconsistent`] rather than
+    /// published to score diversified pages over all-zero columns.
     pub fn publish_artifacts(
         &self,
         artifacts: &GenerationArtifacts,
@@ -579,6 +583,16 @@ impl SearchEngine {
                 None => None,
             };
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
+            let uncovered = current
+                .model()
+                .iter()
+                .flat_map(|entry| &entry.specializations)
+                .any(|(spec, _)| compiled.spec_id(spec).is_none());
+            if uncovered {
+                return Err(PublishError::Inconsistent(
+                    "compiled store does not cover the model's specializations",
+                ));
+            }
             Ok((index, forward, compiled))
         })();
         let (index, forward, compiled) =
@@ -601,23 +615,31 @@ impl SearchEngine {
     /// current delta's documents plus `docs`, retrieved through a
     /// [`DeltaRetriever`] that gathers the sealed collection and the
     /// delta side by side. Near-real-time semantics: the new documents
-    /// are searchable as soon as the publish lands; the background
-    /// merger (or an explicit [`merge_delta`](Self::merge_delta)) later
-    /// folds them into a sealed index bit-identical to a from-scratch
-    /// build.
+    /// are searchable as soon as the publish lands; the caller's
+    /// [`merge_delta`](Self::merge_delta), on whatever schedule it keeps,
+    /// later folds them into a sealed index bit-identical to a
+    /// from-scratch build.
     ///
     /// Both sides of that gather must score under the union statistics, so
     /// over a sealed retrieval layer that cannot (see
     /// [`Retriever::retrieve_terms_overlaid`]) the ingest is refused —
     /// [`PublishError::Inconsistent`], counted as a rejected swap, the old
     /// generation still serving — rather than published to serve pages
-    /// mixing two sets of statistics.
-    ///
-    /// # Panics
-    /// Panics when `docs` do not continue the generation's document id
-    /// space densely (delta ids must follow sealed + delta ids).
+    /// mixing two sets of statistics. Documents whose ids do not continue
+    /// the generation's document id space densely (sealed + delta ids,
+    /// then `docs` in order) are refused the same way.
     pub fn ingest(&self, docs: Vec<Document>) -> Result<GenerationId, PublishError> {
         let current = self.generations.pin();
+        let dense = docs
+            .iter()
+            .zip(current.num_docs()..)
+            .all(|(d, id)| d.id.index() == id);
+        if !dense {
+            self.metrics.record_swap_rejected();
+            return Err(PublishError::Inconsistent(
+                "ingested document ids do not continue the document id space densely",
+            ));
+        }
         let mut pending: Vec<Document> =
             current.delta().map_or_else(Vec::new, |d| d.docs().to_vec());
         pending.extend(docs);
@@ -663,14 +685,6 @@ impl SearchEngine {
     /// swap machinery under load without changing what is served.
     pub fn republish(&self) -> Result<GenerationId, PublishError> {
         self.publish(Arc::new(self.generations.pin().next()))
-    }
-
-    /// Start the background delta merger watching this engine: whenever
-    /// the published generation's delta holds at least `threshold`
-    /// documents, it is sealed via [`merge_delta`](Self::merge_delta).
-    /// Dropping the returned handle stops and joins the thread.
-    pub fn spawn_merger(self: &Arc<Self>, threshold: usize, poll: Duration) -> BackgroundMerger {
-        BackgroundMerger::spawn(self.clone(), threshold, poll)
     }
 
     /// The pre-built [`Diversifier`] for `kind` (trait objects are
@@ -723,6 +737,7 @@ mod tests {
     use super::*;
     use serpdiv_core::SpecializationEntry;
     use serpdiv_index::{Document, IndexBuilder, Retrieval};
+    use std::time::Duration;
 
     /// The two-interpretation "apple" world of the core framework tests.
     fn corpus() -> Vec<Document> {

@@ -558,54 +558,6 @@ pub struct GenerationArtifacts {
     pub compiled: Vec<u8>,
 }
 
-/// The background delta merger: a thread that watches the published
-/// generation and, whenever its delta has grown past a threshold, seals
-/// it with [`merge_delta`](crate::SearchEngine::merge_delta) — producing
-/// a merged index bit-identical to a from-scratch build — and publishes
-/// the successor. Dropping the handle stops and joins the thread.
-pub struct BackgroundMerger {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl BackgroundMerger {
-    pub(crate) fn spawn(
-        engine: Arc<crate::engine::SearchEngine>,
-        threshold: usize,
-        poll: std::time::Duration,
-    ) -> Self {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("serpdiv-merger".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let delta_len = engine.generation().delta().map_or(0, |d| d.len());
-                    if delta_len >= threshold.max(1) {
-                        // A lost publish race is not fatal: the delta is
-                        // still served, and the next poll retries.
-                        let _ = engine.merge_delta();
-                    }
-                    std::thread::sleep(poll);
-                }
-            })
-            .expect("failed to spawn background merger");
-        BackgroundMerger {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for BackgroundMerger {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

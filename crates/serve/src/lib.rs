@@ -130,11 +130,11 @@
 //! dropping, stalling, or tearing a single in-flight request. Fresh
 //! documents stream in through [`SearchEngine::ingest`]
 //! ([`DeltaIndex`](serpdiv_index::DeltaIndex) searched alongside the
-//! sealed shards) and are sealed by [`SearchEngine::merge_delta`] or the
-//! [`BackgroundMerger`] into an index bit-identical to a from-scratch
-//! build. Both caches key on content stamps the generation carries, not
-//! on its id, so a publish that changes nothing an entry read (every
-//! republish; for surrogates every ingest) costs no cache miss. See the
+//! sealed shards) and are sealed by [`SearchEngine::merge_delta`] into
+//! an index bit-identical to a from-scratch build. Both caches key on
+//! content stamps the generation carries, not on its id, so a publish
+//! that changes nothing an entry read (every republish; for surrogates
+//! every ingest) costs no cache miss. See the
 //! [`generation`] module docs for the full design, the
 //! validate-then-publish contract and the stamps' soundness argument.
 //!
@@ -164,7 +164,7 @@ pub use budget::Budget;
 pub use cache::{CacheKey, CacheStats, CachedSerp, ShardedResultCache};
 pub use engine::{EngineConfig, PresentationTable, SearchEngine};
 pub use generation::{
-    BackgroundMerger, Generation, GenerationArtifacts, GenerationHandle, GenerationId, PublishError,
+    Generation, GenerationArtifacts, GenerationHandle, GenerationId, PublishError,
 };
 pub use histogram::{LatencyHistogram, LatencyStats};
 pub use lru::LruCache;

@@ -136,10 +136,6 @@ impl JobQueue {
         }
     }
 
-    fn len(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
     fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
@@ -307,11 +303,6 @@ impl WorkerPool {
         out.into_iter()
             .map(|r| r.expect("a serving worker died before replying"))
             .collect()
-    }
-
-    /// Jobs currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 
     fn enqueue(&self, seq: usize, req: QueryRequest, reply: mpsc::Sender<(usize, SearchResponse)>) {
@@ -751,6 +742,11 @@ mod tests {
         (pool, gated)
     }
 
+    /// Jobs waiting in `pool`'s queue, read under the queue's lock.
+    fn waiting(pool: &WorkerPool) -> usize {
+        pool.queue.lock().jobs.len()
+    }
+
     fn reply(rx: &mpsc::Receiver<(usize, SearchResponse)>) -> SearchResponse {
         let (_, response) = rx
             .recv_timeout(REPLY_TIMEOUT)
@@ -771,7 +767,7 @@ mod tests {
             let response = reply(&rx);
             assert_eq!(response.results.len(), 2, "round trip {i}");
         }
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(waiting(&pool), 0);
     }
 
     #[test]
@@ -791,7 +787,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(waiting(&pool), 0);
         assert_eq!(shared.metrics().queue_waits, 16_000, "one pickup per job");
     }
 
@@ -804,7 +800,7 @@ mod tests {
             .iter()
             .map(|q| pool.submit(QueryRequest::new(q.clone(), 2, AlgorithmKind::Baseline)))
             .collect();
-        let queued = pool.queue_depth();
+        let queued = waiting(&pool);
         // Release before asserting anything: a panic with the worker still
         // in the gate would hang the pool's drop instead of failing.
         gate.release.wait();
@@ -814,7 +810,7 @@ mod tests {
             assert_eq!(&reply(rx).query, q);
         }
         assert_eq!(gate.served.lock().unwrap()[1..], queries[..]);
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(waiting(&pool), 0);
     }
 
     #[test]
@@ -843,7 +839,7 @@ mod tests {
                     .collect();
                 racers.into_iter().map(|r| r.join().unwrap()).collect()
             });
-            let queued = pool.queue_depth();
+            let queued = waiting(&pool);
             gate.release.wait();
             assert_eq!(queued, 4, "round {round}");
             reply(&gated);
@@ -898,11 +894,11 @@ mod tests {
                 let won = queue.push(job(), 4).is_ok();
                 await_count(&rival_done, w);
                 let winners = usize::from(won) + rival_wins.load(Ordering::Relaxed) - rival_before;
-                if (winners, queue.len()) != (1, 4) {
+                if (winners, queue.lock().jobs.len()) != (1, 4) {
                     // Let the rival run out before failing: a panic in
                     // here would leave the scope waiting on it forever.
                     wave.store(WAVES, Ordering::Release);
-                    return Some((w, winners, queue.len()));
+                    return Some((w, winners, queue.lock().jobs.len()));
                 }
                 drop(queue.pop());
             }

@@ -10,7 +10,8 @@
 //! * **delay-heavy** — short and over-budget shard delays (the sharded
 //!   index's `with_fault_injection` hook, fired inside the scoring
 //!   executor's tasks) under a per-request deadline budget, so requests
-//!   run slow and some degrade at the retrieve stage's edge;
+//!   run slow and some degrade at the retrieve stage's edge; the delays
+//!   must show in the retrieve stage's latency histogram;
 //! * **kill-heavy** — injected panics in shard-scoring tasks (the same
 //!   hook), re-raised on the pool worker that submitted them, all of which
 //!   must be *contained* (the pool answers `error (internal)` and keeps
@@ -485,6 +486,12 @@ fn delay_heavy_plan_degrades_at_stage_edges_and_recovers() {
             "every request accounted for"
         );
         assert_partition(&engine);
+        // The injected shard delays are attributed to the stage they ran
+        // in: the retrieve histogram saw at least one 8 ms wait.
+        assert!(
+            m.latency.retrieve.max_us >= 8_000,
+            "shard delays must land in the retrieve stage's histogram: {m:?}"
+        );
         // The delay storm pushed the bad-request rate far past the 2×
         // burn threshold in at least one evaluated window.
         assert!(

@@ -10,7 +10,9 @@
 //!   for the old generation's oracle;
 //! * corrupt or truncated artifacts are **rejected with a counted
 //!   `swap_rejected`** and the old generation keeps serving untouched;
-//! * a stale (non-advancing) generation id is refused;
+//! * a stale (non-advancing) generation id is refused, and so is a
+//!   bundle whose compiled store has no column for a specialization of
+//!   the model the engine keeps;
 //! * cache keys name what an entry was computed from (the generation's
 //!   content stamps): a republish keeps every cached page a hit, for any
 //!   number of idle swaps, while any swap that could change a byte of a
@@ -24,13 +26,14 @@
 //!   vector budget before live ones;
 //! * NRT ingest accumulates across generations and `merge_delta` seals
 //!   the delta into an index **bit-identical** to a from-scratch build;
+//!   documents whose ids do not continue the id space densely are a
+//!   counted rejection, not a panic;
 //! * a delta document's surrogate names its terms in the sealed
 //!   vocabulary's id space and is already the vector the merged
 //!   generation computes, so a `k < n` page does not move at the merge;
 //! * a query term first seen in the delta reaches only the delta's
 //!   surrogates: sealed candidates and the surrogate table's key read the
-//!   sealed vocabulary's share of the request's one analysis;
-//! * the [`BackgroundMerger`] seals a growing delta on its own.
+//!   sealed vocabulary's share of the request's one analysis.
 
 use serpdiv::core::{candidate_surrogate_naive, AlgorithmKind};
 use serpdiv::index::{
@@ -42,7 +45,7 @@ use serpdiv::serve::{
     QueryRequest, SearchEngine,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn base_docs() -> Vec<Document> {
     let mut docs = Vec::new();
@@ -253,6 +256,51 @@ fn stale_artifact_ids_are_refused() {
         other => panic!("expected Stale, got {other:?}"),
     }
     assert_eq!(engine.metrics().swap_rejected, 1);
+}
+
+#[test]
+fn a_compiled_store_that_misses_a_model_specialization_is_refused() {
+    let engine = deploy(&base_docs(), 0);
+    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let oracle = engine.search(request());
+    assert!(oracle.diversified);
+
+    // A store compiled for a model whose specializations are named
+    // differently: it decodes cleanly, but the kept model's columns
+    // would all be zero.
+    let compiled_for = |json: &str| {
+        let model = Arc::new(from_json(json).unwrap());
+        let other = SearchEngine::deploy(build_index(&base_docs()), model, config(0));
+        other.generation().compiled().to_bytes()
+    };
+    let torn = GenerationArtifacts {
+        compiled: compiled_for(
+            r#"{"entries":{"apple":{"query":"apple","specializations":[["apple phone",0.6],["apple orchard",0.4]]}}}"#,
+        ),
+        ..artifacts_for(&engine, &base_docs(), 2)
+    };
+    match engine.publish_artifacts(&torn) {
+        Err(PublishError::Inconsistent(_)) => {}
+        other => panic!("expected an inconsistency rejection, got {other:?}"),
+    }
+    assert_eq!(engine.current_generation_id(), 1, "swapped anyway");
+    let after = engine.search(request());
+    assert_eq!(page_bits(&oracle), page_bits(&after));
+    assert_eq!(oracle.results, after.results);
+    let m = engine.metrics();
+    assert_eq!((m.swaps, m.swap_rejected), (0, 1));
+
+    // A store covering the model and more besides is accepted.
+    let superset = GenerationArtifacts {
+        compiled: compiled_for(
+            r#"{"entries":{
+                "apple":{"query":"apple","specializations":[["apple iphone",0.6],["apple fruit",0.4]]},
+                "storm":{"query":"storm","specializations":[["storm warning",1.0]]}}}"#,
+        ),
+        ..artifacts_for(&engine, &base_docs(), 2)
+    };
+    assert_eq!(engine.publish_artifacts(&superset).unwrap(), 2);
+    assert_eq!(page_bits(&engine.search(request())), page_bits(&oracle));
 }
 
 #[test]
@@ -783,6 +831,38 @@ fn an_orphaned_table_is_evicted_before_a_live_one() {
 }
 
 #[test]
+fn ingest_refuses_ids_that_do_not_continue_the_id_space() {
+    let engine = deploy(&base_docs(), 0);
+    let mut reversed = storm_docs(12..14);
+    reversed.reverse();
+    let cases = [
+        ("gap after the sealed base", storm_docs(13..15)),
+        ("overlap with the sealed base", storm_docs(11..13)),
+        ("out of order", reversed),
+    ];
+    for (what, docs) in cases {
+        match engine.ingest(docs) {
+            Err(PublishError::Inconsistent(_)) => {}
+            other => panic!("{what}: expected an inconsistency rejection, got {other:?}"),
+        }
+        assert_eq!(engine.current_generation_id(), 1, "{what}: swapped anyway");
+    }
+    let m = engine.metrics();
+    assert_eq!((m.swaps, m.swap_rejected), (0, 3));
+
+    // Over a delta, ids continue after the delta's documents.
+    engine.ingest(storm_docs(12..14)).unwrap();
+    assert!(matches!(
+        engine.ingest(storm_docs(12..14)),
+        Err(PublishError::Inconsistent(_))
+    ));
+    engine.ingest(storm_docs(14..16)).unwrap();
+    assert_eq!(engine.generation().delta().unwrap().len(), 4);
+    let m = engine.metrics();
+    assert_eq!((m.swaps, m.swap_rejected), (2, 4));
+}
+
+#[test]
 fn ingest_accumulates_and_merge_matches_a_from_scratch_build() {
     let engine = deploy(&base_docs(), 0);
     engine.ingest(storm_docs(12..14)).unwrap();
@@ -812,37 +892,4 @@ fn ingest_accumulates_and_merge_matches_a_from_scratch_build() {
     let merged = engine.search(QueryRequest::new("storm", 4, AlgorithmKind::Baseline));
     let want = oracle.search(QueryRequest::new("storm", 4, AlgorithmKind::Baseline));
     assert_eq!(merged.results, want.results);
-}
-
-#[test]
-fn background_merger_seals_a_growing_delta() {
-    let engine = deploy(&base_docs(), 0);
-    let merger = engine.spawn_merger(3, Duration::from_millis(5));
-
-    // Below threshold: the delta stays live.
-    engine.ingest(storm_docs(12..14)).unwrap();
-    std::thread::sleep(Duration::from_millis(40));
-    assert!(
-        engine.generation().delta().is_some(),
-        "2 docs < threshold 3: no merge yet"
-    );
-
-    // Crossing the threshold: the merger seals it.
-    engine.ingest(storm_docs(14..16)).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while engine.generation().delta().is_some() {
-        assert!(Instant::now() < deadline, "merger never sealed the delta");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    drop(merger); // stops and joins
-
-    let mut full = base_docs();
-    full.extend(storm_docs(12..16));
-    assert_eq!(
-        engine.generation().index().to_bytes(),
-        build_index(&full).to_bytes()
-    );
-    let out = engine.search(QueryRequest::new("storm", 4, AlgorithmKind::Baseline));
-    assert_eq!(out.results.len(), 4);
-    assert!(engine.metrics().swaps >= 3, "two ingests + one merge");
 }
