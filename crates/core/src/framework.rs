@@ -183,12 +183,14 @@ impl SpecializationStore {
     }
 
     /// [`build_with`](Self::build_with) for a caller holding nothing but
-    /// the reference engine: compiles a [`ForwardIndex`] of its own and
-    /// retrieves through the engine's index — the DPH retrieval kernel,
-    /// bit-identical to [`SearchEngine::new`]'s scoring — so `engine`
-    /// only supplies its index. The engine's ranking model is ignored: an
-    /// engine built with [`SearchEngine::with_model`] still yields a DPH
-    /// store. Uses the available cores like `build_with`, with the same
+    /// the reference engine: takes the index's [`ForwardIndex`] (compiled
+    /// by the first [`ForwardIndex::build`] over that index and kept by
+    /// it, so a later caller shares these arrays instead of compiling
+    /// again) and retrieves through the engine's index — the DPH
+    /// retrieval kernel, bit-identical to [`SearchEngine::new`]'s scoring
+    /// — so `engine` only supplies its index. The engine's ranking model
+    /// is ignored: an engine built with [`SearchEngine::with_model`] still
+    /// yields a DPH store. Uses the available cores like `build_with`, with the same
     /// store for any core count.
     pub fn build(
         model: &SpecializationModel,

@@ -26,7 +26,7 @@ use crate::document::{DocId, Document, DocumentStore};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use serpdiv_text::{Analyzer, TermId, Tokenizer, Vocabulary};
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Builder for an [`InvertedIndex`].
 #[derive(Debug)]
@@ -53,8 +53,44 @@ pub struct IndexBuilder {
 /// memo is only as valid as the vocabulary its ids came from, so each
 /// build owns one and drops it with the build; there is no shared or
 /// static cache.
+///
+/// A flat open-addressing table: the keys are ranges of one string arena
+/// and each slot carries its key's hash and length, so a probe compares
+/// two integers before it reads any key bytes, and no key is a heap
+/// allocation of its own. The hash is a multiplicative one over 8-byte
+/// words; the table doubles at half load, so a miss ends within a few
+/// slots. Its keys are the tokens of the documents being indexed, never
+/// a query's: documents crafted to collide slow only their own build.
 #[derive(Debug, Default)]
-pub(crate) struct TokenMemo(HashMap<String, Option<TermId>>);
+pub(crate) struct TokenMemo {
+    /// Every distinct token met, back to back.
+    arena: String,
+    /// Power-of-two many slots (none before the first insert).
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The high 32 bits of the key's hash.
+    hash: u32,
+    /// The key is `arena[start..start + len]`; [`Slot::EMPTY`] marks a
+    /// free slot.
+    start: u32,
+    len: u32,
+    /// The term id, or [`Slot::NO_TERM`] for `None`.
+    id: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        hash: 0,
+        start: 0,
+        len: u32::MAX,
+        id: 0,
+    };
+    const NO_TERM: u32 = u32::MAX;
+}
 
 impl TokenMemo {
     /// The term id of `token`, calling `analyze` only the first time this
@@ -64,13 +100,100 @@ impl TokenMemo {
         token: &str,
         analyze: impl FnOnce(&str) -> Option<TermId>,
     ) -> Option<TermId> {
-        if let Some(&id) = self.0.get(token) {
-            return id;
+        if self.len * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let hash = token_hash(token.as_bytes());
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot.len == Slot::EMPTY.len {
+                break;
+            }
+            if slot.hash == hash
+                && slot.len as usize == token.len()
+                && &self.arena[slot.start as usize..][..token.len()] == token
+            {
+                return (slot.id != Slot::NO_TERM).then_some(TermId(slot.id));
+            }
+            i = (i + 1) & mask;
         }
         let id = analyze(token);
-        self.0.insert(token.to_owned(), id);
+        // Both casts below are in range once the arena's end is.
+        u32::try_from(self.arena.len() + token.len()).expect("token memo arena exceeds u32");
+        let start = self.arena.len() as u32;
+        self.arena.push_str(token);
+        let id_bits = id.map_or(Slot::NO_TERM, |t| t.0);
+        assert!(
+            id.is_none() || id_bits != Slot::NO_TERM,
+            "term id {id_bits} is the memo's sentinel"
+        );
+        self.slots[i] = Slot {
+            hash,
+            start,
+            len: token.len() as u32,
+            id: id_bits,
+        };
+        self.len += 1;
         id
     }
+
+    /// The first slot `hash` probes: its top bits, as many as the table
+    /// has index bits.
+    fn home(&self, hash: u32) -> usize {
+        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Double the table (1024 slots at first) and re-seat every entry by
+    /// its stored hash.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(1024);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; cap]);
+        let mask = cap - 1;
+        for slot in old.into_iter().filter(|s| s.len != Slot::EMPTY.len) {
+            let mut i = self.home(slot.hash);
+            while self.slots[i].len != Slot::EMPTY.len {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+}
+
+/// Multiplicative hash of `bytes`: the length, then each 8-byte
+/// little-endian word but the last, then a final word, are each folded in
+/// and multiplied by an odd constant. The final word overlaps the one
+/// before it rather than being zero-padded, and a key under 8 bytes is
+/// read as two overlapping 4-byte words (under 4, its first, middle and
+/// last byte), so every byte is read without a copy. One last fold of the
+/// high half into the low spreads a difference in a word's top byte; the
+/// high half is the best-mixed, so it is what the memo keeps.
+fn token_hash(bytes: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let n = bytes.len();
+    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+    let half = |i: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[i..i + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    let mut h = (n as u64).wrapping_mul(K);
+    let last = match n {
+        0 => 0,
+        1..=3 => u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16,
+        4..=7 => half(0) | half(n - 4) << 32,
+        _ => {
+            let mut i = 0;
+            while i + 8 < n {
+                h = (h.rotate_left(26) ^ word(i)).wrapping_mul(K);
+                i += 8;
+            }
+            word(n - 8)
+        }
+    };
+    h = (h.rotate_left(26) ^ last).wrapping_mul(K);
+    ((h ^ (h >> 32)).wrapping_mul(K) >> 32) as u32
 }
 
 /// What a builder freezes into: the postings, lengths and statistics of
@@ -220,6 +343,7 @@ impl IndexBuilder {
             term_stats: segment.term_stats,
             doc_lens: segment.doc_lens,
             store,
+            forward: OnceLock::new(),
         }
     }
 }
@@ -266,6 +390,31 @@ mod tests {
         let p: Vec<_> = idx.postings(cat).unwrap().iter().collect();
         assert_eq!(p[0].tf, 3);
         assert_eq!(p[0].doc, DocId(0));
+    }
+
+    #[test]
+    fn token_memo_holds_any_token_across_growth() {
+        // Short and long, ASCII and not (a 20-character token of 'ẞ' is
+        // 60 bytes), tokens sharing a long prefix or differing only past
+        // the first 8-byte word, and enough of them to grow the table
+        // several times.
+        let mut tokens: Vec<String> = vec!["a".into(), "ẞ".repeat(20), "ünïcödé".into()];
+        tokens.extend((0..5000).map(|i| format!("prefixword{i}")));
+        tokens.extend((0..5000).map(|i| format!("{i}ß")));
+        let mut memo = TokenMemo::default();
+        let id = |i: usize| (!i.is_multiple_of(3)).then_some(TermId(i as u32));
+        for pass in 0..2 {
+            for (i, token) in tokens.iter().enumerate() {
+                let mut calls = 0;
+                let got = memo.resolve(token, |raw| {
+                    assert_eq!(raw, token);
+                    calls += 1;
+                    id(i)
+                });
+                assert_eq!(got, id(i), "{token:?}");
+                assert_eq!(calls, usize::from(pass == 0), "{token:?} analyzed once");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::sharded::merge_top_k;
 use crate::snippet::SnippetGenerator;
 use crate::vector::SparseVector;
 use serpdiv_text::{Analyzer, TermId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable index over documents ingested since the collection was
 /// last sealed, in the id space of the index they will be merged into:
@@ -346,6 +346,7 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
         doc_lens,
         store,
         stats: delta.overlay.coll(),
+        forward: OnceLock::new(),
     }
 }
 

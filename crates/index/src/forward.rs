@@ -25,12 +25,20 @@
 //! *analyzed* once per range: a range keeps a memo from raw token to term
 //! id (or to "nothing": stopword or unknown term), shared by its bodies
 //! and titles, and runs the pipeline's stopword and stem step only on a
-//! token it has not met. The memo lives for one [`ForwardIndex::build`]
-//! call and is dropped with it, since its ids are that index's
-//! vocabulary's. A token is its own tokenization, so each memo entry
-//! equals `analyze(raw).first()` looked up in the vocabulary — the
-//! per-raw-token normalization of the text oracle — and the index is the
-//! same bytes whatever the number of ranges.
+//! token it has not met. The memo lives for one compile and is dropped
+//! with it, since its ids are that index's vocabulary's. A token is its
+//! own tokenization, so each memo entry equals `analyze(raw).first()`
+//! looked up in the vocabulary — the per-raw-token normalization of the
+//! text oracle — and the index is the same bytes whatever the number of
+//! ranges.
+//!
+//! A sealed index is compiled once. The [`InvertedIndex`] keeps the
+//! first [`ForwardIndex::build`]'s result, and every later call on that
+//! index returns it: the §4.1 store build, the serving generation and
+//! anyone else who asks share one set of arrays, since a `ForwardIndex`
+//! is one [`Arc`] around them and a clone copies no token. An index
+//! decoded from bytes or sealed by a merge is a new index and compiles
+//! on its first call.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
@@ -67,6 +75,7 @@ use crate::reader::{ByteReader, ByteWriter};
 use crate::serialize::DecodeError;
 use crate::vector::{idf_weight, tf_idf_weight, SparseVector};
 use serpdiv_text::{Analyzer, TermId, Tokenizer};
+use std::sync::Arc;
 
 /// Sentinel marking a body position whose raw token analyzed to nothing
 /// usable (stopword, or out-of-vocabulary). Kept in the stream so window
@@ -80,11 +89,16 @@ const VERSION: u32 = 1;
 ///
 /// One flat `TermId` stream holds every document body (offset-indexed),
 /// one flat `(term, tf)` list holds every title vector, and a dense table
-/// caches the per-term IDF weight. Built once from an [`InvertedIndex`]
+/// caches the per-term IDF weight. Compiled once per [`InvertedIndex`]
 /// through the one analysis pipeline the snippet generator runs too, then
-/// shared immutably by all serving threads.
+/// shared immutably by all serving threads. The arrays sit behind one
+/// [`Arc`]: a clone costs a reference count, and clones share storage.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ForwardIndex {
+pub struct ForwardIndex(Arc<Arrays>);
+
+/// The compiled arrays a [`ForwardIndex`] shares.
+#[derive(Debug, PartialEq)]
+struct Arrays {
     /// Concatenated per-document body token streams ([`STOP`] sentinels
     /// preserve raw positions).
     tokens: Vec<u32>,
@@ -101,16 +115,23 @@ pub struct ForwardIndex {
 }
 
 impl ForwardIndex {
-    /// Compile the forward index from `index`: tokenize each document
-    /// body once, precompute title term frequencies and per-term IDF
-    /// weights. This is an offline deployment step (one full pass over the
-    /// document store) that uses the available cores: contiguous doc-id
-    /// ranges, one per core, compile concurrently, each analyzing each
-    /// distinct raw token once, into disjoint parts of the final arrays —
-    /// so the index is byte-identical for any core count.
+    /// The forward index of `index`: each document body tokenized once,
+    /// title term frequencies and per-term IDF weights precomputed. The
+    /// first call on an index compiles it — an offline deployment step
+    /// (one full pass over the document store) that uses the available
+    /// cores: contiguous doc-id ranges, one per core, compile
+    /// concurrently, each analyzing each distinct raw token once, into
+    /// disjoint parts of the final arrays, so the result is byte-identical
+    /// for any core count. `index` keeps that result, and every later
+    /// call returns a clone sharing its arrays.
     pub fn build(index: &InvertedIndex) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::build_chunked(index, cores)
+        index
+            .forward
+            .get_or_init(|| {
+                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+                Self::build_chunked(index, cores)
+            })
+            .clone()
     }
 
     /// [`build`](Self::build) over `chunks` contiguous doc-id ranges (at
@@ -227,43 +248,45 @@ impl ForwardIndex {
             .map(|t| idf_weight(num_docs, index.term_stats(TermId(t as u32))))
             .collect();
 
-        ForwardIndex {
+        ForwardIndex(Arc::new(Arrays {
             tokens,
             offsets,
             title_terms,
             title_offsets,
             idf,
-        }
+        }))
     }
 
     /// Number of compiled documents.
     pub fn num_docs(&self) -> usize {
-        self.offsets.len() - 1
+        self.0.offsets.len() - 1
     }
 
     /// The compiled body token stream of `doc` (empty for unknown docs).
     pub fn doc_tokens(&self, doc: DocId) -> &[u32] {
+        let a = &*self.0;
         let i = doc.index();
-        if i + 1 >= self.offsets.len() {
+        if i + 1 >= a.offsets.len() {
             return &[];
         }
-        &self.tokens[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &a.tokens[a.offsets[i] as usize..a.offsets[i + 1] as usize]
     }
 
     /// The precomputed title `(term, tf)` entries of `doc`, sorted by
     /// term id (empty for unknown docs).
     pub fn title_tf(&self, doc: DocId) -> &[(u32, u32)] {
+        let a = &*self.0;
         let i = doc.index();
-        if i + 1 >= self.title_offsets.len() {
+        if i + 1 >= a.title_offsets.len() {
             return &[];
         }
-        &self.title_terms[self.title_offsets[i] as usize..self.title_offsets[i + 1] as usize]
+        &a.title_terms[a.title_offsets[i] as usize..a.title_offsets[i + 1] as usize]
     }
 
     /// The cached IDF weight `ln(1 + N/df)` of `term` (0 for unknown
     /// terms — they cannot occur in a compiled stream anyway).
     pub fn idf(&self, term: TermId) -> f32 {
-        self.idf.get(term.index()).copied().unwrap_or(0.0)
+        self.0.idf.get(term.index()).copied().unwrap_or(0.0)
     }
 
     /// Select the query-biased window of `doc`'s body: the `(start, len)`
@@ -322,39 +345,42 @@ impl ForwardIndex {
                 tf += title[j].1;
                 j += 1;
             }
-            pairs.push((TermId(term), tf_idf_weight(tf, self.idf[term as usize])));
+            pairs.push((TermId(term), tf_idf_weight(tf, self.0.idf[term as usize])));
         }
         SparseVector::from_sorted_pairs(pairs)
     }
 
-    /// Approximate in-memory footprint in bytes (reported by the benches
-    /// next to the index and compiled-store footprints).
+    /// Approximate in-memory footprint in bytes of the shared arrays
+    /// (reported by the benches next to the index and compiled-store
+    /// footprints); clones share them, so count them once.
     pub fn byte_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.tokens.len() * std::mem::size_of::<u32>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.title_terms.len() * std::mem::size_of::<(u32, u32)>()
-            + self.title_offsets.len() * std::mem::size_of::<u32>()
-            + self.idf.len() * std::mem::size_of::<f32>()
+        let a = &*self.0;
+        std::mem::size_of::<Arrays>()
+            + a.tokens.len() * std::mem::size_of::<u32>()
+            + a.offsets.len() * std::mem::size_of::<u32>()
+            + a.title_terms.len() * std::mem::size_of::<(u32, u32)>()
+            + a.title_offsets.len() * std::mem::size_of::<u32>()
+            + a.idf.len() * std::mem::size_of::<f32>()
     }
 
     /// Serialize to a binary buffer (deploy-time artifact, loaded next to
     /// the inverted index — see [`crate::serialize`] for the index side).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let a = &*self.0;
         let mut w = ByteWriter::new();
         w.header(MAGIC, VERSION);
         w.count(self.num_docs());
-        w.u32s(&self.offsets);
-        w.count(self.tokens.len());
-        w.u32s(&self.tokens);
-        w.u32s(&self.title_offsets);
-        w.count(self.title_terms.len());
-        for &(t, tf) in &self.title_terms {
+        w.u32s(&a.offsets);
+        w.count(a.tokens.len());
+        w.u32s(&a.tokens);
+        w.u32s(&a.title_offsets);
+        w.count(a.title_terms.len());
+        for &(t, tf) in &a.title_terms {
             w.u32(t);
             w.u32(tf);
         }
-        w.count(self.idf.len());
-        for &weight in &self.idf {
+        w.count(a.idf.len());
+        for &weight in &a.idf {
             w.u32(weight.to_bits());
         }
         w.finish()
@@ -424,13 +450,13 @@ impl ForwardIndex {
         )?;
         check(idf.iter().all(|w| w.is_finite() && *w >= 0.0), "idf table")?;
 
-        Ok(ForwardIndex {
+        Ok(ForwardIndex(Arc::new(Arrays {
             tokens,
             offsets,
             title_terms,
             title_offsets,
             idf,
-        })
+        })))
     }
 }
 
@@ -742,6 +768,30 @@ mod tests {
         let empty = IndexBuilder::new().build();
         for chunks in [1, 2, 3] {
             assert_eq!(ForwardIndex::build_chunked(&empty, chunks).num_docs(), 0);
+        }
+    }
+
+    #[test]
+    fn an_index_compiles_its_forward_view_once() {
+        let index = build_world();
+        let first = ForwardIndex::build(&index);
+        let again = ForwardIndex::build(&index);
+        let tokens = first.doc_tokens(DocId(0));
+        assert!(!tokens.is_empty());
+        assert!(
+            std::ptr::eq(tokens, again.doc_tokens(DocId(0))),
+            "one compile, shared"
+        );
+        assert!(std::ptr::eq(tokens, first.clone().doc_tokens(DocId(0))));
+
+        // A second index with the same documents compiles its own.
+        let other = build_world();
+        let theirs = ForwardIndex::build(&other);
+        assert!(!std::ptr::eq(tokens, theirs.doc_tokens(DocId(0))));
+
+        for f in [&first, &again, &theirs] {
+            assert_eq!(*f, ForwardIndex::build_chunked(&index, 1));
+            assert_eq!(ForwardIndex::from_bytes(&f.to_bytes()).unwrap(), *f);
         }
     }
 

@@ -6,8 +6,10 @@
 //! [`Retriever`](crate::retriever::Retriever)) through the postings.
 
 use crate::document::{DocId, DocumentStore};
+use crate::forward::ForwardIndex;
 use crate::postings::PostingsList;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
+use std::sync::OnceLock;
 
 /// Global statistics of the indexed collection, needed by the ranking model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +100,10 @@ pub struct InvertedIndex {
     pub(crate) doc_lens: Vec<u32>,
     pub(crate) store: DocumentStore,
     pub(crate) stats: CollectionStats,
+    /// The compiled forward view, filled by the first
+    /// [`ForwardIndex::build`] over this index (empty in every index a
+    /// builder, a decoder or a merge makes).
+    pub(crate) forward: OnceLock<ForwardIndex>,
 }
 
 impl InvertedIndex {

@@ -22,6 +22,7 @@ use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::reader::{ByteReader, ByteWriter};
 use serpdiv_text::Vocabulary;
+use std::sync::OnceLock;
 
 const MAGIC: u32 = 0x5E9D_1F01;
 const VERSION: u32 = 1;
@@ -175,6 +176,7 @@ impl InvertedIndex {
             doc_lens,
             store,
             stats: CollectionStats::of(num_docs, num_tokens),
+            forward: OnceLock::new(),
         })
     }
 }

@@ -161,10 +161,11 @@ impl SearchEngine {
     /// (one kernel retrieval per distinct specialization in `model`, each
     /// hit's surrogate through the function the request path uses),
     /// compile the store into the inverted utility index, and start with
-    /// empty caches at generation 1. The forward index is kept for serving
-    /// only when [`EngineConfig::forward_index`] is set. Builds the
-    /// retrieval layer from [`EngineConfig::index_shards`]: the plain
-    /// index at 1, a [`ShardedIndex`] otherwise — backed by a fresh
+    /// empty caches at generation 1. The forward index serves surrogates
+    /// only when [`EngineConfig::forward_index`] is set; `index` keeps
+    /// its compiled arrays either way (see [`ForwardIndex::build`]).
+    /// Builds the retrieval layer from [`EngineConfig::index_shards`]: the
+    /// plain index at 1, a [`ShardedIndex`] otherwise — backed by a fresh
     /// persistent [`ScoringExecutor`] when
     /// [`EngineConfig::executor_threads`] is set. With one shard there is
     /// nothing to scatter, so `executor_threads` is normalized to 0 in the

@@ -28,15 +28,48 @@ impl Tokenizer {
     /// This is the one tokenization loop; [`tokenize`] collects what it
     /// yields. It allocates nothing per token: a run that is already
     /// lowercase ASCII is handed to `f` as a slice of `text`, any other
-    /// run is lowercased into one buffer reused for the whole call. Lowercasing can expand a character into several code points,
+    /// run is lowercased into one buffer reused for the whole call.
+    /// Lowercasing can expand a character into several code points,
     /// some of them combining marks (`'İ'` → `i` + U+0307); only the
     /// alphanumeric ones are kept, so a token is its own tokenization.
+    ///
+    /// An ASCII text (most of a web collection) is split byte by byte:
+    /// there a character is a byte and lowercasing maps one byte to one,
+    /// so a run's length in bytes is its length in characters.
     pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+        let mut buf = String::new();
+        if text.is_ascii() {
+            let bytes = text.as_bytes();
+            let class = |i: usize| BYTE_CLASS[usize::from(bytes[i])];
+            let mut i = 0;
+            while i < bytes.len() {
+                while i < bytes.len() && class(i) == SEPARATOR {
+                    i += 1;
+                }
+                let start = i;
+                let mut seen = SEPARATOR;
+                while i < bytes.len() && class(i) != SEPARATOR {
+                    seen |= class(i);
+                    i += 1;
+                }
+                if (Self::MIN_TOKEN_LEN..=Self::MAX_TOKEN_LEN).contains(&(i - start)) {
+                    let run = &text[start..i];
+                    if seen & UPPER != 0 {
+                        buf.clear();
+                        buf.push_str(run);
+                        buf.make_ascii_lowercase();
+                        f(&buf);
+                    } else {
+                        f(run);
+                    }
+                }
+            }
+            return;
+        }
         // The current run is `text[start..]` while it is plain lowercase
         // ASCII, and `buf` once it met any other character.
         let mut start: Option<usize> = None;
         let mut lowered = false;
-        let mut buf = String::new();
         let mut chars = 0usize;
         // A trailing separator flushes the last run.
         for (i, ch) in text
@@ -75,6 +108,26 @@ impl Tokenizer {
         }
     }
 }
+
+/// Classes of an ASCII byte for the byte loop of
+/// [`Tokenizer::for_each_token`]: one table load per byte instead of the
+/// range tests of `is_ascii_alphanumeric` and `is_ascii_uppercase`.
+const SEPARATOR: u8 = 0;
+const LOWER_OR_DIGIT: u8 = 1;
+const UPPER: u8 = 2;
+static BYTE_CLASS: [u8; 256] = {
+    let mut table = [SEPARATOR; 256];
+    let mut b = 0u8;
+    while b < 128 {
+        if b.is_ascii_lowercase() || b.is_ascii_digit() {
+            table[b as usize] = LOWER_OR_DIGIT;
+        } else if b.is_ascii_uppercase() {
+            table[b as usize] = UPPER;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Tokenize `text` into a fresh vector.
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -161,7 +214,31 @@ mod tests {
         for n in Tokenizer::MAX_TOKEN_LEN - 1..=Tokenizer::MAX_TOKEN_LEN + 1 {
             let run = "a".repeat(n - 1);
             strings.extend([format!("{run}a"), format!("{run}İ-"), format!("Z{run} ẞ")]);
+            // Pure ASCII, so split by the byte loop: a run that starts
+            // uppercase, mixes case and ends in a digit, alone and
+            // between separators.
+            let mixed: String = (0..n - 1)
+                .map(|i| if i % 3 == 0 { 'Q' } else { 'x' })
+                .chain(std::iter::once('9'))
+                .collect();
+            assert!(mixed.starts_with('Q') && mixed.len() == n);
+            strings.extend([mixed.clone(), format!("-{mixed} ok,{mixed}")]);
         }
+        // Every ASCII byte, as a separator or inside a run.
+        strings.extend(
+            (0..128u8)
+                .map(char::from)
+                .map(|c| format!("a{c}B{c}{c}9{c}")),
+        );
+        // A long ASCII text with one non-ASCII character at its very end
+        // takes the character loop for the whole text.
+        let ascii: String = (0..200)
+            .map(|i| ["Web", "TRACK", "2009", "a1B2", "--", " "][i % 6])
+            .collect();
+        strings.extend([
+            format!("{ascii} {} é", "Xy7".repeat(7)),
+            format!("{ascii}É"),
+        ]);
         for s in &strings {
             assert_eq!(tokenize(s), reference(s), "{s:?}");
         }
