@@ -183,10 +183,11 @@ impl SpecializationStore {
     }
 
     /// [`build_with`](Self::build_with) for a caller holding nothing but
-    /// the reference engine: takes the index's [`ForwardIndex`] (compiled
-    /// by the first [`ForwardIndex::build`] over that index and kept by
-    /// it, so a later caller shares these arrays instead of compiling
-    /// again) and retrieves through the engine's index — the DPH
+    /// the reference engine: takes the index's [`ForwardIndex`] (written
+    /// by the index build, or compiled by the first
+    /// [`ForwardIndex::build`] over a decoded index, and kept by the
+    /// index either way, so every caller shares these arrays) and
+    /// retrieves through the engine's index — the DPH
     /// retrieval kernel, bit-identical to [`SearchEngine::new`]'s scoring
     /// — so `engine` only supplies its index. The engine's ranking model
     /// is ignored: an engine built with [`SearchEngine::with_model`] still

@@ -1,32 +1,53 @@
 //! Index construction.
 //!
-//! The builder accumulates per-term document/frequency pairs in memory and
-//! freezes them into compressed [`PostingsList`]s, analyzing text with the
-//! one [`Analyzer`] pipeline that query-time processing runs too.
+//! The builder holds the documents it is given and, when it freezes,
+//! reads each one's text once: it tokenizes the title and body, resolves
+//! every raw token to a term id through the one [`Analyzer`] pipeline
+//! that query-time processing runs too, and from that one pass writes
+//! both the compressed [`PostingsList`]s and the rows of the compiled
+//! forward view ([`ForwardIndex`]) — each body as a term-id stream,
+//! each title as `(term, tf)` entries. [`IndexBuilder::build`] puts those
+//! rows, with the IDF table of the frozen statistics, into the
+//! [`InvertedIndex`] it makes, so no later step tokenizes a body again.
 //!
-//! Each distinct raw token is analyzed once per build, not once per
+//! Each distinct raw token is analyzed once per pass, not once per
 //! occurrence: a web collection repeats a small vocabulary millions of
-//! times, so the builder keeps a `TokenMemo` from raw token to term id
-//! and runs the pipeline's stopword and stem step
+//! times, so a pass keeps a `TokenMemo` from raw token to term id and
+//! runs the pipeline's stopword and stem step
 //! ([`Analyzer::analyze_token`]) only on a token it has not met. The memo
-//! belongs to one builder and is dropped when the builder freezes; the
-//! ids it holds are that builder's vocabulary's, so nothing outlives the
-//! build. What the builder interns is what [`Analyzer::analyze_interned`]
-//! of each document's full text would intern, in the same order.
+//! belongs to one pass and is dropped with it; the ids it holds are that
+//! pass's vocabulary's, so nothing outlives the build.
+//!
+//! The pass is split over contiguous doc-id ranges, at most one per
+//! available core and none under `MIN_RANGE_DOCS` documents (so a small
+//! ingest starts no thread). The first range interns into the builder's
+//! own vocabulary, every later one into a vocabulary of its own; the
+//! ranges are then merged in order — each range's terms interned into
+//! the builder's vocabulary, its rows remapped into exact-size final
+//! arrays, its documents' `(term, tf)` entries appended to the postings
+//! lists the first range counted into — so the ids, the postings and the
+//! rows are the bytes one sequential pass writes: what
+//! [`Analyzer::analyze_interned`] of each document's full text would
+//! intern, in the same order.
 //!
 //! There is one builder for both ways an index grows. [`IndexBuilder::new`]
 //! starts an empty collection; the crate-private `extending` starts from
 //! a sealed index — a copy of its vocabulary, the next free
 //! document id — so the documents a [`DeltaIndex`](crate::delta::DeltaIndex)
-//! holds are interned, counted and encoded by the very loop that would
-//! have indexed them in a from-scratch build, under the term ids that
-//! build would have assigned.
+//! holds are interned, counted, encoded and written to forward rows by
+//! the very loop that would have indexed them in a from-scratch build,
+//! under the term ids that build would have assigned.
 
 use crate::document::{DocId, Document, DocumentStore};
+use crate::forward::{ForwardIndex, Rows, STOP};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
-use serpdiv_text::{Analyzer, TermId, Tokenizer, Vocabulary};
+use serpdiv_text::{Analyzer, TermId, Vocabulary};
 use std::sync::OnceLock;
+
+/// The fewest documents a doc-id range of the build's text pass holds:
+/// below twice this many, the pass runs on the calling thread alone.
+const MIN_RANGE_DOCS: usize = 2048;
 
 /// Builder for an [`InvertedIndex`].
 #[derive(Debug)]
@@ -36,22 +57,14 @@ pub struct IndexBuilder {
     /// sealed collection it extends.
     first_doc: u32,
     docs: Vec<Document>,
-    /// Per-term `(doc, tf)` accumulators; docs arrive in increasing order
-    /// because documents are added sequentially.
-    accum: Vec<Vec<(u32, u32)>>,
-    doc_lens: Vec<u32>,
-    num_tokens: u64,
-    memo: TokenMemo,
-    /// Reused per-document term list (workhorse collection).
-    terms: Vec<TermId>,
 }
 
-/// Raw token → its analyzed term id, for one build.
+/// Raw token → its analyzed term id, for one pass over the text.
 ///
 /// `None` is a token that analyzes to nothing the build keeps: a stopword,
 /// or, against a read-only vocabulary, a term the vocabulary lacks. The
 /// memo is only as valid as the vocabulary its ids came from, so each
-/// build owns one and drops it with the build; there is no shared or
+/// pass owns one and drops it with the pass; there is no shared or
 /// static cache.
 ///
 /// A flat open-addressing table: the keys are ranges of one string arena
@@ -196,10 +209,11 @@ fn token_hash(bytes: &[u8]) -> u32 {
     ((h ^ (h >> 32)).wrapping_mul(K) >> 32) as u32
 }
 
-/// What a builder freezes into: the postings, lengths and statistics of
-/// the documents it was given, under its (possibly pre-seeded) vocabulary.
-/// From an empty start that *is* an [`InvertedIndex`]; from a sealed
-/// start it is the body of a [`DeltaIndex`](crate::delta::DeltaIndex).
+/// What a builder freezes into: the postings, lengths, statistics and
+/// forward rows of the documents it was given, under its (possibly
+/// pre-seeded) vocabulary. From an empty start that *is* an
+/// [`InvertedIndex`]; from a sealed start it is the body of a
+/// [`DeltaIndex`](crate::delta::DeltaIndex).
 #[derive(Debug)]
 pub(crate) struct Segment {
     pub(crate) vocab: Vocabulary,
@@ -212,6 +226,76 @@ pub(crate) struct Segment {
     /// Indexed by `doc − first_doc`.
     pub(crate) doc_lens: Vec<u32>,
     pub(crate) num_tokens: u64,
+    /// The forward rows of `docs`, in this segment's term ids.
+    pub(crate) rows: Rows,
+}
+
+/// What the text pass over one doc-id range produces, in the term ids of
+/// the vocabulary it interned into.
+struct Pass {
+    /// Each document's distinct terms (title and body) with their
+    /// counts, sorted by id, the documents back to back — for a pass that
+    /// was given no lists to count into.
+    entries: Vec<(u32, u32)>,
+    /// How many of `entries` each document holds.
+    distinct: Vec<u32>,
+    doc_lens: Vec<u32>,
+    num_tokens: u64,
+    rows: Rows,
+}
+
+impl Pass {
+    /// The one per-document loop: tokenize, resolve each raw token
+    /// through the pass's memo (interning new terms into `vocab`), write
+    /// the forward row, then count the document's terms — title and
+    /// body, sorted by id — into `lists` (per-term `(doc, tf)` lists)
+    /// when given, into the pass's `entries` otherwise.
+    fn run(
+        docs: &[Document],
+        vocab: &mut Vocabulary,
+        mut lists: Option<&mut Vec<Vec<(u32, u32)>>>,
+    ) -> Pass {
+        let mut pass = Pass {
+            entries: Vec::new(),
+            distinct: Vec::new(),
+            doc_lens: Vec::with_capacity(docs.len()),
+            num_tokens: 0,
+            rows: Rows::default(),
+        };
+        let mut memo = TokenMemo::default();
+        let (mut title, mut terms) = (Vec::new(), Vec::new());
+        for doc in docs {
+            let analyze = |raw: &str| Analyzer::analyze_token(raw).map(|term| vocab.intern(&term));
+            let body = pass.rows.push(doc, &mut memo, analyze, &mut title);
+            // `full_text` is the title, a space and the body: the title's
+            // terms, then the body's.
+            terms.clear();
+            terms.extend_from_slice(&title);
+            terms.extend(body.iter().copied().filter(|&t| t != STOP));
+            let doc_len = terms.len() as u32;
+            pass.doc_lens.push(doc_len);
+            pass.num_tokens += u64::from(doc_len);
+            // Deterministic postings order: this document's terms in id
+            // order, each with its count.
+            terms.sort_unstable();
+            let runs = terms
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32));
+            if let Some(lists) = lists.as_deref_mut() {
+                if lists.len() < vocab.len() {
+                    lists.resize_with(vocab.len(), Vec::new);
+                }
+                for (term, tf) in runs {
+                    lists[term as usize].push((doc.id.0, tf));
+                }
+            } else {
+                let before = pass.entries.len();
+                pass.entries.extend(runs);
+                pass.distinct.push((pass.entries.len() - before) as u32);
+            }
+        }
+        pass
+    }
 }
 
 impl Default for IndexBuilder {
@@ -229,8 +313,8 @@ impl IndexBuilder {
     /// Builder that continues a sealed index: a copy of `base`'s
     /// vocabulary (so known terms keep their ids and new ones are
     /// numbered after them, in first-occurrence order) and its next free
-    /// document id, with empty accumulators — what it freezes into holds
-    /// only the documents added here.
+    /// document id — what it freezes into holds only the documents added
+    /// here.
     pub(crate) fn extending(base: &InvertedIndex) -> Self {
         let first_doc = u32::try_from(base.stats.num_docs).expect("corpus fits u32 ids");
         Self::starting_at(base.vocab.clone(), first_doc)
@@ -241,11 +325,6 @@ impl IndexBuilder {
             vocab,
             first_doc,
             docs: Vec::new(),
-            accum: Vec::new(),
-            doc_lens: Vec::new(),
-            num_tokens: 0,
-            memo: TokenMemo::default(),
-            terms: Vec::new(),
         }
     }
 
@@ -259,7 +338,7 @@ impl IndexBuilder {
         self.docs.is_empty()
     }
 
-    /// Add one document.
+    /// Add one document; its text is read when the builder freezes.
     ///
     /// # Panics
     /// Panics unless ids are dense and in order from the builder's first
@@ -271,80 +350,152 @@ impl IndexBuilder {
             self.first_doc as usize + self.docs.len(),
             "document ids must continue the collection densely, in insertion order"
         );
-        let IndexBuilder {
-            vocab, memo, terms, ..
-        } = self;
-        // `full_text` is the title, a space and the body: the title's
-        // tokens, then the body's.
-        terms.clear();
-        for text in [&doc.title, &doc.body] {
-            Tokenizer::for_each_token(text, |token| {
-                terms.extend(memo.resolve(token, |token| {
-                    Analyzer::analyze_token(token).map(|term| vocab.intern(&term))
-                }));
-            });
-        }
-        let doc_len = terms.len() as u32;
-        self.doc_lens.push(doc_len);
-        self.num_tokens += u64::from(doc_len);
-        if self.accum.len() < self.vocab.len() {
-            self.accum.resize_with(self.vocab.len(), Vec::new);
-        }
-        // Deterministic postings order: this document's terms in id order,
-        // each with its count.
-        self.terms.sort_unstable();
-        for run in self.terms.chunk_by(|a, b| a == b) {
-            self.accum[run[0].index()].push((doc.id.0, run.len() as u32));
-        }
         self.docs.push(doc);
     }
 
-    /// Freeze the accumulated postings.
-    pub(crate) fn freeze(mut self) -> Segment {
-        // A pre-seeded vocabulary holds terms no added document used.
-        self.accum.resize_with(self.vocab.len(), Vec::new);
-        let mut postings = Vec::with_capacity(self.accum.len());
-        let mut term_stats = Vec::with_capacity(self.accum.len());
-        for entries in &self.accum {
+    /// Run the text pass over every core this host offers, at most one
+    /// range per core and none under `MIN_RANGE_DOCS` documents.
+    pub(crate) fn freeze(self) -> Segment {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let ranges = cores.min(self.docs.len() / MIN_RANGE_DOCS).max(1);
+        self.freeze_in(ranges)
+    }
+
+    /// The text pass over `ranges` contiguous doc-id ranges (at most one
+    /// per document), merged into the bytes one range writes: the calling
+    /// thread runs the first range, a scoped thread each of the others.
+    pub(crate) fn freeze_in(self, ranges: usize) -> Segment {
+        let IndexBuilder {
+            mut vocab,
+            first_doc,
+            docs,
+        } = self;
+        let per_range = docs.len().div_ceil(ranges.max(1)).max(1);
+        let mut chunks = docs.chunks(per_range);
+        let head = chunks.next().unwrap_or_default();
+        // The first range counts straight into the builder's postings
+        // lists; a later range, on a thread of its own, hands its
+        // documents' entries back in one flat array and the calling
+        // thread appends them. (Lists grown on a short-lived thread stay
+        // with that thread's allocator arena once freed: per-range lists
+        // left about 12 MiB more resident after a 46 k-document build.)
+        let mut accum: Vec<Vec<(u32, u32)>> = Vec::new();
+        let (first, mut rest) = std::thread::scope(|scope| {
+            let others: Vec<_> = chunks
+                .map(|docs| {
+                    scope.spawn(move || {
+                        let mut local = Vocabulary::new();
+                        (Pass::run(docs, &mut local, None), local)
+                    })
+                })
+                .collect();
+            let first = Pass::run(head, &mut vocab, Some(&mut accum));
+            // Each later pass with the map from its term ids to the
+            // builder's. Its terms join the builder's vocabulary in range
+            // order and, within a range, in first-occurrence order: the
+            // order one sequential pass meets them in.
+            let rest: Vec<(Pass, Vec<u32>)> = others
+                .into_iter()
+                .map(|h| {
+                    let (pass, local) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                    let remap = local.iter().map(|(_, term)| vocab.intern(term).0).collect();
+                    (pass, remap)
+                })
+                .collect();
+            (first, rest)
+        });
+
+        let Pass {
+            mut doc_lens,
+            mut num_tokens,
+            mut rows,
+            ..
+        } = first;
+        rows.reserve_exact(rest.iter().map(|(pass, _)| &pass.rows));
+        for (pass, remap) in &mut rest {
+            rows.append(&std::mem::take(&mut pass.rows), |t| remap[t as usize]);
+        }
+        rows.shrink_to_fit();
+
+        // The later ranges' entries, remapped, in doc order; each pass is
+        // dropped once read. A pre-seeded vocabulary holds terms no added
+        // document used.
+        accum.resize_with(vocab.len(), Vec::new);
+        doc_lens.reserve_exact(docs.len() - doc_lens.len());
+        let mut doc = first_doc + head.len() as u32;
+        for (pass, remap) in rest {
+            let mut entries = pass.entries.iter();
+            for &n in &pass.distinct {
+                for &(t, tf) in entries.by_ref().take(n as usize) {
+                    accum[remap[t as usize] as usize].push((doc, tf));
+                }
+                doc += 1;
+            }
+            doc_lens.extend(pass.doc_lens);
+            num_tokens += pass.num_tokens;
+        }
+
+        // The lists are dropped together once all are encoded: freeing
+        // each as it went measured slower and left no less memory
+        // resident.
+        let mut postings = Vec::with_capacity(accum.len());
+        let mut term_stats = Vec::with_capacity(accum.len());
+        for list in &accum {
             let mut pb = PostingsBuilder::new();
             let mut coll_freq = 0u64;
-            for &(doc, tf) in entries {
+            for &(doc, tf) in list {
                 pb.push(DocId(doc), tf);
                 coll_freq += u64::from(tf);
             }
             term_stats.push(TermStats {
-                doc_freq: entries.len() as u64,
+                doc_freq: list.len() as u64,
                 coll_freq,
             });
             postings.push(pb.build());
         }
         Segment {
-            vocab: self.vocab,
-            docs: self.docs,
+            vocab,
+            docs,
             postings,
             term_stats,
-            doc_lens: self.doc_lens,
-            num_tokens: self.num_tokens,
+            doc_lens,
+            num_tokens,
+            rows,
         }
     }
 
-    /// Freeze the accumulated postings into an immutable index.
+    /// Freeze into an immutable index holding its own forward view.
     pub fn build(self) -> InvertedIndex {
-        debug_assert_eq!(self.first_doc, 0, "an extending builder freezes");
-        let segment = self.freeze();
-        let mut store = DocumentStore::new();
-        for doc in segment.docs {
-            store.push(doc);
-        }
-        InvertedIndex {
-            stats: CollectionStats::of(store.len() as u64, segment.num_tokens),
-            vocab: segment.vocab,
-            postings: segment.postings,
-            term_stats: segment.term_stats,
-            doc_lens: segment.doc_lens,
-            store,
-            forward: OnceLock::new(),
-        }
+        seal(self.freeze())
+    }
+}
+
+/// The index a builder started from nothing froze into, its forward
+/// view filled from the segment's rows and statistics.
+fn seal(segment: Segment) -> InvertedIndex {
+    let Segment {
+        vocab,
+        docs,
+        postings,
+        term_stats,
+        doc_lens,
+        num_tokens,
+        rows,
+    } = segment;
+    let mut store = DocumentStore::new();
+    for doc in docs {
+        store.push(doc);
+    }
+    let stats = CollectionStats::of(store.len() as u64, num_tokens);
+    let forward = ForwardIndex::from_rows(rows, stats.num_docs, &term_stats);
+    InvertedIndex {
+        stats,
+        vocab,
+        postings,
+        term_stats,
+        doc_lens,
+        store,
+        forward: OnceLock::from(forward),
     }
 }
 
@@ -414,6 +565,113 @@ mod tests {
                 assert_eq!(got, id(i), "{token:?}");
                 assert_eq!(calls, usize::from(pass == 0), "{token:?} analyzed once");
             }
+        }
+    }
+
+    /// Everything a segment holds, in comparable form: vocabulary,
+    /// postings bytes, statistics, lengths and forward rows.
+    fn segment_image(s: &Segment) -> impl PartialEq + std::fmt::Debug + '_ {
+        let vocab: Vec<&str> = s.vocab.iter().map(|(_, term)| term).collect();
+        let postings: Vec<&[u8]> = s.postings.iter().map(PostingsList::raw_bytes).collect();
+        (
+            vocab,
+            postings,
+            &s.term_stats,
+            &s.doc_lens,
+            s.num_tokens,
+            &s.rows,
+        )
+    }
+
+    #[test]
+    fn range_counts_write_the_bytes_of_one_range() {
+        // Empty bodies, title-only and body-only documents, an all-empty
+        // one, stopword-only and non-ASCII text, a stem pair ("apples",
+        // "apple") and terms first met in a later document, spread so
+        // that each lands on every side of the range boundaries below;
+        // then a generated tail that repeats and reorders a small pool.
+        let shapes = [
+            (
+                "Apple iPhone",
+                "the apple iphone is announced today with a new chip",
+            ),
+            ("Title Only", ""),
+            ("", "orchard harvest apples cider pressed in autumn"),
+            ("", ""),
+            ("The Of And", "the of and is"),
+            (
+                "Jaguar Cars",
+                "jaguar unveils an electric car; the jaguar roars",
+            ),
+            ("Apples", ""),
+            ("Jaguar Cat", "apple"),
+            ("Ünïcode Títle", "ÇAFÉ crème brûlée at the café"),
+            ("", "apple apple apple iphone iphone"),
+            ("Rain", "weather forecast rain cloud wind storm rain"),
+            ("Empty Body Again", ""),
+            ("Storms", "cider storm jaguars"),
+        ];
+        const POOL: [&str; 9] = [
+            "apples", "Apple", "the", "zebra", "yak", "storms", "crème", "of", "x2",
+        ];
+        let mut texts: Vec<(String, String)> = shapes
+            .iter()
+            .map(|&(title, body)| (title.into(), body.into()))
+            .collect();
+        for i in 0..27usize {
+            let words = |n: usize| {
+                (0..n)
+                    .map(|j| POOL[(i * 7 + j * (i % 4 + 1)) % POOL.len()])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            texts.push((words(i % 3), words(i % 11)));
+        }
+        let docs = |ids: std::ops::Range<usize>| -> Vec<Document> {
+            ids.map(|id| {
+                let (title, body) = &texts[id];
+                Document::new(id as u32, format!("u{id}"), title.as_str(), body.as_str())
+            })
+            .collect()
+        };
+        let freeze = |mut builder: IndexBuilder, docs: &[Document], ranges: usize| {
+            for doc in docs {
+                builder.add(doc.clone());
+            }
+            builder.freeze_in(ranges)
+        };
+        let images =
+            |index: &InvertedIndex| (index.to_bytes(), ForwardIndex::build(index).to_bytes());
+
+        for n in [shapes.len(), texts.len()] {
+            let all = docs(0..n);
+            let one = seal(freeze(IndexBuilder::new(), &all, 1));
+            // A decoded index compiles the rows its builder wrote.
+            let decoded = InvertedIndex::from_bytes(&one.to_bytes()).unwrap();
+            assert_eq!(images(&decoded), images(&one), "{n} docs, decoded");
+
+            // An extending builder: range 0 interns into the base's
+            // vocabulary, later ranges meet base terms afresh.
+            let base = seal(freeze(IndexBuilder::new(), &docs(0..5), 1));
+            let extending = |ranges| freeze(IndexBuilder::extending(&base), &docs(5..n), ranges);
+            let extended_once = extending(1);
+            assert!(extended_once.vocab.len() > base.vocab().len());
+
+            for ranges in [2, 3, 7, n - 1, n, n + 5] {
+                let index = seal(freeze(IndexBuilder::new(), &all, ranges));
+                assert!(images(&index) == images(&one), "{n} docs, {ranges} ranges");
+                assert_eq!(
+                    segment_image(&extending(ranges)),
+                    segment_image(&extended_once),
+                    "{n} docs extending, {ranges} ranges"
+                );
+            }
+        }
+        let empty = IndexBuilder::new().build();
+        for ranges in [1, 2, 3] {
+            let index = seal(IndexBuilder::new().freeze_in(ranges));
+            assert_eq!(images(&index), images(&empty));
+            assert_eq!(ForwardIndex::build(&index).num_docs(), 0);
         }
     }
 

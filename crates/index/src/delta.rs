@@ -18,7 +18,8 @@
 //! in its postings, in the vectors [`DeltaIndex::surrogate`] emits, in the
 //! query terms [`DeltaIndex::analyze_query`] returns — is already the id
 //! the merged index will use; nothing is bridged, shifted or re-analyzed,
-//! and the merge only appends the delta's postings to the sealed ones.
+//! and the merge only appends the delta's postings and forward rows to
+//! the sealed ones.
 //! That the merge equals a from-scratch build is then not a property two
 //! loops have to be tested into sharing: the documents went through the
 //! one builder loop either way.
@@ -39,6 +40,7 @@
 use crate::builder::{IndexBuilder, Segment};
 use crate::document::{DocId, Document};
 use crate::dph::Dph;
+use crate::forward::ForwardIndex;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::{PostingsBuilder, PostingsList};
@@ -305,7 +307,12 @@ impl Retriever for DeltaRetriever {
 /// extended `base`, so its vocabulary, lengths and statistics are the
 /// merged ones already, and each term's postings are the sealed list
 /// with the delta's appended — delta ids are strictly larger than every
-/// sealed id, so appending preserves the ascending-doc invariant.
+/// sealed id, so appending preserves the ascending-doc invariant. The
+/// merged index's forward view is the base's rows followed by the
+/// delta's, which its builder wrote in the merged term ids, with the IDF
+/// table recomputed from the merged statistics: the bytes a from-scratch
+/// build writes. (A base decoded from bytes compiles its rows first; see
+/// [`ForwardIndex::build`].)
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
@@ -339,14 +346,18 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
         );
     }
 
+    // The base's forward rows, then the delta's (already in the merged
+    // ids), weighted with the merged statistics.
+    let stats = delta.overlay.coll();
+    let forward = ForwardIndex::build(base).appended(&fresh.rows, stats.num_docs, &term_stats);
     InvertedIndex {
         vocab: fresh.vocab.clone(),
         postings,
         term_stats,
         doc_lens,
         store,
-        stats: delta.overlay.coll(),
-        forward: OnceLock::new(),
+        stats,
+        forward: OnceLock::from(forward),
     }
 }
 
@@ -424,6 +435,19 @@ mod tests {
         // for byte, so every downstream consumer (artifact export, shard
         // partitioning) sees a merge and a rebuild as the same index.
         assert_eq!(merged.to_bytes(), scratch.to_bytes());
+        // The merge appended the delta's forward rows to the base's, with
+        // the IDF of the merged statistics: the from-scratch build's bytes.
+        assert_eq!(
+            ForwardIndex::build(&merged).to_bytes(),
+            ForwardIndex::build(&scratch).to_bytes()
+        );
+        // So did a merge over a decoded base, which compiles its rows.
+        let decoded = InvertedIndex::from_bytes(&base.to_bytes()).unwrap();
+        let merged_decoded = merge_sealed(&decoded, &delta);
+        assert_eq!(
+            ForwardIndex::build(&merged_decoded).to_bytes(),
+            ForwardIndex::build(&scratch).to_bytes()
+        );
         // And retrieval is bit-identical (f64 score bits).
         for query in ["apple", "apple iphone", "weather forecast", "orchard"] {
             let a = Retriever::retrieve(&merged, query, 10);

@@ -18,27 +18,24 @@
 //! term-frequency vector and caches the per-term IDF weight
 //! `ln(1 + N/df)` used by [`SparseVector::from_text`].
 //!
-//! The build splits the collection into contiguous doc-id ranges, one per
-//! available core, and compiles each on its own scoped thread into its
-//! own part of the final body stream (sized by a counting pass first, so
-//! no per-range stream is ever concatenated). Each distinct raw token is
-//! *analyzed* once per range: a range keeps a memo from raw token to term
-//! id (or to "nothing": stopword or unknown term), shared by its bodies
-//! and titles, and runs the pipeline's stopword and stem step only on a
-//! token it has not met. The memo lives for one compile and is dropped
-//! with it, since its ids are that index's vocabulary's. A token is its
-//! own tokenization, so each memo entry equals `analyze(raw).first()`
-//! looked up in the vocabulary — the per-raw-token normalization of the
-//! text oracle — and the index is the same bytes whatever the number of
-//! ranges.
+//! The rows (the body streams and title entries) are written by the
+//! index build itself, in the one pass over the text that also counts
+//! the postings: [`IndexBuilder`](crate::builder::IndexBuilder) resolves
+//! each raw token once, through the memo the postings use, and puts the
+//! rows and the IDF table into the [`InvertedIndex`] it builds. A merge
+//! appends a delta's rows to its base's the same way
+//! ([`merge_sealed`](crate::delta::merge_sealed)). Either way
+//! [`ForwardIndex::build`] is then one [`Arc`] clone: the §4.1 store
+//! build, the serving generation and anyone else who asks share one set
+//! of arrays.
 //!
-//! A sealed index is compiled once. The [`InvertedIndex`] keeps the
-//! first [`ForwardIndex::build`]'s result, and every later call on that
-//! index returns it: the §4.1 store build, the serving generation and
-//! anyone else who asks share one set of arrays, since a `ForwardIndex`
-//! is one [`Arc`] around them and a clone copies no token. An index
-//! decoded from bytes or sealed by a merge is a new index and compiles
-//! on its first call.
+//! Only an index no builder made — one decoded from bytes — compiles its
+//! forward view, on the first [`ForwardIndex::build`] call: the builder's
+//! per-document routine, run sequentially, with each term looked up in
+//! the decoded vocabulary instead of interned. A token is its own
+//! tokenization, so each memo entry equals `analyze(raw).first()` looked
+//! up in the vocabulary — the per-raw-token normalization of the text
+//! oracle — and the compiled rows are the bytes the build wrote.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
@@ -70,7 +67,7 @@
 
 use crate::builder::TokenMemo;
 use crate::document::{DocId, Document};
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, TermStats};
 use crate::reader::{ByteReader, ByteWriter};
 use crate::serialize::DecodeError;
 use crate::vector::{idf_weight, tf_idf_weight, SparseVector};
@@ -89,7 +86,7 @@ const VERSION: u32 = 1;
 ///
 /// One flat `TermId` stream holds every document body (offset-indexed),
 /// one flat `(term, tf)` list holds every title vector, and a dense table
-/// caches the per-term IDF weight. Compiled once per [`InvertedIndex`]
+/// caches the per-term IDF weight. Written once per [`InvertedIndex`]
 /// through the one analysis pipeline the snippet generator runs too, then
 /// shared immutably by all serving threads. The arrays sit behind one
 /// [`Arc`]: a clone costs a reference count, and clones share storage.
@@ -99,6 +96,17 @@ pub struct ForwardIndex(Arc<Arrays>);
 /// The compiled arrays a [`ForwardIndex`] shares.
 #[derive(Debug, PartialEq)]
 struct Arrays {
+    rows: Rows,
+    /// `ln(1 + N/df)` per term id — the exact `f32` factor
+    /// [`SparseVector::from_text`] computes from the index statistics.
+    idf: Vec<f32>,
+}
+
+/// The per-document part of a forward index, for a run of consecutive
+/// documents: what the index build writes beside the postings, and what
+/// a merge appends to its base's.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Rows {
     /// Concatenated per-document body token streams ([`STOP`] sentinels
     /// preserve raw positions).
     tokens: Vec<u32>,
@@ -109,162 +117,168 @@ struct Arrays {
     title_terms: Vec<(u32, u32)>,
     /// Per-document offsets into `title_terms`; `len = num_docs + 1`.
     title_offsets: Vec<u32>,
-    /// `ln(1 + N/df)` per term id — the exact `f32` factor
-    /// [`SparseVector::from_text`] computes from the index statistics.
-    idf: Vec<f32>,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows {
+            tokens: Vec::new(),
+            offsets: vec![0],
+            title_terms: Vec::new(),
+            title_offsets: vec![0],
+        }
+    }
+}
+
+impl Rows {
+    /// Append `doc`'s row: each raw title token, then each raw body token,
+    /// resolved through `memo` (which calls `analyze` on a token it has not
+    /// met). The title's term ids are left sorted in `title`, and the
+    /// body's stream is returned, for a caller that counts them too.
+    pub(crate) fn push(
+        &mut self,
+        doc: &Document,
+        memo: &mut TokenMemo,
+        mut analyze: impl FnMut(&str) -> Option<TermId>,
+        title: &mut Vec<u32>,
+    ) -> &[u32] {
+        // Title tf vector: full analysis of the raw title — what
+        // `from_text` sees for the title prefix.
+        title.clear();
+        Tokenizer::for_each_token(&doc.title, |raw| {
+            title.extend(memo.resolve(raw, &mut analyze).map(|t| t.0));
+        });
+        title.sort_unstable();
+        self.title_terms.extend(
+            title
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32)),
+        );
+        let title_end = u32_len(self.title_terms.len(), "title entries");
+        self.title_offsets.push(title_end);
+
+        let start = self.tokens.len();
+        Tokenizer::for_each_token(&doc.body, |raw| {
+            let id = memo.resolve(raw, &mut analyze);
+            self.tokens.push(id.map_or(STOP, |t| t.0));
+        });
+        let end = u32_len(self.tokens.len(), "forward stream");
+        self.offsets.push(end);
+        &self.tokens[start..]
+    }
+
+    /// Make room for `parts` exactly, so appending them reallocates
+    /// nothing and leaves no slack.
+    pub(crate) fn reserve_exact<'a>(&mut self, parts: impl IntoIterator<Item = &'a Rows> + Clone) {
+        let total = |len: fn(&Rows) -> usize| parts.clone().into_iter().map(len).sum::<usize>();
+        self.tokens.reserve_exact(total(|r| r.tokens.len()));
+        self.offsets.reserve_exact(total(|r| r.offsets.len() - 1));
+        self.title_terms
+            .reserve_exact(total(|r| r.title_terms.len()));
+        self.title_offsets
+            .reserve_exact(total(|r| r.title_offsets.len() - 1));
+    }
+
+    /// Append `other`'s documents, each term id `t` written as
+    /// `remap(t)`; each title's entries are re-sorted under the new ids.
+    pub(crate) fn append(&mut self, other: &Rows, remap: impl Fn(u32) -> u32) {
+        let base = self.tokens.len();
+        self.tokens.extend(
+            other
+                .tokens
+                .iter()
+                .map(|&t| if t == STOP { STOP } else { remap(t) }),
+        );
+        self.offsets.extend(
+            other.offsets[1..]
+                .iter()
+                .map(|&end| u32_len(base + end as usize, "forward stream")),
+        );
+        for doc in other.title_offsets.windows(2) {
+            let start = self.title_terms.len();
+            let entries = &other.title_terms[doc[0] as usize..doc[1] as usize];
+            self.title_terms
+                .extend(entries.iter().map(|&(t, tf)| (remap(t), tf)));
+            self.title_terms[start..].sort_unstable();
+            let end = u32_len(self.title_terms.len(), "title entries");
+            self.title_offsets.push(end);
+        }
+    }
+
+    /// Drop the spare capacity growth left behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.tokens.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.title_terms.shrink_to_fit();
+        self.title_offsets.shrink_to_fit();
+    }
+
+    fn num_docs(&self) -> usize {
+        self.offsets.len() - 1
+    }
 }
 
 impl ForwardIndex {
-    /// The forward index of `index`: each document body tokenized once,
-    /// title term frequencies and per-term IDF weights precomputed. The
-    /// first call on an index compiles it — an offline deployment step
-    /// (one full pass over the document store) that uses the available
-    /// cores: contiguous doc-id ranges, one per core, compile
-    /// concurrently, each analyzing each distinct raw token once, into
-    /// disjoint parts of the final arrays, so the result is byte-identical
-    /// for any core count. `index` keeps that result, and every later
-    /// call returns a clone sharing its arrays.
+    /// The forward index of `index`: each document body as a stream of
+    /// term ids, title term frequencies and per-term IDF weights
+    /// precomputed. An index a builder or a merge made already holds it,
+    /// and this returns a clone sharing its arrays. An index decoded from
+    /// bytes compiles it on the first call — an offline deployment step
+    /// (one sequential pass over the document store, each distinct raw
+    /// token analyzed once) — keeps the result, and returns clones of it
+    /// after.
     pub fn build(index: &InvertedIndex) -> Self {
         index
             .forward
             .get_or_init(|| {
-                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-                Self::build_chunked(index, cores)
+                let vocab = index.vocab();
+                let analyze =
+                    |raw: &str| Analyzer::analyze_token(raw).and_then(|term| vocab.id(&term));
+                let (mut memo, mut rows, mut title) =
+                    (TokenMemo::default(), Rows::default(), Vec::new());
+                for doc in index.store().iter() {
+                    rows.push(doc, &mut memo, analyze, &mut title);
+                }
+                rows.shrink_to_fit();
+                Self::from_rows(rows, index.stats().num_docs, &index.term_stats)
             })
             .clone()
     }
 
-    /// [`build`](Self::build) over `chunks` contiguous doc-id ranges (at
-    /// most one per document): the calling thread compiles the first, a
-    /// scoped thread each of the others, each range through its own memo.
-    ///
-    /// Two passes, so no per-range body stream is ever concatenated: the
-    /// first counts each document's raw body tokens and compiles its title
-    /// entries (kept: titles are a small share of the stream); one prefix
-    /// sum then turns the per-document lengths into offsets, `tokens` is
-    /// allocated once at the total and the second pass fills each range's
-    /// own sub-slice of it.
-    pub(crate) fn build_chunked(index: &InvertedIndex, chunks: usize) -> Self {
-        let vocab = index.vocab();
+    /// The forward index over `rows`, weighted with the IDF of
+    /// `term_stats` (indexed by term id) over `num_docs` documents.
+    pub(crate) fn from_rows(rows: Rows, num_docs: u64, term_stats: &[TermStats]) -> Self {
         assert!(
-            (vocab.len() as u64) < u64::from(u32::MAX),
+            (term_stats.len() as u64) < u64::from(STOP),
             "vocabulary too large for the u32 sentinel encoding"
         );
-        let analyze = |raw: &str| Analyzer::analyze_token(raw).and_then(|term| vocab.id(&term));
-        let docs = index.store().as_slice();
-        let per_range = docs.len().div_ceil(chunks.max(1)).max(1);
-        let num_ranges = docs.chunks(per_range).len();
-        let mut memos: Vec<TokenMemo> = (0..num_ranges).map(|_| TokenMemo::default()).collect();
-
-        // First pass: per document, its body length and its title entries.
-        let mut offsets = vec![0u32; docs.len() + 1];
-        let mut title_offsets = vec![0u32; docs.len() + 1];
-        let mut titles: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_ranges];
-        let count = |docs: &[Document],
-                     lens: &mut [u32],
-                     title_lens: &mut [u32],
-                     titles: &mut Vec<(u32, u32)>,
-                     memo: &mut TokenMemo| {
-            let mut title: Vec<u32> = Vec::new();
-            for ((doc, len), title_len) in docs.iter().zip(lens).zip(title_lens) {
-                let mut n = 0usize;
-                Tokenizer::for_each_token(&doc.body, |_| n += 1);
-                *len = u32_len(n, "forward stream");
-
-                // Title tf vector: full analysis of the raw title, unknown
-                // terms dropped — what `from_text` sees for the title prefix.
-                title.clear();
-                Tokenizer::for_each_token(&doc.title, |raw| {
-                    title.extend(memo.resolve(raw, analyze).map(|t| t.0));
-                });
-                title.sort_unstable();
-                let before = titles.len();
-                titles.extend(
-                    title
-                        .chunk_by(|a, b| a == b)
-                        .map(|run| (run[0], run.len() as u32)),
-                );
-                *title_len = u32_len(titles.len() - before, "title entries");
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut ranges = docs
-                .chunks(per_range)
-                .zip(offsets[1..].chunks_mut(per_range))
-                .zip(title_offsets[1..].chunks_mut(per_range))
-                .zip(titles.iter_mut().zip(&mut memos));
-            let first = ranges.next();
-            for (((docs, lens), title_lens), (titles, memo)) in ranges {
-                scope.spawn(move || count(docs, lens, title_lens, titles, memo));
-            }
-            if let Some((((docs, lens), title_lens), (titles, memo))) = first {
-                count(docs, lens, title_lens, titles, memo);
-            }
-        });
-        prefix_sum(&mut offsets, "forward stream");
-        prefix_sum(&mut title_offsets, "title entries");
-        let title_terms = titles.concat();
-        drop(titles);
-
-        // Second pass: the body streams — the same per-raw-token
-        // normalization the text oracle applies (analyze the token, keep
-        // the term if the vocabulary knows it).
-        let mut tokens = vec![0u32; offsets[docs.len()] as usize];
-        let fill = |docs: &[Document], body: &mut [u32], memo: &mut TokenMemo| {
-            let mut body = body.iter_mut();
-            for doc in docs {
-                Tokenizer::for_each_token(&doc.body, |raw| {
-                    *body.next().expect("counted by the first pass") =
-                        memo.resolve(raw, analyze).map_or(STOP, |t| t.0);
-                });
-            }
-            assert!(body.next().is_none(), "the first pass over-counted");
-        };
-        std::thread::scope(|scope| {
-            let (mut rest, mut start) = (&mut tokens[..], 0);
-            let mut ranges = docs
-                .chunks(per_range)
-                .zip(offsets[1..].chunks(per_range))
-                .zip(&mut memos)
-                .map(|((docs, ends), memo)| {
-                    let end = ends[ends.len() - 1];
-                    let (body, tail) =
-                        std::mem::take(&mut rest).split_at_mut((end - start) as usize);
-                    (rest, start) = (tail, end);
-                    (docs, body, memo)
-                });
-            let first = ranges.next();
-            for (docs, body, memo) in ranges {
-                scope.spawn(move || fill(docs, body, memo));
-            }
-            if let Some((docs, body, memo)) = first {
-                fill(docs, body, memo);
-            }
-        });
-
         // Cached IDF factors: the factor `SparseVector::from_text` computes.
-        let num_docs = index.stats().num_docs;
-        let idf = (0..vocab.len())
-            .map(|t| idf_weight(num_docs, index.term_stats(TermId(t as u32))))
+        let idf = term_stats
+            .iter()
+            .map(|&ts| idf_weight(num_docs, Some(ts)))
             .collect();
+        ForwardIndex(Arc::new(Arrays { rows, idf }))
+    }
 
-        ForwardIndex(Arc::new(Arrays {
-            tokens,
-            offsets,
-            title_terms,
-            title_offsets,
-            idf,
-        }))
+    /// This index's rows followed by `more`'s (whose term ids are already
+    /// the merged vocabulary's), weighted with the merged statistics: the
+    /// forward index of a merge, with no token read again.
+    pub(crate) fn appended(&self, more: &Rows, num_docs: u64, term_stats: &[TermStats]) -> Self {
+        let mut rows = Rows::default();
+        rows.reserve_exact([&self.0.rows, more]);
+        rows.append(&self.0.rows, |t| t);
+        rows.append(more, |t| t);
+        Self::from_rows(rows, num_docs, term_stats)
     }
 
     /// Number of compiled documents.
     pub fn num_docs(&self) -> usize {
-        self.0.offsets.len() - 1
+        self.0.rows.num_docs()
     }
 
     /// The compiled body token stream of `doc` (empty for unknown docs).
     pub fn doc_tokens(&self, doc: DocId) -> &[u32] {
-        let a = &*self.0;
+        let a = &self.0.rows;
         let i = doc.index();
         if i + 1 >= a.offsets.len() {
             return &[];
@@ -275,7 +289,7 @@ impl ForwardIndex {
     /// The precomputed title `(term, tf)` entries of `doc`, sorted by
     /// term id (empty for unknown docs).
     pub fn title_tf(&self, doc: DocId) -> &[(u32, u32)] {
-        let a = &*self.0;
+        let a = &self.0.rows;
         let i = doc.index();
         if i + 1 >= a.title_offsets.len() {
             return &[];
@@ -354,19 +368,19 @@ impl ForwardIndex {
     /// (reported by the benches next to the index and compiled-store
     /// footprints); clones share them, so count them once.
     pub fn byte_size(&self) -> usize {
-        let a = &*self.0;
+        let a = &self.0.rows;
         std::mem::size_of::<Arrays>()
             + a.tokens.len() * std::mem::size_of::<u32>()
             + a.offsets.len() * std::mem::size_of::<u32>()
             + a.title_terms.len() * std::mem::size_of::<(u32, u32)>()
             + a.title_offsets.len() * std::mem::size_of::<u32>()
-            + a.idf.len() * std::mem::size_of::<f32>()
+            + self.0.idf.len() * std::mem::size_of::<f32>()
     }
 
     /// Serialize to a binary buffer (deploy-time artifact, loaded next to
     /// the inverted index — see [`crate::serialize`] for the index side).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let a = &*self.0;
+        let a = &self.0.rows;
         let mut w = ByteWriter::new();
         w.header(MAGIC, VERSION);
         w.count(self.num_docs());
@@ -379,8 +393,8 @@ impl ForwardIndex {
             w.u32(t);
             w.u32(tf);
         }
-        w.count(a.idf.len());
-        for &weight in &a.idf {
+        w.count(self.0.idf.len());
+        for &weight in &self.0.idf {
             w.u32(weight.to_bits());
         }
         w.finish()
@@ -450,25 +464,13 @@ impl ForwardIndex {
         )?;
         check(idf.iter().all(|w| w.is_finite() && *w >= 0.0), "idf table")?;
 
-        Ok(ForwardIndex(Arc::new(Arrays {
+        let rows = Rows {
             tokens,
             offsets,
             title_terms,
             title_offsets,
-            idf,
-        })))
-    }
-}
-
-/// Turn per-document lengths (after the leading 0) into end offsets;
-/// panics when the `what` stream outgrows the format's `u32` offsets.
-fn prefix_sum(lens: &mut [u32], what: &str) {
-    let mut total = 0u32;
-    for len in lens {
-        total = total
-            .checked_add(*len)
-            .unwrap_or_else(|| panic!("{what} exceed u32 offsets"));
-        *len = total;
+        };
+        Ok(ForwardIndex(Arc::new(Arrays { rows, idf })))
     }
 }
 
@@ -724,54 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_builds_are_byte_identical_to_one_chunk() {
-        // Empty bodies, title-only and body-only documents, an all-empty
-        // one and stopword-only text land on every side of the chunk
-        // boundaries below.
-        let shapes = [
-            (
-                "Apple iPhone",
-                "the apple iphone is announced today with a new chip",
-            ),
-            ("Title Only", ""),
-            ("", "orchard harvest apple cider pressed in autumn"),
-            ("", ""),
-            ("The Of And", "the of and is"),
-            (
-                "Jaguar Cars",
-                "jaguar unveils an electric car; the jaguar roars",
-            ),
-            ("Jaguar Cat", ""),
-            ("Ünïcode Títle", "ÇAFÉ crème brûlée at the café"),
-            ("", "apple apple apple iphone iphone"),
-            ("Rain", "weather forecast rain cloud wind storm rain"),
-            ("Empty Body Again", ""),
-        ];
-        let mut b = IndexBuilder::new();
-        for (id, (title, body)) in shapes.iter().enumerate() {
-            b.add(Document::new(
-                id as u32,
-                format!("http://x/{id}"),
-                *title,
-                *body,
-            ));
-        }
-        let index = b.build();
-        let one = ForwardIndex::build_chunked(&index, 1);
-        assert_eq!(one.num_docs(), shapes.len());
-        for chunks in [2, 3, 7, shapes.len() - 1, shapes.len(), shapes.len() + 5] {
-            let chunked = ForwardIndex::build_chunked(&index, chunks);
-            assert_eq!(chunked.to_bytes(), one.to_bytes(), "{chunks} chunks");
-            assert_eq!(chunked, one, "{chunks} chunks");
-        }
-        assert_eq!(ForwardIndex::build(&index), one);
-        let empty = IndexBuilder::new().build();
-        for chunks in [1, 2, 3] {
-            assert_eq!(ForwardIndex::build_chunked(&empty, chunks).num_docs(), 0);
-        }
-    }
-
-    #[test]
     fn an_index_compiles_its_forward_view_once() {
         let index = build_world();
         let first = ForwardIndex::build(&index);
@@ -784,13 +738,24 @@ mod tests {
         );
         assert!(std::ptr::eq(tokens, first.clone().doc_tokens(DocId(0))));
 
-        // A second index with the same documents compiles its own.
+        // A second index with the same documents has arrays of its own.
         let other = build_world();
         let theirs = ForwardIndex::build(&other);
         assert!(!std::ptr::eq(tokens, theirs.doc_tokens(DocId(0))));
 
-        for f in [&first, &again, &theirs] {
-            assert_eq!(*f, ForwardIndex::build_chunked(&index, 1));
+        // A decoded index compiles on its first call, keeps the result,
+        // and compiles the rows its builder wrote.
+        let decoded = InvertedIndex::from_bytes(&index.to_bytes()).unwrap();
+        assert!(decoded.forward.get().is_none(), "a decoder writes no rows");
+        let compiled = ForwardIndex::build(&decoded);
+        let kept = ForwardIndex::build(&decoded);
+        assert!(std::ptr::eq(
+            compiled.doc_tokens(DocId(0)),
+            kept.doc_tokens(DocId(0))
+        ));
+
+        for f in [&first, &again, &theirs, &compiled] {
+            assert_eq!(*f, first);
             assert_eq!(ForwardIndex::from_bytes(&f.to_bytes()).unwrap(), *f);
         }
     }

@@ -100,9 +100,10 @@ pub struct InvertedIndex {
     pub(crate) doc_lens: Vec<u32>,
     pub(crate) store: DocumentStore,
     pub(crate) stats: CollectionStats,
-    /// The compiled forward view, filled by the first
-    /// [`ForwardIndex::build`] over this index (empty in every index a
-    /// builder, a decoder or a merge makes).
+    /// The compiled forward view. A builder and a merge fill it with the
+    /// rows their one pass over the text wrote; a decoder leaves it empty,
+    /// and the first [`ForwardIndex::build`] over the decoded index
+    /// compiles and fills it.
     pub(crate) forward: OnceLock<ForwardIndex>,
 }
 

@@ -178,7 +178,7 @@ impl SearchEngine {
         model: Arc<SpecializationModel>,
         mut config: EngineConfig,
     ) -> Self {
-        let forward = Arc::new(ForwardIndex::build(&index));
+        let forward = ForwardIndex::build(&index);
         let store = Arc::new(SpecializationStore::build_with(
             &model,
             index.as_ref(),
@@ -192,7 +192,8 @@ impl SearchEngine {
         }
         let retriever = Self::build_retriever(&index, &config);
         let forward = config.forward_index.then_some(forward);
-        Self::with_retriever_and_forward(index, retriever, model, store, compiled, forward, config)
+        let generation = Generation::new(1, index, retriever, model, store, compiled, forward);
+        Self::from_generation(Arc::new(generation), config)
     }
 
     /// Deploy with every offline artifact supplied explicitly. Lets
@@ -213,6 +214,7 @@ impl SearchEngine {
         forward: Option<Arc<ForwardIndex>>,
         config: EngineConfig,
     ) -> Self {
+        let forward = forward.map(Arc::unwrap_or_clone);
         let generation = Arc::new(Generation::new(
             1, index, retriever, model, store, compiled, forward,
         ));
@@ -580,7 +582,7 @@ impl SearchEngine {
             };
             let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index)?);
             let forward = match &artifacts.forward {
-                Some(bytes) => Some(Arc::new(ForwardIndex::from_bytes(bytes)?)),
+                Some(bytes) => Some(ForwardIndex::from_bytes(bytes)?),
                 None => None,
             };
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
@@ -661,8 +663,10 @@ impl SearchEngine {
     /// Fold the current generation's delta into its sealed base
     /// ([`merge_sealed`] — bit-identical to a from-scratch build over
     /// the concatenated document stream) and publish the merged
-    /// successor: fresh retrieval layer per this engine's config, fresh
-    /// forward index when the generation served one, no delta.
+    /// successor: fresh retrieval layer per this engine's config, the
+    /// merged index's forward view (the base's rows with the delta's
+    /// appended; nothing is compiled) when the generation served one, no
+    /// delta.
     pub fn merge_delta(&self) -> Result<GenerationId, PublishError> {
         let current = self.generations.pin();
         let Some(delta) = current.delta() else {
@@ -672,7 +676,7 @@ impl SearchEngine {
         let forward = current
             .forward()
             .is_some()
-            .then(|| Arc::new(ForwardIndex::build(&merged)));
+            .then(|| ForwardIndex::build(&merged));
         let retriever = Self::build_retriever(&merged, &self.config);
         self.publish(Arc::new(
             current.next().with_sealed(merged, retriever, forward),
@@ -1075,7 +1079,7 @@ mod tests {
             generation.model().clone(),
             generation.store().clone(),
             generation.compiled().clone(),
-            generation.forward().cloned(),
+            generation.forward().cloned().map(Arc::new),
             EngineConfig {
                 index_shards: 4,
                 executor_threads: 2,
@@ -1332,7 +1336,7 @@ mod tests {
             deployed.model().clone(),
             deployed.store().clone(),
             deployed.compiled().clone(),
-            deployed.forward().cloned(),
+            deployed.forward().cloned().map(Arc::new),
             config,
         )
     }

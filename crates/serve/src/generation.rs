@@ -148,7 +148,7 @@ pub struct Generation {
     model: Arc<SpecializationModel>,
     store: Arc<SpecializationStore>,
     compiled: Arc<CompiledSpecStore>,
-    forward: Option<Arc<ForwardIndex>>,
+    forward: Option<ForwardIndex>,
     /// Freshly ingested documents not yet merged into the sealed index.
     delta: Option<Arc<DeltaIndex>>,
     /// Interned `(url, title)` per document (sealed then delta), built
@@ -174,7 +174,7 @@ impl Generation {
         model: Arc<SpecializationModel>,
         store: Arc<SpecializationStore>,
         compiled: Arc<CompiledSpecStore>,
-        forward: Option<Arc<ForwardIndex>>,
+        forward: Option<ForwardIndex>,
     ) -> Self {
         let scorers = Arc::new(
             model
@@ -241,7 +241,7 @@ impl Generation {
         mut self,
         index: Arc<InvertedIndex>,
         retriever: Arc<dyn Retriever>,
-        forward: Option<Arc<ForwardIndex>>,
+        forward: Option<ForwardIndex>,
     ) -> Self {
         self.index = index;
         self.sealed = retriever.clone();
@@ -318,7 +318,7 @@ impl Generation {
     }
 
     /// The compiled forward index (`None` ⇒ text-path surrogates).
-    pub fn forward(&self) -> Option<&Arc<ForwardIndex>> {
+    pub fn forward(&self) -> Option<&ForwardIndex> {
         self.forward.as_ref()
     }
 
@@ -576,7 +576,7 @@ mod tests {
         let index = Arc::new(b.build());
         let store = Arc::new(SpecializationStore::default());
         let compiled = Arc::new(CompiledSpecStore::compile(&store));
-        let forward = Some(Arc::new(ForwardIndex::build(&index)));
+        let forward = Some(ForwardIndex::build(&index));
         Generation::new(
             id,
             index.clone(),
@@ -619,7 +619,7 @@ mod tests {
 
         // `with_sealed` replaces them: neither stamp survives.
         let merged = Arc::new(merge_sealed(base.index(), &delta));
-        let forward = Some(Arc::new(ForwardIndex::build(&merged)));
+        let forward = Some(ForwardIndex::build(&merged));
         let sealed = ingested.next().with_sealed(merged.clone(), merged, forward);
         for earlier in [&base, &ingested] {
             assert_ne!(sealed.pages_epoch(), earlier.pages_epoch());

@@ -54,7 +54,8 @@
 //! (`candidate_surrogate_naive`) is the equivalence oracle, and what an
 //! engine deployed with [`EngineConfig::forward_index`]` = false` falls
 //! back to per request — its store was still built from a forward index,
-//! dropped after the build.
+//! the one its index's build wrote (see
+//! [`ForwardIndex::build`](serpdiv_index::ForwardIndex::build)).
 //!
 //! ## Request lifecycle
 //!
