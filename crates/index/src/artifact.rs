@@ -36,7 +36,7 @@
 //! [`BadVersion`]: DecodeError::BadVersion
 
 use crate::document::DocId;
-use crate::dph::Dph;
+use crate::dph::DphTable;
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::PostingsList;
@@ -107,6 +107,9 @@ pub struct ShardArtifact {
     coll: CollectionStats,
     term_stats: Vec<TermStats>,
     postings: Vec<PostingsList>,
+    /// DPH's `(tf, dl)` factors under the carried global statistics,
+    /// sized to this shard's postings.
+    dph: DphTable,
 }
 
 impl ShardArtifact {
@@ -166,16 +169,18 @@ impl ShardArtifact {
             return Err(DecodeError::Corrupt("trailing bytes after shard artifact"));
         }
 
+        let coll = CollectionStats {
+            num_docs,
+            num_tokens,
+            avg_doc_len,
+        };
         Ok(ShardArtifact {
             shard_id,
             num_shards,
             base,
+            dph: DphTable::of(coll, &doc_lens, &postings),
             doc_lens,
-            coll: CollectionStats {
-                num_docs,
-                num_tokens,
-                avg_doc_len,
-            },
+            coll,
             term_stats,
             postings,
         })
@@ -211,7 +216,7 @@ impl ShardArtifact {
     /// accumulation order, same `f64` bits, same `(score desc, doc asc)`
     /// ordering — ready for the router's k-way gather.
     pub fn score_terms(&self, terms: &[TermId], k: usize) -> Vec<ScoredDoc> {
-        score_range(self, &query_weights(terms), &Dph::new(), k)
+        score_range(self, &query_weights(terms), &self.dph, k)
     }
 }
 

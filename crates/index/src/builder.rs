@@ -39,6 +39,7 @@
 //! under the term ids that build would have assigned.
 
 use crate::document::{DocId, Document, DocumentStore};
+use crate::dph::DphTable;
 use crate::forward::{ForwardIndex, Rows, STOP};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
@@ -489,6 +490,7 @@ fn seal(segment: Segment) -> InvertedIndex {
     let stats = CollectionStats::of(store.len() as u64, num_tokens);
     let forward = ForwardIndex::from_rows(rows, stats.num_docs, &term_stats);
     InvertedIndex {
+        dph: DphTable::of(stats, &doc_lens, &postings),
         stats,
         vocab,
         postings,

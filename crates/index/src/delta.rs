@@ -39,7 +39,7 @@
 
 use crate::builder::{IndexBuilder, Segment};
 use crate::document::{DocId, Document};
-use crate::dph::Dph;
+use crate::dph::{Dph, DphTable};
 use crate::forward::ForwardIndex;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
 use crate::kernel::{score_range, RangeSource};
@@ -351,6 +351,7 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     let stats = delta.overlay.coll();
     let forward = ForwardIndex::build(base).appended(&fresh.rows, stats.num_docs, &term_stats);
     InvertedIndex {
+        dph: DphTable::of(stats, &doc_lens, &postings),
         vocab: fresh.vocab.clone(),
         postings,
         term_stats,

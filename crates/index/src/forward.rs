@@ -245,6 +245,34 @@ impl ForwardIndex {
             .clone()
     }
 
+    /// Make this image — decoded beside `index` from a deploy bundle — the
+    /// forward view of `index`, so that [`build`](Self::build) over it,
+    /// and every merge that `index` is the base of, reuse these arrays
+    /// instead of compiling the rows again. Refused, with the failed
+    /// check, unless the image holds one row per document of `index` and
+    /// the IDF table `index`'s statistics give, bit for bit, and unless
+    /// `index` holds no forward view yet.
+    pub fn install(self, index: &InvertedIndex) -> Result<Self, &'static str> {
+        let num_docs = index.stats().num_docs;
+        if self.num_docs() as u64 != num_docs {
+            return Err("forward image row count differs from the index's documents");
+        }
+        let idf = &self.0.idf;
+        let same_idf = idf.len() == index.term_stats.len()
+            && idf
+                .iter()
+                .zip(&index.term_stats)
+                .all(|(w, &ts)| w.to_bits() == idf_weight(num_docs, Some(ts)).to_bits());
+        if !same_idf {
+            return Err("forward image IDF table differs from the index's statistics");
+        }
+        index
+            .forward
+            .set(self.clone())
+            .map_err(|_| "the index already holds a forward view")?;
+        Ok(self)
+    }
+
     /// The forward index over `rows`, weighted with the IDF of
     /// `term_stats` (indexed by term id) over `num_docs` documents.
     pub(crate) fn from_rows(rows: Rows, num_docs: u64, term_stats: &[TermStats]) -> Self {

@@ -6,6 +6,7 @@
 //! [`Retriever`](crate::retriever::Retriever)) through the postings.
 
 use crate::document::{DocId, DocumentStore};
+use crate::dph::DphTable;
 use crate::forward::ForwardIndex;
 use crate::postings::PostingsList;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
@@ -105,6 +106,9 @@ pub struct InvertedIndex {
     /// and the first [`ForwardIndex::build`] over the decoded index
     /// compiles and fills it.
     pub(crate) forward: OnceLock<ForwardIndex>,
+    /// DPH's `(tf, dl)` factors under `stats`, built with the index
+    /// (never serialized).
+    pub(crate) dph: DphTable,
 }
 
 impl InvertedIndex {

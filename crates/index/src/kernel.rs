@@ -17,27 +17,40 @@
 //!
 //! * the model is a type parameter, specialised once per term
 //!   ([`RankingModel::term_scorer`]) — no vtable and no per-term invariant
-//!   inside the posting loop;
-//! * a **single live term** streams postings → score → top-`k` with no
+//!   inside the posting loop. A sealed range (a whole index, an
+//!   in-process shard, a shard artifact) scores with the
+//!   [`DphTable`](crate::dph::DphTable) built for the statistics its
+//!   source carries, which reads DPH's `(tf, dl)` factors from a table
+//!   instead of computing them per posting; under any other statistics
+//!   (a delta's union overlay) the table runs the formula, and so does
+//!   the delta itself;
+//! * a **single live term** streams postings → score → candidates with no
 //!   accumulator at all;
 //! * **several terms** accumulate into a thread-local dense `f64` array
 //!   over the range, with a first-touch list so that selection and
 //!   clean-up cost `O(matches)`, not `O(range)`;
-//! * the top-`k` heap is **threshold-gated**: once it holds `k` entries a
-//!   candidate is compared with the weakest kept one under the exact
-//!   `(score desc, doc asc)` total order and replaces it only if it wins.
+//! * **selection** maps each candidate to one `u128` rank key (the score's
+//!   `total_cmp` image, inverted, above the doc id — the key OptSelect
+//!   ranks by), so ascending keys are the exact `(score desc, doc asc)`
+//!   total order. A candidate costs one comparison with a bound and, if
+//!   it is below it, one push into a buffer of at most `2k` keys, which a
+//!   linear-time `select_nth_unstable` halves back to the `k` smallest
+//!   (the largest of them is the next bound). Only the final `k` are
+//!   sorted: `O(matches + k log k)`, with no sift per displacement.
 //!
 //! Memory: the scratch is 8 B per doc id of the largest range a thread
-//! has scored (plus one bit per id and 4 B per matched document), kept for
-//! the thread's lifetime — 0.35 MiB at 46 k documents.
+//! has scored (plus one bit per id and 4 B per matched document), and the
+//! key buffer 16 B per key, at most `2k` keys (3.2 KiB at `k` = 100),
+//! both kept for the thread's lifetime — 0.35 MiB at 46 k documents. An
+//! index's table is at most 2 MiB, about 95 KiB at 46 k documents, and
+//! there is no per-posting array.
 
 use crate::document::DocId;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
 use crate::postings::PostingsList;
-use crate::search::{HeapEntry, RankingModel, ScoredDoc};
+use crate::search::{RankingModel, ScoredDoc};
 use serpdiv_text::TermId;
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
 
 /// What a scoring pass reads: a contiguous doc-id range's postings plus
 /// the **global** statistics that make a document's score independent of
@@ -178,34 +191,68 @@ thread_local! {
             touched: Vec::new(),
         })
     };
+    /// Rank keys of the candidates being selected from; cleared on entry,
+    /// so a panic that unwinds out of a fill leaves nothing to restore.
+    static KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The `k ≥ 1` best candidates by `(score desc, doc asc)` —
-/// [`top_k`](crate::search::top_k)'s result, threshold-gated: the first
-/// `k` candidates are heapified in one pass, and each later one costs a
-/// single comparison with the weakest kept entry unless it displaces it
-/// (never a push and a pop).
-fn select_top_k(candidates: impl Iterator<Item = HeapEntry>, k: usize) -> Vec<ScoredDoc> {
-    let mut candidates = candidates.fuse();
-    // Root = the weakest kept entry ([`HeapEntry`]'s order is reversed).
-    let mut heap = BinaryHeap::from(candidates.by_ref().take(k).collect::<Vec<_>>());
-    for entry in candidates {
-        let mut weakest = heap.peek_mut().expect("k >= 1 entries were kept");
-        // Reversed order: "less" ranks higher. The comparison is the full
-        // total order, so among equal scores at the k-th boundary the
-        // smaller doc id is the one kept.
-        if entry < *weakest {
-            *weakest = entry;
-        }
+/// The rank key of `hit`: ascending keys are `(score desc, doc asc)` under
+/// `f64::total_cmp`. The high half is `total_cmp`'s order-preserving
+/// unsigned image of the score's bits (a negative has every bit flipped,
+/// a positive its sign bit set), inverted; the low half is the doc id.
+#[inline]
+fn rank_key(hit: ScoredDoc) -> u128 {
+    let bits = hit.score.to_bits();
+    let ascending = bits ^ (((bits as i64 >> 63) as u64) | 1 << 63);
+    (u128::from(!ascending) << 64) | u128::from(hit.doc.0)
+}
+
+/// The hit a [`rank_key`] was made from, score bits included.
+#[inline]
+fn hit_of(key: u128) -> ScoredDoc {
+    let ascending = !((key >> 64) as u64);
+    // A set top bit marks a score that was non-negative (sign bit clear).
+    let bits = ascending ^ (((!ascending as i64 >> 63) as u64) | 1 << 63);
+    ScoredDoc {
+        doc: DocId(key as u32),
+        score: f64::from_bits(bits),
     }
-    let mut kept = heap.into_vec();
-    kept.sort_unstable();
-    kept.into_iter()
-        .map(|e| ScoredDoc {
-            doc: e.doc,
-            score: e.score,
-        })
-        .collect()
+}
+
+/// The `k` best candidates by `(score desc, doc asc)` — the page
+/// [`top_k`](crate::search::top_k) selects with a heap. Each candidate's
+/// rank key goes into the thread's key buffer unless it is above the
+/// bound, the largest key kept at the last compaction; when the buffer
+/// holds `2k` keys a linear-time selection keeps the `k` smallest, whose
+/// largest becomes the bound. Keys are unique (one per doc id), so a key
+/// above the bound can never reach the page. At the end that prefix
+/// alone is sorted.
+fn select_top_k(candidates: impl Iterator<Item = ScoredDoc>, k: usize) -> Vec<ScoredDoc> {
+    if k == 0 {
+        return Vec::new();
+    }
+    KEYS.with(|cell| {
+        let keys = &mut *cell.borrow_mut();
+        keys.clear();
+        let full = k.saturating_mul(2);
+        let mut bound = u128::MAX;
+        for key in candidates.map(rank_key) {
+            if key < bound {
+                keys.push(key);
+                if keys.len() == full {
+                    keys.select_nth_unstable(k - 1);
+                    keys.truncate(k);
+                    bound = keys[k - 1];
+                }
+            }
+        }
+        let k = k.min(keys.len());
+        if k < keys.len() {
+            keys.select_nth_unstable(k);
+        }
+        keys[..k].sort_unstable();
+        keys[..k].iter().map(|&key| hit_of(key)).collect()
+    })
 }
 
 /// The top `k` documents of `src`'s range for `weights` — `(term,
@@ -239,11 +286,11 @@ pub(crate) fn score_range<S: RangeSource, M: RankingModel>(
         [] => Vec::new(),
         [(postings, ts, weight)] => {
             let score = model.term_scorer(ts, coll);
-            let candidates = postings.iter().map(|p| HeapEntry {
+            let candidates = postings.iter().map(|p| ScoredDoc {
+                doc: p.doc,
                 // `0.0 +`: what adding into a fresh accumulator slot
                 // yields — a `-0.0` contribution ranks as `+0.0`.
                 score: 0.0 + score(p.tf, lens[(p.doc.0 - base) as usize]) * weight,
-                doc: p.doc,
             });
             select_top_k(candidates, k)
         }
@@ -261,9 +308,9 @@ pub(crate) fn score_range<S: RangeSource, M: RankingModel>(
                         scratch.add(i, score(p.tf, lens[i]) * weight);
                     }
                 }
-                let candidates = scratch.touched.iter().map(|&i| HeapEntry {
-                    score: scratch.acc[i as usize],
+                let candidates = scratch.touched.iter().map(|&i| ScoredDoc {
                     doc: DocId(base + i),
+                    score: scratch.acc[i as usize],
                 });
                 select_top_k(candidates, k)
             }));
@@ -360,6 +407,11 @@ mod tests {
                     &SearchEngine::new(&idx).search_terms(&terms, k),
                     &format!("dph {query} k={k}"),
                 );
+                assert_same(
+                    &kernel(&idx, &terms, &idx.dph, k),
+                    &SearchEngine::new(&idx).search_terms(&terms, k),
+                    &format!("dph table {query} k={k}"),
+                );
                 // A model on the trait's default `term_scorer`.
                 assert_same(
                     &kernel(&idx, &terms, &Constant(0.5), k),
@@ -368,6 +420,106 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A page as `(doc, score bits)`.
+    fn bits(page: &[ScoredDoc]) -> Vec<(DocId, u64)> {
+        page.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+    }
+
+    /// The kernel's page for `terms` under `model`, as [`bits`].
+    fn page_bits<M: RankingModel>(
+        src: &impl RangeSource,
+        terms: &[TermId],
+        model: &M,
+    ) -> Vec<(DocId, u64)> {
+        bits(&score_range(src, &query_weights(terms), model, 100))
+    }
+
+    /// The `(tf, dl)` of `doc`'s posting for `term`.
+    fn cell_of(idx: &InvertedIndex, term: TermId, doc: DocId) -> (u32, u32) {
+        let p = idx.postings(term).unwrap().iter().find(|p| p.doc == doc);
+        (p.expect("a posting of doc").tf, idx.doc_len(doc).unwrap())
+    }
+
+    #[test]
+    fn a_one_ulp_change_to_a_table_cell_fails_the_oracle_comparison() {
+        let idx = index();
+        let oracle = SearchEngine::new(&idx);
+        let whole = IndexRange::whole(&idx, None);
+        for query in ["apple", "apple iphone"] {
+            let terms = idx.analyze_query(query);
+            let expect = bits(&oracle.search_terms(&terms, 100));
+            assert_eq!(page_bits(&whole, &terms, &idx.dph), expect, "{query}");
+            let (tf, dl) = cell_of(&idx, terms[0], expect[0].0);
+            let planted = idx.dph.with_planted_ulp(tf, dl);
+            assert_ne!(
+                page_bits(&whole, &terms, &planted),
+                expect,
+                "{query}: the kernel must read the cell of ({tf}, {dl})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_table_is_never_read_under_statistics_it_was_not_built_for() {
+        let idx = Arc::new(index());
+        let oracle = SearchEngine::new(&idx);
+        let terms = idx.analyze_query("apple iphone storm");
+        let apple = idx.analyze_query("apple")[0];
+        // Every cell a query can reach is planted, so a page that still
+        // matches its oracle read none of them.
+        let mut planted = idx.dph.clone();
+        for tf in 1..=planted.tf_cap() {
+            for dl in 1..=planted.dl_cap() {
+                planted = planted.with_planted_ulp(tf, dl);
+            }
+        }
+
+        // Under an overlay whose collection statistics differ.
+        let coll = idx.stats();
+        let overlay = StatsOverlay::new(
+            CollectionStats::of(coll.num_docs + 7, coll.num_tokens + 40),
+            vec![(
+                apple,
+                TermStats {
+                    doc_freq: 30,
+                    coll_freq: 31,
+                },
+            )],
+        );
+        let overlaid = IndexRange::whole(&idx, Some(&overlay));
+        let expect = bits(&oracle.search_terms_overlaid(&terms, 100, &overlay));
+        assert_eq!(page_bits(&overlaid, &terms, &idx.dph), expect);
+        assert_eq!(page_bits(&overlaid, &terms, &planted), expect);
+
+        // Under another index's statistics.
+        let mut b = IndexBuilder::new();
+        b.add(Document::new(0, "u", "", "apple apple pie storm"));
+        let other = b.build();
+        let whole = IndexRange::whole(&idx, None);
+        let own = bits(&oracle.search_terms(&terms, 100));
+        assert_eq!(page_bits(&whole, &terms, &other.dph), own);
+        let planted_other = other.dph.with_planted_ulp(1, 1);
+        assert_eq!(page_bits(&whole, &terms, &planted_other), own);
+        assert_ne!(
+            page_bits(&whole, &terms, &planted),
+            own,
+            "own statistics read"
+        );
+
+        // A shard decoded from bytes scores with a table built from the
+        // global statistics it carries: the oracle's scores for its range.
+        let bytes = ShardedIndex::build(idx.clone(), 3).export_shard(1);
+        let shard = crate::ShardArtifact::from_bytes(&bytes).expect("valid artifact");
+        let range = shard.base()..shard.base() + shard.range_len() as u32;
+        let expect: Vec<(DocId, u64)> = own
+            .iter()
+            .copied()
+            .filter(|(doc, _)| range.contains(&doc.0))
+            .collect();
+        assert!(!expect.is_empty());
+        assert_eq!(bits(&shard.score_terms(&terms, 100)), expect);
     }
 
     #[test]
@@ -395,9 +547,9 @@ mod tests {
     fn equal_scores_at_the_kth_boundary_keep_the_smaller_doc() {
         // Offered in descending doc order, so every later candidate ties
         // the weakest kept score with a smaller id and must displace it.
-        let ties = (0..10u32).rev().map(|d| HeapEntry {
-            score: 1.0,
+        let ties = (0..10u32).rev().map(|d| ScoredDoc {
             doc: DocId(d),
+            score: 1.0,
         });
         let kept: Vec<u32> = select_top_k(ties, 3).iter().map(|h| h.doc.0).collect();
         assert_eq!(kept, vec![0, 1, 2]);
@@ -421,25 +573,61 @@ mod tests {
 
     #[test]
     fn select_top_k_agrees_with_a_full_sort() {
-        // Scores with heavy ties, both zeros and negatives; ids shuffled.
-        let scores = [2.5, -1.0, 0.0, -0.0, 2.5, 7.0, -1.0, 0.0, 3.25, -0.0];
-        let entries = || {
-            (0..200u32).map(|i| HeapEntry {
-                score: scores[(i as usize * 7) % scores.len()],
-                doc: DocId((i * 37) % 200),
+        // Heavy ties and both zeros among ordinary scores, then the
+        // key-packing edges: both infinities, the extreme finite values,
+        // subnormals of both signs, a NaN of each sign, and the extreme
+        // doc ids.
+        let scores = [
+            2.5,
+            -1.0,
+            0.0,
+            -0.0,
+            2.5,
+            7.0,
+            -1.0,
+            0.0,
+            3.25,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Ids shuffled; every score is shared by about ten of them, so
+        // the extreme ids tie with smaller ones.
+        let ids = (0..200u32)
+            .map(|i| (i * 37) % 200)
+            .chain([u32::MAX - 1, u32::MAX - 2]);
+        let hits: Vec<ScoredDoc> = ids
+            .enumerate()
+            .map(|(i, doc)| ScoredDoc {
+                doc: DocId(doc),
+                score: scores[(i * 7) % scores.len()],
             })
-        };
-        let mut sorted: Vec<HeapEntry> = entries().collect();
-        sorted.sort_unstable();
-        for k in [1, 3, 10, 199, 200, 500] {
-            let got = select_top_k(entries(), k);
-            assert_eq!(got.len(), k.min(200));
-            for (g, e) in got.iter().zip(&sorted) {
-                assert_eq!(
-                    (g.doc, g.score.to_bits()),
-                    (e.doc, e.score.to_bits()),
-                    "k={k}"
-                );
+            .collect();
+        let n = hits.len();
+        let mut sorted = hits.clone();
+        sorted.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        for k in [1, 3, 10, n - 1, n, n + 1, 500] {
+            let got = select_top_k(hits.iter().copied(), k);
+            assert_eq!(bits(&got), bits(&sorted[..k.min(n)]), "k={k}");
+            let heap = crate::search::top_k(hits.iter().copied(), k);
+            assert_eq!(bits(&got), bits(&heap), "k={k}: against the heap");
+        }
+        for &score in &scores {
+            for doc in [0, u32::MAX - 1] {
+                let hit = ScoredDoc {
+                    doc: DocId(doc),
+                    score,
+                };
+                let back = hit_of(rank_key(hit));
+                assert_eq!((back.doc, back.score.to_bits()), (hit.doc, score.to_bits()));
             }
         }
     }

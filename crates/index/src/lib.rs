@@ -16,10 +16,11 @@
 //! * [`builder`] — the index builder: the one loop that interns, counts
 //!   and encodes a document, started from nothing or from a sealed index,
 //! * [`index`] — the immutable inverted index and collection statistics,
-//! * [`dph`] — the DPH ranking model,
+//! * [`dph`] — the DPH ranking model, and [`DphTable`], its exact
+//!   `(tf, dl)` factors precomputed under one collection's statistics,
 //! * `kernel` (crate-private) — the retrieval kernel: the one scoring
 //!   loop every production retriever runs (monomorphised model, dense
-//!   thread-local accumulators, threshold-gated top-`k`),
+//!   thread-local accumulators, rank-key top-`k` selection),
 //! * [`search`] — [`SearchEngine`], the simple hash-map engine kept as
 //!   the reference oracle the kernel is held to bit for bit,
 //! * [`retriever`] — the [`Retriever`] trait every deployment (plain
@@ -80,7 +81,7 @@ pub use artifact::ShardArtifact;
 pub use builder::IndexBuilder;
 pub use delta::{merge_sealed, DeltaIndex, DeltaRetriever};
 pub use document::{DocId, Document, DocumentStore};
-pub use dph::Dph;
+pub use dph::{Dph, DphTable};
 pub use executor::{ScoringExecutor, TaskPanic};
 pub use forward::ForwardIndex;
 pub use index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};

@@ -75,6 +75,7 @@ pub struct PostingsBuilder {
     buf: Vec<u8>,
     last_doc: Option<u32>,
     len: u32,
+    max_tf: u32,
 }
 
 impl PostingsBuilder {
@@ -101,6 +102,7 @@ impl PostingsBuilder {
         put_varint(&mut self.buf, delta);
         put_varint(&mut self.buf, tf);
         self.len += 1;
+        self.max_tf = self.max_tf.max(tf);
     }
 
     /// Finish encoding, producing an immutable [`PostingsList`].
@@ -108,6 +110,7 @@ impl PostingsBuilder {
         PostingsList {
             data: self.buf.into(),
             len: self.len,
+            max_tf: self.max_tf,
         }
     }
 }
@@ -118,6 +121,9 @@ impl PostingsBuilder {
 pub struct PostingsList {
     data: Arc<[u8]>,
     len: u32,
+    /// The largest term frequency in the list (0 when empty); it sits in
+    /// what was padding, so the list is no larger.
+    max_tf: u32,
 }
 
 impl PostingsList {
@@ -129,6 +135,11 @@ impl PostingsList {
     /// True when no document contains the term.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The largest term frequency in the list (0 when it is empty).
+    pub(crate) fn max_tf(&self) -> u32 {
+        self.max_tf
     }
 
     /// Size in bytes of the compressed representation.
@@ -155,6 +166,7 @@ impl PostingsList {
     ) -> Result<Self, &'static str> {
         let mut pos = 0;
         let mut last_doc: Option<u32> = None;
+        let mut max_tf = 0;
         for _ in 0..count {
             let Some((delta, p)) = checked_varint(payload, pos) else {
                 return Err("undecodable postings varint");
@@ -178,6 +190,7 @@ impl PostingsList {
                 return Err("zero term frequency in postings");
             }
             last_doc = Some(doc);
+            max_tf = max_tf.max(tf);
         }
         if pos != payload.len() {
             return Err("trailing bytes in postings payload");
@@ -185,6 +198,7 @@ impl PostingsList {
         Ok(PostingsList {
             data: payload.into(),
             len: count,
+            max_tf,
         })
     }
 

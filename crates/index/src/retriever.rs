@@ -33,7 +33,6 @@
 //! assert_eq!(unsharded.retrieve("apple", 2), sharded.retrieve("apple", 2));
 //! ```
 
-use crate::dph::Dph;
 use crate::index::{InvertedIndex, StatsOverlay};
 use crate::kernel::{score_range, IndexRange};
 use crate::search::{query_weights, ScoredDoc, SearchEngine};
@@ -173,7 +172,7 @@ impl InvertedIndex {
         overlay: Option<&StatsOverlay>,
     ) -> Vec<ScoredDoc> {
         let whole = IndexRange::whole(self, overlay);
-        score_range(&whole, &query_weights(terms), &Dph::new(), k)
+        score_range(&whole, &query_weights(terms), &self.dph, k)
     }
 }
 

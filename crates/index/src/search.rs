@@ -2,8 +2,8 @@
 //!
 //! Term-at-a-time evaluation into a `HashMap` accumulator, then a bounded
 //! binary heap over every accumulator — `O(matches · log k)` selection,
-//! the same discipline OptSelect later applies to diversification.
-//! [`SearchEngine`] is deliberately plain: it is the **oracle** every
+//! a different algorithm from the kernel's rank-key selection, so each
+//! checks the other. [`SearchEngine`] is deliberately plain: it is the **oracle** every
 //! production retrieval path (all of which score through the dense
 //! retrieval kernel, `kernel::score_range`) is held to `f64` bit for bit
 //! by the equivalence suites. Nothing a deployment runs — the serving
@@ -54,9 +54,9 @@ pub struct ScoredDoc {
 /// Min-heap entry ordered by `(score, doc)` so the heap root is the weakest
 /// kept result; doc id breaks ties deterministically.
 #[derive(Debug, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) score: f64,
-    pub(crate) doc: DocId,
+struct HeapEntry {
+    score: f64,
+    doc: DocId,
 }
 
 impl Eq for HeapEntry {}

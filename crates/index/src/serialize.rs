@@ -18,6 +18,7 @@
 //! compressed), so save/load is a straight memory copy of the hot data.
 
 use crate::document::{Document, DocumentStore};
+use crate::dph::DphTable;
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::reader::{ByteReader, ByteWriter};
@@ -169,13 +170,15 @@ impl InvertedIndex {
             return Err(DecodeError::Corrupt("trailing bytes after index"));
         }
 
+        let stats = CollectionStats::of(num_docs, num_tokens);
         Ok(InvertedIndex {
+            dph: DphTable::of(stats, &doc_lens, &postings),
             vocab,
             postings,
             term_stats,
             doc_lens,
             store,
-            stats: CollectionStats::of(num_docs, num_tokens),
+            stats,
             forward: OnceLock::new(),
         })
     }

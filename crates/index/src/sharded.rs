@@ -22,13 +22,12 @@
 //! [`SearchEngine`](crate::search::SearchEngine) oracle, so even the
 //! floating-point summation order is identical. The scatter-gather merge
 //! is a k-way heap merge ordered by `(score desc, doc id asc)` — the same
-//! total order as the kernel's bounded-heap selection — which makes the
+//! total order as the kernel's rank-key selection — which makes the
 //! final ranking **bit-identical** to the single-shard result for every
 //! shard count (asserted by the `sharded_equivalence` suite for shard
 //! counts 1/2/4/7).
 
 use crate::document::DocId;
-use crate::dph::Dph;
 use crate::executor::ScoringExecutor;
 use crate::index::{InvertedIndex, StatsOverlay};
 use crate::kernel::{score_range, IndexRange};
@@ -217,7 +216,7 @@ impl ShardedIndex {
         score_range(
             &IndexRange::shard(&self.index, &shard.postings, shard.base, shard.len, overlay),
             weights,
-            &Dph::new(),
+            &self.index.dph,
             k,
         )
     }

@@ -7,7 +7,8 @@ use rand::{Rng, SeedableRng};
 use serpdiv_index::postings::PostingsBuilder;
 use serpdiv_index::search::top_k;
 use serpdiv_index::{
-    cosine, DocId, Document, IndexBuilder, InvertedIndex, ScoredDoc, SearchEngine, SparseVector,
+    cosine, CollectionStats, DocId, Document, Dph, DphTable, IndexBuilder, InvertedIndex,
+    RankingModel, ScoredDoc, SearchEngine, SparseVector, TermStats,
 };
 use serpdiv_text::TermId;
 use std::collections::BTreeSet;
@@ -193,4 +194,63 @@ fn serialization_roundtrip() {
             assert_eq!(a.len(), b.len(), "seed {seed}: {body:?}");
         }
     }
+}
+
+/// A DPH table scores exactly what the formula scores, `f64` bit for bit,
+/// at every cell, at `tf` or `dl` zero, and at the first `tf` and `dl`
+/// past each cap (where it falls back to the formula). The statistics are
+/// random: a fractional average length, and collection frequencies above
+/// and below the document count, so scores of both signs occur. Every
+/// sixteenth case asks for documents far longer than the 2 MiB cap holds.
+#[test]
+fn dph_table_scores_bit_for_bit_like_the_formula() {
+    let mut signs = [false; 2];
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let num_docs = rng.gen_range(1u64..2_000_000);
+        let num_tokens = num_docs * rng.gen_range(1..400) + rng.gen_range(1..num_docs + 1);
+        let coll = CollectionStats {
+            num_docs,
+            num_tokens,
+            avg_doc_len: num_tokens as f64 / num_docs as f64,
+        };
+        let huge = seed % 16 == 0;
+        let (max_tf, max_dl) = if huge {
+            (rng.gen_range(1..5_000), rng.gen_range(50_000..3_000_000))
+        } else {
+            (rng.gen_range(1..40), rng.gen_range(1..300))
+        };
+        let table = DphTable::new(coll, max_tf, max_dl);
+        let (tf_cap, dl_cap) = (table.tf_cap(), table.dl_cap());
+        assert!(tf_cap <= max_tf && dl_cap <= max_dl, "seed {seed}");
+        assert!(
+            u64::from(tf_cap) * u64::from(dl_cap) * 24 <= 2 << 20,
+            "seed {seed}: {tf_cap} x {dl_cap} cells"
+        );
+        if !huge {
+            assert_eq!((tf_cap, dl_cap), (max_tf, max_dl), "seed {seed}");
+        } else {
+            assert!(tf_cap >= max_tf.min(16), "seed {seed}: {tf_cap} rows");
+        }
+        for _ in 0..if huge { 1 } else { 3 } {
+            let coll_freq = rng.gen_range(1..4 * num_docs);
+            let term = TermStats {
+                doc_freq: coll_freq.min(num_docs),
+                coll_freq,
+            };
+            let scorer = table.term_scorer(term, coll);
+            for tf in 0..=tf_cap + 1 {
+                for dl in 0..=dl_cap + 1 {
+                    let want = Dph.score(tf, dl, term, coll);
+                    assert_eq!(
+                        scorer(tf, dl).to_bits(),
+                        want.to_bits(),
+                        "seed {seed}: tf {tf}, dl {dl}, {term:?}, {coll:?}"
+                    );
+                    signs[usize::from(want < 0.0)] |= want != 0.0;
+                }
+            }
+        }
+    }
+    assert_eq!(signs, [true, true], "scores of both signs");
 }

@@ -569,6 +569,11 @@ impl SearchEngine {
     /// specialization of the kept model; a store compiled for another
     /// model is refused as [`PublishError::Inconsistent`] rather than
     /// published to score diversified pages over all-zero columns.
+    /// A shipped forward image becomes the decoded index's own forward
+    /// view ([`ForwardIndex::install`]), so neither the index nor a later
+    /// [`merge_delta`](Self::merge_delta) compiles the rows again; an
+    /// image with another row count or IDF table than the index is
+    /// refused as [`PublishError::Inconsistent`].
     pub fn publish_artifacts(
         &self,
         artifacts: &GenerationArtifacts,
@@ -580,11 +585,16 @@ impl SearchEngine {
             let Some(_) = sealed.retrieve_terms_overlaid(&[], 0, &overlay, None) else {
                 return Err(PublishError::Inconsistent("retriever not in-process"));
             };
-            let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index)?);
+            let index = InvertedIndex::from_bytes(&artifacts.index)?;
             let forward = match &artifacts.forward {
-                Some(bytes) => Some(ForwardIndex::from_bytes(bytes)?),
+                Some(bytes) => Some(
+                    ForwardIndex::from_bytes(bytes)?
+                        .install(&index)
+                        .map_err(PublishError::Inconsistent)?,
+                ),
                 None => None,
             };
+            let index = Arc::new(index);
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
             let uncovered = current
                 .model()

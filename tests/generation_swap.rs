@@ -304,6 +304,55 @@ fn a_compiled_store_that_misses_a_model_specialization_is_refused() {
 }
 
 #[test]
+fn a_shipped_forward_image_is_its_index_view_and_a_foreign_one_is_refused() {
+    let engine = deploy(&base_docs(), 0);
+    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let oracle = engine.search(request());
+    let mut grown = base_docs();
+    grown.extend(storm_docs(12..16));
+    // Another collection's image: fewer rows than the index's documents.
+    let fewer_rows = GenerationArtifacts {
+        forward: artifacts_for(&engine, &base_docs(), 2).forward,
+        ..artifacts_for(&engine, &grown, 2)
+    };
+    // As many rows, weighted with another collection's statistics.
+    let mut reworded = base_docs();
+    reworded[0] = Document::new(0, "http://tech/0", "apple", "apple pie");
+    let other_idf = GenerationArtifacts {
+        forward: artifacts_for(&engine, &reworded, 2).forward,
+        ..artifacts_for(&engine, &base_docs(), 2)
+    };
+    for (what, bundle) in [("row count", &fewer_rows), ("idf table", &other_idf)] {
+        match engine.publish_artifacts(bundle) {
+            Err(PublishError::Inconsistent(_)) => {}
+            other => panic!("{what}: expected an inconsistency rejection, got {other:?}"),
+        }
+        assert_eq!(engine.current_generation_id(), 1, "{what}: swapped anyway");
+        assert_eq!(page_bits(&engine.search(request())), page_bits(&oracle));
+    }
+    let m = engine.metrics();
+    assert_eq!((m.swaps, m.swap_rejected), (0, 2));
+
+    // The matching image is the decoded index's forward view: asking the
+    // index for it compiles nothing, and neither does a merge over it.
+    engine
+        .publish_artifacts(&artifacts_for(&engine, &grown, 2))
+        .unwrap();
+    let published = engine.generation();
+    let tokens = published.forward().expect("shipped").doc_tokens(DocId(0));
+    let view = || ForwardIndex::build(published.index());
+    assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
+    engine.ingest(storm_docs(16..18)).unwrap();
+    engine.merge_delta().unwrap();
+    assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
+    grown.extend(storm_docs(16..18));
+    assert_eq!(
+        engine.generation().forward().unwrap().to_bytes(),
+        ForwardIndex::build(&build_index(&grown)).to_bytes()
+    );
+}
+
+#[test]
 fn carry_over_keeps_identical_pages_and_drops_changed_ones() {
     let engine = deploy(&base_docs(), 256);
     let req = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
