@@ -183,10 +183,10 @@ impl SpecializationStore {
     }
 
     /// [`build_with`](Self::build_with) for a caller holding nothing but
-    /// the reference engine: takes the index's [`ForwardIndex`] (written
-    /// by the index build, or compiled by the first
-    /// [`ForwardIndex::build`] over a decoded index, and kept by the
-    /// index either way, so every caller shares these arrays) and
+    /// the reference engine: takes the index's forward view
+    /// ([`InvertedIndex::forward`]: written by the index build, or
+    /// compiled once by a decoded index, and kept by the index either
+    /// way, so every caller shares these arrays) and
     /// retrieves through the engine's index — the DPH
     /// retrieval kernel, bit-identical to [`SearchEngine::new`]'s scoring
     /// — so `engine` only supplies its index. The engine's ranking model
@@ -200,8 +200,7 @@ impl SpecializationStore {
         snippet_window: usize,
     ) -> Self {
         let index = engine.index();
-        let forward = ForwardIndex::build(index);
-        Self::build_with(model, index, &forward, k_spec, snippet_window)
+        Self::build_with(model, index, index.forward(), k_spec, snippet_window)
     }
 
     /// The ranked surrogates of `spec` (empty slice when unknown).
@@ -256,7 +255,7 @@ pub fn candidate_surrogate(
     qterms: &[serpdiv_text::TermId],
     snippets: &SnippetGenerator,
 ) -> SparseVector {
-    snippets.surrogate(forward, doc, qterms)
+    forward.surrogate(doc, qterms, snippets.window)
 }
 
 /// The text-path oracle for [`candidate_surrogate`]: fetch the doc,

@@ -207,7 +207,7 @@ fn served_pages_through_fleet_match_in_process_serving_for_all_diversifiers() {
         model.clone(),
         deployed.store().clone(),
         deployed.compiled().clone(),
-        deployed.forward().cloned().map(Arc::new),
+        None,
         config,
     );
     // Subject: the same engine, retrieval through 2 worker processes.
@@ -219,7 +219,7 @@ fn served_pages_through_fleet_match_in_process_serving_for_all_diversifiers() {
         model.clone(),
         deployed.store().clone(),
         deployed.compiled().clone(),
-        deployed.forward().cloned().map(Arc::new),
+        None,
         config,
     );
 

@@ -33,22 +33,23 @@
 //! [`DeltaIndex::retrieve_union`]. A [`DeltaRetriever`] page is therefore
 //! `f64`-bit-identical to a from-scratch build over the union corpus at
 //! every instant — the same oracle discipline every other retrieval path
-//! in this workspace holds — not merely after the background merge; and
-//! a delta document's snippet surrogate is, entry for entry, the vector
-//! the merged generation will compute for it.
+//! in this workspace holds — not merely after the background merge. A
+//! delta document's snippet surrogate is read from the forward rows the
+//! delta's builder wrote, by the function a sealed index's forward view
+//! runs, with IDF weights from the union statistics: entry for entry the
+//! vector the merged generation will compute for it, with no text
+//! touched on the request path.
 
 use crate::builder::{IndexBuilder, Segment};
 use crate::document::{DocId, Document};
 use crate::dph::{Dph, DphTable};
-use crate::forward::ForwardIndex;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::retriever::{Retrieval, Retriever};
 use crate::search::{query_weights, ScoredDoc};
 use crate::sharded::merge_top_k;
-use crate::snippet::SnippetGenerator;
-use crate::vector::SparseVector;
+use crate::vector::{idf_weight, SparseVector};
 use serpdiv_text::{Analyzer, TermId};
 use std::sync::{Arc, OnceLock};
 
@@ -171,29 +172,24 @@ impl DeltaIndex {
         score_range(self, &query_weights(terms), &Dph::new(), k)
     }
 
-    /// The query-biased snippet surrogate of delta document `doc` (the
-    /// zero vector for a document outside the delta), weighted with the
-    /// union statistics: entry for entry the vector the merged index
-    /// yields for the same document and `query_terms`, through
-    /// [`SparseVector::from_text`] or its forward index alike.
-    pub fn surrogate(
-        &self,
-        doc: DocId,
-        query_terms: &[TermId],
-        snippets: &SnippetGenerator,
-    ) -> SparseVector {
-        let slot = doc.0.checked_sub(self.base_docs).map(|i| i as usize);
-        let Some(doc) = slot.and_then(|i| self.fresh.docs.get(i)) else {
+    /// The query-biased snippet surrogate of delta document `doc` over a
+    /// `window` of raw body tokens (the zero vector for a document outside
+    /// the delta), read from the forward rows the delta's builder wrote
+    /// and weighted with the union statistics: entry for entry the vector
+    /// the merged index yields for the same document and `query_terms`,
+    /// through its forward view or [`SparseVector::from_text`] alike.
+    pub fn surrogate(&self, doc: DocId, query_terms: &[TermId], window: usize) -> SparseVector {
+        let Some(slot) = doc.0.checked_sub(self.base_docs) else {
             return SparseVector::default();
         };
-        let snippet = snippets.snippet(doc, query_terms, &self.fresh.vocab);
         // Every term of a delta document is a term the delta touches, so
         // the overlay alone carries its union statistics.
-        SparseVector::tf_idf(
-            self.analyze_query(&snippet),
-            self.overlay.coll().num_docs,
-            |t| self.overlay.term_stats(t),
-        )
+        let num_docs = self.overlay.coll().num_docs;
+        self.fresh
+            .rows
+            .surrogate(slot as usize, query_terms, window, |t| {
+                idf_weight(num_docs, self.overlay.term_stats(TermId(t)))
+            })
     }
 }
 
@@ -312,7 +308,7 @@ impl Retriever for DeltaRetriever {
 /// delta's, which its builder wrote in the merged term ids, with the IDF
 /// table recomputed from the merged statistics: the bytes a from-scratch
 /// build writes. (A base decoded from bytes compiles its rows first; see
-/// [`ForwardIndex::build`].)
+/// [`InvertedIndex::forward`].)
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
@@ -349,7 +345,9 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     // The base's forward rows, then the delta's (already in the merged
     // ids), weighted with the merged statistics.
     let stats = delta.overlay.coll();
-    let forward = ForwardIndex::build(base).appended(&fresh.rows, stats.num_docs, &term_stats);
+    let forward = base
+        .forward()
+        .appended(&fresh.rows, stats.num_docs, &term_stats);
     InvertedIndex {
         dph: DphTable::of(stats, &doc_lens, &postings),
         vocab: fresh.vocab.clone(),
@@ -366,6 +364,7 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
+    use crate::snippet::SnippetGenerator;
 
     fn doc(i: u32, topic: &str) -> Document {
         let body = match topic {
@@ -438,16 +437,13 @@ mod tests {
         assert_eq!(merged.to_bytes(), scratch.to_bytes());
         // The merge appended the delta's forward rows to the base's, with
         // the IDF of the merged statistics: the from-scratch build's bytes.
-        assert_eq!(
-            ForwardIndex::build(&merged).to_bytes(),
-            ForwardIndex::build(&scratch).to_bytes()
-        );
+        assert_eq!(merged.forward().to_bytes(), scratch.forward().to_bytes());
         // So did a merge over a decoded base, which compiles its rows.
         let decoded = InvertedIndex::from_bytes(&base.to_bytes()).unwrap();
         let merged_decoded = merge_sealed(&decoded, &delta);
         assert_eq!(
-            ForwardIndex::build(&merged_decoded).to_bytes(),
-            ForwardIndex::build(&scratch).to_bytes()
+            merged_decoded.forward().to_bytes(),
+            scratch.forward().to_bytes()
         );
         // And retrieval is bit-identical (f64 score bits).
         for query in ["apple", "apple iphone", "weather forecast", "orchard"] {
@@ -507,11 +503,66 @@ mod tests {
         }
         // The documents behind those ids are the delta's own, and only
         // they have a surrogate here.
-        let snippets = SnippetGenerator::new();
-        assert!(!delta.surrogate(DocId(12), &terms, &snippets).is_zero());
-        assert!(!delta.surrogate(DocId(15), &terms, &snippets).is_zero());
-        assert!(delta.surrogate(DocId(16), &terms, &snippets).is_zero());
-        assert!(delta.surrogate(DocId(3), &terms, &snippets).is_zero());
+        assert!(!delta.surrogate(DocId(12), &terms, 30).is_zero());
+        assert!(!delta.surrogate(DocId(15), &terms, 30).is_zero());
+        assert!(delta.surrogate(DocId(16), &terms, 30).is_zero());
+        assert!(delta.surrogate(DocId(3), &terms, 30).is_zero());
+    }
+
+    /// A vector's entries and norm as bits.
+    fn vector_bits(v: &SparseVector) -> (Vec<(u32, u32)>, u32) {
+        let entries = v.entries().iter().map(|&(t, w)| (t.0, w.to_bits()));
+        (entries.collect(), v.norm().to_bits())
+    }
+
+    #[test]
+    fn delta_surrogates_match_the_text_oracle_over_the_merged_index() {
+        let base = build(&base_corpus());
+        let mut fresh = delta_corpus(12, 2);
+        let long = format!(
+            "quantum qubit {} apple silicon",
+            ["orchard harvest juice"; 12].join(" ")
+        );
+        for (title, body) in [
+            ("quantum computer", long.as_str()),
+            ("Apple quantum", ""),
+            ("", ""),
+            ("", "the of and is"),
+        ] {
+            let id = 12 + fresh.len() as u32;
+            fresh.push(Document::new(id, format!("http://new/{id}"), title, body));
+        }
+        let delta = DeltaIndex::build(&base, fresh);
+        let merged = merge_sealed(&base, &delta);
+        assert!(
+            base.analyze_query("quantum").is_empty(),
+            "a delta-only term"
+        );
+
+        // The text oracle over the merged index: the snippet string of a
+        // delta document, analyzed and weighted with the merged statistics
+        // — the zero vector for every id the delta does not hold.
+        for query in ["apple", "quantum", "quantum apple", "qubit orchard", ""] {
+            let qterms = delta.analyze_query(query);
+            for window in [1, 3, 30, 200] {
+                let snippets = SnippetGenerator::with_window(window);
+                for id in [0, 11, 12, 13, 14, 15, 16, 17, 18, 40] {
+                    let doc = DocId(id);
+                    let expect = match merged.store().get(doc).filter(|_| id >= 12) {
+                        Some(d) => SparseVector::from_text(
+                            &snippets.snippet(d, &qterms, merged.vocab()),
+                            &merged,
+                        ),
+                        None => SparseVector::default(),
+                    };
+                    assert_eq!(
+                        vector_bits(&delta.surrogate(doc, &qterms, window)),
+                        vector_bits(&expect),
+                        "doc {id} query {query:?} window {window}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

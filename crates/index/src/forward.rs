@@ -24,25 +24,30 @@
 //! each raw token once, through the memo the postings use, and puts the
 //! rows and the IDF table into the [`InvertedIndex`] it builds. A merge
 //! appends a delta's rows to its base's the same way
-//! ([`merge_sealed`](crate::delta::merge_sealed)). Either way
-//! [`ForwardIndex::build`] is then one [`Arc`] clone: the §4.1 store
+//! ([`merge_sealed`](crate::delta::merge_sealed)). The index owns the
+//! view: [`InvertedIndex::forward`] borrows it, and
+//! [`ForwardIndex::build`] is one [`Arc`] clone of it, so the §4.1 store
 //! build, the serving generation and anyone else who asks share one set
 //! of arrays.
 //!
 //! Only an index no builder made — one decoded from bytes — compiles its
-//! forward view, on the first [`ForwardIndex::build`] call: the builder's
-//! per-document routine, run sequentially, with each term looked up in
-//! the decoded vocabulary instead of interned. A token is its own
-//! tokenization, so each memo entry equals `analyze(raw).first()` looked
-//! up in the vocabulary — the per-raw-token normalization of the text
-//! oracle — and the compiled rows are the bytes the build wrote.
+//! forward view, on the first [`InvertedIndex::forward`] call (unless a
+//! shipped image was [installed](ForwardIndex::install) first): the
+//! builder's per-document routine, run sequentially, with each term
+//! looked up in the decoded vocabulary instead of interned. A token is
+//! its own tokenization, so each memo entry equals `analyze(raw).first()`
+//! looked up in the vocabulary — the per-raw-token normalization of the
+//! text oracle — and the compiled rows are the bytes the build wrote.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
 //! tiny per-query-term counter array instead of `Vec::contains` rescans)
 //! and emits the surrogate [`SparseVector`] straight from `TermId`s and
 //! cached IDF weights — no snippet `String`, no re-tokenization, no
-//! re-stemming anywhere on the hot path. The result is **bit-identical**
+//! re-stemming anywhere on the hot path. A delta's documents go through
+//! the same function over the delta's own rows
+//! ([`DeltaIndex::surrogate`](crate::delta::DeltaIndex::surrogate)),
+//! weighted with the union statistics. The result is **bit-identical**
 //! to the text oracle (`SnippetGenerator::snippet` +
 //! `SparseVector::from_text`); `tests/surrogate_equivalence.rs` proves it.
 //!
@@ -216,60 +221,110 @@ impl Rows {
     fn num_docs(&self) -> usize {
         self.offsets.len() - 1
     }
+
+    /// The snippet-surrogate TF-IDF vector of the `doc`-th document for
+    /// `query_terms` (the zero vector past the last row): the best window of
+    /// its stream, counted with its title entries, each term weighted
+    /// with `idf(term)` — bit-identical to `from_text` of the text
+    /// oracle's snippet when `idf` gives `from_text`'s factor.
+    pub(crate) fn surrogate(
+        &self,
+        doc: usize,
+        query_terms: &[TermId],
+        window: usize,
+        idf: impl Fn(u32) -> f32,
+    ) -> SparseVector {
+        if doc >= self.num_docs() {
+            return SparseVector::default();
+        }
+        let tokens = run(&self.tokens, &self.offsets, doc);
+        let (start, len) = best_window_over(tokens, query_terms, window);
+
+        // Term frequencies of the window: sort the (few) window terms and
+        // count runs — no hashing.
+        let mut win: Vec<u32> = tokens[start..start + len]
+            .iter()
+            .copied()
+            .filter(|&t| t != STOP)
+            .collect();
+        win.sort_unstable();
+
+        // Merge window counts with the sorted title tf entries. No term id
+        // reaches `STOP`, so it stands for an exhausted side.
+        let title = run(&self.title_terms, &self.title_offsets, doc);
+        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(win.len() + title.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < win.len() || j < title.len() {
+            let term = win
+                .get(i)
+                .map_or(STOP, |&t| t)
+                .min(title.get(j).map_or(STOP, |e| e.0));
+            let mut tf = 0u32;
+            while i < win.len() && win[i] == term {
+                tf += 1;
+                i += 1;
+            }
+            if j < title.len() && title[j].0 == term {
+                tf += title[j].1;
+                j += 1;
+            }
+            pairs.push((TermId(term), tf_idf_weight(tf, idf(term))));
+        }
+        SparseVector::from_sorted_pairs(pairs)
+    }
 }
 
 impl ForwardIndex {
-    /// The forward index of `index`: each document body as a stream of
-    /// term ids, title term frequencies and per-term IDF weights
-    /// precomputed. An index a builder or a merge made already holds it,
-    /// and this returns a clone sharing its arrays. An index decoded from
-    /// bytes compiles it on the first call — an offline deployment step
-    /// (one sequential pass over the document store, each distinct raw
-    /// token analyzed once) — keeps the result, and returns clones of it
-    /// after.
+    /// The forward view of `index` ([`InvertedIndex::forward`]): each
+    /// document body as a stream of term ids, title term frequencies and
+    /// per-term IDF weights precomputed. A clone sharing the index's
+    /// arrays; an index decoded from bytes compiles them on the first
+    /// request for its view.
     pub fn build(index: &InvertedIndex) -> Self {
-        index
-            .forward
-            .get_or_init(|| {
-                let vocab = index.vocab();
-                let analyze =
-                    |raw: &str| Analyzer::analyze_token(raw).and_then(|term| vocab.id(&term));
-                let (mut memo, mut rows, mut title) =
-                    (TokenMemo::default(), Rows::default(), Vec::new());
-                for doc in index.store().iter() {
-                    rows.push(doc, &mut memo, analyze, &mut title);
-                }
-                rows.shrink_to_fit();
-                Self::from_rows(rows, index.stats().num_docs, &index.term_stats)
-            })
-            .clone()
+        index.forward().clone()
+    }
+
+    /// Compile the forward view of an index no builder made — an offline
+    /// deployment step: one sequential pass over the document store, each
+    /// distinct raw token analyzed once.
+    pub(crate) fn compile(index: &InvertedIndex) -> Self {
+        let vocab = index.vocab();
+        let analyze = |raw: &str| Analyzer::analyze_token(raw).and_then(|term| vocab.id(&term));
+        let (mut memo, mut rows, mut title) = (TokenMemo::default(), Rows::default(), Vec::new());
+        for doc in index.store().iter() {
+            rows.push(doc, &mut memo, analyze, &mut title);
+        }
+        rows.shrink_to_fit();
+        Self::from_rows(rows, index.stats().num_docs, &index.term_stats)
     }
 
     /// Make this image — decoded beside `index` from a deploy bundle — the
-    /// forward view of `index`, so that [`build`](Self::build) over it,
-    /// and every merge that `index` is the base of, reuse these arrays
-    /// instead of compiling the rows again. Refused, with the failed
-    /// check, unless the image holds one row per document of `index` and
-    /// the IDF table `index`'s statistics give, bit for bit, and unless
-    /// `index` holds no forward view yet.
+    /// forward view of `index`, so that [`InvertedIndex::forward`], and
+    /// every merge that `index` is the base of, reuse these arrays instead
+    /// of compiling the rows again. An image that already is `index`'s
+    /// view (the same arrays) is accepted as it is. Otherwise refused,
+    /// with the failed check, unless `index` holds no forward view yet,
+    /// the image holds one row per document of `index`, and its IDF table
+    /// is the one `index`'s statistics give, bit for bit.
     pub fn install(self, index: &InvertedIndex) -> Result<Self, &'static str> {
-        let num_docs = index.stats().num_docs;
-        if self.num_docs() as u64 != num_docs {
-            return Err("forward image row count differs from the index's documents");
-        }
-        let idf = &self.0.idf;
-        let same_idf = idf.len() == index.term_stats.len()
-            && idf
+        if index.forward.get().is_none() {
+            let num_docs = index.stats().num_docs;
+            if self.num_docs() as u64 != num_docs {
+                return Err("forward image row count differs from the index's documents");
+            }
+            let idf = self.0.idf.iter().map(|w| w.to_bits());
+            let expect = index
+                .term_stats
                 .iter()
-                .zip(&index.term_stats)
-                .all(|(w, &ts)| w.to_bits() == idf_weight(num_docs, Some(ts)).to_bits());
-        if !same_idf {
-            return Err("forward image IDF table differs from the index's statistics");
+                .map(|&ts| idf_weight(num_docs, Some(ts)));
+            if !idf.eq(expect.map(f32::to_bits)) {
+                return Err("forward image IDF table differs from the index's statistics");
+            }
         }
-        index
-            .forward
-            .set(self.clone())
-            .map_err(|_| "the index already holds a forward view")?;
+        let own = index.forward.get_or_init(|| self.clone());
+        if !Arc::ptr_eq(&own.0, &self.0) {
+            return Err("the index already holds another forward view");
+        }
         Ok(self)
     }
 
@@ -307,22 +362,14 @@ impl ForwardIndex {
     /// The compiled body token stream of `doc` (empty for unknown docs).
     pub fn doc_tokens(&self, doc: DocId) -> &[u32] {
         let a = &self.0.rows;
-        let i = doc.index();
-        if i + 1 >= a.offsets.len() {
-            return &[];
-        }
-        &a.tokens[a.offsets[i] as usize..a.offsets[i + 1] as usize]
+        run(&a.tokens, &a.offsets, doc.index())
     }
 
     /// The precomputed title `(term, tf)` entries of `doc`, sorted by
     /// term id (empty for unknown docs).
     pub fn title_tf(&self, doc: DocId) -> &[(u32, u32)] {
         let a = &self.0.rows;
-        let i = doc.index();
-        if i + 1 >= a.title_offsets.len() {
-            return &[];
-        }
-        &a.title_terms[a.title_offsets[i] as usize..a.title_offsets[i + 1] as usize]
+        run(&a.title_terms, &a.title_offsets, doc.index())
     }
 
     /// The cached IDF weight `ln(1 + N/df)` of `term` (0 for unknown
@@ -350,46 +397,10 @@ impl ForwardIndex {
     /// `SparseVector::from_text(SnippetGenerator::snippet(..), index)`;
     /// unknown documents yield the zero vector.
     pub fn surrogate(&self, doc: DocId, query_terms: &[TermId], window: usize) -> SparseVector {
-        if doc.index() >= self.num_docs() {
-            return SparseVector::default();
-        }
-        let tokens = self.doc_tokens(doc);
-        let (start, len) = best_window_over(tokens, query_terms, window);
-
-        // Term frequencies of the window: sort the (few) window terms and
-        // count runs — no hashing.
-        let mut win: Vec<u32> = tokens[start..start + len]
-            .iter()
-            .copied()
-            .filter(|&t| t != STOP)
-            .collect();
-        win.sort_unstable();
-
-        // Merge window counts with the sorted title tf entries.
-        let title = self.title_tf(doc);
-        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(win.len() + title.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < win.len() || j < title.len() {
-            let wt = win.get(i).copied();
-            let tt = title.get(j).map(|&(t, _)| t);
-            let term = match (wt, tt) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => unreachable!(),
-            };
-            let mut tf = 0u32;
-            while i < win.len() && win[i] == term {
-                tf += 1;
-                i += 1;
-            }
-            if j < title.len() && title[j].0 == term {
-                tf += title[j].1;
-                j += 1;
-            }
-            pairs.push((TermId(term), tf_idf_weight(tf, self.0.idf[term as usize])));
-        }
-        SparseVector::from_sorted_pairs(pairs)
+        let idf = &self.0.idf;
+        self.0
+            .rows
+            .surrogate(doc.index(), query_terms, window, |t| idf[t as usize])
     }
 
     /// Approximate in-memory footprint in bytes of the shared arrays
@@ -499,6 +510,15 @@ impl ForwardIndex {
             title_offsets,
         };
         Ok(ForwardIndex(Arc::new(Arrays { rows, idf })))
+    }
+}
+
+/// The `i`-th document's run of `items` under `offsets` (empty past the
+/// last document).
+fn run<'a, T>(items: &'a [T], offsets: &[u32], i: usize) -> &'a [T] {
+    match offsets.get(i..i + 2) {
+        Some(&[start, end]) => &items[start as usize..end as usize],
+        _ => &[],
     }
 }
 
@@ -786,6 +806,15 @@ mod tests {
             assert_eq!(*f, first);
             assert_eq!(ForwardIndex::from_bytes(&f.to_bytes()).unwrap(), *f);
         }
+
+        // The index's own view installs as it is; an equal image with
+        // arrays of its own is another view, and is refused.
+        assert!(first.clone().install(&index).is_ok());
+        let copy = ForwardIndex::from_bytes(&first.to_bytes()).unwrap();
+        assert_eq!(
+            copy.install(&index).unwrap_err(),
+            "the index already holds another forward view"
+        );
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub struct InvertedIndex {
     pub(crate) stats: CollectionStats,
     /// The compiled forward view. A builder and a merge fill it with the
     /// rows their one pass over the text wrote; a decoder leaves it empty,
-    /// and the first [`ForwardIndex::build`] over the decoded index
-    /// compiles and fills it.
+    /// for [`ForwardIndex::install`] or the first [`InvertedIndex::forward`]
+    /// call to fill.
     pub(crate) forward: OnceLock<ForwardIndex>,
     /// DPH's `(tf, dl)` factors under `stats`, built with the index
     /// (never serialized).
@@ -140,6 +140,13 @@ impl InvertedIndex {
     /// Length (in analyzed tokens) of document `doc`.
     pub fn doc_len(&self, doc: DocId) -> Option<u32> {
         self.doc_lens.get(doc.index()).copied()
+    }
+
+    /// This index's forward view, which every served surrogate of its
+    /// documents is read from. A decoded index compiles it on the first
+    /// call, unless an image was [installed](ForwardIndex::install).
+    pub fn forward(&self) -> &ForwardIndex {
+        self.forward.get_or_init(|| ForwardIndex::compile(self))
     }
 
     /// Analyze raw query text into term ids known to this index.

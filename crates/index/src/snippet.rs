@@ -10,20 +10,19 @@
 //! by total query-term occurrences, then by earliest position — the classic
 //! query-biased summarisation heuristic of Tombros & Sanderson).
 //!
-//! Two paths produce the same surrogate:
-//!
-//! * [`SnippetGenerator::snippet`] — the **text oracle**: re-analyzes the
-//!   raw body per request and returns the window as a `String` (callers
-//!   vectorize it with [`SparseVector::from_text`](crate::SparseVector)).
-//!   Kept as the reference implementation and for human-readable display.
-//! * [`SnippetGenerator::surrogate`] — the **compiled hot path**: selects
-//!   the window over a [`ForwardIndex`] `TermId`
-//!   stream and emits the TF-IDF vector directly, with no string work.
-//!   Bit-identical output (`tests/surrogate_equivalence.rs`).
+//! [`SnippetGenerator::snippet`] is the **text oracle**: it re-analyzes
+//! the raw body and returns the window as a `String` (vectorized with
+//! [`SparseVector::from_text`](crate::SparseVector::from_text)). It is the
+//! reference the equivalence suites hold the served surrogates to, the
+//! per-request path of an engine deployed with
+//! `EngineConfig::forward_index = false`, and the human-readable display.
+//! Every other surrogate is read from compiled forward rows —
+//! [`ForwardIndex::surrogate`](crate::ForwardIndex::surrogate) over a
+//! sealed index, [`DeltaIndex::surrogate`](crate::DeltaIndex::surrogate)
+//! over a delta — with this generator's `window`, and is bit-identical
+//! (`tests/surrogate_equivalence.rs`).
 
 use crate::document::Document;
-use crate::forward::ForwardIndex;
-use crate::vector::SparseVector;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
 
 /// Query-biased snippet generator.
@@ -73,7 +72,8 @@ impl SnippetGenerator {
     /// The `(start, len)` raw-token window [`snippet`](Self::snippet)
     /// would extract for `doc` — `(0, 0)` for an empty body. Exposed so
     /// the equivalence suite can compare the text oracle's choice against
-    /// [`ForwardIndex::best_window`] directly.
+    /// [`ForwardIndex::best_window`](crate::ForwardIndex::best_window)
+    /// directly.
     pub fn best_window_text(
         &self,
         doc: &Document,
@@ -128,21 +128,6 @@ impl SnippetGenerator {
             }
         }
         (best_start, window)
-    }
-
-    /// The compiled-path surrogate: window selection and TF-IDF emission
-    /// entirely over `forward`'s precompiled `TermId` streams, using this
-    /// generator's window size. See [`ForwardIndex::surrogate`]; the
-    /// result is bit-identical to vectorizing
-    /// [`snippet`](Self::snippet)'s output with
-    /// [`SparseVector::from_text`].
-    pub fn surrogate(
-        &self,
-        forward: &ForwardIndex,
-        doc: crate::document::DocId,
-        query_terms: &[TermId],
-    ) -> SparseVector {
-        forward.surrogate(doc, query_terms, self.window)
     }
 }
 

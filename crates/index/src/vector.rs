@@ -16,8 +16,9 @@ use std::collections::HashMap;
 /// `ln(1 + N/df)`: the IDF factor of a term with statistics `stats` in a
 /// collection of `num_docs` documents, `df` floored at 1. With
 /// [`tf_idf_weight`] this is the one `f32` expression behind every
-/// surrogate weight, the text path's and the forward index's cached table
-/// alike, so the two stay bit-identical.
+/// surrogate weight — the text path's, the forward index's cached table
+/// and a delta's union-statistics weights alike — so they stay
+/// bit-identical.
 pub(crate) fn idf_weight(num_docs: u64, stats: Option<TermStats>) -> f32 {
     let df = stats.map_or(0.0, |s| s.doc_freq as f32).max(1.0);
     (1.0 + num_docs as f32 / df).ln()
@@ -82,31 +83,20 @@ impl SparseVector {
 
     /// TF-IDF vector of a text under `index`'s statistics.
     ///
-    /// This is how snippet surrogates are vectorized: analyze the snippet,
+    /// This is how the text oracle vectorizes a snippet: analyze it,
     /// weight each term by `(1 + ln tf) · ln(1 + N/df)`.
     pub fn from_text(text: &str, index: &InvertedIndex) -> Self {
-        Self::tf_idf(index.analyze_query(text), index.stats().num_docs, |t| {
-            index.term_stats(t)
-        })
-    }
-
-    /// TF-IDF vector of an analyzed term stream in a collection of
-    /// `num_docs` documents whose per-term statistics `stats` answers —
-    /// the one weighting behind [`from_text`](Self::from_text) and the
-    /// delta's union-statistics surrogates.
-    pub(crate) fn tf_idf(
-        terms: Vec<TermId>,
-        num_docs: u64,
-        stats: impl Fn(TermId) -> Option<TermStats>,
-    ) -> Self {
+        let num_docs = index.stats().num_docs;
         let mut tf: HashMap<TermId, u32> = HashMap::new();
-        for t in terms {
+        for t in index.analyze_query(text) {
             *tf.entry(t).or_insert(0) += 1;
         }
-        Self::from_pairs(
-            tf.into_iter()
-                .map(|(t, f)| (t, tf_idf_weight(f, idf_weight(num_docs, stats(t))))),
-        )
+        Self::from_pairs(tf.into_iter().map(|(t, f)| {
+            (
+                t,
+                tf_idf_weight(f, idf_weight(num_docs, index.term_stats(t))),
+            )
+        }))
     }
 
     /// Number of nonzero entries.

@@ -67,13 +67,12 @@ pub struct EngineConfig {
     /// The remaining budget also clamps a distributed retriever's
     /// per-shard wire deadlines. 0 disables the deadline.
     pub deadline_us: u64,
-    /// Compile a [`ForwardIndex`] at deploy time and serve snippet
-    /// surrogates from it (zero-string `TermId`-stream path). `false`
-    /// falls back to the per-request text path. Both paths analyze text
-    /// through the one `serpdiv_text` pipeline and weight terms with the
-    /// one TF-IDF expression, so surrogates are bit-identical either way
-    /// (`tests/surrogate_equivalence.rs`); this only trades deploy-time
-    /// compilation and memory for request latency.
+    /// Which function computes a sealed candidate's snippet surrogate on a
+    /// cache miss: `true` reads the index's forward view
+    /// ([`InvertedIndex::forward`]), `false` runs the text oracle per
+    /// request. The index holds its view either way (the §4.1 store is
+    /// built from it), and the surrogates are bit-identical either way
+    /// (`tests/surrogate_equivalence.rs`).
     pub forward_index: bool,
     /// Hold the engine to a served-latency SLO: burn-rate alerting over
     /// the request stream, surfaced as
@@ -156,15 +155,13 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Deploy the engine, running the offline chain in order: compile the
-    /// [`ForwardIndex`], build the §4.1 [`SpecializationStore`] from it
-    /// (one kernel retrieval per distinct specialization in `model`, each
-    /// hit's surrogate through the function the request path uses),
-    /// compile the store into the inverted utility index, and start with
-    /// empty caches at generation 1. The forward index serves surrogates
-    /// only when [`EngineConfig::forward_index`] is set; `index` keeps
-    /// its compiled arrays either way (see [`ForwardIndex::build`]).
-    /// Builds the retrieval layer from [`EngineConfig::index_shards`]: the
+    /// Deploy the engine, running the offline chain in order: take the
+    /// index's forward view ([`InvertedIndex::forward`]), build the §4.1
+    /// [`SpecializationStore`] from it (one kernel retrieval per distinct
+    /// specialization in `model`, each hit's surrogate through the
+    /// function the request path uses), compile the store into the
+    /// inverted utility index, and start with empty caches at
+    /// generation 1. Builds the retrieval layer from [`EngineConfig::index_shards`]: the
     /// plain index at 1, a [`ShardedIndex`] otherwise — backed by a fresh
     /// persistent [`ScoringExecutor`] when
     /// [`EngineConfig::executor_threads`] is set. With one shard there is
@@ -178,11 +175,10 @@ impl SearchEngine {
         model: Arc<SpecializationModel>,
         mut config: EngineConfig,
     ) -> Self {
-        let forward = ForwardIndex::build(&index);
         let store = Arc::new(SpecializationStore::build_with(
             &model,
             index.as_ref(),
-            &forward,
+            index.forward(),
             config.params.k_spec_results,
             config.params.snippet_window,
         ));
@@ -191,16 +187,16 @@ impl SearchEngine {
             config.executor_threads = 0;
         }
         let retriever = Self::build_retriever(&index, &config);
-        let forward = config.forward_index.then_some(forward);
-        let generation = Generation::new(1, index, retriever, model, store, compiled, forward);
+        let generation = Generation::new(1, index, retriever, model, store, compiled);
         Self::from_generation(Arc::new(generation), config)
     }
 
     /// Deploy with every offline artifact supplied explicitly. Lets
-    /// callers share one (expensive-to-build) [`ShardedIndex`] *and* one
-    /// compiled [`ForwardIndex`] across several engines. `forward: None`
-    /// serves surrogates through the per-request text path regardless of
-    /// [`EngineConfig::forward_index`]. [`EngineConfig::index_shards`] builds
+    /// callers share one (expensive-to-build) [`ShardedIndex`] and §4.1
+    /// stores across several engines. `forward: None` takes the index's
+    /// own view ([`InvertedIndex::forward`]); `Some` must be that view, or
+    /// an image a decoded index accepts ([`ForwardIndex::install`]), else
+    /// this panics naming the mismatch. [`EngineConfig::index_shards`] builds
     /// nothing here, but [`publish_artifacts`](Self::publish_artifacts) and
     /// [`merge_delta`](Self::merge_delta) rebuild the retrieval layer from
     /// it, so keep it consistent with the retriever you pass (over one that
@@ -214,10 +210,12 @@ impl SearchEngine {
         forward: Option<Arc<ForwardIndex>>,
         config: EngineConfig,
     ) -> Self {
-        let forward = forward.map(Arc::unwrap_or_clone);
-        let generation = Arc::new(Generation::new(
-            1, index, retriever, model, store, compiled, forward,
-        ));
+        if let Some(forward) = forward {
+            if let Err(mismatch) = Arc::unwrap_or_clone(forward).install(&index) {
+                panic!("the forward view is not the index's own: {mismatch}");
+            }
+        }
+        let generation = Arc::new(Generation::new(1, index, retriever, model, store, compiled));
         Self::from_generation(generation, config)
     }
 
@@ -409,15 +407,14 @@ impl SearchEngine {
     /// pinned `generation`, from the query `terms` the retrieve stage
     /// analyzed, through the query's [`SurrogateTable`] when the cache is
     /// enabled: one cache probe under the generation's surrogate stamp
-    /// (the sealed index + forward index its vectors are computed from,
-    /// see [`crate::generation`]) fetches the table, each sealed candidate
+    /// (the sealed index its vectors are computed from, see
+    /// [`crate::generation`]) fetches the table, each sealed candidate
     /// resolves against it at its sealed rank (binary search only when the
     /// table ranked another document there), and only a request that had
-    /// to compute a vector publishes a replacement. With a
-    /// compiled [`ForwardIndex`] deployed, a miss is a `TermId`-stream
-    /// window scan plus direct TF-IDF emission; without one it falls back
-    /// to the text oracle (bit-identical vectors, so the cache can be
-    /// shared).
+    /// to compute a vector publishes a replacement. A sealed miss reads the
+    /// index's forward view, or runs the text oracle when
+    /// [`EngineConfig::forward_index`] (read here only) is unset; a delta
+    /// candidate is read from the delta's own rows.
     pub(crate) fn surrogate_vectors(
         &self,
         generation: &Generation,
@@ -426,6 +423,7 @@ impl SearchEngine {
     ) -> Vec<Arc<SparseVector>> {
         let snippets = SnippetGenerator::with_window(self.config.params.snippet_window);
         let index = generation.index();
+        let forward = self.config.forward_index.then(|| index.forward());
         let sealed = index.stats().num_docs as usize;
         // Sealed documents and the table key read the ids below the sealed
         // vocabulary's size: a delta's vocabulary extends the sealed one,
@@ -441,14 +439,16 @@ impl SearchEngine {
         // the vector the merged generation computes, a different function
         // than the one the table is keyed for, so they never enter a
         // table; the delta is small and short-lived (a merge seals it).
+        // They take the sealed path's clamped window: a raw 0 would
+        // collapse the surrogate to the title.
         let compute = |doc: DocId| {
             Arc::new(if doc.index() >= sealed {
                 generation
                     .delta()
                     .expect("document beyond the sealed collection without a delta")
-                    .surrogate(doc, terms, &snippets)
+                    .surrogate(doc, terms, snippets.window)
             } else {
-                match generation.forward() {
+                match forward {
                     Some(forward) => {
                         serpdiv_core::candidate_surrogate(forward, doc, &qterms, &snippets)
                     }
@@ -573,7 +573,8 @@ impl SearchEngine {
     /// view ([`ForwardIndex::install`]), so neither the index nor a later
     /// [`merge_delta`](Self::merge_delta) compiles the rows again; an
     /// image with another row count or IDF table than the index is
-    /// refused as [`PublishError::Inconsistent`].
+    /// refused as [`PublishError::Inconsistent`]. Without an image the
+    /// decoded index compiles its view before this returns.
     pub fn publish_artifacts(
         &self,
         artifacts: &GenerationArtifacts,
@@ -586,14 +587,11 @@ impl SearchEngine {
                 return Err(PublishError::Inconsistent("retriever not in-process"));
             };
             let index = InvertedIndex::from_bytes(&artifacts.index)?;
-            let forward = match &artifacts.forward {
-                Some(bytes) => Some(
-                    ForwardIndex::from_bytes(bytes)?
-                        .install(&index)
-                        .map_err(PublishError::Inconsistent)?,
-                ),
-                None => None,
-            };
+            if let Some(bytes) = &artifacts.forward {
+                ForwardIndex::from_bytes(bytes)?
+                    .install(&index)
+                    .map_err(PublishError::Inconsistent)?;
+            }
             let index = Arc::new(index);
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
             let uncovered = current
@@ -606,10 +604,9 @@ impl SearchEngine {
                     "compiled store does not cover the model's specializations",
                 ));
             }
-            Ok((index, forward, compiled))
+            Ok((index, compiled))
         })();
-        let (index, forward, compiled) =
-            decoded.inspect_err(|_| self.metrics.record_swap_rejected())?;
+        let (index, compiled) = decoded.inspect_err(|_| self.metrics.record_swap_rejected())?;
         let retriever = Self::build_retriever(&index, &self.config);
         let candidate = Generation::new(
             artifacts.id,
@@ -618,7 +615,6 @@ impl SearchEngine {
             current.model().clone(),
             current.store().clone(),
             compiled,
-            forward,
         );
         self.publish(Arc::new(candidate))
     }
@@ -673,24 +669,17 @@ impl SearchEngine {
     /// Fold the current generation's delta into its sealed base
     /// ([`merge_sealed`] — bit-identical to a from-scratch build over
     /// the concatenated document stream) and publish the merged
-    /// successor: fresh retrieval layer per this engine's config, the
-    /// merged index's forward view (the base's rows with the delta's
-    /// appended; nothing is compiled) when the generation served one, no
-    /// delta.
+    /// successor: fresh retrieval layer per this engine's config, no
+    /// delta. The merged index holds its forward view already (the base's
+    /// rows with the delta's appended; nothing is compiled).
     pub fn merge_delta(&self) -> Result<GenerationId, PublishError> {
         let current = self.generations.pin();
         let Some(delta) = current.delta() else {
             return Err(PublishError::Inconsistent("no delta to merge"));
         };
         let merged = Arc::new(merge_sealed(current.index(), delta));
-        let forward = current
-            .forward()
-            .is_some()
-            .then(|| ForwardIndex::build(&merged));
         let retriever = Self::build_retriever(&merged, &self.config);
-        self.publish(Arc::new(
-            current.next().with_sealed(merged, retriever, forward),
-        ))
+        self.publish(Arc::new(current.next().with_sealed(merged, retriever)))
     }
 
     /// Publish an identical successor under the next id — every artifact
@@ -973,12 +962,10 @@ mod tests {
     #[test]
     fn forward_index_is_compiled_by_default_and_optional() {
         let with = deploy(diversifying_config());
-        assert!(with.generation().forward().is_some());
         let without = deploy(EngineConfig {
             forward_index: false,
             ..diversifying_config()
         });
-        assert!(without.generation().forward().is_none());
         // The two paths serve identical pages for every algorithm.
         for algo in [
             AlgorithmKind::OptSelect,
@@ -1089,7 +1076,7 @@ mod tests {
             generation.model().clone(),
             generation.store().clone(),
             generation.compiled().clone(),
-            generation.forward().cloned().map(Arc::new),
+            Some(Arc::new(generation.index().forward().clone())),
             EngineConfig {
                 index_shards: 4,
                 executor_threads: 2,
@@ -1226,7 +1213,6 @@ mod tests {
             current.model().clone(),
             current.store().clone(),
             current.compiled().clone(),
-            current.forward().cloned(),
         ));
         match engine.publish(stale) {
             Err(PublishError::Stale { candidate, current }) => {
@@ -1346,7 +1332,7 @@ mod tests {
             deployed.model().clone(),
             deployed.store().clone(),
             deployed.compiled().clone(),
-            deployed.forward().cloned().map(Arc::new),
+            None,
             config,
         )
     }
@@ -1396,7 +1382,7 @@ mod tests {
         let artifacts = GenerationArtifacts {
             id: 2,
             index: current.index().to_bytes(),
-            forward: current.forward().map(|f| f.to_bytes()),
+            forward: Some(current.index().forward().to_bytes()),
             compiled: current.compiled().to_bytes(),
         };
         assert!(matches!(
@@ -1460,11 +1446,9 @@ mod tests {
         });
         let next = match current.delta() {
             Some(delta) => current.next().with_delta(delta.clone(), counting.clone()),
-            None => current.next().with_sealed(
-                current.index().clone(),
-                counting.clone(),
-                current.forward().cloned(),
-            ),
+            None => current
+                .next()
+                .with_sealed(current.index().clone(), counting.clone()),
         };
         engine.publish(Arc::new(next)).unwrap();
         counting

@@ -1,8 +1,8 @@
 //! Generations: epoch-published serving state for zero-downtime updates.
 //!
-//! Every structure the request pipeline reads — inverted index, retrieval
-//! layer, forward index, specialization model, compiled spec store,
-//! presentation table — is immutable and `Arc`-shared. This module turns
+//! Every structure the request pipeline reads — inverted index (with the
+//! forward view it owns), retrieval layer, specialization model, compiled
+//! spec store, presentation table — is immutable and `Arc`-shared. This module turns
 //! that strength into *live updates*: the whole read set is bundled into
 //! one immutable [`Generation`] tagged with a monotonically increasing
 //! [`GenerationId`], and running engines see updates only as the atomic
@@ -34,9 +34,9 @@
 //! ## Validate-then-publish
 //!
 //! A candidate generation is checked **before** the pointer moves:
-//! internal consistency ([`Generation::validate`] — forward index and
-//! presentation table must cover the document space, a delta must extend
-//! this exact base) and id monotonicity (a stale or replayed id is
+//! internal consistency ([`Generation::validate`] — the presentation
+//! table must cover the document space, a delta must extend this exact
+//! base) and id monotonicity (a stale or replayed id is
 //! refused). Serialized artifacts go through the existing checked decoders
 //! (`DecodeError`: bad magic, version mismatch, truncation, corruption) in
 //! [`SearchEngine::publish_artifacts`](crate::SearchEngine::publish_artifacts).
@@ -61,24 +61,25 @@
 //! response).
 //!
 //! * `pages_epoch` names everything a SERP is computed from: sealed
-//!   index, forward index, retrieval layer, model, raw and compiled
-//!   store, scorers, delta. The presentation table is not an independent
+//!   index (its forward view included), retrieval layer, model, raw and
+//!   compiled store, scorers, delta. The presentation table is not an independent
 //!   input — it is interned from the index and the delta, and
 //!   [`set_presentation`](Generation::set_presentation) only shares an
 //!   already-interned copy of that same table. The result cache keys on
 //!   `(pages_epoch, query, k, algorithm)`.
 //! * `surrogates_epoch` names what a *sealed* document's snippet
-//!   surrogate is computed from: the sealed index (vocabulary, document
-//!   text) and the forward index (token streams, idf weights).
+//!   surrogate is computed from: the sealed index — its forward view
+//!   (token streams, title entries, idf weights), or its vocabulary and
+//!   document text on the text path.
 //!   The surrogate cache keys on `(surrogates_epoch, query terms)`; delta
-//!   documents never enter a table. Their vectors come from the delta
-//!   itself ([`DeltaIndex::surrogate`]): it shares the sealed index's
-//!   term-id space (its vocabulary is the sealed one, extended), so the
-//!   compiled spec store reads them as the terms they are, but it weighs
-//!   them with the union statistics and analyzes the query against the
-//!   extended vocabulary — already the vector the merged generation will
-//!   compute, and a different function of the document than the one this
-//!   stamp names.
+//!   documents never enter a table. Their vectors come from the delta's
+//!   own forward rows ([`DeltaIndex::surrogate`]): it shares the sealed
+//!   index's term-id space (its vocabulary is the sealed one, extended),
+//!   so the compiled spec store reads them as the terms they are, but it
+//!   weighs them with the union statistics and reads the query as
+//!   analyzed against the extended vocabulary — already the vector the
+//!   merged generation will compute, and a different function of the
+//!   document than the one this stamp names.
 //!
 //! Soundness is local to this module, because a `Generation`'s artifact
 //! fields are private and only four functions assign them:
@@ -88,7 +89,7 @@
 //! | [`Generation::new`] | every artifact | fresh | fresh |
 //! | [`Generation::next`] | nothing (all `Arc`s shared) | inherited | inherited |
 //! | [`Generation::with_delta`] | delta, retriever | fresh | inherited |
-//! | [`Generation::with_sealed`] | index, forward, retriever, delta | fresh | fresh |
+//! | [`Generation::with_sealed`] | index, retriever, delta | fresh | fresh |
 //!
 //! Equal stamps therefore imply `Arc`-identical artifacts in the named
 //! set, and every artifact is immutable, so an entry found under a stamp
@@ -105,7 +106,7 @@
 
 use crate::engine::{intern_presentation, PresentationTable};
 use serpdiv_core::{CompiledSpecStore, SpecializationModel, SpecializationStore, UtilityScorer};
-use serpdiv_index::{DecodeError, DeltaIndex, ForwardIndex, InvertedIndex, Retriever};
+use serpdiv_index::{DecodeError, DeltaIndex, InvertedIndex, Retriever};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -148,7 +149,6 @@ pub struct Generation {
     model: Arc<SpecializationModel>,
     store: Arc<SpecializationStore>,
     compiled: Arc<CompiledSpecStore>,
-    forward: Option<ForwardIndex>,
     /// Freshly ingested documents not yet merged into the sealed index.
     delta: Option<Arc<DeltaIndex>>,
     /// Interned `(url, title)` per document (sealed then delta), built
@@ -166,7 +166,9 @@ pub struct Generation {
 impl Generation {
     /// Bundle a generation from its artifacts, precompiling the
     /// per-entry utility scorers (shared by every later generation that
-    /// keeps the same model, see [`Generation::next`]).
+    /// keeps the same model, see [`Generation::next`]). An index decoded
+    /// from bytes compiles its forward view here
+    /// ([`InvertedIndex::forward`]), never on a request.
     pub fn new(
         id: GenerationId,
         index: Arc<InvertedIndex>,
@@ -174,8 +176,8 @@ impl Generation {
         model: Arc<SpecializationModel>,
         store: Arc<SpecializationStore>,
         compiled: Arc<CompiledSpecStore>,
-        forward: Option<ForwardIndex>,
     ) -> Self {
+        index.forward();
         let scorers = Arc::new(
             model
                 .iter()
@@ -197,7 +199,6 @@ impl Generation {
             model,
             store,
             compiled,
-            forward,
             delta: None,
             presentation: OnceLock::new(),
             scorers,
@@ -221,7 +222,6 @@ impl Generation {
             model: self.model.clone(),
             store: self.store.clone(),
             compiled: self.compiled.clone(),
-            forward: self.forward.clone(),
             delta: self.delta.clone(),
             presentation: clone_once(&self.presentation),
             scorers: self.scorers.clone(),
@@ -229,24 +229,20 @@ impl Generation {
     }
 
     /// Replace the sealed collection (builder-style, before
-    /// publication): a merged or rebuilt index with its retrieval layer
-    /// and forward index, clearing any delta. The inherited presentation
+    /// publication): a merged or rebuilt index (which owns its forward
+    /// view; a decoded one compiles it here) with its retrieval layer,
+    /// clearing any delta. The inherited presentation
     /// table is deliberately *kept* — folding a delta into its base
     /// preserves the document space and its order (sealed docs then
     /// delta docs), so the table still covers; [`validate`](Self::validate)
     /// re-checks coverage before publication either way. Both content
     /// stamps are drawn fresh: pages and sealed-document surrogates are
     /// computed from what this replaces.
-    pub fn with_sealed(
-        mut self,
-        index: Arc<InvertedIndex>,
-        retriever: Arc<dyn Retriever>,
-        forward: Option<ForwardIndex>,
-    ) -> Self {
+    pub fn with_sealed(mut self, index: Arc<InvertedIndex>, retriever: Arc<dyn Retriever>) -> Self {
+        index.forward();
         self.index = index;
         self.sealed = retriever.clone();
         self.retriever = retriever;
-        self.forward = forward;
         self.delta = None;
         self.pages_epoch = fresh_stamp();
         self.surrogates_epoch = fresh_stamp();
@@ -257,7 +253,7 @@ impl Generation {
     /// sealed collection (builder-style, before publication). Pages get a
     /// fresh content stamp (the union statistics moved under every
     /// score); the surrogate stamp is inherited, because the sealed index
-    /// and forward index are untouched.
+    /// and its forward view are untouched.
     pub fn with_delta(mut self, delta: Arc<DeltaIndex>, retriever: Arc<dyn Retriever>) -> Self {
         self.delta = Some(delta);
         self.retriever = retriever;
@@ -317,11 +313,6 @@ impl Generation {
         &self.compiled
     }
 
-    /// The compiled forward index (`None` ⇒ text-path surrogates).
-    pub fn forward(&self) -> Option<&ForwardIndex> {
-        self.forward.as_ref()
-    }
-
     /// The delta of freshly ingested, not-yet-merged documents.
     pub fn delta(&self) -> Option<&Arc<DeltaIndex>> {
         self.delta.as_ref()
@@ -367,16 +358,8 @@ impl Generation {
     /// [`GenerationHandle::publish`] before the pointer moves: every
     /// cross-artifact size relation a torn deploy could violate.
     pub fn validate(&self) -> Result<(), PublishError> {
-        let sealed_docs = self.index.stats().num_docs;
-        if let Some(forward) = &self.forward {
-            if forward.num_docs() as u64 != sealed_docs {
-                return Err(PublishError::Inconsistent(
-                    "forward index does not cover the sealed document store",
-                ));
-            }
-        }
         if let Some(delta) = &self.delta {
-            if u64::from(delta.base_docs()) != sealed_docs {
+            if u64::from(delta.base_docs()) != self.index.stats().num_docs {
                 return Err(PublishError::Inconsistent(
                     "delta was built against a different sealed base",
                 ));
@@ -399,7 +382,6 @@ impl std::fmt::Debug for Generation {
             .field("id", &self.id)
             .field("sealed_docs", &self.index.stats().num_docs)
             .field("delta_docs", &self.delta.as_ref().map_or(0, |d| d.len()))
-            .field("forward", &self.forward.is_some())
             .finish()
     }
 }
@@ -552,7 +534,11 @@ pub struct GenerationArtifacts {
     pub id: GenerationId,
     /// `InvertedIndex::to_bytes` image.
     pub index: Vec<u8>,
-    /// `ForwardIndex::to_bytes` image (`None` ⇒ text-path surrogates).
+    /// `ForwardIndex::to_bytes` image of the index's forward view,
+    /// installed as the decoded index's own
+    /// ([`ForwardIndex::install`](serpdiv_index::ForwardIndex::install));
+    /// `None` ⇒ the decoded index compiles its view when the generation
+    /// is built. Either way the surrogates are the same vectors.
     pub forward: Option<Vec<u8>>,
     /// `CompiledSpecStore::to_bytes` image.
     pub compiled: Vec<u8>,
@@ -576,7 +562,6 @@ mod tests {
         let index = Arc::new(b.build());
         let store = Arc::new(SpecializationStore::default());
         let compiled = Arc::new(CompiledSpecStore::compile(&store));
-        let forward = Some(ForwardIndex::build(&index));
         Generation::new(
             id,
             index.clone(),
@@ -584,7 +569,6 @@ mod tests {
             Arc::new(SpecializationModel::default()),
             store,
             compiled,
-            forward,
         )
     }
 
@@ -619,8 +603,7 @@ mod tests {
 
         // `with_sealed` replaces them: neither stamp survives.
         let merged = Arc::new(merge_sealed(base.index(), &delta));
-        let forward = Some(ForwardIndex::build(&merged));
-        let sealed = ingested.next().with_sealed(merged.clone(), merged, forward);
+        let sealed = ingested.next().with_sealed(merged.clone(), merged);
         for earlier in [&base, &ingested] {
             assert_ne!(sealed.pages_epoch(), earlier.pages_epoch());
             assert_ne!(sealed.surrogates_epoch(), earlier.surrogates_epoch());

@@ -48,14 +48,18 @@
 //! ```
 //!
 //! The forward index comes first because a snippet surrogate is computed
-//! one way only: `serpdiv_core::candidate_surrogate` over the compiled
-//! `TermId` streams, for a specialization's stored results at deploy time
-//! and for a request's candidates alike. The text path
-//! (`candidate_surrogate_naive`) is the equivalence oracle, and what an
-//! engine deployed with [`EngineConfig::forward_index`]` = false` falls
-//! back to per request — its store was still built from a forward index,
-//! the one its index's build wrote (see
-//! [`ForwardIndex::build`](serpdiv_index::ForwardIndex::build)).
+//! one way only: over compiled forward rows, for a specialization's
+//! stored results at deploy time and for a request's candidates alike.
+//! The rows have one owner: the sealed index holds its forward view
+//! ([`InvertedIndex::forward`](serpdiv_index::InvertedIndex::forward),
+//! written by its build, appended by a merge, compiled once by a decoded
+//! index or installed from a shipped image), and a delta holds the rows
+//! its builder wrote ([`DeltaIndex::surrogate`](serpdiv_index::DeltaIndex::surrogate)).
+//! The text path (`candidate_surrogate_naive`) is the equivalence
+//! oracle, and what an engine deployed with
+//! [`EngineConfig::forward_index`]` = false` runs per request for sealed
+//! candidates — the one switch between the two; its store was still
+//! built from the index's forward view.
 //!
 //! ## Request lifecycle
 //!

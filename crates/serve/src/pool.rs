@@ -522,7 +522,7 @@ mod tests {
             generation.model().clone(),
             generation.store().clone(),
             generation.compiled().clone(),
-            generation.forward().cloned().map(Arc::new),
+            None,
             EngineConfig {
                 cache_capacity: 0,
                 n_candidates: 8,

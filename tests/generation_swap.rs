@@ -20,8 +20,8 @@
 //!   recompute — checked on what clients and the caches report
 //!   (`cache_hit`, `cache().stats()`, `surrogate_cache().stats()`);
 //! * the surrogate cache's per-query tables follow the sealed artifacts:
-//!   found whole with one probe when the sealed index + forward index
-//!   are shared (republish, NRT ingest), recomputed when they are
+//!   found whole with one probe when the sealed index (and the forward
+//!   view it owns) is shared (republish, NRT ingest), recomputed when they are
 //!   replaced (merge, re-encoded bundle), and orphaned tables leave the
 //!   vector budget before live ones;
 //! * NRT ingest accumulates across generations and `merge_delta` seals
@@ -37,7 +37,8 @@
 
 use serpdiv::core::{candidate_surrogate_naive, AlgorithmKind};
 use serpdiv::index::{
-    DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, SnippetGenerator, SparseVector,
+    merge_sealed, DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, SnippetGenerator,
+    SparseVector,
 };
 use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
@@ -339,7 +340,7 @@ fn a_shipped_forward_image_is_its_index_view_and_a_foreign_one_is_refused() {
         .publish_artifacts(&artifacts_for(&engine, &grown, 2))
         .unwrap();
     let published = engine.generation();
-    let tokens = published.forward().expect("shipped").doc_tokens(DocId(0));
+    let tokens = published.index().forward().doc_tokens(DocId(0));
     let view = || ForwardIndex::build(published.index());
     assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
     engine.ingest(storm_docs(16..18)).unwrap();
@@ -347,9 +348,30 @@ fn a_shipped_forward_image_is_its_index_view_and_a_foreign_one_is_refused() {
     assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
     grown.extend(storm_docs(16..18));
     assert_eq!(
-        engine.generation().forward().unwrap().to_bytes(),
+        engine.generation().index().forward().to_bytes(),
         ForwardIndex::build(&build_index(&grown)).to_bytes()
     );
+}
+
+#[test]
+fn a_bundle_without_a_forward_image_compiles_the_view_before_publish_returns() {
+    let engine = deploy(&base_docs(), 0);
+    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
+    let oracle = engine.search(request());
+    let shipped = artifacts_for(&engine, &base_docs(), 2);
+    let bare = GenerationArtifacts {
+        forward: None,
+        ..shipped.clone()
+    };
+    assert_eq!(engine.publish_artifacts(&bare).unwrap(), 2);
+    // The decoded index holds its compiled view already: the image that
+    // would have been shipped, a view with arrays of its own, is refused.
+    let image = ForwardIndex::from_bytes(&shipped.forward.unwrap()).unwrap();
+    assert_eq!(
+        image.install(engine.generation().index()).unwrap_err(),
+        "the index already holds another forward view"
+    );
+    assert_eq!(page_bits(&engine.search(request())), page_bits(&oracle));
 }
 
 #[test]
@@ -716,15 +738,17 @@ fn a_query_term_first_seen_in_the_delta_reaches_only_delta_surrogates() {
     assert_eq!(delta_terms.len(), 2, "the delta's vocabulary has it");
 
     // Sealed candidates read the sealed analysis, the delta candidate the
-    // delta's, each bit for bit.
+    // delta's, each bit for bit: the text oracle over the sealed index,
+    // and over the index the merge will seal.
     let snippets = SnippetGenerator::with_window(config(0).params.snippet_window);
+    let merged = merge_sealed(index, delta);
     let served = served_surrogates(&engine, query);
     assert_eq!(served.len(), 13);
     for (doc, bits) in &served {
         let expect = if *doc < 12 {
             candidate_surrogate_naive(index, DocId(*doc), &sealed_terms, &snippets)
         } else {
-            delta.surrogate(DocId(*doc), &delta_terms, &snippets)
+            candidate_surrogate_naive(&merged, DocId(*doc), &delta_terms, &snippets)
         };
         assert_eq!(bits, &vector_bits(&expect), "doc {doc}");
     }

@@ -54,7 +54,7 @@ fn assert_doc_equivalent(
             "{context}: window diverged (doc {doc:?}, query {query:?}, w={w})"
         );
         let naive = SparseVector::from_text(&snippets.snippet(d, &qterms, index.vocab()), index);
-        let fast = snippets.surrogate(forward, doc, &qterms);
+        let fast = forward.surrogate(doc, &qterms, snippets.window);
         assert_eq!(
             fast, naive,
             "{context}: vector diverged (doc {doc:?}, query {query:?}, w={w})"
@@ -68,12 +68,13 @@ fn assert_doc_equivalent(
     }
 }
 
-/// The §4.1 store as one more input: deploy over `index` with and without
-/// a served forward index, and hold every stored vector to the text
-/// oracle's surrogate of its `(specialization, hit)` — hits from the
-/// hash-map oracle engine — bit for bit. Both deployments build the store
-/// through a forward index (the second drops it afterwards), and the
-/// pinned `build` wrapper compiles to the same bytes as `build_with`.
+/// The §4.1 store as one more input: deploy over `index` with requests
+/// reading the forward view and with requests on the text path, and hold
+/// every stored vector to the text oracle's surrogate of its
+/// `(specialization, hit)` — hits from the hash-map oracle engine — bit
+/// for bit. Both deployments build the store through the index's forward
+/// view, and the pinned `build` wrapper compiles to the same bytes as
+/// `build_with`.
 /// Returns how many vectors were checked.
 fn assert_deployed_store_matches_oracle(
     index: &Arc<InvertedIndex>,
@@ -98,7 +99,6 @@ fn assert_deployed_store_matches_oracle(
             ..EngineConfig::default()
         };
         let generation = SearchEngine::deploy(index.clone(), model.clone(), config).generation();
-        assert_eq!(generation.forward().is_some(), forward_index, "{context}");
         let store = generation.store();
         for (spec, vectors) in store.iter() {
             let qterms = index.analyze_query(spec);
@@ -247,16 +247,56 @@ fn serving_pages_identical_with_and_without_forward_index() {
             ..config
         },
     );
-    assert!(with.generation().forward().is_some() && without.generation().forward().is_none());
+    // `None` takes the index's own forward view, and `forward_index`
+    // alone selects whether requests read it.
+    let generation = with.generation();
+    let funnelled = SearchEngine::with_retriever_and_forward(
+        generation.index().clone(),
+        generation.retriever().clone(),
+        generation.model().clone(),
+        generation.store().clone(),
+        generation.compiled().clone(),
+        None,
+        config,
+    );
+    let page = |out: &serpdiv::serve::SearchResponse| -> Vec<(serpdiv::index::DocId, u64)> {
+        out.results
+            .iter()
+            .map(|r| (r.doc, r.score.to_bits()))
+            .collect()
+    };
     for algo in ALGOS {
         for query in ["apple", "apple fruit", "unknown query"] {
             let a = with.search(QueryRequest::new(query, 5, algo));
             let b = without.search(QueryRequest::new(query, 5, algo));
+            let c = funnelled.search(QueryRequest::new(query, 5, algo));
             assert_eq!(a.results, b.results, "{query} {algo:?}");
             assert_eq!(a.algorithm, b.algorithm, "{query} {algo:?}");
             assert_eq!(a.diversified, b.diversified, "{query} {algo:?}");
+            assert_eq!(page(&c), page(&b), "{query} {algo:?}: funnelled");
+            assert_eq!(c.algorithm, b.algorithm, "{query} {algo:?}: funnelled");
         }
     }
+}
+
+/// A forward view is the index's own: an engine handed another index's
+/// view would serve that collection's surrogates, so it refuses to start.
+#[test]
+#[should_panic(expected = "the index already holds another forward view")]
+fn a_forward_view_of_another_index_is_refused() {
+    let index = Arc::new(fixture_index());
+    let other = fixture_index();
+    let model = Arc::new(SpecializationModel::default());
+    let store = Arc::new(SpecializationStore::default());
+    let _ = SearchEngine::with_retriever_and_forward(
+        index.clone(),
+        index,
+        model,
+        store,
+        Arc::new(CompiledSpecStore::default()),
+        Some(Arc::new(ForwardIndex::build(&other))),
+        EngineConfig::default(),
+    );
 }
 
 /// Two ambiguous queries ("apple", "java") over 12 candidates each, plus
