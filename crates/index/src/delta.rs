@@ -303,12 +303,13 @@ impl Retriever for DeltaRetriever {
 /// extended `base`, so its vocabulary, lengths and statistics are the
 /// merged ones already, and each term's postings are the sealed list
 /// with the delta's appended — delta ids are strictly larger than every
-/// sealed id, so appending preserves the ascending-doc invariant. The
-/// merged index's forward view is the base's rows followed by the
-/// delta's, which its builder wrote in the merged term ids, with the IDF
-/// table recomputed from the merged statistics: the bytes a from-scratch
-/// build writes. (A base decoded from bytes compiles its rows first; see
-/// [`InvertedIndex::forward`].)
+/// sealed id, so appending preserves the ascending-doc invariant, and a
+/// list the delta did not extend is shared (an `Arc` bump), not
+/// re-encoded into the same bytes. The merged index's forward view is
+/// the base's rows followed by the delta's, which its builder wrote in
+/// the merged term ids, with the IDF table recomputed from the merged
+/// statistics: the bytes a from-scratch build writes. (A base decoded
+/// from bytes compiles its rows first; see [`InvertedIndex::forward`].)
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
@@ -327,12 +328,18 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     let mut term_stats = Vec::with_capacity(fresh.postings.len());
     for (t, appended) in fresh.postings.iter().enumerate() {
         let term = TermId(t as u32);
-        let sealed = base.postings(term).into_iter().flat_map(PostingsList::iter);
-        let mut pb = PostingsBuilder::new();
-        for p in sealed.chain(appended.iter()) {
-            pb.push(p.doc, p.tf);
+        match base.postings(term) {
+            // A list the delta did not extend is the sealed one: share it.
+            Some(sealed) if appended.is_empty() => postings.push(sealed.clone()),
+            sealed => {
+                let sealed = sealed.into_iter().flat_map(PostingsList::iter);
+                let mut pb = PostingsBuilder::new();
+                for p in sealed.chain(appended.iter()) {
+                    pb.push(p.doc, p.tf);
+                }
+                postings.push(pb.build());
+            }
         }
-        postings.push(pb.build());
         term_stats.push(
             delta
                 .overlay
@@ -451,6 +458,19 @@ mod tests {
             let b = Retriever::retrieve(&scratch, query, 10);
             assert_bit_identical(&a, &b, query);
         }
+        // A sealed list the delta did not extend is shared, not re-encoded;
+        // an extended one is a new list.
+        let mut shared = 0;
+        for t in 0..base.num_terms() {
+            let term = TermId(t as u32);
+            let same_bytes = std::ptr::eq(
+                merged.postings(term).unwrap().raw_bytes(),
+                base.postings(term).unwrap().raw_bytes(),
+            );
+            assert_eq!(same_bytes, delta.fresh.postings[t].is_empty(), "term {t}");
+            shared += usize::from(same_bytes);
+        }
+        assert!(0 < shared && shared < base.num_terms(), "{shared} shared");
     }
 
     #[test]
@@ -460,6 +480,13 @@ mod tests {
         assert!(delta.is_empty());
         let merged = merge_sealed(&base, &delta);
         assert_eq!(merged.to_bytes(), base.to_bytes());
+        for t in 0..base.num_terms() {
+            let term = TermId(t as u32);
+            assert!(std::ptr::eq(
+                merged.postings(term).unwrap().raw_bytes(),
+                base.postings(term).unwrap().raw_bytes(),
+            ));
+        }
     }
 
     #[test]

@@ -51,7 +51,8 @@ impl SparseVector {
         }
         let mut entries: Vec<(TermId, f32)> = map.into_iter().filter(|&(_, w)| w > 0.0).collect();
         entries.sort_unstable_by_key(|&(t, _)| t);
-        let norm = entries.iter().map(|&(_, w)| w * w).sum::<f32>().sqrt();
+        // From +0.0, as `default()` holds: a float `sum` starts at -0.0.
+        let norm = entries.iter().fold(0.0f32, |n, &(_, w)| n + w * w).sqrt();
         SparseVector { entries, norm }
     }
 
@@ -77,7 +78,7 @@ impl SparseVector {
                 entries.push((t, w));
             }
         }
-        let norm = entries.iter().map(|&(_, w)| w * w).sum::<f32>().sqrt();
+        let norm = entries.iter().fold(0.0f32, |n, &(_, w)| n + w * w).sqrt();
         SparseVector { entries, norm }
     }
 
@@ -273,6 +274,31 @@ mod tests {
         // Zero weights are dropped by both constructors.
         let z = SparseVector::from_sorted_pairs([(TermId(0), 0.0), (TermId(2), 1.0)]);
         assert_eq!(z.nnz(), 1);
+    }
+
+    #[test]
+    fn an_empty_vector_has_one_norm() {
+        let bits = SparseVector::default().norm().to_bits();
+        assert_eq!(bits, 0.0f32.to_bits());
+        let zero_weights = [(TermId(1), 0.0f32), (TermId(3), 0.0)];
+        for (what, v) in [
+            ("from_pairs of nothing", SparseVector::from_pairs([])),
+            (
+                "from_sorted_pairs of nothing",
+                SparseVector::from_sorted_pairs([]),
+            ),
+            (
+                "from_pairs of zeros",
+                SparseVector::from_pairs(zero_weights),
+            ),
+            (
+                "from_sorted_pairs of zeros",
+                SparseVector::from_sorted_pairs(zero_weights),
+            ),
+        ] {
+            assert!(v.is_zero(), "{what}");
+            assert_eq!(v.norm().to_bits(), bits, "{what}");
+        }
     }
 
     #[test]

@@ -4,8 +4,15 @@
 //! of the diversification pipeline absorbs most of the load — the paper's
 //! §4.1 observation that specialization results "are few, popular, and
 //! change slowly" applies to whole diversified SERPs as well. The cache is
-//! sharded by key hash so concurrent workers rarely contend on the same
-//! lock, and each shard evicts LRU.
+//! sharded so concurrent workers rarely contend on the same lock, and
+//! each shard evicts LRU.
+//!
+//! A probe hashes its key once, with the cache's own randomly keyed
+//! hasher, into a 64-bit fingerprint: its high half picks the shard (bits
+//! the shard's table does not index by), and the shard's map uses it as
+//! its hash. The slot holds the one owned key, which a hit compares in
+//! full, so a collision can cost a miss but never serve another key's
+//! page. Under a fixed-key hash a client could pick its shard and lock.
 //!
 //! Keys name what a page was computed *from*, not when: their first part
 //! is the serving generation's page stamp (see [`crate::generation`]),
@@ -18,8 +25,8 @@
 use crate::lru::LruCache;
 use crate::request::RankedResult;
 use serpdiv_core::AlgorithmKind;
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -31,84 +38,27 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// the LRU under new traffic — no global flush, no stall.
 pub type CacheKey = (u64, String, usize, AlgorithmKind);
 
-/// A borrowed view of a [`CacheKey`], so lookups can probe the map with
-/// request-owned parts (`&str` query) instead of allocating an owned
-/// `String` per probe. The owned key is built only on insert.
-///
-/// `Hash` must visit exactly the fields the owned tuple's derived `Hash`
-/// visits, in the same order — that is what makes
-/// `HashMap<CacheKey, _>::get::<dyn KeyView>` sound.
-trait KeyView {
-    fn epoch(&self) -> u64;
-    fn query(&self) -> &str;
-    fn page_size(&self) -> usize;
-    fn algorithm(&self) -> AlgorithmKind;
-}
+/// The shard map's hasher: its keys are fingerprints, already hashed
+/// under the cache's random key, so it hands each one back unchanged.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
 
-impl KeyView for CacheKey {
-    fn epoch(&self) -> u64 {
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a shard map hashes only u64 fingerprints")
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
-    fn query(&self) -> &str {
-        &self.1
-    }
-    fn page_size(&self) -> usize {
-        self.2
-    }
-    fn algorithm(&self) -> AlgorithmKind {
-        self.3
-    }
 }
 
-/// The borrowed probe: one request's key parts by reference.
-struct KeyParts<'a> {
-    epoch: u64,
-    query: &'a str,
-    k: usize,
-    algorithm: AlgorithmKind,
-}
-
-impl KeyView for KeyParts<'_> {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-    fn query(&self) -> &str {
-        self.query
-    }
-    fn page_size(&self) -> usize {
-        self.k
-    }
-    fn algorithm(&self) -> AlgorithmKind {
-        self.algorithm
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Mirrors the derived tuple Hash: String delegates to str.
-        self.epoch().hash(state);
-        self.query().hash(state);
-        self.page_size().hash(state);
-        self.algorithm().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.epoch() == other.epoch()
-            && self.query() == other.query()
-            && self.page_size() == other.page_size()
-            && self.algorithm() == other.algorithm()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
+/// One shard: fingerprint → the page and the key it was stored under.
+type Shard = LruCache<u64, (CacheKey, CachedSerp), BuildHasherDefault<PassThrough>>;
 
 /// The cached portion of a response.
 #[derive(Debug, Clone)]
@@ -145,9 +95,13 @@ impl CacheStats {
 }
 
 /// Sharded LRU cache of `(page epoch, query, k, algorithm) → SERP`.
+///
+/// `S` hashes a key into its fingerprint; [`new`](ShardedResultCache::new)
+/// gives every cache a freshly keyed [`RandomState`].
 #[derive(Debug)]
-pub struct ShardedResultCache {
-    shards: Vec<Mutex<LruCache<CacheKey, CachedSerp>>>,
+pub struct ShardedResultCache<S = RandomState> {
+    shards: Vec<Mutex<Shard>>,
+    hasher: S,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -160,29 +114,42 @@ impl ShardedResultCache {
     /// # Panics
     /// Panics when `shards == 0` or `capacity == 0`.
     pub fn new(shards: usize, capacity: usize) -> Self {
+        Self::with_hasher(shards, capacity, RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> ShardedResultCache<S> {
+    /// [`new`](ShardedResultCache::new) with `hasher` making the
+    /// fingerprints (the tests' fixed-key, counting or colliding one).
+    fn with_hasher(shards: usize, capacity: usize, hasher: S) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(capacity > 0, "need nonzero capacity");
         let per_shard = capacity.div_ceil(shards);
         ShardedResultCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
+                .map(|_| Mutex::new(LruCache::with_hasher(per_shard, Default::default())))
                 .collect(),
+            hasher,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// Shard `i`, locked; a panicked holder does not poison it.
-    fn lock(&self, i: usize) -> MutexGuard<'_, LruCache<CacheKey, CachedSerp>> {
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard> {
         self.shards[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard(&self, key: &(dyn KeyView + '_)) -> MutexGuard<'_, LruCache<CacheKey, CachedSerp>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        self.lock((h.finish() as usize) % self.shards.len())
+    /// The shard a fingerprint lives in, by its high half.
+    fn shard(&self, fingerprint: u64) -> MutexGuard<'_, Shard> {
+        self.lock((fingerprint >> 32) as usize % self.shards.len())
+    }
+
+    /// The one hash of a probe or an insert.
+    fn fingerprint(&self, epoch: u64, query: &str, k: usize, algorithm: AlgorithmKind) -> u64 {
+        self.hasher.hash_one((epoch, query, k, algorithm))
     }
 
     /// Look up a SERP by its identity parts, counting the outcome. The
@@ -195,13 +162,14 @@ impl ShardedResultCache {
         k: usize,
         algorithm: AlgorithmKind,
     ) -> Option<CachedSerp> {
-        let probe = KeyParts {
-            epoch,
-            query,
-            k,
-            algorithm,
-        };
-        let found = self.shard(&probe).get_by(&probe as &dyn KeyView).cloned();
+        let fingerprint = self.fingerprint(epoch, query, k, algorithm);
+        let found = self
+            .shard(fingerprint)
+            .get(&fingerprint)
+            .filter(|(key, _)| {
+                (key.0, key.1.as_str(), key.2, key.3) == (epoch, query, k, algorithm)
+            })
+            .map(|(_, serp)| serp.clone());
         match found {
             Some(serp) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -215,9 +183,10 @@ impl ShardedResultCache {
     }
 
     /// Store a freshly computed SERP (the one place an owned key is
-    /// allocated).
+    /// allocated), replacing any entry under the same fingerprint.
     pub fn insert(&self, key: CacheKey, serp: CachedSerp) {
-        self.shard(&key as &dyn KeyView).insert(key, serp);
+        let fingerprint = self.fingerprint(key.0, &key.1, key.2, key.3);
+        self.shard(fingerprint).insert(fingerprint, (key, serp));
     }
 
     /// Number of shards.
@@ -248,6 +217,14 @@ impl ShardedResultCache {
 mod tests {
     use super::*;
     use serpdiv_index::DocId;
+    use std::collections::hash_map::DefaultHasher;
+
+    /// A fixed-key hasher, so shard placement is the same every run.
+    type Fixed = BuildHasherDefault<DefaultHasher>;
+
+    fn cache(shards: usize, capacity: usize) -> ShardedResultCache<Fixed> {
+        ShardedResultCache::with_hasher(shards, capacity, Fixed::default())
+    }
 
     fn serp(n: usize) -> CachedSerp {
         CachedSerp {
@@ -270,9 +247,46 @@ mod tests {
         (1, q.to_string(), 10, AlgorithmKind::OptSelect)
     }
 
+    /// Counts the hashes finished through it.
+    #[derive(Debug, Default)]
+    struct Counting(Arc<AtomicU64>);
+
+    struct CountingHasher(DefaultHasher, Arc<AtomicU64>);
+
+    impl Hasher for CountingHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.write(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.finish()
+        }
+    }
+
+    impl BuildHasher for Counting {
+        type Hasher = CountingHasher;
+
+        fn build_hasher(&self) -> CountingHasher {
+            CountingHasher(DefaultHasher::new(), self.0.clone())
+        }
+    }
+
+    /// Hashes every key to the same fingerprint.
+    #[derive(Debug, Default)]
+    struct Collide;
+
+    impl Hasher for Collide {
+        fn write(&mut self, _: &[u8]) {}
+
+        fn finish(&self) -> u64 {
+            0x5eed_0000_0000_0001
+        }
+    }
+
     #[test]
     fn miss_then_hit() {
-        let cache = ShardedResultCache::new(4, 64);
+        let cache = cache(4, 64);
         assert!(cache
             .get(1, "apple", 10, AlgorithmKind::OptSelect)
             .is_none());
@@ -287,8 +301,62 @@ mod tests {
     }
 
     #[test]
+    fn each_probe_and_insert_hashes_once() {
+        let hashes = Arc::new(AtomicU64::new(0));
+        let cache = ShardedResultCache::with_hasher(4, 64, Counting(hashes.clone()));
+        let count = || hashes.load(Ordering::Relaxed);
+        assert!(cache
+            .get(1, "apple", 10, AlgorithmKind::OptSelect)
+            .is_none());
+        assert_eq!(count(), 1, "a miss");
+        cache.insert(key("apple"), serp(3));
+        assert_eq!(count(), 2, "an insert");
+        assert!(cache
+            .get(1, "apple", 10, AlgorithmKind::OptSelect)
+            .is_some());
+        assert_eq!(count(), 3, "a hit");
+        cache.insert(key("apple"), serp(2));
+        assert_eq!(count(), 4, "a replacing insert");
+        cache.stats();
+        cache.clear();
+        assert_eq!(count(), 4, "stats and clear hash nothing");
+    }
+
+    #[test]
+    fn a_colliding_probe_misses_and_a_colliding_insert_replaces() {
+        // Every key has one fingerprint: the slot's owned key is what
+        // tells the pages apart.
+        let cache =
+            ShardedResultCache::with_hasher(4, 64, BuildHasherDefault::<Collide>::default());
+        cache.insert(key("apple"), serp(3));
+        assert!(cache.get(1, "pear", 10, AlgorithmKind::OptSelect).is_none());
+        assert!(cache
+            .get(2, "apple", 10, AlgorithmKind::OptSelect)
+            .is_none());
+        assert!(cache.get(1, "apple", 5, AlgorithmKind::OptSelect).is_none());
+        assert!(cache.get(1, "apple", 10, AlgorithmKind::Mmr).is_none());
+        assert_eq!(
+            cache
+                .get(1, "apple", 10, AlgorithmKind::OptSelect)
+                .expect("its own key hits")
+                .results
+                .len(),
+            3
+        );
+        cache.insert(key("pear"), serp(2));
+        assert!(cache
+            .get(1, "apple", 10, AlgorithmKind::OptSelect)
+            .is_none());
+        let pear = cache
+            .get(1, "pear", 10, AlgorithmKind::OptSelect)
+            .expect("the later insert");
+        assert_eq!(pear.results.len(), 2);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
     fn algorithm_is_part_of_the_key() {
-        let cache = ShardedResultCache::new(2, 16);
+        let cache = cache(2, 16);
         cache.insert(key("q"), serp(2));
         assert!(cache.get(1, "q", 10, AlgorithmKind::Mmr).is_none());
         assert!(cache.get(1, "q", 5, AlgorithmKind::OptSelect).is_none());
@@ -300,51 +368,22 @@ mod tests {
         // The hot-swap invariant: a page cached under epoch 1 is invisible
         // to epoch-2 probes (and vice versa) — a swap that draws a fresh
         // page stamp can never serve the previous page.
-        let cache = ShardedResultCache::new(2, 16);
+        let cache = cache(2, 16);
         cache.insert(key("q"), serp(2));
         assert!(cache.get(2, "q", 10, AlgorithmKind::OptSelect).is_none());
         assert!(cache.get(1, "q", 10, AlgorithmKind::OptSelect).is_some());
     }
 
     #[test]
-    fn borrowed_probe_hashes_like_the_owned_key() {
-        // The dyn-KeyView Hash must mirror the derived tuple Hash bit for
-        // bit, or shard selection and map lookups silently diverge.
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        for (g, q, k, a) in [
-            (1, "apple", 10, AlgorithmKind::OptSelect),
-            (0, "", 0, AlgorithmKind::Baseline),
-            (u64::MAX, "longer query with spaces", 77, AlgorithmKind::Mmr),
-        ] {
-            let owned: CacheKey = (g, q.to_string(), k, a);
-            let mut h1 = DefaultHasher::new();
-            owned.hash(&mut h1);
-            let mut h2 = DefaultHasher::new();
-            let parts = KeyParts {
-                epoch: g,
-                query: q,
-                k,
-                algorithm: a,
-            };
-            (&parts as &dyn KeyView).hash(&mut h2);
-            assert_eq!(h1.finish(), h2.finish(), "{q:?}");
-            let mut h3 = DefaultHasher::new();
-            Borrow::<dyn KeyView>::borrow(&owned).hash(&mut h3);
-            assert_eq!(h1.finish(), h3.finish(), "{q:?} owned view");
-        }
-    }
-
-    #[test]
     fn capacity_bounds_occupancy() {
-        let cache = ShardedResultCache::new(4, 8); // 2 per shard
+        let small = cache(4, 8); // 2 per shard
         for i in 0..100 {
-            cache.insert(key(&format!("q{i}")), serp(1));
+            small.insert(key(&format!("q{i}")), serp(1));
         }
-        assert!(cache.stats().entries <= 8);
+        assert!(small.stats().entries <= 8);
         // Rounded up, never down: 12 entries over 8 shards gives each
         // shard 2, for a real bound of 16 ≥ 12.
-        let uneven = ShardedResultCache::new(8, 12);
+        let uneven = cache(8, 12);
         for i in 0..100 {
             uneven.insert(key(&format!("q{i}")), serp(1));
         }
@@ -354,7 +393,7 @@ mod tests {
 
     #[test]
     fn concurrent_access() {
-        let cache = Arc::new(ShardedResultCache::new(8, 128));
+        let cache = Arc::new(cache(8, 128));
         std::thread::scope(|s| {
             for t in 0..8 {
                 let cache = cache.clone();
@@ -375,7 +414,7 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let cache = ShardedResultCache::new(2, 8);
+        let cache = cache(2, 8);
         cache.insert(key("a"), serp(1));
         cache.get(1, "a", 10, AlgorithmKind::OptSelect);
         cache.clear();

@@ -65,7 +65,8 @@
 //!
 //! The cached fast path probes the sharded LRU result cache under
 //! `(page epoch, query, k, algorithm)` — the page epoch is the pinned
-//! generation's content stamp, and the key is borrowed, no allocation —
+//! generation's content stamp; the borrowed key is hashed once into a
+//! fingerprint that picks the shard and the slot, with no allocation —
 //! and returns the shared SERP on a hit. The uncached path is one fixed
 //! chain of [`Stage`] units ([`default_stage_chain`]) driven by a thin
 //! loop (see [`stages`]):

@@ -4,11 +4,13 @@
 //! `O(1)` get/insert/evict: a `HashMap` from key to slot index plus a
 //! doubly-linked recency list threaded through a slab of slots. No
 //! per-operation allocation after the slab reaches capacity (evicted slots
-//! are reused in place).
+//! are reused in place). The map's hasher is a type parameter: the result
+//! cache keys its shards by a fingerprint it already hashed, and passes it
+//! through unchanged.
 
-use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 const NIL: usize = usize::MAX;
 
@@ -22,8 +24,8 @@ struct Slot<K, V> {
 
 /// A fixed-capacity least-recently-used map.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+pub struct LruCache<K, V, S = RandomState> {
+    map: HashMap<K, usize, S>,
     slots: Vec<Slot<K, V>>,
     head: usize,
     tail: usize,
@@ -36,9 +38,19 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// # Panics
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, RandomState::new())
+    }
+}
+
+impl<K: Eq + Hash + Clone, V, S: BuildHasher> LruCache<K, V, S> {
+    /// [`new`](LruCache::new) with the map hashing keys through `hasher`.
+    ///
+    /// # Panics
+    /// Panics when `capacity == 0`.
+    pub(crate) fn with_hasher(capacity: usize, hasher: S) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: HashMap::with_capacity_and_hasher(capacity + 1, hasher),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -63,20 +75,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Look up `key`, marking it most recently used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.get_by(key)
-    }
-
-    /// [`get`](Self::get) through any borrowed form of the key (the
-    /// `HashMap::get` contract: `Q`'s `Hash`/`Eq` must agree with `K`'s),
-    /// so composite owned keys can be probed without allocating them —
-    /// e.g. the result cache probes `(u64, String, usize, AlgorithmKind)`
-    /// entries (page epoch, query, k, algorithm) with a `&str`-backed
-    /// view.
-    pub fn get_by<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
         let idx = *self.map.get(key)?;
         self.move_to_front(idx);
         Some(&self.slots[idx].value)
