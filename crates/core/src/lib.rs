@@ -28,6 +28,8 @@
 //!   surrogates, input assembly and algorithm dispatch, each with its
 //!   naive oracle (the pipeline itself is `serpdiv_serve`'s stage chain).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod candidates;
 pub mod framework;

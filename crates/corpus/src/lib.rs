@@ -18,6 +18,8 @@
 //! Everything is seeded and deterministic: the same seed reproduces the
 //! same corpus byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 pub mod docgen;
 pub mod qrels;
 pub mod testbed;

@@ -15,6 +15,8 @@
 //! * [`report`] — fixed-width table formatting shared by the bench
 //!   binaries that regenerate the paper's tables.
 
+#![forbid(unsafe_code)]
+
 pub mod andcg;
 pub mod iap;
 pub mod ndcg;

@@ -9,6 +9,8 @@
 //! readiness line to stdout, and serves queries forever. Exit codes:
 //! `2` for bad usage, `1` for a bad artifact or socket error.
 
+#![forbid(unsafe_code)]
+
 use serpdiv_fleet::protocol::DEFAULT_MAX_FRAME;
 use serpdiv_fleet::worker;
 use serpdiv_index::ShardArtifact;

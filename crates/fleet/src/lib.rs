@@ -51,6 +51,8 @@
 //! serves: the gather simply runs over the surviving shards and the
 //! response is labeled degraded upstream.
 
+#![forbid(unsafe_code)]
+
 pub mod protocol;
 pub mod router;
 pub mod worker;

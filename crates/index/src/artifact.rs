@@ -24,8 +24,8 @@
 //! router's process — bit-identity is the contract, not approximation.
 //!
 //! Decoding follows the same validate-on-decode discipline as
-//! [`InvertedIndex::from_bytes`](crate::index::InvertedIndex) and
-//! [`ForwardIndex::from_bytes`](crate::forward::ForwardIndex): framing
+//! [`InvertedIndex::from_bytes`](crate::index::InvertedIndex), forward
+//! rows included: framing
 //! errors are [`DecodeError::Truncated`]/[`BadMagic`]/[`BadVersion`], and
 //! structural violations — postings out of the shard's range, non-monotone
 //! doc ids, zero frequencies, undecodable varints — are

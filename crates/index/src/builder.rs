@@ -44,7 +44,6 @@ use crate::forward::{ForwardIndex, Rows, STOP};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
-use std::sync::OnceLock;
 
 /// The fewest documents a doc-id range of the build's text pass holds:
 /// below twice this many, the pass runs on the calling thread alone.
@@ -497,7 +496,7 @@ fn seal(segment: Segment) -> InvertedIndex {
         term_stats,
         doc_lens,
         store,
-        forward: OnceLock::from(forward),
+        forward,
     }
 }
 
@@ -642,13 +641,13 @@ mod tests {
             }
             builder.freeze_in(ranges)
         };
-        let images =
-            |index: &InvertedIndex| (index.to_bytes(), ForwardIndex::build(index).to_bytes());
+        // The index image holds the forward rows.
+        let images = |index: &InvertedIndex| index.to_bytes();
 
         for n in [shapes.len(), texts.len()] {
             let all = docs(0..n);
             let one = seal(freeze(IndexBuilder::new(), &all, 1));
-            // A decoded index compiles the rows its builder wrote.
+            // A decoded index re-encodes the rows its builder wrote.
             let decoded = InvertedIndex::from_bytes(&one.to_bytes()).unwrap();
             assert_eq!(images(&decoded), images(&one), "{n} docs, decoded");
 

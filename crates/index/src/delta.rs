@@ -51,7 +51,7 @@ use crate::search::{query_weights, ScoredDoc};
 use crate::sharded::merge_top_k;
 use crate::vector::{idf_weight, SparseVector};
 use serpdiv_text::{Analyzer, TermId};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An immutable index over documents ingested since the collection was
 /// last sealed, in the id space of the index they will be merged into:
@@ -308,8 +308,8 @@ impl Retriever for DeltaRetriever {
 /// re-encoded into the same bytes. The merged index's forward view is
 /// the base's rows followed by the delta's, which its builder wrote in
 /// the merged term ids, with the IDF table recomputed from the merged
-/// statistics: the bytes a from-scratch build writes. (A base decoded
-/// from bytes compiles its rows first; see [`InvertedIndex::forward`].)
+/// statistics: the bytes a from-scratch build writes, whether the base
+/// was built or decoded (its image carries its rows).
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
@@ -363,7 +363,7 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
         doc_lens,
         store,
         stats,
-        forward: OnceLock::from(forward),
+        forward,
     }
 }
 
@@ -442,16 +442,15 @@ mod tests {
         // for byte, so every downstream consumer (artifact export, shard
         // partitioning) sees a merge and a rebuild as the same index.
         assert_eq!(merged.to_bytes(), scratch.to_bytes());
-        // The merge appended the delta's forward rows to the base's, with
-        // the IDF of the merged statistics: the from-scratch build's bytes.
-        assert_eq!(merged.forward().to_bytes(), scratch.forward().to_bytes());
-        // So did a merge over a decoded base, which compiles its rows.
+        // Those images hold the forward rows: the merge appended the
+        // delta's to the base's. So did a merge over a decoded base, whose
+        // image carried its rows; both views weigh with the IDF of the
+        // merged statistics.
         let decoded = InvertedIndex::from_bytes(&base.to_bytes()).unwrap();
         let merged_decoded = merge_sealed(&decoded, &delta);
-        assert_eq!(
-            merged_decoded.forward().to_bytes(),
-            scratch.forward().to_bytes()
-        );
+        assert_eq!(merged_decoded.to_bytes(), scratch.to_bytes());
+        assert_eq!(*merged.forward(), *scratch.forward());
+        assert_eq!(*merged_decoded.forward(), *scratch.forward());
         // And retrieval is bit-identical (f64 score bits).
         for query in ["apple", "apple iphone", "weather forecast", "orchard"] {
             let a = Retriever::retrieve(&merged, query, 10);

@@ -10,7 +10,6 @@ use crate::dph::DphTable;
 use crate::forward::ForwardIndex;
 use crate::postings::PostingsList;
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
-use std::sync::OnceLock;
 
 /// Global statistics of the indexed collection, needed by the ranking model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,11 +100,10 @@ pub struct InvertedIndex {
     pub(crate) doc_lens: Vec<u32>,
     pub(crate) store: DocumentStore,
     pub(crate) stats: CollectionStats,
-    /// The compiled forward view. A builder and a merge fill it with the
-    /// rows their one pass over the text wrote; a decoder leaves it empty,
-    /// for [`ForwardIndex::install`] or the first [`InvertedIndex::forward`]
-    /// call to fill.
-    pub(crate) forward: OnceLock<ForwardIndex>,
+    /// The compiled forward view: the rows a build's one pass over the
+    /// text wrote (a merge appends the delta's, a decoder reads them from
+    /// the image), with the IDF table of `term_stats`.
+    pub(crate) forward: ForwardIndex,
     /// DPH's `(tf, dl)` factors under `stats`, built with the index
     /// (never serialized).
     pub(crate) dph: DphTable,
@@ -143,20 +141,14 @@ impl InvertedIndex {
     }
 
     /// This index's forward view, which every served surrogate of its
-    /// documents is read from. A decoded index compiles it on the first
-    /// call, unless an image was [installed](ForwardIndex::install).
+    /// documents is read from.
     pub fn forward(&self) -> &ForwardIndex {
-        self.forward.get_or_init(|| ForwardIndex::compile(self))
+        &self.forward
     }
 
     /// Analyze raw query text into term ids known to this index.
     pub fn analyze_query(&self, query: &str) -> Vec<TermId> {
         Analyzer::analyze_known(query, &self.vocab)
-    }
-
-    /// Total compressed size of all postings, in bytes.
-    pub fn postings_byte_size(&self) -> usize {
-        self.postings.iter().map(|p| p.byte_size()).sum()
     }
 
     /// Number of distinct terms.

@@ -12,7 +12,7 @@
 //! * [`postings`] — delta+varint compressed postings lists,
 //! * [`reader`] — the one binary codec: [`ByteReader`], the bounds-checked
 //!   cursor under every decoder, and [`ByteWriter`], its dual under every
-//!   encoder (index, forward, shard, spec-store images and fleet frames),
+//!   encoder (index, shard and spec-store images and fleet frames),
 //! * [`builder`] — the index builder: the one loop that interns, counts
 //!   and encodes a document, started from nothing or from a sealed index,
 //! * [`index`] — the immutable inverted index and collection statistics,
@@ -59,11 +59,15 @@
 //! assert_eq!(hits[0].doc.0, 0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod artifact;
 pub mod builder;
 pub mod delta;
 pub mod document;
 pub mod dph;
+// The one module of the product that holds `unsafe` code.
+#[allow(unsafe_code)]
 pub mod executor;
 pub mod forward;
 pub mod index;

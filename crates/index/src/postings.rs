@@ -142,11 +142,6 @@ impl PostingsList {
         self.max_tf
     }
 
-    /// Size in bytes of the compressed representation.
-    pub fn byte_size(&self) -> usize {
-        self.data.len()
-    }
-
     /// The raw compressed byte payload (for persistence).
     pub fn raw_bytes(&self) -> &[u8] {
         &self.data
@@ -315,7 +310,7 @@ mod tests {
         let list = b.build();
         // Naive layout would use 8 bytes per posting; dense deltas with
         // small tfs take 2 bytes.
-        assert!(list.byte_size() <= 2 * 10_000);
+        assert!(list.raw_bytes().len() <= 2 * 10_000);
         assert_eq!(list.len(), 10_000);
     }
 

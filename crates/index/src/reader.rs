@@ -1,8 +1,8 @@
 //! The one binary codec: the bounds-checked reader under every decoder
 //! and the writer under every encoder.
 //!
-//! Index images, forward indexes, shard artifacts, compiled spec stores
-//! and fleet frames are all little-endian, length-prefixed buffers that
+//! Index images (forward rows included), shard artifacts, compiled spec
+//! stores and fleet frames are all little-endian, length-prefixed buffers that
 //! arrive from outside the process. [`ByteReader`] is the only place
 //! their lengths are compared with the bytes actually present: every
 //! read either yields a value backed by the input or fails with

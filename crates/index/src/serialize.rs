@@ -12,21 +12,31 @@
 //! [postings: u32 count + (doc_freq u32, coll_freq u64,
 //!                          byte_len u32 + compressed bytes)*]
 //! [documents: u32 count + (url, title, body as length-prefixed utf8)*]
+//! [forward rows: u32 count (= num_docs)
+//!                + body offsets (count + 1 u32s)
+//!                + u32 count + body term ids (u32s, STOP kept)
+//!                + title offsets (count + 1 u32s)
+//!                + u32 count + title (term u32, tf u32)*]
 //! ```
 //!
 //! Postings buffers are written verbatim (they are already delta+varint
 //! compressed), so save/load is a straight memory copy of the hot data.
+//! The forward rows are the ones the build wrote (see
+//! [`crate::forward`]), so a decoded index holds its forward view without
+//! reading a document's text; the IDF table is not stored, but derived
+//! from the term statistics, as the build derives it. Version 2 added
+//! the rows; there is no reader of version 1.
 
 use crate::document::{Document, DocumentStore};
 use crate::dph::DphTable;
+use crate::forward::{ForwardIndex, Rows};
 use crate::index::{CollectionStats, InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use crate::reader::{ByteReader, ByteWriter};
 use serpdiv_text::Vocabulary;
-use std::sync::OnceLock;
 
 const MAGIC: u32 = 0x5E9D_1F01;
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Errors raised while decoding a serialized index.
 #[derive(Debug, PartialEq, Eq)]
@@ -60,7 +70,8 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl InvertedIndex {
-    /// Serialize the index (with its document store) to a binary buffer.
+    /// Serialize the index (with its document store and forward rows) to
+    /// a binary buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.header(MAGIC, VERSION);
@@ -98,12 +109,14 @@ impl InvertedIndex {
             w.str(&doc.title);
             w.str(&doc.body);
         }
+        self.forward.rows().write(&mut w);
         w.finish()
     }
 
     /// Decode an index serialized by [`InvertedIndex::to_bytes`]. The
     /// analysis pipeline is not persisted: it is code, not data, and there
-    /// is one.
+    /// is one. Nothing is analyzed here: the forward rows are read from
+    /// the image and validated, and no later call compiles them.
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
         r.header(MAGIC, VERSION)?;
@@ -166,6 +179,7 @@ impl InvertedIndex {
             let body = r.str()?;
             store.push(Document::new(id as u32, url, title, body));
         }
+        let rows = Rows::read(&mut r, n_docs, n_terms)?;
         if r.finish().is_err() {
             return Err(DecodeError::Corrupt("trailing bytes after index"));
         }
@@ -173,13 +187,13 @@ impl InvertedIndex {
         let stats = CollectionStats::of(num_docs, num_tokens);
         Ok(InvertedIndex {
             dph: DphTable::of(stats, &doc_lens, &postings),
+            forward: ForwardIndex::from_rows(rows, num_docs, &term_stats),
             vocab,
             postings,
             term_stats,
             doc_lens,
             store,
             stats,
-            forward: OnceLock::new(),
         })
     }
 }

@@ -192,17 +192,6 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// Total compressed size of the partitioned postings, in bytes
-    /// (compare with [`InvertedIndex::postings_byte_size`]; partitioning
-    /// costs a few bytes of delta-restart overhead per shard boundary).
-    pub fn postings_byte_size(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.postings.iter())
-            .map(|p| p.byte_size())
-            .sum()
-    }
-
     /// Score one shard: the retrieval kernel over the shard-local
     /// postings with **global** statistics — bit-identical per-document
     /// scores to the unsharded index — then the shard-local top `k`.

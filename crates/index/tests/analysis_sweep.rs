@@ -9,10 +9,13 @@
 //!
 //! - `InvertedIndex::to_bytes()` equals the bytes of an in-test reference
 //!   build that interns `analyze_interned(&doc.full_text())` per
-//!   document, also when the collection is built as a base plus a merged
+//!   document and writes the forward rows of the per-raw-token oracle
+//!   below, also when the collection is built as a base plus a merged
 //!   delta;
 //! - every `ForwardIndex::{doc_tokens, title_tf}` equals what analyzing
-//!   each raw token by itself (`analyze(raw).first()`) gives.
+//!   each raw token by itself (`analyze(raw).first()`) gives;
+//! - an index decoded from its image holds the forward view it was
+//!   encoded with: the same rows and the same IDF table.
 //!
 //! Case `seed` draws from `StdRng::seed_from_u64(seed)`; a failure names
 //! its seed, and rerunning the test reproduces it.
@@ -25,7 +28,7 @@ use serpdiv_index::{
     merge_sealed, ByteWriter, DeltaIndex, DocId, Document, ForwardIndex, IndexBuilder,
     InvertedIndex,
 };
-use serpdiv_text::{tokenize, Analyzer, Vocabulary};
+use serpdiv_text::{tokenize, Analyzer, TermId, Vocabulary};
 use std::collections::BTreeMap;
 
 const CASES: u64 = 96;
@@ -110,7 +113,8 @@ fn build(docs: &[Document]) -> InvertedIndex {
 
 /// The serialized index (layout in `serialize.rs`'s module doc) of a build
 /// that analyzes every token occurrence: `analyze_interned` of each
-/// document's full text, counted per term.
+/// document's full text, counted per term, and forward rows of each raw
+/// token analyzed by itself.
 fn reference_bytes(docs: &[Document]) -> Vec<u8> {
     let mut vocab = Vocabulary::new();
     let mut postings: Vec<Vec<(u32, u32)>> = Vec::new();
@@ -129,7 +133,7 @@ fn reference_bytes(docs: &[Document]) -> Vec<u8> {
     }
     let mut w = ByteWriter::new();
     w.u32(0x5E9D_1F01); // the format's magic
-    w.u32(1); // and version
+    w.u32(2); // and version
     w.u64(docs.len() as u64);
     w.u64(doc_lens.iter().map(|&l| u64::from(l)).sum());
     w.count(doc_lens.len());
@@ -156,48 +160,76 @@ fn reference_bytes(docs: &[Document]) -> Vec<u8> {
         w.str(&doc.title);
         w.str(&doc.body);
     }
+    let bodies: Vec<Vec<u32>> = docs.iter().map(|d| body_row(&vocab, &d.body)).collect();
+    let titles: Vec<Vec<(u32, u32)>> = docs.iter().map(|d| title_row(&vocab, &d.title)).collect();
+    fn offsets(lens: impl Iterator<Item = usize>) -> Vec<u32> {
+        let mut end = 0;
+        let ends = lens.map(|len| {
+            end += len as u32;
+            end
+        });
+        std::iter::once(0).chain(ends).collect()
+    }
+    w.count(docs.len());
+    w.u32s(&offsets(bodies.iter().map(Vec::len)));
+    w.count(bodies.iter().map(Vec::len).sum());
+    w.u32s(&bodies.concat());
+    w.u32s(&offsets(titles.iter().map(Vec::len)));
+    w.count(titles.iter().map(Vec::len).sum());
+    for &(term, tf) in titles.iter().flatten() {
+        w.u32(term);
+        w.u32(tf);
+    }
     w.finish()
 }
 
-/// Each raw token analyzed by itself, its first term looked up in `index`'s
-/// vocabulary: the text oracle's per-token normalization.
-fn per_raw_token(index: &InvertedIndex, text: &str) -> Vec<Option<u32>> {
+/// Each raw token analyzed by itself, its first term looked up in
+/// `vocab`: the text oracle's per-token normalization.
+fn per_raw_token(vocab: &Vocabulary, text: &str) -> Vec<Option<u32>> {
     tokenize(text)
         .iter()
         .map(|raw| {
             let analyzed = Analyzer::analyze(raw);
             analyzed
                 .first()
-                .and_then(|term| index.vocab().id(term))
+                .and_then(|term| vocab.id(term))
                 .map(|t| t.0)
         })
         .collect()
+}
+
+/// The body row of the per-raw-token oracle: `STOP` where a raw token
+/// analyzes to nothing.
+fn body_row(vocab: &Vocabulary, body: &str) -> Vec<u32> {
+    per_raw_token(vocab, body)
+        .into_iter()
+        .map(|t| t.unwrap_or(STOP))
+        .collect()
+}
+
+/// The title row of the per-raw-token oracle: `(term, tf)` by term id.
+fn title_row(vocab: &Vocabulary, title: &str) -> Vec<(u32, u32)> {
+    let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
+    for term in per_raw_token(vocab, title).into_iter().flatten() {
+        *counts.entry(term).or_default() += 1;
+    }
+    counts.into_iter().collect()
 }
 
 /// Checks `forward` against the per-raw-token oracle over every document
 /// of `index`.
 fn check_forward(index: &InvertedIndex, forward: &ForwardIndex, seed: u64) {
     for doc in index.store().iter() {
-        let body: Vec<u32> = per_raw_token(index, &doc.body)
-            .into_iter()
-            .map(|t| t.unwrap_or(STOP))
-            .collect();
+        let what = format!("seed {seed} doc {:?}", doc.id);
         assert_eq!(
             forward.doc_tokens(doc.id),
-            body,
-            "seed {seed} doc {:?}",
-            doc.id
+            body_row(index.vocab(), &doc.body),
+            "{what}"
         );
-        let mut title: BTreeMap<u32, u32> = BTreeMap::new();
-        for term in per_raw_token(index, &doc.title).into_iter().flatten() {
-            *title.entry(term).or_default() += 1;
-        }
-        let title: Vec<(u32, u32)> = title.into_iter().collect();
         assert_eq!(
             forward.title_tf(doc.id),
-            title,
-            "seed {seed} doc {:?}",
-            doc.id
+            title_row(index.vocab(), &doc.title),
+            "{what}"
         );
     }
 }
@@ -252,4 +284,37 @@ fn two_builds_on_one_thread_keep_their_own_term_ids() {
     check_forward(&b, &fb, 0);
     assert_eq!(fa.doc_tokens(DocId(0)), [1, 0]);
     assert_eq!(fb.doc_tokens(DocId(0)), [0, 1]);
+}
+
+#[test]
+fn a_decoded_index_holds_the_forward_view_it_was_encoded_with() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let index = build(&documents(&mut rng));
+        let bytes = index.to_bytes();
+        let decoded = InvertedIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded.to_bytes(), bytes, "seed {seed}");
+        let (built, read) = (index.forward(), decoded.forward());
+        assert_eq!(read.num_docs(), built.num_docs(), "seed {seed}");
+        // One past the last document and term: both views answer empty.
+        for doc in (0..=built.num_docs() as u32).map(DocId) {
+            assert_eq!(
+                read.doc_tokens(doc),
+                built.doc_tokens(doc),
+                "seed {seed} {doc:?}"
+            );
+            assert_eq!(
+                read.title_tf(doc),
+                built.title_tf(doc),
+                "seed {seed} {doc:?}"
+            );
+        }
+        for term in (0..=index.num_terms() as u32).map(TermId) {
+            assert_eq!(
+                read.idf(term).to_bits(),
+                built.idf(term).to_bits(),
+                "seed {seed} {term:?}"
+            );
+        }
+    }
 }

@@ -16,6 +16,8 @@
 //!    lives in `serpdiv-core`, beside the §4.1 store it feeds, and is
 //!    re-exported here) and owns its JSON form, [`to_json`]/[`from_json`].
 
+#![forbid(unsafe_code)]
+
 pub mod detect;
 pub mod json;
 pub mod model;

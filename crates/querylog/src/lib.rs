@@ -23,6 +23,8 @@
 //!   Algorithm 1,
 //! * [`clicks`] — per-rank click-through rates and click entropy.
 
+#![forbid(unsafe_code)]
+
 pub mod clicks;
 pub mod generator;
 pub mod record;

@@ -29,15 +29,6 @@ impl FreqTable {
         self.counts.get(q.index()).copied().unwrap_or(0)
     }
 
-    /// Relative frequency of `q` in the log.
-    pub fn rel_freq(&self, q: QueryId) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.freq(q) as f64 / self.total as f64
-        }
-    }
-
     /// Total number of submissions counted.
     pub fn total(&self) -> u64 {
         self.total
@@ -86,15 +77,6 @@ mod tests {
         assert_eq!(f.freq(log.query_id("b").unwrap()), 1);
         assert_eq!(f.total(), 5);
         assert_eq!(f.freq(QueryId(99)), 0);
-    }
-
-    #[test]
-    fn relative_frequency() {
-        let log = log();
-        let f = FreqTable::build(&log);
-        assert!((f.rel_freq(log.query_id("a").unwrap()) - 0.6).abs() < 1e-12);
-        let empty = FreqTable::build(&QueryLog::new());
-        assert_eq!(empty.rel_freq(QueryId(0)), 0.0);
     }
 
     #[test]

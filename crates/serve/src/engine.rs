@@ -70,8 +70,9 @@ pub struct EngineConfig {
     /// Which function computes a sealed candidate's snippet surrogate on a
     /// cache miss: `true` reads the index's forward view
     /// ([`InvertedIndex::forward`]), `false` runs the text oracle per
-    /// request. The index holds its view either way (the §4.1 store is
-    /// built from it), and the surrogates are bit-identical either way
+    /// request. The index holds its view either way (a build writes it,
+    /// an index image carries it, and the §4.1 store is built from it),
+    /// and the surrogates are bit-identical either way
     /// (`tests/surrogate_equivalence.rs`).
     pub forward_index: bool,
     /// Hold the engine to a served-latency SLO: burn-rate alerting over
@@ -194,9 +195,9 @@ impl SearchEngine {
     /// Deploy with every offline artifact supplied explicitly. Lets
     /// callers share one (expensive-to-build) [`ShardedIndex`] and §4.1
     /// stores across several engines. `forward: None` takes the index's
-    /// own view ([`InvertedIndex::forward`]); `Some` must be that view, or
-    /// an image a decoded index accepts ([`ForwardIndex::install`]), else
-    /// this panics naming the mismatch. [`EngineConfig::index_shards`] builds
+    /// own view ([`InvertedIndex::forward`]); `Some` must be that view
+    /// (the same arrays, [`ForwardIndex::ptr_eq`]), else this panics.
+    /// [`EngineConfig::index_shards`] builds
     /// nothing here, but [`publish_artifacts`](Self::publish_artifacts) and
     /// [`merge_delta`](Self::merge_delta) rebuild the retrieval layer from
     /// it, so keep it consistent with the retriever you pass (over one that
@@ -211,9 +212,10 @@ impl SearchEngine {
         config: EngineConfig,
     ) -> Self {
         if let Some(forward) = forward {
-            if let Err(mismatch) = Arc::unwrap_or_clone(forward).install(&index) {
-                panic!("the forward view is not the index's own: {mismatch}");
-            }
+            assert!(
+                ForwardIndex::ptr_eq(&forward, index.forward()),
+                "the index already holds another forward view"
+            );
         }
         let generation = Arc::new(Generation::new(1, index, retriever, model, store, compiled));
         Self::from_generation(generation, config)
@@ -569,12 +571,9 @@ impl SearchEngine {
     /// specialization of the kept model; a store compiled for another
     /// model is refused as [`PublishError::Inconsistent`] rather than
     /// published to score diversified pages over all-zero columns.
-    /// A shipped forward image becomes the decoded index's own forward
-    /// view ([`ForwardIndex::install`]), so neither the index nor a later
-    /// [`merge_delta`](Self::merge_delta) compiles the rows again; an
-    /// image with another row count or IDF table than the index is
-    /// refused as [`PublishError::Inconsistent`]. Without an image the
-    /// decoded index compiles its view before this returns.
+    /// The index image carries its forward rows, so the decoded index
+    /// holds its forward view as it is decoded: neither this nor a later
+    /// [`merge_delta`](Self::merge_delta) compiles the rows.
     pub fn publish_artifacts(
         &self,
         artifacts: &GenerationArtifacts,
@@ -586,13 +585,7 @@ impl SearchEngine {
             let Some(_) = sealed.retrieve_terms_overlaid(&[], 0, &overlay, None) else {
                 return Err(PublishError::Inconsistent("retriever not in-process"));
             };
-            let index = InvertedIndex::from_bytes(&artifacts.index)?;
-            if let Some(bytes) = &artifacts.forward {
-                ForwardIndex::from_bytes(bytes)?
-                    .install(&index)
-                    .map_err(PublishError::Inconsistent)?;
-            }
-            let index = Arc::new(index);
+            let index = Arc::new(InvertedIndex::from_bytes(&artifacts.index)?);
             let compiled = Arc::new(CompiledSpecStore::from_bytes(&artifacts.compiled)?);
             let uncovered = current
                 .model()
@@ -1382,7 +1375,6 @@ mod tests {
         let artifacts = GenerationArtifacts {
             id: 2,
             index: current.index().to_bytes(),
-            forward: Some(current.index().forward().to_bytes()),
             compiled: current.compiled().to_bytes(),
         };
         assert!(matches!(

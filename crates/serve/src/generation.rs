@@ -166,9 +166,8 @@ pub struct Generation {
 impl Generation {
     /// Bundle a generation from its artifacts, precompiling the
     /// per-entry utility scorers (shared by every later generation that
-    /// keeps the same model, see [`Generation::next`]). An index decoded
-    /// from bytes compiles its forward view here
-    /// ([`InvertedIndex::forward`]), never on a request.
+    /// keeps the same model, see [`Generation::next`]). The index holds
+    /// its forward view already, built or decoded.
     pub fn new(
         id: GenerationId,
         index: Arc<InvertedIndex>,
@@ -177,7 +176,6 @@ impl Generation {
         store: Arc<SpecializationStore>,
         compiled: Arc<CompiledSpecStore>,
     ) -> Self {
-        index.forward();
         let scorers = Arc::new(
             model
                 .iter()
@@ -229,8 +227,8 @@ impl Generation {
     }
 
     /// Replace the sealed collection (builder-style, before
-    /// publication): a merged or rebuilt index (which owns its forward
-    /// view; a decoded one compiles it here) with its retrieval layer,
+    /// publication): a merged, rebuilt or decoded index (which owns its
+    /// forward view) with its retrieval layer,
     /// clearing any delta. The inherited presentation
     /// table is deliberately *kept* — folding a delta into its base
     /// preserves the document space and its order (sealed docs then
@@ -239,7 +237,6 @@ impl Generation {
     /// stamps are drawn fresh: pages and sealed-document surrogates are
     /// computed from what this replaces.
     pub fn with_sealed(mut self, index: Arc<InvertedIndex>, retriever: Arc<dyn Retriever>) -> Self {
-        index.forward();
         self.index = index;
         self.sealed = retriever.clone();
         self.retriever = retriever;
@@ -532,14 +529,9 @@ pub struct GenerationArtifacts {
     /// The id the decoded generation will carry (must advance the
     /// published id).
     pub id: GenerationId,
-    /// `InvertedIndex::to_bytes` image.
+    /// `InvertedIndex::to_bytes` image, the forward rows every served
+    /// surrogate is read from included.
     pub index: Vec<u8>,
-    /// `ForwardIndex::to_bytes` image of the index's forward view,
-    /// installed as the decoded index's own
-    /// ([`ForwardIndex::install`](serpdiv_index::ForwardIndex::install));
-    /// `None` ⇒ the decoded index compiles its view when the generation
-    /// is built. Either way the surrogates are the same vectors.
-    pub forward: Option<Vec<u8>>,
     /// `CompiledSpecStore::to_bytes` image.
     pub compiled: Vec<u8>,
 }

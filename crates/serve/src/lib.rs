@@ -52,8 +52,8 @@
 //! stored results at deploy time and for a request's candidates alike.
 //! The rows have one owner: the sealed index holds its forward view
 //! ([`InvertedIndex::forward`](serpdiv_index::InvertedIndex::forward),
-//! written by its build, appended by a merge, compiled once by a decoded
-//! index or installed from a shipped image), and a delta holds the rows
+//! written by its build, appended by a merge, read back from the index
+//! image by a decoder), and a delta holds the rows
 //! its builder wrote ([`DeltaIndex::surrogate`](serpdiv_index::DeltaIndex::surrogate)).
 //! The text path (`candidate_surrogate_naive`) is the equivalence
 //! oracle, and what an engine deployed with
@@ -152,6 +152,8 @@
 //! stream into burn-rate alerts ([`MetricsSnapshot::slo_burn_alerts`]).
 //! The repo benchmark (`bench`, in `crates/benchmark`) deploys this engine
 //! through its public API and measures it end to end and layer by layer.
+
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod cache;

@@ -27,6 +27,8 @@
 //! assert_eq!(vocab.term(ids[2]), Some("quickli"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyzer;
 pub mod stem;
 pub mod stopwords;

@@ -44,6 +44,8 @@
 //! tables and figures; `crates/benchmark` holds the repo benchmark
 //! (`bench`), the one program here that measures time.
 
+#![forbid(unsafe_code)]
+
 pub use serpdiv_core as core;
 pub use serpdiv_corpus as corpus;
 pub use serpdiv_eval as eval;

@@ -1,8 +1,8 @@
 //! Every artifact decoder is **total** on hostile bytes: for a small valid
-//! image of each of `InvertedIndex`, `ForwardIndex`, `ShardArtifact` and
-//! `CompiledSpecStore`, every truncation, every single-byte mutant
-//! (`+1`, `0x7F`, `0xFF` at every position), a few thousand seeded
-//! multi-byte mutants and raw random buffers must
+//! image of each of `InvertedIndex` (its forward rows included),
+//! `ShardArtifact` and `CompiledSpecStore`, every truncation, every
+//! single-byte mutant (`+1`, `0x00`, `0x7F`, `0xFF` at every position), a
+//! few thousand seeded multi-byte mutants and raw random buffers must
 //!
 //! * never panic the decoder,
 //! * never make it allocate more than a stated multiple of the input
@@ -10,7 +10,14 @@
 //!   the peak of every single decode), and
 //! * when accepted, yield a value that is safe to use: it re-encodes to
 //!   an image that decodes to an equal value, and it can be searched /
-//!   scored without panicking.
+//!   scored without panicking. An accepted index also holds forward rows
+//!   a surrogate can be read from: one row per document, body ids in its
+//!   vocabulary or `STOP`, and each title's terms strictly increasing with
+//!   `tf > 0` — so a mutant that breaks one of these and still decodes
+//!   fails the sweep. No byte mutant can keep the rows section framed
+//!   while changing its row count, so the sweep also splices on the
+//!   whole rows section of a collection one document shorter and one
+//!   longer, and expects both refused.
 //!
 //! The sweep itself is the `#[ignore]`d test `sweep`; the test that
 //! `cargo test` runs, `every_artifact_decoder_is_total`, runs it in a
@@ -25,9 +32,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serpdiv::core::specindex::CompiledSpecStore;
 use serpdiv::core::UtilityParams;
+use serpdiv::index::forward::STOP;
 use serpdiv::index::{
-    DecodeError, DocId, Document, ForwardIndex, IndexBuilder, InvertedIndex, Retriever,
-    ShardArtifact, ShardedIndex, SparseVector,
+    DecodeError, DocId, Document, IndexBuilder, InvertedIndex, Retriever, ShardArtifact,
+    ShardedIndex, SparseVector,
 };
 use serpdiv::text::TermId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -119,7 +127,7 @@ fn sweep_decoder<T>(
     }
     let mut rejected = 0usize;
     for pos in 0..image.len() {
-        for value in [image[pos].wrapping_add(1), 0x7F, 0xFF] {
+        for value in [image[pos].wrapping_add(1), 0x00, 0x7F, 0xFF] {
             let mut mutant = image.to_vec();
             mutant[pos] = value;
             rejected += usize::from(!check(&mutant, &format!("byte {pos} = {value:#04x}")));
@@ -161,17 +169,17 @@ fn sweep_decoder<T>(
     }
 }
 
-fn small_index() -> Arc<InvertedIndex> {
+/// `(title, body)` of the small collection every image is built from.
+const DOCS: [(&str, &str); 4] = [
+    ("apple iphone", "apple announces new iphone chip"),
+    ("apple pie", "bake an apple pie with cinnamon apple"),
+    ("", "sailing boats race in the storm"),
+    ("storm", "storm warning for sailing boats"),
+];
+
+fn index_of(docs: &[(&str, &str)]) -> Arc<InvertedIndex> {
     let mut b = IndexBuilder::new();
-    for (i, (title, body)) in [
-        ("apple iphone", "apple announces new iphone chip"),
-        ("apple pie", "bake an apple pie with cinnamon apple"),
-        ("", "sailing boats race in the storm"),
-        ("storm", "storm warning for sailing boats"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (i, &(title, body)) in docs.iter().enumerate() {
         b.add(Document::new(
             i as u32,
             format!("http://d/{i}"),
@@ -182,12 +190,25 @@ fn small_index() -> Arc<InvertedIndex> {
     Arc::new(b.build())
 }
 
+/// The forward rows section that ends `index`'s image (layout in
+/// `serialize.rs`'s module doc): three counts, two offset tables, the
+/// body ids and the title entries.
+fn rows_section(index: &InvertedIndex) -> Vec<u8> {
+    let forward = index.forward();
+    let docs = (0..forward.num_docs() as u32).map(DocId);
+    let tokens: usize = docs.clone().map(|d| forward.doc_tokens(d).len()).sum();
+    let titles: usize = docs.map(|d| forward.title_tf(d).len()).sum();
+    let len = 3 * 4 + 2 * 4 * (forward.num_docs() + 1) + 4 * tokens + 8 * titles;
+    let image = index.to_bytes();
+    image[image.len() - len..].to_vec()
+}
+
 const QUERIES: [&str; 4] = ["apple", "apple pie", "storm sailing boats", "iphone chip"];
 
 #[test]
 #[ignore = "run by `every_artifact_decoder_is_total`, alone in a child process"]
 fn sweep() {
-    let index = small_index();
+    let index = index_of(&DOCS);
     let query_terms: Vec<Vec<TermId>> = QUERIES.iter().map(|q| index.analyze_query(q)).collect();
 
     sweep_decoder(
@@ -201,23 +222,40 @@ fn sweep() {
             for query in QUERIES {
                 let _ = decoded.retrieve(query, 10);
             }
-        },
-    );
-
-    sweep_decoder(
-        "ForwardIndex",
-        &ForwardIndex::build(&index).to_bytes(),
-        ForwardIndex::from_bytes,
-        |decoded| {
-            let again = ForwardIndex::from_bytes(&decoded.to_bytes());
-            assert_eq!(again.as_ref(), Ok(decoded), "ForwardIndex round trip");
-            for doc in 0..=decoded.num_docs() as u32 {
+            let forward = decoded.forward();
+            let num_docs = decoded.stats().num_docs as usize;
+            assert_eq!(forward.num_docs(), num_docs, "a row per document");
+            let num_terms = decoded.num_terms();
+            for doc in (0..=num_docs as u32).map(DocId) {
+                let body = forward.doc_tokens(doc);
+                assert!(body.iter().all(|&t| t == STOP || (t as usize) < num_terms));
+                let title = forward.title_tf(doc);
+                assert!(title
+                    .iter()
+                    .all(|&(t, tf)| (t as usize) < num_terms && tf > 0));
+                assert!(title.windows(2).all(|e| e[0].0 < e[1].0));
                 for terms in &query_terms {
-                    let _ = decoded.surrogate(DocId(doc), terms, 4);
+                    let _ = forward.surrogate(doc, terms, 4);
                 }
             }
         },
     );
+
+    // Rows sections that frame, sort and stay inside the vocabulary, but
+    // hold one row fewer or one more than the index has documents.
+    let image = index.to_bytes();
+    let head = &image[..image.len() - rows_section(&index).len()];
+    let longer = [&DOCS[..], &DOCS[..1]].concat();
+    for other in [index_of(&DOCS[..3]), index_of(&longer)] {
+        let spliced = [head, &rows_section(&other)].concat();
+        assert_eq!(
+            InvertedIndex::from_bytes(&spliced).unwrap_err(),
+            DecodeError::Corrupt("forward row count differs from document count"),
+            "{} rows on {} documents",
+            other.stats().num_docs,
+            index.stats().num_docs
+        );
+    }
 
     // The only encoder is `export_shard`, so an accepted mutant is held
     // to scoring the query set without panicking.

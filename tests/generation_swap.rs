@@ -4,8 +4,8 @@
 //! Covered here (the adversarial swap-under-load race lives in
 //! `tests/swap_soak.rs`):
 //!
-//! * a shipped artifact bundle (`InvertedIndex` + `ForwardIndex` +
-//!   `CompiledSpecStore` images) decodes, validates, publishes, and
+//! * a shipped artifact bundle (`InvertedIndex` image, forward rows
+//!   included, + `CompiledSpecStore` image) decodes, validates, publishes, and
 //!   serves the *new* corpus — while the pre-swap page stays bit-exact
 //!   for the old generation's oracle;
 //! * corrupt or truncated artifacts are **rejected with a counted
@@ -116,14 +116,12 @@ fn deploy(docs: &[Document], cache_capacity: usize) -> Arc<SearchEngine> {
 }
 
 /// Serialize a corpus into the artifact bundle a deploy pipeline ships:
-/// index + forward images plus the serving engine's compiled spec store
-/// (the model carries over on publish).
+/// the index image (forward rows included) plus the serving engine's
+/// compiled spec store (the model carries over on publish).
 fn artifacts_for(engine: &SearchEngine, docs: &[Document], id: u64) -> GenerationArtifacts {
-    let index = build_index(docs);
     GenerationArtifacts {
         id,
-        index: index.to_bytes(),
-        forward: Some(ForwardIndex::build(&index).to_bytes()),
+        index: build_index(docs).to_bytes(),
         compiled: engine.generation().compiled().to_bytes(),
     }
 }
@@ -188,10 +186,11 @@ fn corrupt_artifacts_are_rejected_and_the_old_generation_serves() {
     // Truncation: the compiled store image is cut mid-section.
     let mut truncated = good.clone();
     truncated.compiled.truncate(truncated.compiled.len() / 2);
-    // Mid-buffer corruption in the forward image.
+    // Corruption in the forward rows that end the index image: the top
+    // byte of the last title entry's term id, now past the vocabulary.
     let mut flipped = good.clone();
-    let mid = flipped.forward.as_ref().unwrap().len() / 2;
-    flipped.forward.as_mut().unwrap()[mid] ^= 0xA5;
+    let last_term_top = flipped.index.len() - 5;
+    flipped.index[last_term_top] ^= 0xA5;
     // Counts the bytes present cannot back: a 12-byte store image
     // declaring u32::MAX specializations, and an index image declaring
     // u32::MAX postings lists. A decoder that sizes an allocation from
@@ -305,73 +304,34 @@ fn a_compiled_store_that_misses_a_model_specialization_is_refused() {
 }
 
 #[test]
-fn a_shipped_forward_image_is_its_index_view_and_a_foreign_one_is_refused() {
+fn a_decoded_index_shares_its_rows_through_ingest_and_merge() {
     let engine = deploy(&base_docs(), 0);
-    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
-    let oracle = engine.search(request());
     let mut grown = base_docs();
     grown.extend(storm_docs(12..16));
-    // Another collection's image: fewer rows than the index's documents.
-    let fewer_rows = GenerationArtifacts {
-        forward: artifacts_for(&engine, &base_docs(), 2).forward,
-        ..artifacts_for(&engine, &grown, 2)
-    };
-    // As many rows, weighted with another collection's statistics.
-    let mut reworded = base_docs();
-    reworded[0] = Document::new(0, "http://tech/0", "apple", "apple pie");
-    let other_idf = GenerationArtifacts {
-        forward: artifacts_for(&engine, &reworded, 2).forward,
-        ..artifacts_for(&engine, &base_docs(), 2)
-    };
-    for (what, bundle) in [("row count", &fewer_rows), ("idf table", &other_idf)] {
-        match engine.publish_artifacts(bundle) {
-            Err(PublishError::Inconsistent(_)) => {}
-            other => panic!("{what}: expected an inconsistency rejection, got {other:?}"),
-        }
-        assert_eq!(engine.current_generation_id(), 1, "{what}: swapped anyway");
-        assert_eq!(page_bits(&engine.search(request())), page_bits(&oracle));
-    }
-    let m = engine.metrics();
-    assert_eq!((m.swaps, m.swap_rejected), (0, 2));
-
-    // The matching image is the decoded index's forward view: asking the
-    // index for it compiles nothing, and neither does a merge over it.
+    // The decoded index holds the rows its image carried: asking it for
+    // its view returns those arrays, an ingest shares them, and a merge
+    // appends the delta's rows to them.
     engine
         .publish_artifacts(&artifacts_for(&engine, &grown, 2))
         .unwrap();
     let published = engine.generation();
-    let tokens = published.index().forward().doc_tokens(DocId(0));
-    let view = || ForwardIndex::build(published.index());
-    assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
+    let view = published.index().forward();
+    assert_eq!(*view, ForwardIndex::build(&build_index(&grown)));
+    assert!(ForwardIndex::ptr_eq(
+        view,
+        &ForwardIndex::build(published.index())
+    ));
     engine.ingest(storm_docs(16..18)).unwrap();
+    assert!(ForwardIndex::ptr_eq(
+        view,
+        engine.generation().index().forward()
+    ));
     engine.merge_delta().unwrap();
-    assert!(std::ptr::eq(tokens, view().doc_tokens(DocId(0))));
     grown.extend(storm_docs(16..18));
     assert_eq!(
-        engine.generation().index().forward().to_bytes(),
-        ForwardIndex::build(&build_index(&grown)).to_bytes()
+        engine.generation().index().to_bytes(),
+        build_index(&grown).to_bytes()
     );
-}
-
-#[test]
-fn a_bundle_without_a_forward_image_compiles_the_view_before_publish_returns() {
-    let engine = deploy(&base_docs(), 0);
-    let request = || QueryRequest::new("apple", 4, AlgorithmKind::OptSelect);
-    let oracle = engine.search(request());
-    let shipped = artifacts_for(&engine, &base_docs(), 2);
-    let bare = GenerationArtifacts {
-        forward: None,
-        ..shipped.clone()
-    };
-    assert_eq!(engine.publish_artifacts(&bare).unwrap(), 2);
-    // The decoded index holds its compiled view already: the image that
-    // would have been shipped, a view with arrays of its own, is refused.
-    let image = ForwardIndex::from_bytes(&shipped.forward.unwrap()).unwrap();
-    assert_eq!(
-        image.install(engine.generation().index()).unwrap_err(),
-        "the index already holds another forward view"
-    );
-    assert_eq!(page_bits(&engine.search(request())), page_bits(&oracle));
 }
 
 #[test]

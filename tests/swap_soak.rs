@@ -1,6 +1,6 @@
 //! Swap soak: the torn-request proof. 16 client threads hammer one
 //! engine while a deployer thread repeatedly hot-swaps the whole serving
-//! generation — index, forward index, compiled spec store — pacing its
+//! generation — index (forward rows included), compiled spec store — pacing its
 //! publishes so that every swap lands among many in-flight requests.
 //!
 //! The invariant: **every response is internally consistent with exactly
@@ -40,7 +40,7 @@
 //! Each test owns its engines, so the tests run in parallel.
 
 use serpdiv::core::AlgorithmKind;
-use serpdiv::index::{Document, ForwardIndex, IndexBuilder, InvertedIndex};
+use serpdiv::index::{Document, IndexBuilder, InvertedIndex};
 use serpdiv::mining::{from_json, SpecializationModel};
 use serpdiv::serve::{
     EngineConfig, GenerationArtifacts, PublishError, QueryRequest, SearchEngine, SearchResponse,
@@ -144,11 +144,9 @@ fn config(cache_capacity: usize) -> EngineConfig {
 }
 
 fn bundle_for(engine: &SearchEngine, g: u64) -> GenerationArtifacts {
-    let index = build_index(&corpus_for(g));
     GenerationArtifacts {
         id: g,
-        index: index.to_bytes(),
-        forward: Some(ForwardIndex::build(&index).to_bytes()),
+        index: build_index(&corpus_for(g)).to_bytes(),
         compiled: engine.generation().compiled().to_bytes(),
     }
 }
