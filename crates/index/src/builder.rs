@@ -3,12 +3,17 @@
 //! The builder holds the documents it is given and, when it freezes,
 //! reads each one's text once: it tokenizes the title and body, resolves
 //! every raw token to a term id through the one [`Analyzer`] pipeline
-//! that query-time processing runs too, and from that one pass writes
-//! both the compressed [`PostingsList`]s and the rows of the compiled
-//! forward view ([`ForwardIndex`]) — each body as a term-id stream,
-//! each title as `(term, tf)` entries. [`IndexBuilder::build`] puts those
-//! rows, with the IDF table of the frozen statistics, into the
-//! [`InvertedIndex`] it makes, so no later step tokenizes a body again.
+//! that query-time processing runs too, and writes the document's row of
+//! the compiled forward view
+//! ([`ForwardIndex`](crate::forward::ForwardIndex)) — its body as a
+//! term-id stream, its title as `(term, tf)` entries. The postings are
+//! counted from that row, by the per-document count an index decoder
+//! runs on the rows of an image, and encoded into [`PostingsList`]s
+//! with their statistics by the one function both use.
+//! [`IndexBuilder::build`] hands the rows and postings to the one
+//! assembly of an [`InvertedIndex`], which derives the collection
+//! statistics, the IDF table and the DPH table, so no later step
+//! tokenizes a body again.
 //!
 //! Each distinct raw token is analyzed once per pass, not once per
 //! occurrence: a web collection repeats a small vocabulary millions of
@@ -38,10 +43,9 @@
 //! the very loop that would have indexed them in a from-scratch build,
 //! under the term ids that build would have assigned.
 
-use crate::document::{DocId, Document, DocumentStore};
-use crate::dph::DphTable;
-use crate::forward::{ForwardIndex, Rows, STOP};
-use crate::index::{CollectionStats, InvertedIndex, TermStats};
+use crate::document::{DocId, Document};
+use crate::forward::Rows;
+use crate::index::{InvertedIndex, TermStats};
 use crate::postings::{PostingsBuilder, PostingsList};
 use serpdiv_text::{Analyzer, TermId, Vocabulary};
 
@@ -212,7 +216,8 @@ fn token_hash(bytes: &[u8]) -> u32 {
 /// What a builder freezes into: the postings, lengths, statistics and
 /// forward rows of the documents it was given, under its (possibly
 /// pre-seeded) vocabulary. From an empty start that *is* an
-/// [`InvertedIndex`]; from a sealed start it is the body of a
+/// [`InvertedIndex`], as is what a decoder counts from an image's rows
+/// and a merge appends; from a sealed start it is the body of a
 /// [`DeltaIndex`](crate::delta::DeltaIndex).
 #[derive(Debug)]
 pub(crate) struct Segment {
@@ -247,9 +252,9 @@ struct Pass {
 impl Pass {
     /// The one per-document loop: tokenize, resolve each raw token
     /// through the pass's memo (interning new terms into `vocab`), write
-    /// the forward row, then count the document's terms — title and
-    /// body, sorted by id — into `lists` (per-term `(doc, tf)` lists)
-    /// when given, into the pass's `entries` otherwise.
+    /// the forward row, then count the row's `(term, tf)` runs
+    /// ([`Rows::runs`], as the decoder counts it) into `lists` (per-term
+    /// `(doc, tf)` lists) when given, into the pass's `entries` otherwise.
     fn run(
         docs: &[Document],
         vocab: &mut Vocabulary,
@@ -263,34 +268,25 @@ impl Pass {
             rows: Rows::default(),
         };
         let mut memo = TokenMemo::default();
-        let (mut title, mut terms) = (Vec::new(), Vec::new());
-        for doc in docs {
+        let mut scratch = Vec::new();
+        for (row, doc) in docs.iter().enumerate() {
             let analyze = |raw: &str| Analyzer::analyze_token(raw).map(|term| vocab.intern(&term));
-            let body = pass.rows.push(doc, &mut memo, analyze, &mut title);
-            // `full_text` is the title, a space and the body: the title's
-            // terms, then the body's.
-            terms.clear();
-            terms.extend_from_slice(&title);
-            terms.extend(body.iter().copied().filter(|&t| t != STOP));
-            let doc_len = terms.len() as u32;
+            pass.rows.push(doc, &mut memo, analyze, &mut scratch);
+            let before = pass.entries.len();
+            let doc_len = pass
+                .rows
+                .runs(row, &mut scratch, &mut pass.entries)
+                .expect("document length exceeds u32");
             pass.doc_lens.push(doc_len);
             pass.num_tokens += u64::from(doc_len);
-            // Deterministic postings order: this document's terms in id
-            // order, each with its count.
-            terms.sort_unstable();
-            let runs = terms
-                .chunk_by(|a, b| a == b)
-                .map(|run| (run[0], run.len() as u32));
             if let Some(lists) = lists.as_deref_mut() {
                 if lists.len() < vocab.len() {
                     lists.resize_with(vocab.len(), Vec::new);
                 }
-                for (term, tf) in runs {
+                for (term, tf) in pass.entries.drain(before..) {
                     lists[term as usize].push((doc.id.0, tf));
                 }
             } else {
-                let before = pass.entries.len();
-                pass.entries.extend(runs);
                 pass.distinct.push((pass.entries.len() - before) as u32);
             }
         }
@@ -435,24 +431,7 @@ impl IndexBuilder {
             num_tokens += pass.num_tokens;
         }
 
-        // The lists are dropped together once all are encoded: freeing
-        // each as it went measured slower and left no less memory
-        // resident.
-        let mut postings = Vec::with_capacity(accum.len());
-        let mut term_stats = Vec::with_capacity(accum.len());
-        for list in &accum {
-            let mut pb = PostingsBuilder::new();
-            let mut coll_freq = 0u64;
-            for &(doc, tf) in list {
-                pb.push(DocId(doc), tf);
-                coll_freq += u64::from(tf);
-            }
-            term_stats.push(TermStats {
-                doc_freq: list.len() as u64,
-                coll_freq,
-            });
-            postings.push(pb.build());
-        }
+        let (postings, term_stats) = encode(&accum);
         Segment {
             vocab,
             docs,
@@ -466,43 +445,75 @@ impl IndexBuilder {
 
     /// Freeze into an immutable index holding its own forward view.
     pub fn build(self) -> InvertedIndex {
-        seal(self.freeze())
+        InvertedIndex::assemble(self.freeze())
     }
 }
 
-/// The index a builder started from nothing froze into, its forward
-/// view filled from the segment's rows and statistics.
-fn seal(segment: Segment) -> InvertedIndex {
-    let Segment {
-        vocab,
-        docs,
-        postings,
-        term_stats,
-        doc_lens,
-        num_tokens,
-        rows,
-    } = segment;
-    let mut store = DocumentStore::new();
-    for doc in docs {
-        store.push(doc);
+impl Segment {
+    /// The segment of `docs` (ids from 0) whose forward rows are `rows`,
+    /// over `vocab`: each row counted by [`Rows::runs`], as the build pass
+    /// counts it, so its postings, lengths and statistics are the ones
+    /// the rows determine. Refuses a document whose length exceeds `u32`.
+    pub(crate) fn counted(
+        vocab: Vocabulary,
+        docs: Vec<Document>,
+        rows: Rows,
+    ) -> Result<Segment, &'static str> {
+        let mut lists = vec![Vec::new(); vocab.len()];
+        let mut doc_lens = Vec::with_capacity(rows.num_docs());
+        let mut num_tokens = 0;
+        let (mut scratch, mut runs) = (Vec::new(), Vec::new());
+        for row in 0..rows.num_docs() {
+            runs.clear();
+            let doc_len = rows
+                .runs(row, &mut scratch, &mut runs)
+                .ok_or("document length exceeds u32")?;
+            for &(term, tf) in &runs {
+                lists[term as usize].push((row as u32, tf));
+            }
+            doc_lens.push(doc_len);
+            num_tokens += u64::from(doc_len);
+        }
+        let (postings, term_stats) = encode(&lists);
+        Ok(Segment {
+            vocab,
+            docs,
+            postings,
+            term_stats,
+            doc_lens,
+            num_tokens,
+            rows,
+        })
     }
-    let stats = CollectionStats::of(store.len() as u64, num_tokens);
-    let forward = ForwardIndex::from_rows(rows, stats.num_docs, &term_stats);
-    InvertedIndex {
-        dph: DphTable::of(stats, &doc_lens, &postings),
-        stats,
-        vocab,
-        postings,
-        term_stats,
-        doc_lens,
-        store,
-        forward,
+}
+
+/// Encode per-term `(doc, tf)` lists (each in doc order) into postings
+/// and their statistics. The lists are dropped together by the caller
+/// once all are encoded: freeing each as it went measured slower and
+/// left no less memory resident.
+fn encode(lists: &[Vec<(u32, u32)>]) -> (Vec<PostingsList>, Vec<TermStats>) {
+    let mut postings = Vec::with_capacity(lists.len());
+    let mut term_stats = Vec::with_capacity(lists.len());
+    for list in lists {
+        let mut pb = PostingsBuilder::new();
+        let mut coll_freq = 0u64;
+        for &(doc, tf) in list {
+            pb.push(DocId(doc), tf);
+            coll_freq += u64::from(tf);
+        }
+        term_stats.push(TermStats {
+            doc_freq: list.len() as u64,
+            coll_freq,
+        });
+        postings.push(pb.build());
     }
+    (postings, term_stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::counted_parts;
 
     #[test]
     fn empty_index() {
@@ -641,26 +652,33 @@ mod tests {
             }
             builder.freeze_in(ranges)
         };
-        // The index image holds the forward rows.
-        let images = |index: &InvertedIndex| index.to_bytes();
+        // The index image (which holds the forward rows), and beside it
+        // what the image does not store.
+        let images = |index: &InvertedIndex| (index.to_bytes(), counted_parts(index));
 
         for n in [shapes.len(), texts.len()] {
             let all = docs(0..n);
-            let one = seal(freeze(IndexBuilder::new(), &all, 1));
-            // A decoded index re-encodes the rows its builder wrote.
+            let one = InvertedIndex::assemble(freeze(IndexBuilder::new(), &all, 1));
+            // A decoded index re-encodes the rows its builder wrote and
+            // counts the postings and statistics the build counted.
             let decoded = InvertedIndex::from_bytes(&one.to_bytes()).unwrap();
             assert_eq!(images(&decoded), images(&one), "{n} docs, decoded");
 
             // An extending builder: range 0 interns into the base's
             // vocabulary, later ranges meet base terms afresh.
-            let base = seal(freeze(IndexBuilder::new(), &docs(0..5), 1));
+            let base = InvertedIndex::assemble(freeze(IndexBuilder::new(), &docs(0..5), 1));
             let extending = |ranges| freeze(IndexBuilder::extending(&base), &docs(5..n), ranges);
             let extended_once = extending(1);
             assert!(extended_once.vocab.len() > base.vocab().len());
 
             for ranges in [2, 3, 7, n - 1, n, n + 5] {
-                let index = seal(freeze(IndexBuilder::new(), &all, ranges));
+                let index = InvertedIndex::assemble(freeze(IndexBuilder::new(), &all, ranges));
                 assert!(images(&index) == images(&one), "{n} docs, {ranges} ranges");
+                let decoded = InvertedIndex::from_bytes(&index.to_bytes()).unwrap();
+                assert!(
+                    images(&decoded) == images(&index),
+                    "{n} docs, {ranges} ranges, decoded"
+                );
                 assert_eq!(
                     segment_image(&extending(ranges)),
                     segment_image(&extended_once),
@@ -670,9 +688,9 @@ mod tests {
         }
         let empty = IndexBuilder::new().build();
         for ranges in [1, 2, 3] {
-            let index = seal(IndexBuilder::new().freeze_in(ranges));
+            let index = InvertedIndex::assemble(IndexBuilder::new().freeze_in(ranges));
             assert_eq!(images(&index), images(&empty));
-            assert_eq!(ForwardIndex::build(&index).num_docs(), 0);
+            assert_eq!(index.forward().num_docs(), 0);
         }
     }
 

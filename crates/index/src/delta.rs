@@ -19,7 +19,8 @@
 //! query terms [`DeltaIndex::analyze_query`] returns — is already the id
 //! the merged index will use; nothing is bridged, shifted or re-analyzed,
 //! and the merge only appends the delta's postings and forward rows to
-//! the sealed ones.
+//! the sealed ones and hands them to the assembly a build and a decode
+//! end in.
 //! That the merge equals a from-scratch build is then not a property two
 //! loops have to be tested into sharing: the documents went through the
 //! one builder loop either way.
@@ -42,7 +43,8 @@
 
 use crate::builder::{IndexBuilder, Segment};
 use crate::document::{DocId, Document};
-use crate::dph::{Dph, DphTable};
+use crate::dph::Dph;
+use crate::forward::Rows;
 use crate::index::{CollectionStats, InvertedIndex, StatsOverlay, TermStats};
 use crate::kernel::{score_range, RangeSource};
 use crate::postings::{PostingsBuilder, PostingsList};
@@ -305,11 +307,14 @@ impl Retriever for DeltaRetriever {
 /// with the delta's appended — delta ids are strictly larger than every
 /// sealed id, so appending preserves the ascending-doc invariant, and a
 /// list the delta did not extend is shared (an `Arc` bump), not
-/// re-encoded into the same bytes. The merged index's forward view is
-/// the base's rows followed by the delta's, which its builder wrote in
-/// the merged term ids, with the IDF table recomputed from the merged
-/// statistics: the bytes a from-scratch build writes, whether the base
-/// was built or decoded (its image carries its rows).
+/// re-encoded into the same bytes. The merged index's forward rows are
+/// the base's followed by the delta's, which its builder wrote in the
+/// merged term ids, and the index is put together by the one assembly
+/// a build and a decode end in
+/// (`InvertedIndex::assemble`), which
+/// derives the statistics and the IDF and DPH tables: the bytes a
+/// from-scratch build writes, whether the base was built or decoded
+/// (its image carries its rows).
 pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     assert_eq!(
         u64::from(delta.base_docs()),
@@ -317,10 +322,7 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
         "delta was built against a different sealed base"
     );
     let fresh = &delta.fresh;
-    let mut store = base.store.clone();
-    for doc in &fresh.docs {
-        store.push(doc.clone());
-    }
+    let docs = base.store.iter().chain(&fresh.docs).cloned().collect();
     let mut doc_lens = base.doc_lens.clone();
     doc_lens.extend_from_slice(&fresh.doc_lens);
 
@@ -350,27 +352,27 @@ pub fn merge_sealed(base: &InvertedIndex, delta: &DeltaIndex) -> InvertedIndex {
     }
 
     // The base's forward rows, then the delta's (already in the merged
-    // ids), weighted with the merged statistics.
-    let stats = delta.overlay.coll();
-    let forward = base
-        .forward()
-        .appended(&fresh.rows, stats.num_docs, &term_stats);
-    InvertedIndex {
-        dph: DphTable::of(stats, &doc_lens, &postings),
+    // ids).
+    let mut rows = Rows::default();
+    rows.reserve_exact([base.forward().rows(), &fresh.rows]);
+    rows.append(base.forward().rows(), |t| t);
+    rows.append(&fresh.rows, |t| t);
+    InvertedIndex::assemble(Segment {
         vocab: fresh.vocab.clone(),
+        docs,
         postings,
         term_stats,
         doc_lens,
-        store,
-        stats,
-        forward,
-    }
+        num_tokens: delta.overlay.coll().num_tokens,
+        rows,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
+    use crate::index::tests::counted_parts;
     use crate::snippet::SnippetGenerator;
 
     fn doc(i: u32, topic: &str) -> Document {
@@ -451,6 +453,11 @@ mod tests {
         assert_eq!(merged_decoded.to_bytes(), scratch.to_bytes());
         assert_eq!(*merged.forward(), *scratch.forward());
         assert_eq!(*merged_decoded.forward(), *scratch.forward());
+        // What the images do not hold, the merges appended or counted
+        // to the from-scratch bits too.
+        assert_eq!(counted_parts(&merged), counted_parts(&scratch));
+        assert_eq!(counted_parts(&merged_decoded), counted_parts(&scratch));
+        assert_eq!(counted_parts(&decoded), counted_parts(&base));
         // And retrieval is bit-identical (f64 score bits).
         for query in ["apple", "apple iphone", "weather forecast", "orchard"] {
             let a = Retriever::retrieve(&merged, query, 10);

@@ -21,17 +21,20 @@
 //! The rows (the body streams and title entries) are written by the
 //! index build itself, in the one pass over the text that also counts
 //! the postings: [`IndexBuilder`](crate::builder::IndexBuilder) resolves
-//! each raw token once, through the memo the postings use, and puts the
-//! rows and the IDF table into the [`InvertedIndex`] it builds. A merge
-//! appends a delta's rows to its base's the same way
-//! ([`merge_sealed`](crate::delta::merge_sealed)), and the index image
-//! carries the rows ([`InvertedIndex::to_bytes`]), so a decoded index
-//! reads them back, validated, with the IDF table derived from its
-//! statistics: the build is the one writer of rows, and nothing compiles
-//! them on load. The index owns the view: [`InvertedIndex::forward`]
-//! borrows it, and [`ForwardIndex::build`] is one [`Arc`] clone of it, so
-//! the §4.1 store build, the serving generation and anyone else who asks
-//! share one set of arrays.
+//! each raw token once, through the memo the postings use, and counts
+//! each row it writes into the document's `(term, tf)` runs (its title
+//! entries merged with its sorted body ids). A merge appends a delta's
+//! rows to its base's ([`merge_sealed`](crate::delta::merge_sealed)).
+//! The index image holds the rows and nothing they determine
+//! ([`InvertedIndex::to_bytes`]): a decoder validates them and counts
+//! every row with the function the build counts with, so the postings,
+//! lengths and statistics it gets are the ones the rows determine. The
+//! IDF table is derived from those statistics. The build is the one
+//! writer of rows, and nothing compiles them on load. The index owns the
+//! view: [`InvertedIndex::forward`] borrows it, and
+//! [`ForwardIndex::build`] is one [`Arc`] clone of it, so the §4.1 store
+//! build, the serving generation and anyone else who asks share one set
+//! of arrays.
 //!
 //! At request time, [`ForwardIndex::surrogate`] selects the best window
 //! with an incremental O(n) slide (counts added/removed at the edges, a
@@ -100,8 +103,9 @@ struct Arrays {
 }
 
 /// The per-document part of a forward index, for a run of consecutive
-/// documents: what the index build writes beside the postings, and what
-/// a merge appends to its base's.
+/// documents: what the index build writes and counts its postings from,
+/// what a merge appends to its base's, and all of an index image that
+/// is not vocabulary or text.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Rows {
     /// Concatenated per-document body token streams ([`STOP`] sentinels
@@ -130,38 +134,71 @@ impl Default for Rows {
 impl Rows {
     /// Append `doc`'s row: each raw title token, then each raw body token,
     /// resolved through `memo` (which calls `analyze` on a token it has not
-    /// met). The title's term ids are left sorted in `title`, and the
-    /// body's stream is returned, for a caller that counts them too.
+    /// met); `scratch` sorts the title's term ids into its entries.
     pub(crate) fn push(
         &mut self,
         doc: &Document,
         memo: &mut TokenMemo,
         mut analyze: impl FnMut(&str) -> Option<TermId>,
-        title: &mut Vec<u32>,
-    ) -> &[u32] {
+        scratch: &mut Vec<u32>,
+    ) {
         // Title tf vector: full analysis of the raw title — what
         // `from_text` sees for the title prefix.
-        title.clear();
+        scratch.clear();
         Tokenizer::for_each_token(&doc.title, |raw| {
-            title.extend(memo.resolve(raw, &mut analyze).map(|t| t.0));
+            scratch.extend(memo.resolve(raw, &mut analyze).map(|t| t.0));
         });
-        title.sort_unstable();
+        scratch.sort_unstable();
         self.title_terms.extend(
-            title
+            scratch
                 .chunk_by(|a, b| a == b)
                 .map(|run| (run[0], run.len() as u32)),
         );
         let title_end = u32_len(self.title_terms.len(), "title entries");
         self.title_offsets.push(title_end);
 
-        let start = self.tokens.len();
         Tokenizer::for_each_token(&doc.body, |raw| {
             let id = memo.resolve(raw, &mut analyze);
             self.tokens.push(id.map_or(STOP, |t| t.0));
         });
         let end = u32_len(self.tokens.len(), "forward stream");
         self.offsets.push(end);
-        &self.tokens[start..]
+    }
+
+    /// The `doc`-th document's `(term, tf)` runs, appended to `out` in
+    /// term-id order: its title entries merged with its body's non-[`STOP`]
+    /// ids, which `scratch` sorts. These are the postings the document
+    /// adds, the one per-document count of both the build and the
+    /// decoder. Returns the document's length, the sum of its runs, or
+    /// `None` (appending nothing) when that exceeds `u32`: a title entry
+    /// is counted, never expanded.
+    pub(crate) fn runs(
+        &self,
+        doc: usize,
+        scratch: &mut Vec<u32>,
+        out: &mut Vec<(u32, u32)>,
+    ) -> Option<u32> {
+        let title = run(&self.title_terms, &self.title_offsets, doc);
+        scratch.clear();
+        scratch.extend(
+            run(&self.tokens, &self.offsets, doc)
+                .iter()
+                .filter(|&&t| t != STOP),
+        );
+        scratch.sort_unstable();
+        let title_len: u64 = title.iter().map(|&(_, tf)| u64::from(tf)).sum();
+        let len = u32::try_from(scratch.len() as u64 + title_len).ok()?;
+        let mut title = title.iter().copied().peekable();
+        for body in scratch.chunk_by(|a, b| a == b) {
+            let term = body[0];
+            while let Some(entry) = title.next_if(|&(t, _)| t < term) {
+                out.push(entry);
+            }
+            let tf = title.next_if(|&(t, _)| t == term).map_or(0, |(_, tf)| tf);
+            out.push((term, body.len() as u32 + tf));
+        }
+        out.extend(title);
+        Some(len)
     }
 
     /// Make room for `parts` exactly, so appending them reallocates
@@ -300,7 +337,7 @@ impl Rows {
         })
     }
 
-    fn num_docs(&self) -> usize {
+    pub(crate) fn num_docs(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -386,17 +423,6 @@ impl ForwardIndex {
         ForwardIndex(Arc::new(Arrays { rows, idf }))
     }
 
-    /// This index's rows followed by `more`'s (whose term ids are already
-    /// the merged vocabulary's), weighted with the merged statistics: the
-    /// forward index of a merge, with no token read again.
-    pub(crate) fn appended(&self, more: &Rows, num_docs: u64, term_stats: &[TermStats]) -> Self {
-        let mut rows = Rows::default();
-        rows.reserve_exact([&self.0.rows, more]);
-        rows.append(&self.0.rows, |t| t);
-        rows.append(more, |t| t);
-        Self::from_rows(rows, num_docs, term_stats)
-    }
-
     /// The per-document arrays, for the index image.
     pub(crate) fn rows(&self) -> &Rows {
         &self.0.rows
@@ -449,19 +475,6 @@ impl ForwardIndex {
         self.0
             .rows
             .surrogate(doc.index(), query_terms, window, |t| idf[t as usize])
-    }
-
-    /// Approximate in-memory footprint in bytes of the shared arrays
-    /// (reported by the benches next to the index and compiled-store
-    /// footprints); clones share them, so count them once.
-    pub fn byte_size(&self) -> usize {
-        let a = &self.0.rows;
-        std::mem::size_of::<Arrays>()
-            + a.tokens.len() * std::mem::size_of::<u32>()
-            + a.offsets.len() * std::mem::size_of::<u32>()
-            + a.title_terms.len() * std::mem::size_of::<(u32, u32)>()
-            + a.title_offsets.len() * std::mem::size_of::<u32>()
-            + self.0.idf.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -786,15 +799,5 @@ mod tests {
             decoded.forward(),
             &ForwardIndex::build(&decoded)
         ));
-    }
-
-    #[test]
-    fn byte_size_is_positive_and_grows() {
-        let index = build_world();
-        let f = ForwardIndex::build(&index);
-        assert!(f.byte_size() > 0);
-        let empty = ForwardIndex::build(&IndexBuilder::new().build());
-        assert!(empty.byte_size() < f.byte_size());
-        assert_eq!(empty.num_docs(), 0);
     }
 }

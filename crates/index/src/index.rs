@@ -4,7 +4,12 @@
 //! ranking model ([`Dph`](crate::dph::Dph)) through [`CollectionStats`] /
 //! [`TermStats`] and by the retrievers (see
 //! [`Retriever`](crate::retriever::Retriever)) through the postings.
+//!
+//! A build, a decode and a merge all end in one crate-private assembly,
+//! which derives what the stored parts determine: the collection
+//! statistics, the forward view's IDF table and the DPH table.
 
+use crate::builder::Segment;
 use crate::document::{DocId, DocumentStore};
 use crate::dph::DphTable;
 use crate::forward::ForwardIndex;
@@ -102,7 +107,8 @@ pub struct InvertedIndex {
     pub(crate) stats: CollectionStats,
     /// The compiled forward view: the rows a build's one pass over the
     /// text wrote (a merge appends the delta's, a decoder reads them from
-    /// the image), with the IDF table of `term_stats`.
+    /// the image and counts `postings`, `term_stats` and `doc_lens` from
+    /// them), with the IDF table of `term_stats`.
     pub(crate) forward: ForwardIndex,
     /// DPH's `(tf, dl)` factors under `stats`, built with the index
     /// (never serialized).
@@ -110,6 +116,38 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
+    /// The one assembly of an index from what is stored of it: the
+    /// segment's documents (ids from 0), vocabulary, postings, lengths and
+    /// forward rows. What those determine is derived here, whether the
+    /// segment was built, decoded or merged: the collection statistics,
+    /// the forward view's IDF table and DPH's `(tf, dl)` table.
+    pub(crate) fn assemble(segment: Segment) -> Self {
+        let Segment {
+            vocab,
+            docs,
+            postings,
+            term_stats,
+            doc_lens,
+            num_tokens,
+            rows,
+        } = segment;
+        let mut store = DocumentStore::new();
+        for doc in docs {
+            store.push(doc);
+        }
+        let stats = CollectionStats::of(store.len() as u64, num_tokens);
+        InvertedIndex {
+            forward: ForwardIndex::from_rows(rows, stats.num_docs, &term_stats),
+            dph: DphTable::of(stats, &doc_lens, &postings),
+            stats,
+            vocab,
+            postings,
+            term_stats,
+            doc_lens,
+            store,
+        }
+    }
+
     /// Collection-wide statistics.
     pub fn stats(&self) -> CollectionStats {
         self.stats
@@ -158,9 +196,26 @@ impl InvertedIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::builder::IndexBuilder;
     use crate::document::Document;
+
+    /// What an index image does not store, to the bit: postings bytes,
+    /// term statistics, lengths and collection statistics.
+    pub(crate) fn counted_parts(index: &super::InvertedIndex) -> impl PartialEq + std::fmt::Debug {
+        let postings: Vec<Vec<u8>> = index
+            .postings
+            .iter()
+            .map(|list| list.raw_bytes().to_vec())
+            .collect();
+        let s = index.stats;
+        (
+            postings,
+            index.term_stats.clone(),
+            index.doc_lens.clone(),
+            (s.num_docs, s.num_tokens, s.avg_doc_len.to_bits()),
+        )
+    }
 
     fn tiny_index() -> super::InvertedIndex {
         let mut b = IndexBuilder::new();

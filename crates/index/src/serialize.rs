@@ -6,37 +6,35 @@
 //!
 //! ```text
 //! [magic u32][version u32]
-//! [num_docs u64][num_tokens u64]
-//! [doc_lens: u32 count + raw u32s]
 //! [vocab: u32 count + (u32 len + utf8)*]
-//! [postings: u32 count + (doc_freq u32, coll_freq u64,
-//!                          byte_len u32 + compressed bytes)*]
 //! [documents: u32 count + (url, title, body as length-prefixed utf8)*]
-//! [forward rows: u32 count (= num_docs)
+//! [forward rows: u32 count (= document count)
 //!                + body offsets (count + 1 u32s)
 //!                + u32 count + body term ids (u32s, STOP kept)
 //!                + title offsets (count + 1 u32s)
 //!                + u32 count + title (term u32, tf u32)*]
 //! ```
 //!
-//! Postings buffers are written verbatim (they are already delta+varint
-//! compressed), so save/load is a straight memory copy of the hot data.
-//! The forward rows are the ones the build wrote (see
-//! [`crate::forward`]), so a decoded index holds its forward view without
-//! reading a document's text; the IDF table is not stored, but derived
-//! from the term statistics, as the build derives it. Version 2 added
-//! the rows; there is no reader of version 1.
+//! The image holds only what the build resolved: the vocabulary, the
+//! documents and the forward rows the build wrote (see
+//! [`crate::forward`]). Everything the rows determine is derived on
+//! decode, not stored: each row is counted into its `(term, tf)` runs
+//! by the function the build pass counts with, which gives the
+//! postings, document lengths, token count and term statistics, and
+//! the IDF and DPH tables follow from those, as in the build. So a
+//! decoded index cannot rank by one corpus and read surrogates from
+//! another. Version 3 dropped the stored postings, lengths and counts;
+//! there is no reader of an earlier version.
 
-use crate::document::{Document, DocumentStore};
-use crate::dph::DphTable;
-use crate::forward::{ForwardIndex, Rows};
-use crate::index::{CollectionStats, InvertedIndex, TermStats};
-use crate::postings::{PostingsBuilder, PostingsList};
+use crate::builder::Segment;
+use crate::document::Document;
+use crate::forward::Rows;
+use crate::index::InvertedIndex;
 use crate::reader::{ByteReader, ByteWriter};
 use serpdiv_text::Vocabulary;
 
 const MAGIC: u32 = 0x5E9D_1F01;
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Errors raised while decoding a serialized index.
 #[derive(Debug, PartialEq, Eq)]
@@ -70,39 +68,15 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl InvertedIndex {
-    /// Serialize the index (with its document store and forward rows) to
-    /// a binary buffer.
+    /// Serialize the index (its vocabulary, documents and forward rows)
+    /// to a binary buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.header(MAGIC, VERSION);
-        w.u64(self.stats.num_docs);
-        w.u64(self.stats.num_tokens);
-
-        w.count(self.doc_lens.len());
-        w.u32s(&self.doc_lens);
-
         w.count(self.vocab.len());
         for (_, term) in self.vocab.iter() {
             w.str(term);
         }
-
-        w.count(self.postings.len());
-        for (list, stats) in self.postings.iter().zip(&self.term_stats) {
-            w.count(stats.doc_freq as usize);
-            w.u64(stats.coll_freq);
-            // Re-encode through the iterator: the list knows its bytes but
-            // exposes postings; round-tripping through the builder keeps
-            // the format independent of the in-memory layout.
-            let mut pb = PostingsBuilder::new();
-            for p in list.iter() {
-                pb.push(p.doc, p.tf);
-            }
-            let encoded = pb.build();
-            let payload = encoded.raw_bytes();
-            w.count(payload.len());
-            w.bytes(payload);
-        }
-
         w.count(self.store.len());
         for doc in self.store.iter() {
             w.str(&doc.url);
@@ -116,21 +90,11 @@ impl InvertedIndex {
     /// Decode an index serialized by [`InvertedIndex::to_bytes`]. The
     /// analysis pipeline is not persisted: it is code, not data, and there
     /// is one. Nothing is analyzed here: the forward rows are read from
-    /// the image and validated, and no later call compiles them.
+    /// the image and validated, and the postings and statistics are
+    /// counted from them.
     pub fn from_bytes(data: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(data);
         r.header(MAGIC, VERSION)?;
-        let num_docs = r.u64()?;
-        let num_tokens = r.u64()?;
-
-        let n_lens = r.count(4)?;
-        if n_lens as u64 != num_docs {
-            return Err(DecodeError::Corrupt(
-                "doc_lens count differs from document count",
-            ));
-        }
-        let doc_lens = r.u32s(n_lens)?;
-
         let n_terms = r.count(4)?;
         let mut vocab = Vocabulary::new();
         for _ in 0..n_terms {
@@ -140,61 +104,21 @@ impl InvertedIndex {
             return Err(DecodeError::Corrupt("duplicate term in vocabulary"));
         }
 
-        // Term ids index the vocabulary and the postings alike.
-        if r.count(16)? != n_terms {
-            return Err(DecodeError::Corrupt(
-                "vocabulary count differs from postings count",
-            ));
-        }
-        let mut postings = Vec::with_capacity(n_terms);
-        let mut term_stats = Vec::with_capacity(n_terms);
-        for _ in 0..n_terms {
-            let doc_freq = r.u32()?;
-            let coll_freq = r.u64()?;
-            let byte_len = r.u32()? as usize;
-            // Retrieval accumulates into an array over the doc-id space
-            // and walks payloads with the trusting decoder, so a malformed
-            // or out-of-collection posting must be rejected here, not met
-            // at query time.
-            let list = PostingsList::validated(r.bytes(byte_len)?, doc_freq, 0, doc_lens.len())
-                .map_err(DecodeError::Corrupt)?;
-            postings.push(list);
-            term_stats.push(TermStats {
-                doc_freq: u64::from(doc_freq),
-                coll_freq,
-            });
-        }
-
-        // Ingest extends the store at id `num_docs` (dense ids by contract).
+        // Dense ids by contract: ingest extends the store at the next one.
         let n_docs = r.count(12)?;
-        if n_docs as u64 != num_docs {
-            return Err(DecodeError::Corrupt(
-                "document store count differs from document count",
-            ));
-        }
-        let mut store = DocumentStore::new();
+        let mut docs = Vec::with_capacity(n_docs);
         for id in 0..n_docs {
             let url = r.str()?;
             let title = r.str()?;
             let body = r.str()?;
-            store.push(Document::new(id as u32, url, title, body));
+            docs.push(Document::new(id as u32, url, title, body));
         }
         let rows = Rows::read(&mut r, n_docs, n_terms)?;
         if r.finish().is_err() {
             return Err(DecodeError::Corrupt("trailing bytes after index"));
         }
-
-        let stats = CollectionStats::of(num_docs, num_tokens);
-        Ok(InvertedIndex {
-            dph: DphTable::of(stats, &doc_lens, &postings),
-            forward: ForwardIndex::from_rows(rows, num_docs, &term_stats),
-            vocab,
-            postings,
-            term_stats,
-            doc_lens,
-            store,
-            stats,
-        })
+        let segment = Segment::counted(vocab, docs, rows).map_err(DecodeError::Corrupt)?;
+        Ok(InvertedIndex::assemble(segment))
     }
 }
 
@@ -281,22 +205,82 @@ mod tests {
         assert_eq!(err, DecodeError::BadVersion(99));
     }
 
+    /// `idx`'s image with its first `docs` documents but all its rows.
+    fn image_with_docs(idx: &InvertedIndex, docs: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.header(MAGIC, VERSION);
+        w.count(idx.vocab.len());
+        for (_, term) in idx.vocab.iter() {
+            w.str(term);
+        }
+        w.count(docs);
+        for doc in idx.store.iter().take(docs) {
+            w.str(&doc.url);
+            w.str(&doc.title);
+            w.str(&doc.body);
+        }
+        idx.forward.rows().write(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn postings_must_stay_inside_the_declared_collection() {
-        // Layout: magic, version, num_docs u64 @8, num_tokens u64 @16,
-        // doc_lens count u32 @24, then the lengths.
-        let mut fewer_docs = sample_index().to_bytes();
-        fewer_docs[8..16].copy_from_slice(&2u64.to_le_bytes());
+        // The postings are counted from the rows, one row per document:
+        // rows for a document the image does not hold are refused, and
+        // the lists a decode counts name the image's documents only.
+        let idx = sample_index();
+        assert_eq!(image_with_docs(&idx, 3), idx.to_bytes());
         assert_eq!(
-            InvertedIndex::from_bytes(&fewer_docs).unwrap_err(),
-            DecodeError::Corrupt("doc_lens count differs from document count")
+            InvertedIndex::from_bytes(&image_with_docs(&idx, 2)).unwrap_err(),
+            DecodeError::Corrupt("forward row count differs from document count")
         );
-        // Consistently two documents — but the postings still name doc 2.
-        fewer_docs[24..28].copy_from_slice(&2u32.to_le_bytes());
-        fewer_docs.drain(36..40);
+        let decoded = InvertedIndex::from_bytes(&idx.to_bytes()).unwrap();
+        for (got, built) in decoded.postings.iter().zip(&idx.postings) {
+            assert!(got.iter().all(|p| p.doc.index() < 3));
+            assert_eq!(got.raw_bytes(), built.raw_bytes());
+        }
+        assert_eq!(decoded.doc_lens, idx.doc_lens);
+        assert_eq!(decoded.term_stats, idx.term_stats);
+    }
+
+    #[test]
+    fn a_title_tf_overflowing_the_document_length_is_refused() {
+        // Doc 0 ("apple iphone" over a five-term body) holds the first
+        // title entry; the entries end the image. Its count is summed,
+        // never expanded: a length of exactly `u32::MAX` decodes, one
+        // more is refused.
+        let idx = sample_index();
+        let bytes = idx.to_bytes();
+        let title = |d: u32| idx.forward.title_tf(crate::DocId(d));
+        let entries = bytes.len() - 8 * (0..3).map(|d| title(d).len()).sum::<usize>();
+        let (first_tf, len) = (title(0)[0].1, idx.doc_lens[0]);
+        let planted_at = |tfs: &[(usize, u32)]| {
+            let mut bad = bytes.clone();
+            for &(entry, tf) in tfs {
+                let at = entries + 8 * entry + 4;
+                bad[at..at + 4].copy_from_slice(&tf.to_le_bytes());
+            }
+            InvertedIndex::from_bytes(&bad)
+        };
+        let planted = |tf: u32| planted_at(&[(0, tf)]);
+        let fits = u32::MAX - (len - first_tf);
+        let decoded = planted(fits).unwrap();
+        assert_eq!(decoded.doc_len(crate::DocId(0)), Some(u32::MAX));
         assert_eq!(
-            InvertedIndex::from_bytes(&fewer_docs).unwrap_err(),
-            DecodeError::Corrupt("posting outside its document range")
+            decoded.stats().num_tokens,
+            u64::from(u32::MAX) + u64::from(idx.doc_lens[1] + idx.doc_lens[2])
+        );
+        for tf in [fits + 1, u32::MAX] {
+            assert_eq!(
+                planted(tf).unwrap_err(),
+                DecodeError::Corrupt("document length exceeds u32"),
+                "tf {tf}"
+            );
+        }
+        // Two entries that each fit but together do not.
+        assert_eq!(
+            planted_at(&[(0, 1 << 31), (1, 1 << 31)]).unwrap_err(),
+            DecodeError::Corrupt("document length exceeds u32")
         );
     }
 

@@ -121,7 +121,9 @@ impl ShardedIndex {
                 .into_iter()
                 .enumerate()
                 .map(|(s, postings)| {
-                    let base = (s * chunk) as u32;
+                    // A trailing shard can start past a small
+                    // collection: it is empty, at its end.
+                    let base = (s * chunk).min(num_docs) as u32;
                     Shard {
                         postings,
                         base,
@@ -399,6 +401,7 @@ pub fn merge_top_k(lists: Vec<Vec<ScoredDoc>>, k: usize) -> Vec<ScoredDoc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ShardArtifact;
     use crate::builder::IndexBuilder;
     use crate::document::Document;
     use crate::search::SearchEngine;
@@ -536,6 +539,45 @@ mod tests {
         let idx = Arc::new(IndexBuilder::new().build());
         let sharded = ShardedIndex::build(idx, 3);
         assert!(sharded.retrieve("apple", 5).is_empty());
+    }
+
+    #[test]
+    fn every_shard_of_a_small_collection_exports_and_scores_in_process() {
+        // Small collections leave trailing shards empty (5 docs over 4
+        // shards: chunk 2, shard 3 holds nothing); each still exports
+        // inside the collection, decodes, and scores as in-process.
+        for n in 0..=12u32 {
+            let mut b = IndexBuilder::new();
+            for i in 0..n {
+                let text = ["apple iphone chip", "apple pie", "storm rain apple"][i as usize % 3];
+                b.add(Document::new(i, format!("u{i}"), "", text));
+            }
+            let idx = Arc::new(b.build());
+            for shards in 1..=6 {
+                let sharded = ShardedIndex::build(idx.clone(), shards);
+                let mut next = 0;
+                for (s, shard) in sharded.shards.iter().enumerate() {
+                    let what = format!("{n} docs, shard {s} of {shards}");
+                    assert_eq!(shard.base, next, "{what}");
+                    next += shard.len as u32;
+                    let art = ShardArtifact::from_bytes(&sharded.export_shard(s))
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!((art.base(), art.range_len()), (shard.base, shard.len));
+                    for query in ["apple", "apple pie", "storm", "zebra"] {
+                        let terms = idx.analyze_query(query);
+                        for k in [1, 10] {
+                            let local = sharded.score_shard(shard, &query_weights(&terms), k, None);
+                            let exported = art.score_terms(&terms, k);
+                            let bits = |hits: &[ScoredDoc]| -> Vec<(DocId, u64)> {
+                                hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+                            };
+                            assert_eq!(bits(&exported), bits(&local), "{what}: {query} k={k}");
+                        }
+                    }
+                }
+                assert_eq!(next, n, "{n} docs over {shards} shards");
+            }
+        }
     }
 
     #[test]

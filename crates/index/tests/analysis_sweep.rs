@@ -11,11 +11,14 @@
 //!   build that interns `analyze_interned(&doc.full_text())` per
 //!   document and writes the forward rows of the per-raw-token oracle
 //!   below, also when the collection is built as a base plus a merged
-//!   delta;
+//!   delta, and the index's postings bytes, term statistics, lengths
+//!   and collection statistics (which the image does not store) equal
+//!   that reference's counts;
 //! - every `ForwardIndex::{doc_tokens, title_tf}` equals what analyzing
 //!   each raw token by itself (`analyze(raw).first()`) gives;
-//! - an index decoded from its image holds the forward view it was
-//!   encoded with: the same rows and the same IDF table.
+//! - an index decoded from its image (of a build, of a merge, and a merge
+//!   over a decoded base) equals the index encoded: the same image, the
+//!   same counted parts, the same rows and the same IDF table.
 //!
 //! Case `seed` draws from `StdRng::seed_from_u64(seed)`; a failure names
 //! its seed, and rerunning the test reproduces it.
@@ -111,48 +114,96 @@ fn build(docs: &[Document]) -> InvertedIndex {
     builder.build()
 }
 
+/// What the index image does not store but determines, to the bit:
+/// each term's postings bytes and statistics, each document's length,
+/// and the collection statistics.
+fn counted_parts(index: &InvertedIndex) -> Counted {
+    let terms = (0..index.num_terms() as u32).map(TermId);
+    let docs = (0..index.stats().num_docs as u32).map(DocId);
+    let stats = index.stats();
+    Counted {
+        postings: terms
+            .clone()
+            .map(|t| index.postings(t).unwrap().raw_bytes().to_vec())
+            .collect(),
+        term_stats: terms
+            .map(|t| {
+                let ts = index.term_stats(t).unwrap();
+                (ts.doc_freq, ts.coll_freq)
+            })
+            .collect(),
+        doc_lens: docs.map(|d| index.doc_len(d).unwrap()).collect(),
+        coll: (
+            stats.num_docs,
+            stats.num_tokens,
+            stats.avg_doc_len.to_bits(),
+        ),
+    }
+}
+
+#[derive(Debug, PartialEq)]
+struct Counted {
+    postings: Vec<Vec<u8>>,
+    term_stats: Vec<(u64, u64)>,
+    doc_lens: Vec<u32>,
+    coll: (u64, u64, u64),
+}
+
 /// The serialized index (layout in `serialize.rs`'s module doc) of a build
-/// that analyzes every token occurrence: `analyze_interned` of each
-/// document's full text, counted per term, and forward rows of each raw
-/// token analyzed by itself.
-fn reference_bytes(docs: &[Document]) -> Vec<u8> {
+/// that analyzes every token occurrence, with the parts it determines:
+/// `analyze_interned` of each document's full text, counted per term,
+/// and forward rows of each raw token analyzed by itself.
+fn reference(docs: &[Document]) -> (Vec<u8>, Counted) {
     let mut vocab = Vocabulary::new();
-    let mut postings: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut lists: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut doc_lens = Vec::new();
     for doc in docs {
         let terms = Analyzer::analyze_interned(&doc.full_text(), &mut vocab);
         doc_lens.push(terms.len() as u32);
-        postings.resize_with(vocab.len(), Vec::new);
+        lists.resize_with(vocab.len(), Vec::new);
         let mut tf: BTreeMap<u32, u32> = BTreeMap::new();
         for term in terms {
             *tf.entry(term.0).or_default() += 1;
         }
         for (term, tf) in tf {
-            postings[term as usize].push((doc.id.0, tf));
+            lists[term as usize].push((doc.id.0, tf));
         }
     }
+    let num_tokens: u64 = doc_lens.iter().map(|&l| u64::from(l)).sum();
+    let num_docs = docs.len() as u64;
+    let avg = if docs.is_empty() {
+        0.0
+    } else {
+        num_tokens as f64 / num_docs as f64
+    };
+    let counted = Counted {
+        postings: lists
+            .iter()
+            .map(|list| {
+                let mut pb = PostingsBuilder::new();
+                for &(doc, tf) in list {
+                    pb.push(DocId(doc), tf);
+                }
+                pb.build().raw_bytes().to_vec()
+            })
+            .collect(),
+        term_stats: lists
+            .iter()
+            .map(|list| {
+                let coll_freq = list.iter().map(|&(_, tf)| u64::from(tf)).sum();
+                (list.len() as u64, coll_freq)
+            })
+            .collect(),
+        doc_lens,
+        coll: (num_docs, num_tokens, avg.to_bits()),
+    };
+
     let mut w = ByteWriter::new();
     w.u32(0x5E9D_1F01); // the format's magic
-    w.u32(2); // and version
-    w.u64(docs.len() as u64);
-    w.u64(doc_lens.iter().map(|&l| u64::from(l)).sum());
-    w.count(doc_lens.len());
-    w.u32s(&doc_lens);
+    w.u32(3); // and version
     w.count(vocab.len());
     for (_, term) in vocab.iter() {
         w.str(term);
-    }
-    w.count(postings.len());
-    for list in &postings {
-        w.count(list.len());
-        w.u64(list.iter().map(|&(_, tf)| u64::from(tf)).sum());
-        let mut pb = PostingsBuilder::new();
-        for &(doc, tf) in list {
-            pb.push(DocId(doc), tf);
-        }
-        let payload = pb.build();
-        w.count(payload.raw_bytes().len());
-        w.bytes(payload.raw_bytes());
     }
     w.count(docs.len());
     for doc in docs {
@@ -180,7 +231,7 @@ fn reference_bytes(docs: &[Document]) -> Vec<u8> {
         w.u32(term);
         w.u32(tf);
     }
-    w.finish()
+    (w.finish(), counted)
 }
 
 /// Each raw token analyzed by itself, its first term looked up in
@@ -239,12 +290,13 @@ fn builds_equal_the_per_occurrence_analysis() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let docs = documents(&mut rng);
-        let expected = reference_bytes(&docs);
+        let (image, counted) = reference(&docs);
 
         let index = build(&docs);
+        assert_eq!(index.to_bytes(), image, "seed {seed}: from-scratch build");
         assert_eq!(
-            index.to_bytes(),
-            expected,
+            counted_parts(&index),
+            counted,
             "seed {seed}: from-scratch build"
         );
         check_forward(&index, &ForwardIndex::build(&index), seed);
@@ -255,7 +307,12 @@ fn builds_equal_the_per_occurrence_analysis() {
         let base = build(&docs[..split]);
         let delta = DeltaIndex::build(&base, docs[split..].to_vec());
         let merged = merge_sealed(&base, &delta);
-        assert_eq!(merged.to_bytes(), expected, "seed {seed}: merge at {split}");
+        assert_eq!(merged.to_bytes(), image, "seed {seed}: merge at {split}");
+        assert_eq!(
+            counted_parts(&merged),
+            counted,
+            "seed {seed}: merge at {split}"
+        );
     }
 }
 
@@ -277,7 +334,9 @@ fn two_builds_on_one_thread_keep_their_own_term_ids() {
     assert_ne!(id(&a, "cherri"), id(&b, "cherri"));
 
     for (index, docs) in [(&a, &first), (&b, &second)] {
-        assert_eq!(index.to_bytes(), reference_bytes(docs));
+        let (image, counted) = reference(docs);
+        assert_eq!(index.to_bytes(), image);
+        assert_eq!(counted_parts(index), counted);
     }
     let (fa, fb) = (ForwardIndex::build(&a), ForwardIndex::build(&b));
     check_forward(&a, &fa, 0);
@@ -286,35 +345,54 @@ fn two_builds_on_one_thread_keep_their_own_term_ids() {
     assert_eq!(fb.doc_tokens(DocId(0)), [0, 1]);
 }
 
+/// `decoded` equals `built` in everything: its image, the parts the
+/// image determines, and its forward view's rows and IDF bits (one past
+/// the last document and term, both views answer empty).
+fn assert_decoded_equals(decoded: &InvertedIndex, built: &InvertedIndex, what: &str) {
+    assert_eq!(decoded.to_bytes(), built.to_bytes(), "{what}");
+    assert_eq!(counted_parts(decoded), counted_parts(built), "{what}");
+    let (read, wrote) = (decoded.forward(), built.forward());
+    assert_eq!(read.num_docs(), wrote.num_docs(), "{what}");
+    for doc in (0..=wrote.num_docs() as u32).map(DocId) {
+        assert_eq!(
+            read.doc_tokens(doc),
+            wrote.doc_tokens(doc),
+            "{what} {doc:?}"
+        );
+        assert_eq!(read.title_tf(doc), wrote.title_tf(doc), "{what} {doc:?}");
+    }
+    for term in (0..=built.num_terms() as u32).map(TermId) {
+        assert_eq!(
+            read.idf(term).to_bits(),
+            wrote.idf(term).to_bits(),
+            "{what} {term:?}"
+        );
+    }
+}
+
 #[test]
-fn a_decoded_index_holds_the_forward_view_it_was_encoded_with() {
+fn a_decoded_index_equals_the_index_it_was_encoded_from() {
+    // Built, merged, and merged over a decoded base. (The range-count
+    // sweep in `builder::tests` decodes the builds of 2, 3 and more
+    // ranges; they write these bytes too.)
+    let decode = |index: &InvertedIndex| InvertedIndex::from_bytes(&index.to_bytes()).unwrap();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let index = build(&documents(&mut rng));
-        let bytes = index.to_bytes();
-        let decoded = InvertedIndex::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.to_bytes(), bytes, "seed {seed}");
-        let (built, read) = (index.forward(), decoded.forward());
-        assert_eq!(read.num_docs(), built.num_docs(), "seed {seed}");
-        // One past the last document and term: both views answer empty.
-        for doc in (0..=built.num_docs() as u32).map(DocId) {
-            assert_eq!(
-                read.doc_tokens(doc),
-                built.doc_tokens(doc),
-                "seed {seed} {doc:?}"
-            );
-            assert_eq!(
-                read.title_tf(doc),
-                built.title_tf(doc),
-                "seed {seed} {doc:?}"
-            );
-        }
-        for term in (0..=index.num_terms() as u32).map(TermId) {
-            assert_eq!(
-                read.idf(term).to_bits(),
-                built.idf(term).to_bits(),
-                "seed {seed} {term:?}"
-            );
-        }
+        let docs = documents(&mut rng);
+        let index = build(&docs);
+        assert_decoded_equals(&decode(&index), &index, &format!("seed {seed}"));
+
+        let split = rng.gen_range(0..=docs.len());
+        let base = build(&docs[..split]);
+        let delta = DeltaIndex::build(&base, docs[split..].to_vec());
+        let merged = merge_sealed(&base, &delta);
+        let what = format!("seed {seed}, merged at {split}");
+        assert_decoded_equals(&decode(&merged), &merged, &what);
+        let over_decoded = merge_sealed(&decode(&base), &delta);
+        assert_decoded_equals(
+            &over_decoded,
+            &merged,
+            &format!("{what} over a decoded base"),
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Every artifact decoder is **total** on hostile bytes: for a small valid
-//! image of each of `InvertedIndex` (its forward rows included),
-//! `ShardArtifact` and `CompiledSpecStore`, every truncation, every
+//! image of each of `InvertedIndex` (version 3: vocabulary, documents and
+//! forward rows, with the postings and statistics counted from the rows
+//! on decode), `ShardArtifact` and `CompiledSpecStore`, every truncation, every
 //! single-byte mutant (`+1`, `0x00`, `0x7F`, `0xFF` at every position), a
 //! few thousand seeded multi-byte mutants and raw random buffers must
 //!

@@ -157,17 +157,23 @@ fn published_artifacts_serve_the_new_corpus() {
     assert_eq!((m.swaps, m.swap_rejected, m.generation), (1, 0, 2));
 }
 
-/// Offsets of the vocabulary count and the postings count in an
-/// `InvertedIndex` image: past the 24-byte header and the doc-length
-/// table, and past the vocabulary strings after that.
-fn term_and_postings_count_offsets(image: &[u8]) -> (usize, usize) {
+/// Offsets of the document count and of the forward rows in an
+/// `InvertedIndex` image: past the 8-byte header and the vocabulary (a
+/// count, then length-prefixed strings), and past the documents after
+/// that (three length-prefixed strings each).
+fn document_and_rows_offsets(image: &[u8]) -> (usize, usize) {
     let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
-    let n_terms_at = 24 + 4 + 4 * u32_at(24);
-    let mut at = n_terms_at + 4;
-    for _ in 0..u32_at(n_terms_at) {
-        at += 4 + u32_at(at);
-    }
-    (n_terms_at, at)
+    let skip_strings = |mut at: usize, n: usize| {
+        for _ in 0..n {
+            at += 4 + u32_at(at);
+        }
+        at
+    };
+    let n_docs_at = skip_strings(12, u32_at(8));
+    (
+        n_docs_at,
+        skip_strings(n_docs_at + 4, 3 * u32_at(n_docs_at)),
+    )
 }
 
 #[test]
@@ -193,37 +199,34 @@ fn corrupt_artifacts_are_rejected_and_the_old_generation_serves() {
     flipped.index[last_term_top] ^= 0xA5;
     // Counts the bytes present cannot back: a 12-byte store image
     // declaring u32::MAX specializations, and an index image declaring
-    // u32::MAX postings lists. A decoder that sizes an allocation from
-    // either aborts the process instead of rejecting the bundle.
+    // u32::MAX documents. A decoder that sizes an allocation from either
+    // aborts the process instead of rejecting the bundle.
     let mut huge_store = good.clone();
     huge_store.compiled.truncate(8);
     huge_store
         .compiled
         .extend_from_slice(&u32::MAX.to_le_bytes());
-    let (n_terms_at, n_postings_at) = term_and_postings_count_offsets(&good.index);
-    let mut huge_postings = good.clone();
-    huge_postings.index[n_postings_at..n_postings_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    // The first term claims one more posting than its payload encodes: a
-    // trusting walk runs off the end of the payload.
-    let mut overlong_list = good.clone();
-    overlong_list.index[n_postings_at + 4] += 1;
-    // One more vocabulary term than postings lists: its term id would
-    // index past the postings table.
-    let mut extra_term = good.clone();
-    extra_term.index[n_terms_at] += 1;
-    extra_term.index.splice(
-        n_postings_at..n_postings_at,
-        2u32.to_le_bytes().into_iter().chain(*b"zq"),
-    );
+    let (n_docs_at, rows_at) = document_and_rows_offsets(&good.index);
+    let mut huge_docs = good.clone();
+    huge_docs.index[n_docs_at..n_docs_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    // The last title entry claims u32::MAX occurrences: its document's
+    // length, which the decoder counts, no longer fits a u32.
+    let mut overlong_title = good.clone();
+    let last_tf = overlong_title.index.len() - 4;
+    overlong_title.index[last_tf..].copy_from_slice(&u32::MAX.to_le_bytes());
+    // One more document (three empty strings) than forward rows.
+    let mut extra_doc = good.clone();
+    extra_doc.index[n_docs_at] += 1;
+    extra_doc.index.splice(rows_at..rows_at, [0u8; 12]);
 
     let cases = [
         ("bad magic", &bad_magic),
         ("truncated", &truncated),
         ("flipped byte", &flipped),
         ("store count beyond the image", &huge_store),
-        ("postings count beyond the image", &huge_postings),
-        ("doc_freq beyond the payload", &overlong_list),
-        ("vocabulary count differs from postings count", &extra_term),
+        ("document count beyond the image", &huge_docs),
+        ("title tf beyond its document's length", &overlong_title),
+        ("document count differs from row count", &extra_doc),
     ];
     for (what, bundle) in cases {
         match engine.publish_artifacts(bundle) {
