@@ -178,7 +178,7 @@ impl ShardArtifact {
             shard_id,
             num_shards,
             base,
-            dph: DphTable::of(coll, &doc_lens, &postings),
+            dph: DphTable::of(avg_doc_len, &doc_lens, &postings),
             doc_lens,
             coll,
             term_stats,

@@ -19,22 +19,26 @@
 //! `N` the number of documents and `CF` the term's collection frequency.
 //! Scores of a document are summed over the query terms (bag of words).
 //!
-//! **The `(tf, dl)` table.** Under fixed collection statistics three of the
-//! formula's factors depend on `(tf, dl)` alone: `norm`, `tf · avg_dl / dl`
-//! and `0.5 · log₂(2π · tf · (1 − f))`. A [`DphTable`] computes them once
+//! **Evaluation order.** `log₂(x · y) = log₂ x + log₂ y` makes a term's
+//! score `fixed + per_log · log₂(N / CF)`, with `per_log = norm · tf` and
+//! `fixed = norm · (tf · log₂(tf · avg_dl / dl) + 0.5 · log₂(2π · tf · (1 − f)))`,
+//! and every path computes it so, [`Dph::score`] included. These are not
+//! Terrier's bits: rounding the two logs apart moves a score by a few
+//! ulps of its largest summand (more of the score itself near `tf ·
+//! avg_dl / dl · N / CF = 1`, where the logs cancel); the index crate's
+//! `properties` suite bounds it.
+//!
+//! **The `(tf, dl)` table.** A [`DphTable`] holds `fixed` and `per_log`
 //! for every `tf` and `dl` up to an index's largest (a sealed index, a
-//! merge and a shard artifact each build one from their frozen
-//! statistics), so a posting costs one `log₂` and three multiplies. The
-//! table is exact, not an approximation: one private function computes
-//! the factors for the table and for [`Dph::score`], and the posting's
-//! score combines them by the same expression tree, so every operation
-//! sees the same operands in the same order and IEEE-754 gives the same
-//! `f64`. That holds as long as the compiler does not contract a multiply
-//! and an add into one fused multiply-add, which Rust never does without
-//! an explicit `mul_add`. A table is read only under the statistics it
-//! was built for and only inside its bounds; every other posting (a range
-//! scored under a delta's union overlay, a `tf` or `dl` past the table)
-//! runs the formula.
+//! merge and a shard artifact each build one), so a posting costs one
+//! multiply and one add after one `log₂` per term. It is exact: one
+//! private function computes the cells and [`Dph::score`]'s factors, both
+//! combined with `log₂(N / CF)` by one expression, so IEEE-754 gives the
+//! same `f64` unless a multiply and an add are contracted into a fused
+//! multiply-add (Rust never does without `mul_add`). A cell depends on
+//! the collection only through `avg_dl`: a table is read under statistics
+//! with its average's bits, inside its bounds; every other posting (a
+//! delta's union overlay, a `tf` or `dl` past the table) runs the formula.
 
 use crate::index::{CollectionStats, TermStats};
 use crate::postings::PostingsList;
@@ -51,24 +55,22 @@ impl Dph {
     }
 }
 
-/// `N / CF` — the only factor that depends on neither `tf` nor `dl` — or
-/// `None` when the term cannot score (it never occurs, or the collection
-/// is empty).
-fn docs_per_occurrence(term: TermStats, coll: CollectionStats) -> Option<f64> {
+/// `log₂(N / CF)` — the only factor that depends on the term — or `None`
+/// when the term cannot score (it never occurs, or the collection is
+/// empty).
+fn log_docs_per_occurrence(term: TermStats, coll: CollectionStats) -> Option<f64> {
     (term.coll_freq != 0 && coll.num_docs != 0)
-        .then(|| coll.num_docs as f64 / term.coll_freq as f64)
+        .then(|| (coll.num_docs as f64 / term.coll_freq as f64).log2())
 }
 
-/// The factors of the formula that depend only on `(tf, dl)` and the
-/// average document length.
+/// The score of `(tf, dl)` as an affine function of `log₂(N / CF)`; see
+/// the module docs.
 #[derive(Debug, Clone)]
 struct Factors {
-    /// `(1 − f)² / (tf + 1)`.
-    norm: f64,
-    /// `tf · avg_dl / dl`.
-    length_ratio: f64,
-    /// `0.5 · log₂(2π · tf · (1 − f))`.
-    half_log: f64,
+    /// `norm · (tf · log₂(tf · avg_dl / dl) + 0.5 · log₂(2π · tf · (1 − f)))`.
+    fixed: f64,
+    /// `norm · tf`.
+    per_log: f64,
 }
 
 impl Factors {
@@ -82,23 +84,22 @@ impl Factors {
         // normalization and the log term stay finite for documents that
         // consist solely of the query term (tf == dl).
         let f = (tf / dl).min(1.0 - 1e-9);
+        let norm = (1.0 - f) * (1.0 - f) / (tf + 1.0);
+        let half_log = 0.5 * (2.0 * std::f64::consts::PI * tf * (1.0 - f)).log2();
         Factors {
-            norm: (1.0 - f) * (1.0 - f) / (tf + 1.0),
-            length_ratio: tf * avg_doc_len / dl,
-            half_log: 0.5 * (2.0 * std::f64::consts::PI * tf * (1.0 - f)).log2(),
+            fixed: norm * (tf * (tf * avg_doc_len / dl).log2() + half_log),
+            per_log: norm * tf,
         }
     }
 
-    /// The score of `tf` occurrences of a term with `N / CF =
-    /// docs_per_occurrence`.
+    /// The score of a term with `log₂(N / CF) = log_docs_per_occurrence`.
     #[inline]
-    fn score(&self, tf: u32, docs_per_occurrence: f64) -> f64 {
+    fn score(&self, log_docs_per_occurrence: f64) -> f64 {
         // A term can score negative when it is *more* frequent in the
         // collection than chance would predict; Terrier keeps negative
         // contributions, and so do we — they matter for ranking
         // stability.
-        self.norm
-            * (f64::from(tf) * (self.length_ratio * docs_per_occurrence).log2() + self.half_log)
+        self.fixed + self.per_log * log_docs_per_occurrence
     }
 }
 
@@ -107,21 +108,20 @@ impl RankingModel for Dph {
         self.term_scorer(term, coll)(tf, doc_len)
     }
 
-    /// `N / CF` is divided once per term instead of once per posting; the
-    /// expression tree is otherwise the formula above, so the result is
-    /// the same `f64` whichever way it is reached.
+    /// `log₂(N / CF)` is taken once per term; the result is the same
+    /// `f64` whichever way it is reached.
     fn term_scorer(&self, term: TermStats, coll: CollectionStats) -> impl Fn(u32, u32) -> f64 {
-        let per_occurrence = docs_per_occurrence(term, coll);
-        move |tf, doc_len| match per_occurrence {
-            Some(n_cf) if tf != 0 && doc_len != 0 => {
-                Factors::of(tf, doc_len, coll.avg_doc_len).score(tf, n_cf)
+        let log_n_cf = log_docs_per_occurrence(term, coll);
+        move |tf, doc_len| match log_n_cf {
+            Some(log_n_cf) if tf != 0 && doc_len != 0 => {
+                Factors::of(tf, doc_len, coll.avg_doc_len).score(log_n_cf)
             }
             _ => 0.0,
         }
     }
 }
 
-/// Upper bound on a table's cells: 24 B each, about 2 MiB in all.
+/// Upper bound on a table's cells: 16 B each, about 2 MiB in all.
 const MAX_CELLS: usize = (2 << 20) / std::mem::size_of::<Factors>();
 
 /// Fewest `tf` rows a table keeps when its documents are too long for
@@ -129,18 +129,18 @@ const MAX_CELLS: usize = (2 << 20) / std::mem::size_of::<Factors>();
 const MIN_TF_ROWS: usize = 16;
 
 /// DPH with the `(tf, dl)`-only factors of every `(tf, dl)` up to
-/// `tf_cap` × `dl_cap` precomputed under one collection's statistics (see
+/// `tf_cap` × `dl_cap` precomputed for one average document length (see
 /// the module docs).
 ///
 /// As a [`RankingModel`] it scores exactly what [`Dph`] scores, `f64` bit
 /// for bit: its [`score`](RankingModel::score) is the formula, and its
-/// [`term_scorer`](RankingModel::term_scorer) reads a cell only when asked
-/// for the statistics the table was built for and for a `(tf, dl)` inside
-/// it, and runs the formula otherwise. It is never serialized: whoever
-/// decodes an index or a shard builds it again from the statistics.
+/// [`term_scorer`](RankingModel::term_scorer) reads a cell only under that
+/// average length and for a `(tf, dl)` inside it, and runs the formula
+/// otherwise. It is never serialized: whoever decodes an index or a
+/// shard builds it again from the statistics.
 #[derive(Debug, Clone)]
 pub struct DphTable {
-    coll: CollectionStats,
+    avg_doc_len: f64,
     tf_cap: usize,
     dl_cap: usize,
     /// Row-major by `tf`: the cell of `(tf, dl)` is at
@@ -149,25 +149,25 @@ pub struct DphTable {
 }
 
 impl DphTable {
-    /// The table for scoring under `coll` postings whose frequencies reach
-    /// `max_tf` in documents up to `max_dl` tokens long. Past about 2 MiB
-    /// it keeps at least 16 `tf` rows and shortens the `dl` span, then
-    /// keeps as many rows as fit.
-    pub fn new(coll: CollectionStats, max_tf: u32, max_dl: u32) -> Self {
-        Self::within(coll, max_tf, max_dl, MAX_CELLS)
+    /// The table for scoring postings whose frequencies reach `max_tf` in
+    /// documents up to `max_dl` tokens long, of average `avg_doc_len`. Past
+    /// about 2 MiB it keeps at least 16 `tf` rows and shortens the `dl`
+    /// span, then keeps as many rows as fit.
+    pub fn new(avg_doc_len: f64, max_tf: u32, max_dl: u32) -> Self {
+        Self::within(avg_doc_len, max_tf, max_dl, MAX_CELLS)
     }
 
     /// [`new`](Self::new) with at most `max_cells` cells.
-    fn within(coll: CollectionStats, max_tf: u32, max_dl: u32, max_cells: usize) -> Self {
+    fn within(avg_doc_len: f64, max_tf: u32, max_dl: u32, max_cells: usize) -> Self {
         let (max_tf, max_dl) = (max_tf as usize, max_dl as usize);
         let tf_cap = max_tf.min(MIN_TF_ROWS.max(max_cells / max_dl.max(1)));
         let dl_cap = max_dl.min(max_cells / tf_cap.max(1));
         let mut cells = Vec::with_capacity(tf_cap * dl_cap);
         for tf in 1..=tf_cap as u32 {
-            cells.extend((1..=dl_cap as u32).map(|dl| Factors::of(tf, dl, coll.avg_doc_len)));
+            cells.extend((1..=dl_cap as u32).map(|dl| Factors::of(tf, dl, avg_doc_len)));
         }
         DphTable {
-            coll,
+            avg_doc_len,
             tf_cap,
             dl_cap,
             cells,
@@ -175,17 +175,17 @@ impl DphTable {
     }
 
     /// The table for a range's documents of lengths `doc_lens` and its
-    /// `postings`, under `coll`. It holds no more cells than there are
-    /// postings: a cell costs about what scoring one posting by the
-    /// formula does, and a decoded image backs every posting with at
-    /// least two bytes, so the table stays within a fixed multiple of the
-    /// bytes it was decoded from, whatever lengths they claim.
-    pub(crate) fn of(coll: CollectionStats, doc_lens: &[u32], postings: &[PostingsList]) -> Self {
+    /// `postings`, of average length `avg_doc_len`. It holds no more cells
+    /// than there are postings: a cell costs about what scoring one
+    /// posting by the formula does, and a decoded image backs every posting
+    /// with at least two bytes, so the table stays within a fixed multiple
+    /// of the bytes it was decoded from, whatever lengths they claim.
+    pub(crate) fn of(avg_doc_len: f64, doc_lens: &[u32], postings: &[PostingsList]) -> Self {
         let max_tf = postings.iter().map(PostingsList::max_tf).max();
         let max_dl = doc_lens.iter().max();
         let num_postings = postings.iter().map(PostingsList::len).sum::<usize>();
         Self::within(
-            coll,
+            avg_doc_len,
             max_tf.unwrap_or(0),
             max_dl.copied().unwrap_or(0),
             num_postings.min(MAX_CELLS),
@@ -202,11 +202,9 @@ impl DphTable {
         self.dl_cap as u32
     }
 
-    /// Whether the table was built for exactly `coll`.
+    /// Whether `coll` has the average length the cells were computed for.
     fn built_for(&self, coll: CollectionStats) -> bool {
-        self.coll.num_docs == coll.num_docs
-            && self.coll.num_tokens == coll.num_tokens
-            && self.coll.avg_doc_len.to_bits() == coll.avg_doc_len.to_bits()
+        self.avg_doc_len.to_bits() == coll.avg_doc_len.to_bits()
     }
 
     /// The cell of `(tf, dl)`, when both lie inside the table (a zero
@@ -224,14 +222,15 @@ impl DphTable {
         }
     }
 
-    /// A copy of the table whose `(tf, dl)` cell scores one ulp higher:
-    /// what the oracle comparisons must catch.
+    /// A copy of the table whose `(tf, dl)` cell has a `fixed` one ulp
+    /// higher: what the oracle comparisons must catch wherever the ulp
+    /// outlives the add of a larger `per_log · log₂(N / CF)`.
     #[cfg(test)]
     pub(crate) fn with_planted_ulp(&self, tf: u32, doc_len: u32) -> Self {
         let mut planted = self.clone();
         let i = (tf as usize - 1) * self.dl_cap + (doc_len as usize - 1);
-        let norm = &mut planted.cells[i].norm;
-        *norm = f64::from_bits(norm.to_bits() + 1);
+        let fixed = &mut planted.cells[i].fixed;
+        *fixed = f64::from_bits(fixed.to_bits() + 1);
         planted
     }
 }
@@ -243,12 +242,12 @@ impl RankingModel for DphTable {
 
     fn term_scorer(&self, term: TermStats, coll: CollectionStats) -> impl Fn(u32, u32) -> f64 {
         let formula = Dph.term_scorer(term, coll);
-        let table = match docs_per_occurrence(term, coll) {
-            Some(n_cf) if self.built_for(coll) => Some((self, n_cf)),
+        let table = match log_docs_per_occurrence(term, coll) {
+            Some(log_n_cf) if self.built_for(coll) => Some((self, log_n_cf)),
             _ => None,
         };
         move |tf, doc_len| {
-            let read = table.and_then(|(t, n_cf)| Some(t.cell(tf, doc_len)?.score(tf, n_cf)));
+            let read = table.and_then(|(t, log_n_cf)| Some(t.cell(tf, doc_len)?.score(log_n_cf)));
             read.unwrap_or_else(|| formula(tf, doc_len))
         }
     }
@@ -327,21 +326,64 @@ mod tests {
             }
             b.build()
         };
+        let avg = coll().avg_doc_len;
         let many = list(&[3; 5_000]);
         // Largest tf 33 and dl 123, as on a 46 k-document collection.
-        let table = DphTable::of(coll(), &[7, 123, 2], &[list(&[1, 33]), many.clone()]);
+        let table = DphTable::of(avg, &[7, 123, 2], &[list(&[1, 33]), many.clone()]);
         assert_eq!((table.tf_cap(), table.dl_cap()), (33, 123));
         assert_eq!(table.cells.len(), 33 * 123);
         // Lengths no posting count backs (a hostile image claims them):
         // no more cells than postings.
-        let claimed = DphTable::of(coll(), &[u32::MAX, 4], &[list(&[2, 1, 9])]);
+        let claimed = DphTable::of(avg, &[u32::MAX, 4], &[list(&[2, 1, 9])]);
         assert!(claimed.cells.len() <= 3, "{} cells", claimed.cells.len());
         // Long documents and many postings: at most 2 MiB, 16 rows kept.
-        let long = DphTable::of(coll(), &[1_000_000], &[list(&[40; 100_000]), many]);
+        let long = DphTable::of(avg, &[1_000_000], &[list(&[40; 100_000]), many]);
         assert_eq!(long.tf_cap(), 16);
         assert!(long.cells.len() * std::mem::size_of::<Factors>() <= 2 << 20);
         assert_eq!(long.cells.len(), 16 * long.dl_cap() as usize);
-        assert!(DphTable::of(coll(), &[], &[]).cells.is_empty());
+        assert!(DphTable::of(avg, &[], &[]).cells.is_empty());
+    }
+
+    /// A cell depends on the collection only through its average length:
+    /// a table is read, and scores the formula's bits, under another
+    /// document count and other collection frequencies of the same
+    /// average length, and under no other average length.
+    #[test]
+    fn a_table_is_read_under_every_statistic_of_its_average_length() {
+        let table = DphTable::new(coll().avg_doc_len, 8, 200);
+        let planted = table.with_planted_ulp(3, 100);
+        // Five times the documents and tokens: the same average, 100.0.
+        let larger = CollectionStats::of(50_000, 5_000_000);
+        let other = TermStats {
+            doc_freq: 40,
+            coll_freq: 77,
+        };
+        for coll in [coll(), larger] {
+            for term in [rare(), common(), other] {
+                let scorer = table.term_scorer(term, coll);
+                for tf in 0..=9 {
+                    for dl in 0..=201 {
+                        let want = Dph.score(tf, dl, term, coll).to_bits();
+                        assert_eq!(
+                            scorer(tf, dl).to_bits(),
+                            want,
+                            "{tf} {dl} {term:?} {coll:?}"
+                        );
+                    }
+                }
+            }
+            // `N = CF`: the score is the cell's `fixed`, so the planted ulp
+            // shows whenever the cell is read.
+            let even = TermStats {
+                doc_freq: coll.num_docs,
+                coll_freq: coll.num_docs,
+            };
+            let read = planted.term_scorer(even, coll)(3, 100);
+            assert_ne!(read, Dph.score(3, 100, even, coll), "{coll:?}");
+        }
+        let longer = CollectionStats::of(10_000, 1_000_001);
+        let formula = Dph.score(3, 100, rare(), longer);
+        assert_eq!(planted.term_scorer(rare(), longer)(3, 100), formula);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl InvertedIndex {
         let stats = CollectionStats::of(store.len() as u64, num_tokens);
         InvertedIndex {
             forward: ForwardIndex::from_rows(rows, stats.num_docs, &term_stats),
-            dph: DphTable::of(stats, &doc_lens, &postings),
+            dph: DphTable::of(stats.avg_doc_len, &doc_lens, &postings),
             stats,
             vocab,
             postings,

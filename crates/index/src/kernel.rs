@@ -19,11 +19,11 @@
 //!   ([`RankingModel::term_scorer`]) — no vtable and no per-term invariant
 //!   inside the posting loop. A sealed range (a whole index, an
 //!   in-process shard, a shard artifact) scores with the
-//!   [`DphTable`](crate::dph::DphTable) built for the statistics its
-//!   source carries, which reads DPH's `(tf, dl)` factors from a table
-//!   instead of computing them per posting; under any other statistics
-//!   (a delta's union overlay) the table runs the formula, and so does
-//!   the delta itself;
+//!   [`DphTable`](crate::dph::DphTable) built for the average document
+//!   length its source carries: DPH takes `log₂(N / CF)` once per term,
+//!   and a posting reads its `(tf, dl)` cell and scores one multiply and
+//!   one add; under another average length (a delta's union overlay) the
+//!   table runs the formula, and so does the delta itself;
 //! * a **single live term** streams postings → score → candidates with no
 //!   accumulator at all;
 //! * **several terms** accumulate into a thread-local dense `f64` array
@@ -42,7 +42,7 @@
 //! has scored (plus one bit per id and 4 B per matched document), and the
 //! key buffer 16 B per key, at most `2k` keys (3.2 KiB at `k` = 100),
 //! both kept for the thread's lifetime — 0.35 MiB at 46 k documents. An
-//! index's table is at most 2 MiB, about 95 KiB at 46 k documents, and
+//! index's table is at most 2 MiB, about 63 KiB at 46 k documents, and
 //! there is no per-posting array.
 
 use crate::document::DocId;

@@ -17,7 +17,7 @@
 //!   and encodes a document, started from nothing or from a sealed index,
 //! * [`index`] — the immutable inverted index and collection statistics,
 //! * [`dph`] — the DPH ranking model, and [`DphTable`], its exact
-//!   `(tf, dl)` factors precomputed under one collection's statistics,
+//!   `(tf, dl)` factors precomputed for one average document length,
 //! * `kernel` (crate-private) — the retrieval kernel: the one scoring
 //!   loop every production retriever runs (monomorphised model, dense
 //!   thread-local accumulators, rank-key top-`k` selection),

@@ -196,6 +196,10 @@ fn serialization_roundtrip() {
     }
 }
 
+/// A DPH table cell: the two `f64`s `fixed` and `per_log` (see
+/// `serpdiv_index::dph`). A table spends at most 2 MiB on them.
+const DPH_CELL_BYTES: u64 = 2 * std::mem::size_of::<f64>() as u64;
+
 /// A DPH table scores exactly what the formula scores, `f64` bit for bit,
 /// at every cell, at `tf` or `dl` zero, and at the first `tf` and `dl`
 /// past each cap (where it falls back to the formula). The statistics are
@@ -220,11 +224,11 @@ fn dph_table_scores_bit_for_bit_like_the_formula() {
         } else {
             (rng.gen_range(1..40), rng.gen_range(1..300))
         };
-        let table = DphTable::new(coll, max_tf, max_dl);
+        let table = DphTable::new(coll.avg_doc_len, max_tf, max_dl);
         let (tf_cap, dl_cap) = (table.tf_cap(), table.dl_cap());
         assert!(tf_cap <= max_tf && dl_cap <= max_dl, "seed {seed}");
         assert!(
-            u64::from(tf_cap) * u64::from(dl_cap) * 24 <= 2 << 20,
+            u64::from(tf_cap) * u64::from(dl_cap) * DPH_CELL_BYTES <= 2 << 20,
             "seed {seed}: {tf_cap} x {dl_cap} cells"
         );
         if !huge {
@@ -253,4 +257,92 @@ fn dph_table_scores_bit_for_bit_like_the_formula() {
         }
     }
     assert_eq!(signs, [true, true], "scores of both signs");
+}
+
+/// Terrier's literal DPH expression, `norm · (tf · log₂((tf · avg_dl / dl)
+/// · (N / CF)) + half_log)`, and the scale its folded form is held to:
+/// the largest magnitude among `norm · tf · log₂(tf · avg_dl / dl)`,
+/// `norm · tf · log₂(N / CF)` and `norm · half_log`, the summands the
+/// fold adds apart, and `norm · tf`, which scales the literal's rounding
+/// of the product `(tf · avg_dl / dl) · (N / CF)` before its log (up to
+/// half an ulp of 1 in the log where the product is near 1).
+fn terrier_dph(tf: u32, dl: u32, term: TermStats, coll: CollectionStats) -> (f64, f64) {
+    let (tf, dl) = (f64::from(tf), f64::from(dl));
+    let f = (tf / dl).min(1.0 - 1e-9);
+    let norm = (1.0 - f) * (1.0 - f) / (tf + 1.0);
+    let half_log = 0.5 * (2.0 * std::f64::consts::PI * tf * (1.0 - f)).log2();
+    let length_ratio = tf * coll.avg_doc_len / dl;
+    let n_cf = coll.num_docs as f64 / term.coll_freq as f64;
+    let score = norm * (tf * (length_ratio * n_cf).log2() + half_log);
+    let scale = [tf * length_ratio.log2(), tf * n_cf.log2(), half_log, tf]
+        .iter()
+        .map(|x| (norm * x).abs())
+        .fold(0.0, f64::max);
+    (score, scale)
+}
+
+/// How far, in machine epsilons of its scale (see [`terrier_dph`]), the
+/// folded DPH score may lie from Terrier's literal expression: a few
+/// ulps of the larger summand. Each order rounds about a dozen times; a
+/// sweep of 2²⁰ draws like the ones below found at most 4.4.
+const DPH_FOLD_EPSILONS: f64 = 8.0;
+
+/// DPH's folded order, `fixed + per_log · log₂(N / CF)`, scores what
+/// Terrier's literal expression scores within `DPH_FOLD_EPSILONS`
+/// epsilons of the larger summand, though not bit for bit (module docs
+/// of `serpdiv_index::dph`). The statistics are random: collection
+/// frequencies from far below to far above the document count; in one
+/// draw of three the two logs nearly cancel (`tf · avg_dl / dl · N / CF`
+/// near 1), and in another both are near 0.
+#[test]
+fn dph_scores_terrier_s_literal_expression_within_a_few_ulps() {
+    let (mut differ, mut signs) = (0, [false; 2]);
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let num_docs = rng.gen_range(1u64..5_000_000);
+        let num_tokens = num_docs * rng.gen_range(1..2_000) + rng.gen_range(0..num_docs);
+        let coll = CollectionStats {
+            num_docs,
+            num_tokens,
+            avg_doc_len: num_tokens as f64 / num_docs as f64,
+        };
+        for _ in 0..64 {
+            let tf = rng.gen_range(1..=200u32);
+            let kind = rng.gen_range(0..3);
+            let near_1 = rng.gen_range(0.999..1.001);
+            let dl = if kind == 2 {
+                // `tf · avg_dl / dl` near 1.
+                ((f64::from(tf) * coll.avg_doc_len * near_1) as u32).max(tf)
+            } else {
+                rng.gen_range(tf..=tf.max((4.0 * coll.avg_doc_len) as u32))
+            };
+            let length_ratio = f64::from(tf) * coll.avg_doc_len / f64::from(dl);
+            // The `N / CF` to aim at.
+            let n_cf = match kind {
+                0 => (rng.gen_range(0.0..1.0f64) * 40.0 - 20.0).exp2(),
+                1 => near_1 / length_ratio,
+                _ => near_1,
+            };
+            let coll_freq = ((num_docs as f64 / n_cf).round() as u64).max(1);
+            let term = TermStats {
+                doc_freq: coll_freq.min(num_docs),
+                coll_freq,
+            };
+            let (want, scale) = terrier_dph(tf, dl, term, coll);
+            let got = Dph.score(tf, dl, term, coll);
+            let epsilons = (got - want).abs() / (f64::EPSILON * scale);
+            differ += usize::from(got.to_bits() != want.to_bits());
+            signs[usize::from(want < 0.0)] = true;
+            assert!(
+                epsilons <= DPH_FOLD_EPSILONS,
+                "seed {seed}: tf {tf}, dl {dl}, {term:?}, {coll:?}: \
+                 {got} against {want}, {epsilons} epsilons"
+            );
+        }
+    }
+    assert_eq!(signs, [true, true], "scores of both signs");
+    assert!(
+        differ > 0,
+        "the two orders never differed: nothing was bounded"
+    );
 }

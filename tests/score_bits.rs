@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// The digest of the request set below at the committed DPH, utility
 /// and OptSelect definitions.
-const DIGEST: u64 = 0xe690_ceb8_cc89_ea46;
+const DIGEST: u64 = 0x2e2f_7a75_3d1c_a691;
 
 /// Page size of every request, and the candidate pool of a diversified
 /// one.
