@@ -347,18 +347,19 @@ mod tests {
     /// A cell depends on the collection only through its average length:
     /// a table is read, and scores the formula's bits, under another
     /// document count and other collection frequencies of the same
-    /// average length, and under no other average length.
+    /// average length, and is not read under another average length.
     #[test]
     fn a_table_is_read_under_every_statistic_of_its_average_length() {
         let table = DphTable::new(coll().avg_doc_len, 8, 200);
         let planted = table.with_planted_ulp(3, 100);
         // Five times the documents and tokens: the same average, 100.0.
         let larger = CollectionStats::of(50_000, 5_000_000);
+        let longer = CollectionStats::of(10_000, 1_000_001);
         let other = TermStats {
             doc_freq: 40,
             coll_freq: 77,
         };
-        for coll in [coll(), larger] {
+        for coll in [coll(), larger, longer] {
             for term in [rare(), common(), other] {
                 let scorer = table.term_scorer(term, coll);
                 for tf in 0..=9 {
@@ -373,17 +374,14 @@ mod tests {
                 }
             }
             // `N = CF`: the score is the cell's `fixed`, so the planted ulp
-            // shows whenever the cell is read.
+            // shows exactly when the cell is read.
             let even = TermStats {
                 doc_freq: coll.num_docs,
                 coll_freq: coll.num_docs,
             };
-            let read = planted.term_scorer(even, coll)(3, 100);
-            assert_ne!(read, Dph.score(3, 100, even, coll), "{coll:?}");
+            let read = planted.term_scorer(even, coll)(3, 100) != Dph.score(3, 100, even, coll);
+            assert_eq!(read, coll.avg_doc_len == 100.0, "{coll:?}");
         }
-        let longer = CollectionStats::of(10_000, 1_000_001);
-        let formula = Dph.score(3, 100, rare(), longer);
-        assert_eq!(planted.term_scorer(rare(), longer)(3, 100), formula);
     }
 
     #[test]
